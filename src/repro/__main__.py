@@ -211,12 +211,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "fully re-optimized (default: 2.0)",
     )
     parser.add_argument(
-        "--revalidate-workers", type=int, default=1,
-        help="background threads re-costing stale cache entries after "
-        "statistics drift (sync tier; the async tier revalidates "
-        "per shard) (default: 1)",
-    )
-    parser.add_argument(
         "--band-width", type=float, default=None,
         help="log10 band width for banded cache keys: statistics "
         "snapshots within the same band share one cache entry "
@@ -292,7 +286,6 @@ def run_serve(argv) -> int:
             drain_grace_seconds=args.grace,
             degradation=args.degradation,
             recost_bound=args.recost_bound,
-            revalidate_workers=args.revalidate_workers,
             snapshot_band_width=args.band_width,
             dataset=args.dataset,
             default_executor=args.executor,

@@ -31,7 +31,7 @@ import logging
 import socket
 import threading
 import time
-from collections import Counter, OrderedDict, deque
+from collections import OrderedDict, deque
 from typing import Deque, Optional, Tuple
 
 from repro.asyncserver import frames
@@ -42,8 +42,19 @@ from repro.asyncserver.supervisor import (
     WorkerUnavailable,
 )
 from repro.server.metrics import ServerMetrics
+from repro.service.core import (
+    RequestError,
+    batch_item,
+    batch_queries,
+    batch_report,
+    check_route,
+    error_body,
+    merge_stats,
+    parse_body,
+    parse_sql,
+    sum_counters,
+)
 from repro.service.fingerprint import query_fingerprint, shard_for_fingerprint
-from repro.sql.binder import parse_query
 from repro.sql.catalog import Catalog
 
 logger = logging.getLogger("repro.asyncserver")
@@ -52,9 +63,11 @@ logger = logging.getLogger("repro.asyncserver")
 MAX_BODY_BYTES = 8 * 1024 * 1024
 MAX_HEADER_BYTES = 64 * 1024
 
-KNOWN_PATHS = frozenset(
-    {"/optimize", "/explain", "/batch", "/execute", "/healthz", "/stats", "/stats_update"}
-)
+_PLAN_FRAMES = {
+    "/optimize": frames.OPTIMIZE,
+    "/explain": frames.EXPLAIN,
+    "/execute": frames.EXECUTE,
+}
 
 _REASONS = {
     200: "OK",
@@ -69,21 +82,8 @@ _REASONS = {
 }
 
 
-class _HttpError(Exception):
-    """An error response with the sync tier's ``{"error": {...}}`` body."""
-
-    def __init__(self, status: int, code: str, message: str):
-        super().__init__(message)
-        self.status = status
-        self.code = code
-        self.message = message
-
-    def body_bytes(self) -> bytes:
-        return _error_bytes(self.code, self.message)
-
-
 def _error_bytes(code: str, message: str) -> bytes:
-    return json.dumps({"error": {"code": code, "message": message}}).encode("utf-8")
+    return json.dumps(error_body(code, message)).encode("utf-8")
 
 
 def _response_bytes(status: int, body: bytes, *, close: bool = False) -> bytes:
@@ -143,19 +143,14 @@ class AsyncPlanService:
     # -- routing -------------------------------------------------------------
     def route(self, sql) -> int:
         """The shard owning *sql*'s structural fingerprint."""
-        if not isinstance(sql, str) or not sql.strip():
-            raise _HttpError(400, "bad_request", "'sql' must be a non-empty string")
         routes = self._routes
-        shard = routes.get(sql)
+        shard = routes.get(sql) if isinstance(sql, str) else None
         if shard is not None:
             self._route_hits += 1
             routes.move_to_end(sql)
             return shard
+        query = parse_sql(sql, self.catalog)
         self._route_misses += 1
-        try:
-            query = parse_query(sql, self.catalog)
-        except ValueError as exc:
-            raise _HttpError(400, "parse_error", str(exc)) from exc
         shard = shard_for_fingerprint(
             query_fingerprint(query), self.supervisor.shards
         )
@@ -167,9 +162,9 @@ class AsyncPlanService:
     # -- admission -----------------------------------------------------------
     def _admit(self) -> None:
         if self.draining:
-            raise _HttpError(503, "draining", "server is draining; retry elsewhere")
+            raise RequestError(503, "draining", "server is draining; retry elsewhere")
         if self.inflight >= self.config.effective_max_inflight:
-            raise _HttpError(
+            raise RequestError(
                 429,
                 "overloaded",
                 f"too many in-flight requests (limit {self.config.effective_max_inflight})",
@@ -188,8 +183,8 @@ class AsyncPlanService:
         started = time.perf_counter()
         try:
             status, payload = await self._route_request(method, path, body)
-        except _HttpError as error:
-            status, payload = error.status, error.body_bytes()
+        except RequestError as error:
+            status, payload = error.status, _error_bytes(error.code, error.message)
         except asyncio.CancelledError:
             raise
         except Exception as error:  # noqa: BLE001 - the front must not die
@@ -197,57 +192,28 @@ class AsyncPlanService:
             status, payload = 500, _error_bytes(
                 "internal", f"{type(error).__name__}: {error}"
             )
-        endpoint = path if path in KNOWN_PATHS else "<other>"
-        self.metrics.record_request(endpoint, status, time.perf_counter() - started)
+        self.metrics.record_request(method, path, status, time.perf_counter() - started)
         return status, payload
 
     async def _route_request(self, method, path, body) -> Tuple[int, bytes]:
-        if path == "/optimize":
-            self._require(method, "POST", path)
-            return await self._plan_request(frames.OPTIMIZE, body)
-        if path == "/explain":
-            self._require(method, "POST", path)
-            return await self._plan_request(frames.EXPLAIN, body)
-        if path == "/execute":
-            self._require(method, "POST", path)
-            # Same fingerprint-routing as /optimize: the executing shard
-            # is the one whose cache shard owns the plan.
-            return await self._plan_request(frames.EXECUTE, body)
-        if path == "/batch":
-            self._require(method, "POST", path)
-            return await self._batch_request(body)
+        check_route(method, path)
         if path == "/stats":
-            self._require(method, "GET", path)
             return 200, json.dumps(await self.stats_body()).encode("utf-8")
-        if path == "/stats_update":
-            self._require(method, "POST", path)
-            return await self._stats_update_request(body)
         if path == "/healthz":
-            self._require(method, "GET", path)
             status, payload = self.healthz_body()
             return status, json.dumps(payload).encode("utf-8")
-        raise _HttpError(404, "not_found", f"no such endpoint: {path}")
-
-    @staticmethod
-    def _require(method: str, expected: str, path: str) -> None:
-        if method != expected:
-            raise _HttpError(
-                405, "method_not_allowed", f"{path} expects {expected}, got {method}"
-            )
-
-    def _parse_body(self, body: bytes) -> dict:
-        try:
-            payload = json.loads(body)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise _HttpError(400, "bad_json", f"invalid JSON body: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise _HttpError(400, "bad_json", "body must be a JSON object")
-        return payload
+        if path == "/batch":
+            return await self._batch_request(body)
+        if path == "/stats_update":
+            return await self._stats_update_request(body)
+        # /optimize, /explain, /execute: routed by fingerprint — the
+        # executing shard is the one whose cache shard owns the plan.
+        return await self._plan_request(_PLAN_FRAMES[path], body)
 
     async def _plan_request(self, kind: int, body: bytes) -> Tuple[int, bytes]:
         self._admit()
         try:
-            payload = self._parse_body(body)
+            payload = parse_body(body)
             shard = self.route(payload.get("sql"))
             try:
                 # Hard (budget + grace) timeout: the worker's cooperative
@@ -259,7 +225,7 @@ class AsyncPlanService:
                 )
             except asyncio.TimeoutError:
                 self.supervisor.worker(shard).reap("request hard-timeout")
-                raise _HttpError(
+                raise RequestError(
                     504,
                     "timeout",
                     f"worker unresponsive past the "
@@ -267,31 +233,27 @@ class AsyncPlanService:
                     " — request abandoned",
                 ) from None
             except WorkerUnavailable as unavailable:
-                raise _HttpError(
+                raise RequestError(
                     503, "shard_unavailable", str(unavailable)
                 ) from unavailable
             except WorkerCrashed as crash:
-                raise _HttpError(500, "worker_pool_failure", str(crash)) from crash
+                raise RequestError(500, "worker_pool_failure", str(crash)) from crash
         finally:
             self._release()
 
     async def _batch_request(self, body: bytes) -> Tuple[int, bytes]:
         self._admit()
         try:
-            payload = self._parse_body(body)
-            queries = payload.get("queries")
-            if not isinstance(queries, list):
-                raise _HttpError(400, "bad_request", "'queries' must be a list")
+            payload = parse_body(body)
+            queries = batch_queries(payload)
             started = time.perf_counter()
             front_items = []  # items answered without a worker (parse errors)
             per_shard: dict = {}
             for index, sql in enumerate(queries):
                 try:
                     shard = self.route(sql)
-                except _HttpError as error:
-                    front_items.append(
-                        {"index": index, "error": error.message, "stage": "parse"}
-                    )
+                except RequestError as error:
+                    front_items.append(batch_item(index, error, False))
                     continue
                 per_shard.setdefault(shard, []).append([index, sql])
 
@@ -353,16 +315,7 @@ class AsyncPlanService:
             )
             items = front_items + [item for chunk in shard_items for item in chunk]
             items.sort(key=lambda item: item["index"])
-            failed = sum(1 for item in items if "error" in item)
-            cache_hits = sum(1 for item in items if item.get("cache_hit"))
-            report = {
-                "total": len(items),
-                "succeeded": len(items) - failed,
-                "failed": failed,
-                "cache_hits": cache_hits,
-                "wall_seconds": time.perf_counter() - started,
-                "items": items,
-            }
+            report = batch_report(items, started)
             return 200, json.dumps(report).encode("utf-8")
         finally:
             self._release()
@@ -379,9 +332,7 @@ class AsyncPlanService:
         error, since a half-applied drift would leave shards planning
         under different statistics.
         """
-        payload = self._parse_body(body)  # reject bad JSON before fan-out
-        if not isinstance(payload.get("table"), str):
-            raise _HttpError(400, "bad_request", "'table' must be a non-empty string")
+        payload = parse_body(body)  # reject bad JSON before fan-out
         replies = await self.supervisor.broadcast(
             frames.STATS_UPDATE, json.dumps(payload).encode("utf-8")
         )
@@ -393,31 +344,22 @@ class AsyncPlanService:
             detail = json.loads(response)
             if status != 200:
                 error = detail.get("error", {})
-                raise _HttpError(
+                raise RequestError(
                     status,
                     error.get("code", "stats_update_failed"),
                     error.get("message", "shard rejected the statistics update"),
                 )
             shards.append(detail)
         if not shards:
-            raise _HttpError(503, "shard_unavailable", "no shard answered the update")
-        merged = {
-            key: shards[0].get(key)
-            for key in (
-                "relation",
-                "old_cardinality",
-                "new_cardinality",
-                "cardinality_ratio",
-                "distinct_changed",
-            )
-        }
+            raise RequestError(503, "shard_unavailable", "no shard answered the update")
+        # Every shard applied the same delta to the same statistics, so
+        # the first reply describes it; the lifecycle counts add up.
+        additive = ("marked_stale", "stale_entries", "revalidated_inline")
+        merged = {key: value for key, value in shards[0].items() if key != "shard"}
         merged["shards"] = len(shards)
-        merged["marked_stale"] = sum(s.get("marked_stale", 0) for s in shards)
-        merged["stale_entries"] = sum(s.get("stale_entries", 0) for s in shards)
-        inline: Counter = Counter()
-        for shard in shards:
-            inline.update(shard.get("revalidated_inline", {}))
-        merged["revalidated_inline"] = dict(inline)
+        merged.update(
+            sum_counters({key: shard[key] for key in additive} for shard in shards)
+        )
         return 200, json.dumps(merged).encode("utf-8")
 
     # -- introspection -------------------------------------------------------
@@ -456,14 +398,12 @@ class AsyncPlanService:
         payload["restarts"] = self.supervisor.total_restarts
         payload["supervision"] = self.supervisor.shard_states()
         payload["degradation"] = self.config.degradation
-        payload["plans"] = _merge_plans(details)
-        payload["executions"] = _merge_executions(details)
+        payload.update(merge_stats(details))
         payload["engine"] = {
             "requested": self.config.engine,
-            "effective": payload["plans"]["by_engine"],
+            "effective": payload["plans"].get("by_engine", {}),
         }
         payload["persistence"] = self.supervisor.persistence
-        payload["cache"] = _merge_caches(details)
         payload["route_cache"] = {
             "size": len(self._routes),
             "capacity": self.config.route_cache_capacity,
@@ -490,72 +430,6 @@ class AsyncPlanService:
                 clean = False
         await self.supervisor.drain()
         return clean
-
-
-def _merge_plans(details) -> dict:
-    served = hits = misses = failures = degraded = timeouts = 0
-    stale_served = recosted = replanned = 0
-    by_strategy: Counter = Counter()
-    by_engine: Counter = Counter()
-    for detail in details:
-        plans = detail.get("plans", {})
-        served += plans.get("served", 0)
-        hits += plans.get("cache_hits", 0)
-        misses += plans.get("cache_misses", 0)
-        failures += plans.get("failures", 0)
-        degraded += plans.get("degraded", 0)
-        timeouts += plans.get("timeouts", 0)
-        stale_served += plans.get("stale_served", 0)
-        recosted += plans.get("recosted", 0)
-        replanned += plans.get("replanned", 0)
-        by_strategy.update(plans.get("by_strategy", {}))
-        by_engine.update(plans.get("by_engine", {}))
-    return {
-        "served": served,
-        "cache_hits": hits,
-        "cache_misses": misses,
-        "hit_rate": hits / (hits + misses) if hits + misses else 0.0,
-        "failures": failures,
-        "degraded": degraded,
-        "timeouts": timeouts,
-        "stale_served": stale_served,
-        "recosted": recosted,
-        "replanned": replanned,
-        "by_strategy": dict(by_strategy),
-        "by_engine": dict(by_engine),
-    }
-
-
-def _merge_executions(details) -> dict:
-    """Sum the shards' /execute counters (per-shard detail keeps the rest)."""
-    count = rows = 0
-    seconds = 0.0
-    by_executor: Counter = Counter()
-    for detail in details:
-        executions = detail.get("executions", {})
-        count += executions.get("count", 0)
-        rows += executions.get("rows_returned", 0)
-        seconds += executions.get("seconds_total", 0.0)
-        by_executor.update(executions.get("by_executor", {}))
-    return {
-        "count": count,
-        "by_executor": dict(by_executor),
-        "rows_returned": rows,
-        "seconds_total": seconds,
-        "mean_ms": (seconds / count) * 1000.0 if count else None,
-    }
-
-
-def _merge_caches(details) -> dict:
-    merged: Counter = Counter()
-    for detail in details:
-        for key, value in (detail.get("cache") or {}).items():
-            if isinstance(value, (int, float)):
-                merged[key] += value
-    if "hits" in merged or "misses" in merged:
-        lookups = merged.get("hits", 0) + merged.get("misses", 0)
-        merged["hit_rate"] = merged.get("hits", 0) / lookups if lookups else 0.0
-    return dict(merged)
 
 
 class _HttpConnection(asyncio.Protocol):
@@ -611,7 +485,7 @@ class _HttpConnection(asyncio.Protocol):
                 del self.buffer[: end + 4]
                 try:
                     self._head = self._parse_head(head)
-                except _HttpError as error:
+                except RequestError as error:
                     self._reject(error.status, error.code, error.message)
                     return
             method, path, length, close_after = self._head
@@ -633,11 +507,11 @@ class _HttpConnection(asyncio.Protocol):
         try:
             text = head.decode("latin-1")
         except UnicodeDecodeError as exc:  # pragma: no cover - latin-1 total
-            raise _HttpError(400, "bad_request", "undecodable head") from exc
+            raise RequestError(400, "bad_request", "undecodable head") from exc
         lines = text.split("\r\n")
         parts = lines[0].split(" ")
         if len(parts) != 3:
-            raise _HttpError(400, "bad_request", f"malformed request line: {lines[0]!r}")
+            raise RequestError(400, "bad_request", f"malformed request line: {lines[0]!r}")
         method, target, version = parts
         length = 0
         connection = ""
@@ -650,9 +524,9 @@ class _HttpConnection(asyncio.Protocol):
                 try:
                     length = int(value.strip())
                 except ValueError:
-                    raise _HttpError(400, "bad_request", "bad Content-Length") from None
+                    raise RequestError(400, "bad_request", "bad Content-Length") from None
                 if length < 0:
-                    raise _HttpError(400, "bad_request", "bad Content-Length")
+                    raise RequestError(400, "bad_request", "bad Content-Length")
             elif name == "connection":
                 connection = value.strip().lower()
         close_after = connection == "close" or version == "HTTP/1.0"

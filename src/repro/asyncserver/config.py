@@ -15,7 +15,7 @@ import os
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.optimizer.config import OptimizerConfig
+from repro.service.config import ServingConfig
 
 
 def default_shards() -> int:
@@ -33,41 +33,21 @@ def default_shards() -> int:
 
 
 @dataclass(frozen=True)
-class AsyncServerConfig:
-    """Immutable async-tier settings.
+class AsyncServerConfig(ServingConfig):
+    """Immutable async-tier settings (on top of :class:`ServingConfig`).
 
-    ``shards`` — worker processes, each owning one plan-cache shard
-    (``None`` auto-sizes via :func:`default_shards`).  ``cache_dir`` —
+    ``shards`` — worker processes, each owning one serving core and so
+    one plan-cache shard (``None`` auto-sizes via :func:`default_shards`);
+    ``cache_capacity`` is therefore **per shard**, and caching cannot be
+    switched off (the shard cache *is* the tier).  ``cache_dir`` —
     directory for shard snapshots; ``None`` disables persistence.
-    ``cache_capacity`` — plan-cache entries **per shard**.
-    ``max_inflight`` bounds requests admitted to the worker tier across
-    all endpoints; excess requests get an immediate 429 (``None``
-    derives ``16 * shards + 32`` — the tier is built for open-loop
-    traffic, so the bound is deliberately deeper than the sync
-    server's).  ``route_cache_capacity`` bounds the front process's
-    SQL-text → shard memo.  ``request_timeout_seconds`` is one
-    request's planning budget: workers charge queue time against it and
-    arm the remainder as a cooperative deadline inside the DP, with
-    ``degradation`` picking the outcome of a blown budget — a heuristic
-    plan marked ``degraded: true`` (200) or a 504.  The front waits
-    :attr:`hard_timeout_seconds` (budget + grace) before declaring the
-    worker wedged, answering 504, and killing it for restart.
-    ``worker_boot_seconds`` caps waiting for a worker's hello at spawn;
-    ``drain_grace_seconds`` is how long a drain waits for in-flight
-    requests before snapshotting and exiting anyway.
-
-    Stale-while-revalidate: ``recost_bound`` is how far a re-costed
-    stale plan may regress past the cheap-replan reference before full
-    re-enumeration, ``revalidate_batch`` bounds inline revalidation per
-    ``STATS_UPDATE`` frame (the rest drains in serve-loop idle gaps),
-    and ``snapshot_band_width`` (log10 decades, ``None`` = exact)
-    enables banded cache keys so nearby statistics share entries.
-
-    ``dataset`` enables ``POST /execute``: a
-    :func:`~repro.data.provision.dataset_from_spec` spec (``tpch-sf0.01``
-    or a directory) provisioned **per worker shard** at boot —
-    generation is deterministic, so every shard holds identical data.
-    ``default_executor`` is the backend used when a request names none.
+    ``max_inflight`` defaults to ``16 * shards + 32`` — the tier is built
+    for open-loop traffic, so the bound is deliberately deeper than the
+    threaded server's.  ``route_cache_capacity`` bounds the front
+    process's SQL-text → shard memo.  ``worker_boot_seconds`` caps
+    waiting for a worker's hello at spawn.  ``revalidate_batch`` bounds
+    inline revalidation per ``STATS_UPDATE`` frame (the rest drains in
+    serve-loop idle gaps).
 
     Crash supervision: restarts back off exponentially
     (``restart_backoff_base_seconds`` doubling per crash up to
@@ -78,63 +58,30 @@ class AsyncServerConfig:
     one restart probe closes the breaker if it boots.
     """
 
-    host: str = "127.0.0.1"
-    port: int = 8080
     shards: Optional[int] = None
     cache_dir: Optional[str] = None
-    max_inflight: Optional[int] = None
-    scale_factor: float = 1.0
-    strategy: str = "ea-prune"
-    factor: float = 1.03
-    cost_model: str = "cout"
-    engine: str = "indexed"
-    cache_capacity: int = 512
     route_cache_capacity: int = 4096
-    request_timeout_seconds: float = 120.0
     worker_boot_seconds: float = 60.0
-    drain_grace_seconds: float = 10.0
-    degradation: str = "heuristic"
-    recost_bound: float = 2.0
     revalidate_batch: int = 8
-    snapshot_band_width: Optional[float] = None
     restart_backoff_base_seconds: float = 0.5
     restart_backoff_cap_seconds: float = 30.0
     breaker_threshold: int = 5
     breaker_window_seconds: float = 60.0
     breaker_cooldown_seconds: float = 30.0
-    dataset: Optional[str] = None
-    default_executor: str = "columnar"
 
     def __post_init__(self) -> None:
-        if not (0 <= self.port <= 65535):
-            raise ValueError(f"port must be in [0, 65535] (0 = ephemeral), got {self.port}")
+        super().__post_init__()
         if self.shards is not None and self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
-        if self.max_inflight is not None and self.max_inflight < 1:
-            raise ValueError(f"max_inflight must be >= 1, got {self.max_inflight}")
-        if self.scale_factor <= 0:
-            raise ValueError(f"scale_factor must be > 0, got {self.scale_factor}")
-        if self.cache_capacity < 1:
+        if self.cache_capacity is None or self.cache_capacity < 1:
             raise ValueError(f"cache_capacity must be >= 1, got {self.cache_capacity}")
         if self.route_cache_capacity < 1:
             raise ValueError(
                 f"route_cache_capacity must be >= 1, got {self.route_cache_capacity}"
             )
-        if self.request_timeout_seconds <= 0:
-            raise ValueError(
-                f"request_timeout_seconds must be > 0, got {self.request_timeout_seconds}"
-            )
         if self.worker_boot_seconds <= 0:
             raise ValueError(
                 f"worker_boot_seconds must be > 0, got {self.worker_boot_seconds}"
-            )
-        if self.drain_grace_seconds < 0:
-            raise ValueError(
-                f"drain_grace_seconds must be >= 0, got {self.drain_grace_seconds}"
-            )
-        if self.degradation not in ("heuristic", "error"):
-            raise ValueError(
-                f"degradation must be 'heuristic' or 'error', got {self.degradation!r}"
             )
         if self.revalidate_batch < 1:
             raise ValueError(
@@ -159,47 +106,6 @@ class AsyncServerConfig:
             raise ValueError(
                 f"breaker_cooldown_seconds must be >= 0, got {self.breaker_cooldown_seconds}"
             )
-        from repro.exec import EXECUTORS
-
-        if self.default_executor not in EXECUTORS:
-            raise ValueError(
-                f"default_executor must be one of {', '.join(EXECUTORS)}, "
-                f"got {self.default_executor!r}"
-            )
-        if self.dataset is not None:
-            from repro.data.provision import validate_dataset_spec
-
-            validate_dataset_spec(self.dataset)
-        # Validate the optimizer-facing fields eagerly, like everything else.
-        self.optimizer_config()
-
-    def optimizer_config(self) -> OptimizerConfig:
-        """The optimizer settings each worker shard plans under."""
-        return OptimizerConfig(
-            strategy=self.strategy,
-            factor=self.factor,
-            cost_model=self.cost_model,
-            engine=self.engine,
-            workers=None,
-            cache_capacity=self.cache_capacity,
-            degradation=self.degradation,
-            snapshot_band_width=self.snapshot_band_width,
-            recost_bound=self.recost_bound,
-        )
-
-    @property
-    def hard_timeout_seconds(self) -> float:
-        """The front's hard wait before declaring a worker wedged.
-
-        Budget plus grace: the worker's cooperative deadline fires at
-        ``request_timeout_seconds`` and a degraded (or 504) response
-        travels back within the grace margin, so this expiring means the
-        worker is genuinely stuck (hung, not merely slow) and gets
-        killed for restart.
-        """
-        return self.request_timeout_seconds + max(
-            2.0, 0.25 * self.request_timeout_seconds
-        )
 
     @property
     def effective_shards(self) -> int:

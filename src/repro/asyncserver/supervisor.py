@@ -21,6 +21,7 @@ restart happens.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import itertools
 import json
 import os
@@ -31,6 +32,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.asyncserver import frames
 from repro.asyncserver.config import AsyncServerConfig
+from repro.service.config import ServingConfig
 
 
 class WorkerCrashed(Exception):
@@ -320,25 +322,18 @@ class WorkerSupervisor:
         self._persistence = {"loaded": 0, "saved": 0, "rejected": 0}
 
     def worker_config(self, shard: int) -> dict:
+        """What shard *shard*'s process boots from: its identity, plus the
+        shared serving settings its :class:`ServingCore` is built from."""
         config = self.config
         return {
             "shard": shard,
             "shards": self.shards,
-            "cache_dir": config.cache_dir,
             "snapshot_path": config.shard_path(shard),
-            "scale_factor": config.scale_factor,
-            "strategy": config.strategy,
-            "factor": config.factor,
-            "cost_model": config.cost_model,
-            "engine": config.engine,
-            "cache_capacity": config.cache_capacity,
-            "request_timeout_seconds": config.request_timeout_seconds,
-            "degradation": config.degradation,
-            "recost_bound": config.recost_bound,
             "revalidate_batch": config.revalidate_batch,
-            "snapshot_band_width": config.snapshot_band_width,
-            "dataset": config.dataset,
-            "default_executor": config.default_executor,
+            "serving": {
+                field.name: getattr(config, field.name)
+                for field in dataclasses.fields(ServingConfig)
+            },
         }
 
     def note_persistence(self, counters: Optional[dict]) -> None:

@@ -5,11 +5,12 @@ system finally *accepts traffic*:
 
 * :mod:`repro.server.config` — :class:`ServerConfig`, the validated knobs,
 * :mod:`repro.server.service` — :class:`PlanService`, the HTTP-free
-  engine: session + process pool + bounded admission + metrics,
+  adapter over :class:`~repro.service.core.ServingCore`: one lock +
+  process pool + bounded admission,
 * :mod:`repro.server.app` — :class:`PlanServer`, the
   ``ThreadingHTTPServer`` front end with graceful drain,
 * :mod:`repro.server.metrics` — per-endpoint latency/error counters
-  behind ``GET /stats``,
+  behind ``GET /stats`` (shared with the async front),
 * :mod:`repro.server.client` — :class:`ServerClient`, the stdlib client
   the benchmark's closed-loop load generator (and the tests) drive.
 
@@ -21,7 +22,8 @@ from repro.server.app import PlanServer
 from repro.server.client import ServerClient, ServerError
 from repro.server.config import ServerConfig
 from repro.server.metrics import ServerMetrics
-from repro.server.service import PlanService, RequestError
+from repro.server.service import PlanService
+from repro.service.core import RequestError
 
 __all__ = [
     "PlanServer",

@@ -1,12 +1,9 @@
-"""`ServerConfig` — the plan server's knobs, validated eagerly.
+"""`ServerConfig` — the threaded plan server's knobs, validated eagerly.
 
-The same philosophy as :class:`~repro.optimizer.config.OptimizerConfig`:
-one frozen value object instead of scattered kwargs, rejected at
-construction rather than at first use.  The optimizer-facing fields
-(strategy, factor, cost model, cache capacity) derive an
-``OptimizerConfig`` via :meth:`ServerConfig.optimizer_config`; the rest
-shape the HTTP front end (bind address, worker processes, admission
-limit, timeouts).
+Everything both tiers share (bind address, optimizer settings, cache
+capacity, budgets, dataset) lives on
+:class:`~repro.service.config.ServingConfig`; this adds the one thing
+only the threaded transport owns — its optimizer process pool.
 """
 
 from __future__ import annotations
@@ -14,128 +11,27 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.optimizer.config import OptimizerConfig
 from repro.service.batch import default_workers
+from repro.service.config import ServingConfig
 
 
 @dataclass(frozen=True)
-class ServerConfig:
-    """Immutable plan-server settings.
+class ServerConfig(ServingConfig):
+    """Immutable threaded-tier settings.
 
     ``workers`` — optimizer processes behind the HTTP threads.  ``None``
     auto-sizes like the batch driver; ``0`` runs optimization inside the
     request thread (no pool — handy for tests and tiny deployments, but
     CPU-bound requests then serialise on the GIL).  ``max_inflight``
-    bounds admitted-but-unfinished requests across *all* endpoints that
-    optimize; excess requests are rejected with 429 (``None`` derives
-    ``2 * workers + 8``).  ``request_timeout_seconds`` caps one request's
-    planning budget: the remaining budget (minus any time already spent
-    in the request) is armed as a cooperative deadline inside the worker,
-    and ``degradation`` decides what a blown budget returns —
-    ``"heuristic"`` a cheap greedy plan marked ``degraded: true`` (HTTP
-    200), ``"error"`` an HTTP 504.  A hard wait of
-    :attr:`hard_timeout_seconds` (budget + grace) backstops wedged
-    workers.  ``drain_grace_seconds`` is how long a SIGTERM drain waits
-    for in-flight requests before giving up.
-
-    ``recost_bound`` / ``revalidate_workers`` / ``snapshot_band_width``
-    shape the stale-while-revalidate path: how far a re-costed stale
-    plan may regress past the cheap-replan reference before full
-    re-enumeration, how many background revalidation threads drain the
-    stale backlog, and (optionally) the log10 band width for banded
-    cache keys so nearby statistics snapshots share entries.
-
-    ``dataset`` enables ``POST /execute``: a
-    :func:`~repro.data.provision.dataset_from_spec` spec
-    (``tpch-sf0.01`` or a directory of data files) loaded at boot and
-    executed against; ``default_executor`` is the backend used when a
-    request names none (``"columnar"`` — the serving-oriented one).
+    defaults to ``2 * workers + 8``.
     """
 
-    host: str = "127.0.0.1"
-    port: int = 8080
     workers: Optional[int] = None
-    max_inflight: Optional[int] = None
-    scale_factor: float = 1.0
-    strategy: str = "ea-prune"
-    factor: float = 1.03
-    cost_model: str = "cout"
-    engine: str = "indexed"
-    cache_capacity: Optional[int] = 512
-    request_timeout_seconds: float = 120.0
-    drain_grace_seconds: float = 10.0
-    degradation: str = "heuristic"
-    recost_bound: float = 2.0
-    revalidate_workers: int = 1
-    snapshot_band_width: Optional[float] = None
-    dataset: Optional[str] = None
-    default_executor: str = "columnar"
 
     def __post_init__(self) -> None:
-        if not (0 <= self.port <= 65535):
-            raise ValueError(f"port must be in [0, 65535] (0 = ephemeral), got {self.port}")
+        super().__post_init__()
         if self.workers is not None and self.workers < 0:
             raise ValueError(f"workers must be >= 0 (0 = in-thread), got {self.workers}")
-        if self.max_inflight is not None and self.max_inflight < 1:
-            raise ValueError(f"max_inflight must be >= 1, got {self.max_inflight}")
-        if self.scale_factor <= 0:
-            raise ValueError(f"scale_factor must be > 0, got {self.scale_factor}")
-        if self.request_timeout_seconds <= 0:
-            raise ValueError(
-                f"request_timeout_seconds must be > 0, got {self.request_timeout_seconds}"
-            )
-        if self.drain_grace_seconds < 0:
-            raise ValueError(
-                f"drain_grace_seconds must be >= 0, got {self.drain_grace_seconds}"
-            )
-        if self.degradation not in ("heuristic", "error"):
-            raise ValueError(
-                f"degradation must be 'heuristic' or 'error', got {self.degradation!r}"
-            )
-        if self.revalidate_workers < 1:
-            raise ValueError(
-                f"revalidate_workers must be >= 1, got {self.revalidate_workers}"
-            )
-        from repro.exec import EXECUTORS
-
-        if self.default_executor not in EXECUTORS:
-            raise ValueError(
-                f"default_executor must be one of {', '.join(EXECUTORS)}, "
-                f"got {self.default_executor!r}"
-            )
-        if self.dataset is not None:
-            from repro.data.provision import validate_dataset_spec
-
-            validate_dataset_spec(self.dataset)
-        # Validate the optimizer-facing fields eagerly, like everything else.
-        self.optimizer_config()
-
-    def optimizer_config(self) -> OptimizerConfig:
-        """The session-level optimizer settings this server plans under."""
-        return OptimizerConfig(
-            strategy=self.strategy,
-            factor=self.factor,
-            cost_model=self.cost_model,
-            engine=self.engine,
-            workers=None,  # the server owns its own process pool
-            cache_capacity=self.cache_capacity,
-            degradation=self.degradation,
-            snapshot_band_width=self.snapshot_band_width,
-            recost_bound=self.recost_bound,
-        )
-
-    @property
-    def hard_timeout_seconds(self) -> float:
-        """The hard wait on a worker before declaring it wedged (504).
-
-        The cooperative deadline inside the worker fires at
-        ``request_timeout_seconds``; the grace margin lets a degraded
-        (or 504-bound) answer travel back before the pool wait gives up,
-        so the hard timeout only triggers for genuinely stuck workers.
-        """
-        return self.request_timeout_seconds + max(
-            2.0, 0.25 * self.request_timeout_seconds
-        )
 
     @property
     def effective_workers(self) -> int:

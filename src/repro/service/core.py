@@ -1,0 +1,766 @@
+"""`ServingCore` — the one request pipeline behind both serving transports.
+
+Everything between "a JSON body arrived" and "here is the reply dict"
+lives here exactly once: SQL-text validation and the parse memo,
+override → config resolution, cache-key construction, the hit / miss /
+stale / degraded decision, planning under the request's remaining
+budget, execution against the dataset, statistics drift, revalidation
+and the ``plans`` / ``executions`` counters of ``GET /stats``.  Bodies
+go in as dicts and come out as dicts, or raise :class:`RequestError`;
+nothing here knows about sockets, threads, processes or event loops.
+
+**Single owner.**  A core has no locks: whoever holds it must call it
+from one thread at a time.  The async tier's shard worker is
+single-threaded, so it simply calls (:meth:`ServingCore.plan` blocks the
+shard while it optimizes — the sharding contract, one owner per
+fingerprint).  The threaded tier takes one lock around each call and
+plans outside it: :meth:`~ServingCore.probe` under the lock → the
+:class:`Miss` tickets go to its process pool as one wave →
+:meth:`~ServingCore.complete` under the lock again.
+
+The warm path stays: memo lookup → key → ``PlanCache.serve_entry`` →
+a small dict.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+import math
+import time
+from collections import Counter, OrderedDict, deque
+from typing import Deque, Dict, Iterable, List, Optional, Tuple, Union
+
+from repro import chaos
+from repro.api.session import plan_to_dict
+from repro.optimizer import driver
+from repro.optimizer.config import OptimizerConfig
+from repro.optimizer.deadline import Deadline, PlanningDeadlineExceeded
+from repro.optimizer.driver import OptimizationResult
+from repro.plans.render import render_plan
+from repro.query.spec import Query
+from repro.service.cache import FRESH, PlanCache
+from repro.service.config import ServingConfig
+from repro.service.fingerprint import (
+    PlanCacheKey,
+    cardinality_snapshot,
+    query_fingerprint,
+    strategy_label,
+)
+from repro.service.rebind import query_binding, rebind_result
+from repro.service.revalidate import StaleRevalidator
+from repro.sql.binder import parse_query
+from repro.sql.catalog import Catalog
+
+#: the HTTP surface: every routable path and the one method it takes.
+#: Anything else is a 404 (and metered under one ``<other>`` bucket, so
+#: arbitrary client paths cannot grow the metrics dict).
+ENDPOINTS = {
+    "/optimize": "POST",
+    "/explain": "POST",
+    "/batch": "POST",
+    "/execute": "POST",
+    "/stats_update": "POST",
+    "/stats": "GET",
+    "/healthz": "GET",
+}
+
+#: bounded memo of parsed SQL text per core.
+PARSE_MEMO_CAPACITY = 4096
+
+#: distinct (strategy, factor, cost_model) override triples remembered;
+#: the memo is keyed by client input, so it is flushed when it fills.
+CONFIG_MEMO_CAPACITY = 256
+
+#: rows returned by /execute when the request does not name a limit
+#: (an explicit ``"limit": null`` lifts the cap entirely).
+DEFAULT_EXECUTE_LIMIT = 1000
+
+#: latency samples retained per window for percentile estimates.
+WINDOW = 2048
+
+_OVERRIDES = ("strategy", "factor", "cost_model")
+_BLOCKS = ("plans", "executions", "cache", "parse_memo")
+_PERCENTILES = (("p50_ms", 0.50), ("p95_ms", 0.95), ("p99_ms", 0.99))
+
+
+class RequestError(Exception):
+    """A request-scoped failure with an HTTP status and a stable code.
+
+    Raised anywhere below a transport; the transport serialises it as
+    ``{"error": {"code": ..., "message": ...}}`` with :attr:`status`.
+    """
+
+    def __init__(self, status: int, code: str, message: str):
+        super().__init__(message)
+        self.status = status
+        self.code = code
+        self.message = message
+
+    def to_body(self) -> dict:
+        return error_body(self.code, self.message)
+
+
+def error_body(code: str, message: str) -> dict:
+    """The one shape every error reply has, on every transport."""
+    return {"error": {"code": code, "message": message}}
+
+
+@dataclasses.dataclass(slots=True)
+class Miss:
+    """The ticket :meth:`ServingCore.probe` hands out for a cache miss:
+    what to plan, under which config, until when, and where the result
+    goes (:meth:`ServingCore.complete`)."""
+
+    query: Query
+    config: OptimizerConfig
+    key: PlanCacheKey
+    sql: str
+    exact: str
+    #: ``time.monotonic()`` instant the planning budget expires.
+    deadline_at: float
+
+
+#: what planning one request yields: the result, the config it was
+#: planned under, and the bound query (``/execute`` binds data to it).
+Planned = Tuple[OptimizationResult, OptimizerConfig, Query]
+
+
+# -- what the transports share besides the core itself -----------------------------
+
+
+def check_route(method: str, path: str) -> None:
+    """404 for an unknown *path*, 405 for a known one asked the wrong way."""
+    expected = ENDPOINTS.get(path)
+    if expected is None:
+        raise RequestError(404, "not_found", f"no such endpoint: {path}")
+    if method != expected:
+        raise RequestError(
+            405, "method_not_allowed", f"{path} expects {expected}, got {method}"
+        )
+
+
+def parse_body(raw: bytes) -> dict:
+    """The JSON object in *raw*; anything else is a 400 ``bad_json``."""
+    try:
+        body = json.loads(raw)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise RequestError(400, "bad_json", f"invalid JSON body: {exc}") from exc
+    if not isinstance(body, dict):
+        raise RequestError(400, "bad_json", "body must be a JSON object")
+    return body
+
+
+def parse_sql(sql, catalog: Catalog) -> Query:
+    """Validate and bind one SQL text (the memo-miss path of every memo)."""
+    if not isinstance(sql, str) or not sql.strip():
+        raise RequestError(400, "bad_request", "'sql' must be a non-empty string")
+    try:
+        return parse_query(sql, catalog)
+    except ValueError as exc:
+        raise RequestError(400, "parse_error", str(exc)) from exc
+    except RecursionError as exc:
+        raise RequestError(400, "parse_error", "statement nests too deeply") from exc
+
+
+def batch_queries(body: dict) -> list:
+    """The statements of one ``/batch`` body (a non-empty list)."""
+    queries = body.get("queries")
+    if not isinstance(queries, list) or not queries:
+        raise RequestError(400, "bad_request", "'queries' must be a non-empty list")
+    return queries
+
+
+def batch_bodies(body: dict, sqls: Iterable) -> List[dict]:
+    """One /optimize-shaped body per statement of a ``/batch``, each
+    carrying the batch's overrides."""
+    shared = {field: body.get(field) for field in _OVERRIDES}
+    return [dict(shared, sql=sql) for sql in sqls]
+
+
+def batch_item(index: int, planned: Union[Planned, RequestError], include_plans: bool) -> dict:
+    """One ``/batch`` item: the plan's numbers, or the error it earned.
+
+    A statement that fails to parse or optimize yields an item with an
+    ``error`` field; every other statement still returns its plan.
+    """
+    if isinstance(planned, RequestError):
+        stage = "parse" if planned.code in ("parse_error", "bad_request") else "optimize"
+        item = {"index": index, "error": planned.message, "stage": stage}
+        if planned.code == "timeout":
+            item["timeout"] = True
+        return item
+    result = planned[0]
+    item = {
+        "index": index,
+        "strategy": result.strategy,
+        "cost": result.cost,
+        "cache_hit": result.cache_hit,
+        "degraded": result.degraded,
+        "elapsed_seconds": result.elapsed_seconds,
+    }
+    if include_plans:
+        item["plan"] = plan_to_dict(result.plan.node)
+    return item
+
+
+def batch_report(items: List[dict], started: float) -> dict:
+    """The ``/batch`` reply around *items* (already in request order)."""
+    failed = sum(1 for item in items if "error" in item)
+    return {
+        "total": len(items),
+        "succeeded": len(items) - failed,
+        "failed": failed,
+        "cache_hits": sum(1 for item in items if item.get("cache_hit")),
+        "wall_seconds": time.perf_counter() - started,
+        "items": items,
+    }
+
+
+def optimize_reply(body: dict, planned: Planned, started: float) -> dict:
+    """``POST /optimize`` — one SQL statement → its plan as JSON."""
+    result, config, _query = planned
+    payload = {
+        "strategy": result.strategy,
+        "cost_model": config.cost_model_name,
+        "cost": result.cost,
+        "cardinality": result.plan.cardinality,
+        "elapsed_seconds": result.elapsed_seconds,
+        "server_seconds": time.perf_counter() - started,
+        "cache_hit": result.cache_hit,
+        "degraded": result.degraded,
+        "ccp_count": result.ccp_count,
+        "plans_built": result.plans_built,
+    }
+    if body.get("include_plan", True):
+        payload["plan"] = plan_to_dict(result.plan.node)
+    return payload
+
+
+def explain_reply(planned: Planned) -> dict:
+    """``POST /explain`` — the plan rendered as text."""
+    result = planned[0]
+    return {
+        "strategy": result.strategy,
+        "cost": result.cost,
+        "cache_hit": result.cache_hit,
+        "degraded": result.degraded,
+        "explain": render_plan(result.plan.node),
+    }
+
+
+def effective_engine(result: OptimizationResult) -> str:
+    """The driver code path that actually produced *result*.
+
+    Read from the run's stats flags, so a ``"vectorized"`` config that
+    silently fell back (numpy missing, unsupported strategy/cost model)
+    reports the engine that ran — cache hits keep the original run's
+    engine, which is what they cost to produce.
+    """
+    stats = result.stats or {}
+    if stats.get("engine_vectorized"):
+        return "vectorized"
+    if stats.get("engine_reference"):
+        return "reference"
+    return "indexed"
+
+
+def percentile(samples: List[float], q: float) -> Optional[float]:
+    """The *q*-quantile (0..1) of *samples* by nearest-rank; None if empty."""
+    if not samples:
+        return None
+    ordered = sorted(samples)
+    rank = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
+    return ordered[rank]
+
+
+def window_summary(window_ms: List[float]) -> Dict[str, Optional[float]]:
+    """``p50_ms`` / ``p95_ms`` / ``p99_ms`` of one latency window."""
+    ordered = sorted(window_ms)  # once; percentile()'s own sort is then linear
+    return {name: percentile(ordered, q) for name, q in _PERCENTILES}
+
+
+def sum_counters(snapshots: Iterable[dict]) -> dict:
+    """Add up same-shaped counter dicts: numbers sum, nested dicts
+    recurse, ``None`` and non-numeric leaves keep the first value seen."""
+    total: dict = {}
+    for snapshot in snapshots:
+        for key, value in snapshot.items():
+            if isinstance(value, dict):
+                total[key] = sum_counters((total.get(key) or {}, value))
+            elif isinstance(value, (int, float)) and not isinstance(value, bool):
+                total[key] = (total.get(key) or 0) + value
+            elif total.get(key) is None:
+                total[key] = value
+    return total
+
+
+def merge_stats(snapshots: List[dict]) -> dict:
+    """Several cores' :meth:`ServingCore.stats` as one of the same shape.
+
+    Counters and counter maps (``served``, ``by_strategy``, cache
+    ``hits``, ``seconds_total`` …) are additive and summed, capacities
+    and sizes included (the tier's total).  What is not additive is
+    derived again from the sums — ``plans.hit_rate``, ``cache.hit_rate``,
+    ``executions.mean_ms`` — except the execution percentiles, which
+    cannot be: ``p50_ms`` / ``p95_ms`` / ``p99_ms`` report the *worst*
+    core's value, an upper bound on the pooled percentile (at least that
+    share of every core's samples lies below it).
+    """
+    merged = sum_counters(
+        {name: snapshot[name] for name in _BLOCKS} for snapshot in snapshots
+    )
+    plans = merged.setdefault("plans", {})
+    plans["hit_rate"] = _ratio(plans.get("cache_hits", 0), plans.get("served", 0))
+    cache = merged.get("cache")
+    if cache:
+        cache["hit_rate"] = _ratio(
+            cache.get("hits", 0), cache.get("hits", 0) + cache.get("misses", 0)
+        )
+    executions = merged.setdefault("executions", {})
+    count = executions.get("count", 0)
+    executions["mean_ms"] = (
+        executions.get("seconds_total", 0.0) / count * 1000.0 if count else None
+    )
+    for name, _q in _PERCENTILES:
+        executions[name] = max(
+            (
+                snapshot["executions"][name]
+                for snapshot in snapshots
+                if snapshot["executions"][name] is not None
+            ),
+            default=None,
+        )
+    return merged
+
+
+def _ratio(part: float, whole: float) -> float:
+    return part / whole if whole else 0.0
+
+
+class ServingCore:
+    """Catalog, base config, plan cache, dataset, revalidator, memos and
+    counters of one serving process — see the module docstring for who
+    may call it when."""
+
+    def __init__(self, config: ServingConfig):
+        self.base_config = config.optimizer_config()
+        #: per-request planning budget; time a request spent queued
+        #: before :meth:`probe` is charged against it.
+        self.request_timeout = config.request_timeout_seconds
+        self.default_executor = config.default_executor
+        self.dataset = None
+        if config.dataset is not None:
+            # Boot-time provisioning: a bad spec fails construction, not
+            # the first /execute request.
+            from repro.data.provision import dataset_from_spec
+
+            self.dataset = dataset_from_spec(config.dataset)
+        self.catalog = Catalog.from_tpch(scale_factor=config.scale_factor)
+        self.cache: Optional[PlanCache] = None
+        self.revalidator: Optional[StaleRevalidator] = None
+        if self.base_config.caching_enabled:
+            self.cache = PlanCache(capacity=self.base_config.cache_capacity)
+            self.revalidator = StaleRevalidator(
+                self.cache, self.catalog, self.base_config,
+                on_event=self._record_revalidation,
+            )
+        # text → (query, fingerprint, key snapshot, exact snapshot) —
+        # parse/bind/digest once per distinct SQL spelling (key snapshot
+        # is banded when snapshot_band_width is configured).
+        self._parse_memo: "OrderedDict[str, Tuple[Query, str, str, str]]" = OrderedDict()
+        self._memo_hits = 0
+        self._memo_misses = 0
+        # (strategy, factor, cost_model) request overrides → resolved
+        # (config, key-strategy name, key factor, cost-model name).
+        self._config_memo: Dict[
+            Tuple, Tuple[OptimizerConfig, str, Optional[float], str]
+        ] = {}
+        self._served = 0
+        self._hits = 0
+        self._failures = 0
+        self._degraded = 0
+        self._timeouts = 0
+        self._stale_served = 0
+        self._recosted = 0
+        self._replanned = 0
+        self._by_strategy: Counter = Counter()
+        self._by_engine: Counter = Counter()
+        self._executions: Counter = Counter()
+        self._execution_rows = 0
+        self._execution_seconds = 0.0
+        self._execution_ms: Deque[float] = deque(maxlen=WINDOW)
+
+    # -- request plumbing ----------------------------------------------------
+    def _parse(self, sql) -> Tuple[Query, str, str, str]:
+        memo = self._parse_memo
+        hit = memo.get(sql) if isinstance(sql, str) else None
+        if hit is not None:
+            self._memo_hits += 1
+            memo.move_to_end(sql)
+            return hit
+        query = parse_sql(sql, self.catalog)
+        self._memo_misses += 1
+        exact = cardinality_snapshot(query)
+        band = self.base_config.snapshot_band_width
+        key_snapshot = cardinality_snapshot(query, band) if band is not None else exact
+        entry = (query, query_fingerprint(query), key_snapshot, exact)
+        memo[sql] = entry
+        if len(memo) > PARSE_MEMO_CAPACITY:
+            memo.popitem(last=False)
+        return entry
+
+    def _resolve_config(
+        self, body: dict
+    ) -> Tuple[OptimizerConfig, str, Optional[float], str]:
+        """The config one request plans under.  ``null`` for an override
+        means the same as leaving it out."""
+        signature = (body.get("strategy"), body.get("factor"), body.get("cost_model"))
+        try:
+            resolved = self._config_memo.get(signature)
+        except TypeError:  # a JSON array/object where a name or number belongs
+            resolved = None
+        if resolved is None:
+            overrides = {
+                field: value
+                for field, value in zip(_OVERRIDES, signature)
+                if value is not None
+            }
+            try:
+                config = (
+                    self.base_config.with_overrides(**overrides)
+                    if overrides
+                    else self.base_config
+                )
+                name, factor = strategy_label(config.resolve_strategy(), config.factor)
+            except (TypeError, ValueError) as exc:
+                raise RequestError(400, "bad_config", str(exc)) from exc
+            resolved = (config, name, factor, config.cost_model_name)
+            if len(self._config_memo) >= CONFIG_MEMO_CAPACITY:
+                self._config_memo.clear()
+            self._config_memo[signature] = resolved
+        return resolved
+
+    def _record(self, result: OptimizationResult, hit: bool) -> None:
+        self._served += 1
+        self._hits += hit
+        self._by_strategy[result.strategy] += 1
+        self._by_engine[effective_engine(result)] += 1
+
+    def _record_revalidation(self, outcome: str) -> None:
+        if outcome == "recosted":
+            self._recosted += 1
+        elif outcome == "replanned":
+            self._replanned += 1
+
+    # -- planning ------------------------------------------------------------
+    def probe(self, body: dict, arrived: Optional[float] = None) -> Union[Planned, Miss]:
+        """Serve ``body["sql"]`` from the cache, or say what to plan.
+
+        A hit returns ``(result, config, query)``; a stale entry is a
+        hit too (stale-while-revalidate: answered now, revalidation
+        brings it back fresh).  A miss returns a :class:`Miss` whose
+        budget runs from *arrived* (``time.monotonic``; default now), so
+        time spent queued before this call counts against it.
+        """
+        sql = body.get("sql")
+        query, fingerprint, snapshot, exact = self._parse(sql)
+        config, strategy, factor, cost_model = self._resolve_config(body)
+        key = PlanCacheKey(
+            fingerprint=fingerprint,
+            snapshot=snapshot,
+            strategy=strategy,
+            factor=factor,
+            cost_model=cost_model,
+        )
+        if self.cache is not None:
+            found = self.cache.serve_entry(key, query, exact_snapshot=exact)
+            if found is not None:
+                result, state = found
+                if state != FRESH:
+                    self._stale_served += 1
+                self._record(result, True)
+                return result, config, query
+        if arrived is None:
+            arrived = time.monotonic()
+        return Miss(query, config, key, sql, exact, arrived + self.request_timeout)
+
+    def complete(self, miss: Miss, result: OptimizationResult) -> Planned:
+        """Take the freshly planned *result* for *miss*: count it, and
+        store it unless it is a deadline-degraded fallback — those are
+        never cached (``PlanCache.store`` also refuses them defensively)."""
+        if result.degraded:
+            self._degraded += 1
+        elif self.cache is not None:
+            self.cache.store(
+                miss.key, miss.query, result, sql=miss.sql, exact_snapshot=miss.exact
+            )
+        self._record(result, False)
+        return result, miss.config, miss.query
+
+    def failure(self, error: str, timed_out: bool) -> RequestError:
+        """Count one failed planning run; the error its request gets.
+
+        *timed_out* marks a blown budget under ``degradation="error"``
+        (504); anything else is the optimizer's own fault (500).
+        """
+        if timed_out:
+            self._timeouts += 1
+            return RequestError(504, "timeout", error)
+        self._failures += 1
+        return RequestError(500, "optimizer_error", error)
+
+    def share(self, planned: Planned, miss: Miss) -> Planned:
+        """Serve *miss* from the run that just planned its in-request
+        duplicate (same cache key, maybe other names).  Rebinds the
+        result in hand rather than probing again — the entry may already
+        be evicted, or was never stored."""
+        result, _config, query = planned
+        shared = rebind_result(result, query_binding(query), miss.query).as_cache_hit()
+        self._record(shared, True)
+        return shared, miss.config, miss.query
+
+    def plan(self, body: dict, arrived: Optional[float] = None) -> Planned:
+        """:meth:`probe`, and on a miss optimize right here under the
+        remaining budget, then :meth:`complete`."""
+        found = self.probe(body, arrived)
+        if type(found) is not Miss:
+            return found
+        if chaos.enabled():
+            chaos.before_request(found.sql)
+        try:
+            # A fully consumed budget still arms a Deadline — it fires on
+            # the first DP check, so the request degrades (or 504s) at
+            # once instead of planning past its caller's patience.
+            budget = max(0.0, found.deadline_at - time.monotonic())
+            result = driver.optimize(
+                found.query, config=found.config, deadline=Deadline(budget)
+            )
+        except PlanningDeadlineExceeded as exc:
+            raise self.failure(f"{type(exc).__name__}: {exc}", True) from exc
+        except Exception as exc:  # noqa: BLE001 - per-request isolation
+            raise self.failure(f"{type(exc).__name__}: {exc}", False) from exc
+        return self.complete(found, result)
+
+    # -- request bodies (in-process planning) --------------------------------
+    def optimize(self, body: dict, arrived: Optional[float] = None) -> dict:
+        started = time.perf_counter()
+        return optimize_reply(body, self.plan(body, arrived), started)
+
+    def explain(self, body: dict, arrived: Optional[float] = None) -> dict:
+        return explain_reply(self.plan(body, arrived))
+
+    def batch_items(self, body: dict, indexed_sqls, arrived: Optional[float] = None) -> List[dict]:
+        """Plan ``(index, sql)`` pairs under *body*'s overrides.
+
+        All items share *arrived*, so the whole batch shares one budget
+        — later items whose predecessors ate it degrade rather than
+        extend the request.
+        """
+        include_plans = bool(body.get("include_plans", False))
+        pairs = list(indexed_sqls)
+        bodies = batch_bodies(body, [sql for _index, sql in pairs])
+        items = []
+        for (index, _sql), item_body in zip(pairs, bodies):
+            try:
+                planned = self.plan(item_body, arrived)
+            except RequestError as error:
+                planned = error
+            items.append(batch_item(index, planned, include_plans))
+        return items
+
+    def check_execute(self, body: dict) -> Tuple[str, Optional[int]]:
+        """The ``(executor, limit)`` of one ``/execute`` body.
+
+        ``"limit": null`` means unlimited; an absent limit defaults to
+        :data:`DEFAULT_EXECUTE_LIMIT` so an unbounded join cannot melt
+        the JSON serialiser by accident.
+        """
+        if self.dataset is None:
+            raise RequestError(
+                409,
+                "no_dataset",
+                "no dataset loaded — start the server with a dataset "
+                "(e.g. --dataset tpch-sf0.01) to execute plans",
+            )
+        from repro.exec import EXECUTORS
+
+        executor = body.get("executor", self.default_executor)
+        if executor not in EXECUTORS:
+            raise RequestError(
+                400,
+                "bad_executor",
+                f"unknown executor {executor!r} (one of: {', '.join(EXECUTORS)})",
+            )
+        limit = body.get("limit", DEFAULT_EXECUTE_LIMIT)
+        if limit is not None and (
+            not isinstance(limit, int) or isinstance(limit, bool) or limit < 0
+        ):
+            raise RequestError(400, "bad_request", "'limit' must be an integer >= 0 or null")
+        return executor, limit
+
+    def run(self, planned: Planned, executor: str, limit: Optional[int], started: float) -> dict:
+        """Execute a planned statement against the dataset → the
+        ``/execute`` reply: rows columnar-style (``columns`` + row
+        arrays) with the pure execution runtime, which also feeds the
+        ``executions`` block of :meth:`stats`."""
+        from repro.algebra.values import NULL
+        from repro.exec import run_plan
+
+        result, _config, query = planned
+        try:
+            database = self.dataset.database_for(query)
+        except KeyError as exc:
+            raise RequestError(
+                404, "unknown_table", f"dataset has no table for {exc.args[0]!r}"
+            ) from exc
+        run_started = time.perf_counter()
+        try:
+            relation = run_plan(result.plan.node, database, executor=executor, limit=limit)
+        except Exception as exc:  # noqa: BLE001 - per-request isolation
+            self._failures += 1
+            raise RequestError(
+                500, "execution_error", f"{type(exc).__name__}: {exc}"
+            ) from exc
+        execution_seconds = time.perf_counter() - run_started
+        self._executions[executor] += 1
+        self._execution_rows += len(relation)
+        self._execution_seconds += execution_seconds
+        self._execution_ms.append(execution_seconds * 1000.0)
+        columns = list(relation.attributes)
+        return {
+            "strategy": result.strategy,
+            "cost": result.cost,
+            "cache_hit": result.cache_hit,
+            "degraded": result.degraded,
+            "executor": executor,
+            "limit": limit,
+            "columns": columns,
+            "rows": [
+                [None if row[column] is NULL else row[column] for column in columns]
+                for row in relation
+            ],
+            "row_count": len(relation),
+            "execution_seconds": execution_seconds,
+            "server_seconds": time.perf_counter() - started,
+        }
+
+    def execute(self, body: dict, arrived: Optional[float] = None) -> dict:
+        """``POST /execute`` — plan (cached or fresh), then run.  Takes
+        the /optimize fields plus ``executor`` and ``limit``; 409
+        without a dataset."""
+        started = time.perf_counter()
+        executor, limit = self.check_execute(body)
+        return self.run(self.plan(body, arrived), executor, limit, started)
+
+    # -- statistics drift ----------------------------------------------------
+    def stats_update(self, body: dict, inline: int) -> dict:
+        """``POST /stats_update`` — apply one statistics drift.
+
+        Scales (``cardinality_factor``) or sets (``cardinality``) a
+        table's row count, marks dependent cache entries stale (they
+        keep being served), flushes the parse memo (its queries and
+        digests embed the old statistics) and revalidates up to *inline*
+        entries before answering; the owner drains the rest of the
+        backlog through :meth:`revalidate` off the request path.
+        """
+        table = body.get("table")
+        if not isinstance(table, str) or not table.strip():
+            raise RequestError(400, "bad_request", "'table' must be a non-empty string")
+        old = self.catalog.lookup(table)
+        if old is None:
+            raise RequestError(404, "unknown_table", f"unknown table {table!r}")
+        factor = body.get("cardinality_factor")
+        absolute = body.get("cardinality")
+        if (factor is None) == (absolute is None):
+            raise RequestError(
+                400,
+                "bad_request",
+                "provide exactly one of 'cardinality_factor' or 'cardinality'",
+            )
+        try:
+            if factor is not None:
+                factor = float(factor)
+                new_cardinality = old.cardinality * factor
+            else:
+                new_cardinality = float(absolute)
+                factor = new_cardinality / old.cardinality if old.cardinality else 1.0
+            if not (math.isfinite(factor) and factor > 0 and math.isfinite(new_cardinality)):
+                raise ValueError("the new cardinality must be finite and > 0")
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise RequestError(400, "bad_request", str(exc)) from exc
+        # Distinct counts drift with the table (sub-linearly in reality;
+        # linear-with-clamp is the standard homogeneity assumption).
+        new_stats = dataclasses.replace(
+            old,
+            cardinality=new_cardinality,
+            distinct={
+                column: min(value * factor, new_cardinality)
+                for column, value in old.distinct.items()
+            },
+        )
+        delta = self.catalog.update_stats(table, new_stats)
+        self._parse_memo.clear()
+        payload = dict(delta.payload())
+        if self.cache is None:
+            payload.update(marked_stale=0, stale_entries=0, revalidated_inline={})
+            return payload
+        payload["marked_stale"] = self.cache.mark_stale(delta.relation)
+        payload["revalidated_inline"] = self.revalidator.drain(limit=inline)
+        payload["stale_entries"] = self.cache.stale_count()
+        return payload
+
+    def stale_backlog(self) -> bool:
+        """Whether :meth:`revalidate` has entries left to process."""
+        return self.cache is not None and self.cache.stale_count() > 0
+
+    def revalidate(self, limit: int = 1) -> bool:
+        """Re-cost or re-plan up to *limit* stale entries.
+
+        Returns whether any entry actually left the stale backlog —
+        False means everything claimed failed (e.g. replans that
+        deadline-degrade) and went back to stale, so the caller must
+        stop looping rather than spin on the same entry.
+        """
+        if self.revalidator is None:
+            return False
+        counts = self.revalidator.drain(limit=limit)
+        return counts["recosted"] + counts["replanned"] + counts["dropped"] > 0
+
+    # -- introspection -------------------------------------------------------
+    def stats(self) -> dict:
+        """The core's share of ``GET /stats``; consistent because the
+        core has one owner.  :func:`merge_stats` adds several up."""
+        served, hits = self._served, self._hits
+        executed = sum(self._executions.values())
+        executions = {
+            "count": executed,
+            "by_executor": dict(self._executions),
+            "rows_returned": self._execution_rows,
+            "seconds_total": self._execution_seconds,
+            "mean_ms": self._execution_seconds / executed * 1000.0 if executed else None,
+        }
+        executions.update(window_summary(list(self._execution_ms)))
+        return {
+            "plans": {
+                "served": served,
+                "cache_hits": hits,
+                "cache_misses": served - hits,
+                "hit_rate": _ratio(hits, served),
+                "failures": self._failures,
+                "degraded": self._degraded,
+                "timeouts": self._timeouts,
+                "stale_served": self._stale_served,
+                "recosted": self._recosted,
+                "replanned": self._replanned,
+                "by_strategy": dict(self._by_strategy),
+                "by_engine": dict(self._by_engine),
+            },
+            "executions": executions,
+            "cache": self.cache.describe() if self.cache is not None else None,
+            "parse_memo": {
+                "size": len(self._parse_memo),
+                "hits": self._memo_hits,
+                "misses": self._memo_misses,
+            },
+        }

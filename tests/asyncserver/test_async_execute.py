@@ -1,15 +1,17 @@
-"""``POST /execute`` on the async tier: shard-routed execution.
+"""``POST /execute`` on the async tier: what shard routing adds.
 
 One worker shard provisions ``tpch-sf0.001`` at boot; the front routes
 ``/execute`` by the SQL's structural fingerprint exactly like
 ``/optimize``, so the executing shard is the one whose cache shard owns
-the plan.
+the plan.  The endpoint's contract (executors, limits, error codes, 409
+without a dataset) is shared with the threaded tier:
+``tests/serving/test_contract.py``.
 """
 
 import pytest
 
 from repro.asyncserver import AsyncPlanServer, AsyncServerConfig
-from repro.server import ServerClient, ServerError
+from repro.server import ServerClient
 
 SQL = (
     "SELECT ns.n_name, count(*) AS cnt FROM nation ns "
@@ -39,23 +41,6 @@ class TestAsyncExecute:
         assert body["shard"] == 0
         assert body["row_count"] == len(body["rows"]) > 0
 
-    def test_backends_agree_through_the_frame_protocol(self, client):
-        columnar = client.execute(SQL, limit=None)
-        interpreter = client.execute(SQL, executor="interpreter", limit=None)
-        assert sorted(map(tuple, columnar["rows"])) == sorted(
-            map(tuple, interpreter["rows"])
-        )
-
-    def test_limit_truncates(self, client):
-        body = client.execute(SQL, limit=1)
-        assert body["row_count"] == 1
-
-    def test_bad_executor_is_400(self, client):
-        with pytest.raises(ServerError) as excinfo:
-            client.execute(SQL, executor="gpu")
-        assert excinfo.value.status == 400
-        assert excinfo.value.code == "bad_executor"
-
     def test_stats_merge_shard_executions(self, client):
         client.execute(SQL)
         stats = client.stats()
@@ -67,16 +52,7 @@ class TestAsyncExecute:
         assert stats["shard_detail"][0]["executions"]["count"] >= 1
 
 
-class TestAsyncExecuteWithoutDataset:
-    def test_409_when_no_dataset_loaded(self):
-        config = AsyncServerConfig(port=0, shards=1, cache_capacity=8)
-        with AsyncPlanServer(config) as server:
-            with ServerClient(port=server.port) as client:
-                with pytest.raises(ServerError) as excinfo:
-                    client.execute(SQL)
-                assert excinfo.value.status == 409
-                assert excinfo.value.code == "no_dataset"
-
+class TestDatasetConfig:
     def test_bad_spec_rejected_at_construction(self):
         with pytest.raises(ValueError, match="dataset spec"):
             AsyncServerConfig(dataset="nonsense-spec")

@@ -1,130 +1,18 @@
-"""``POST /execute`` on the sync tier: end-to-end plan-and-run serving.
+"""Dataset settings of the threaded tier's config.
 
-A module-scoped server loads the deterministic ``tpch-sf0.001`` dataset
-once; the tests drive both executor backends through HTTP and check the
-row payloads against each other (the differential suite proper lives in
-``tests/exec/``; here we assert the serving plumbing — executor choice,
-limits, error codes, and the ``executions`` stats block).
+``POST /execute`` itself — executor choice, limits, error codes, the
+``executions`` stats block, 409 without a dataset — is part of the shared
+contract: ``tests/serving/test_contract.py``.
 """
 
 import pytest
 
-from repro.server import PlanServer, PlanService, RequestError, ServerClient, ServerConfig
+from repro.server import PlanService, ServerConfig
 
 SQL = (
     "SELECT ns.n_name, count(*) AS cnt FROM nation ns "
     "JOIN supplier s ON ns.n_nationkey = s.s_nationkey GROUP BY ns.n_name"
 )
-JOIN_SQL = (
-    "SELECT r.r_name, count(*) AS cnt FROM region r "
-    "JOIN nation n ON r.r_regionkey = n.n_regionkey GROUP BY r.r_name"
-)
-BAD_TABLE = "SELECT count(*) FROM nowhere GROUP BY x"
-
-
-@pytest.fixture(scope="module")
-def server():
-    config = ServerConfig(
-        port=0, workers=0, cache_capacity=64, max_inflight=4, dataset="tpch-sf0.001"
-    )
-    with PlanServer(config) as running:
-        yield running
-
-
-@pytest.fixture()
-def client(server):
-    with ServerClient(port=server.port) as c:
-        yield c
-
-
-class TestExecute:
-    def test_round_trip_default_executor(self, client):
-        body = client.execute(SQL)
-        assert body["executor"] == "columnar"  # the serving default
-        assert body["columns"] == ["ns.n_name", "cnt"]
-        assert body["row_count"] == len(body["rows"]) > 0
-        assert body["execution_seconds"] >= 0.0
-        assert body["cost"] > 0
-
-    def test_backends_agree_through_http(self, client):
-        columnar = client.execute(SQL, limit=None)
-        interpreter = client.execute(SQL, executor="interpreter", limit=None)
-        assert interpreter["executor"] == "interpreter"
-        assert sorted(map(tuple, columnar["rows"])) == sorted(
-            map(tuple, interpreter["rows"])
-        )
-
-    def test_limit_truncates(self, client):
-        body = client.execute(SQL, limit=2)
-        assert body["limit"] == 2
-        assert body["row_count"] == 2
-
-    def test_limit_zero_returns_schema_only(self, client):
-        body = client.execute(SQL, limit=0)
-        assert body["rows"] == []
-        assert body["columns"] == ["ns.n_name", "cnt"]
-
-    def test_absent_limit_defaults_to_cap(self, client):
-        body = client.execute(JOIN_SQL)
-        assert body["limit"] == 1000
-
-    def test_second_run_plans_from_cache(self, client):
-        client.execute(JOIN_SQL, limit=None)
-        body = client.execute(JOIN_SQL, limit=None)
-        assert body["cache_hit"] is True
-
-    def test_bad_executor_is_400(self, client):
-        from repro.server import ServerError
-
-        with pytest.raises(ServerError) as excinfo:
-            client.execute(SQL, executor="gpu")
-        assert excinfo.value.status == 400
-        assert excinfo.value.code == "bad_executor"
-
-    def test_bad_limit_is_400(self, client):
-        from repro.server import ServerError
-
-        with pytest.raises(ServerError) as excinfo:
-            client.execute(SQL, limit=-1)
-        assert excinfo.value.status == 400
-
-    def test_parse_error_is_400(self, client):
-        from repro.server import ServerError
-
-        with pytest.raises(ServerError) as excinfo:
-            client.execute(BAD_TABLE)
-        assert excinfo.value.status == 400
-        assert excinfo.value.code == "parse_error"
-
-    def test_get_is_405(self, client):
-        from repro.server import ServerError
-
-        with pytest.raises(ServerError) as excinfo:
-            client._request("GET", "/execute")
-        assert excinfo.value.status == 405
-
-    def test_stats_report_executions(self, client):
-        client.execute(SQL)
-        stats = client.stats()
-        executions = stats["executions"]
-        assert executions["count"] >= 1
-        assert executions["by_executor"].get("columnar", 0) >= 1
-        assert executions["rows_returned"] >= 1
-        assert executions["p50_ms"] is not None
-        # /execute requests are metered under their own endpoint too.
-        assert stats["requests"]["POST /execute"]["count"] >= 1
-
-
-class TestExecuteWithoutDataset:
-    def test_409_when_no_dataset_loaded(self):
-        service = PlanService(ServerConfig(port=0, workers=0))
-        try:
-            with pytest.raises(RequestError) as excinfo:
-                service.execute_body({"sql": SQL})
-            assert excinfo.value.status == 409
-            assert excinfo.value.code == "no_dataset"
-        finally:
-            service.close()
 
 
 class TestDatasetConfig:

@@ -1,16 +1,14 @@
-"""Plan-server endpoint round-trips, backpressure, and graceful drain.
+"""The threaded tier's own behaviour: backpressure, graceful drain, pool
+dispatch, config validation.
 
-The servers under test bind an ephemeral port with ``workers=0`` —
-optimization runs in the request thread, so no process pool spins up and
-the suite stays fast; pool dispatch itself is covered by the service-level
-tests and the benchmark.
+Endpoint round-trips, error codes and the ``/stats`` shape are the shared
+contract of both tiers — ``tests/serving/test_contract.py`` runs them
+against this tier with ``workers=0`` and ``workers=1``.  The servers here
+bind an ephemeral port with ``workers=0`` unless the pool is the point.
 """
 
-import json
 import threading
 import time
-import urllib.error
-import urllib.request
 
 import pytest
 
@@ -27,11 +25,6 @@ SQL = (
     "SELECT ns.n_name, count(*) AS cnt FROM nation ns "
     "JOIN supplier s ON ns.n_nationkey = s.s_nationkey GROUP BY ns.n_name"
 )
-SQL_RENAMED = (
-    "SELECT n2.n_name, count(*) AS cnt FROM nation n2 "
-    "JOIN supplier sup ON n2.n_nationkey = sup.s_nationkey GROUP BY n2.n_name"
-)
-BAD_TABLE = "SELECT count(*) FROM nowhere GROUP BY x"
 
 
 @pytest.fixture(scope="module")
@@ -47,138 +40,13 @@ def client(server):
         yield c
 
 
-class TestHealthz:
-    def test_ok_while_serving(self, client):
-        body = client.healthz()
-        assert body["status"] == "ok"
-        assert body["workers"] == 0
-        assert body["_status"] == 200
+class TestTransportOwnedFields:
+    """What only the threaded tier reports (the shared contract is in
+    ``tests/serving/test_contract.py``)."""
 
-
-class TestOptimize:
-    def test_round_trip_with_plan_tree(self, client):
-        body = client.optimize(SQL)
-        assert body["strategy"] == "ea-prune"
-        assert body["cost"] > 0
-        assert body["plan"]["op"] in ("groupby", "project", "map")
-        assert body["ccp_count"] >= 1
-
-    def test_cache_hit_on_repeat(self, client):
-        client.optimize(SQL)
-        body = client.optimize(SQL)
-        assert body["cache_hit"] is True
-        assert body["elapsed_seconds"] == 0.0
-
-    def test_renamed_isomorphic_query_hits(self, client):
-        client.optimize(SQL)
-        body = client.optimize(SQL_RENAMED, include_plan=True)
-        assert body["cache_hit"] is True
-        # the served plan speaks the new query's names
-        assert "n2" in json.dumps(body["plan"])
-
-    def test_strategy_override(self, client):
-        body = client.optimize(SQL, strategy="dphyp")
-        assert body["strategy"] == "dphyp"
-
-    def test_include_plan_false_omits_tree(self, client):
-        body = client.optimize(SQL, include_plan=False)
-        assert "plan" not in body
-
-    def test_parse_error_is_400(self, client):
-        with pytest.raises(ServerError) as excinfo:
-            client.optimize(BAD_TABLE)
-        assert excinfo.value.status == 400
-        assert excinfo.value.code == "parse_error"
-        assert "nowhere" in excinfo.value.message
-
-    def test_bad_config_is_400(self, client):
-        with pytest.raises(ServerError) as excinfo:
-            client.optimize(SQL, strategy="nonsense")
-        assert excinfo.value.status == 400
-        assert excinfo.value.code == "bad_config"
-
-    def test_missing_sql_is_400(self, client):
-        with pytest.raises(ServerError) as excinfo:
-            client._request("POST", "/optimize", {"not_sql": 1})
-        assert excinfo.value.status == 400
-
-
-class TestExplain:
-    def test_rendered_tree(self, client):
-        body = client.explain(SQL)
-        assert body["cost"] > 0
-        assert len(body["explain"].splitlines()) >= 2
-        assert "scan" in body["explain"].lower() or "nation" in body["explain"]
-
-
-class TestBatch:
-    def test_poisoned_item_is_isolated(self, client):
-        body = client.batch([SQL, BAD_TABLE, SQL_RENAMED])
-        assert body["total"] == 3
-        assert body["succeeded"] == 2
-        assert body["failed"] == 1
-        items = body["items"]
-        assert "error" in items[1] and items[1]["stage"] == "parse"
-        assert items[0]["cost"] == pytest.approx(items[2]["cost"])
-
-    def test_duplicate_statements_dedup_through_cache(self, client):
-        body = client.batch([SQL, SQL])
-        assert body["succeeded"] == 2
-        assert body["items"][1]["cache_hit"] is True
-
-    def test_include_plans(self, client):
-        body = client.batch([SQL], include_plans=True)
-        assert body["items"][0]["plan"]["op"] in ("groupby", "project", "map")
-
-    def test_empty_list_is_400(self, client):
-        with pytest.raises(ServerError) as excinfo:
-            client.batch([])
-        assert excinfo.value.status == 400
-
-
-class TestStats:
-    def test_merges_request_and_cache_metrics(self, client):
-        client.optimize(SQL)
-        body = client.stats()
-        assert body["requests"]["POST /optimize"]["count"] >= 1
-        assert body["requests"]["POST /optimize"]["p50_ms"] is not None
-        assert body["plans"]["served"] >= 1
-        assert body["cache"]["capacity"] == 64.0
-        assert body["workers"] == 0
-        assert body["draining"] is False
-
-
-class TestHttpEdges:
-    def test_unknown_path_is_404(self, client):
-        with pytest.raises(ServerError) as excinfo:
-            client._request("GET", "/nope")
-        assert excinfo.value.status == 404
-
-    def test_wrong_method_is_405(self, client):
-        with pytest.raises(ServerError) as excinfo:
-            client._request("GET", "/optimize")
-        assert excinfo.value.status == 405
-
-    def test_invalid_json_body_is_400(self, server):
-        request = urllib.request.Request(
-            server.url + "/optimize",
-            data=b"this is not json",
-            headers={"Content-Type": "application/json"},
-        )
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request, timeout=10)
-        assert excinfo.value.code == 400
-        assert json.loads(excinfo.value.read())["error"]["code"] == "bad_json"
-
-    def test_non_object_body_is_400(self, server):
-        request = urllib.request.Request(
-            server.url + "/optimize",
-            data=b"[1, 2]",
-            headers={"Content-Type": "application/json"},
-        )
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request, timeout=10)
-        assert excinfo.value.code == 400
+    def test_healthz_and_stats_report_the_pool_size(self, client):
+        assert client.healthz()["workers"] == 0
+        assert client.stats()["workers"] == 0
 
 
 class TestBackpressure:
@@ -321,49 +189,3 @@ class TestServerConfigValidation:
         config = ServerConfig(workers=3)
         assert config.effective_workers == 3
         assert config.effective_max_inflight == 14
-
-
-class TestMixedOperators:
-    """The PR-5 operator surface over the serving path (acceptance
-    criterion: EXISTS round-trips with a cache key distinct from the
-    NOT EXISTS variant)."""
-
-    EXISTS_SQL = (
-        "SELECT n.n_name, count(*) AS cnt FROM nation n WHERE EXISTS "
-        "(SELECT * FROM supplier s WHERE s.s_nationkey = n.n_nationkey) "
-        "GROUP BY n.n_name"
-    )
-    NOT_EXISTS_SQL = EXISTS_SQL.replace("WHERE EXISTS", "WHERE NOT EXISTS")
-
-    def test_exists_round_trip_serves_a_semijoin_plan(self, client):
-        body = client.optimize(self.EXISTS_SQL, include_plan=True)
-        assert body["cost"] > 0
-        assert "left_semi" in json.dumps(body["plan"])
-
-    def test_not_exists_never_hits_the_exists_entry(self, client):
-        client.optimize(self.EXISTS_SQL)
-        anti = client.optimize(self.NOT_EXISTS_SQL, include_plan=True)
-        assert anti["cache_hit"] is False
-        assert "left_anti" in json.dumps(anti["plan"])
-        again = client.optimize(self.EXISTS_SQL)
-        assert again["cache_hit"] is True
-
-    def test_right_join_and_in_subquery_round_trip(self, client):
-        right = client.optimize(
-            "SELECT n.n_name, count(*) AS cnt FROM supplier s "
-            "RIGHT JOIN nation n ON s.s_nationkey = n.n_nationkey "
-            "GROUP BY n.n_name"
-        )
-        assert right["cost"] > 0
-        in_sub = client.optimize(
-            "SELECT c.c_nationkey, count(*) AS cnt FROM customer c WHERE "
-            "c.c_custkey IN (SELECT o.o_custkey FROM orders o) "
-            "GROUP BY c.c_nationkey"
-        )
-        assert in_sub["cost"] > 0
-
-    def test_reserved_keyword_is_a_client_error(self, client):
-        with pytest.raises(ServerError) as info:
-            client.optimize("SELECT count(*) FROM nation n ORDER BY n.n_name")
-        assert info.value.status == 400
-        assert "reserved but not yet supported" in str(info.value)

@@ -1,0 +1,589 @@
+"""The serving core without sockets or processes: dict in → dict or
+:class:`RequestError` out.
+
+Both transports are adapters over :class:`repro.service.core.ServingCore`,
+so what a request *means* — hit, miss, stale-served, degraded, 504, every
+4xx — is pinned here once, in-process.  The HTTP-level contract (status
+codes on the wire, ``/stats`` shape per transport) lives in
+``tests/serving/test_contract.py``.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.service import core as core_module
+from repro.service.config import ServingConfig
+from repro.service.core import (
+    DEFAULT_EXECUTE_LIMIT,
+    Miss,
+    RequestError,
+    ServingCore,
+    batch_queries,
+    check_route,
+    merge_stats,
+    parse_body,
+)
+
+SQL = (
+    "SELECT ns.n_name, count(*) AS cnt FROM nation ns "
+    "JOIN supplier s ON ns.n_nationkey = s.s_nationkey GROUP BY ns.n_name"
+)
+SQL_RENAMED = (
+    "SELECT n2.n_name, count(*) AS cnt FROM nation n2 "
+    "JOIN supplier sup ON n2.n_nationkey = sup.s_nationkey GROUP BY n2.n_name"
+)
+SQL_SMALL = "SELECT count(*) AS cnt FROM region GROUP BY r_name"
+BAD_TABLE = "SELECT count(*) FROM nowhere GROUP BY x"
+# Six relations: enough ccps that the DP loop runs past its first
+# deadline check under a zero-ish budget.
+BIG_SQL = (
+    "SELECT count(*) AS cnt "
+    "FROM lineitem, orders, customer, supplier, nation, region "
+    "WHERE lineitem.l_orderkey = orders.o_orderkey "
+    "AND orders.o_custkey = customer.c_custkey "
+    "AND lineitem.l_suppkey = supplier.s_suppkey "
+    "AND supplier.s_nationkey = nation.n_nationkey "
+    "AND nation.n_regionkey = region.r_regionkey"
+)
+DEEP_SQL = (
+    "SELECT count(*) AS c FROM nation n WHERE "
+    + "(" * 2000 + "n.n_nationkey = 1" + ")" * 2000
+    + " GROUP BY n.n_name"
+)
+SRC = str(Path(__file__).resolve().parents[2] / "src")
+
+
+def make_core(**settings_) -> ServingCore:
+    settings_.setdefault("cache_capacity", 16)
+    return ServingCore(ServingConfig(**settings_))
+
+
+@pytest.fixture()
+def core():
+    return make_core()
+
+
+@pytest.fixture(scope="module")
+def data_core():
+    """One core with the deterministic SF 0.001 dataset (never drifted)."""
+    return make_core(dataset="tpch-sf0.001", cache_capacity=64)
+
+
+def error_of(call, *args, **kwargs) -> RequestError:
+    with pytest.raises(RequestError) as excinfo:
+        call(*args, **kwargs)
+    return excinfo.value
+
+
+class TestOptimizeAndExplain:
+    def test_miss_then_hit(self, core):
+        cold = core.optimize({"sql": SQL})
+        assert cold["cache_hit"] is False and cold["degraded"] is False
+        assert cold["strategy"] == "ea-prune" and cold["cost_model"] == "cout"
+        assert cold["cost"] > 0 and cold["ccp_count"] >= 1
+        assert cold["plan"]["op"] in ("groupby", "project", "map")
+        warm = core.optimize({"sql": SQL})
+        assert warm["cache_hit"] is True and warm["elapsed_seconds"] == 0.0
+        assert warm["cost"] == cold["cost"]
+        plans = core.stats()["plans"]
+        assert (plans["served"], plans["cache_hits"], plans["cache_misses"]) == (2, 1, 1)
+        assert plans["hit_rate"] == 0.5
+        assert plans["by_strategy"] == {"ea-prune": 2}
+        assert plans["by_engine"] == {"indexed": 2}
+
+    def test_renamed_isomorphic_query_hits_and_speaks_the_new_names(self, core):
+        core.optimize({"sql": SQL})
+        body = core.optimize({"sql": SQL_RENAMED})
+        assert body["cache_hit"] is True
+        assert "n2" in json.dumps(body["plan"])
+
+    def test_include_plan_false_omits_tree(self, core):
+        assert "plan" not in core.optimize({"sql": SQL, "include_plan": False})
+
+    def test_overrides_key_their_own_entries(self, core):
+        core.optimize({"sql": SQL})
+        other = core.optimize({"sql": SQL, "strategy": "dphyp"})
+        assert other["strategy"] == "dphyp" and other["cache_hit"] is False
+
+    def test_null_override_means_absent(self, core):
+        core.optimize({"sql": SQL})
+        body = core.optimize(
+            {"sql": SQL, "strategy": None, "factor": None, "cost_model": None}
+        )
+        assert body["cache_hit"] is True and body["strategy"] == "ea-prune"
+
+    def test_explain_renders_text(self, core):
+        body = core.explain({"sql": SQL})
+        assert "⋈" in body["explain"] and body["cost"] > 0
+        assert set(body) == {"strategy", "cost", "cache_hit", "degraded", "explain"}
+
+    @pytest.mark.parametrize(
+        "body, code",
+        [
+            ({}, "bad_request"),
+            ({"sql": ""}, "bad_request"),
+            ({"sql": "   "}, "bad_request"),
+            ({"sql": 7}, "bad_request"),
+            ({"sql": ["SELECT"]}, "bad_request"),
+            ({"sql": BAD_TABLE}, "parse_error"),
+            ({"sql": "SELECT count(*) FROM nation n ORDER BY n.n_name"}, "parse_error"),
+            ({"sql": DEEP_SQL}, "parse_error"),  # RecursionError, were it not caught
+            ({"sql": SQL, "strategy": "nonsense"}, "bad_config"),
+            ({"sql": SQL, "strategy": 5}, "bad_config"),
+            ({"sql": SQL, "strategy": ["dphyp"]}, "bad_config"),
+            ({"sql": SQL, "factor": 0.5}, "bad_config"),
+            ({"sql": SQL, "factor": "big"}, "bad_config"),
+            ({"sql": SQL, "cost_model": "nonsense"}, "bad_config"),
+            ({"sql": SQL, "cost_model": {"name": "cout"}}, "bad_config"),
+        ],
+    )
+    def test_bad_bodies_are_400(self, core, body, code):
+        for call in (core.optimize, core.explain):
+            error = error_of(call, body)
+            assert (error.status, error.code) == (400, code)
+            assert error.to_body() == {"error": {"code": code, "message": error.message}}
+        assert core.stats()["plans"]["failures"] == 0  # client errors are not failures
+
+
+class TestProbeCompleteShare:
+    """The split the threaded tier plans through (probe → pool → complete)."""
+
+    def test_probe_hands_out_a_ticket_then_a_hit(self, core):
+        miss = core.probe({"sql": SQL}, arrived=100.0)
+        assert type(miss) is Miss
+        assert miss.sql == SQL and miss.config is core.base_config
+        assert miss.deadline_at == 100.0 + core.request_timeout
+        from repro.optimizer import optimize
+
+        result, config, query = core.complete(miss, optimize(miss.query, config=miss.config))
+        assert result.cache_hit is False and query is miss.query
+        hit = core.probe({"sql": SQL})
+        assert type(hit) is tuple
+        assert hit[0].cache_hit is True and hit[0].cost == result.cost and hit[2] is query
+
+    def test_share_rebinds_the_leaders_run_for_a_renamed_duplicate(self, core):
+        leader, follower = core.probe({"sql": SQL}), core.probe({"sql": SQL_RENAMED})
+        assert leader.key == follower.key  # same problem, other names
+        planned = core.plan({"sql": SQL})
+        shared, _config, query = core.share(planned, follower)
+        assert query is follower.query
+        assert shared.cache_hit is True and shared.cost == planned[0].cost
+        assert "n2" in json.dumps(core_module.plan_to_dict(shared.plan.node))
+
+    def test_failure_counts_and_maps_statuses(self, core):
+        timeout = core.failure("PlanningDeadlineExceeded: late", timed_out=True)
+        broken = core.failure("KeyError: 'x'", timed_out=False)
+        assert (timeout.status, timeout.code) == (504, "timeout")
+        assert (broken.status, broken.code) == (500, "optimizer_error")
+        plans = core.stats()["plans"]
+        assert (plans["timeouts"], plans["failures"], plans["served"]) == (1, 1, 0)
+
+    def test_optimizer_crash_is_a_counted_500(self, core, monkeypatch):
+        def boom(*args, **kwargs):
+            raise KeyError("poisoned")
+
+        monkeypatch.setattr(core_module.driver, "optimize", boom)
+        error = error_of(core.optimize, {"sql": SQL})
+        assert (error.status, error.code) == (500, "optimizer_error")
+        assert "KeyError" in error.message
+        assert core.stats()["plans"]["failures"] == 1
+
+    def test_without_a_cache_every_request_plans(self):
+        core = make_core(cache_capacity=None)
+        assert core.optimize({"sql": SQL})["cache_hit"] is False
+        assert core.optimize({"sql": SQL})["cache_hit"] is False
+        stats = core.stats()
+        assert stats["cache"] is None and stats["plans"]["cache_misses"] == 2
+        body = core.stats_update({"table": "supplier", "cardinality_factor": 2.0}, inline=4)
+        assert body["marked_stale"] == 0 and body["stale_entries"] == 0
+        assert core.revalidate(4) is False and core.stale_backlog() is False
+
+
+class TestDeadlines:
+    def test_blown_budget_degrades_and_is_never_stored(self):
+        core = make_core(request_timeout_seconds=1e-6)
+        first = core.optimize({"sql": BIG_SQL})
+        assert first["degraded"] is True and first["strategy"] == "h1" and first["cost"] > 0
+        again = core.optimize({"sql": BIG_SQL})
+        assert again["degraded"] is True and again["cache_hit"] is False
+        stats = core.stats()
+        assert stats["plans"]["degraded"] == 2 and stats["cache"]["size"] == 0.0
+
+    def test_queue_time_is_charged_against_the_budget(self, core):
+        import time
+
+        body = core.optimize({"sql": BIG_SQL}, arrived=time.monotonic() - 10_000.0)
+        assert body["degraded"] is True
+
+    def test_error_mode_is_a_counted_504(self):
+        core = make_core(request_timeout_seconds=1e-6, degradation="error")
+        error = error_of(core.optimize, {"sql": BIG_SQL})
+        assert (error.status, error.code) == (504, "timeout")
+        plans = core.stats()["plans"]
+        assert plans["timeouts"] == 1 and plans["failures"] == 0
+
+    def test_batch_items_share_one_budget_and_flag_timeouts(self):
+        core = make_core(request_timeout_seconds=1e-6, degradation="error")
+        items = core.batch_items({}, [(0, BIG_SQL), (1, BAD_TABLE)])
+        assert items[0]["stage"] == "optimize" and items[0]["timeout"] is True
+        assert items[1]["stage"] == "parse" and "timeout" not in items[1]
+
+
+class TestBatchItems:
+    def test_poisoned_item_is_isolated_and_order_kept(self, core):
+        items = core.batch_items(
+            {"include_plans": True}, [(4, SQL), (7, BAD_TABLE), (9, SQL_RENAMED), (11, None)]
+        )
+        assert [item["index"] for item in items] == [4, 7, 9, 11]
+        assert items[0]["cache_hit"] is False and items[2]["cache_hit"] is True
+        assert items[0]["cost"] == pytest.approx(items[2]["cost"])
+        assert items[0]["plan"]["op"] in ("groupby", "project", "map")
+        assert items[1]["stage"] == "parse" and "nowhere" in items[1]["error"]
+        assert items[3]["stage"] == "parse"
+
+    def test_bad_override_fails_every_item(self, core):
+        items = core.batch_items({"strategy": "nonsense"}, [(0, SQL), (1, SQL_SMALL)])
+        assert all(item["stage"] == "optimize" and "nonsense" in item["error"] for item in items)
+
+    @pytest.mark.parametrize("queries", [[], "not-a-list", None, {"0": SQL}])
+    def test_queries_must_be_a_non_empty_list(self, queries):
+        error = error_of(batch_queries, {"queries": queries})
+        assert (error.status, error.code) == (400, "bad_request")
+
+
+class TestExecute:
+    def test_round_trip_default_executor_and_cap(self, data_core):
+        body = data_core.execute({"sql": SQL})
+        assert body["executor"] == "columnar" and body["limit"] == DEFAULT_EXECUTE_LIMIT
+        assert body["columns"] == ["ns.n_name", "cnt"]
+        assert body["row_count"] == len(body["rows"]) > 0
+        assert body["execution_seconds"] >= 0.0 and body["cost"] > 0
+
+    def test_backends_agree(self, data_core):
+        columnar = data_core.execute({"sql": SQL, "limit": None})
+        interpreter = data_core.execute({"sql": SQL, "executor": "interpreter", "limit": None})
+        assert interpreter["executor"] == "interpreter" and columnar["limit"] is None
+        assert sorted(map(tuple, columnar["rows"])) == sorted(map(tuple, interpreter["rows"]))
+
+    def test_limits(self, data_core):
+        assert data_core.execute({"sql": SQL, "limit": 2})["row_count"] == 2
+        empty = data_core.execute({"sql": SQL, "limit": 0})
+        assert empty["rows"] == [] and empty["columns"] == ["ns.n_name", "cnt"]
+
+    def test_a_text_is_parsed_at_most_once(self, monkeypatch):
+        core = make_core(dataset="tpch-sf0.001")
+        calls = []
+        real = core_module.parse_query
+
+        def counting(sql, catalog):
+            calls.append(sql)
+            return real(sql, catalog)
+
+        monkeypatch.setattr(core_module, "parse_query", counting)
+        assert core.execute({"sql": SQL})["cache_hit"] is False
+        assert core.execute({"sql": SQL})["cache_hit"] is True
+        core.optimize({"sql": SQL})
+        assert calls == [SQL]
+
+    def test_executions_are_metered(self, data_core):
+        before = data_core.stats()["executions"]["count"]
+        data_core.execute({"sql": SQL, "limit": 3})
+        executions = data_core.stats()["executions"]
+        assert executions["count"] == before + 1
+        assert executions["by_executor"]["columnar"] >= 1
+        assert executions["rows_returned"] >= 3 and executions["seconds_total"] > 0
+        for name in ("mean_ms", "p50_ms", "p95_ms", "p99_ms"):
+            assert executions[name] is not None
+
+    @pytest.mark.parametrize(
+        "extra, code",
+        [
+            ({"executor": "gpu"}, "bad_executor"),
+            ({"executor": None}, "bad_executor"),
+            ({"executor": ["columnar"]}, "bad_executor"),
+            ({"limit": -1}, "bad_request"),
+            ({"limit": 1.5}, "bad_request"),
+            ({"limit": True}, "bad_request"),
+            ({"limit": "3"}, "bad_request"),
+        ],
+    )
+    def test_bad_knobs_are_400_before_any_planning(self, data_core, extra, code):
+        served = data_core.stats()["plans"]["served"]
+        error = error_of(data_core.execute, dict({"sql": SQL}, **extra))
+        assert (error.status, error.code) == (400, code)
+        assert data_core.stats()["plans"]["served"] == served
+
+    def test_parse_error_is_400(self, data_core):
+        assert error_of(data_core.execute, {"sql": BAD_TABLE}).code == "parse_error"
+
+    def test_409_without_a_dataset(self, core):
+        error = error_of(core.execute, {"sql": SQL})
+        assert (error.status, error.code) == (409, "no_dataset")
+
+
+class TestStatsUpdateAndRevalidation:
+    def make(self) -> ServingCore:
+        return make_core(snapshot_band_width=1.0, recost_bound=2.0)
+
+    def test_drift_serves_stale_then_revalidates(self):
+        core = self.make()
+        before = core.optimize({"sql": SQL})
+        # 1.25x keeps every statistic inside its band: same key, stale entry.
+        reply = core.stats_update({"table": "supplier", "cardinality_factor": 1.25}, inline=0)
+        assert reply["relation"] == "supplier" and reply["cardinality_ratio"] == 1.25
+        assert reply["old_cardinality"] * 1.25 == reply["new_cardinality"]
+        assert reply["marked_stale"] == 1 and reply["stale_entries"] == 1
+        assert sum(reply["revalidated_inline"].values()) == 0
+        assert core.stale_backlog() is True
+
+        stale = core.optimize({"sql": SQL})  # answered now, from the stale entry
+        assert stale["cache_hit"] is True and stale["cost"] == before["cost"]
+        assert core.stats()["plans"]["stale_served"] == 1
+
+        assert core.revalidate(8) is True
+        assert core.stale_backlog() is False and core.revalidate(8) is False
+        plans = core.stats()["plans"]
+        assert plans["recosted"] + plans["replanned"] == 1
+        after = core.optimize({"sql": SQL})
+        assert after["cache_hit"] is True and after["cost"] > before["cost"]
+
+    def test_inline_budget_revalidates_before_replying(self):
+        core = self.make()
+        core.optimize({"sql": SQL})
+        reply = core.stats_update({"table": "supplier", "cardinality_factor": 4.0}, inline=8)
+        inline = reply["revalidated_inline"]
+        assert inline["recosted"] + inline["replanned"] == 1
+        assert reply["stale_entries"] == 0
+
+    def test_the_memo_is_flushed_so_new_statistics_are_parsed_in(self):
+        core = self.make()
+        core.optimize({"sql": SQL})
+        core.optimize({"sql": SQL_SMALL})
+        assert core.stats()["parse_memo"]["size"] == 2
+        core.stats_update({"table": "orders", "cardinality": 123456.0}, inline=0)
+        assert core.stats()["parse_memo"]["size"] == 0
+        assert core.catalog.lookup("orders").cardinality == 123456.0
+
+    def test_untouched_tables_keep_their_plans_fresh(self):
+        core = self.make()
+        before = core.optimize({"sql": SQL_SMALL})
+        reply = core.stats_update({"table": "orders", "cardinality_factor": 2.0}, inline=0)
+        assert reply["marked_stale"] == 0
+        after = core.optimize({"sql": SQL_SMALL})
+        assert after["cache_hit"] is True and after["cost"] == before["cost"]
+        assert core.stats()["plans"]["stale_served"] == 0
+
+    @pytest.mark.parametrize(
+        "body, status",
+        [
+            ({"table": "nowhere", "cardinality_factor": 2.0}, 404),
+            ({"table": "supplier"}, 400),  # neither knob
+            ({"table": "supplier", "cardinality_factor": 2.0, "cardinality": 5.0}, 400),
+            ({"table": "supplier", "cardinality_factor": 0.0}, 400),
+            ({"table": "supplier", "cardinality_factor": -3.0}, 400),
+            ({"table": "supplier", "cardinality": -1.0}, 400),
+            ({"table": "supplier", "cardinality": float("nan")}, 400),
+            ({"table": "supplier", "cardinality_factor": float("inf")}, 400),
+            ({"table": "supplier", "cardinality_factor": "lots"}, 400),
+            ({"table": "supplier", "cardinality": [5]}, 400),
+            ({"table": 7, "cardinality_factor": 2.0}, 400),
+            ({"table": None, "cardinality_factor": 2.0}, 400),
+            ({"table": "  ", "cardinality_factor": 2.0}, 400),
+        ],
+    )
+    def test_invalid_bodies_change_nothing(self, body, status):
+        core = self.make()
+        assert error_of(core.stats_update, body, inline=0).status == status
+        assert core.catalog.lookup("supplier").cardinality == 10000.0
+
+
+class TestTransportHelpers:
+    def test_routes(self):
+        for path in ("/optimize", "/explain", "/batch", "/execute", "/stats_update"):
+            check_route("POST", path)
+            assert error_of(check_route, "GET", path).status == 405
+        for path in ("/stats", "/healthz"):
+            check_route("GET", path)
+            assert error_of(check_route, "POST", path).status == 405
+        assert error_of(check_route, "GET", "/nope").status == 404
+        assert error_of(check_route, "DELETE", "/optimize").status == 405
+
+    @pytest.mark.parametrize(
+        "raw", [b"", b"this is not json", b"\xff\xfe", b"[1, 2]", b'"sql"', b"null"]
+    )
+    def test_non_object_bodies_are_bad_json(self, raw):
+        error = error_of(parse_body, raw)
+        assert (error.status, error.code) == (400, "bad_json")
+
+    def test_object_bodies_parse(self):
+        assert parse_body(b'{"sql": "x"}') == {"sql": "x"}
+
+    def test_merge_stats_sums_and_rederives(self, data_core):
+        first, second = make_core(), make_core()
+        first.optimize({"sql": SQL})
+        first.optimize({"sql": SQL})
+        second.optimize({"sql": SQL, "strategy": "dphyp"})
+        data_core.execute({"sql": SQL, "limit": 1})
+        snapshots = [first.stats(), second.stats(), data_core.stats()]
+        merged = merge_stats(snapshots)
+        assert set(merged) == set(snapshots[0])
+        for block in ("plans", "executions", "cache", "parse_memo"):
+            assert set(merged[block]) == set(snapshots[0][block])
+        served = sum(s["plans"]["served"] for s in snapshots)
+        hits = sum(s["plans"]["cache_hits"] for s in snapshots)
+        assert merged["plans"]["served"] == served
+        assert merged["plans"]["hit_rate"] == hits / served
+        assert merged["plans"]["by_strategy"]["dphyp"] == 1
+        assert merged["cache"]["capacity"] == 16.0 + 16.0 + 64.0
+        lookups = merged["cache"]["hits"] + merged["cache"]["misses"]
+        assert merged["cache"]["hit_rate"] == merged["cache"]["hits"] / lookups
+        executions = merged["executions"]
+        assert executions["count"] == snapshots[2]["executions"]["count"]
+        assert executions["mean_ms"] == pytest.approx(
+            executions["seconds_total"] / executions["count"] * 1000.0
+        )
+        assert executions["p95_ms"] == snapshots[2]["executions"]["p95_ms"]  # the worst core's
+
+    def test_merge_of_nothing_is_still_answerable(self):
+        merged = merge_stats([])
+        assert merged["plans"]["hit_rate"] == 0.0 and merged["executions"]["p50_ms"] is None
+
+    def test_the_core_loads_no_transport(self):
+        """core.py is transport-free: importing it must not pull in either
+        serving tier, the HTTP stack or asyncio."""
+        probe = (
+            "import sys, repro.service.core\n"
+            "bad = [m for m in sys.modules if m.split('.')[0] in ('asyncio', 'http')"
+            " or m.startswith(('repro.server', 'repro.asyncserver'))]\n"
+            "assert not bad, bad"
+        )
+        subprocess.run(
+            [sys.executable, "-c", probe], check=True, env={"PYTHONPATH": SRC}, timeout=60
+        )
+
+
+# -- frontend fuzz (ROADMAP 4e): junk in, only 2xx bodies or 4xx errors out --------
+
+KEYWORDS = (
+    "SELECT FROM WHERE GROUP BY JOIN LEFT RIGHT FULL OUTER ON AND OR NOT EXISTS IN AS "
+    "count sum min max avg ( ) , . * = < > <> NULL IS ORDER HAVING LIMIT 1 'x' ; -- \x00 é"
+).split(" ")
+SEEDS = (SQL, SQL_RENAMED, SQL_SMALL, BAD_TABLE) + (
+    "SELECT n.n_name, count(*) AS cnt FROM nation n WHERE EXISTS "
+    "(SELECT * FROM supplier s WHERE s.s_nationkey = n.n_nationkey) GROUP BY n.n_name",
+    "SELECT c.c_nationkey, count(*) AS cnt FROM customer c WHERE c.c_custkey "
+    "IN (SELECT o.o_custkey FROM orders o) GROUP BY c.c_nationkey",
+    "SELECT n.n_name, sum(s.s_acctbal) AS total FROM supplier s "
+    "RIGHT JOIN nation n ON s.s_nationkey = n.n_nationkey GROUP BY n.n_name",
+)
+MUTATIONS = st.lists(
+    st.tuples(
+        st.sampled_from(("drop", "dup", "swap", "put", "wrap")),
+        st.integers(0, 200),
+        st.integers(0, 200),
+        st.sampled_from(KEYWORDS),
+    ),
+    max_size=6,
+)
+
+
+@st.composite
+def mutated_sql(draw) -> str:
+    """A seed statement with a few token-level edits: tokens dropped,
+    doubled, swapped, replaced by grammar words, or nested in parentheses."""
+    tokens = draw(st.sampled_from(SEEDS)).replace("(", " ( ").replace(")", " ) ").split()
+    for op, i, j, word in draw(MUTATIONS):
+        if not tokens:
+            break
+        i, j = i % len(tokens), j % len(tokens)
+        if op == "drop":
+            del tokens[i]
+        elif op == "dup":
+            tokens.insert(i, tokens[i])
+        elif op == "swap":
+            tokens[i], tokens[j] = tokens[j], tokens[i]
+        elif op == "put":
+            tokens[i] = word
+        else:
+            lo, hi = min(i, j), max(i, j)
+            depth = 1 + (i * j) % 400  # deep enough to meet the recursion guard
+            tokens[lo:hi + 1] = ["("] * depth + tokens[lo:hi + 1] + [")"] * depth
+    return " ".join(tokens)
+
+
+JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+VALID = {
+    "sql": st.sampled_from(SEEDS),
+    "strategy": st.sampled_from(("ea-prune", "dphyp", "h1", "h2", "ea-all")),
+    "factor": st.floats(1.0, 4.0),
+    "cost_model": st.just("cout"),
+    "include_plan": st.booleans(),
+    "include_plans": st.booleans(),
+    "executor": st.sampled_from(("columnar", "interpreter")),
+    "limit": st.none() | st.integers(0, 50),
+    "table": st.sampled_from(("supplier", "nation", "orders", "SUPPLIER")),
+    "cardinality_factor": st.floats(0.25, 4.0),
+    "cardinality": st.floats(1.0, 1e7),
+}
+BODIES = st.fixed_dictionaries(
+    {}, optional={field: valid | JUNK for field, valid in VALID.items()}
+) | st.fixed_dictionaries({"sql": mutated_sql()})
+FUZZ = settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+def answers_cleanly(call, *args, **kwargs) -> None:
+    """A 2xx body that serialises, or a RequestError with a 4xx status —
+    never a bare exception, never a 5xx."""
+    try:
+        body = call(*args, **kwargs)
+    except RequestError as error:
+        assert 400 <= error.status < 500, (error.status, error.code, error.message)
+        json.dumps(error.to_body())
+    else:
+        json.dumps(body)
+
+
+class TestFrontendFuzz:
+    @pytest.fixture(scope="class")
+    def fuzz_core(self):
+        # A short budget keeps mutated-but-valid monsters cheap: they degrade.
+        return make_core(dataset="tpch-sf0.001", cache_capacity=32, request_timeout_seconds=0.25)
+
+    @FUZZ
+    @given(body=BODIES)
+    def test_optimize_explain_execute(self, fuzz_core, body):
+        answers_cleanly(fuzz_core.optimize, body)
+        answers_cleanly(fuzz_core.explain, body)
+        answers_cleanly(fuzz_core.execute, body)
+
+    @FUZZ
+    @given(body=BODIES, queries=st.lists(mutated_sql() | JUNK, max_size=4) | JUNK)
+    def test_batch(self, fuzz_core, body, queries):
+        def batch(request):
+            return fuzz_core.batch_items(request, enumerate(batch_queries(request)))
+
+        answers_cleanly(batch, dict(body, queries=queries))
+
+    @settings(max_examples=60, deadline=None)
+    @given(body=BODIES)
+    def test_stats_update(self, body):
+        # A fresh core per example: accepted drifts must not pile up.
+        answers_cleanly(make_core(cache_capacity=4).stats_update, body, inline=2)
+
+    @FUZZ
+    @given(raw=st.binary(max_size=64) | JUNK.map(lambda value: json.dumps(value).encode()))
+    def test_raw_bodies(self, raw):
+        answers_cleanly(parse_body, raw)
