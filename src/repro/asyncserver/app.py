@@ -41,16 +41,20 @@ from repro.asyncserver.supervisor import (
     WorkerSupervisor,
     WorkerUnavailable,
 )
-from repro.server.metrics import ServerMetrics
+from repro.server.metrics import (
+    ServerMetrics,
+    check_admission,
+    check_route,
+    parse_body,
+    worker_abandoned,
+)
 from repro.service.core import (
     RequestError,
     batch_item,
     batch_queries,
     batch_report,
-    check_route,
     error_body,
     merge_stats,
-    parse_body,
     parse_sql,
     sum_counters,
 )
@@ -161,14 +165,7 @@ class AsyncPlanService:
 
     # -- admission -----------------------------------------------------------
     def _admit(self) -> None:
-        if self.draining:
-            raise RequestError(503, "draining", "server is draining; retry elsewhere")
-        if self.inflight >= self.config.effective_max_inflight:
-            raise RequestError(
-                429,
-                "overloaded",
-                f"too many in-flight requests (limit {self.config.effective_max_inflight})",
-            )
+        check_admission(self.draining, self.inflight, self.config.effective_max_inflight)
         self.inflight += 1
         if self._idle is not None:
             self._idle.clear()
@@ -225,13 +222,7 @@ class AsyncPlanService:
                 )
             except asyncio.TimeoutError:
                 self.supervisor.worker(shard).reap("request hard-timeout")
-                raise RequestError(
-                    504,
-                    "timeout",
-                    f"worker unresponsive past the "
-                    f"{self.config.request_timeout_seconds}s budget plus grace"
-                    " — request abandoned",
-                ) from None
+                raise worker_abandoned(self.config.request_timeout_seconds) from None
             except WorkerUnavailable as unavailable:
                 raise RequestError(
                     503, "shard_unavailable", str(unavailable)
@@ -266,6 +257,14 @@ class AsyncPlanService:
             async def one_shard(shard: int, chunk):
                 request = dict(passthrough)
                 request["queries"] = chunk
+
+                def failed(error: str, stage: str = "optimize", **extra):
+                    """The whole slice shares one fate: an item each."""
+                    return [
+                        dict(index=index, error=error, stage=stage, **extra)
+                        for index, _sql in chunk
+                    ]
+
                 try:
                     status, response = await self.supervisor.request(
                         shard,
@@ -275,39 +274,19 @@ class AsyncPlanService:
                     )
                 except asyncio.TimeoutError:
                     self.supervisor.worker(shard).reap("batch hard-timeout")
-                    return [
-                        {
-                            "index": index,
-                            "error": "worker timeout",
-                            "stage": "optimize",
-                            "timeout": True,
-                        }
-                        for index, _sql in chunk
-                    ]
+                    return failed("worker timeout", timeout=True)
                 except WorkerUnavailable as unavailable:
-                    return [
-                        {
-                            "index": index,
-                            "error": str(unavailable),
-                            "stage": "route",
-                        }
-                        for index, _sql in chunk
-                    ]
+                    return failed(str(unavailable), stage="route")
                 except WorkerCrashed:
-                    return [
-                        {
-                            "index": index,
-                            "error": "worker crashed while optimizing",
-                            "stage": "optimize",
-                        }
-                        for index, _sql in chunk
-                    ]
+                    return failed("worker crashed while optimizing")
                 if status != 200:
-                    detail = json.loads(response).get("error", {}).get("message", "")
-                    return [
-                        {"index": index, "error": detail, "stage": "optimize"}
-                        for index, _sql in chunk
-                    ]
+                    error = json.loads(response).get("error", {})
+                    detail = error.get("message", "")
+                    if 400 <= status < 500:
+                        # A shard refuses a slice only for what the slices
+                        # share (a bad override): the whole request's fault.
+                        raise RequestError(status, error.get("code", "bad_request"), detail)
+                    return failed(detail)
                 return json.loads(response)["items"]
 
             shard_items = await asyncio.gather(

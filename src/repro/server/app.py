@@ -32,8 +32,9 @@ from typing import Optional, Tuple
 from urllib.parse import urlsplit
 
 from repro.server.config import ServerConfig
+from repro.server.metrics import check_route, parse_body
 from repro.server.service import PlanService
-from repro.service.core import RequestError, check_route, error_body, parse_body
+from repro.service.core import RequestError, error_body
 
 logger = logging.getLogger("repro.server")
 

@@ -1,4 +1,5 @@
-"""Thread-safe per-endpoint request metrics, shared by both HTTP fronts.
+"""What both HTTP fronts share: the route table, JSON body parsing and
+thread-safe per-endpoint request metrics.
 
 Every finished exchange records its endpoint, status class and wall
 latency.  Latencies are kept in a bounded per-endpoint window (newest
@@ -12,14 +13,69 @@ from the serving core(s) (:meth:`repro.service.core.ServingCore.stats`).
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 from collections import deque
 from typing import Deque, Dict
 
-from repro.service.core import ENDPOINTS, WINDOW, percentile, window_summary
+from repro.service.core import RequestError, WINDOW, percentile, window_summary
 
 __all__ = ["ServerMetrics", "WINDOW", "percentile"]
+
+#: the HTTP surface: every routable path and the one method it takes.
+#: Anything else is a 404 (and metered under one ``<other>`` bucket, so
+#: arbitrary client paths cannot grow the metrics dict).
+ENDPOINTS = {
+    "/optimize": "POST",
+    "/explain": "POST",
+    "/batch": "POST",
+    "/execute": "POST",
+    "/stats_update": "POST",
+    "/stats": "GET",
+    "/healthz": "GET",
+}
+
+
+def check_route(method: str, path: str) -> None:
+    """404 for an unknown *path*, 405 for a known one asked the wrong way."""
+    expected = ENDPOINTS.get(path)
+    if expected is None:
+        raise RequestError(404, "not_found", f"no such endpoint: {path}")
+    if method != expected:
+        raise RequestError(
+            405, "method_not_allowed", f"{path} expects {expected}, got {method}"
+        )
+
+
+def parse_body(raw: bytes) -> dict:
+    """The JSON object in *raw*; anything else is a 400 ``bad_json``."""
+    try:
+        body = json.loads(raw)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise RequestError(400, "bad_json", f"invalid JSON body: {exc}") from exc
+    if not isinstance(body, dict):
+        raise RequestError(400, "bad_json", "body must be a JSON object")
+    return body
+
+
+def check_admission(draining: bool, inflight: int, limit: int) -> None:
+    """503 once draining, 429 while *limit* requests are in flight."""
+    if draining:
+        raise RequestError(503, "draining", "server is draining and no longer accepts work")
+    if inflight >= limit:
+        raise RequestError(
+            429,
+            "overloaded",
+            f"admission queue full ({inflight} requests in flight); retry with backoff",
+        )
+
+
+def worker_abandoned(budget_seconds: float) -> RequestError:
+    """The 504 for a planner that outlived its budget plus grace — a
+    healthy one answers (or degrades) first, so it is wedged."""
+    message = f"worker unresponsive past the {budget_seconds:g}s budget plus grace"
+    return RequestError(504, "timeout", f"{message} — request abandoned")
 
 
 class _EndpointStats:

@@ -9,15 +9,18 @@ runs, and the lock that makes many HTTP threads one owner of the core.
 The HTTP layer (:mod:`repro.server.app`) translates requests into these
 methods; tests can drive the service directly without sockets.
 
-Threading model: every call into the core happens under
-:attr:`PlanService._lock`, and the lock is never held across a pool
-wait.  A request probes the cache under the lock (a warm hit ends
-there), its misses go to the pool as one wave while other threads use
-the core, and the results are stored back under the lock again.  HTTP
-threads park cheaply on ``Future.result()`` while at most ``workers``
-processes burn CPU in the DP enumerator; worker runs return
-:class:`~repro.service.batch.WorkerOutcome` envelopes, so a poisoned
-query is a per-request (or per-batch-item) error, not a dead pool.
+Threading model: whatever reads or changes the core's memos, cache and
+counters happens under :attr:`PlanService._lock`, and the lock is held
+for that only — never across a pool wait, an execution or a replan.  A
+request probes the cache under the lock (a warm hit ends there), its
+misses go to the pool as one wave while other threads use the core, and
+the results are stored back under the lock again; ``/execute`` runs its
+plan and the revalidation thread re-costs unlocked, then record under
+the lock.  HTTP threads park cheaply on ``Future.result()`` while at
+most ``workers`` processes burn CPU in the DP enumerator; worker runs
+return :class:`~repro.service.batch.WorkerOutcome` envelopes, so a
+poisoned query is a per-request (or per-batch-item) error, not a dead
+pool.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from concurrent.futures import TimeoutError as FutureTimeout
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.server.config import ServerConfig
-from repro.server.metrics import ServerMetrics
+from repro.server.metrics import ServerMetrics, check_admission, worker_abandoned
 from repro.service.batch import WorkerOutcome, _optimize_payload
 from repro.service.fingerprint import PlanCacheKey
 from repro.service.core import (
@@ -39,7 +42,6 @@ from repro.service.core import (
     Planned,
     RequestError,
     ServingCore,
-    batch_bodies,
     batch_item,
     batch_queries,
     batch_report,
@@ -59,9 +61,7 @@ class PlanService:
         self.config = config
         self.core = ServingCore(config)
         self.metrics = ServerMetrics()
-        #: the one owner's lock: held around every call into ``core``,
-        #: never while waiting on the pool.
-        self._lock = threading.Lock()
+        self._lock = threading.Lock()  # the core's one owner; see above
         self._executor: Optional[ProcessPoolExecutor] = None
         self._executor_lock = threading.Lock()
         self._inflight = 0
@@ -70,7 +70,7 @@ class PlanService:
         self._draining = threading.Event()
         self._closed = threading.Event()
         # Stale-while-revalidate, off the request path: this thread drains
-        # the backlog one entry per lock hold, so requests interleave.
+        # the backlog one entry at a time while requests keep being served.
         self._stale_kick = threading.Event()
         self._revalidator = threading.Thread(
             target=self._revalidate_loop, name="repro-revalidate", daemon=True
@@ -91,17 +91,7 @@ class PlanService:
     def admit(self):
         """Hold one admission slot; 503 while draining, 429 when full."""
         with self._idle:
-            if self._draining.is_set():
-                raise RequestError(
-                    503, "draining", "server is draining and no longer accepts work"
-                )
-            if self._inflight >= self.config.effective_max_inflight:
-                raise RequestError(
-                    429,
-                    "overloaded",
-                    f"admission queue full ({self._inflight} requests in flight); "
-                    "retry with backoff",
-                )
+            check_admission(self.draining, self._inflight, self.config.effective_max_inflight)
             self._inflight += 1
         try:
             yield
@@ -159,10 +149,13 @@ class PlanService:
         while not self._closed.is_set():
             self._stale_kick.wait(timeout=REVALIDATE_POLL_SECONDS)
             self._stale_kick.clear()
-            progressed = True  # False: drained, or all failures — next poll
+            # One entry per round, re-costed or replanned outside the lock;
+            # stops when drained or when all that is left fails — next poll.
+            progressed = self.core.stale_backlog()
             while progressed and not self._closed.is_set():
+                counts = self.core.revalidator.drain(limit=1)
                 with self._lock:
-                    progressed = self.core.stale_backlog() and self.core.revalidate(1)
+                    progressed = self.core.record_revalidation(counts)
 
     # -- dispatch ------------------------------------------------------------
     def _pool(self) -> ProcessPoolExecutor:
@@ -220,19 +213,14 @@ class PlanService:
         except FutureTimeout:
             for pending in futures:
                 pending.cancel()
-            raise RequestError(
-                504,
-                "timeout",
-                f"worker unresponsive past the {self.config.request_timeout_seconds:g}s "
-                "budget plus grace — request abandoned",
-            ) from None
+            raise worker_abandoned(self.config.request_timeout_seconds) from None
         except Exception as exc:  # BrokenProcessPool and friends
             self._reset_pool()
             raise RequestError(
                 500, "worker_pool_failure", f"worker pool failed: {exc}"
             ) from exc
 
-    def _plan_wave(self, bodies: List[dict]) -> List[Union[Planned, RequestError]]:
+    def _plan_wave(self, bodies: List[dict], batch=False) -> List[Union[Planned, RequestError]]:
         """Plan *bodies* as one wave; each slot gets its ``(result,
         config, query)`` or the :class:`RequestError` that request earned.
         Probes all under the lock, sends the distinct misses to the pool
@@ -249,7 +237,7 @@ class PlanService:
                 try:
                     found = core.probe(body, arrived)
                 except RequestError as error:
-                    slots[slot] = error
+                    slots[slot] = core.batch_error(error) if batch else error
                     continue
                 if type(found) is Miss:
                     groups.setdefault(found.key, []).append((slot, found))
@@ -287,18 +275,19 @@ class PlanService:
 
     def execute_body(self, body: dict) -> dict:
         started = time.perf_counter()
+        executor, limit = self.core.check_execute(body)  # reads boot-time config only
+        # Execution and row serialisation are CPU-bound in this thread and
+        # read only the dataset: unlocked.  Counting the outcome is not.
+        outcome = self.core.run(self._plan(body), executor, limit, started)
         with self._lock:
-            executor, limit = self.core.check_execute(body)
-        planned = self._plan(body)
-        # Execution is CPU-bound in this thread and reads only the
-        # dataset, but it ends in the core's counters: one lock hold.
-        with self._lock:
-            return self.core.run(planned, executor, limit, started)
+            return self.core.record_run(outcome)
 
     def batch_body(self, body: dict) -> dict:
         started = time.perf_counter()
         include_plans = bool(body.get("include_plans", False))
-        wave = self._plan_wave(batch_bodies(body, batch_queries(body)))
+        with self._lock:
+            bodies = self.core.batch_bodies(body, batch_queries(body))
+        wave = self._plan_wave(bodies, batch=True)
         items = [
             batch_item(index, planned, include_plans)
             for index, planned in enumerate(wave)

@@ -16,7 +16,11 @@ shard while it optimizes — the sharding contract, one owner per
 fingerprint).  The threaded tier takes one lock around each call and
 plans outside it: :meth:`~ServingCore.probe` under the lock → the
 :class:`Miss` tickets go to its process pool as one wave →
-:meth:`~ServingCore.complete` under the lock again.
+:meth:`~ServingCore.complete` under the lock again.  Two slow halves
+touch no core state and so need no owner — :meth:`~ServingCore.run`
+(reads only the dataset) and the revalidator's ``drain`` (the plan cache
+locks itself) — the threaded tier runs them unlocked and takes the lock
+for their ``record_*`` twins, which do the counting.
 
 The warm path stays: memo lookup → key → ``PlanCache.serve_entry`` →
 a small dict.
@@ -25,7 +29,6 @@ a small dict.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import time
 from collections import Counter, OrderedDict, deque
@@ -51,19 +54,6 @@ from repro.service.rebind import query_binding, rebind_result
 from repro.service.revalidate import StaleRevalidator
 from repro.sql.binder import parse_query
 from repro.sql.catalog import Catalog
-
-#: the HTTP surface: every routable path and the one method it takes.
-#: Anything else is a 404 (and metered under one ``<other>`` bucket, so
-#: arbitrary client paths cannot grow the metrics dict).
-ENDPOINTS = {
-    "/optimize": "POST",
-    "/explain": "POST",
-    "/batch": "POST",
-    "/execute": "POST",
-    "/stats_update": "POST",
-    "/stats": "GET",
-    "/healthz": "GET",
-}
 
 #: bounded memo of parsed SQL text per core.
 PARSE_MEMO_CAPACITY = 4096
@@ -129,28 +119,6 @@ Planned = Tuple[OptimizationResult, OptimizerConfig, Query]
 # -- what the transports share besides the core itself -----------------------------
 
 
-def check_route(method: str, path: str) -> None:
-    """404 for an unknown *path*, 405 for a known one asked the wrong way."""
-    expected = ENDPOINTS.get(path)
-    if expected is None:
-        raise RequestError(404, "not_found", f"no such endpoint: {path}")
-    if method != expected:
-        raise RequestError(
-            405, "method_not_allowed", f"{path} expects {expected}, got {method}"
-        )
-
-
-def parse_body(raw: bytes) -> dict:
-    """The JSON object in *raw*; anything else is a 400 ``bad_json``."""
-    try:
-        body = json.loads(raw)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise RequestError(400, "bad_json", f"invalid JSON body: {exc}") from exc
-    if not isinstance(body, dict):
-        raise RequestError(400, "bad_json", "body must be a JSON object")
-    return body
-
-
 def parse_sql(sql, catalog: Catalog) -> Query:
     """Validate and bind one SQL text (the memo-miss path of every memo)."""
     if not isinstance(sql, str) or not sql.strip():
@@ -169,13 +137,6 @@ def batch_queries(body: dict) -> list:
     if not isinstance(queries, list) or not queries:
         raise RequestError(400, "bad_request", "'queries' must be a non-empty list")
     return queries
-
-
-def batch_bodies(body: dict, sqls: Iterable) -> List[dict]:
-    """One /optimize-shaped body per statement of a ``/batch``, each
-    carrying the batch's overrides."""
-    shared = {field: body.get(field) for field in _OVERRIDES}
-    return [dict(shared, sql=sql) for sql in sqls]
 
 
 def batch_item(index: int, planned: Union[Planned, RequestError], include_plans: bool) -> dict:
@@ -361,10 +322,7 @@ class ServingCore:
         self.revalidator: Optional[StaleRevalidator] = None
         if self.base_config.caching_enabled:
             self.cache = PlanCache(capacity=self.base_config.cache_capacity)
-            self.revalidator = StaleRevalidator(
-                self.cache, self.catalog, self.base_config,
-                on_event=self._record_revalidation,
-            )
+            self.revalidator = StaleRevalidator(self.cache, self.catalog, self.base_config)
         # text → (query, fingerprint, key snapshot, exact snapshot) —
         # parse/bind/digest once per distinct SQL spelling (key snapshot
         # is banded when snapshot_band_width is configured).
@@ -446,12 +404,6 @@ class ServingCore:
         self._hits += hit
         self._by_strategy[result.strategy] += 1
         self._by_engine[effective_engine(result)] += 1
-
-    def _record_revalidation(self, outcome: str) -> None:
-        if outcome == "recosted":
-            self._recosted += 1
-        elif outcome == "replanned":
-            self._replanned += 1
 
     # -- planning ------------------------------------------------------------
     def probe(self, body: dict, arrived: Optional[float] = None) -> Union[Planned, Miss]:
@@ -550,6 +502,20 @@ class ServingCore:
     def explain(self, body: dict, arrived: Optional[float] = None) -> dict:
         return explain_reply(self.plan(body, arrived))
 
+    def batch_bodies(self, body: dict, sqls: Iterable) -> List[dict]:
+        """One /optimize-shaped body per statement of a ``/batch``, each
+        carrying the batch's overrides — which are the whole request's:
+        a bad one is a 400 ``bad_config`` for the batch, not per item."""
+        self._resolve_config(body)
+        shared = {field: body.get(field) for field in _OVERRIDES}
+        return [dict(shared, sql=sql) for sql in sqls]
+
+    def batch_error(self, error: RequestError) -> RequestError:
+        """Count a ``/batch`` statement this core could not parse in
+        ``plans.failures`` (a lone request's 400 is not counted)."""
+        self._failures += error.status == 400
+        return error
+
     def batch_items(self, body: dict, indexed_sqls, arrived: Optional[float] = None) -> List[dict]:
         """Plan ``(index, sql)`` pairs under *body*'s overrides.
 
@@ -559,13 +525,13 @@ class ServingCore:
         """
         include_plans = bool(body.get("include_plans", False))
         pairs = list(indexed_sqls)
-        bodies = batch_bodies(body, [sql for _index, sql in pairs])
+        bodies = self.batch_bodies(body, [sql for _index, sql in pairs])
         items = []
         for (index, _sql), item_body in zip(pairs, bodies):
             try:
                 planned = self.plan(item_body, arrived)
             except RequestError as error:
-                planned = error
+                planned = self.batch_error(error)
             items.append(batch_item(index, planned, include_plans))
         return items
 
@@ -599,11 +565,14 @@ class ServingCore:
             raise RequestError(400, "bad_request", "'limit' must be an integer >= 0 or null")
         return executor, limit
 
-    def run(self, planned: Planned, executor: str, limit: Optional[int], started: float) -> dict:
+    def run(
+        self, planned: Planned, executor: str, limit: Optional[int], started: float
+    ) -> Union[dict, RequestError]:
         """Execute a planned statement against the dataset → the
         ``/execute`` reply: rows columnar-style (``columns`` + row
-        arrays) with the pure execution runtime, which also feeds the
-        ``executions`` block of :meth:`stats`."""
+        arrays) with the pure execution runtime.  Needs no owner; a
+        failure is returned, not raised — either way the outcome goes
+        through :meth:`record_run`, which is where it is counted."""
         from repro.algebra.values import NULL
         from repro.exec import run_plan
 
@@ -611,22 +580,13 @@ class ServingCore:
         try:
             database = self.dataset.database_for(query)
         except KeyError as exc:
-            raise RequestError(
-                404, "unknown_table", f"dataset has no table for {exc.args[0]!r}"
-            ) from exc
+            return RequestError(404, "unknown_table", f"dataset has no table for {exc.args[0]!r}")
         run_started = time.perf_counter()
         try:
             relation = run_plan(result.plan.node, database, executor=executor, limit=limit)
         except Exception as exc:  # noqa: BLE001 - per-request isolation
-            self._failures += 1
-            raise RequestError(
-                500, "execution_error", f"{type(exc).__name__}: {exc}"
-            ) from exc
+            return RequestError(500, "execution_error", f"{type(exc).__name__}: {exc}")
         execution_seconds = time.perf_counter() - run_started
-        self._executions[executor] += 1
-        self._execution_rows += len(relation)
-        self._execution_seconds += execution_seconds
-        self._execution_ms.append(execution_seconds * 1000.0)
         columns = list(relation.attributes)
         return {
             "strategy": result.strategy,
@@ -645,13 +605,26 @@ class ServingCore:
             "server_seconds": time.perf_counter() - started,
         }
 
+    def record_run(self, outcome: Union[dict, RequestError]) -> dict:
+        """Count one :meth:`run` outcome in the ``executions`` block of
+        :meth:`stats` (or ``plans.failures``) and hand the reply on."""
+        if isinstance(outcome, RequestError):
+            self._failures += outcome.status >= 500
+            raise outcome
+        seconds = outcome["execution_seconds"]
+        self._executions[outcome["executor"]] += 1
+        self._execution_rows += outcome["row_count"]
+        self._execution_seconds += seconds
+        self._execution_ms.append(seconds * 1000.0)
+        return outcome
+
     def execute(self, body: dict, arrived: Optional[float] = None) -> dict:
         """``POST /execute`` — plan (cached or fresh), then run.  Takes
         the /optimize fields plus ``executor`` and ``limit``; 409
         without a dataset."""
         started = time.perf_counter()
         executor, limit = self.check_execute(body)
-        return self.run(self.plan(body, arrived), executor, limit, started)
+        return self.record_run(self.run(self.plan(body, arrived), executor, limit, started))
 
     # -- statistics drift ----------------------------------------------------
     def stats_update(self, body: dict, inline: int) -> dict:
@@ -706,7 +679,8 @@ class ServingCore:
             payload.update(marked_stale=0, stale_entries=0, revalidated_inline={})
             return payload
         payload["marked_stale"] = self.cache.mark_stale(delta.relation)
-        payload["revalidated_inline"] = self.revalidator.drain(limit=inline)
+        payload["revalidated_inline"] = counts = self.revalidator.drain(limit=inline)
+        self.record_revalidation(counts)
         payload["stale_entries"] = self.cache.stale_count()
         return payload
 
@@ -715,16 +689,20 @@ class ServingCore:
         return self.cache is not None and self.cache.stale_count() > 0
 
     def revalidate(self, limit: int = 1) -> bool:
-        """Re-cost or re-plan up to *limit* stale entries.
-
-        Returns whether any entry actually left the stale backlog —
-        False means everything claimed failed (e.g. replans that
-        deadline-degrade) and went back to stale, so the caller must
-        stop looping rather than spin on the same entry.
-        """
+        """Re-cost or re-plan up to *limit* stale entries: the
+        revalidator's ``drain`` (needs no owner — a claimed entry is
+        nobody else's), then :meth:`record_revalidation`."""
         if self.revalidator is None:
             return False
-        counts = self.revalidator.drain(limit=limit)
+        return self.record_revalidation(self.revalidator.drain(limit=limit))
+
+    def record_revalidation(self, counts: dict) -> bool:
+        """Count one drain.  Returns whether any entry actually left the
+        stale backlog — False means everything claimed failed (e.g.
+        replans that deadline-degrade) and went back to stale, so the
+        caller must stop looping rather than spin on the same entry."""
+        self._recosted += counts["recosted"]
+        self._replanned += counts["replanned"]
         return counts["recosted"] + counts["replanned"] + counts["dropped"] > 0
 
     # -- introspection -------------------------------------------------------

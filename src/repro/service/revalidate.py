@@ -3,8 +3,8 @@
 The serving half of stale-while-revalidate: when a
 :meth:`~repro.sql.catalog.Catalog.update_stats` delta marks cache
 entries stale, requests keep being served from them (the regression is
-bounded — see :mod:`repro.optimizer.recost`) while the cache's owner
-drains a :class:`StaleRevalidator` through the backlog off the request
+bounded — see :mod:`repro.optimizer.recost`) while a
+:class:`StaleRevalidator` works through the backlog off the request
 path:
 
 1. claim a batch of stale entries (``stale → revalidating``, so two
@@ -19,15 +19,16 @@ path:
    (:meth:`~repro.service.cache.PlanCache.refresh` refuses degraded
    results); the entry returns to ``stale`` and is retried later.
 
-It has no threads of its own: the owner decides when :meth:`drain` runs
-(the serving core's owner, in idle gaps or on a background thread —
-see :mod:`repro.service.core`), which keeps cache, catalog and
-revalidator under that one owner's synchronisation.
+The executor is a small thread pool (``revalidate_workers``): the DP
+replan is CPU-bound but rare, re-costing is microseconds, and running
+in-process keeps the cache and catalog shared without pickling.
 """
 
 from __future__ import annotations
 
 import logging
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Optional
 
 from repro.optimizer.config import OptimizerConfig
@@ -42,11 +43,14 @@ CLAIM_BATCH = 32
 
 
 class StaleRevalidator:
-    """Re-cost or re-plan stale cache entries, a bounded batch per call.
+    """Re-cost or re-plan stale cache entries in the background.
 
     *on_event* (optional) receives ``"recosted"`` / ``"replanned"`` /
     ``"dropped"`` / ``"failed"`` once per processed entry — the hook
-    serving counters hang off.
+    server metrics hang off.  Call :meth:`subscribe` to attach to the
+    catalog's delta channel (mark-stale + kick); :meth:`kick` schedules
+    a drain manually; :meth:`drain` runs one synchronously (tests,
+    CLI).
     """
 
     def __init__(
@@ -54,17 +58,56 @@ class StaleRevalidator:
         cache: PlanCache,
         catalog,
         config: OptimizerConfig,
+        workers: int = 1,
         on_event: Optional[Callable[[str], None]] = None,
     ):
+        if workers < 1:
+            raise ValueError(f"revalidate workers must be >= 1, got {workers}")
         self.cache = cache
         self.catalog = catalog
         self.config = config
         self.on_event = on_event
+        self._executor = ThreadPoolExecutor(
+            max_workers=workers, thread_name_prefix="revalidate"
+        )
+        self._unsubscribe: Optional[Callable[[], None]] = None
+        self._closed = threading.Event()
+
+    # -- wiring --------------------------------------------------------------
+    def subscribe(self) -> "StaleRevalidator":
+        """Attach to the catalog: deltas mark entries stale, then kick."""
+        if self._unsubscribe is None:
+            self._unsubscribe = self.catalog.subscribe_deltas(self._on_delta)
+        return self
+
+    def _on_delta(self, delta) -> None:
+        marked = self.cache.mark_stale(delta.relation)
+        if marked:
+            self.kick()
+
+    def kick(self) -> None:
+        """Schedule a background drain of the stale backlog (idempotent
+        enough: an extra drain finding no stale entries is a no-op)."""
+        if self._closed.is_set():
+            return
+        try:
+            self._executor.submit(self._drain_safely)
+        except RuntimeError:  # executor already shut down (close race)
+            pass
+
+    def _drain_safely(self) -> None:
+        try:
+            self.drain()
+        except Exception:  # noqa: BLE001 - a background thread must not die loudly
+            logger.exception("revalidation drain failed")
 
     # -- the work ------------------------------------------------------------
     def drain(self, limit: Optional[int] = None) -> dict:
-        """Process the stale backlog (up to *limit* entries), in the
-        calling thread; counts dict."""
+        """Process the stale backlog (up to *limit* entries); counts dict.
+
+        Runs in the calling thread — the background path calls it from
+        an executor thread, tests and the CLI call it directly.
+        """
         counts = {"recosted": 0, "replanned": 0, "dropped": 0, "failed": 0}
         processed = 0
         # Failed entries go back to STALE (retryable on a *later* drain);
@@ -72,7 +115,7 @@ class StaleRevalidator:
         # failing entry (e.g. every replan deadline-degrades) would be
         # claimed, failed and requeued forever.
         failed_keys = set()
-        while True:
+        while not self._closed.is_set():
             batch = CLAIM_BATCH
             if limit is not None:
                 batch = min(batch, limit - processed)
@@ -160,3 +203,12 @@ class StaleRevalidator:
             logger.exception("revalidation failed for %s", claim.key)
             self.cache.requeue(claim.key)
             return "failed"
+
+    # -- lifecycle -----------------------------------------------------------
+    def close(self) -> None:
+        """Detach from the catalog and stop the worker pool (idempotent)."""
+        self._closed.set()
+        if self._unsubscribe is not None:
+            self._unsubscribe()
+            self._unsubscribe = None
+        self._executor.shutdown(wait=True, cancel_futures=True)

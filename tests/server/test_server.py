@@ -48,6 +48,14 @@ class TestTransportOwnedFields:
         assert client.healthz()["workers"] == 0
         assert client.stats()["workers"] == 0
 
+    def test_unparseable_batch_items_count_as_failures(self, client):
+        """This tier's long-standing accounting (the async front answers
+        unparseable statements while routing; no shard ever counts them)."""
+        before = client.stats()["plans"]["failures"]
+        body = client.batch([SQL, "SELECT count(*) FROM nowhere GROUP BY x"])
+        assert body["failed"] == 1 and body["items"][1]["stage"] == "parse"
+        assert client.stats()["plans"]["failures"] == before + 1
+
 
 class TestBackpressure:
     def test_429_when_admission_full(self, server, client):
@@ -170,6 +178,66 @@ class TestServiceWithPool:
             assert again["cache_hit"] is True
         finally:
             service.close()
+
+
+class TestLockScope:
+    """The core's lock covers cache and counter mutation only: a slow
+    execution or revalidation must not stall other requests or /stats."""
+
+    @staticmethod
+    def blocked(service, name, outcome):
+        """Replace ``name`` (dotted, below the core) with a call that
+        parks until released; returns (entered, release)."""
+        entered, release = threading.Event(), threading.Event()
+
+        def parked(*args, limit=None):
+            if limit == 0:  # /stats_update's own inline drain: nothing to do
+                return dict.fromkeys(outcome, 0)
+            entered.set()
+            assert release.wait(timeout=30)
+            return outcome
+
+        *owners, attribute = name.split(".")
+        target = service.core
+        for owner in owners:
+            target = getattr(target, owner)
+        setattr(target, attribute, parked)
+        return entered, release
+
+    def test_execution_runs_outside_the_lock(self):
+        service = PlanService(ServerConfig(port=0, workers=0, cache_capacity=16))
+        service.core.check_execute = lambda body: ("columnar", None)
+        reply = {"executor": "columnar", "row_count": 3, "execution_seconds": 0.25}
+        entered, release = self.blocked(service, "run", reply)
+        runner = threading.Thread(target=service.execute_body, args=({"sql": SQL},))
+        runner.start()
+        try:
+            assert entered.wait(timeout=30)
+            assert service.optimize_body({"sql": SQL})["cache_hit"] is True
+            assert service.stats_body()["executions"]["count"] == 0
+        finally:
+            release.set()
+            runner.join(timeout=30)
+            service.close()
+        executions = service.stats_body()["executions"]
+        assert (executions["count"], executions["rows_returned"]) == (1, 3)
+
+    def test_revalidation_runs_outside_the_lock(self):
+        # Banded keys: a small drift keeps the key, so the stale entry is served.
+        config = ServerConfig(port=0, workers=0, cache_capacity=16, snapshot_band_width=2.0)
+        service = PlanService(config)
+        counts = {"recosted": 1, "replanned": 0, "dropped": 0, "failed": 0}
+        entered, release = self.blocked(service, "revalidator.drain", counts)
+        try:
+            service.optimize_body({"sql": SQL})
+            update = service.stats_update_body({"table": "supplier", "cardinality_factor": 1.1})
+            assert update["marked_stale"] == 1 and entered.wait(timeout=30)
+            assert service.optimize_body({"sql": SQL})["cache_hit"] is True
+            assert service.stats_body()["plans"]["stale_served"] == 1
+        finally:
+            release.set()
+            service.close()
+        assert service.stats_body()["plans"]["recosted"] >= 1
 
 
 class TestServerConfigValidation:

@@ -11,12 +11,14 @@ codes on the wire, ``/stats`` shape per transport) lives in
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.server.metrics import check_route, parse_body
 from repro.service import core as core_module
 from repro.service.config import ServingConfig
 from repro.service.core import (
@@ -25,9 +27,7 @@ from repro.service.core import (
     RequestError,
     ServingCore,
     batch_queries,
-    check_route,
     merge_stats,
-    parse_body,
 )
 
 SQL = (
@@ -247,9 +247,17 @@ class TestBatchItems:
         assert items[1]["stage"] == "parse" and "nowhere" in items[1]["error"]
         assert items[3]["stage"] == "parse"
 
-    def test_bad_override_fails_every_item(self, core):
-        items = core.batch_items({"strategy": "nonsense"}, [(0, SQL), (1, SQL_SMALL)])
-        assert all(item["stage"] == "optimize" and "nonsense" in item["error"] for item in items)
+    def test_bad_override_fails_the_whole_batch(self, core):
+        error = error_of(core.batch_items, {"strategy": "nonsense"}, [(0, SQL), (1, SQL_SMALL)])
+        assert (error.status, error.code) == (400, "bad_config")
+        assert core.stats()["plans"]["served"] == 0
+
+    def test_unparseable_items_count_as_failures(self, core):
+        # ... inside a /batch only: a lone request's 400 is the client's.
+        core.batch_items({}, [(0, SQL), (1, BAD_TABLE), (2, None)])
+        assert core.stats()["plans"]["failures"] == 2
+        error_of(core.optimize, {"sql": BAD_TABLE})
+        assert core.stats()["plans"]["failures"] == 2
 
     @pytest.mark.parametrize("queries", [[], "not-a-list", None, {"0": SQL}])
     def test_queries_must_be_a_non_empty_list(self, queries):
@@ -300,6 +308,30 @@ class TestExecute:
         assert executions["rows_returned"] >= 3 and executions["seconds_total"] > 0
         for name in ("mean_ms", "p50_ms", "p95_ms", "p99_ms"):
             assert executions[name] is not None
+
+    def test_a_failed_run_is_a_500_and_counted(self, data_core, monkeypatch):
+        import repro.exec
+
+        def broken(*args, **kwargs):
+            raise ZeroDivisionError("boom")
+
+        monkeypatch.setattr(repro.exec, "run_plan", broken)
+        before = data_core.stats()
+        error = error_of(data_core.execute, {"sql": SQL})
+        assert (error.status, error.code) == (500, "execution_error")
+        assert "boom" in error.message
+        after = data_core.stats()
+        assert after["plans"]["failures"] == before["plans"]["failures"] + 1
+        assert after["executions"]["count"] == before["executions"]["count"]
+
+    def test_run_touches_no_counter_until_recorded(self, data_core):
+        # The threaded tier calls run() outside its lock, record_run() under it.
+        before = data_core.stats()["executions"]
+        reply = data_core.run(data_core.plan({"sql": SQL}), "columnar", 3, time.perf_counter())
+        assert reply["row_count"] == 3
+        assert data_core.stats()["executions"] == before
+        assert data_core.record_run(reply) is reply
+        assert data_core.stats()["executions"]["count"] == before["count"] + 1
 
     @pytest.mark.parametrize(
         "extra, code",

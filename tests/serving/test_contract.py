@@ -247,10 +247,14 @@ class TestBatch:
         body = client.batch([SQL], include_plans=True)
         assert body["items"][0]["plan"]["op"] in ("groupby", "project", "map")
 
-    def test_a_bad_override_is_reported_per_item(self, client):
-        body = client.batch([SQL, SQL_SMALL], strategy="nonsense")
-        assert (body["succeeded"], body["failed"]) == (0, 2)
-        assert all("nonsense" in item["error"] for item in body["items"])
+    def test_a_bad_override_fails_the_whole_batch(self, client):
+        # The overrides are the request's, not an item's (the threaded
+        # tier's behaviour before the tiers shared a core).
+        error = error_of(
+            client, "POST", "/batch", {"queries": [SQL, SQL_SMALL], "strategy": "nonsense"}
+        )
+        assert (error.status, error.code) == (400, "bad_config")
+        assert "nonsense" in error.message
 
     @pytest.mark.parametrize("queries", [[], "not-a-list", None])
     def test_queries_must_be_a_non_empty_list(self, client, queries):
