@@ -59,8 +59,8 @@ def _add_strategy_options(parser: argparse.ArgumentParser) -> None:
         "--engine",
         choices=ENGINES,
         default="indexed",
-        help="driver code path; all engines produce identical plans "
-        "(default: indexed)",
+        help="driver code path: indexed (the hot path) or reference (the "
+        "seed's, kept as test oracle); identical plans (default: indexed)",
     )
 
 

@@ -169,9 +169,12 @@ class PlannerSession:
         """Subscribe *callback* to *event*; returns an unsubscribe handle.
 
         Events: ``"prepare"`` (PreparedQuery), ``"ccp"`` (s1, s2),
-        ``"plan"`` (PlanInfo), ``"result"`` (OptimizationResult).  The
-        ``ccp``/``plan`` events fire only for in-process optimization —
-        batch workers in other processes do not call back.
+        ``"plan"`` (PlanInfo — once per plan the DP *materialises*;
+        candidates discarded on price are never built, see
+        :class:`~repro.optimizer.driver.OptimizerHooks`), ``"result"``
+        (OptimizationResult).  The ``ccp``/``plan`` events fire only for
+        in-process optimization — batch workers in other processes do not
+        call back.
         """
         if event not in self._listeners:
             raise ValueError(f"unknown event {event!r} (one of {', '.join(EVENTS)})")

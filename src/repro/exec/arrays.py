@@ -1,8 +1,7 @@
 """Array-backend seam for the columnar executor.
 
-Mirrors the PR 6 pattern from :mod:`repro.hypergraph.vectorized`: numpy is
-an *accelerator*, never a dependency.  Every columnar code path has a
-pure-python fallback, selected automatically when numpy is missing or
+numpy is an *accelerator*, never a dependency.  Every columnar code path
+has a pure-python fallback, selected automatically when numpy is missing or
 forced with ``REPRO_EXEC_FORCE_FALLBACK=1`` (the differential test suite
 runs both ways).
 

@@ -49,6 +49,13 @@ class CostModel:
     Each method returns the *operator's own* contribution — the plan
     builder adds the children's accumulated cost.  All inputs are
     estimates from :mod:`repro.cardinality.estimate`.
+
+    The DP prices candidates before it builds them, so the *child* of the
+    top grouping may be a :class:`~repro.optimizer.planinfo.PricedJoin`
+    rather than a :class:`~repro.optimizer.planinfo.PlanInfo`: rely on the
+    derived properties both expose (``cost``, ``cardinality``,
+    ``eagerness``, ``duplicate_free``, ``keys``, ``equiv``, ``distinct``),
+    not on ``node`` or the aggregation state.
     """
 
     #: registry name; also part of the plan-cache key, so two models with

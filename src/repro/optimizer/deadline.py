@@ -4,9 +4,8 @@ A :class:`Deadline` is a cheap, cooperative budget check threaded through
 :func:`repro.optimizer.optimize`: the driver calls :meth:`Deadline.tick`
 once per enumerated csg-cmp-pair, and the tick reads the clock only every
 ``check_every`` ccps (plus once on the very first ccp, so tiny budgets
-fire deterministically even on small queries).  All three engines
-(reference / indexed / vectorized) consume the same ccp loop, so one
-check site covers them all.
+fire deterministically even on small queries).  Both engines (reference /
+indexed) consume the same ccp loop, so one check site covers them.
 
 When the budget is exhausted the tick raises
 :class:`PlanningDeadlineExceeded` from inside the DP.  What happens next

@@ -10,27 +10,22 @@ This is the paper's Fig. 5 skeleton with the eager-aggregation extensions:
 5. finalise plans for the full relation set (top grouping or Eqv.-42
    elimination) through ``InsertTopLevelPlan``.
 
-Three engines drive the same skeleton (see docs/architecture.md):
+Two engines drive the same skeleton (see docs/architecture.md):
 
 * ``engine="indexed"`` (default) — the hot path: iterative enumerator over
   the indexed/memoised hypergraph, per-edge join specs resolved through
-  :class:`~repro.optimizer.edgeindex.EdgeResolver`, predicate-metadata
-  memos in the :class:`~repro.optimizer.planinfo.PlanBuilder`, and
-  cost-ordered EA-Prune buckets,
+  :class:`~repro.optimizer.edgeindex.EdgeResolver`, cost-ordered EA-Prune
+  buckets, and *price, ask, build*: every OpTrees variant is priced
+  (:meth:`~repro.optimizer.planinfo.PlanBuilder.price`), the strategy is
+  asked whether it would discard it
+  (:meth:`~repro.optimizer.strategies.Strategy.would_discard`), and only
+  what survives is constructed,
 * ``engine="reference"`` — the seed's code path (recursive enumerator,
-  linear edge scans, uncached builder, unordered buckets), kept as the
-  executable spec.  Golden tests assert the engines produce identical
-  costs, ccp counts and table sizes; :mod:`benchmarks.bench_hotpath`
-  times the other engines against it,
-* ``engine="vectorized"`` — the array core
-  (:mod:`repro.optimizer.vectorized` over a batched
-  :class:`~repro.hypergraph.vectorized.VectorizedGraph`): numpy lanes
-  evaluate whole csg-cmp-pairs at once and plans materialise only when a
-  strategy actually keeps them.  Requires numpy (warns and falls back to
-  ``indexed`` without it, so :mod:`repro.server` stays stdlib-only) and
-  the built-in strategies/cost model (silent fallback otherwise, flagged
-  in ``stats``); the cross-engine differential suite asserts its output
-  is bit-identical.
+  linear edge scans, uncached builder, unordered buckets, every candidate
+  fully built), kept strictly as the test oracle.  Golden and differential
+  tests assert the engines produce identical costs, ccp counts, candidate
+  counts, table sizes and plans; :mod:`benchmarks.bench_hotpath` times
+  one against the other.
 
 The engine choice never changes optimizer *output* — it is part of
 :class:`~repro.optimizer.config.OptimizerConfig` for plumbing (CLI,
@@ -40,7 +35,6 @@ server) but deliberately *not* part of the plan cache key.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -48,22 +42,21 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro import chaos
 from repro.algebra.expressions import conjunction
 from repro.conflict.detector import AnnotatedEdge, detect
-from repro.hypergraph import vectorized as vector_graph
 from repro.hypergraph.graph import Hypergraph
 from repro.hypergraph.enumerate import enumerate_ccps, enumerate_ccps_reference
-from repro.optimizer import vectorized as vector_core
 from repro.optimizer.config import OptimizerConfig
 from repro.optimizer.deadline import Deadline, PlanningDeadlineExceeded
 from repro.optimizer.edgeindex import EdgeResolver, JoinSpec
 from repro.optimizer.planinfo import PlanBuilder, PlanInfo
 from repro.optimizer.registry import ENGINES
-from repro.optimizer.strategies import EaPruneStrategy, Strategy, sweep_prune_caches
+from repro.optimizer.strategies import (
+    EaPruneStrategy,
+    Strategy,
+    loses_on_cost,
+    sweep_prune_caches,
+)
 from repro.query.spec import Query
 from repro.rewrites.pushdown import OpKind, pushdown_valid_for
-
-#: Back-compat alias — the resolved-operator record now lives in
-#: :mod:`repro.optimizer.edgeindex`.
-_JoinSpec = JoinSpec
 
 
 @dataclass
@@ -74,6 +67,9 @@ class OptimizationResult:
     strategy: str
     elapsed_seconds: float
     ccp_count: int
+    #: candidate plans the DP considered (access paths, valid OpTrees
+    #: variants, finalised top-level plans) — engine-independent.  How many
+    #: of them were materialised is ``stats["plans_constructed"]``.
     plans_built: int
     table_sizes: Dict[int, int]
     cache_hit: bool = False
@@ -142,9 +138,13 @@ class OptimizerHooks:
       (not fired when a caller supplies *prepared*; the session fires it
       when preparing a statement),
     * ``on_ccp(s1, s2)`` — once per enumerated csg-cmp-pair,
-    * ``on_plan(plan)`` — once per candidate :class:`PlanInfo` offered to
-      the DP table (access paths, OpTrees variants for inner table
-      entries, finalised plans for the full relation set),
+    * ``on_plan(plan)`` — once per plan the DP *materialises* and offers to
+      the DP table: access paths, the OpTrees variants that survive
+      pricing (inner table entries), finalised plans for the full relation
+      set.  Candidates a strategy discards on price are never built and
+      never reported (``stats["plans_constructed"]`` counts the calls,
+      ``plans_built`` all candidates); the reference engine builds, and
+      reports, every candidate,
     * ``on_result(result)`` — once per returned result, cache hits
       included.  ``result.stats`` carries the hot-path counters, so
       metrics pipelines hang off this hook without touching the DP loops.
@@ -182,13 +182,12 @@ def optimize(
     :class:`repro.service.cache.PlanCache`: hits return immediately
     (marked ``cache_hit=True``), misses are stored after optimization.
     *hooks* receive tracing callbacks (see :class:`OptimizerHooks`).
-    *engine* selects the hot path (``"indexed"``, the default), the seed
-    code path (``"reference"``) or the array core (``"vectorized"``);
-    ``None`` defers to ``config.engine``.  The result is identical
-    whichever engine runs.
+    *engine* selects the hot path (``"indexed"``, the default) or the seed
+    code path (``"reference"``, the test oracle); ``None`` defers to
+    ``config.engine``.  The result is identical whichever engine runs.
 
     *deadline* arms a cooperative planning budget checked inside the DP
-    loop (all three engines share it); ``None`` defers to
+    loop (both engines share it); ``None`` defers to
     ``config.deadline_seconds``, measured from the start of this run.
     Cache hits are served before the budget is consulted.  On a blown
     budget, ``config.degradation`` picks between a heuristic fallback
@@ -272,26 +271,6 @@ def optimize(
     on_ccp = hooks.on_ccp if hooks is not None else None
     on_plan = hooks.on_plan if hooks is not None else None
 
-    # The vectorized engine needs numpy and the exact built-in strategy /
-    # cost-model arithmetic its lanes encode; anything else falls back to
-    # the indexed engine (the output is identical either way, so only the
-    # numpy case warrants a warning).
-    vec_engine = None
-    vec_fallback = None
-    if engine == "vectorized":
-        if not vector_core.numpy_available():
-            warnings.warn(
-                "engine='vectorized' requires numpy, which is not installed; "
-                "falling back to the indexed engine",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            vec_fallback = "no_numpy"
-        elif not vector_core.supports(chosen, cost_model, on_plan):
-            vec_fallback = "unsupported"
-        else:
-            vec_engine = vector_core.VectorEngine(builder, chosen, query)
-
     if reference:
         resolver = None
         resolve = partial(_resolve_edge, annotated, query)
@@ -299,11 +278,8 @@ def optimize(
     else:
         resolver = prepared.resolver()
         resolve = resolver.resolve
-        if vec_engine is not None and vector_graph.supports(graph):
-            # Batched neighborhood/connectivity lanes; shares the base
-            # graph's counters so the stats diffs below stay coherent.
-            graph = vector_graph.VectorizedGraph(graph)
         ccps = enumerate_ccps(graph)
+    build_plans = _build_plans_reference if reference else _build_plans
 
     # Counter snapshots: graph/resolver/strategy objects may be shared
     # across runs (PreparedQuery reuse, strategy instances in configs), so
@@ -320,7 +296,8 @@ def optimize(
         if on_plan is not None:
             on_plan(leaf)
 
-    plans_built = len(table)
+    tally = _Tally()
+    tally.built = tally.constructed = len(table)
     ccp_count = 0
 
     if len(query.relations) == 1:
@@ -347,11 +324,6 @@ def optimize(
             right_bucket = table.get(right_set, ())
             if not left_bucket or not right_bucket:
                 continue
-            if vec_engine is not None:
-                plans_built += vec_engine.process_ccp(
-                    table, spec, left_set, right_set, all_mask
-                )
-                continue
             combined = left_set | right_set
             is_top = combined == all_mask
             bucket = table.get(combined)
@@ -359,26 +331,15 @@ def optimize(
                 # Top-level entries go through insert_top (single plan, list
                 # semantics); inner entries use the strategy's bucket type.
                 bucket = table[combined] = [] if is_top else chosen.new_bucket()
-            for left_plan in left_bucket:
-                for right_plan in right_bucket:
-                    for plan in _op_trees(builder, chosen, left_plan, right_plan, spec):
-                        plans_built += 1
-                        if is_top:
-                            # Report the finalised plan — the candidate the DP
-                            # table actually considers for the full relation set.
-                            plan = builder.finish_top(plan)
-                            if on_plan is not None:
-                                on_plan(plan)
-                            chosen.insert_top(bucket, plan)
-                        else:
-                            if on_plan is not None:
-                                on_plan(plan)
-                            chosen.insert(bucket, plan)
+            build_plans(
+                builder, chosen, bucket, is_top, left_bucket, right_bucket, spec,
+                on_plan, tally,
+            )
     except PlanningDeadlineExceeded:
         if config.degradation != "heuristic":
             raise
         result = _degraded_fallback(
-            query, prepared, config, engine, start, ccp_count, plans_built
+            query, prepared, config, engine, start, ccp_count, tally.built
         )
         if on_result is not None:
             on_result(result)
@@ -392,15 +353,11 @@ def optimize(
 
     stats: Dict[str, int] = {
         "engine_reference": 1 if reference else 0,
-        "engine_vectorized": 1 if vec_engine is not None else 0,
+        "plans_constructed": tally.constructed,
+        "top_replacements": tally.top_replacements,
     }
-    if vec_fallback is not None:
-        stats["vectorized.fallback"] = 1
-        stats[f"vectorized.{vec_fallback}"] = 1
-    if vec_engine is not None:
-        for name, value in vec_engine.counters.items():
-            if value:
-                stats[f"vectorized.{name}"] = value
+    if tally.priced_away:
+        stats["strategy.plans_priced_away"] = tally.priced_away
     for name, value in graph.counters.items():
         delta = value - graph_before.get(name, 0)
         if delta:
@@ -421,7 +378,7 @@ def optimize(
         strategy=chosen.name,
         elapsed_seconds=elapsed,
         ccp_count=ccp_count,
-        plans_built=plans_built,
+        plans_built=tally.built,
         table_sizes={mask: len(plans) for mask, plans in table.items()},
         stats=stats,
     )
@@ -526,60 +483,139 @@ def _subset(small: int, big: int) -> bool:
     return small & ~big == 0
 
 
-def _op_trees(
+class _Tally:
+    """Per-run candidate counters (``OptimizationResult.plans_built`` and
+    the ``stats`` entries beside it)."""
+
+    __slots__ = ("built", "constructed", "priced_away", "top_replacements")
+
+    def __init__(self) -> None:
+        self.built = 0  # candidates considered
+        self.constructed = 0  # ... of which materialised as a PlanInfo
+        self.priced_away = 0  # ... of which discarded on price, never built
+        self.top_replacements = 0  # finished plans that displaced the incumbent
+
+
+def _build_plans(
     builder: PlanBuilder,
     strategy: Strategy,
-    left: PlanInfo,
-    right: PlanInfo,
+    bucket: List[PlanInfo],
+    is_top: bool,
+    left_bucket,
+    right_bucket,
     spec: JoinSpec,
-):
-    """``OpTrees`` (Fig. 6): the up-to-four grouping placements of Fig. 8."""
-    plain = builder.join(
-        left, right, spec.op, spec.predicate, spec.selectivity, spec.groupjoin_vector
+    on_plan,
+    tally: _Tally,
+) -> None:
+    """BuildPlans for one csg-cmp-pair: price, ask, build.
+
+    Every OpTrees placement of every plan pair (Fig. 6/8, in the reference
+    engine's order) is *priced*; the strategy — or, for the full relation
+    set, ``InsertTopLevelPlan``'s keep-the-cheaper rule on the priced
+    ``finish_top`` cost — is *asked* whether it would discard a plan with
+    those numbers; only what survives is *built* and inserted.  Nothing is
+    evicted on price: eviction happens inside ``insert``, once the
+    evicting plan exists.
+
+    NOTE on NeedsGrouping (Fig. 6, lines 10/15): the paper skips grouped
+    variants whose grouping attributes contain a key.  That test is
+    *plan-dependent* while the grouping-output estimate is not, which
+    makes the skip inconsistent across dominance-equivalent plans and can
+    break EA-Prune's optimality under a statistics-based estimator.  We
+    therefore generate them all — pruning or cost will discard the
+    degenerate ones — keeping the DP-class continuation sets consistent.
+    """
+    op, predicate, selectivity = spec.op, spec.predicate, spec.selectivity
+    groupjoin_vector = spec.groupjoin_vector
+    price, construct, grouped = builder.price, builder.construct, builder.grouped
+    eager = strategy.explore_eager
+    group_left = eager and pushdown_valid_for(op, 1)
+    group_right = eager and pushdown_valid_for(op, 2)
+    # Γ_{G⁺} of a plan is the plan's own (PlanBuilder.grouped): one per
+    # plan, not one per partner.
+    rights = [(plan, grouped(plan) if group_right else None) for plan in right_bucket]
+    insert = strategy.insert_top if is_top else strategy.insert
+    built = constructed = priced_away = 0
+    for left_plan in left_bucket:
+        grouped_left = grouped(left_plan) if group_left else None
+        for right_plan, grouped_right in rights:
+            for left, right in (
+                (left_plan, right_plan),
+                (grouped_left, right_plan),
+                (left_plan, grouped_right),
+                (grouped_left, grouped_right),
+            ):
+                if left is None or right is None:
+                    continue
+                priced = price(left, right, op, predicate, selectivity, groupjoin_vector)
+                if priced is None:
+                    continue  # invalid: the aggregation state cannot be maintained
+                built += 1
+                if is_top:
+                    if loses_on_cost(bucket, builder.top_cost(priced)):
+                        priced_away += 1
+                        continue
+                    # Report the finalised plan — the candidate the DP table
+                    # actually considers for the full relation set.
+                    plan = builder.finish_top(construct(priced))
+                    tally.top_replacements += len(bucket)
+                else:
+                    if strategy.would_discard(bucket, priced):
+                        priced_away += 1
+                        continue
+                    plan = construct(priced)
+                constructed += 1
+                if on_plan is not None:
+                    on_plan(plan)
+                insert(bucket, plan)
+    tally.built += built
+    tally.constructed += constructed
+    tally.priced_away += priced_away
+
+
+def _build_plans_reference(
+    builder: PlanBuilder,
+    strategy: Strategy,
+    bucket: List[PlanInfo],
+    is_top: bool,
+    left_bucket,
+    right_bucket,
+    spec: JoinSpec,
+    on_plan,
+    tally: _Tally,
+) -> None:
+    """The seed's BuildPlans — the oracle :func:`_build_plans` is tested
+    against: every OpTrees placement is fully built, with a fresh Γ per
+    plan pair, and the strategy sees them all."""
+    join = partial(
+        builder.join, op=spec.op, predicate=spec.predicate,
+        selectivity=spec.selectivity, groupjoin_vector=spec.groupjoin_vector,
     )
-    if plain is not None:
-        yield plain
-    if not strategy.explore_eager:
-        return
-
-    grouped_left: Optional[PlanInfo] = None
-    grouped_right: Optional[PlanInfo] = None
-
-    # NOTE on NeedsGrouping (Fig. 6, lines 10/15): the paper skips grouped
-    # variants whose grouping attributes contain a key.  That test is
-    # *plan-dependent* while the grouping-output estimate is not, which
-    # makes the skip inconsistent across dominance-equivalent plans and can
-    # break EA-Prune's optimality under a statistics-based estimator.  We
-    # therefore skip only the genuinely degenerate case (grouping a
-    # duplicate-free input whose grouping attributes are a key *and* whose
-    # estimated reduction is nil is still generated — pruning or cost will
-    # discard it), keeping the DP-class continuation sets consistent.
-    if pushdown_valid_for(spec.op, 1):
-        g_plus = builder.needed_above(left.rel_set) & left.raw_attrs
-        grouped_left = builder.group(left, g_plus)
-        if grouped_left is not None:
-            plan = builder.join(
-                grouped_left, right, spec.op, spec.predicate, spec.selectivity,
-                spec.groupjoin_vector,
-            )
-            if plan is not None:
-                yield plan
-
-    if pushdown_valid_for(spec.op, 2):
-        g_plus = builder.needed_above(right.rel_set) & right.raw_attrs
-        grouped_right = builder.group(right, g_plus)
-        if grouped_right is not None:
-            plan = builder.join(
-                left, grouped_right, spec.op, spec.predicate, spec.selectivity,
-                spec.groupjoin_vector,
-            )
-            if plan is not None:
-                yield plan
-
-    if grouped_left is not None and grouped_right is not None:
-        plan = builder.join(
-            grouped_left, grouped_right, spec.op, spec.predicate, spec.selectivity,
-            spec.groupjoin_vector,
-        )
-        if plan is not None:
-            yield plan
+    group_left = strategy.explore_eager and pushdown_valid_for(spec.op, 1)
+    group_right = strategy.explore_eager and pushdown_valid_for(spec.op, 2)
+    insert = strategy.insert_top if is_top else strategy.insert
+    for left in left_bucket:
+        for right in right_bucket:
+            grouped_left = grouped_right = None
+            if group_left:
+                g_plus = builder.needed_above(left.rel_set) & left.raw_attrs
+                grouped_left = builder.group(left, g_plus)
+            if group_right:
+                g_plus = builder.needed_above(right.rel_set) & right.raw_attrs
+                grouped_right = builder.group(right, g_plus)
+            for lhs, rhs in (
+                (left, right), (grouped_left, right), (left, grouped_right),
+                (grouped_left, grouped_right),
+            ):
+                plan = None if lhs is None or rhs is None else join(lhs, rhs)
+                if plan is None:
+                    continue
+                tally.built += 1
+                tally.constructed += 1
+                if is_top:
+                    plan = builder.finish_top(plan)
+                    if bucket and not loses_on_cost(bucket, plan.cost):
+                        tally.top_replacements += 1
+                if on_plan is not None:
+                    on_plan(plan)
+                insert(bucket, plan)

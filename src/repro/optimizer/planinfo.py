@@ -21,10 +21,19 @@ arbitrarily many pushdowns inside one DP run: joining two plans ⊗-scales
 each side's terms by the other side's scale columns, and grouping a plan
 decomposes every term into inner/outer stages while folding the plan's old
 scale columns into the new count column (``count(*) ⊗ c`` = ``sum(c)``).
+
+Joins are made in two steps (docs/architecture.md, "price, ask, build"):
+:meth:`PlanBuilder.price` derives a candidate's validity, cardinality,
+cost and eagerness from the two inputs alone — a :class:`PricedJoin`, no
+plan node, no dictionaries — and :meth:`PlanBuilder.construct` turns a
+priced candidate into a :class:`PlanInfo`.  The DP driver constructs only
+what its strategy does not discard on price; :meth:`PlanBuilder.join` is
+the two steps back to back.
 """
 
 from __future__ import annotations
 
+from collections import ChainMap
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Tuple
@@ -35,8 +44,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from repro.aggregates.calls import AggCall, AggKind
 from repro.aggregates.transform import (
     NotDecomposableError,
+    NotScalableError,
     decompose_call,
     scale_call,
+    scale_vector,
     single_row_expr,
 )
 from repro.aggregates.vector import AggItem, AggVector
@@ -65,6 +76,10 @@ from repro.rewrites.pushdown import OpKind
 
 _KEY_LIMIT = 12  # cap on tracked candidate keys per plan
 
+#: Operators whose output exposes only left-side attributes and rows
+#: (``OpKind.left_only``, as a constant for the hot loop).
+_LEFT_ONLY = (OpKind.LEFT_SEMI, OpKind.LEFT_ANTI, OpKind.GROUPJOIN)
+
 
 def clear_memo_caches() -> None:
     """Drop the module-level pure-function memos (benchmark hygiene —
@@ -73,6 +88,7 @@ def clear_memo_caches() -> None:
     _merge_equiv_cached.cache_clear()
     _pairwise_keys.cache_clear()
     _scale_call_cached.cache_clear()
+    _key_within.cache_clear()
 
 
 @dataclass(frozen=True)
@@ -110,27 +126,17 @@ class PlanInfo:
             object.__setattr__(self, "_closure_cache", cache)
         cached = cache.get(attrs)
         if cached is None:
-            out = set(attrs)
-            for cls in self.equiv:
-                if cls & out:
-                    out |= cls
-            cached = frozenset(out)
-            cache[attrs] = cached
+            cached = cache[attrs] = _closure(self.equiv, attrs)
         return cached
 
     def __getstate__(self):
-        """Strip the per-instance memo caches before pickling: they hold
-        process-local interned objects (FD signatures) that must not leak
-        to batch-driver worker/parent processes."""
-        state = dict(self.__dict__)
-        state.pop("_closure_cache", None)
-        state.pop("_key_within_cache", None)
-        state.pop("_fd_sig", None)
-        # Vectorized-engine tags are engine-instance-local (shape ids and
-        # recipe variants) and reference whole plan graphs — never leak.
-        state.pop("_vec_sid", None)
-        state.pop("_vec_variant", None)
-        return state
+        """Pickle the declared fields only.  Everything else in the
+        instance ``__dict__`` is a run-local memo — closure caches, the
+        process-local interned FD signature, the plan's eager grouping
+        (:meth:`PlanBuilder.grouped`) — and must not ride along to a batch
+        worker, a shard snapshot or a plan cache."""
+        state = self.__dict__
+        return {name: state[name] for name in self.__dataclass_fields__}
 
     def has_key_within(self, attrs: FrozenSet[str]) -> bool:
         """Whether some candidate key is implied by *attrs* (via closure)."""
@@ -145,6 +151,62 @@ class PlanInfo:
             cached = any(key <= closed for key in self.keys)
             cache[attrs] = cached
         return cached
+
+
+class PricedJoin:
+    """A valid join candidate, priced but not built.
+
+    Holds what a strategy needs to decide the candidate's fate — ``cost``,
+    ``cardinality``, ``eagerness``, ``duplicate_free`` — computed from the
+    two input plans and the operator alone.  ``keys`` and ``equiv`` (the
+    rest of Def. 4's FD triple) are derived on first access, so only a
+    strategy that compares functional dependencies pays for them.  The
+    record quacks like a :class:`PlanInfo` wherever the DP prices on top
+    of it (``needs_grouping``, the top-grouping estimate, cost models), and
+    :meth:`PlanBuilder.construct` turns it into one.
+    """
+
+    __slots__ = (
+        "builder", "left", "right", "op", "predicate", "groupjoin_vector",
+        "cost", "cardinality", "eagerness", "duplicate_free", "_fd",
+    )
+
+    def _derive_fd(self):
+        op, left, right, builder = self.op, self.left, self.right, self.builder
+        keys = _join_keys(op, left, right, builder._attrs_of(self.predicate))
+        if op in _LEFT_ONLY:
+            equiv = left.equiv
+        else:
+            equiv = left.equiv + right.equiv
+            if op is OpKind.INNER:
+                # Only inner joins guarantee the equality for *every* output
+                # row; outerjoin padding breaks it.
+                equiv = _merge_equiv_cached(
+                    equiv, builder._equality_pairs_of(self.predicate)
+                )
+        self._fd = fd = (keys, equiv)
+        return fd
+
+    @property
+    def keys(self) -> Tuple[FrozenSet[str], ...]:
+        """κ of the join result (Sec. 2.3)."""
+        return (self._fd or self._derive_fd())[0]
+
+    @property
+    def equiv(self) -> Tuple[FrozenSet[str], ...]:
+        return (self._fd or self._derive_fd())[1]
+
+    def has_key_within(self, attrs: FrozenSet[str]) -> bool:
+        keys, equiv = self._fd or self._derive_fd()
+        return _key_within(keys, equiv, frozenset(attrs))
+
+    @property
+    def distinct(self):
+        """Per-attribute distinct counts of the result, as a read-only view
+        (right over left, the order ``construct`` merges them in)."""
+        if self.op in _LEFT_ONLY:
+            return self.left.distinct
+        return ChainMap(self.right.distinct, self.left.distinct)
 
 
 @lru_cache(maxsize=65536)
@@ -271,6 +333,10 @@ class PlanBuilder:
             self.original_calls[item.name] = item.call
             self.term_defaults[item.name] = item.call.evaluate_on_null_tuple()
         self._needed_above_cache: Dict[int, FrozenSet[str]] = {}
+        self._fresh_terms_cache: Dict[
+            Tuple[int, int, bool], Tuple[Tuple[str, ...], FrozenSet[str]]
+        ] = {}
+        self._top_group_attrs = frozenset(query.group_by)
         self._gj_scaling = query.groupjoin_scaling_requirements()
 
     # ------------------------------------------------------------------
@@ -359,60 +425,83 @@ class PlanBuilder:
         groupjoin_vector: Optional[AggVector] = None,
     ) -> Optional[PlanInfo]:
         """Join two plans; returns ``None`` if the aggregation state cannot
-        be maintained (e.g. a non-scalable term)."""
-        mask = left.rel_set | right.rel_set
+        be maintained.  Price, then construct — the DP driver runs the two
+        steps apart and skips the second for candidates its strategy
+        discards on price."""
+        priced = self.price(left, right, op, predicate, selectivity, groupjoin_vector)
+        return None if priced is None else self.construct(priced)
 
-        # --- aggregation state -----------------------------------------
-        terms: Dict[str, AggCall] = {}
-        try:
-            if op in (OpKind.LEFT_SEMI, OpKind.LEFT_ANTI):
-                # Right side contributes no rows: left multiplicities are
-                # unchanged, no ⊗ scaling required (Eqvs. 37/38).
-                terms.update(left.terms)
-                result_scale = left.scale_cols
-            elif op is OpKind.GROUPJOIN:
-                # Every left tuple appears exactly once; the groupjoin's own
-                # vector absorbs the right side's scale columns instead.
-                terms.update(left.terms)
-                result_scale = left.scale_cols
-            else:
-                for name, call in left.terms.items():
-                    terms[name] = _scale_call_cached(call, right.scale_cols)
-                for name, call in right.terms.items():
-                    terms[name] = _scale_call_cached(call, left.scale_cols)
-                result_scale = left.scale_cols + right.scale_cols
-        except Exception:
-            return None
+    def price(
+        self,
+        left: PlanInfo,
+        right: PlanInfo,
+        op: OpKind,
+        predicate: Expr,
+        selectivity: float,
+        groupjoin_vector: Optional[AggVector] = None,
+    ) -> Optional[PricedJoin]:
+        """Validity, cardinality, cost and eagerness of ``left op right``
+        without building it; ``None`` when the join is invalid.
 
+        Validity is decided here, completely: a priced candidate always
+        constructs.  (Term ⊗-scaling cannot fail — :class:`Query`
+        normalises plain ``avg`` away, and decomposition and scaling only
+        ever produce sum/min/max stages.)
+        """
         gj_vector = groupjoin_vector
         if op is OpKind.GROUPJOIN and gj_vector is not None and right.scale_cols:
-            from repro.aggregates.transform import NotScalableError, scale_vector
-
+            # The groupjoin's own vector absorbs the right side's scale columns.
             try:
                 gj_vector = scale_vector(gj_vector, right.scale_cols)
             except NotScalableError:
                 return None
+        needed_raw = self._fresh_terms(left.rel_set, right.rel_set, op in _LEFT_ONLY)[1]
+        if needed_raw and not needed_raw <= _join_raw_attrs(op, left, right, gj_vector):
+            return None  # raw inputs no longer available
 
-        raw_attrs: FrozenSet[str]
-        if op in (OpKind.LEFT_SEMI, OpKind.LEFT_ANTI):
-            raw_attrs = left.raw_attrs
-        elif op is OpKind.GROUPJOIN:
-            assert gj_vector is not None
-            raw_attrs = left.raw_attrs | frozenset(gj_vector.names())
+        priced = PricedJoin()
+        priced.builder = self
+        priced.left = left
+        priced.right = right
+        priced.op = op
+        priced.predicate = predicate
+        priced.groupjoin_vector = gj_vector
+        priced.cardinality = cardinality = self._join_cardinality(
+            op, left, right, predicate, selectivity
+        )
+        priced.cost = left.cost + right.cost + self.cost_model.join(op, cardinality, left, right)
+        # The paper's *Eagerness* (Sec. 4.5): Γ nodes directly below the join.
+        priced.eagerness = isinstance(left.node, GroupByNode) + isinstance(right.node, GroupByNode)
+        priced.duplicate_free = left.duplicate_free and (
+            op in _LEFT_ONLY or right.duplicate_free
+        )
+        priced._fd = None
+        return priced
+
+    def construct(self, priced: PricedJoin) -> PlanInfo:
+        """Materialise a priced candidate: plan node, aggregation state,
+        statistics dictionaries — reusing the numbers it was priced with."""
+        left, right, op = priced.left, priced.right, priced.op
+        left_only = op in _LEFT_ONLY
+
+        # --- aggregation state -----------------------------------------
+        terms: Dict[str, AggCall] = {}
+        if left_only:
+            # Semi/antijoin: the right side contributes no rows, so left
+            # multiplicities are unchanged (Eqvs. 37/38).  Groupjoin: every
+            # left tuple appears exactly once.  No ⊗ scaling either way.
+            terms.update(left.terms)
+            result_scale = left.scale_cols
         else:
-            raw_attrs = left.raw_attrs | right.raw_attrs
-
+            for name, call in left.terms.items():
+                terms[name] = _scale_call_cached(call, right.scale_cols)
+            for name, call in right.terms.items():
+                terms[name] = _scale_call_cached(call, left.scale_cols)
+            result_scale = left.scale_cols + right.scale_cols
         # Materialise terms whose sources are first fully covered here
         # (cross-side aggregates and groupjoin-output aggregates).
-        for name, source in self.term_sources.items():
-            if name in terms:
-                continue
-            if source & mask != source:
-                continue
-            call = self.original_calls[name]
-            if not call.attributes() <= raw_attrs:
-                return None  # raw inputs no longer available
-            terms[name] = _scale_call_cached(call, result_scale)
+        for name in self._fresh_terms(left.rel_set, right.rel_set, left_only)[0]:
+            terms[name] = _scale_call_cached(self.original_calls[name], result_scale)
 
         # --- plan node ---------------------------------------------------
         left_defaults: Tuple[Tuple[str, SqlValue], ...] = ()
@@ -424,64 +513,72 @@ class PlanBuilder:
             right_defaults = tuple(sorted(right.defaults.items()))
         node = JoinNode(
             op=op,
-            predicate=predicate,
+            predicate=priced.predicate,
             left=left.node,
             right=right.node,
             left_defaults=left_defaults,
             right_defaults=right_defaults,
-            groupjoin_vector=gj_vector,
+            groupjoin_vector=priced.groupjoin_vector,
         )
 
         # --- statistics ---------------------------------------------------
-        join_attrs = self._attrs_of(predicate)
-        cardinality = self._join_cardinality(op, left, right, join_attrs, selectivity)
-        cost = left.cost + right.cost + self.cost_model.join(op, cardinality, left, right)
-        keys = self._join_keys(op, left, right, join_attrs)
-        duplicate_free = left.duplicate_free and (
-            op in (OpKind.LEFT_SEMI, OpKind.LEFT_ANTI, OpKind.GROUPJOIN)
-            or right.duplicate_free
-        )
         distinct = dict(left.distinct)
-        if op not in (OpKind.LEFT_SEMI, OpKind.LEFT_ANTI, OpKind.GROUPJOIN):
+        if not left_only:
             distinct.update(right.distinct)
-
         defaults = dict(left.defaults)
         if op not in (OpKind.LEFT_SEMI, OpKind.LEFT_ANTI):
             defaults.update(right.defaults)
 
-        if op in (OpKind.LEFT_SEMI, OpKind.LEFT_ANTI, OpKind.GROUPJOIN):
-            equiv = left.equiv
-        else:
-            equiv = left.equiv + right.equiv
-            if op is OpKind.INNER:
-                # Only inner joins guarantee the equality for *every* output
-                # row; outerjoin padding breaks it.
-                equiv = _merge_equiv_cached(equiv, self._equality_pairs_of(predicate))
-
-        from repro.plans.nodes import direct_grouping_children
-
         return PlanInfo(
             node=node,
-            rel_set=mask,
-            cost=cost,
-            cardinality=cardinality,
-            keys=keys,
-            duplicate_free=duplicate_free,
-            raw_attrs=raw_attrs,
+            rel_set=left.rel_set | right.rel_set,
+            cost=priced.cost,
+            cardinality=priced.cardinality,
+            keys=priced.keys,
+            duplicate_free=priced.duplicate_free,
+            raw_attrs=_join_raw_attrs(op, left, right, priced.groupjoin_vector),
             distinct=distinct,
             terms=terms,
             scale_cols=result_scale,
             defaults=defaults,
-            eagerness=direct_grouping_children(node),
-            equiv=equiv,
+            eagerness=priced.eagerness,
+            equiv=priced.equiv,
         )
+
+    def _fresh_terms(
+        self, left_set: int, right_set: int, left_only: bool
+    ) -> Tuple[Tuple[str, ...], FrozenSet[str]]:
+        """Aggregates whose sources are first fully covered by joining the
+        two relation sets, and the raw attributes they read.
+
+        A plan for relation set S carries exactly the terms with source ⊆ S
+        (leaves start that way; ``join`` and ``group`` preserve it), so the
+        answer depends on the sets alone — except that the left-only
+        operators drop the right side's terms, which then count as fresh.
+        """
+        key = (left_set, right_set, left_only)
+        cached = self._fresh_terms_cache.get(key)
+        if cached is None:
+            mask = left_set | right_set
+            names = tuple(
+                name
+                for name, source in self.term_sources.items()
+                if not source & ~mask
+                and source & ~left_set
+                and (left_only or source & ~right_set)
+            )
+            needed_raw: FrozenSet[str] = frozenset().union(
+                *(self.original_calls[name].attributes() for name in names)
+            )
+            cached = self._fresh_terms_cache[key] = (names, needed_raw)
+        return cached
 
     def _join_cardinality(
         self,
         op: OpKind,
         left: PlanInfo,
         right: PlanInfo,
-        join_attrs: FrozenSet[str],
+        predicate: Expr,
         selectivity: float,
     ) -> float:
         """Result-size estimate; existence-test terms use *distinct* join
@@ -490,6 +587,7 @@ class PlanBuilder:
         l_card, r_card = left.cardinality, right.cardinality
         if op is OpKind.INNER:
             return join_cardinality(l_card, r_card, selectivity)
+        join_attrs = self._attrs_of(predicate)
         d_right = domain_product(
             [a for a in join_attrs if a in right.raw_attrs], right.distinct
         )
@@ -513,32 +611,22 @@ class PlanBuilder:
             return l_card
         raise AssertionError(op)
 
-    def _join_keys(
-        self, op: OpKind, left: PlanInfo, right: PlanInfo, join_attrs: FrozenSet[str]
-    ) -> Tuple[FrozenSet[str], ...]:
-        """κ for join results (Sec. 2.3)."""
-        if op in (OpKind.LEFT_SEMI, OpKind.LEFT_ANTI, OpKind.GROUPJOIN):
-            return left.keys
+    # ------------------------------------------------------------------
+    def grouped(self, plan: PlanInfo) -> Optional[PlanInfo]:
+        """``Γ_{G⁺}(plan)`` for OpTrees (Fig. 6), built once per plan.
 
-        a1 = frozenset(a for a in join_attrs if a in left.raw_attrs)
-        a2 = frozenset(a for a in join_attrs if a in right.raw_attrs)
-        left_keyed = left.has_key_within(a1)
-        right_keyed = right.has_key_within(a2)
-
-        if op is OpKind.INNER:
-            if left_keyed and right_keyed:
-                return _minimal_keys(left.keys + right.keys)
-            if left_keyed:
-                return right.keys
-            if right_keyed:
-                return left.keys
-            return _pairwise_keys(left.keys, right.keys)
-        if op is OpKind.LEFT_OUTER:
-            if right_keyed:
-                return left.keys
-            return _pairwise_keys(left.keys, right.keys)
-        # full outerjoin: always combine (Sec. 2.3.3)
-        return _pairwise_keys(left.keys, right.keys)
+        ``G⁺`` — the attributes still needed above the plan's relation set —
+        depends on the plan alone, so every csg-cmp-pair and every partner
+        the plan meets shares the one grouping (``None`` when invalid).
+        The memo rides on the plan and dies with it; ``__getstate__`` keeps
+        it out of pickles.
+        """
+        try:
+            return plan.__dict__["_grouped"]
+        except KeyError:
+            result = self.group(plan, self.needed_above(plan.rel_set) & plan.raw_attrs)
+            object.__setattr__(plan, "_grouped", result)
+            return result
 
     # ------------------------------------------------------------------
     def group(self, plan: PlanInfo, group_attrs: FrozenSet[str]) -> Optional[PlanInfo]:
@@ -631,15 +719,33 @@ class PlanBuilder:
         return False
 
     # ------------------------------------------------------------------
+    def _top_grouping(self, plan) -> Optional[float]:
+        """Estimated size of the top grouping over *plan* (a
+        :class:`PlanInfo` or a :class:`PricedJoin`), or ``None`` when
+        ``NeedsGrouping`` is false and Eqv. 42 eliminates it."""
+        if not needs_grouping(self._top_group_attrs, plan):
+            return None
+        domain = distinct_after(self.query.group_by, plan.distinct, plan.cardinality)
+        return grouping_cardinality(plan.cardinality, domain)
+
+    def top_cost(self, plan) -> float:
+        """The cost :meth:`finish_top` would report for *plan*, without
+        building anything — *plan* may be a :class:`PricedJoin`."""
+        cardinality = self._top_grouping(plan)
+        if cardinality is None:
+            return plan.cost
+        return plan.cost + self.cost_model.group(cardinality, plan)
+
     def finish_top(self, plan: PlanInfo) -> PlanInfo:
         """Finalise a plan for the full relation set: add the top grouping,
         or eliminate it via Eqv. 42 when ``NeedsGrouping`` is false."""
-        group_attrs = frozenset(self.query.group_by)
+        group_attrs = self._top_group_attrs
         names = [item.name for item in self.query.normalized.vector]
         post = self.query.normalized.post
         out_attrs = tuple(self.query.group_by) + tuple(name for name, _ in post)
 
-        if not needs_grouping(group_attrs, plan):
+        cardinality = self._top_grouping(plan)
+        if cardinality is None:
             # Π_C(χ_F̂(e)) — the top grouping would see singleton groups.
             extensions = tuple((name, single_row_expr(plan.terms[name])) for name in names)
             node: PlanNode = MapNode(extensions, plan.node)
@@ -661,8 +767,6 @@ class PlanBuilder:
             child=plan.node,
             post=tuple(post) if _has_avg_post(post, names) else (),
         )
-        domain = distinct_after(self.query.group_by, plan.distinct, plan.cardinality)
-        cardinality = grouping_cardinality(plan.cardinality, domain)
         return PlanInfo(
             node=node,
             rel_set=plan.rel_set,
@@ -700,3 +804,62 @@ def _pairwise_keys(
 ) -> Tuple[FrozenSet[str], ...]:
     combined = [k1 | k2 for k1 in keys1 for k2 in keys2]
     return _minimal_keys(combined)
+
+
+def _join_raw_attrs(
+    op: OpKind, left: PlanInfo, right: PlanInfo, gj_vector: Optional[AggVector]
+) -> FrozenSet[str]:
+    if op in (OpKind.LEFT_SEMI, OpKind.LEFT_ANTI):
+        return left.raw_attrs
+    if op is OpKind.GROUPJOIN:
+        assert gj_vector is not None
+        return left.raw_attrs | frozenset(gj_vector.names())
+    return left.raw_attrs | right.raw_attrs
+
+
+def _join_keys(
+    op: OpKind, left: PlanInfo, right: PlanInfo, join_attrs: FrozenSet[str]
+) -> Tuple[FrozenSet[str], ...]:
+    """κ for join results (Sec. 2.3)."""
+    if op in _LEFT_ONLY:
+        return left.keys
+
+    left_keyed = left.has_key_within(join_attrs & left.raw_attrs)
+    right_keyed = right.has_key_within(join_attrs & right.raw_attrs)
+
+    if op is OpKind.INNER:
+        if left_keyed and right_keyed:
+            return _minimal_keys(left.keys + right.keys)
+        if left_keyed:
+            return right.keys
+        if right_keyed:
+            return left.keys
+        return _pairwise_keys(left.keys, right.keys)
+    if op is OpKind.LEFT_OUTER:
+        if right_keyed:
+            return left.keys
+        return _pairwise_keys(left.keys, right.keys)
+    # full outerjoin: always combine (Sec. 2.3.3)
+    return _pairwise_keys(left.keys, right.keys)
+
+
+def _closure(equiv: Tuple[FrozenSet[str], ...], attrs: FrozenSet[str]) -> FrozenSet[str]:
+    """*attrs* plus everything equal to them (classes are disjoint, so one
+    pass suffices)."""
+    out = set(attrs)
+    for cls in equiv:
+        if cls & out:
+            out |= cls
+    return frozenset(out)
+
+
+@lru_cache(maxsize=65536)
+def _key_within(
+    keys: Tuple[FrozenSet[str], ...],
+    equiv: Tuple[FrozenSet[str], ...],
+    attrs: FrozenSet[str],
+) -> bool:
+    """:meth:`PlanInfo.has_key_within` for a plan not built yet: whether
+    some key lies inside the equivalence closure of *attrs*."""
+    closed = _closure(equiv, attrs)
+    return any(key <= closed for key in keys)

@@ -104,18 +104,16 @@ class CostModelRegistry(Registry):
 
 
 #: The driver's execution engines, in documentation order.  Engines are
-#: *code paths* through :func:`repro.optimizer.optimize` — all three
-#: produce bit-identical output, so unlike strategies and cost models
-#: they are a closed set (a fixed tuple, not a plug-in registry) and are
-#: excluded from plan-cache keys:
+#: *code paths* through :func:`repro.optimizer.optimize` — both produce
+#: identical output, so unlike strategies and cost models they are a
+#: closed set (a fixed tuple, not a plug-in registry) and are excluded
+#: from plan-cache keys:
 #:
 #: * ``"indexed"`` — the default hot path (iterative enumerator, edge
-#:   index, memoised builder, ordered Pareto buckets),
-#: * ``"reference"`` — the seed's code path, kept as the executable spec,
-#: * ``"vectorized"`` — numpy array lanes with deferred plan
-#:   materialisation (falls back to ``"indexed"`` when numpy or lane
-#:   support is missing).
-ENGINES: Tuple[str, ...] = ("indexed", "reference", "vectorized")
+#:   index, memoised builder, ordered Pareto buckets, candidates priced
+#:   before they are built),
+#: * ``"reference"`` — the seed's code path, kept as the test oracle.
+ENGINES: Tuple[str, ...] = ("indexed", "reference")
 
 #: the process-wide strategy registry; built-ins register on import of
 #: :mod:`repro.optimizer.strategies`.

@@ -1,11 +1,16 @@
 """The BuildPlans strategies — the only component the paper's four
 algorithms differ in (Figs. 5, 9, 10, 12, 13, 14).
 
-Each strategy answers two questions:
+Each strategy answers three questions:
 
 * ``explore_eager`` — should OpTrees generate the grouping placements
   (b)/(c)/(d) of Fig. 8 at all?  (False only for the DPhyp baseline.)
 * ``insert(bucket, plan)`` — which plans survive in the DP table entry.
+* ``would_discard(bucket, priced)`` — would ``insert`` throw away a plan
+  with these numbers?  The driver asks before it builds the plan (see
+  docs/architecture.md, "price, ask, build"); the base class answers
+  "no", so a strategy that defines only ``insert`` sees every candidate
+  built, as before.
 
 Hot-path design (see docs/architecture.md): EA-Prune's dominance test
 (Def. 4) is where the DP spends almost all of its time, so two structures
@@ -39,6 +44,12 @@ from repro.optimizer.planinfo import PlanInfo
 from repro.optimizer.registry import STRATEGIES
 
 
+def loses_on_cost(bucket: List[PlanInfo], cost: float) -> bool:
+    """Keep-the-cheaper, asked of a one-plan bucket: a newcomer at *cost*
+    loses unless it is strictly cheaper than the incumbent."""
+    return bool(bucket) and not cost < bucket[0].cost
+
+
 class Strategy:
     """Base class: a DP-table insertion policy."""
 
@@ -52,25 +63,43 @@ class Strategy:
     def insert(self, bucket: List[PlanInfo], plan: PlanInfo) -> None:
         raise NotImplementedError
 
+    def would_discard(self, bucket: List[PlanInfo], priced) -> bool:
+        """Whether :meth:`insert` would drop a plan priced like *priced* (a
+        :class:`~repro.optimizer.planinfo.PricedJoin`: ``cost``,
+        ``cardinality``, ``eagerness``, ``duplicate_free`` and, on
+        demand, ``keys`` / ``equiv``).  Must not change which plans the
+        bucket holds, and may say yes only when ``insert`` would discard:
+        the driver builds just the candidates this lets through and hands
+        them to :meth:`insert`, which decides again on the real plan.
+        Default: admit everything."""
+        return False
+
     def insert_top(self, bucket: List[PlanInfo], plan: PlanInfo) -> None:
-        """``InsertTopLevelPlan`` (Fig. 9): keep the single cheapest plan."""
-        if not bucket:
-            bucket.append(plan)
-        elif plan.cost < bucket[0].cost:
-            bucket[0] = plan
+        """``InsertTopLevelPlan`` (Fig. 9): keep the single cheapest plan.
+        (The driver's pricing twin is :func:`loses_on_cost` on the priced
+        ``finish_top`` cost.)"""
+        if not loses_on_cost(bucket, plan.cost):
+            bucket[:] = [plan]
 
 
-class DphypStrategy(Strategy):
+class SinglePlanStrategy(Strategy):
+    """One plan per DP class: a newcomer — priced or built, the test is the
+    same — replaces the incumbent unless :meth:`would_discard` says it
+    loses.  Default: keep the cheaper."""
+
+    def would_discard(self, bucket: List[PlanInfo], priced) -> bool:
+        return loses_on_cost(bucket, priced.cost)
+
+    def insert(self, bucket: List[PlanInfo], plan: PlanInfo) -> None:
+        if not self.would_discard(bucket, plan):
+            bucket[:] = [plan]
+
+
+class DphypStrategy(SinglePlanStrategy):
     """Baseline DPhyp: lazy aggregation only, one optimal plan per class."""
 
     name = "dphyp"
     explore_eager = False
-
-    def insert(self, bucket: List[PlanInfo], plan: PlanInfo) -> None:
-        if not bucket:
-            bucket.append(plan)
-        elif plan.cost < bucket[0].cost:
-            bucket[0] = plan
 
 
 class EaAllStrategy(Strategy):
@@ -170,17 +199,26 @@ def sweep_prune_caches() -> None:
         reset_prune_caches()
 
 
+def _intern_fd(
+    duplicate_free: bool,
+    keys: Tuple[FrozenSet[str], ...],
+    equiv: Tuple[FrozenSet[str], ...],
+) -> _FdSignature:
+    key = (duplicate_free, frozenset(keys), frozenset(equiv))
+    sig = _FD_SIGS.get(key)
+    if sig is None:
+        sig = _FdSignature(len(_FD_SIG_LIST), duplicate_free, keys, equiv)
+        _FD_SIGS[key] = sig
+        _FD_SIG_LIST.append(sig)
+    return sig
+
+
 def _fd_sig_of(plan: PlanInfo) -> _FdSignature:
     generation = _FD_GENERATION[0]
     cached = plan.__dict__.get("_fd_sig")
     if cached is not None and cached[0] == generation:
         return cached[1]
-    key = (plan.duplicate_free, frozenset(plan.keys), frozenset(plan.equiv))
-    sig = _FD_SIGS.get(key)
-    if sig is None:
-        sig = _FdSignature(len(_FD_SIG_LIST), plan.duplicate_free, plan.keys, plan.equiv)
-        _FD_SIGS[key] = sig
-        _FD_SIG_LIST.append(sig)
+    sig = _intern_fd(plan.duplicate_free, plan.keys, plan.equiv)
     object.__setattr__(plan, "_fd_sig", (generation, sig))
     return sig
 
@@ -356,29 +394,50 @@ class EaPruneStrategy(Strategy):
         bucket.append(plan)
 
     # -- ordered hot path ---------------------------------------------------
-    def _insert_ordered(self, bucket: PruneBucket, plan: PlanInfo) -> None:
-        counters = self.counters
-        full = self.criteria == "full"
-        sig = _fd_sig_of(plan) if full else None
-        cost = plan.cost
-        # Under cost-only pruning every cardinality is treated as equal, so
-        # the frontier degenerates to the single cheapest plan.
-        card = plan.cardinality if self.criteria != "cost-only" else 0.0
-
-        # Registering the signature also materialises its adjacency lists,
-        # so both passes below touch only dominance-related frontiers.
-        own = bucket.frontier_for(sig)
+    def _arrive(self, bucket: PruneBucket, sig, cost: float, card: float) -> bool:
+        """Step 1 of the ordered insert: is a newcomer with these numbers
+        dominated?  Registers the signature — which also materialises its
+        adjacency lists, so every pass touches only dominance-related
+        frontiers.  A dominated newcomer is counted here, once; a survivor
+        is counted when it is inserted."""
+        bucket.frontier_for(sig)
         dominating = bucket.dominating[sig]
-        counters["dominance_checks"] += len(dominating)
-        # 1) Discard the candidate if any frontier whose signature
-        #    FD-dominates ours holds a plan with cost <= c and card <= d:
-        #    the minimum cardinality among cost-≤-c plans sits at the
-        #    rightmost cost-≤-c position of the Pareto frontier.
+        # Discard the candidate if any frontier whose signature
+        # FD-dominates ours holds a plan with cost <= c and card <= d:
+        # the minimum cardinality among cost-≤-c plans sits at the
+        # rightmost cost-≤-c position of the Pareto frontier.
         for costs, cards, _plans in dominating:
             at = bisect_right(costs, cost) - 1
             if at >= 0 and cards[at] <= card:
+                counters = self.counters
+                counters["prune_inserts"] += 1
+                counters["dominance_checks"] += len(dominating)
                 counters["plans_discarded"] += 1
-                return
+                return True
+        return False
+
+    def _card(self, plan) -> float:
+        # Under cost-only pruning every cardinality is treated as equal, so
+        # the frontier degenerates to the single cheapest plan.
+        return plan.cardinality if self.criteria != "cost-only" else 0.0
+
+    def would_discard(self, bucket: List[PlanInfo], priced) -> bool:
+        if type(bucket) is not PruneBucket:
+            return False  # unordered reference instances see every plan
+        sig = None
+        if self.criteria == "full":
+            sig = _intern_fd(priced.duplicate_free, priced.keys, priced.equiv)
+        return self._arrive(bucket, sig, priced.cost, self._card(priced))
+
+    def _insert_ordered(self, bucket: PruneBucket, plan: PlanInfo) -> None:
+        sig = _fd_sig_of(plan) if self.criteria == "full" else None
+        cost = plan.cost
+        card = self._card(plan)
+        if self._arrive(bucket, sig, cost, card):
+            return
+        counters = self.counters
+        counters["prune_inserts"] += 1
+        counters["dominance_checks"] += len(bucket.dominating[sig])
         # 2) Evict plans the candidate dominates: in every frontier whose
         #    signature ours FD-dominates, they form one contiguous slice.
         for costs, cards, plans in bucket.dominated[sig]:
@@ -394,7 +453,7 @@ class EaPruneStrategy(Strategy):
                 bucket.count -= hi - lo
                 counters["plans_evicted"] += hi - lo
         # 3) Insert into the candidate's own frontier.
-        costs, cards, plans = own
+        costs, cards, plans = bucket.frontiers[sig]
         at = bisect_left(costs, cost)
         costs.insert(at, cost)
         cards.insert(at, card)
@@ -402,26 +461,20 @@ class EaPruneStrategy(Strategy):
         bucket.count += 1
 
     def insert(self, bucket: List[PlanInfo], plan: PlanInfo) -> None:
-        self.counters["prune_inserts"] += 1
         if type(bucket) is PruneBucket:
             self._insert_ordered(bucket, plan)
         else:
+            self.counters["prune_inserts"] += 1
             self._insert_scan(bucket, plan)
 
 
-class H1Strategy(Strategy):
+class H1Strategy(SinglePlanStrategy):
     """BuildPlansH1 (Fig. 10): local greedy choice, single plan per class."""
 
     name = "h1"
 
-    def insert(self, bucket: List[PlanInfo], plan: PlanInfo) -> None:
-        if not bucket:
-            bucket.append(plan)
-        elif plan.cost < bucket[0].cost:
-            bucket[0] = plan
 
-
-class H2Strategy(Strategy):
+class H2Strategy(SinglePlanStrategy):
     """BuildPlansH2 (Fig. 12): cost comparison biased towards *more eager*
     plans by the tolerance factor F (``CompareAdjustedCosts``)."""
 
@@ -432,13 +485,10 @@ class H2Strategy(Strategy):
             raise ValueError("tolerance factor must be >= 1")
         self.factor = factor
 
-    def insert(self, bucket: List[PlanInfo], plan: PlanInfo) -> None:
-        if not bucket:
-            bucket.append(plan)
-        elif self._compare_adjusted(plan, bucket[0]):
-            bucket[0] = plan
+    def would_discard(self, bucket: List[PlanInfo], priced) -> bool:
+        return bool(bucket) and not self._compare_adjusted(priced, bucket[0])
 
-    def _compare_adjusted(self, new: PlanInfo, old: PlanInfo) -> bool:
+    def _compare_adjusted(self, new, old: PlanInfo) -> bool:
         if new.eagerness == old.eagerness:
             return new.cost < old.cost
         if new.eagerness < old.eagerness:

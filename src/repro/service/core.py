@@ -213,17 +213,10 @@ def explain_reply(planned: Planned) -> dict:
 def effective_engine(result: OptimizationResult) -> str:
     """The driver code path that actually produced *result*.
 
-    Read from the run's stats flags, so a ``"vectorized"`` config that
-    silently fell back (numpy missing, unsupported strategy/cost model)
-    reports the engine that ran — cache hits keep the original run's
+    Read from the run's stats flags: cache hits keep the original run's
     engine, which is what they cost to produce.
     """
-    stats = result.stats or {}
-    if stats.get("engine_vectorized"):
-        return "vectorized"
-    if stats.get("engine_reference"):
-        return "reference"
-    return "indexed"
+    return "reference" if (result.stats or {}).get("engine_reference") else "indexed"
 
 
 def percentile(samples: List[float], q: float) -> Optional[float]:

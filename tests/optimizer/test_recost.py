@@ -9,7 +9,6 @@ refresh with ``cardinality_factor=1.0`` would spuriously re-plan the
 whole cache.
 """
 
-import warnings
 
 import pytest
 
@@ -39,7 +38,7 @@ SQLS = [
     "JOIN nation n ON r.r_regionkey = n.n_regionkey "
     "JOIN supplier s ON n.n_nationkey = s.s_nationkey GROUP BY r.r_name",
 ]
-ENGINES = ["indexed", "reference", "vectorized"]
+ENGINES = ["indexed", "reference"]
 STRATEGIES = ["dphyp", "ea-all", "ea-prune", "h1", "h2"]
 
 
@@ -53,11 +52,7 @@ class TestBitForBitReplay:
     def test_replay_reproduces_cost_across_engines(self, engine, sql):
         query = fresh_query(sql)
         config = OptimizerConfig(engine=engine)
-        with warnings.catch_warnings():
-            # engine="vectorized" warns and falls back when numpy is
-            # absent; the replay invariant must hold either way.
-            warnings.simplefilter("ignore")
-            result = optimize(query, config=config)
+        result = optimize(query, config=config)
         replayed = recost(
             query, result.plan.node, cost_model=config.resolve_cost_model()
         )
