@@ -53,9 +53,10 @@ class CostModel:
     The DP prices candidates before it builds them, so the *child* of the
     top grouping may be a :class:`~repro.optimizer.planinfo.PricedJoin`
     rather than a :class:`~repro.optimizer.planinfo.PlanInfo`: rely on the
-    derived properties both expose (``cost``, ``cardinality``,
-    ``eagerness``, ``duplicate_free``, ``keys``, ``equiv``, ``distinct``),
-    not on ``node`` or the aggregation state.
+    derived properties both expose (``rel_set``, ``cost``, ``cardinality``,
+    ``eagerness``, ``duplicate_free``, ``keys``, ``equiv``, ``raw_attrs``,
+    ``scale_cols``, ``distinct``), not on ``node``, ``terms`` or
+    ``defaults``.
     """
 
     #: registry name; also part of the plan-cache key, so two models with

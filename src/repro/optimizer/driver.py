@@ -52,7 +52,6 @@ from repro.optimizer.registry import ENGINES
 from repro.optimizer.strategies import (
     EaPruneStrategy,
     Strategy,
-    loses_on_cost,
     sweep_prune_caches,
 )
 from repro.query.spec import Query
@@ -496,6 +495,16 @@ class _Tally:
         self.top_replacements = 0  # finished plans that displaced the incumbent
 
 
+def _insert_top(
+    strategy: Strategy, tally: _Tally, bucket: List[PlanInfo], plan: PlanInfo
+) -> None:
+    """``strategy.insert_top``, counting the incumbents it displaces."""
+    incumbent = bucket[0] if bucket else None
+    strategy.insert_top(bucket, plan)
+    if incumbent is not None and (not bucket or bucket[0] is not incumbent):
+        tally.top_replacements += 1
+
+
 def _build_plans(
     builder: PlanBuilder,
     strategy: Strategy,
@@ -510,10 +519,10 @@ def _build_plans(
     """BuildPlans for one csg-cmp-pair: price, ask, build.
 
     Every OpTrees placement of every plan pair (Fig. 6/8, in the reference
-    engine's order) is *priced*; the strategy — or, for the full relation
-    set, ``InsertTopLevelPlan``'s keep-the-cheaper rule on the priced
-    ``finish_top`` cost — is *asked* whether it would discard a plan with
-    those numbers; only what survives is *built* and inserted.  Nothing is
+    engine's order) is *priced*; the strategy is *asked* whether it would
+    discard a plan with those numbers (``would_discard``, or for the full
+    relation set ``would_discard_top`` on the priced ``finish_top``
+    cost); only what survives is *built* and inserted.  Nothing is
     evicted on price: eviction happens inside ``insert``, once the
     evicting plan exists.
 
@@ -534,7 +543,8 @@ def _build_plans(
     # Γ_{G⁺} of a plan is the plan's own (PlanBuilder.grouped): one per
     # plan, not one per partner.
     rights = [(plan, grouped(plan) if group_right else None) for plan in right_bucket]
-    insert = strategy.insert_top if is_top else strategy.insert
+    insert = partial(_insert_top, strategy, tally) if is_top else strategy.insert
+    would_discard, would_discard_top = strategy.would_discard, strategy.would_discard_top
     built = constructed = priced_away = 0
     for left_plan in left_bucket:
         grouped_left = grouped(left_plan) if group_left else None
@@ -552,15 +562,14 @@ def _build_plans(
                     continue  # invalid: the aggregation state cannot be maintained
                 built += 1
                 if is_top:
-                    if loses_on_cost(bucket, builder.top_cost(priced)):
+                    if would_discard_top(bucket, builder.top_cost(priced)):
                         priced_away += 1
                         continue
                     # Report the finalised plan — the candidate the DP table
                     # actually considers for the full relation set.
                     plan = builder.finish_top(construct(priced))
-                    tally.top_replacements += len(bucket)
                 else:
-                    if strategy.would_discard(bucket, priced):
+                    if would_discard(bucket, priced):
                         priced_away += 1
                         continue
                     plan = construct(priced)
@@ -593,7 +602,7 @@ def _build_plans_reference(
     )
     group_left = strategy.explore_eager and pushdown_valid_for(spec.op, 1)
     group_right = strategy.explore_eager and pushdown_valid_for(spec.op, 2)
-    insert = strategy.insert_top if is_top else strategy.insert
+    insert = partial(_insert_top, strategy, tally) if is_top else strategy.insert
     for left in left_bucket:
         for right in right_bucket:
             grouped_left = grouped_right = None
@@ -614,8 +623,6 @@ def _build_plans_reference(
                 tally.constructed += 1
                 if is_top:
                     plan = builder.finish_top(plan)
-                    if bucket and not loses_on_cost(bucket, plan.cost):
-                        tally.top_replacements += 1
                 if on_plan is not None:
                     on_plan(plan)
                 insert(bucket, plan)

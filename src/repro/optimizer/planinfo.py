@@ -162,8 +162,11 @@ class PricedJoin:
     rest of Def. 4's FD triple) are derived on first access, so only a
     strategy that compares functional dependencies pays for them.  The
     record quacks like a :class:`PlanInfo` wherever the DP prices on top
-    of it (``needs_grouping``, the top-grouping estimate, cost models), and
-    :meth:`PlanBuilder.construct` turns it into one.
+    of it (``needs_grouping``, the top-grouping estimate, cost models):
+    besides the numbers it exposes the cheaply derived ``rel_set``,
+    ``raw_attrs``, ``scale_cols`` and ``distinct`` — everything of a
+    :class:`PlanInfo` except ``node`` and the aggregation dictionaries —
+    and :meth:`PlanBuilder.construct` turns it into one.
     """
 
     __slots__ = (
@@ -199,6 +202,22 @@ class PricedJoin:
     def has_key_within(self, attrs: FrozenSet[str]) -> bool:
         keys, equiv = self._fd or self._derive_fd()
         return _key_within(keys, equiv, frozenset(attrs))
+
+    @property
+    def rel_set(self) -> int:
+        return self.left.rel_set | self.right.rel_set
+
+    @property
+    def raw_attrs(self) -> FrozenSet[str]:
+        return _join_raw_attrs(self.op, self.left, self.right, self.groupjoin_vector)
+
+    @property
+    def scale_cols(self) -> Tuple[str, ...]:
+        """count(*) columns still multiplying other sides' aggregates; the
+        left-only operators keep the left side's (no ⊗ scaling)."""
+        if self.op in _LEFT_ONLY:
+            return self.left.scale_cols
+        return self.left.scale_cols + self.right.scale_cols
 
     @property
     def distinct(self):
@@ -491,13 +510,12 @@ class PlanBuilder:
             # multiplicities are unchanged (Eqvs. 37/38).  Groupjoin: every
             # left tuple appears exactly once.  No ⊗ scaling either way.
             terms.update(left.terms)
-            result_scale = left.scale_cols
         else:
             for name, call in left.terms.items():
                 terms[name] = _scale_call_cached(call, right.scale_cols)
             for name, call in right.terms.items():
                 terms[name] = _scale_call_cached(call, left.scale_cols)
-            result_scale = left.scale_cols + right.scale_cols
+        result_scale = priced.scale_cols
         # Materialise terms whose sources are first fully covered here
         # (cross-side aggregates and groupjoin-output aggregates).
         for name in self._fresh_terms(left.rel_set, right.rel_set, left_only)[0]:
@@ -531,12 +549,12 @@ class PlanBuilder:
 
         return PlanInfo(
             node=node,
-            rel_set=left.rel_set | right.rel_set,
+            rel_set=priced.rel_set,
             cost=priced.cost,
             cardinality=priced.cardinality,
             keys=priced.keys,
             duplicate_free=priced.duplicate_free,
-            raw_attrs=_join_raw_attrs(op, left, right, priced.groupjoin_vector),
+            raw_attrs=priced.raw_attrs,
             distinct=distinct,
             terms=terms,
             scale_cols=result_scale,

@@ -10,7 +10,8 @@ Each strategy answers three questions:
   with these numbers?  The driver asks before it builds the plan (see
   docs/architecture.md, "price, ask, build"); the base class answers
   "no", so a strategy that defines only ``insert`` sees every candidate
-  built, as before.
+  built, as before.  ``would_discard_top(bucket, cost)`` is the same
+  question about ``insert_top`` for the full relation set.
 
 Hot-path design (see docs/architecture.md): EA-Prune's dominance test
 (Def. 4) is where the DP spends almost all of its time, so two structures
@@ -75,11 +76,19 @@ class Strategy:
         return False
 
     def insert_top(self, bucket: List[PlanInfo], plan: PlanInfo) -> None:
-        """``InsertTopLevelPlan`` (Fig. 9): keep the single cheapest plan.
-        (The driver's pricing twin is :func:`loses_on_cost` on the priced
-        ``finish_top`` cost.)"""
+        """``InsertTopLevelPlan`` (Fig. 9): keep the single cheapest plan."""
         if not loses_on_cost(bucket, plan.cost):
             bucket[:] = [plan]
+
+    def would_discard_top(self, bucket: List[PlanInfo], cost: float) -> bool:
+        """:meth:`would_discard` for the full relation set: would
+        :meth:`insert_top` drop a finished plan of this *cost* (the priced
+        ``finish_top`` cost)?  Same contract.  A subclass that overrides
+        only :meth:`insert_top` is asked nothing and sees every finished
+        plan, as before; one that overrides both keeps them consistent."""
+        if type(self).insert_top is not Strategy.insert_top:
+            return False
+        return loses_on_cost(bucket, cost)
 
 
 class SinglePlanStrategy(Strategy):

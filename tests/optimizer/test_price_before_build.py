@@ -41,7 +41,8 @@ from repro.optimizer import (
     prepare,
 )
 from repro.optimizer.planinfo import clear_memo_caches
-from repro.optimizer.strategies import EaPruneStrategy
+from repro.optimizer.costmodel import CoutModel
+from repro.optimizer.strategies import EaPruneStrategy, H1Strategy
 from repro.service import PlanCache
 from repro.service.config import ServingConfig
 from repro.tpch.queries import build_q5, build_q10
@@ -100,7 +101,7 @@ class TestOneArithmetic:
                         checked += 1
                         for field in (
                             "cost", "cardinality", "eagerness", "duplicate_free",
-                            "keys", "equiv",
+                            "keys", "equiv", "rel_set", "raw_attrs", "scale_cols",
                         ):
                             assert getattr(priced, field) == getattr(built, field), field
                         assert dict(priced.distinct) == built.distinct
@@ -198,8 +199,50 @@ class RowCountModel(CostModel):
         return child.cardinality  # a grouping reads its input
 
 
+class KeepDearestTop(H1Strategy):
+    """Overrides ``insert_top`` only — with a rule ``loses_on_cost`` gets
+    wrong on purpose — so the driver must not price finished plans away
+    behind its back."""
+
+    name = "keep-dearest-top-test"
+
+    def insert_top(self, bucket, plan):
+        if not bucket or plan.cost > bucket[0].cost:
+            bucket[:] = [plan]
+
+
+class KeepDearestTopPriced(KeepDearestTop):
+    """... and its pricing twin, overridden together."""
+
+    name = "keep-dearest-top-priced-test"
+
+    def would_discard_top(self, bucket, cost):
+        return bool(bucket) and not cost > bucket[0].cost
+
+
+class ChildReadingModel(CoutModel):
+    """A ``group`` that reads the read-only surface a :class:`PlanInfo` and
+    a :class:`PricedJoin` share beyond the numbers."""
+
+    name = "child-reading-test"
+
+    def group(self, output_cardinality, child):
+        relations = bin(child.rel_set).count("1")
+        return output_cardinality + relations + len(child.raw_attrs) + len(child.scale_cols)
+
+
 STRATEGIES.register(KeepTwoCheapest.name)(lambda **_options: KeepTwoCheapest())
+STRATEGIES.register(KeepDearestTop.name)(lambda **_options: KeepDearestTop())
+STRATEGIES.register(KeepDearestTopPriced.name)(lambda **_options: KeepDearestTopPriced())
 COST_MODELS.register(RowCountModel.name)(RowCountModel)
+COST_MODELS.register(ChildReadingModel.name)(ChildReadingModel)
+
+
+def _both_engines(query, **config):
+    return [
+        optimize(query, config=OptimizerConfig(engine=engine, cache_capacity=None, **config))
+        for engine in ("indexed", "reference")
+    ]
 
 
 class TestPluginSeams:
@@ -222,6 +265,36 @@ class TestPluginSeams:
             "strategy.plans_priced_away", 0
         )
         assert indexed.stats["plans_constructed"] == inner_built
+
+    def test_insert_top_only_strategy_sees_every_finished_plan(self):
+        differs_from_h1 = 0
+        for _name, query in QUERIES:
+            indexed, reference = _both_engines(query, strategy=KeepDearestTop.name)
+            assert indexed.cost == reference.cost
+            assert indexed.plans_built == reference.plans_built
+            assert indexed.table_sizes == reference.table_sizes
+            assert indexed.stats["top_replacements"] == reference.stats["top_replacements"]
+            differs_from_h1 += indexed.cost != optimize(query, "h1").cost
+        assert differs_from_h1  # the override is what decided the top bucket
+
+    def test_insert_top_and_its_pricing_twin_overridden_together(self):
+        for _name, query in QUERIES:
+            indexed, reference = _both_engines(query, strategy=KeepDearestTopPriced.name)
+            unpriced = optimize(query, KeepDearestTop.name)
+            assert indexed.cost == reference.cost == unpriced.cost
+            assert indexed.plans_built == reference.plans_built
+            # The twin prices finished plans away; the lone override cannot.
+            assert indexed.stats["plans_constructed"] <= unpriced.stats["plans_constructed"]
+
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+    def test_cost_model_reading_the_top_grouping_child(self, strategy):
+        for _name, query in QUERIES[2:4] if strategy == "ea-all" else QUERIES[:6]:
+            indexed, reference = _both_engines(
+                query, strategy=strategy, cost_model=ChildReadingModel.name
+            )
+            assert indexed.cost == reference.cost
+            assert indexed.plans_built == reference.plans_built
+            assert indexed.table_sizes == reference.table_sizes
 
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
     def test_docstring_cost_model_under_builtin_strategies(self, strategy):
