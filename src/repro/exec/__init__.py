@@ -83,4 +83,13 @@ def run_plan(
     raise ValueError(f"unknown executor {executor!r} (registered: {', '.join(EXECUTORS)})")
 
 
-__all__ = ["execute", "run_plan", "Database", "EXECUTORS", "DEFAULT_EXECUTOR"]
+def load_backend(executor: str) -> None:
+    """Import *executor*'s modules now instead of inside the first plan it
+    runs.  The columnar backend and its array library load lazily, so
+    that planning-only users never pay for them; a process that will
+    execute calls this while it boots."""
+    if executor == "columnar":
+        import repro.exec.columnar  # noqa: F401
+
+
+__all__ = ["execute", "run_plan", "load_backend", "Database", "EXECUTORS", "DEFAULT_EXECUTOR"]

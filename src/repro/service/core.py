@@ -308,8 +308,14 @@ class ServingCore:
             # Boot-time provisioning: a bad spec fails construction, not
             # the first /execute request.
             from repro.data.provision import dataset_from_spec
+            from repro.exec import load_backend
 
             self.dataset = dataset_from_spec(config.dataset)
+            # Likewise the default executor (for columnar: numpy, which
+            # `import repro.optimizer` no longer brings along): loaded
+            # here it is part of the boot heap a serving process freezes,
+            # not an import inside the first /execute request.
+            load_backend(self.default_executor)
         self.catalog = Catalog.from_tpch(scale_factor=config.scale_factor)
         self.cache: Optional[PlanCache] = None
         self.revalidator: Optional[StaleRevalidator] = None

@@ -499,6 +499,26 @@ class TestTransportHelpers:
             [sys.executable, "-c", probe], check=True, env={"PYTHONPATH": SRC}, timeout=60
         )
 
+    def test_an_executing_core_loads_its_backend_at_boot(self):
+        """With a dataset the default executor's modules (numpy included)
+        are imported by construction — before a serving process freezes
+        its boot heap, not inside the first /execute request; without one
+        the core stays numpy-free."""
+        probe = (
+            "import sys\n"
+            "from repro.service.config import ServingConfig\n"
+            "from repro.service.core import ServingCore\n"
+            "ServingCore(ServingConfig())\n"
+            "assert 'numpy' not in sys.modules and 'repro.exec.columnar' not in sys.modules\n"
+            "ServingCore(ServingConfig(dataset='tpch-sf0.001', default_executor='interpreter'))\n"
+            "assert 'repro.exec.columnar' not in sys.modules\n"
+            "ServingCore(ServingConfig(dataset='tpch-sf0.001'))\n"
+            "assert 'repro.exec.columnar' in sys.modules"
+        )
+        subprocess.run(
+            [sys.executable, "-c", probe], check=True, env={"PYTHONPATH": SRC}, timeout=60
+        )
+
 
 # -- frontend fuzz (ROADMAP 4e): junk in, only 2xx bodies or 4xx errors out --------
 
