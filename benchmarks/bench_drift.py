@@ -14,7 +14,9 @@ statistics refresh:
    ``/stats_update`` fires.  The 1x refresh re-costs every stale entry
    to its identical cost (the bit-for-bit replay, live); larger factors
    push entries past ``recost_bound`` into full replans.  Each phase's
-   throughput must stay >= ``THROUGHPUT_FLOOR`` of steady state.
+   throughput must stay >= ``THROUGHPUT_FLOOR`` of steady state (full
+   runs only: a smoke phase is 2,000 requests, and its ratio to an
+   equally short steady phase swings 73–118 % on an idle box).
 3. **Lifecycle evidence** — the final ``/stats`` must show
    ``plans.stale_served > 0`` (requests answered from stale entries
    while revalidation ran) and ``plans.recosted > 0`` (entries brought
@@ -256,7 +258,7 @@ def measure(smoke: bool) -> dict:
     }
 
 
-def acceptance_failures(run: dict) -> list:
+def acceptance_failures(run: dict, *, smoke: bool) -> list:
     failures = []
     if run["steady"]["non_200"]:
         failures.append(f"steady phase saw non-200s: {run['steady']['non_200']}")
@@ -268,7 +270,7 @@ def acceptance_failures(run: dict) -> list:
             failures.append(
                 f"{label}: stats_update answered {phase['injected']['status']}"
             )
-        if phase["throughput_ratio"] < THROUGHPUT_FLOOR:
+        if not smoke and phase["throughput_ratio"] < THROUGHPUT_FLOOR:
             failures.append(
                 f"{label}: throughput fell to {phase['throughput_ratio']:.0%} of "
                 f"steady state (floor {THROUGHPUT_FLOOR:.0%})"
@@ -345,7 +347,7 @@ def main(argv=None) -> int:
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
     print(f"  wrote {args.out}")
 
-    failures = acceptance_failures(run)
+    failures = acceptance_failures(run, smoke=args.smoke)
     if args.baseline:
         failures += baseline_failures(run, args.baseline)
     if failures:

@@ -30,6 +30,22 @@ architecture, including the batch-optimization service layer
 
 __version__ = "1.1.0"
 
+
+def lazy_exports(package: str, exports: dict):
+    """A module ``__getattr__`` (PEP 562) importing ``exports[name]`` on
+    first access — for packages whose light modules are imported by
+    processes that must not load the heavy ones (a shard worker imports
+    ``repro.asyncserver`` and ``repro.server.metrics``, never a front)."""
+
+    def __getattr__(name: str):
+        if name not in exports:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        import importlib
+
+        return getattr(importlib.import_module(exports[name]), name)
+
+    return __getattr__
+
 __all__ = [
     "api",
     "algebra",

@@ -38,7 +38,7 @@ from repro.query.spec import Query
 SUBCOMMANDS = ("explain", "batch", "serve")
 
 
-def _add_strategy_options(parser: argparse.ArgumentParser) -> None:
+def _add_strategy_options(parser: argparse.ArgumentParser, engine: bool = True) -> None:
     parser.add_argument(
         "--strategy",
         choices=STRATEGIES.names(),
@@ -55,13 +55,14 @@ def _add_strategy_options(parser: argparse.ArgumentParser) -> None:
         default="cout",
         help="cost model pricing the plans (default: cout)",
     )
-    parser.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default="indexed",
-        help="driver code path: indexed (the hot path) or reference (the "
-        "seed's, kept as test oracle); identical plans (default: indexed)",
-    )
+    if engine:  # the oracle is for explain/batch; a server never runs it
+        parser.add_argument(
+            "--engine",
+            choices=ENGINES,
+            default="indexed",
+            help="driver code path: indexed (the hot path) or reference (the "
+            "seed's, kept as test oracle); identical plans (default: indexed)",
+        )
 
 
 def _config_from(args: argparse.Namespace, **overrides) -> OptimizerConfig:
@@ -182,7 +183,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "--scale-factor", type=float, default=1.0,
         help="TPC-H scale factor for the catalog statistics (default: 1)",
     )
-    _add_strategy_options(parser)
+    _add_strategy_options(parser, engine=False)
     parser.add_argument(
         "--cache-size", type=int, default=512,
         help="plan cache capacity in entries (default: 512)",
@@ -264,32 +265,31 @@ def run_serve(argv) -> int:
     if args.dataset is not None and args.data_dir is not None:
         print("error: --dataset and --data-dir are mutually exclusive", file=sys.stderr)
         return 1
-    args.dataset = args.dataset if args.dataset is not None else args.data_dir
+    # What both tiers' configs share (the ServingConfig fields).
+    serving = dict(
+        host=args.host,
+        port=args.port,
+        max_inflight=args.max_inflight,
+        scale_factor=args.scale_factor,
+        strategy=args.strategy,
+        factor=args.factor,
+        cost_model=args.cost_model,
+        cache_capacity=None if args.no_cache else args.cache_size,
+        request_timeout_seconds=args.timeout,
+        drain_grace_seconds=args.grace,
+        degradation=args.degradation,
+        recost_bound=args.recost_bound,
+        snapshot_band_width=args.band_width,
+        dataset=args.dataset if args.dataset is not None else args.data_dir,
+        default_executor=args.executor,
+    )
     if args.use_async:
-        return _run_serve_async(args)
+        return _run_serve_async(args, serving)
     if args.shards is not None or args.cache_dir is not None:
         print("error: --shards/--cache-dir require --async", file=sys.stderr)
         return 1
     try:
-        config = ServerConfig(
-            host=args.host,
-            port=args.port,
-            workers=args.workers,
-            max_inflight=args.max_inflight,
-            scale_factor=args.scale_factor,
-            strategy=args.strategy,
-            factor=args.factor,
-            cost_model=args.cost_model,
-            engine=args.engine,
-            cache_capacity=None if args.no_cache else args.cache_size,
-            request_timeout_seconds=args.timeout,
-            drain_grace_seconds=args.grace,
-            degradation=args.degradation,
-            recost_bound=args.recost_bound,
-            snapshot_band_width=args.band_width,
-            dataset=args.dataset,
-            default_executor=args.executor,
-        )
+        config = ServerConfig(workers=args.workers, **serving)
         server = PlanServer(config)
     except (ValueError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
@@ -303,7 +303,6 @@ def run_serve(argv) -> int:
     print(
         f"repro plan server listening on {server.url}  "
         f"(workers={config.effective_workers}, strategy={config.strategy}, "
-        f"engine={config.engine}, "
         f"cache={'off' if config.cache_capacity in (None, 0) else config.cache_capacity})",
         flush=True,
     )
@@ -316,7 +315,7 @@ def run_serve(argv) -> int:
     return 0 if drained else 1
 
 
-def _run_serve_async(args) -> int:
+def _run_serve_async(args, serving: dict) -> int:
     """``repro serve --async``: the event-loop front + worker shards."""
     import asyncio
     import signal
@@ -327,33 +326,14 @@ def _run_serve_async(args) -> int:
         tune_gc_for_serving,
     )
 
-    try:
-        config = AsyncServerConfig(
-            host=args.host,
-            port=args.port,
-            shards=args.shards,
-            cache_dir=args.cache_dir,
-            max_inflight=args.max_inflight,
-            scale_factor=args.scale_factor,
-            strategy=args.strategy,
-            factor=args.factor,
-            cost_model=args.cost_model,
-            engine=args.engine,
-            cache_capacity=args.cache_size,
-            request_timeout_seconds=args.timeout,
-            drain_grace_seconds=args.grace,
-            degradation=args.degradation,
-            recost_bound=args.recost_bound,
-            snapshot_band_width=args.band_width,
-            dataset=args.dataset,
-            default_executor=args.executor,
-        )
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
     if args.no_cache:
         print("error: --no-cache makes no sense with --async (the shard "
               "cache IS the tier); use the sync server", file=sys.stderr)
+        return 1
+    try:
+        config = AsyncServerConfig(shards=args.shards, cache_dir=args.cache_dir, **serving)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
         return 1
 
     async def main() -> int:
@@ -371,7 +351,7 @@ def _run_serve_async(args) -> int:
         print(
             f"repro plan server listening on {server.url}  "
             f"(async, shards={server.service.supervisor.shards}, "
-            f"strategy={config.strategy}, engine={config.engine}, "
+            f"strategy={config.strategy}, "
             f"cache={config.cache_capacity}/shard"
             f"{', dir=' + config.cache_dir if config.cache_dir else ''})",
             flush=True,

@@ -195,8 +195,3 @@ def single_row_expr(call: AggCall) -> Expr:
     # sum / min / max / avg of a single value is the value itself (NULL for
     # NULL input, which matches SQL's empty-group semantics used here).
     return call.arg
-
-
-def default_values(vector: AggVector) -> dict:
-    """``F({⊥})`` plus nothing else — the outerjoin default vector payload."""
-    return vector.evaluate_on_null_tuple()

@@ -11,10 +11,11 @@ need comes through one facade::
 
 Configuration is one frozen value (:class:`OptimizerConfig`), extension
 is registration (:data:`STRATEGIES`, :data:`COST_MODELS`), tracing is
-:meth:`PlannerSession.on`.  The seed's free functions — ``parse_query``,
-``prepare``, ``optimize``, ``optimize_many``, ``run_batch``, ``execute``
-— remain supported shims that the session path delegates to, so both
-surfaces always produce identical plans.
+:meth:`PlannerSession.on`.  The free functions below it —
+``parse_query``, ``prepare``, ``optimize``, ``execute`` and the batch
+driver's ``optimize_many`` / ``run_batch(queries, cache, config)`` — are
+what the session delegates to, so both surfaces always produce identical
+plans.
 """
 
 from repro.api.session import (

@@ -40,16 +40,8 @@ from repro.optimizer.driver import (
 )
 from repro.optimizer.registry import STRATEGIES
 from repro.optimizer.strategies import Strategy
-from repro.plans.nodes import (
-    GroupByNode,
-    JoinNode,
-    MapNode,
-    PlanNode,
-    ProjectNode,
-    ScanNode,
-    SelectNode,
-)
-from repro.plans.render import render_plan
+from repro.plans.nodes import PlanNode
+from repro.plans.render import plan_to_dict, render_plan
 from repro.query.spec import Query
 from repro.service.batch import BatchItem, BatchReport, optimize_many, run_batch
 from repro.service.cache import PlanCache
@@ -470,49 +462,3 @@ class PlanHandle:
             f"PlanHandle(strategy={self.strategy}, cost={self.cost:,.0f}, "
             f"cache_hit={self.cache_hit})"
         )
-
-
-def plan_to_dict(node: PlanNode) -> dict:
-    """Recursively serialise a plan tree into JSON-ready dicts."""
-    if isinstance(node, ScanNode):
-        return {
-            "op": "scan",
-            "relation": node.relation,
-            "attributes": list(node.attributes),
-        }
-    if isinstance(node, SelectNode):
-        return {
-            "op": "select",
-            "predicate": str(node.predicate),
-            "input": plan_to_dict(node.child),
-        }
-    if isinstance(node, JoinNode):
-        out = {
-            "op": node.op.name.lower(),
-            "predicate": str(node.predicate),
-            "left": plan_to_dict(node.left),
-            "right": plan_to_dict(node.right),
-        }
-        if node.groupjoin_vector is not None:
-            out["groupjoin_vector"] = str(node.groupjoin_vector)
-        return out
-    if isinstance(node, GroupByNode):
-        return {
-            "op": "groupby",
-            "group_by": list(node.group_attrs),
-            "aggregates": str(node.vector),
-            "input": plan_to_dict(node.child),
-        }
-    if isinstance(node, MapNode):
-        return {
-            "op": "map",
-            "extensions": {name: str(expr) for name, expr in node.extensions},
-            "input": plan_to_dict(node.child),
-        }
-    if isinstance(node, ProjectNode):
-        return {
-            "op": "project",
-            "attributes": list(node.attributes),
-            "input": plan_to_dict(node.child),
-        }
-    raise TypeError(f"unknown plan node {node!r}")

@@ -17,9 +17,16 @@ or in-process::
         server.drain()          # snapshot shards + graceful stop
 """
 
-from repro.asyncserver.app import AsyncPlanServer, AsyncPlanService, tune_gc_for_serving
+from repro import lazy_exports
 from repro.asyncserver.config import AsyncServerConfig, default_shards
-from repro.asyncserver.supervisor import WorkerCrashed, WorkerSupervisor
+from repro.service.core import tune_gc_for_serving
+
+__getattr__ = lazy_exports(__name__, {
+    "AsyncPlanServer": "repro.asyncserver.app",
+    "AsyncPlanService": "repro.asyncserver.app",
+    "WorkerCrashed": "repro.asyncserver.supervisor",
+    "WorkerSupervisor": "repro.asyncserver.supervisor",
+})
 
 __all__ = [
     "AsyncPlanServer",

@@ -25,7 +25,6 @@ works unchanged against either.
 from __future__ import annotations
 
 import asyncio
-import gc
 import json
 import logging
 import socket
@@ -37,6 +36,7 @@ from typing import Deque, Optional, Tuple
 from repro.asyncserver import frames
 from repro.asyncserver.config import AsyncServerConfig
 from repro.asyncserver.supervisor import (
+    WORKER_BOOT_SECONDS,
     WorkerCrashed,
     WorkerSupervisor,
     WorkerUnavailable,
@@ -66,6 +66,9 @@ logger = logging.getLogger("repro.asyncserver")
 #: same request-size bound as the sync tier.
 MAX_BODY_BYTES = 8 * 1024 * 1024
 MAX_HEADER_BYTES = 64 * 1024
+
+#: entries of the front's SQL text → shard memo.
+ROUTE_CACHE_CAPACITY = 4096
 
 _PLAN_FRAMES = {
     "/optimize": frames.OPTIMIZE,
@@ -103,22 +106,6 @@ def _response_bytes(status: int, body: bytes, *, close: bool = False) -> bytes:
         "\r\n"
     )
     return head.encode("latin-1") + body
-
-
-def tune_gc_for_serving() -> None:
-    """Latency-oriented GC posture for a **dedicated** serving process.
-
-    Freezes the boot heap (catalog, caches — immortal anyway) out of the
-    collector and makes full collections rare, so a gen-2 pass over
-    thousands of plan nodes cannot stall the event loop mid-burst; the
-    warm path allocates only small short-lived objects that gen-0
-    handles.  Called by the worker processes, the ``serve --async`` CLI
-    and the benchmark — NOT by the in-process test facade, which must
-    leave its host process's GC alone.
-    """
-    gc.collect()
-    gc.freeze()
-    gc.set_threshold(50_000, 50, 100)
 
 
 class AsyncPlanService:
@@ -159,7 +146,7 @@ class AsyncPlanService:
             query_fingerprint(query), self.supervisor.shards
         )
         routes[sql] = shard
-        if len(routes) > self.config.route_cache_capacity:
+        if len(routes) > ROUTE_CACHE_CAPACITY:
             routes.popitem(last=False)
         return shard
 
@@ -378,14 +365,10 @@ class AsyncPlanService:
         payload["supervision"] = self.supervisor.shard_states()
         payload["degradation"] = self.config.degradation
         payload.update(merge_stats(details))
-        payload["engine"] = {
-            "requested": self.config.engine,
-            "effective": payload["plans"].get("by_engine", {}),
-        }
         payload["persistence"] = self.supervisor.persistence
         payload["route_cache"] = {
             "size": len(self._routes),
-            "capacity": self.config.route_cache_capacity,
+            "capacity": ROUTE_CACHE_CAPACITY,
             "hits": self._route_hits,
             "misses": self._route_misses,
         }
@@ -633,7 +616,7 @@ class AsyncPlanServer:
             target=self._run_loop, name="repro-async-plan-server", daemon=True
         )
         self._thread.start()
-        boot_budget = self.config.worker_boot_seconds + 30.0
+        boot_budget = WORKER_BOOT_SECONDS + 30.0
         if not self._ready.wait(timeout=boot_budget):
             raise RuntimeError(f"async server failed to boot within {boot_budget}s")
         if self._startup_error is not None:

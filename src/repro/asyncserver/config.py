@@ -15,6 +15,7 @@ import os
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.service.batch import default_workers
 from repro.service.config import ServingConfig
 
 
@@ -25,11 +26,7 @@ def default_shards() -> int:
     async tier's warm path is dominated by per-request overhead; extra
     shards past the core count only add context switching.
     """
-    try:
-        available = len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        available = os.cpu_count() or 1
-    return max(1, min(available, 4))
+    return min(default_workers(), 4)
 
 
 @dataclass(frozen=True)
@@ -43,30 +40,24 @@ class AsyncServerConfig(ServingConfig):
     directory for shard snapshots; ``None`` disables persistence.
     ``max_inflight`` defaults to ``16 * shards + 32`` — the tier is built
     for open-loop traffic, so the bound is deliberately deeper than the
-    threaded server's.  ``route_cache_capacity`` bounds the front
-    process's SQL-text → shard memo.  ``worker_boot_seconds`` caps
-    waiting for a worker's hello at spawn.  ``revalidate_batch`` bounds
-    inline revalidation per ``STATS_UPDATE`` frame (the rest drains in
-    serve-loop idle gaps).
+    threaded server's.  ``revalidate_batch`` bounds inline revalidation
+    per ``STATS_UPDATE`` frame (the rest drains in serve-loop idle gaps).
 
     Crash supervision: restarts back off exponentially
-    (``restart_backoff_base_seconds`` doubling per crash up to
-    ``restart_backoff_cap_seconds``), and ``breaker_threshold`` crashes
-    within ``breaker_window_seconds`` open a per-shard circuit breaker —
-    the shard's fingerprints answer 503 for
+    (``restart_backoff_base_seconds`` doubling per crash, capped), and
+    ``breaker_threshold`` crashes within a sliding window open a
+    per-shard circuit breaker — the shard's fingerprints answer 503 for
     ``breaker_cooldown_seconds`` while other shards keep serving, then
-    one restart probe closes the breaker if it boots.
+    one restart probe closes the breaker if it boots.  (The cap, the
+    window, the boot wait and the route-memo size are constants of
+    :mod:`~repro.asyncserver.supervisor` / :mod:`~repro.asyncserver.app`.)
     """
 
     shards: Optional[int] = None
     cache_dir: Optional[str] = None
-    route_cache_capacity: int = 4096
-    worker_boot_seconds: float = 60.0
     revalidate_batch: int = 8
     restart_backoff_base_seconds: float = 0.5
-    restart_backoff_cap_seconds: float = 30.0
     breaker_threshold: int = 5
-    breaker_window_seconds: float = 60.0
     breaker_cooldown_seconds: float = 30.0
 
     def __post_init__(self) -> None:
@@ -75,14 +66,6 @@ class AsyncServerConfig(ServingConfig):
             raise ValueError(f"shards must be >= 1, got {self.shards}")
         if self.cache_capacity is None or self.cache_capacity < 1:
             raise ValueError(f"cache_capacity must be >= 1, got {self.cache_capacity}")
-        if self.route_cache_capacity < 1:
-            raise ValueError(
-                f"route_cache_capacity must be >= 1, got {self.route_cache_capacity}"
-            )
-        if self.worker_boot_seconds <= 0:
-            raise ValueError(
-                f"worker_boot_seconds must be > 0, got {self.worker_boot_seconds}"
-            )
         if self.revalidate_batch < 1:
             raise ValueError(
                 f"revalidate_batch must be >= 1, got {self.revalidate_batch}"
@@ -91,17 +74,8 @@ class AsyncServerConfig(ServingConfig):
             raise ValueError(
                 f"restart_backoff_base_seconds must be >= 0, got {self.restart_backoff_base_seconds}"
             )
-        if self.restart_backoff_cap_seconds < self.restart_backoff_base_seconds:
-            raise ValueError(
-                "restart_backoff_cap_seconds must be >= restart_backoff_base_seconds, "
-                f"got {self.restart_backoff_cap_seconds}"
-            )
         if self.breaker_threshold < 1:
             raise ValueError(f"breaker_threshold must be >= 1, got {self.breaker_threshold}")
-        if self.breaker_window_seconds <= 0:
-            raise ValueError(
-                f"breaker_window_seconds must be > 0, got {self.breaker_window_seconds}"
-            )
         if self.breaker_cooldown_seconds < 0:
             raise ValueError(
                 f"breaker_cooldown_seconds must be >= 0, got {self.breaker_cooldown_seconds}"

@@ -10,7 +10,7 @@ requests down with 500 ``worker_pool_failure`` responses and is
 restarted with capped exponential backoff (the fresh worker warm-starts
 from the shard's last snapshot when persistence is on, so a crash loses
 at most the plans cached since the previous drain).  A crash *loop* —
-``breaker_threshold`` crashes inside ``breaker_window_seconds`` — opens
+``breaker_threshold`` crashes inside :data:`BREAKER_WINDOW_SECONDS` — opens
 the shard's circuit breaker: its fingerprints answer 503
 (:class:`WorkerUnavailable`) for ``breaker_cooldown_seconds`` while the
 other shards keep serving, then a single restart probe closes the
@@ -33,6 +33,13 @@ from typing import Deque, Dict, List, Optional, Tuple
 from repro.asyncserver import frames
 from repro.asyncserver.config import AsyncServerConfig
 from repro.service.config import ServingConfig
+
+#: how long a spawn waits for the worker's hello.
+WORKER_BOOT_SECONDS = 60.0
+#: ceiling of the exponential restart backoff.
+RESTART_BACKOFF_CAP_SECONDS = 30.0
+#: sliding window in which crashes count towards the circuit breaker.
+BREAKER_WINDOW_SECONDS = 60.0
 
 
 class WorkerCrashed(Exception):
@@ -82,7 +89,7 @@ class WorkerHandle:
             env=env,
         )
         hello = await asyncio.wait_for(
-            self._read_hello(), timeout=self.supervisor.config.worker_boot_seconds
+            self._read_hello(), timeout=WORKER_BOOT_SECONDS
         )
         self.hello = hello
         self.supervisor.note_persistence(hello.get("persistence"))
@@ -178,8 +185,7 @@ class WorkerHandle:
         config = self.supervisor.config
         now = time.monotonic()
         self._crash_times.append(now)
-        window = config.breaker_window_seconds
-        while self._crash_times and now - self._crash_times[0] > window:
+        while self._crash_times and now - self._crash_times[0] > BREAKER_WINDOW_SECONDS:
             self._crash_times.popleft()
         crashes = len(self._crash_times)
         if crashes >= config.breaker_threshold:
@@ -187,7 +193,7 @@ class WorkerHandle:
             delay = config.breaker_cooldown_seconds
         else:
             delay = min(
-                config.restart_backoff_cap_seconds,
+                RESTART_BACKOFF_CAP_SECONDS,
                 config.restart_backoff_base_seconds * (2 ** (crashes - 1)),
             )
         self.current_backoff = delay

@@ -40,7 +40,7 @@ from repro.asyncserver import frames
 from repro.service.cache import SnapshotError
 from repro.service.config import ServingConfig
 from repro.server.metrics import parse_body
-from repro.service.core import RequestError, ServingCore, error_body
+from repro.service.core import RequestError, ServingCore, error_body, tune_gc_for_serving
 from repro.service.fingerprint import catalog_fingerprint
 
 
@@ -238,8 +238,6 @@ def main(argv=None) -> int:
     worker.warm_start()
     # A worker process exists only to serve its shard: adopt the
     # latency-oriented GC posture (frozen boot heap, rare full passes).
-    from repro.asyncserver.app import tune_gc_for_serving
-
     tune_gc_for_serving()
     hello = frames.pack(0, frames.HELLO, _dumps(worker.hello_payload()))
     os.write(out_fd, hello)

@@ -39,8 +39,3 @@ def numpy_module():
     if os.environ.get(FORCE_FALLBACK_ENV, "").strip() not in ("", "0"):
         return None
     return _np
-
-
-def using_numpy() -> bool:
-    """Whether the columnar executor currently runs on numpy lanes."""
-    return numpy_module() is not None

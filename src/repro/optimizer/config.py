@@ -5,8 +5,8 @@ workers=..., cache=...`` around by hand, each with its own conventions.
 :class:`OptimizerConfig` freezes those knobs into a single immutable,
 eagerly-validated value that threads unchanged through
 :func:`repro.optimizer.optimize`, :func:`repro.service.optimize_many`,
-:func:`repro.service.run_batch`, the CLI and
-:class:`repro.api.PlannerSession`.
+:func:`repro.service.run_batch` (which take their settings from it
+alone), the CLI and :class:`repro.api.PlannerSession`.
 
 Per-call tweaks derive a new config instead of mutating::
 

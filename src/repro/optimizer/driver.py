@@ -215,21 +215,9 @@ def optimize(
     key = None
     exact_snapshot = None
     if cache is not None:
-        from repro.service.fingerprint import cache_key, cardinality_snapshot
+        from repro.service.fingerprint import plan_key
 
-        key = cache_key(
-            query, chosen, config.factor, cost_model=cost_model.name,
-            band_width=config.snapshot_band_width,
-        )
-        # With banded keys the exact snapshot travels separately: it is
-        # what serve_entry compares to detect within-band drift (stale
-        # serving) and what the entry remembers for re-costing.  Without
-        # banding the key's snapshot IS the exact one — no second digest.
-        exact_snapshot = (
-            cardinality_snapshot(query)
-            if config.snapshot_band_width is not None
-            else key.snapshot
-        )
+        key, exact_snapshot = plan_key(query, config)
         found = cache.serve_entry(key, query, exact_snapshot=exact_snapshot)
         if found is not None:
             served, _state = found

@@ -1,10 +1,18 @@
-"""ASCII rendering of plan trees (EXPLAIN-style output)."""
+"""Renderings of plan trees: ASCII (EXPLAIN-style) and JSON-ready dicts."""
 
 from __future__ import annotations
 
 from typing import Callable, List, Optional
 
-from repro.plans.nodes import PlanNode
+from repro.plans.nodes import (
+    GroupByNode,
+    JoinNode,
+    MapNode,
+    PlanNode,
+    ProjectNode,
+    ScanNode,
+    SelectNode,
+)
 
 Annotator = Optional[Callable[[PlanNode], str]]
 
@@ -31,3 +39,49 @@ def _render(
         connector = "└─ " if last else "├─ "
         continuation = "   " if last else "│  "
         _render(child, child_prefix + connector, child_prefix + continuation, lines, annotate)
+
+
+def plan_to_dict(node: PlanNode) -> dict:
+    """Recursively serialise a plan tree into JSON-ready dicts."""
+    if isinstance(node, ScanNode):
+        return {
+            "op": "scan",
+            "relation": node.relation,
+            "attributes": list(node.attributes),
+        }
+    if isinstance(node, SelectNode):
+        return {
+            "op": "select",
+            "predicate": str(node.predicate),
+            "input": plan_to_dict(node.child),
+        }
+    if isinstance(node, JoinNode):
+        out = {
+            "op": node.op.name.lower(),
+            "predicate": str(node.predicate),
+            "left": plan_to_dict(node.left),
+            "right": plan_to_dict(node.right),
+        }
+        if node.groupjoin_vector is not None:
+            out["groupjoin_vector"] = str(node.groupjoin_vector)
+        return out
+    if isinstance(node, GroupByNode):
+        return {
+            "op": "groupby",
+            "group_by": list(node.group_attrs),
+            "aggregates": str(node.vector),
+            "input": plan_to_dict(node.child),
+        }
+    if isinstance(node, MapNode):
+        return {
+            "op": "map",
+            "extensions": {name: str(expr) for name, expr in node.extensions},
+            "input": plan_to_dict(node.child),
+        }
+    if isinstance(node, ProjectNode):
+        return {
+            "op": "project",
+            "attributes": list(node.attributes),
+            "input": plan_to_dict(node.child),
+        }
+    raise TypeError(f"unknown plan node {node!r}")

@@ -128,6 +128,7 @@ class Query:
                 raise ValueError(f"unknown grouping attribute {attr!r}")
 
         self.all_relations_mask = (1 << len(self.relations)) - 1
+        self._sides: Optional[Dict[int, Tuple[int, int]]] = None  # _operator_sides
 
     # -- helpers -------------------------------------------------------------
     def _tree_vertices(self):
@@ -197,6 +198,15 @@ class Query:
                 requirements.append((tree_leaves(node.right), sensitive))
         return requirements
 
+    def _operator_sides(self) -> Dict[int, Tuple[int, int]]:
+        """Tree edge id → the relation sets below its operator's two inputs."""
+        if self._sides is None:
+            self._sides = {
+                node.edge_id: (tree_leaves(node.left), tree_leaves(node.right))
+                for node in tree_operators(self.tree)
+            }
+        return self._sides
+
     # -- attribute bookkeeping used by the optimizer ---------------------------
     def relation_attrs(self, mask: int) -> FrozenSet[str]:
         """All base attributes of the relations in bitset *mask*."""
@@ -229,6 +239,12 @@ class Query:
             )
             referenced = pred_attrs | extra
             touched = self.vertices_of(a for a in referenced if a in self._attr_to_vertex)
+            # A predicate mentioning one input of its operator only (``ON
+            # 1 = s.k``) is still applied where both meet: pad the other
+            # side as the conflict detector pads the edge's TES.
+            for side in self._operator_sides().get(edge.edge_id, ()):
+                if touched and not touched & side:
+                    touched |= side & -side
             if touched & mask and touched & ~mask & self.all_relations_mask:
                 needed.update(a for a in referenced if a in own)
         for item in self.normalized.vector:

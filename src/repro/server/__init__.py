@@ -18,12 +18,17 @@ Start one from the command line with ``python -m repro serve``; see
 ``docs/architecture.md`` for how the layers compose.
 """
 
-from repro.server.app import PlanServer
-from repro.server.client import ServerClient, ServerError
+from repro import lazy_exports
 from repro.server.config import ServerConfig
 from repro.server.metrics import ServerMetrics
-from repro.server.service import PlanService
 from repro.service.core import RequestError
+
+__getattr__ = lazy_exports(__name__, {
+    "PlanServer": "repro.server.app",
+    "PlanService": "repro.server.service",
+    "ServerClient": "repro.server.client",
+    "ServerError": "repro.server.client",
+})
 
 __all__ = [
     "PlanServer",

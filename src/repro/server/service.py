@@ -31,14 +31,12 @@ import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
-from typing import Dict, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from repro.server.config import ServerConfig
 from repro.server.metrics import ServerMetrics, check_admission, worker_abandoned
-from repro.service.batch import WorkerOutcome, _optimize_payload
-from repro.service.fingerprint import PlanCacheKey
+from repro.service.batch import Miss, WorkerOutcome, plan_miss, plan_wave
 from repro.service.core import (
-    Miss,
     Planned,
     RequestError,
     ServingCore,
@@ -180,32 +178,28 @@ class PlanService:
         if executor is not None:
             executor.shutdown(wait=False, cancel_futures=True)
 
-    def _dispatch(self, misses: List[Miss]) -> List[WorkerOutcome]:
-        """Plan one wave of tickets, in the pool or (workers=0) right here.
+    def _dispatch(self, leaders: List[Miss]) -> List[WorkerOutcome]:
+        """Plan one wave's leading tickets, in the pool or (workers=0)
+        right here.
 
         A wave shares its arrival and so its ``deadline_at``: arrival
         plus ``request_timeout_seconds``, so time already burnt on parsing
-        and cache probes is charged.  The remaining budget is armed as a
-        cooperative deadline inside each worker run, which degrades to a
+        and cache probes — and queued for a pool worker — is charged.
+        :func:`~repro.service.batch.plan_miss` arms what remains as a
+        cooperative deadline inside each run, which degrades to a
         heuristic plan or raises (``config.degradation``); the pool wait
         itself uses the *hard* timeout (budget + grace) purely as a
         wedged-worker backstop — a healthy worker always answers first.
         """
-        deadline_at = misses[0].deadline_at
-        budget = max(0.0, deadline_at - time.monotonic())
-        payloads = [
-            (miss.query, miss.config.with_overrides(deadline_seconds=budget))
-            for miss in misses
-        ]
         if self.config.effective_workers == 0:
-            return [_optimize_payload(payload) for payload in payloads]
-        hard_deadline = deadline_at + (
+            return [plan_miss(miss) for miss in leaders]
+        hard_deadline = leaders[0].deadline_at + (
             self.config.hard_timeout_seconds - self.config.request_timeout_seconds
         )
         futures: list = []
         try:
             executor = self._pool()
-            futures += [executor.submit(_optimize_payload, p) for p in payloads]
+            futures += [executor.submit(plan_miss, miss) for miss in leaders]
             return [
                 future.result(timeout=max(0.0, hard_deadline - time.monotonic()))
                 for future in futures
@@ -223,40 +217,29 @@ class PlanService:
     def _plan_wave(self, bodies: List[dict], batch=False) -> List[Union[Planned, RequestError]]:
         """Plan *bodies* as one wave; each slot gets its ``(result,
         config, query)`` or the :class:`RequestError` that request earned.
-        Probes all under the lock, sends the distinct misses to the pool
-        together (lock released), completes them under the lock.
+        Probes all under the lock, sends the misses through
+        :func:`~repro.service.batch.plan_wave` (lock released; one run
+        per distinct key), completes them under the lock.
         """
         arrived = time.monotonic()
         core = self.core
-        slots: List[Union[Planned, RequestError, None]] = [None] * len(bodies)
-        # cache key → the (slot, ticket)s that missed on it; the first of
-        # each group is planned, the rest share its run.
-        groups: Dict[PlanCacheKey, List[Tuple[int, Miss]]] = {}
+        slots: List[Union[Planned, RequestError, Miss]] = []
         with self._lock:
-            for slot, body in enumerate(bodies):
+            for body in bodies:
                 try:
-                    found = core.probe(body, arrived)
+                    slots.append(core.probe(body, arrived))
                 except RequestError as error:
-                    slots[slot] = core.batch_error(error) if batch else error
-                    continue
-                if type(found) is Miss:
-                    groups.setdefault(found.key, []).append((slot, found))
-                else:
-                    slots[slot] = found
-        if not groups:
+                    slots.append(core.batch_error(error) if batch else error)
+        missed = [(slot, found) for slot, found in enumerate(slots) if type(found) is Miss]
+        if not missed:
             return slots
-        outcomes = self._dispatch([group[0][1] for group in groups.values()])
+        outcomes = list(plan_wave([miss for _slot, miss in missed], self._dispatch))
         with self._lock:
-            for group, outcome in zip(groups.values(), outcomes):
-                (slot, leader), *followers = group
-                if outcome.ok:
-                    planned = slots[slot] = core.complete(leader, outcome.result)
-                    for slot, miss in followers:
-                        slots[slot] = core.share(planned, miss)
-                else:
-                    error = core.failure(outcome.error, outcome.deadline)
-                    for slot, _miss in group:
-                        slots[slot] = error
+            for (slot, miss), outcome in zip(missed, outcomes):
+                try:
+                    slots[slot] = core.complete(miss, outcome)
+                except RequestError as error:
+                    slots[slot] = error
         return slots
 
     def _plan(self, body: dict) -> Planned:
@@ -329,9 +312,5 @@ class PlanService:
             degradation=self.config.degradation,
             shards=1,
             persistence={"loaded": 0, "saved": 0, "rejected": 0},
-            engine={
-                "requested": self.config.engine,
-                "effective": payload["plans"]["by_engine"],
-            },
         )
         return payload

@@ -6,12 +6,13 @@ needs on top of that function:
 
 * :mod:`repro.service.fingerprint` — structural query fingerprints and
   statistics snapshots, stable under relation renaming and predicate
-  reordering, combined into plan-cache keys,
+  reordering, combined into plan-cache keys (``plan_key``),
 * :mod:`repro.service.cache` — a bounded LRU :class:`PlanCache` with
   hit/miss/eviction statistics and catalog-change invalidation,
-* :mod:`repro.service.batch` — :func:`optimize_many`, the parallel
-  workload driver that dedups, caches and fans misses out over worker
-  processes while streaming results back in order.
+* :mod:`repro.service.batch` — the one miss path and on it
+  :func:`optimize_many`, the parallel workload driver that dedups,
+  caches and fans misses out over worker processes while streaming
+  results back in order.
 
 See ``docs/architecture.md`` for how this layer composes with the
 paper-reproduction pipeline.

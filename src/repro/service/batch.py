@@ -1,39 +1,39 @@
-"""The parallel batch driver: optimize a workload, not a query.
+"""The one miss path, and the batch driver built on it.
 
-``optimize()`` is a one-query-at-a-time library call; a serving system
-sees *workloads* — bursts of queries from many users, full of repeated
-shapes.  :func:`optimize_many` closes that gap:
+Everything below the transports turns a plan-cache miss into an optimizer
+run here: a :class:`Miss` is the ticket, :func:`plan_miss` the only place
+a ticket becomes a :func:`repro.optimizer.optimize` run — in whichever
+process holds it (a shard plans its own; the threaded tier's pool and the
+batch pool map the same function over pickled tickets) — and
+:func:`plan_wave` says once that *the first miss of a key leads, later
+ones share its outcome*.
 
-* **dedup before dispatch** — items are keyed by the structural
-  fingerprint (:mod:`repro.service.fingerprint`); each distinct key is
-  optimized at most once per batch, and an optional :class:`PlanCache`
-  carries results across batches,
-* **process parallelism** — distinct misses fan out over a
-  ``multiprocessing`` pool (pure-Python DP enumeration is CPU-bound, so
-  threads would serialise on the GIL),
-* **streaming results** — items are yielded in submission order as soon
-  as their plan is available, each with per-query timing and a
-  ``cache_hit`` flag.
-
-The expensive path stays the library's: workers call the very same
-:func:`repro.optimizer.optimize`.  The driver only decides *what not to
-recompute*.
+:func:`optimize_many` is that path applied to a workload — bursts of
+queries full of repeated shapes: items are keyed by
+:func:`~repro.service.fingerprint.plan_key` and served from an optional
+:class:`PlanCache`, each distinct missing key is optimized once
+(in-process, or over a ``multiprocessing`` pool: the DP is CPU-bound pure
+Python, threads would serialise on the GIL), and items stream back in
+submission order with per-query timing and a ``cache_hit`` flag.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+import contextlib
 import os
 import time
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from functools import partial
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 
+from repro import chaos
+from repro.optimizer import driver
 from repro.optimizer.config import OptimizerConfig
-from repro.optimizer.driver import OptimizationResult, optimize
-from repro.optimizer.strategies import Strategy
+from repro.optimizer.deadline import Deadline, PlanningDeadlineExceeded
+from repro.optimizer.driver import OptimizationResult
 from repro.query.spec import Query
 from repro.service.cache import CacheStats, PlanCache
-from repro.service.fingerprint import PlanCacheKey, cache_key
+from repro.service.fingerprint import PlanCacheKey, plan_key
 from repro.service.rebind import query_binding, rebind_result
 
 #: cap on the default worker count — DP enumeration is memory-hungry and
@@ -138,224 +138,170 @@ class WorkerOutcome:
     #: True when the error is a blown planning deadline
     #: (``degradation="error"``) — servers map it to 504 instead of 500.
     deadline: bool = False
+    #: True for a follower's copy of its leader's outcome
+    #: (:func:`plan_wave`): nothing ran for it, nothing is stored or
+    #: counted as a failure for it.
+    shared: bool = False
 
     @property
     def ok(self) -> bool:
         return self.error is None
 
 
-def _optimize_payload(payload: Tuple[Query, OptimizerConfig]) -> WorkerOutcome:
-    """Pool worker: one optimizer run, errors captured (module-level for
-    pickling)."""
-    from repro import chaos
-    from repro.optimizer.deadline import PlanningDeadlineExceeded
+@dataclass(slots=True)
+class Miss:
+    """The ticket for one cache miss: what :func:`plan_miss` needs to run
+    it and its caller to store the result (picklable, for pool workers)."""
 
-    query, config = payload
+    query: Query
+    config: OptimizerConfig
+    key: PlanCacheKey
+    #: the query's exact (unbanded) snapshot, stored beside the plan.
+    exact: str
+    #: the source text, when the query came through a SQL front door.
+    sql: Optional[str] = None
+    #: ``time.monotonic()`` instant the budget expires — system-wide, so
+    #: it holds in a pool worker and queueing for one is charged; ``None``
+    #: leaves ``config.deadline_seconds`` in charge.
+    deadline_at: Optional[float] = None
+
+
+def plan_miss(miss: Miss) -> WorkerOutcome:
+    """Run the optimizer for one ticket, errors captured (module-level
+    for pickling)."""
     if chaos.enabled():
-        chaos.before_request(" ".join(rel.name for rel in query.relations))
+        # aliases survive binding as relation names, so SQL markers show here
+        chaos.before_request(" ".join(rel.name for rel in miss.query.relations))
     started = time.perf_counter()
+    deadline = None
+    if miss.deadline_at is not None:
+        # A spent budget still arms a Deadline: it fires on the first DP
+        # check, so the request degrades (or 504s) at once.
+        deadline = Deadline(max(0.0, miss.deadline_at - time.monotonic()))
     try:
-        result = optimize(query, config=config)
-    except PlanningDeadlineExceeded as exc:
-        return WorkerOutcome(
-            None,
-            f"{type(exc).__name__}: {exc}",
-            time.perf_counter() - started,
-            deadline=True,
-        )
+        result = driver.optimize(miss.query, config=miss.config, deadline=deadline)
     except Exception as exc:  # noqa: BLE001 - per-item fault isolation
-        return WorkerOutcome(None, f"{type(exc).__name__}: {exc}", time.perf_counter() - started)
+        timed_out = isinstance(exc, PlanningDeadlineExceeded)
+        elapsed = time.perf_counter() - started
+        return WorkerOutcome(None, f"{type(exc).__name__}: {exc}", elapsed, timed_out)
     return WorkerOutcome(result, None, result.elapsed_seconds)
 
 
-#: the legacy-kwarg defaults `resolve_config` treats as "not explicitly set".
-_DEFAULT_STRATEGY = "ea-prune"
-_DEFAULT_FACTOR = 1.03
+def plan_wave(
+    misses: Sequence[Miss],
+    run: Callable[[List[Miss]], Iterable[WorkerOutcome]],
+) -> Iterator[WorkerOutcome]:
+    """One outcome per ticket of *misses*, in order; one run per key.
 
-
-def resolve_config(
-    config: Optional[OptimizerConfig],
-    strategy: "str | Strategy",
-    factor: float,
-    workers: Optional[int],
-) -> OptimizerConfig:
-    """Fold the legacy kwargs and the config object into one config.
-
-    Passing *config* together with a non-default legacy *strategy* or
-    *factor* is a conflict and raises :class:`ValueError` (mirroring
-    :class:`~repro.optimizer.config.OptimizerConfig`'s eager validation)
-    rather than silently ignoring the legacy value; an explicit *workers*
-    argument overrides the config's.
+    The first miss of a key leads: *run* gets the leaders and yields
+    their outcomes in order — lazily if it likes, each is pulled when
+    first needed, so results stream.  Later misses of the key follow:
+    a ``shared`` copy of the leader's outcome — its failure as it is, its
+    result rebound to the follower's names and flagged a cache hit —
+    made from the outcome in hand, never from a cache (the entry may be
+    evicted already, or — degraded, failed — was never stored).
     """
-    if config is None:
-        return OptimizerConfig(
-            strategy=strategy, factor=factor, workers=workers, cache_capacity=None
-        )
-    conflicts = []
-    if strategy != _DEFAULT_STRATEGY:
-        conflicts.append(f"strategy={strategy!r}")
-    if factor != _DEFAULT_FACTOR:
-        conflicts.append(f"factor={factor!r}")
-    if conflicts:
-        raise ValueError(
-            f"conflicting optimizer settings: {', '.join(conflicts)} passed "
-            "alongside config=...; set them on the OptimizerConfig instead"
-        )
-    if workers is not None and workers != config.workers:
-        config = config.with_overrides(workers=workers)
-    return config
+    leaders: Dict[PlanCacheKey, Miss] = {}
+    for miss in misses:
+        leaders.setdefault(miss.key, miss)
+    arriving = iter(run(list(leaders.values())))
+    outcomes: Dict[PlanCacheKey, WorkerOutcome] = {}
+    for miss in misses:
+        leader = leaders[miss.key]
+        if leader is miss:
+            outcomes[miss.key] = outcome = next(arriving)
+            yield outcome
+            continue
+        outcome = replace(outcomes[miss.key], elapsed_seconds=0.0, shared=True)
+        if outcome.ok:
+            binding = query_binding(leader.query)
+            outcome.result = rebind_result(outcome.result, binding, miss.query).as_cache_hit()
+        yield outcome
+
+
+@contextlib.contextmanager
+def _planner(processes: int):
+    """How a batch's leaders get planned — a ``run`` for :func:`plan_wave`:
+    lazily in this process, or over a pool of *processes*."""
+    if processes <= 1:
+        yield partial(map, plan_miss)  # lazy, so results still stream in order
+        return
+    import multiprocessing  # only a process that builds a pool pays for it
+
+    with multiprocessing.get_context().Pool(processes) as pool:
+        # imap preserves submission order and workers return envelopes,
+        # so a poisoned query is a per-item error, not a raise from next().
+        yield partial(pool.imap, plan_miss, chunksize=1)
 
 
 def optimize_many(
     queries: Sequence[Query],
-    strategy: "str | Strategy" = _DEFAULT_STRATEGY,
-    factor: float = _DEFAULT_FACTOR,
-    workers: Optional[int] = None,
     cache: Optional[PlanCache] = None,
     config: Optional[OptimizerConfig] = None,
 ) -> Iterator[BatchItem]:
-    """Optimize *queries*, yielding a :class:`BatchItem` per entry in order.
-
-    Settings come from *config* (an
-    :class:`~repro.optimizer.config.OptimizerConfig`); the *strategy* /
-    *factor* / *workers* parameters remain as a shim for the seed's call
-    style (see :func:`resolve_config` for precedence).
+    """Optimize *queries* under *config*, yielding a :class:`BatchItem`
+    per entry in order.
 
     Every item whose plan was not freshly computed — served from *cache*
     or sharing the run of an identical earlier item in the same batch —
-    carries ``cache_hit=True``.  With ``workers <= 1`` (or a single miss)
-    everything runs in-process; otherwise distinct misses are spread over
-    a process pool.  The cache is consulted and populated only in the
-    dispatching process, so workers stay oblivious to it.
+    carries ``cache_hit=True``.  With ``config.workers <= 1`` (or a
+    single miss) everything runs in-process; otherwise distinct misses
+    are spread over a process pool.  The cache is consulted and populated
+    only in the dispatching process, so workers stay oblivious to it.
 
     A query whose optimizer run raises does not abort the batch: its item
     (and every in-batch duplicate's) streams back with ``result=None`` and
-    the exception text in :attr:`BatchItem.error`, while all other items
-    keep their results.  Failures are never stored in the cache.
+    the exception text in :attr:`BatchItem.error`.  Failures and
+    deadline-degraded results are never stored in the cache.
     """
-    config = resolve_config(config, strategy, factor, workers)
-    workers = config.workers if config.workers is not None else default_workers()
-
-    keys = [
-        cache_key(query, config.strategy, config.factor, cost_model=config.cost_model_name)
-        for query in queries
-    ]
-
-    # Schedule: probe the cache once per distinct key; collect the misses
-    # (first occurrence wins) in submission order.  Resolved entries keep
-    # the binding of the query the plan is currently expressed in, so
-    # duplicates under *different* names can be rebound when served.
-    # A failed run resolves to (None, elapsed, None, error).
-    resolved: Dict[
-        PlanCacheKey, Tuple[Optional[OptimizationResult], float, Optional[Tuple], Optional[str]]
-    ] = {}
-    scheduled: set = set()
-    miss_order: List[PlanCacheKey] = []
-    miss_payload: List[Tuple[Query, OptimizerConfig]] = []
-    for query, key in zip(queries, keys):
-        if key in scheduled:
-            continue
-        scheduled.add(key)
-        if cache is not None:
+    config = config or OptimizerConfig()
+    # Schedule: every item is a cache hit (answered now) or a ticket.
+    slots: List["BatchItem | Miss"] = []
+    missed: set = set()
+    for index, query in enumerate(queries):
+        key, exact = plan_key(query, config)
+        if cache is not None and key not in missed:
             started = time.perf_counter()
-            served = cache.serve(key, query)
-            if served is not None:
-                resolved[key] = (
-                    served, time.perf_counter() - started, query_binding(query), None
-                )
+            found = cache.serve_entry(key, query, exact_snapshot=exact)
+            if found is not None:
+                # a hit reports the probe time, not the original run's
+                slots.append(BatchItem(index, key, found[0], time.perf_counter() - started, True))
                 continue
-        miss_order.append(key)
-        miss_payload.append((query, config))
+        missed.add(key)
+        slots.append(Miss(query, config, key, exact))
 
-    def finish(key: PlanCacheKey, query: Query, outcome: WorkerOutcome) -> None:
-        if not outcome.ok:
-            resolved[key] = (None, outcome.elapsed_seconds, None, outcome.error)
-            return
-        result = outcome.result
-        if cache is not None:
-            cache.store(key, query, result)
-        resolved[key] = (result, result.elapsed_seconds, query_binding(query), None)
-
-    computed: set = set()
-
-    def emit(index: int, key: PlanCacheKey) -> BatchItem:
-        # The first item to surface a freshly computed plan reports the
-        # run; every other serving of the same result is a (batch or
-        # cross-batch) cache hit with negligible cost.
-        result, elapsed, binding, error = resolved[key]
-        if error is not None:
-            # The first duplicate reports the failed run's wall time; the
-            # rest shared the outcome for free.  Failures never count as
-            # cache hits (nothing was cached).
-            first_failure = key not in computed
-            if first_failure:
-                computed.add(key)
-            return BatchItem(
-                index=index,
-                key=key,
-                result=None,
-                elapsed_seconds=elapsed if first_failure else 0.0,
-                cache_hit=False,
-                error=error,
+    processes = min(config.workers or default_workers(), len(missed))
+    with _planner(processes) as run:
+        wave = plan_wave([slot for slot in slots if type(slot) is Miss], run)
+        for index, slot in enumerate(slots):
+            if type(slot) is not Miss:
+                yield slot
+                continue
+            outcome = next(wave)
+            if cache is not None and outcome.ok and not outcome.shared:
+                cache.store(slot.key, slot.query, outcome.result, exact_snapshot=slot.exact)
+            yield BatchItem(
+                index,
+                slot.key,
+                outcome.result,
+                outcome.elapsed_seconds,
+                cache_hit=outcome.shared and outcome.ok,
+                error=outcome.error,
             )
-        result = rebind_result(result, binding, queries[index])
-        first_run = not result.cache_hit and key not in computed
-        if first_run:
-            computed.add(key)
-        return BatchItem(
-            index=index,
-            key=key,
-            result=result if first_run else result.as_cache_hit(),
-            # cross-batch hits report the cache probe time; within-batch
-            # duplicates share an in-flight result for free.
-            elapsed_seconds=elapsed if first_run or result.cache_hit else 0.0,
-            cache_hit=not first_run,
-        )
-
-    if workers <= 1 or len(miss_payload) <= 1:
-        # Serial path: compute lazily so results still stream in order.
-        pending = dict(zip(miss_order, miss_payload))
-        for index, key in enumerate(keys):
-            if key not in resolved:
-                query, cfg = pending[key]
-                finish(key, query, _optimize_payload((query, cfg)))
-            yield emit(index, key)
-        return
-
-    processes = min(workers, len(miss_payload))
-    context = multiprocessing.get_context()
-    with context.Pool(processes=processes) as pool:
-        # imap preserves submission order, so results for miss_order[i]
-        # arrive exactly when the emit loop first needs them.  Workers
-        # return WorkerOutcome envelopes, so a poisoned query surfaces as
-        # a per-item error here instead of raising out of next().
-        arriving = pool.imap(_optimize_payload, miss_payload, chunksize=1)
-        pulled = 0
-        for index, key in enumerate(keys):
-            while key not in resolved:
-                outcome = next(arriving)
-                finish(miss_order[pulled], miss_payload[pulled][0], outcome)
-                pulled += 1
-            yield emit(index, key)
 
 
 def run_batch(
     queries: Sequence[Query],
-    strategy: "str | Strategy" = _DEFAULT_STRATEGY,
-    factor: float = _DEFAULT_FACTOR,
-    workers: Optional[int] = None,
     cache: Optional[PlanCache] = None,
     config: Optional[OptimizerConfig] = None,
 ) -> BatchReport:
     """Drive :func:`optimize_many` to completion and summarise it."""
-    config = resolve_config(config, strategy, factor, workers)
-    effective_workers = config.workers if config.workers is not None else default_workers()
+    config = config or OptimizerConfig()
     started = time.perf_counter()
-    items = list(optimize_many(queries, cache=cache, config=config))
-    wall = time.perf_counter() - started
+    items = list(optimize_many(queries, cache, config))
     return BatchReport(
         items=items,
-        wall_seconds=wall,
-        workers=effective_workers,
+        wall_seconds=time.perf_counter() - started,
+        workers=config.workers or default_workers(),
         cache_stats=cache.stats_snapshot() if cache is not None else None,
     )

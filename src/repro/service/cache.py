@@ -178,6 +178,10 @@ class PlanCache:
         self._entries: "OrderedDict[PlanCacheKey, _Entry]" = OrderedDict()
         self._lock = threading.RLock()
         self.stats = CacheStats()
+        #: False while no entry can be non-fresh: raised wherever an entry
+        #: leaves FRESH, lowered when a :meth:`stale_count` scan finds none
+        #: — so an idle-gap backlog check costs a flag read, not a scan.
+        self._may_hold_stale = False
 
     # -- core protocol -------------------------------------------------------
     def get(self, key: PlanCacheKey) -> Optional["OptimizationResult"]:
@@ -204,25 +208,19 @@ class PlanCache:
             entry.hits += 1
             return entry.result, entry.binding
 
-    def serve(self, key: PlanCacheKey, query) -> Optional["OptimizationResult"]:
-        """The cached result for *key*, re-expressed in *query*'s names.
-
-        The one serving entry point shared by :func:`repro.optimizer.optimize`
-        and the batch driver: probes once (statistics update exactly as
-        :meth:`lookup`), rebinds the stored plan to *query*'s naming when the
-        entry came from a renamed-but-isomorphic query, and marks the copy
-        as a cache hit.  Returns None on miss.
-        """
-        found = self.serve_entry(key, query)
-        return found[0] if found is not None else None
-
     def serve_entry(
         self,
         key: PlanCacheKey,
         query,
         exact_snapshot: Optional[str] = None,
     ) -> Optional[Tuple["OptimizationResult", str]]:
-        """Like :meth:`serve`, but lifecycle-aware: ``(result, state)``.
+        """The cached result for *key* re-expressed in *query*'s names,
+        with the entry's lifecycle state: ``(result, state)`` or None.
+
+        The one serving entry point: probes once (statistics update
+        exactly as :meth:`lookup`), rebinds the stored plan to *query*'s
+        naming when the entry came from a renamed-but-isomorphic query,
+        and marks the copy as a cache hit.
 
         *exact_snapshot* is the probing query's exact (unbanded)
         cardinality snapshot.  Under banded keys a drifted-but-nearby
@@ -251,6 +249,7 @@ class PlanCache:
                 and entry.exact_snapshot != exact_snapshot
             ):
                 entry.state = STALE
+                self._may_hold_stale = True
                 self.stats.marked_stale += 1
             state = entry.state
             if state != FRESH:
@@ -270,7 +269,7 @@ class PlanCache:
     ) -> None:
         """Store a freshly computed *result* for *query* under *key*.
 
-        The counterpart of :meth:`serve`: records the base tables the plan
+        The counterpart of :meth:`serve_entry`: records the base tables the plan
         scans (the handle eager invalidation grabs) and *query*'s naming
         (so renamed-but-isomorphic hits can be rebound).  *sql* and
         *exact_snapshot* feed the revalidation path — see :class:`_Entry`.
@@ -444,6 +443,8 @@ class PlanCache:
                     continue
                 entry.state = STALE
                 marked += 1
+            if marked:
+                self._may_hold_stale = True
             self.stats.marked_stale += marked
             return marked
 
@@ -537,8 +538,12 @@ class PlanCache:
 
     def stale_count(self) -> int:
         """Entries currently awaiting (or under) revalidation."""
+        if not self._may_hold_stale:
+            return 0
         with self._lock:
-            return sum(1 for entry in self._entries.values() if entry.state != FRESH)
+            count = sum(1 for entry in self._entries.values() if entry.state != FRESH)
+            self._may_hold_stale = count > 0
+            return count
 
     # -- persistence ---------------------------------------------------------
     def save_snapshot(
@@ -677,6 +682,7 @@ class PlanCache:
             raise SnapshotError("corrupt", "snapshot payload is not an entry list")
         kept = entries[-self.capacity:]
         with self._lock:
+            self._may_hold_stale = True  # saved states ride along
             for key, result, relations, binding, state, exact_snapshot, sql in kept:
                 if key in self._entries:
                     self._entries.move_to_end(key)
@@ -718,8 +724,6 @@ class PlanCache:
                 "marked_stale": float(self.stats.marked_stale),
                 "stale_hits": float(self.stats.stale_hits),
                 "refreshed": float(self.stats.refreshed),
-                "stale_entries": float(
-                    sum(1 for entry in self._entries.values() if entry.state != FRESH)
-                ),
+                "stale_entries": float(self.stale_count()),
                 "hit_rate": self.stats.hit_rate,
             }

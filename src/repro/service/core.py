@@ -29,28 +29,20 @@ a small dict.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import math
 import time
 from collections import Counter, OrderedDict, deque
 from typing import Deque, Dict, Iterable, List, Optional, Tuple, Union
 
-from repro import chaos
-from repro.api.session import plan_to_dict
-from repro.optimizer import driver
 from repro.optimizer.config import OptimizerConfig
-from repro.optimizer.deadline import Deadline, PlanningDeadlineExceeded
 from repro.optimizer.driver import OptimizationResult
-from repro.plans.render import render_plan
+from repro.plans.render import plan_to_dict, render_plan
 from repro.query.spec import Query
+from repro.service.batch import Miss, WorkerOutcome, plan_miss
 from repro.service.cache import FRESH, PlanCache
 from repro.service.config import ServingConfig
-from repro.service.fingerprint import (
-    PlanCacheKey,
-    cardinality_snapshot,
-    query_fingerprint,
-    strategy_label,
-)
-from repro.service.rebind import query_binding, rebind_result
+from repro.service.fingerprint import PlanCacheKey, plan_key, strategy_label
 from repro.service.revalidate import StaleRevalidator
 from repro.sql.binder import parse_query
 from repro.sql.catalog import Catalog
@@ -94,21 +86,6 @@ class RequestError(Exception):
 def error_body(code: str, message: str) -> dict:
     """The one shape every error reply has, on every transport."""
     return {"error": {"code": code, "message": message}}
-
-
-@dataclasses.dataclass(slots=True)
-class Miss:
-    """The ticket :meth:`ServingCore.probe` hands out for a cache miss:
-    what to plan, under which config, until when, and where the result
-    goes (:meth:`ServingCore.complete`)."""
-
-    query: Query
-    config: OptimizerConfig
-    key: PlanCacheKey
-    sql: str
-    exact: str
-    #: ``time.monotonic()`` instant the planning budget expires.
-    deadline_at: float
 
 
 #: what planning one request yields: the result, the config it was
@@ -210,13 +187,20 @@ def explain_reply(planned: Planned) -> dict:
     }
 
 
-def effective_engine(result: OptimizationResult) -> str:
-    """The driver code path that actually produced *result*.
+def tune_gc_for_serving() -> None:
+    """Latency-oriented GC posture for a **dedicated** serving process.
 
-    Read from the run's stats flags: cache hits keep the original run's
-    engine, which is what they cost to produce.
+    Freezes the boot heap (catalog, caches — immortal anyway) out of the
+    collector and makes full collections rare, so a gen-2 pass over
+    thousands of plan nodes cannot stall the event loop mid-burst; the
+    warm path allocates only small short-lived objects that gen-0
+    handles.  Called by the shard worker processes, the ``serve --async``
+    CLI and the benchmark — NOT by the in-process test facade, which
+    must leave its host process's GC alone.
     """
-    return "reference" if (result.stats or {}).get("engine_reference") else "indexed"
+    gc.collect()
+    gc.freeze()
+    gc.set_threshold(50_000, 50, 100)
 
 
 def percentile(samples: List[float], q: float) -> Optional[float]:
@@ -342,7 +326,6 @@ class ServingCore:
         self._recosted = 0
         self._replanned = 0
         self._by_strategy: Counter = Counter()
-        self._by_engine: Counter = Counter()
         self._executions: Counter = Counter()
         self._execution_rows = 0
         self._execution_seconds = 0.0
@@ -358,10 +341,10 @@ class ServingCore:
             return hit
         query = parse_sql(sql, self.catalog)
         self._memo_misses += 1
-        exact = cardinality_snapshot(query)
-        band = self.base_config.snapshot_band_width
-        key_snapshot = cardinality_snapshot(query, band) if band is not None else exact
-        entry = (query, query_fingerprint(query), key_snapshot, exact)
+        # The band width is the base config's alone (no request override),
+        # so the digests of the base key hold under every override.
+        key, exact = plan_key(query, self.base_config)
+        entry = (query, key.fingerprint, key.snapshot, exact)
         memo[sql] = entry
         if len(memo) > PARSE_MEMO_CAPACITY:
             memo.popitem(last=False)
@@ -402,7 +385,6 @@ class ServingCore:
         self._served += 1
         self._hits += hit
         self._by_strategy[result.strategy] += 1
-        self._by_engine[effective_engine(result)] += 1
 
     # -- planning ------------------------------------------------------------
     def probe(self, body: dict, arrived: Optional[float] = None) -> Union[Planned, Miss]:
@@ -434,64 +416,41 @@ class ServingCore:
                 return result, config, query
         if arrived is None:
             arrived = time.monotonic()
-        return Miss(query, config, key, sql, exact, arrived + self.request_timeout)
+        return Miss(query, config, key, exact, sql, arrived + self.request_timeout)
 
-    def complete(self, miss: Miss, result: OptimizationResult) -> Planned:
-        """Take the freshly planned *result* for *miss*: count it, and
-        store it unless it is a deadline-degraded fallback — those are
-        never cached (``PlanCache.store`` also refuses them defensively)."""
-        if result.degraded:
-            self._degraded += 1
-        elif self.cache is not None:
-            self.cache.store(
-                miss.key, miss.query, result, sql=miss.sql, exact_snapshot=miss.exact
-            )
-        self._record(result, False)
-        return result, miss.config, miss.query
-
-    def failure(self, error: str, timed_out: bool) -> RequestError:
-        """Count one failed planning run; the error its request gets.
-
-        *timed_out* marks a blown budget under ``degradation="error"``
-        (504); anything else is the optimizer's own fault (500).
+    def complete(self, miss: Miss, outcome: WorkerOutcome) -> Planned:
+        """Take what planning *miss* produced: count it, and store a
+        fresh result unless it is a deadline-degraded fallback (never
+        cached; ``PlanCache.store`` refuses them too).  A failed run
+        raises its request's error: 504 for a blown budget under
+        ``degradation="error"``, else 500, the optimizer's own fault.  A
+        ``shared`` outcome (a wave follower's copy) is a hit, or the
+        leader's error again — counted once, with the leader.
         """
-        if timed_out:
-            self._timeouts += 1
-            return RequestError(504, "timeout", error)
-        self._failures += 1
-        return RequestError(500, "optimizer_error", error)
-
-    def share(self, planned: Planned, miss: Miss) -> Planned:
-        """Serve *miss* from the run that just planned its in-request
-        duplicate (same cache key, maybe other names).  Rebinds the
-        result in hand rather than probing again — the entry may already
-        be evicted, or was never stored."""
-        result, _config, query = planned
-        shared = rebind_result(result, query_binding(query), miss.query).as_cache_hit()
-        self._record(shared, True)
-        return shared, miss.config, miss.query
+        result = outcome.result
+        if result is None:
+            if outcome.deadline:
+                self._timeouts += not outcome.shared
+                raise RequestError(504, "timeout", outcome.error)
+            self._failures += not outcome.shared
+            raise RequestError(500, "optimizer_error", outcome.error)
+        if not outcome.shared:
+            if result.degraded:
+                self._degraded += 1
+            elif self.cache is not None:
+                self.cache.store(
+                    miss.key, miss.query, result, sql=miss.sql, exact_snapshot=miss.exact
+                )
+        self._record(result, outcome.shared)
+        return result, miss.config, miss.query
 
     def plan(self, body: dict, arrived: Optional[float] = None) -> Planned:
         """:meth:`probe`, and on a miss optimize right here under the
-        remaining budget, then :meth:`complete`."""
+        remaining budget."""
         found = self.probe(body, arrived)
         if type(found) is not Miss:
             return found
-        if chaos.enabled():
-            chaos.before_request(found.sql)
-        try:
-            # A fully consumed budget still arms a Deadline — it fires on
-            # the first DP check, so the request degrades (or 504s) at
-            # once instead of planning past its caller's patience.
-            budget = max(0.0, found.deadline_at - time.monotonic())
-            result = driver.optimize(
-                found.query, config=found.config, deadline=Deadline(budget)
-            )
-        except PlanningDeadlineExceeded as exc:
-            raise self.failure(f"{type(exc).__name__}: {exc}", True) from exc
-        except Exception as exc:  # noqa: BLE001 - per-request isolation
-            raise self.failure(f"{type(exc).__name__}: {exc}", False) from exc
-        return self.complete(found, result)
+        return self.complete(found, plan_miss(found))
 
     # -- request bodies (in-process planning) --------------------------------
     def optimize(self, body: dict, arrived: Optional[float] = None) -> dict:
@@ -731,7 +690,6 @@ class ServingCore:
                 "recosted": self._recosted,
                 "replanned": self._replanned,
                 "by_strategy": dict(self._by_strategy),
-                "by_engine": dict(self._by_engine),
             },
             "executions": executions,
             "cache": self.cache.describe() if self.cache is not None else None,

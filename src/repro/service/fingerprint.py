@@ -32,7 +32,9 @@ lets a cache distinguish "same query, stale statistics" from "new query".
 
 The full cache key is fingerprint + snapshot + strategy + cost model
 (Sec. 4's plan generators produce different plans, and so do differently
-priced searches, so neither may share entries).
+priced searches, so neither may share entries); :func:`plan_key` derives
+it from an :class:`~repro.optimizer.config.OptimizerConfig` for every
+cache user below the transports.
 """
 
 from __future__ import annotations
@@ -360,3 +362,26 @@ def cache_key(
         factor=effective_factor,
         cost_model=cost_model,
     )
+
+
+def plan_key(query: Query, config) -> Tuple[PlanCacheKey, str]:
+    """``(cache key, exact snapshot)`` for planning *query* under *config*.
+
+    The one statement of which optimizer settings a cached plan depends
+    on: strategy label and effective factor, cost-model name, snapshot
+    band width — not the engine, the deadline or the worker count, none
+    of which changes a finished plan.  The exact (unbanded) snapshot
+    travels beside the key: ``PlanCache.serve_entry`` compares it to
+    detect drift within a band, and a stored entry remembers it for
+    re-costing.  Without banding it is the key's own — no second digest.
+    """
+    key = cache_key(
+        query,
+        config.strategy,
+        config.factor,
+        cost_model=config.cost_model_name,
+        band_width=config.snapshot_band_width,
+    )
+    if config.snapshot_band_width is None:
+        return key, key.snapshot
+    return key, cardinality_snapshot(query)

@@ -33,7 +33,7 @@ from typing import Callable, Optional
 
 from repro.optimizer.config import OptimizerConfig
 from repro.service.cache import PlanCache, StaleClaim
-from repro.service.fingerprint import cache_key, cardinality_snapshot
+from repro.service.fingerprint import plan_key
 
 logger = logging.getLogger("repro.service.revalidate")
 
@@ -171,14 +171,7 @@ class StaleRevalidator:
             if claim.key.factor is not None:
                 overrides["factor"] = claim.key.factor
             entry_config = self.config.with_overrides(**overrides)
-            new_key = cache_key(
-                query,
-                entry_config.strategy,
-                entry_config.factor,
-                cost_model=entry_config.cost_model_name,
-                band_width=entry_config.snapshot_band_width,
-            )
-            exact = cardinality_snapshot(query)
+            new_key, exact = plan_key(query, entry_config)
             decision = evaluate_stale(
                 query, claim.result, config=entry_config, prepared=prepared
             )

@@ -70,8 +70,9 @@ class TestParseShim:
 class TestBatchShim:
     def test_run_batch_matches_session_run_batch(self):
         workload = generate_workload(6, 3, random.Random(21), unique=3)
-        legacy = run_batch(workload, "ea-prune", workers=1, cache=PlanCache(capacity=32))
-        session = PlannerSession(config=OptimizerConfig(workers=1, cache_capacity=32))
+        config = OptimizerConfig(workers=1, cache_capacity=32)
+        legacy = run_batch(workload, PlanCache(capacity=32), config)
+        session = PlannerSession(config=config)
         report = session.run_batch(workload)
         assert [item.cost for item in report.items] == [item.cost for item in legacy.items]
         assert [item.cache_hit for item in report.items] == [

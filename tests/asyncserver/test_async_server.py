@@ -73,10 +73,8 @@ class TestStats:
         assert stats["mode"] == "async"
         assert stats["shards"] == 2
         assert set(stats["persistence"]) == {"loaded", "saved", "rejected"}
-        assert stats["engine"]["requested"] == "indexed"
         assert stats["plans"]["served"] >= 1
-        assert stats["plans"]["by_engine"]  # effective engine counters
-        assert stats["engine"]["effective"] == stats["plans"]["by_engine"]
+        assert stats["plans"]["by_strategy"]  # merged over the shards
         assert len(stats["shard_detail"]) == 2
         for detail in stats["shard_detail"]:
             assert detail["shard"] in (0, 1)

@@ -364,17 +364,31 @@ class TestTheDeletedEngine:
             optimize(query, "h1", engine="vectorized")
         with pytest.raises(ValueError, match="unknown engine 'vectorized'"):
             OptimizerConfig(engine="vectorized")
-        with pytest.raises(ValueError, match="unknown engine 'vectorized'"):
-            ServingConfig(engine="vectorized")
+        with pytest.raises(TypeError):  # a server has no engine setting at all
+            ServingConfig(engine="indexed")
 
-    def test_import_repro_optimizer_is_light(self):
-        """The optimizer is a library first: importing it must not pull in
-        numpy (the deleted engine did: +13 MB and 0.1–0.2 s per process),
-        nor the serving stacks."""
+    @pytest.mark.parametrize(
+        "module, forbidden",
+        [
+            # The optimizer is a library first: importing it must not pull
+            # in numpy (the deleted engine did: +13 MB and 0.1–0.2 s per
+            # process), nor the serving stacks.
+            ("repro.optimizer", ("numpy", "asyncio", "http")),
+            # A shard worker serves frames over pipes: neither front's
+            # event loop, HTTP stack or process pool belongs in it
+            # (100 modules / 8 MB of RSS per shard when they were).
+            (
+                "repro.asyncserver.worker",
+                ("asyncio", "http", "ssl", "email", "multiprocessing",
+                 "repro.asyncserver.app", "repro.server.app", "repro.api"),
+            ),
+        ],
+    )
+    def test_imports_are_light(self, module, forbidden):
         src = str(Path(repro.__file__).resolve().parents[1])
         code = (
-            "import sys; import repro.optimizer; "
-            "print(sorted(m for m in ('numpy', 'asyncio', 'http') if m in sys.modules))"
+            f"import sys; import {module}; "
+            f"print(sorted(m for m in {forbidden!r} if m in sys.modules))"
         )
         out = subprocess.run(
             [sys.executable, "-c", code],

@@ -4,7 +4,7 @@ import pytest
 
 from repro.aggregates import count_star, sum_
 from repro.aggregates.vector import AggItem, AggVector
-from repro.algebra.expressions import Attr
+from repro.algebra.expressions import Attr, Const
 from repro.query.spec import JoinEdge, Query, RelationInfo
 from repro.query.tree import TreeLeaf, TreeNode, tree_depth, tree_leaves, tree_operators
 from repro.rewrites.pushdown import OpKind
@@ -122,6 +122,16 @@ class TestQuery:
 
     def test_needed_above_full_set_is_group_only(self):
         q = simple_query()
+        assert q.needed_above(0b11) == frozenset({"r0.g"})
+
+    def test_needed_above_keeps_a_one_sided_join_predicates_attribute(self):
+        # ``ON 7 = r1.id`` mentions one side only; the join still happens
+        # where r0 and r1 meet, so r1.id must survive a grouping of r1.
+        q = simple_query()
+        one_sided = JoinEdge(0, OpKind.INNER, Const(7).eq(Attr("r1.id")), 0.01)
+        q = Query(q.relations, [one_sided], q.tree, q.group_by, q.aggregates)
+        assert "r1.id" in q.needed_above(0b10)
+        assert q.needed_above(0b01) == frozenset({"r0.g"})
         assert q.needed_above(0b11) == frozenset({"r0.g"})
 
     def test_normalization_exposed(self):

@@ -25,6 +25,10 @@ SQL = (
     "SELECT ns.n_name, count(*) AS cnt FROM nation ns "
     "JOIN supplier s ON ns.n_nationkey = s.s_nationkey GROUP BY ns.n_name"
 )
+SQL_RENAMED = (
+    "SELECT n2.n_name, count(*) AS cnt FROM nation n2 "
+    "JOIN supplier sup ON n2.n_nationkey = sup.s_nationkey GROUP BY n2.n_name"
+)
 
 
 @pytest.fixture(scope="module")
@@ -178,6 +182,34 @@ class TestServiceWithPool:
             assert again["cache_hit"] is True
         finally:
             service.close()
+
+    def test_one_wave_plans_each_key_once_and_followers_share(self):
+        service = PlanService(ServerConfig(port=0, workers=1, cache_capacity=16))
+        try:
+            body = service.batch_body({"queries": [SQL, SQL_RENAMED, SQL], "include_plans": True})
+            stats = service.stats_body()
+        finally:
+            service.close()
+        assert [item["cache_hit"] for item in body["items"]] == [False, True, True]
+        assert "n2" in str(body["items"][1]["plan"]) and "n2" not in str(body["items"][2]["plan"])
+        assert (stats["plans"]["cache_misses"], stats["cache"]["puts"]) == (1, 1.0)
+
+    def test_a_failed_leader_fails_its_wave_and_is_counted_once(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise KeyError("poisoned")
+
+        monkeypatch.setattr("repro.service.batch.driver.optimize", boom)
+        service = PlanService(ServerConfig(port=0, workers=0, cache_capacity=16))
+        try:
+            body = service.batch_body({"queries": [SQL, SQL_RENAMED, SQL]})
+            stats = service.stats_body()
+        finally:
+            service.close()
+        assert body["failed"] == 3
+        assert {(item["stage"], item["error"]) for item in body["items"]} == {
+            ("optimize", "KeyError: 'poisoned'")
+        }
+        assert stats["plans"]["failures"] == 1 and stats["cache"]["size"] == 0.0
 
 
 class TestLockScope:

@@ -1,8 +1,8 @@
 """Sync-tier reporting parity and drain exchange accounting.
 
 The async tier aggregates per-shard stats; the sync tier must expose the
-same reporting surface (``mode`` / ``shards`` / ``persistence`` /
-``engine``) so a scraper needs no branching.  And a graceful drain must
+same reporting surface (``mode`` / ``shards`` / ``persistence``) so a
+scraper needs no branching.  And a graceful drain must
 cover the *whole* exchange — the admission slot is released when the
 handler has its payload, but the response bytes and metrics record land
 after that, so waiting on admissions alone can close the socket under
@@ -37,9 +37,8 @@ class TestStatsParityFields:
         assert stats["mode"] == "sync"
         assert stats["shards"] == 1
         assert stats["persistence"] == {"loaded": 0, "saved": 0, "rejected": 0}
-        assert stats["engine"]["requested"] == "indexed"
-        assert stats["engine"]["effective"] == stats["plans"]["by_engine"]
-        assert stats["plans"]["by_engine"].get("indexed", 0) >= 1
+        assert "engine" not in stats and "by_engine" not in stats["plans"]
+        assert stats["plans"]["by_strategy"].get("ea-prune", 0) >= 1
 
 
 class TestDrainExchangeAccounting:

@@ -17,12 +17,18 @@ from repro.algebra.expressions import Attr
 from repro.optimizer.config import OptimizerConfig
 from repro.query.spec import Query
 from repro.service import PlanCache, optimize_many, run_batch
-from repro.service.batch import _optimize_payload, resolve_config
+from repro.service.batch import Miss, plan_miss
+from repro.service.fingerprint import plan_key
 from repro.workload import generate_workload
 
 
 def workload(count, unique=None, n=4, seed=7):
     return generate_workload(count, n, random.Random(seed), unique=unique)
+
+
+def ticket(query: Query) -> Miss:
+    config = OptimizerConfig()
+    return Miss(query, config, *plan_key(query, config))
 
 
 def poisoned(query: Query) -> Query:
@@ -45,14 +51,14 @@ def poisoned(query: Query) -> Query:
 class TestWorkerOutcome:
     def test_success_envelope(self):
         query = workload(1)[0]
-        outcome = _optimize_payload((query, OptimizerConfig(cache_capacity=None)))
+        outcome = plan_miss(ticket(query))
         assert outcome.ok
         assert outcome.error is None
         assert outcome.result.cost > 0
 
     def test_failure_envelope_instead_of_raising(self):
         query = poisoned(workload(1)[0])
-        outcome = _optimize_payload((query, OptimizerConfig(cache_capacity=None)))
+        outcome = plan_miss(ticket(query))
         assert not outcome.ok
         assert outcome.result is None
         assert "ghost.attr" in outcome.error
@@ -65,7 +71,7 @@ class TestPoisonedBatchStreaming:
     def test_other_items_survive_in_order(self, workers):
         queries = workload(6, seed=11)
         queries[2] = poisoned(queries[2])
-        items = list(optimize_many(queries, workers=workers))
+        items = list(optimize_many(queries, config=OptimizerConfig(workers=workers)))
         assert [item.index for item in items] == list(range(6))
         assert [item.ok for item in items] == [True, True, False, True, True, True]
         assert all(item.result is not None for item in items if item.ok)
@@ -78,7 +84,7 @@ class TestPoisonedBatchStreaming:
         queries = workload(4, seed=11)
         bad = poisoned(queries[0])
         queries = [bad, queries[1], bad, queries[3]]
-        items = list(optimize_many(queries, workers=workers))
+        items = list(optimize_many(queries, config=OptimizerConfig(workers=workers)))
         assert [item.ok for item in items] == [False, True, False, True]
         # shared outcome, but duplicates are failures, not cache hits
         assert items[0].error == items[2].error
@@ -88,7 +94,7 @@ class TestPoisonedBatchStreaming:
         queries = workload(4, seed=11)
         queries[1] = poisoned(queries[1])
         cache = PlanCache(capacity=16)
-        items = list(optimize_many(queries, workers=workers, cache=cache))
+        items = list(optimize_many(queries, cache, OptimizerConfig(workers=workers)))
         assert len(cache) == 3  # only the successes were stored
         assert items[1].key not in cache
         assert cache.stats.puts == 3
@@ -96,7 +102,7 @@ class TestPoisonedBatchStreaming:
     def test_report_surfaces_failures(self, workers):
         queries = workload(5, seed=11)
         queries[4] = poisoned(queries[4])
-        report = run_batch(queries, workers=workers, cache=PlanCache(capacity=16))
+        report = run_batch(queries, PlanCache(capacity=16), OptimizerConfig(workers=workers))
         assert report.total == 5
         assert report.failed == 1
         assert [item.index for item in report.failures] == [4]
@@ -104,7 +110,7 @@ class TestPoisonedBatchStreaming:
 
     def test_cost_on_failed_item_raises_with_context(self, workers):
         queries = [poisoned(workload(1)[0])]
-        (item,) = list(optimize_many(queries, workers=workers))
+        (item,) = list(optimize_many(queries, config=OptimizerConfig(workers=workers)))
         with pytest.raises(ValueError, match="failed to optimize"):
             item.cost
 
@@ -112,35 +118,7 @@ class TestPoisonedBatchStreaming:
 class TestAllPoisoned:
     def test_every_item_fails_batch_still_completes(self):
         queries = [poisoned(query) for query in workload(3, seed=13)]
-        report = run_batch(queries, workers=2)
+        report = run_batch(queries, config=OptimizerConfig(workers=2))
         assert report.failed == 3
         assert report.hits == 0
         assert report.optimize_seconds == 0.0
-
-
-class TestResolveConfigConflicts:
-    def test_config_alone_passes_through(self):
-        config = OptimizerConfig(strategy="h1", cache_capacity=None)
-        assert resolve_config(config, "ea-prune", 1.03, None) is config
-
-    def test_legacy_kwargs_alone_build_a_config(self):
-        config = resolve_config(None, "h2", 1.1, 3)
-        assert config.strategy_name == "h2"
-        assert config.factor == 1.1
-        assert config.workers == 3
-
-    def test_conflicting_strategy_raises(self):
-        with pytest.raises(ValueError, match="strategy='h1'"):
-            resolve_config(OptimizerConfig(), "h1", 1.03, None)
-
-    def test_conflicting_factor_raises(self):
-        with pytest.raises(ValueError, match="factor=1.5"):
-            resolve_config(OptimizerConfig(), "ea-prune", 1.5, None)
-
-    def test_conflict_raised_from_optimize_many(self):
-        with pytest.raises(ValueError, match="conflicting optimizer settings"):
-            list(optimize_many(workload(1), strategy="dphyp", config=OptimizerConfig()))
-
-    def test_workers_override_still_allowed(self):
-        config = resolve_config(OptimizerConfig(workers=2), "ea-prune", 1.03, 5)
-        assert config.workers == 5

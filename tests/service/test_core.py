@@ -19,7 +19,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.server.metrics import check_route, parse_body
+from repro.service import batch as batch_module
 from repro.service import core as core_module
+from repro.service.batch import WorkerOutcome, plan_miss, plan_wave
 from repro.service.config import ServingConfig
 from repro.service.core import (
     DEFAULT_EXECUTE_LIMIT,
@@ -29,6 +31,7 @@ from repro.service.core import (
     batch_queries,
     merge_stats,
 )
+from repro.service.fingerprint import plan_key
 
 SQL = (
     "SELECT ns.n_name, count(*) AS cnt FROM nation ns "
@@ -95,7 +98,6 @@ class TestOptimizeAndExplain:
         assert (plans["served"], plans["cache_hits"], plans["cache_misses"]) == (2, 1, 1)
         assert plans["hit_rate"] == 0.5
         assert plans["by_strategy"] == {"ea-prune": 2}
-        assert plans["by_engine"] == {"indexed": 2}
 
     def test_renamed_isomorphic_query_hits_and_speaks_the_new_names(self, core):
         core.optimize({"sql": SQL})
@@ -155,40 +157,67 @@ class TestProbeCompleteShare:
     """The split the threaded tier plans through (probe → pool → complete)."""
 
     def test_probe_hands_out_a_ticket_then_a_hit(self, core):
-        miss = core.probe({"sql": SQL}, arrived=100.0)
-        assert type(miss) is Miss
-        assert miss.sql == SQL and miss.config is core.base_config
-        assert miss.deadline_at == 100.0 + core.request_timeout
-        from repro.optimizer import optimize
-
-        result, config, query = core.complete(miss, optimize(miss.query, config=miss.config))
+        stamped = core.probe({"sql": SQL}, arrived=100.0)
+        assert type(stamped) is Miss
+        assert stamped.sql == SQL and stamped.config is core.base_config
+        assert stamped.deadline_at == 100.0 + core.request_timeout
+        # (planning *that* ticket would rightly find its budget long spent)
+        miss = core.probe({"sql": SQL})
+        result, config, query = core.complete(miss, plan_miss(miss))
         assert result.cache_hit is False and query is miss.query
         hit = core.probe({"sql": SQL})
         assert type(hit) is tuple
         assert hit[0].cache_hit is True and hit[0].cost == result.cost and hit[2] is query
 
-    def test_share_rebinds_the_leaders_run_for_a_renamed_duplicate(self, core):
+    def test_the_text_memo_composes_the_key_plan_key_states(self):
+        core = make_core(snapshot_band_width=1.0)
+        for body in ({"sql": SQL}, {"sql": SQL, "strategy": "h2", "factor": 1.5}):
+            miss = core.probe(body)
+            assert (miss.key, miss.exact) == plan_key(miss.query, miss.config)
+            assert miss.exact != miss.key.snapshot  # banded key, exact beside it
+
+    def test_a_follower_shares_its_leaders_run_under_its_own_names(self, core):
         leader, follower = core.probe({"sql": SQL}), core.probe({"sql": SQL_RENAMED})
         assert leader.key == follower.key  # same problem, other names
-        planned = core.plan({"sql": SQL})
-        shared, _config, query = core.share(planned, follower)
-        assert query is follower.query
-        assert shared.cache_hit is True and shared.cost == planned[0].cost
-        assert "n2" in json.dumps(core_module.plan_to_dict(shared.plan.node))
+        runs = []
 
-    def test_failure_counts_and_maps_statuses(self, core):
-        timeout = core.failure("PlanningDeadlineExceeded: late", timed_out=True)
-        broken = core.failure("KeyError: 'x'", timed_out=False)
-        assert (timeout.status, timeout.code) == (504, "timeout")
-        assert (broken.status, broken.code) == (500, "optimizer_error")
+        def run(leaders):
+            runs.extend(leaders)
+            return map(plan_miss, leaders)
+
+        led, shared = plan_wave([leader, follower], run)
+        assert runs == [leader] and not led.shared and shared.shared
+        planned = core.complete(leader, led)
+        result, _config, query = core.complete(follower, shared)
+        assert query is follower.query
+        assert result.cache_hit is True and result.cost == planned[0].cost
+        assert "n2" in json.dumps(core_module.plan_to_dict(result.plan.node))
+        plans, cache = core.stats()["plans"], core.stats()["cache"]
+        assert (plans["served"], plans["cache_hits"]) == (2, 1) and cache["puts"] == 1.0
+
+    @pytest.mark.parametrize(
+        "deadline, status, code, counter",
+        [(True, 504, "timeout", "timeouts"), (False, 500, "optimizer_error", "failures")],
+    )
+    def test_a_failed_leader_is_counted_once_and_fails_its_followers_alike(
+        self, core, deadline, status, code, counter
+    ):
+        misses = [core.probe({"sql": sql}) for sql in (SQL, SQL_RENAMED, SQL)]
+        failed = WorkerOutcome(None, "KeyError: 'x'", 0.01, deadline=deadline)
+        errors = [
+            error_of(core.complete, miss, outcome)
+            for miss, outcome in zip(misses, plan_wave(misses, lambda leaders: [failed]))
+        ]
+        assert {(e.status, e.code, e.message) for e in errors} == {(status, code, "KeyError: 'x'")}
         plans = core.stats()["plans"]
-        assert (plans["timeouts"], plans["failures"], plans["served"]) == (1, 1, 0)
+        assert plans[counter] == 1 and plans["timeouts"] + plans["failures"] == 1
+        assert plans["served"] == 0 and core.stats()["cache"]["size"] == 0.0
 
     def test_optimizer_crash_is_a_counted_500(self, core, monkeypatch):
         def boom(*args, **kwargs):
             raise KeyError("poisoned")
 
-        monkeypatch.setattr(core_module.driver, "optimize", boom)
+        monkeypatch.setattr(batch_module.driver, "optimize", boom)
         error = error_of(core.optimize, {"sql": SQL})
         assert (error.status, error.code) == (500, "optimizer_error")
         assert "KeyError" in error.message
@@ -278,6 +307,18 @@ class TestExecute:
         interpreter = data_core.execute({"sql": SQL, "executor": "interpreter", "limit": None})
         assert interpreter["executor"] == "interpreter" and columnar["limit"] is None
         assert sorted(map(tuple, columnar["rows"])) == sorted(map(tuple, interpreter["rows"]))
+
+    def test_a_one_sided_join_predicate_survives_eager_aggregation(self):
+        # Found by TestFrontendFuzz: Γ was pushed below the join without
+        # the join's own attribute (KeyError → 500 on either executor).
+        core = make_core(dataset="tpch-sf0.001")
+        sql = SQL.replace("ns.n_nationkey = s.s_nationkey", "21 = s.s_nationkey")
+        bodies = [
+            core.execute({"sql": sql, "strategy": strategy, "limit": None})
+            for strategy in ("dphyp", "ea-prune", "ea-all", "h1", "h2")
+        ]
+        rows = [sorted(map(tuple, body["rows"])) for body in bodies]
+        assert rows[0] and all(other == rows[0] for other in rows[1:])
 
     def test_limits(self, data_core):
         assert data_core.execute({"sql": SQL, "limit": 2})["row_count"] == 2

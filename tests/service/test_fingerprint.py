@@ -6,7 +6,12 @@ from repro.algebra.expressions import Attr, BinOp, Const, Logical
 from repro.query.spec import JoinEdge, Query, RelationInfo
 from repro.query.tree import TreeLeaf, TreeNode
 from repro.rewrites.pushdown import OpKind
+import pytest
+
+from repro.optimizer import OptimizerConfig
+from repro.optimizer.strategies import EaPruneStrategy
 from repro.service import cache_key, cardinality_snapshot, query_fingerprint
+from repro.service.fingerprint import plan_key
 
 
 def make_relation(name, cardinality=1000.0):
@@ -211,6 +216,41 @@ class TestStrategyKeying:
         digest = cache_key(make_query()).digest()
         assert len(digest) == 64
         int(digest, 16)  # valid hex
+
+
+class TestPlanKey:
+    """``plan_key`` is the one statement of what a cached plan is keyed
+    on; keys derived from outside by spelling the settings out (the e2e
+    benchmark's ``layers.py`` does) must stay equal to it."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            OptimizerConfig(),
+            OptimizerConfig(strategy="h2", factor=1.5, snapshot_band_width=1.0),
+            OptimizerConfig(strategy=EaPruneStrategy("cost-only"), snapshot_band_width=0.5),
+            OptimizerConfig(strategy="dphyp", engine="reference", workers=3, deadline_seconds=1.0),
+        ],
+        ids=["defaults", "h2-banded", "instance-banded", "plumbing-only"],
+    )
+    def test_equals_the_spelled_out_key_and_pairs_the_exact_snapshot(self, config):
+        query = make_query()
+        key, exact = plan_key(query, config)
+        assert key == cache_key(
+            query, config.strategy, config.factor,
+            cost_model=config.cost_model_name, band_width=config.snapshot_band_width,
+        )
+        assert exact == cardinality_snapshot(query)
+        assert (key.snapshot == exact) == (config.snapshot_band_width is None)
+
+    def test_plumbing_settings_stay_out_of_the_key(self):
+        query = make_query()
+        plain = plan_key(query, OptimizerConfig(strategy="dphyp"))
+        plumbed = plan_key(query, OptimizerConfig(
+            strategy="dphyp", engine="reference", workers=3, deadline_seconds=1.0,
+            degradation="error", cache_capacity=None, recost_bound=4.0,
+        ))
+        assert plain == plumbed
 
 
 class TestOperatorKindSeparation:

@@ -8,6 +8,7 @@ refresh guard, banded-key migration through the
 
 import json
 import pickle
+from collections import OrderedDict
 
 import pytest
 
@@ -195,6 +196,47 @@ class TestStateTransitions:
         (claim,) = cache.claim_stale()
         cache.requeue(claim.key)
         assert cache.entry_state(key("q")) == STALE
+
+    def test_stale_count_scans_only_while_something_can_be_stale(self, tmp_path):
+        """A shard asks after every chunk of frames; the answer is a flag
+        read unless an entry left FRESH since the last scan found none."""
+
+        class Counting(OrderedDict):
+            scans = 0
+
+            def values(self):
+                Counting.scans += 1
+                return super().values()
+
+        cache = PlanCache(capacity=8)
+        for tag in ("a", "b", "c"):
+            cache.put(key(tag), Plan(tag), relations=["orders"], exact_snapshot="v1")
+        plain, cache._entries = cache._entries, Counting(cache._entries)
+        assert [cache.stale_count() for _ in range(5)] == [0] * 5 and Counting.scans == 0
+        # every way out of FRESH raises the flag: a drift mark ...
+        cache.mark_stale("orders")
+        assert cache.stale_count() == 3
+        for claim in cache.claim_stale():
+            cache.refresh(claim.key, Plan("new"), exact_snapshot="v1")
+        scans = Counting.scans
+        assert cache.stale_count() == 0 and Counting.scans > scans  # the scan that lowers it
+        scans = Counting.scans
+        assert cache.stale_count() == 0 and Counting.scans == scans
+        # ... an exact-snapshot mismatch noticed while serving ...
+        cache.serve_entry(key("a"), query=None, exact_snapshot="v2")
+        assert cache.stale_count() == 1
+        # ... a claim handed back (the entry never was fresh in between) ...
+        (claim,) = cache.claim_stale()
+        assert cache.stale_count() == 1
+        cache.requeue(claim.key)
+        assert cache.stale_count() == 1
+        # ... and states restored from a snapshot file.
+        cache._entries = plain
+        path = tmp_path / "shard.plancache"
+        cache.save_snapshot(path, catalog_fingerprint="fp")
+        restored = PlanCache(capacity=8)
+        restored.load_snapshot(path, catalog_fingerprint="fp")
+        assert restored.stale_count() == 1
 
     def test_store_refuses_degraded(self):
         cache = PlanCache(capacity=4)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.optimizer import optimize
+from repro.optimizer import OptimizerConfig, optimize
 from repro.plans import render_plan
 from repro.service import PlanCache, cache_key, optimize_many
 from repro.sql import Catalog, parse_query
@@ -88,7 +88,7 @@ class TestRenamedCacheHits:
 
     def test_batch_rebinds_within_batch_duplicates(self, catalog):
         q_ns, q_xy = queries(catalog)
-        items = list(optimize_many([q_ns, q_xy], workers=1))
+        items = list(optimize_many([q_ns, q_xy], config=OptimizerConfig(workers=1)))
         assert not items[0].cache_hit and items[1].cache_hit
         rendered = render_plan(items[1].result.plan.node)
         assert "x.n_name" in rendered and "ns." not in rendered
