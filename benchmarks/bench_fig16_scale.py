@@ -17,42 +17,36 @@ produce against real SF-scaled TPC-H data through the columnar executor
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_fig16_scale.py               # full run
-    PYTHONPATH=src python benchmarks/bench_fig16_scale.py --quick       # CI smoke
-    PYTHONPATH=src python benchmarks/bench_fig16_scale.py --quick \\
-        --baseline benchmarks/BENCH_exec.json                           # regression gate
+    python benchmarks/bench_fig16_scale.py               # full run
+    python benchmarks/bench_fig16_scale.py --quick       # CI smoke
+    python benchmarks/bench_fig16_scale.py --quick \\
+        --baseline benchmarks/BENCH_exec.json            # regression gate
 
 Full runs measure the correlation sweep at SF 0.1 (plus the SF 0.01
 rows the quick mode reuses, so the committed artifact doubles as the CI
 baseline) and assert the committed gates: every head-to-head speedup
 ≥ 10× and pooled log-log Pearson ≥ 0.5 at the largest scale.  Quick
-runs skip the gates and instead diff against ``--baseline``: matching
-(query, scale, strategy, executor) cases slower than ``--max-regression``
-(default 2.0×) fail the run; baseline cases under 50 ms are noise and
-skipped.  The JSON is rewritten after every case, so partial results
-survive interruption.
+runs skip the gates and instead diff against ``--baseline``: same-keyed
+(query, scale, strategy, executor, phase) cases slower than
+``--max-regression`` (default 2.0×) fail the run; baseline cases under
+50 ms are noise and skipped.  The JSON (format and gate: ``artifact.py``)
+is rewritten after every case, so partial results survive interruption.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
-import os
-import platform
 import sys
 import time
 from pathlib import Path
 
-if __name__ == "__main__":  # allow running without PYTHONPATH=src
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
+import artifact
+import calibrate
 from repro.exec import run_plan
 from repro.optimizer import optimize
 from repro.tpch.datagen import scaled_dataset
 from repro.tpch.queries import TPCH_QUERIES
-
-SCHEMA = "bench-exec/v1"
 
 #: The Fig. 16/17 plan generators whose plans the sweep executes.  All
 #: four run the same lowering and backend — only the join order and
@@ -93,72 +87,23 @@ SPEEDUP_TARGETS = {
 #: accordingly slower.
 CORRELATION_FLOOR = 0.5
 
-#: Per-measurement repetitions: re-run short cases, keep the minimum.
-FAST_CASE_SECONDS = 5.0
-FAST_CASE_REPEAT = 3
-
 
 def _measure(query_name, scale_factor, strategy, executor, plan, cost, database,
              phase):
-    """Time run_plan for one case; min over repeats for short cases."""
-    best = None
-    rows = 0
-    repeats = 1
-    for attempt in range(FAST_CASE_REPEAT):
-        started = time.perf_counter()
-        result = run_plan(plan, database, executor=executor)
-        elapsed = time.perf_counter() - started
-        rows = len(result)
-        if best is None or elapsed < best:
-            best = elapsed
-        if elapsed >= FAST_CASE_SECONDS:
-            break
-        repeats = attempt + 1
+    """Time run_plan for one case."""
+    result, timing = artifact.measure(lambda: run_plan(plan, database, executor=executor))
     return {
-        "query": query_name,
-        "scale_factor": scale_factor,
-        "strategy": strategy,
-        "executor": executor,
-        "phase": phase,
-        "seconds": best,
-        "repeats": repeats,
+        "key": {
+            "query": query_name,
+            "scale_factor": scale_factor,
+            "strategy": strategy,
+            "executor": executor,
+            "phase": phase,
+        },
+        **timing,
         "cost": cost,
-        "rows": rows,
+        "rows": len(result),
     }
-
-
-def _write(out_path: Path, payload: dict) -> None:
-    """Atomic rewrite so a killed run never leaves a truncated artifact."""
-    tmp = out_path.with_suffix(out_path.suffix + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, out_path)
-
-
-def _compute_speedups(cases: list) -> list:
-    """Pair cases measured under both executors; speedup = interp/columnar."""
-    by_key = {
-        (c["query"], c["scale_factor"], c["strategy"], c["executor"]): c for c in cases
-    }
-    speedups = []
-    for (query, scale, strategy, executor), case in sorted(
-        by_key.items(), key=lambda item: (item[0][1], item[0][0], item[0][2])
-    ):
-        if executor != "columnar":
-            continue
-        slow = by_key.get((query, scale, strategy, "interpreter"))
-        if slow is None:
-            continue
-        speedups.append(
-            {
-                "query": query,
-                "scale_factor": scale,
-                "strategy": strategy,
-                "interpreter_seconds": slow["seconds"],
-                "columnar_seconds": case["seconds"],
-                "speedup": slow["seconds"] / case["seconds"],
-            }
-        )
-    return speedups
 
 
 def _ranks(values: list) -> list:
@@ -199,10 +144,10 @@ def _compute_correlation(cases: list) -> dict:
     (e.g. Q3, where every strategy picks near-identical orders) are
     visible rather than hidden in the pooled number.
     """
-    sweep = [c for c in cases if c["executor"] == "columnar" and c["phase"] == "sweep"]
     by_scale = {}
-    for case in sweep:
-        by_scale.setdefault(case["scale_factor"], []).append(case)
+    for case in cases:
+        if case["key"]["phase"] == "sweep":  # columnar only
+            by_scale.setdefault(case["key"]["scale_factor"], []).append(case)
     out = {}
     for scale, group in sorted(by_scale.items()):
         if len(group) < 3:
@@ -212,7 +157,7 @@ def _compute_correlation(cases: list) -> dict:
         per_query = {}
         for case in group:
             bucket = per_query.setdefault(
-                case["query"], {"costs": [], "seconds": []}
+                case["key"]["query"], {"costs": [], "seconds": []}
             )
             bucket["costs"].append(case["cost"])
             bucket["seconds"].append(case["seconds"])
@@ -231,26 +176,9 @@ def _compute_correlation(cases: list) -> dict:
     return out
 
 
-def _numpy_available() -> bool:
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
 def run(head_to_head, scales, out_path: Path, mode: str) -> dict:
-    payload = {
-        "schema": SCHEMA,
-        "mode": mode,
-        "python": platform.python_version(),
-        "platform": f"{platform.system()}-{platform.machine()}",
-        "numpy": _numpy_available(),
-        "generated_unix": int(time.time()),
-        "cases": [],
-        "speedups": [],
-        "correlation": {},
-    }
+    payload = artifact.new_payload("exec", mode)
+    payload["correlation"] = {}
     datasets = {}
 
     def dataset(scale):
@@ -263,12 +191,16 @@ def run(head_to_head, scales, out_path: Path, mode: str) -> dict:
 
     def record(case):
         payload["cases"].append(case)
-        payload["speedups"] = _compute_speedups(payload["cases"])
+        payload["speedups"] = artifact.pair_speedups(
+            payload["cases"], "executor", "columnar", "interpreter"
+        )
         payload["correlation"] = _compute_correlation(payload["cases"])
-        _write(out_path, payload)
+        artifact.write(out_path, payload)
+        key = case["key"]
         print(
-            f"{case['executor']:11s} {case['query']:3s} sf={case['scale_factor']:<5} "
-            f"{case['strategy']:8s}: {case['seconds']:9.3f}s  rows={case['rows']}",
+            f"{key['executor']:11s} {key['query']:3s} sf={key['scale_factor']:<5} "
+            f"{key['strategy']:8s}: {case['seconds']:9.3f}s  "
+            f"(raw {case['raw_seconds']:.3f}s)  rows={case['rows']}",
             flush=True,
         )
 
@@ -314,7 +246,10 @@ def run(head_to_head, scales, out_path: Path, mode: str) -> dict:
 def check_gates(payload: dict) -> bool:
     """Full-run acceptance: speedup floors + pooled correlation floor."""
     ok = True
-    by_key = {(s["query"], s["scale_factor"]): s["speedup"] for s in payload["speedups"]}
+    by_key = {
+        (s["key"]["query"], s["key"]["scale_factor"]): s["speedup"]
+        for s in payload["speedups"]
+    }
     for key, minimum in SPEEDUP_TARGETS.items():
         speedup = by_key.get(key)
         if speedup is None:
@@ -348,42 +283,6 @@ def check_gates(payload: dict) -> bool:
     return ok
 
 
-def check_baseline(payload: dict, baseline_path: Path, max_regression: float) -> bool:
-    """Compare case timings against a committed baseline artifact."""
-    if not baseline_path.exists():
-        print(
-            f"baseline {baseline_path} not found — regenerate it with a full "
-            f"run: PYTHONPATH=src python benchmarks/bench_fig16_scale.py "
-            f"--out {baseline_path}",
-            file=sys.stderr,
-        )
-        return False
-    baseline = json.loads(baseline_path.read_text())
-    baseline_by_key = {
-        (c["query"], c["scale_factor"], c["strategy"], c["executor"]): c
-        for c in baseline.get("cases", [])
-    }
-    ok = True
-    compared = 0
-    for case in payload["cases"]:
-        key = (case["query"], case["scale_factor"], case["strategy"], case["executor"])
-        base = baseline_by_key.get(key)
-        if base is None or base["seconds"] < 0.05:
-            continue  # absent or too small to compare reliably
-        compared += 1
-        ratio = case["seconds"] / base["seconds"]
-        marker = "REGRESSION" if ratio > max_regression else "ok"
-        print(
-            f"baseline {key}: {base['seconds']:.3f}s -> {case['seconds']:.3f}s "
-            f"({ratio:.2f}x) {marker}"
-        )
-        if ratio > max_regression:
-            ok = False
-    if compared == 0:
-        print("baseline: no comparable cases (all below the 50 ms noise floor)")
-    return ok
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true", help="CI smoke case list")
@@ -401,7 +300,9 @@ def main(argv=None) -> int:
         help="skip the full-run speedup/correlation assertions",
     )
     args = parser.parse_args(argv)
+    baseline = artifact.load_baseline(args.baseline) if args.baseline else None
 
+    calibrate.pin_to_one_core()
     mode = "quick" if args.quick else "full"
     head_to_head = QUICK_HEAD_TO_HEAD if args.quick else FULL_HEAD_TO_HEAD
     scales = QUICK_SCALES if args.quick else FULL_SCALES
@@ -410,19 +311,20 @@ def main(argv=None) -> int:
 
     failed = False
     if mode == "full" and not args.no_gate_check:
-        if not payload["numpy"]:
+        if not payload["env"]["numpy"]:
             # The pure-python fallback is the correctness net, not the
             # performance claim — gating it would measure the wrong thing.
             print("numpy unavailable: skipping speedup/correlation gates")
         elif not check_gates(payload):
             failed = True
-    if args.baseline:
-        if not check_baseline(payload, Path(args.baseline), args.max_regression):
+    if baseline is not None:
+        if not artifact.check_baseline(payload, baseline, args.max_regression):
             failed = True
 
     for speedup in payload["speedups"]:
+        key = speedup["key"]
         print(
-            f"speedup {speedup['query']:3s} sf={speedup['scale_factor']:<5}: "
+            f"speedup {key['query']:3s} sf={key['scale_factor']:<5}: "
             f"{speedup['speedup']:8.1f}x "
             f"({speedup['interpreter_seconds']:.3f}s -> "
             f"{speedup['columnar_seconds']:.3f}s)"

@@ -2,8 +2,8 @@
 
 Times :func:`repro.optimizer.optimize` on the four classic join topologies
 (:mod:`repro.workload.topologies`) per strategy and engine, and writes the
-results to a JSON file — the repository's perf-trajectory artifact that
-future perf PRs diff against.
+results to ``BENCH_hotpath.json`` (format and gate: ``artifact.py``) — the
+topology × size scaling that ROADMAP's optimizer items are gated on.
 
 Engines (see docs/architecture.md):
 
@@ -22,37 +22,30 @@ EA-Prune reference→indexed speedup targets hold.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_hotpath.py                  # full run
-    PYTHONPATH=src python benchmarks/bench_hotpath.py --quick          # CI smoke
-    PYTHONPATH=src python benchmarks/bench_hotpath.py --quick \\
-        --baseline benchmarks/BENCH_hotpath.json                       # regression gate
+    python benchmarks/bench_hotpath.py                  # full run
+    python benchmarks/bench_hotpath.py --quick          # CI smoke
+    python benchmarks/bench_hotpath.py --quick \\
+        --baseline benchmarks/BENCH_hotpath.json        # regression gate
 
-The baseline gate compares matching (topology, n, strategy, engine)
-cases and fails (exit 1) when any case slower than ``--max-regression``
-(default 2.0×) is found; cases under 50 ms in the baseline are ignored
-as noise.  The JSON is rewritten after every case, so partial results
-survive interruption.
+The baseline gate compares same-keyed (topology, n, strategy, engine)
+cases and fails (exit 1) when any is slower than ``--max-regression``
+(default 2.0×); cases under 50 ms in the baseline are ignored as noise.
+The JSON is rewritten after every case, so partial results survive
+interruption.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import os
-import platform
 import sys
-import time
 from pathlib import Path
 
-if __name__ == "__main__":  # allow running without PYTHONPATH=src
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
+import artifact
+import calibrate
 from repro.optimizer import optimize
 from repro.optimizer.planinfo import clear_memo_caches
 from repro.optimizer.strategies import reset_prune_caches
 from repro.workload import topology_query
-
-SCHEMA = "bench-hotpath/v3"
 
 #: Engine lists per case.  ``IR`` rows are the two-way comparisons;
 #: ``INDEXED_ONLY`` rows are sizes where the reference engine would take
@@ -106,40 +99,21 @@ FULL_SPEEDUP_TARGETS = {
     ("star", 10, "ea-prune"): 2.5,
 }
 
-#: Per-measurement repetitions: re-run short cases and keep the minimum.
-FAST_CASE_SECONDS = 5.0
-FAST_CASE_REPEAT = 3
-
-
-def _reset_global_caches() -> None:
-    """Start every measurement cold: drop all cross-run memo state."""
-    reset_prune_caches()
-    clear_memo_caches()
-
 
 def _measure(topology: str, n: int, strategy: str, engine: str) -> dict:
-    """Time one (topology, n, strategy, engine) case; min over repeats."""
-    best = None
-    result = None
-    repeats = 1
-    for attempt in range(FAST_CASE_REPEAT):
-        query = topology_query(topology, n)
-        _reset_global_caches()
-        started = time.perf_counter()
-        result = optimize(query, strategy, engine=engine)
-        elapsed = time.perf_counter() - started
-        if best is None or elapsed < best:
-            best = elapsed
-        if elapsed >= FAST_CASE_SECONDS:
-            break
-        repeats = attempt + 1
+    """Time one (topology, n, strategy, engine) case, every run of it cold."""
+
+    def cold_start():
+        reset_prune_caches()
+        clear_memo_caches()
+        return (topology_query(topology, n),)  # a fresh Query: empty hypergraph memos
+
+    result, timing = artifact.measure(
+        lambda query: optimize(query, strategy, engine=engine), setup=cold_start
+    )
     return {
-        "topology": topology,
-        "n": n,
-        "strategy": strategy,
-        "engine": engine,
-        "seconds": best,
-        "repeats": repeats,
+        "key": {"topology": topology, "n": n, "strategy": strategy, "engine": engine},
+        **timing,
         "cost": result.cost,
         "ccp_count": result.ccp_count,
         "plans_built": result.plans_built,
@@ -147,50 +121,8 @@ def _measure(topology: str, n: int, strategy: str, engine: str) -> dict:
     }
 
 
-def _write(out_path: Path, payload: dict) -> None:
-    """Atomic rewrite so a killed run never leaves a truncated artifact."""
-    tmp = out_path.with_suffix(out_path.suffix + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, out_path)
-
-
-def _compute_speedups(cases: list) -> list:
-    """Pair up cases measured under both engines; speedup = reference/indexed."""
-    by_key = {}
-    for case in cases:
-        by_key[(case["topology"], case["n"], case["strategy"], case["engine"])] = case
-    speedups = []
-    for (topology, n, strategy, engine), case in sorted(
-        by_key.items(), key=lambda item: (item[0][0], item[0][1], item[0][2])
-    ):
-        if engine != "indexed":
-            continue
-        slow = by_key.get((topology, n, strategy, "reference"))
-        if slow is None:
-            continue
-        speedups.append(
-            {
-                "topology": topology,
-                "n": n,
-                "strategy": strategy,
-                "indexed_seconds": case["seconds"],
-                "reference_seconds": slow["seconds"],
-                "speedup": slow["seconds"] / case["seconds"],
-            }
-        )
-    return speedups
-
-
 def run(cases, out_path: Path, mode: str) -> dict:
-    payload = {
-        "schema": SCHEMA,
-        "mode": mode,
-        "python": platform.python_version(),
-        "platform": f"{platform.system()}-{platform.machine()}",
-        "generated_unix": int(time.time()),
-        "cases": [],
-        "speedups": [],
-    }
+    payload = artifact.new_payload("hotpath", mode)
     mismatches = []
     for topology, strategy, sizes, engines in cases:
         for n in sizes:
@@ -199,24 +131,21 @@ def run(cases, out_path: Path, mode: str) -> dict:
                 case = _measure(topology, n, strategy, engine)
                 measured[engine] = case
                 payload["cases"].append(case)
-                payload["speedups"] = _compute_speedups(payload["cases"])
-                _write(out_path, payload)
+                payload["speedups"] = artifact.pair_speedups(
+                    payload["cases"], "engine", "indexed", "reference"
+                )
+                artifact.write(out_path, payload)
                 print(
                     f"{engine:10s} {topology:6s} n={n:2d} {strategy:8s}: "
-                    f"{case['seconds']:9.3f}s  plans={case['plans_built']}",
+                    f"{case['seconds']:9.3f}s  (raw {case['raw_seconds']:.3f}s)  "
+                    f"plans={case['plans_built']}",
                     flush=True,
                 )
-            indexed = measured.get("indexed")
-            for engine, case in measured.items():
-                if engine == "indexed" or indexed is None:
-                    continue
-                same = (
-                    indexed["cost"] == case["cost"]
-                    and indexed["ccp_count"] == case["ccp_count"]
-                    and indexed["plans_built"] == case["plans_built"]
-                )
-                if not same:
-                    mismatches.append((topology, n, strategy, engine))
+            if "reference" in measured and any(
+                measured["indexed"][field] != measured["reference"][field]
+                for field in ("cost", "ccp_count", "plans_built")
+            ):
+                mismatches.append((topology, n, strategy))
     if mismatches:
         print(f"ENGINE MISMATCH (cost/ccp/plans differ): {mismatches}", file=sys.stderr)
         raise SystemExit(2)
@@ -225,7 +154,10 @@ def run(cases, out_path: Path, mode: str) -> dict:
 
 def check_speedup_targets(speedups: list, targets: dict, label: str) -> bool:
     ok = True
-    by_key = {(s["topology"], s["n"], s["strategy"]): s["speedup"] for s in speedups}
+    by_key = {
+        (s["key"]["topology"], s["key"]["n"], s["key"]["strategy"]): s["speedup"]
+        for s in speedups
+    }
     for key, minimum in targets.items():
         speedup = by_key.get(key)
         if speedup is None:
@@ -239,44 +171,6 @@ def check_speedup_targets(speedups: list, targets: dict, label: str) -> bool:
             ok = False
         else:
             print(f"{label} target {key}: {speedup:.2f}x (>= {minimum:.1f}x) OK")
-    return ok
-
-
-def check_baseline(payload: dict, baseline_path: Path, max_regression: float) -> bool:
-    """Compare indexed timings against a committed baseline artifact."""
-    if not baseline_path.exists():
-        print(
-            f"baseline {baseline_path} not found — regenerate it with a full "
-            f"run: PYTHONPATH=src python benchmarks/bench_hotpath.py "
-            f"--out {baseline_path}",
-            file=sys.stderr,
-        )
-        return False
-    baseline = json.loads(baseline_path.read_text())
-    baseline_by_key = {
-        (c["topology"], c["n"], c["strategy"], c["engine"]): c
-        for c in baseline.get("cases", [])
-    }
-    ok = True
-    compared = 0
-    for case in payload["cases"]:
-        if case["engine"] != "indexed":
-            continue
-        key = (case["topology"], case["n"], case["strategy"], case["engine"])
-        base = baseline_by_key.get(key)
-        if base is None or base["seconds"] < 0.05:
-            continue  # absent or too small to compare reliably
-        compared += 1
-        ratio = case["seconds"] / base["seconds"]
-        marker = "REGRESSION" if ratio > max_regression else "ok"
-        print(
-            f"baseline {key}: {base['seconds']:.3f}s -> {case['seconds']:.3f}s "
-            f"({ratio:.2f}x) {marker}"
-        )
-        if ratio > max_regression:
-            ok = False
-    if compared == 0:
-        print("baseline: no comparable cases (all below the 50 ms noise floor)")
     return ok
 
 
@@ -297,7 +191,9 @@ def main(argv=None) -> int:
         help="skip the full-run EA-Prune speedup assertions",
     )
     args = parser.parse_args(argv)
+    baseline = artifact.load_baseline(args.baseline) if args.baseline else None
 
+    calibrate.pin_to_one_core()
     mode = "quick" if args.quick else "full"
     cases = QUICK_CASES if args.quick else FULL_CASES
     out_path = Path(args.out)
@@ -309,14 +205,15 @@ def main(argv=None) -> int:
             payload["speedups"], FULL_SPEEDUP_TARGETS, "speedup"
         ):
             failed = True
-    if args.baseline:
-        if not check_baseline(payload, Path(args.baseline), args.max_regression):
+    if baseline is not None:
+        if not artifact.check_baseline(payload, baseline, args.max_regression):
             failed = True
 
     for speedup in payload["speedups"]:
+        key = speedup["key"]
         print(
-            f"speedup {speedup['topology']:6s} n={speedup['n']:2d} "
-            f"{speedup['strategy']:8s}: {speedup['speedup']:6.2f}x "
+            f"speedup {key['topology']:6s} n={key['n']:2d} "
+            f"{key['strategy']:8s}: {speedup['speedup']:6.2f}x "
             f"({speedup['reference_seconds']:.3f}s -> {speedup['indexed_seconds']:.3f}s)"
         )
     print(f"wrote {out_path}")

@@ -83,7 +83,6 @@ class PlannerSession:
             self.cache = None
         self._unwatch: Optional[Callable[[], None]] = None
         self._unwatch_deltas: Optional[Callable[[], None]] = None
-        self._revalidator = None
         if self.cache is not None and self.catalog is not None:
             self._unwatch = self.cache.watch(self.catalog)
             # Statistics *drift* (update_stats) marks entries stale instead
@@ -204,35 +203,8 @@ class PlannerSession:
     def _derive(self, overrides: dict) -> OptimizerConfig:
         return self.config.with_overrides(**overrides) if overrides else self.config
 
-    def enable_revalidation(self, workers: int = 1, on_event=None):
-        """Start background revalidation of stale cache entries.
-
-        Replaces the session's passive mark-stale delta subscription with
-        an active :class:`~repro.service.revalidate.StaleRevalidator`
-        (*workers* threads) that re-costs or re-plans stale entries as
-        statistics drift lands.  Returns the revalidator (also owned and
-        closed by the session).  Requires a catalog and a cache.
-        """
-        if self.cache is None or self.catalog is None:
-            raise ValueError("revalidation needs both a cache and a catalog")
-        if self._revalidator is not None:
-            return self._revalidator
-        from repro.service.revalidate import StaleRevalidator
-
-        if self._unwatch_deltas is not None:  # the revalidator subscribes itself
-            self._unwatch_deltas()
-            self._unwatch_deltas = None
-        self._revalidator = StaleRevalidator(
-            self.cache, self.catalog, self.config,
-            workers=workers, on_event=on_event,
-        ).subscribe()
-        return self._revalidator
-
     def close(self) -> None:
         """Detach the cache from the catalog (idempotent)."""
-        if self._revalidator is not None:
-            self._revalidator.close()
-            self._revalidator = None
         if self._unwatch_deltas is not None:
             self._unwatch_deltas()
             self._unwatch_deltas = None

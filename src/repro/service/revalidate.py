@@ -19,17 +19,15 @@ path:
    (:meth:`~repro.service.cache.PlanCache.refresh` refuses degraded
    results); the entry returns to ``stale`` and is retried later.
 
-The executor is a small thread pool (``revalidate_workers``): the DP
-replan is CPU-bound but rare, re-costing is microseconds, and running
-in-process keeps the cache and catalog shared without pickling.
+``drain`` runs in the caller's thread — the owner of a
+:class:`~repro.service.core.ServingCore` decides when: both serving tiers
+call it with a ``limit`` between requests, outside their locks.
 """
 
 from __future__ import annotations
 
 import logging
-import threading
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.optimizer.config import OptimizerConfig
 from repro.service.cache import PlanCache, StaleClaim
@@ -43,71 +41,15 @@ CLAIM_BATCH = 32
 
 
 class StaleRevalidator:
-    """Re-cost or re-plan stale cache entries in the background.
+    """Re-cost or re-plan the stale entries of *cache* under *catalog*."""
 
-    *on_event* (optional) receives ``"recosted"`` / ``"replanned"`` /
-    ``"dropped"`` / ``"failed"`` once per processed entry — the hook
-    server metrics hang off.  Call :meth:`subscribe` to attach to the
-    catalog's delta channel (mark-stale + kick); :meth:`kick` schedules
-    a drain manually; :meth:`drain` runs one synchronously (tests,
-    CLI).
-    """
-
-    def __init__(
-        self,
-        cache: PlanCache,
-        catalog,
-        config: OptimizerConfig,
-        workers: int = 1,
-        on_event: Optional[Callable[[str], None]] = None,
-    ):
-        if workers < 1:
-            raise ValueError(f"revalidate workers must be >= 1, got {workers}")
+    def __init__(self, cache: PlanCache, catalog, config: OptimizerConfig):
         self.cache = cache
         self.catalog = catalog
         self.config = config
-        self.on_event = on_event
-        self._executor = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="revalidate"
-        )
-        self._unsubscribe: Optional[Callable[[], None]] = None
-        self._closed = threading.Event()
 
-    # -- wiring --------------------------------------------------------------
-    def subscribe(self) -> "StaleRevalidator":
-        """Attach to the catalog: deltas mark entries stale, then kick."""
-        if self._unsubscribe is None:
-            self._unsubscribe = self.catalog.subscribe_deltas(self._on_delta)
-        return self
-
-    def _on_delta(self, delta) -> None:
-        marked = self.cache.mark_stale(delta.relation)
-        if marked:
-            self.kick()
-
-    def kick(self) -> None:
-        """Schedule a background drain of the stale backlog (idempotent
-        enough: an extra drain finding no stale entries is a no-op)."""
-        if self._closed.is_set():
-            return
-        try:
-            self._executor.submit(self._drain_safely)
-        except RuntimeError:  # executor already shut down (close race)
-            pass
-
-    def _drain_safely(self) -> None:
-        try:
-            self.drain()
-        except Exception:  # noqa: BLE001 - a background thread must not die loudly
-            logger.exception("revalidation drain failed")
-
-    # -- the work ------------------------------------------------------------
     def drain(self, limit: Optional[int] = None) -> dict:
-        """Process the stale backlog (up to *limit* entries); counts dict.
-
-        Runs in the calling thread — the background path calls it from
-        an executor thread, tests and the CLI call it directly.
-        """
+        """Process the stale backlog (up to *limit* entries); counts dict."""
         counts = {"recosted": 0, "replanned": 0, "dropped": 0, "failed": 0}
         processed = 0
         # Failed entries go back to STALE (retryable on a *later* drain);
@@ -115,7 +57,7 @@ class StaleRevalidator:
         # failing entry (e.g. every replan deadline-degrades) would be
         # claimed, failed and requeued forever.
         failed_keys = set()
-        while not self._closed.is_set():
+        while True:
             batch = CLAIM_BATCH
             if limit is not None:
                 batch = min(batch, limit - processed)
@@ -135,8 +77,6 @@ class StaleRevalidator:
                 counts[outcome] += 1
                 processed += 1
                 progressed = True
-                if self.on_event is not None:
-                    self.on_event(outcome)
             if not progressed:
                 break
         return counts
@@ -196,12 +136,3 @@ class StaleRevalidator:
             logger.exception("revalidation failed for %s", claim.key)
             self.cache.requeue(claim.key)
             return "failed"
-
-    # -- lifecycle -----------------------------------------------------------
-    def close(self) -> None:
-        """Detach from the catalog and stop the worker pool (idempotent)."""
-        self._closed.set()
-        if self._unsubscribe is not None:
-            self._unsubscribe()
-            self._unsubscribe = None
-        self._executor.shutdown(wait=True, cancel_futures=True)

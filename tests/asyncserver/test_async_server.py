@@ -3,14 +3,17 @@
 Boots real servers (event-loop front + worker subprocesses) on
 ephemeral ports and drives them with the ordinary
 :class:`~repro.server.client.ServerClient`.  Covers shard routing, the
-merged ``/stats`` detail, crash restart, and the drain → snapshot →
-restart → warm-hit cycle.  Endpoint round-trips and error codes are the
+merged ``/stats`` detail, the front's admission bound under a pipelined
+burst, crash restart, and the drain → snapshot → restart → warm-hit
+cycle.  Endpoint round-trips and error codes are the
 contract shared with the threaded tier —
 ``tests/serving/test_contract.py`` runs them against one and two shards.
 """
 
+import json
 import os
 import signal
+import socket
 import time
 
 import pytest
@@ -81,6 +84,62 @@ class TestStats:
             assert detail["pid"] > 0
             assert set(detail["persistence"]) == {"loaded", "saved", "rejected"}
         assert stats["route_cache"]["hits"] + stats["route_cache"]["misses"] > 0
+
+
+class TestBackpressure:
+    """A burst beyond ``max_inflight`` is shed at the front, not queued."""
+
+    MAX_INFLIGHT = 4
+    BURST = 24
+
+    def test_burst_past_admission_gets_429_while_admitted_answer_200(self):
+        config = AsyncServerConfig(
+            port=0, shards=2, cache_capacity=64, max_inflight=self.MAX_INFLIGHT
+        )
+        body = json.dumps({"sql": SQL, "include_plan": False}).encode()
+        request = (
+            b"POST /optimize HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Length: %d\r\n\r\n" % len(body)
+        ) + body
+        with AsyncPlanServer(config) as running:
+            with ServerClient(port=running.port) as c:
+                c.optimize(SQL, include_plan=False)  # admitted requests are hits
+                # One write, so the front has dispatched the whole burst
+                # before the first shard reply can free an admission slot.
+                with socket.create_connection((running.host, running.port), 30) as sock:
+                    sock.sendall(request * self.BURST)
+                    replies = read_replies(sock, self.BURST)
+                statuses = [status for status, _payload in replies]
+                assert set(statuses) == {200, 429}
+                assert statuses.count(200) >= self.MAX_INFLIGHT
+                for status, payload in replies:
+                    if status == 429:
+                        assert payload["error"]["code"] == "overloaded"
+                    else:
+                        assert payload["cache_hit"] is True
+                assert c.healthz()["status"] == "ok"
+                counted = c.stats()["requests"]["POST /optimize"]
+                assert counted["rejected_429"] == statuses.count(429)
+                # slots released: a request is admitted again
+                assert c.optimize(SQL, include_plan=False)["cost"] > 0
+
+
+def read_replies(sock, count):
+    """``(status, json body)`` of *count* pipelined replies, in order."""
+    buffer, replies = b"", []
+    while len(replies) < count:
+        head, sep, rest = buffer.partition(b"\r\n\r\n")
+        length = None
+        if sep:
+            length = int(head.lower().split(b"content-length:")[1].split(b"\r\n")[0])
+        if length is None or len(rest) < length:
+            chunk = sock.recv(65536)
+            assert chunk, "server closed the connection mid-burst"
+            buffer += chunk
+            continue
+        replies.append((int(head[9:12]), json.loads(rest[:length])))
+        buffer = rest[length:]
+    return replies
 
 
 class TestCrashRestart:

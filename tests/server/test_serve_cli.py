@@ -1,5 +1,6 @@
 """The ``python -m repro serve`` subcommand: flags, daemon, SIGTERM drain."""
 
+import contextlib
 import json
 import os
 import signal
@@ -46,43 +47,78 @@ class TestServeParser:
             build_serve_parser().parse_args(["--strategy", "magic"])
 
 
+@contextlib.contextmanager
+def serving(*flags):
+    """``python -m repro serve --port 0 <flags>`` as a child; yields ``(proc, url)``."""
+    env = dict(os.environ)
+    existing = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = SRC + (os.pathsep + existing if existing else "")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0", *flags],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        env=env,
+        text=True,
+    )
+    try:
+        banner = proc.stdout.readline()
+        assert "listening on http://" in banner
+        yield proc, banner.split("listening on ")[1].split()[0]
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate(timeout=30)
+
+
+def call(url, path, payload=None):
+    data = None if payload is None else json.dumps(payload).encode()
+    request = urllib.request.Request(
+        url + path, data=data, headers={"Content-Type": "application/json"}
+    )
+    with urllib.request.urlopen(request, timeout=60) as response:
+        assert response.status == 200
+        return json.loads(response.read())
+
+
+def drain(proc):
+    """SIGTERM; the daemon must finish in-flight work and exit 0."""
+    proc.send_signal(signal.SIGTERM)
+    out, _ = proc.communicate(timeout=60)
+    assert proc.returncode == 0
+    assert "drained cleanly" in out
+    return out
+
+
 class TestServeDaemon:
     def test_serve_healthz_optimize_sigterm_drain(self):
         """The CI smoke, as a test: start, probe, optimize, drain cleanly."""
-        env = dict(os.environ)
-        existing = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = SRC + (os.pathsep + existing if existing else "")
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", "--port", "0", "--workers", "0"],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL,
-            env=env,
-            text=True,
-        )
-        try:
-            banner = proc.stdout.readline()
-            assert "listening on http://" in banner
-            url = banner.split("listening on ")[1].split()[0]
+        with serving("--workers", "0") as (proc, url):
+            assert call(url, "/healthz")["status"] == "ok"
+            body = call(url, "/optimize", {"sql": SQL, "include_plan": False})
+            assert body["cost"] > 0
+            assert body["strategy"] == "ea-prune"
+            drain(proc)
 
-            with urllib.request.urlopen(url + "/healthz", timeout=30) as response:
-                assert response.status == 200
-                assert json.loads(response.read())["status"] == "ok"
+    def test_async_drain_snapshots_and_restart_serves_warm(self, tmp_path):
+        """``serve --async --cache-dir``: a SIGTERM drain writes the shard
+        snapshots, and a restart over the same directory answers its
+        first request from them with the identical plan."""
+        flags = ("--async", "--shards", "2", "--cache-dir", str(tmp_path))
+        with serving(*flags) as (proc, url):
+            cold = call(url, "/optimize", {"sql": SQL})
+            assert cold["cache_hit"] is False
+            explain_before = call(url, "/explain", {"sql": SQL})["explain"]
+            assert "snapshotted" in drain(proc)
+        assert sorted(os.listdir(tmp_path)) == [
+            "shard-000-of-002.plancache", "shard-001-of-002.plancache",
+        ]
 
-            request = urllib.request.Request(
-                url + "/optimize",
-                data=json.dumps({"sql": SQL, "include_plan": False}).encode(),
-                headers={"Content-Type": "application/json"},
-            )
-            with urllib.request.urlopen(request, timeout=60) as response:
-                body = json.loads(response.read())
-                assert body["cost"] > 0
-                assert body["strategy"] == "ea-prune"
-
-            proc.send_signal(signal.SIGTERM)
-            out, _ = proc.communicate(timeout=60)
-            assert proc.returncode == 0
-            assert "drained cleanly" in out
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.communicate(timeout=30)
+        with serving(*flags) as (proc, url):
+            persistence = call(url, "/stats")["persistence"]
+            assert persistence["loaded"] >= 1
+            assert persistence["rejected"] == 0
+            warm = call(url, "/optimize", {"sql": SQL})
+            assert warm["cache_hit"] is True
+            assert warm["plan"] == cold["plan"]
+            assert call(url, "/explain", {"sql": SQL})["explain"] == explain_before
+            drain(proc)

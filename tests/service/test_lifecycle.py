@@ -405,17 +405,17 @@ class TestStaleRevalidator:
 
     def test_delta_subscription_marks_and_drains(self):
         store_plan(self.cache, self.catalog, self.config)
-        revalidator = self.revalidator()
-        revalidator.subscribe()
+        unwatch = self.cache.watch_deltas(self.catalog)
         try:
             drift(self.catalog, "supplier", 1.5)
-            # The kick is asynchronous; drain synchronously for determinism.
-            revalidator.drain()
+            assert self.cache.stale_count() == 1
+            counts = self.revalidator().drain()
+            assert counts == {"recosted": 1, "replanned": 0, "dropped": 0, "failed": 0}
             assert self.cache.entry_state(self.post_drift_key()) == FRESH
             assert self.cache.stats.refreshed == 1
             assert self.cache.stale_count() == 0
         finally:
-            revalidator.close()
-        # After close, further deltas no longer mark anything stale.
+            unwatch()
+        # Once unwatched, further deltas no longer mark anything stale.
         drift(self.catalog, "supplier", 1.5)
         assert self.cache.stale_count() == 0
