@@ -8,7 +8,7 @@ produce against real SF-scaled TPC-H data through the columnar executor
 * **speedups** — interpreter vs. columnar on the same plan and data,
   the executor tier's headline (the interpreter is the executable spec;
   it is infeasible beyond tiny scale factors, which is exactly why the
-  columnar backend exists.  Q3 at SF 0.01 measures ~1000×).
+  columnar backend exists.  Q3 at SF 0.01 measures ~5000×).
 * **correlation** — per (query, strategy) pair: the optimizer's Cout
   cost against measured columnar wall time, across ``ea-prune`` / ``h1``
   / ``h2`` / ``dphyp`` on Ex, Q3, Q5 and Q10.  Pooled log-log Pearson
@@ -70,8 +70,8 @@ QUICK_SCALES = (0.01,)
 
 #: (query, scale_factor) → minimum interpreter/columnar speedup,
 #: asserted on full runs with numpy present.  10× is the committed
-#: executor-tier target; measured values are 30–150× at SF 0.001 and
-#: ~1000× at SF 0.01, so the floor leaves an order of magnitude of
+#: executor-tier target; measured values are 70–380× at SF 0.001 and
+#: ~5000× at SF 0.01, so the floor leaves orders of magnitude of
 #: margin for slow machines.
 SPEEDUP_TARGETS = {
     ("Q3", 0.001): 10.0,

@@ -17,7 +17,7 @@ row counts and distinct counts instead of spec-derived estimates.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.algebra.relation import Relation
 from repro.algebra.rows import Row
@@ -27,15 +27,29 @@ from repro.sql.catalog import Catalog, TableStats
 
 
 class ColumnTable:
-    """One base table, column-major, with cached row-view conversion."""
+    """One base table, column-major, with cached row-view conversion.
+
+    The table keeps one :class:`~repro.exec.columns.Column` per value
+    list, and every :meth:`view` and every :meth:`as_batch` — so every
+    request — hands out that same object: whatever a column caches (its
+    float64 lanes, once an expression or a join / grouping key asks for
+    them) is computed once per process.  The precondition is that **a
+    table's value lists are immutable once built**: nothing may append
+    to, reorder or overwrite them.  (``/stats_update`` changes catalog
+    statistics, never data.)
+    """
 
     __slots__ = ("name", "attributes", "_columns", "length", "_relation")
 
-    def __init__(self, name: str, columns: Mapping[str, List[SqlValue]]):
+    def __init__(self, name: str, columns: Mapping[str, Union[List[SqlValue], Column]]):
         self.name = name
-        self.attributes: Tuple[str, ...] = tuple(columns.keys())
-        self._columns: Dict[str, List[SqlValue]] = dict(columns)
-        lengths = {len(values) for values in self._columns.values()}
+        self.attributes: Tuple[str, ...] = tuple(columns)
+        #: a value list is wrapped once, here; a Column (``view``) is shared
+        self._columns: Dict[str, Column] = {
+            attr: values if isinstance(values, Column) else Column(values)
+            for attr, values in columns.items()
+        }
+        lengths = {len(column) for column in self._columns.values()}
         if len(lengths) > 1:
             raise ValueError(f"ragged columns for table {name!r}: lengths {sorted(lengths)}")
         self.length = lengths.pop() if lengths else 0
@@ -52,16 +66,15 @@ class ColumnTable:
         return self.length
 
     def column(self, name: str) -> List[SqlValue]:
-        return self._columns[name]
+        return self._columns[name].values
 
     # -- executor adapters ---------------------------------------------------
     def as_batch(self) -> Batch:
-        columns = {attr: Column(values) for attr, values in self._columns.items()}
-        return Batch(self.attributes, columns, self.length)
+        return Batch(self.attributes, dict(self._columns), self.length)
 
     def to_relation(self) -> Relation:
         if self._relation is None:
-            value_lists = [self._columns[attr] for attr in self.attributes]
+            value_lists = [self._columns[attr].values for attr in self.attributes]
             rows = [
                 Row(dict(zip(self.attributes, values))) for values in zip(*value_lists)
             ]
@@ -69,13 +82,13 @@ class ColumnTable:
         return self._relation
 
     def view(self, attributes: Sequence[str]) -> "ColumnTable":
-        """Re-label columns under qualified names, sharing the value lists.
+        """Re-label columns under qualified names, sharing the columns.
 
         Each attribute resolves to the bare column after its last ``"."``
         (``"ns.n_name"`` → ``"n_name"``); unqualified names resolve as
         themselves.
         """
-        columns: Dict[str, List[SqlValue]] = {}
+        columns: Dict[str, Column] = {}
         for attr in attributes:
             bare = attr.rsplit(".", 1)[-1]
             source = self._columns.get(attr, self._columns.get(bare))
@@ -91,8 +104,8 @@ class ColumnTable:
     def stats(self, keys: Tuple = ()) -> TableStats:
         """Measured statistics: true cardinality and distinct counts."""
         distinct = {
-            attr: float(len({group_key(v) for v in values}))
-            for attr, values in self._columns.items()
+            attr: float(len({group_key(v) for v in column.values}))
+            for attr, column in self._columns.items()
         }
         return TableStats(
             self.name,
@@ -103,7 +116,7 @@ class ColumnTable:
         )
 
     def null_fraction(self, column: str) -> float:
-        values = self._columns[column]
+        values = self._columns[column].values
         if not values:
             return 0.0
         return sum(1 for v in values if v is NULL) / len(values)

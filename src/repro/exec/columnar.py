@@ -1,33 +1,57 @@
 """Columnar executor: physical operator trees over column batches.
 
 The performance backend behind ``run_plan(..., executor="columnar")``.
-Joins hash on equi-keys (O(|L|+|R|+|pairs|) instead of the
-interpreter's nested O(|L|·|R|) probe), predicates and arithmetic ride
-the vectorized evaluator, and aggregation evaluates each argument
-expression *once* per input batch instead of once per row.
+Operators pass **index vectors over shared columns**: a filter, a join,
+a sort or a limit computes which rows of its input survive and in what
+order, and hands that vector to :meth:`Batch.take`, which gathers
+nothing — a column is materialised when an expression, a key or the
+final :meth:`Batch.to_relation` reads it (:mod:`repro.exec.columns`).
+Predicates and arithmetic ride the vectorized evaluator, and aggregation
+evaluates each argument expression *once* per input batch.
+
+Pairing (:func:`_hash_pairs`) and grouping (:func:`_group_rows`) each
+have two kernels, chosen by what the key columns hold and never by a
+setting:
+
+* **array kernel** — every key column has *exact* float64 lanes
+  (numeric, no NaN, no int at or beyond ±2^53).  The keys are factorised
+  into one small integer code per row (:func:`_joint_codes`); a join
+  sorts the right rows by code once and lets every left row read its
+  code's run (``bincount`` / ``cumsum`` / ``repeat``); a grouping sorts
+  the rows by ``(code, row)`` and cuts the runs.  No per-row python.
+* **python kernel** — anything else: string or mixed-type keys, a NaN,
+  an int float64 cannot tell from its neighbour, or a process without
+  numpy (``REPRO_EXEC_FORCE_FALLBACK=1`` forces that).  Hash buckets
+  keyed by the raw values / :func:`group_key` tuples, one loop per row.
+
+Both return the same pairs and the same groups *in the same order*
+(``tests/exec/test_kernel_differential.py``), and downstream of them the
+emission code only distinguishes "numpy" from "no numpy".
 
 Row-set equality with the interpreter is a hard guarantee (the
 differential suite enforces it), so emission mirrors the reference
 semantics of :mod:`repro.algebra.operators` exactly:
 
-* joins emit left-major, partners in right-input order (hash buckets
-  keep right indices in insertion order),
+* joins emit left-major, partners in right-input order — ``limit``
+  truncates that order, so it is part of the contract,
 * an unmatched left row of a left/full outerjoin emits its padded row
   immediately after its (absent) matches; unmatched right rows of a
   full outerjoin append at the end in right-input order,
-* rows with a NULL join key never enter or probe the hash table — a
-  NULL never makes an equality conjunct TRUE,
-* per-group aggregation sums python values sequentially in member
-  order, so float rounding matches ``AggCall.evaluate`` bit for bit.
+* rows with a NULL join key never pair — a NULL never makes an equality
+  conjunct TRUE; in a grouping NULL is a key value like any other,
+* groups come in order of first occurrence, and per-group aggregation
+  sums python values sequentially in member order, so float rounding
+  matches ``AggCall.evaluate`` bit for bit.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.aggregates.calls import AggKind
 from repro.aggregates.vector import AggVector
 from repro.algebra.values import NULL, SqlValue, group_key
+from repro.exec.arrays import numpy_module
 from repro.exec.columns import Batch, Column
 from repro.exec.physical import (
     PhysFilter,
@@ -47,6 +71,12 @@ from repro.rewrites.pushdown import OpKind
 
 def execute_physical(op: PhysOp, database: Mapping[str, object]) -> Batch:
     """Evaluate a physical operator tree bottom-up into a batch."""
+    return _execute(op, database, numpy_module())
+
+
+def _execute(op: PhysOp, database: Mapping[str, object], xp) -> Batch:
+    """*xp* is the numpy module or None, fixed for the whole tree: every
+    index vector of one execution is of one kind."""
     if isinstance(op, PhysScan):
         source = database[op.relation]
         batch = Batch.from_source(source)
@@ -57,27 +87,96 @@ def execute_physical(op: PhysOp, database: Mapping[str, object]) -> Batch:
             )
         return batch
     if isinstance(op, PhysFilter):
-        child = execute_physical(op.child, database)
+        child = _execute(op.child, database, xp)
         keep = eval_tri(op.predicate, child).true_indices()
         if len(keep) == child.length:
             return child
-        return child.take(keep)
+        return child.take(_vector(keep, xp))
     if isinstance(op, PhysProject):
-        return execute_physical(op.child, database).project(op.attributes)
+        return _execute(op.child, database, xp).project(op.attributes)
     if isinstance(op, PhysMap):
-        child = execute_physical(op.child, database)
+        child = _execute(op.child, database, xp)
         return child.extended([(name, eval_expr(expr, child)) for name, expr in op.extensions])
     if isinstance(op, PhysHashJoin):
-        return _hash_join(op, database)
+        left = _execute(op.left, database, xp)
+        right = _execute(op.right, database, xp)
+        pairs_l, pairs_r = _hash_pairs(left, right, op.left_keys, op.right_keys, xp)
+        pairs_l, pairs_r = _filter_pairs(op.residual, left, right, pairs_l, pairs_r)
+        return _emit_join(op, left, right, pairs_l, pairs_r, xp)
     if isinstance(op, PhysNLJoin):
-        return _nl_join(op, database)
+        left = _execute(op.left, database, xp)
+        right = _execute(op.right, database, xp)
+        pairs_l, pairs_r = _cross_pairs(left.length, right.length, xp)
+        pairs_l, pairs_r = _filter_pairs(op.predicate, left, right, pairs_l, pairs_r)
+        return _emit_join(op, left, right, pairs_l, pairs_r, xp)
     if isinstance(op, PhysGroupAgg):
-        return _group_agg(op, database)
+        return _group_agg(op, _execute(op.child, database, xp), xp)
     if isinstance(op, PhysSort):
-        return _sort(op, database)
+        return _sort(op, _execute(op.child, database, xp), xp)
     if isinstance(op, PhysLimit):
-        return execute_physical(op.child, database).head(op.count)
+        return _execute(op.child, database, xp).head(op.count)
     raise TypeError(f"unknown physical operator {op!r}")
+
+
+def _vector(rows, xp):
+    """*rows* as this execution's kind of index vector: an integer array
+    under numpy, the list itself without."""
+    if xp is None or not isinstance(rows, list):
+        return rows
+    return xp.asarray(rows, dtype=xp.intp)
+
+
+def _key_lanes(columns: Sequence[Column], xp) -> Optional[list]:
+    """The ``(data, valid)`` lanes of every key column, or None unless
+    all of them are exact — what decides between the array kernels and
+    the python ones."""
+    lanes = []
+    for column in columns:
+        column_lanes = column.key_lanes(xp)
+        if column_lanes is None:
+            return None
+        lanes.append(column_lanes)
+    return lanes
+
+
+def _joint_codes(lanes: Sequence[tuple], xp):
+    """One small integer per row over several key columns: two rows get
+    the same code iff they agree on every column (NULL being a value of
+    its own).
+
+    Each column is factorised by one sort; the running combination is
+    factorised again after every further column, so a code never
+    exceeds the row count and no product leaves int64.
+    """
+    codes = None
+    for data, valid in lanes:
+        if len(data) == 0:
+            return xp.zeros(0, dtype=xp.intp)
+        uniques, column_codes = xp.unique(data, return_inverse=True)
+        if valid is not None:
+            column_codes = xp.where(valid, column_codes + 1, 0)
+        if codes is None:
+            codes = column_codes
+        else:
+            width = len(uniques) + 1
+            _, codes = xp.unique(codes * width + column_codes, return_inverse=True)
+    return codes
+
+
+def _rows_by_code(codes, rows, xp):
+    """*rows* ordered by their code, rows of one code in input order.
+    ``(code, row)`` is unique, so any sort of it is a stable sort of the
+    codes — and numpy's default sort is several times its stable one."""
+    return rows[xp.argsort(codes[rows] * len(codes) + rows)]
+
+
+def _valid_rows(masks: Sequence, length: int, xp):
+    """The rows that are valid under every mask (None: "no NULL")."""
+    valid = None
+    for mask in masks:
+        if mask is not None:
+            valid = mask if valid is None else valid & mask
+    return xp.arange(length) if valid is None else valid.nonzero()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -89,14 +188,41 @@ def _hash_pairs(
     right: Batch,
     left_keys: Tuple[str, ...],
     right_keys: Tuple[str, ...],
-) -> Tuple[List[int], List[int]]:
-    """Candidate (left, right) index pairs under the equi-keys.
+    xp,
+):
+    """Candidate (left, right) index pairs under the equi-keys, as two
+    index vectors.
 
     Left-major, right partners in right-input order; NULL keys on
-    either side produce no candidates.  Raw values key the buckets —
-    python dict equality (``1 == 1.0``) coincides with SQL numeric
-    equality, and hashes agree.
+    either side produce no candidates.  When every key column has exact
+    lanes the pairs come from :func:`_sorted_pairs`; otherwise (strings,
+    mixed types, a NaN, an int beyond 2^53, no numpy) from hash buckets
+    keyed by the raw values — python dict equality (``1 == 1.0``)
+    coincides with SQL numeric equality, and hashes agree.  Both give
+    the same pairs in the same order.
     """
+    if xp is not None:
+        lanes = _key_lanes(
+            [left.column(k) for k in left_keys] + [right.column(k) for k in right_keys], xp
+        )
+        if lanes is not None:
+            llanes, rlanes = lanes[: len(left_keys)], lanes[len(left_keys) :]
+            # one code space for both sides: factorise each key over left ++ right
+            codes = _joint_codes(
+                [
+                    (xp.concatenate((ldata, rdata)), None)
+                    for (ldata, _), (rdata, _) in zip(llanes, rlanes)
+                ],
+                xp,
+            )
+            return _sorted_pairs(
+                codes[: left.length],
+                _valid_rows([valid for _, valid in llanes], left.length, xp),
+                codes[left.length :],
+                _valid_rows([valid for _, valid in rlanes], right.length, xp),
+                xp,
+            )
+
     buckets: Dict[object, List[int]] = {}
     if len(right_keys) == 1:
         rvalues = right.column(right_keys[0]).values
@@ -133,96 +259,155 @@ def _hash_pairs(
             if js:
                 pairs_l.extend([i] * len(js))
                 pairs_r.extend(js)
-    return pairs_l, pairs_r
+    return _vector(pairs_l, xp), _vector(pairs_r, xp)
 
 
-def _pair_batch(left: Batch, right: Batch, pairs_l: List[int], pairs_r: List[int]) -> Batch:
-    return Batch.concat_schemas(left.take(pairs_l), right.take(pairs_r))
+def _sorted_pairs(lcodes, left_rows, rcodes, right_rows, xp):
+    """The equi-join pairs of two key-code arrays over one code space,
+    *left_rows* / *right_rows* being the rows whose key has no NULL.
+
+    The right rows are sorted by code once — the rows of one code
+    staying in input order — and every left row, in input order, reads
+    its code's run of them: the left-major, right-input-order emission
+    the hash buckets give.
+    """
+    if not len(left_rows) or not len(right_rows):
+        return xp.zeros(0, dtype=xp.intp), xp.zeros(0, dtype=xp.intp)
+    right_rows = _rows_by_code(rcodes, right_rows, xp)
+    probes = lcodes[left_rows]
+    per_code = xp.bincount(rcodes[right_rows], minlength=int(probes.max()) + 1)
+    run_start = xp.cumsum(per_code) - per_code
+    counts = per_code[probes]
+    pairs_l = xp.repeat(left_rows, counts)
+    # the k-th pair of a left row reads sorted position run_start + k
+    first_pair = xp.cumsum(counts) - counts
+    positions = xp.arange(len(pairs_l)) + xp.repeat(run_start[probes] - first_pair, counts)
+    return pairs_l, right_rows[positions]
 
 
-def _filter_pairs(
-    residual, left: Batch, right: Batch, pairs_l: List[int], pairs_r: List[int]
-) -> Tuple[List[int], List[int]]:
-    if residual is None or not pairs_l:
-        return pairs_l, pairs_r
-    keep = eval_tri(residual, _pair_batch(left, right, pairs_l, pairs_r)).true_list()
+def _cross_pairs(left_length: int, right_length: int, xp):
+    """Every (left, right) pair, left-major."""
+    if xp is None:
+        return (
+            [i for i in range(left_length) for _ in range(right_length)],
+            list(range(right_length)) * left_length,
+        )
     return (
-        [i for i, k in zip(pairs_l, keep) if k],
-        [j for j, k in zip(pairs_r, keep) if k],
+        xp.repeat(xp.arange(left_length), right_length),
+        xp.tile(xp.arange(right_length), left_length),
     )
 
 
-def _hash_join(op: PhysHashJoin, database) -> Batch:
-    left = execute_physical(op.left, database)
-    right = execute_physical(op.right, database)
-    pairs_l, pairs_r = _hash_pairs(left, right, op.left_keys, op.right_keys)
-    pairs_l, pairs_r = _filter_pairs(op.residual, left, right, pairs_l, pairs_r)
-    return _emit_join(op, left, right, pairs_l, pairs_r)
+def _pair_batch(left: Batch, right: Batch, pairs_l, pairs_r) -> Batch:
+    return Batch.concat_schemas(left.take(pairs_l), right.take(pairs_r))
 
 
-def _nl_join(op: PhysNLJoin, database) -> Batch:
-    left = execute_physical(op.left, database)
-    right = execute_physical(op.right, database)
-    pairs_l = [i for i in range(left.length) for _ in range(right.length)]
-    pairs_r = list(range(right.length)) * left.length
-    pairs_l, pairs_r = _filter_pairs(op.predicate, left, right, pairs_l, pairs_r)
-    return _emit_join(op, left, right, pairs_l, pairs_r)
+def _filter_pairs(residual, left: Batch, right: Batch, pairs_l, pairs_r):
+    """The pairs on which *residual* is TRUE, order kept.  The pair batch
+    takes late, so only the columns the residual reads are gathered."""
+    if residual is None or not len(pairs_l):
+        return pairs_l, pairs_r
+    keep = eval_tri(residual, _pair_batch(left, right, pairs_l, pairs_r)).true_indices()
+    if isinstance(pairs_l, list):
+        return [pairs_l[i] for i in keep], [pairs_r[i] for i in keep]
+    return pairs_l[keep], pairs_r[keep]
 
 
-def _emit_join(op, left: Batch, right: Batch, pairs_l: List[int], pairs_r: List[int]) -> Batch:
+def _occurring(length: int, rows, wanted: bool, xp):
+    """The rows of a *length*-row input that occur in the pair vector
+    *rows* (*wanted*) or that do not (not *wanted*), in input order."""
+    if xp is None:
+        flags = [False] * length
+        for i in rows:
+            flags[i] = True
+        return [i for i, flag in enumerate(flags) if flag is wanted]
+    flags = xp.zeros(length, dtype=bool)
+    flags[rows] = True
+    return (flags if wanted else ~flags).nonzero()[0]
+
+
+def _partners(left_length: int, pairs_l, pairs_r, xp) -> List[List[int]]:
+    """Per left row, its right partners in pair order (groupjoin members)."""
+    if xp is None:
+        partners: List[List[int]] = [[] for _ in range(left_length)]
+        for i, j in zip(pairs_l, pairs_r):
+            partners[i].append(j)
+        return partners
+    # pairs are left-major: a left row's partners are one run of pairs_r
+    ends = xp.cumsum(xp.bincount(pairs_l, minlength=left_length)).tolist()
+    members = pairs_r.tolist()
+    return [members[start:end] for start, end in zip([0] + ends, ends)]
+
+
+def _outer_slots(kind: OpKind, left_length: int, right_length: int, pairs_l, pairs_r, xp):
+    """Outer-join output as one slot vector per side; ``-1`` means "pad".
+
+    A left row's pairs come first, in pair order; a left row without any
+    gets one padded slot in their place.  A full outerjoin appends the
+    unmatched right rows in right-input order.
+    """
+    if xp is None:
+        out_l: List[int] = []
+        out_r: List[int] = []
+        pair_count = len(pairs_l)
+        cursor = 0
+        for i in range(left_length):
+            had_match = False
+            while cursor < pair_count and pairs_l[cursor] == i:
+                out_l.append(i)
+                out_r.append(pairs_r[cursor])
+                cursor += 1
+                had_match = True
+            if not had_match:
+                out_l.append(i)
+                out_r.append(-1)
+        if kind is OpKind.FULL_OUTER:
+            unmatched = _occurring(right_length, pairs_r, False, xp)
+            out_l.extend([-1] * len(unmatched))
+            out_r.extend(unmatched)
+        return out_l, out_r
+    counts = xp.bincount(pairs_l, minlength=left_length)
+    slots = xp.maximum(counts, 1)
+    out_l = xp.repeat(xp.arange(left_length), slots)
+    out_r = xp.full(len(out_l), -1, dtype=xp.intp)
+    # pairs are left-major: pair p of left row i lands at i's first slot
+    # plus p's rank among i's pairs
+    shift = (xp.cumsum(slots) - slots) - (xp.cumsum(counts) - counts)
+    out_r[xp.arange(len(pairs_l)) + shift[pairs_l]] = pairs_r
+    if kind is OpKind.FULL_OUTER:
+        unmatched = _occurring(right_length, pairs_r, False, xp)
+        out_l = xp.concatenate((out_l, xp.full(len(unmatched), -1, dtype=xp.intp)))
+        out_r = xp.concatenate((out_r, unmatched))
+    return out_l, out_r
+
+
+def _emit_join(op, left: Batch, right: Batch, pairs_l, pairs_r, xp) -> Batch:
     """Materialise the join output from matched pairs (left-major order)."""
     kind: OpKind = op.op
     if kind is OpKind.INNER:
         return _pair_batch(left, right, pairs_l, pairs_r)
 
     if kind in (OpKind.LEFT_SEMI, OpKind.LEFT_ANTI):
-        matched = [False] * left.length
-        for i in pairs_l:
-            matched[i] = True
-        keep = kind is OpKind.LEFT_SEMI
-        return left.take([i for i in range(left.length) if matched[i] is keep])
+        return left.take(_occurring(left.length, pairs_l, kind is OpKind.LEFT_SEMI, xp))
 
     if kind is OpKind.GROUPJOIN:
         assert op.groupjoin_vector is not None
-        partners: List[List[int]] = [[] for _ in range(left.length)]
-        for i, j in zip(pairs_l, pairs_r):
-            partners[i].append(j)
-        agg_columns = _aggregate_columns(op.groupjoin_vector, right, partners)
-        return left.extended(agg_columns)
+        partners = _partners(left.length, pairs_l, pairs_r, xp)
+        return left.extended(_aggregate_columns(op.groupjoin_vector, right, partners))
 
-    # Outer joins: one output slot list per side; -1 means "pad".
-    out_l: List[int] = []
-    out_r: List[int] = []
-    pair_count = len(pairs_l)
-    cursor = 0
-    for i in range(left.length):
-        had_match = False
-        while cursor < pair_count and pairs_l[cursor] == i:
-            out_l.append(i)
-            out_r.append(pairs_r[cursor])
-            cursor += 1
-            had_match = True
-        if not had_match:
-            out_l.append(i)
-            out_r.append(-1)
-    if kind is OpKind.FULL_OUTER:
-        matched_right = [False] * right.length
-        for j in pairs_r:
-            matched_right[j] = True
-        for j in range(right.length):
-            if not matched_right[j]:
-                out_l.append(-1)
-                out_r.append(j)
-    elif kind is not OpKind.LEFT_OUTER:
+    if kind not in (OpKind.LEFT_OUTER, OpKind.FULL_OUTER):
         raise AssertionError(f"unhandled join kind {kind}")
-
-    left_defaults = dict(op.left_defaults)
-    right_defaults = dict(op.right_defaults)
+    out_l, out_r = _outer_slots(kind, left.length, right.length, pairs_l, pairs_r, xp)
     columns: Dict[str, Column] = {}
-    for attr in left.attributes:
-        columns[attr] = left.column(attr).take_padded(out_l, left_defaults.get(attr, NULL))
-    for attr in right.attributes:
-        columns[attr] = right.column(attr).take_padded(out_r, right_defaults.get(attr, NULL))
+    for side, slots, defaults in (
+        (left, out_l, dict(op.left_defaults)),
+        (right, out_r, dict(op.right_defaults)),
+    ):
+        composed: dict = {}
+        for attr in side.attributes:
+            columns[attr] = side.column(attr).take_padded(
+                slots, defaults.get(attr, NULL), composed
+            )
     return Batch(left.attributes + right.attributes, columns, len(out_l))
 
 
@@ -288,12 +473,40 @@ def _evaluate_call(
     raise AssertionError(f"unhandled aggregate kind {kind}")
 
 
-def _group_agg(op: PhysGroupAgg, database) -> Batch:
-    child = execute_physical(op.child, database)
-    group_values = [child.column(a).values for a in op.group_attrs]
+def _group_rows(child: Batch, group_attrs: Tuple[str, ...], xp):
+    """``(firsts, groups)``: per group its first row and its member rows
+    in input order, the groups ordered by first occurrence.
+
+    With exact lanes on every grouping column the rows are factorised
+    into one code, sorted by ``(code, row)`` and cut into runs; otherwise
+    they are bucketed by their :func:`group_key` tuples.  Same answer
+    either way.
+    """
+    if not group_attrs:  # one group of everything — and none of nothing
+        if not child.length:
+            return _vector([], xp), []
+        return _vector([0], xp), [list(range(child.length))]
+    if xp is not None and child.length:
+        lanes = _key_lanes([child.column(a) for a in group_attrs], xp)
+        if lanes is not None:
+            codes = _joint_codes(lanes, xp)
+            order = _rows_by_code(codes, xp.arange(child.length), xp)
+            ordered = codes[order]
+            starts = xp.concatenate(([0], (ordered[1:] != ordered[:-1]).nonzero()[0] + 1))
+            ends = xp.append(starts[1:], child.length)
+            firsts = order[starts]  # a run of equal codes starts at its smallest row
+            by_first = xp.argsort(firsts)
+            members = order.tolist()
+            groups = [
+                members[start:end]
+                for start, end in zip(starts[by_first].tolist(), ends[by_first].tolist())
+            ]
+            return firsts[by_first], groups
+
+    group_values = [child.column(a).values for a in group_attrs]
     buckets: Dict[Tuple, int] = {}
     firsts: List[int] = []
-    groups: List[List[int]] = []
+    groups = []
     for i in range(child.length):
         key = tuple(group_key(col[i]) for col in group_values)
         slot = buckets.get(key)
@@ -303,11 +516,12 @@ def _group_agg(op: PhysGroupAgg, database) -> Batch:
             groups.append([i])
         else:
             groups[slot].append(i)
+    return _vector(firsts, xp), groups
 
-    columns: Dict[str, Column] = {
-        attr: Column([values[i] for i in firsts])
-        for attr, values in zip(op.group_attrs, group_values)
-    }
+
+def _group_agg(op: PhysGroupAgg, child: Batch, xp) -> Batch:
+    firsts, groups = _group_rows(child, op.group_attrs, xp)
+    columns = {attr: child.column(attr).take(firsts) for attr in op.group_attrs}
     grouped = Batch(op.group_attrs, columns, len(groups))
     grouped = grouped.extended(_aggregate_columns(op.vector, child, groups))
 
@@ -324,8 +538,7 @@ def _group_agg(op: PhysGroupAgg, database) -> Batch:
 # sort
 # ---------------------------------------------------------------------------
 
-def _sort(op: PhysSort, database) -> Batch:
-    child = execute_physical(op.child, database)
+def _sort(op: PhysSort, child: Batch, xp) -> Batch:
     indices = list(range(child.length))
     # Stable multi-key sort: apply keys right-to-left.  NULL sorts as the
     # largest value (Postgres default: NULLS LAST ascending, FIRST
@@ -336,4 +549,4 @@ def _sort(op: PhysSort, database) -> Batch:
             key=lambda i: (values[i] is NULL, values[i]),
             reverse=descending,
         )
-    return child.take(indices)
+    return child.take(_vector(indices, xp))

@@ -1,93 +1,244 @@
 """Column batches: the unit of work of the columnar executor.
 
-A :class:`Column` is one attribute's values for a batch of rows, stored
-as a plain python list with the :data:`~repro.algebra.values.NULL`
-sentinel in place.  Numeric columns can additionally expose *lanes* — a
-``float64`` data array plus a boolean validity mask — which is what the
-vectorized expression evaluator computes on.  Either representation can
-be derived from the other lazily, so operators hand columns around
-without caring which side materialised first.
+A :class:`Column` is one attribute's values for a batch of rows.  It
+has up to three representations, each derived from another only when
+something reads it:
+
+* ``values`` — a plain python list with the
+  :data:`~repro.algebra.values.NULL` sentinel in place,
+* ``lanes`` — for numeric columns, a ``float64`` data array plus a
+  validity mask (``None`` when the column holds no NULL), which is what
+  the vectorized expression evaluator and the array join / grouping
+  kernels compute on,
+* a *late take* — ``(parent column, index vector)``: what
+  :meth:`Column.take` returns.  A take of a take composes the two index
+  vectors, so the parent is always a column that owns its data; values
+  are gathered from the parent's python values (an int stays an int)
+  and lanes by one array gather, and a column nothing reads is never
+  gathered at all.
+
+Lanes are *exact* when comparing them compares the values: no NaN (one
+python NaN is not another) and no int at or beyond ±2^53 (where float64
+stops telling neighbours apart).  Only exact lanes may key a join or a
+grouping — :meth:`Column.key_lanes`.
+
+Columns are immutable once built and may be shared: by the batches of
+one execution, and — for a :class:`~repro.data.tables.ColumnTable`'s
+base columns — by every request of the process, which is what makes a
+base column's lanes a once-per-process cost.
 
 A :class:`Batch` is an ordered schema over columns of equal length —
 the columnar analogue of :class:`~repro.algebra.relation.Relation`, with
-conversions both ways at the executor boundary.
+conversions both ways at the executor boundary;
+:meth:`Batch.to_relation` is the only place rows are materialised.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.algebra.relation import Relation
 from repro.algebra.rows import Row
 from repro.algebra.values import NULL, SqlValue
 
+#: ``Column._pad`` of a take whose index vector holds no ``-1``.
+_NO_PAD = object()
+
+#: the python types a float64 lane can hold (bool rides as 0.0 / 1.0).
+_LANE_TYPES = frozenset((int, float, bool, type(NULL)))
+
+#: ints strictly inside ±2^53 convert to float64 without collisions.
+_EXACT_INT_BOUND = float(2**53)
+
+
+def _is_array(index) -> bool:
+    return hasattr(index, "tolist")
+
+
+def _compose(index, indices, padded: bool):
+    """``index[indices]``; with *padded*, ``-1`` in *indices* stays ``-1``."""
+    if isinstance(indices, range):  # Batch.head: a prefix, no gather
+        return index[indices.start : indices.stop : indices.step]
+    if _is_array(index) and _is_array(indices):
+        vector = index[indices]  # fancy indexing copies, so the fix-up below is safe
+        if padded:
+            vector[indices < 0] = -1
+        return vector
+    if _is_array(index):
+        index = index.tolist()
+    if _is_array(indices):
+        indices = indices.tolist()
+    if padded:
+        return [-1 if i < 0 else index[i] for i in indices]
+    return [index[i] for i in indices]
+
+
+def _lanes_of_values(values: List[SqlValue], xp):
+    """``((data, valid), exact)`` of a value list, or ``(False, False)``
+    when it is not numeric (or holds an int float64 cannot represent)."""
+    kinds = set(map(type, values))
+    if not kinds <= _LANE_TYPES:
+        return False, False
+    try:
+        if type(NULL) in kinds:
+            valid = xp.asarray([v is not NULL for v in values], dtype=bool)
+            data = xp.asarray([0.0 if v is NULL else v for v in values], dtype=xp.float64)
+        else:
+            valid = None
+            data = xp.asarray(values, dtype=xp.float64)
+    except OverflowError:
+        return False, False
+    exact = not (float in kinds and bool(xp.isnan(data).any())) and not (
+        int in kinds and bool((xp.abs(data) >= _EXACT_INT_BOUND).any())
+    )
+    return (data, valid), exact
+
 
 class Column:
-    """One attribute's values; list-of-values and/or float64 lanes."""
+    """One attribute's values: a value list, float64 lanes, or a late take."""
 
-    __slots__ = ("_values", "_lanes", "_length")
+    __slots__ = ("_values", "_lanes", "_exact", "_length", "_parent", "_index", "_pad")
 
     def __init__(self, values: Optional[List[SqlValue]] = None, lanes=None):
         if values is None and lanes is None:
             raise ValueError("a column needs values or lanes")
         self._values = values
-        #: (data float64 array, valid bool array) | None (not computed) |
-        #: False (computed: column is not numeric)
+        #: (data float64 array, valid bool array | None) | None (not
+        #: computed) | False (computed: column is not numeric)
         self._lanes = lanes
+        #: whether the lanes are exact; None until somebody asks
+        self._exact: Optional[bool] = None
         self._length = len(values) if values is not None else int(lanes[0].shape[0])
+        self._parent: Optional["Column"] = None
+        self._index = None
+        self._pad = _NO_PAD
+
+    @classmethod
+    def _late(cls, parent: "Column", index, pad=_NO_PAD) -> "Column":
+        column = object.__new__(cls)
+        column._values = None
+        column._lanes = None
+        column._exact = None
+        column._length = len(index)
+        column._parent = parent
+        column._index = index
+        column._pad = pad
+        return column
 
     def __len__(self) -> int:
         return self._length
 
     @property
     def values(self) -> List[SqlValue]:
-        """The python value list (materialised from lanes on demand)."""
+        """The python value list (gathered or read off the lanes on demand)."""
         if self._values is None:
-            data, valid = self._lanes
-            out = data.tolist()
-            if not bool(valid.all()):
-                for i in (~valid).nonzero()[0].tolist():
-                    out[i] = NULL
-            self._values = out
+            if self._parent is not None:
+                source = self._parent.values
+                index = self._index.tolist() if _is_array(self._index) else self._index
+                if self._pad is _NO_PAD:
+                    self._values = list(map(source.__getitem__, index))
+                else:
+                    pad = self._pad
+                    self._values = [pad if i < 0 else source[i] for i in index]
+            else:
+                data, valid = self._lanes
+                out = data.tolist()
+                if valid is not None and not bool(valid.all()):
+                    for i in (~valid).nonzero()[0].tolist():
+                        out[i] = NULL
+                self._values = out
         return self._values
 
     def lanes(self, xp):
         """``(data, valid)`` float64/bool lanes, or None if non-numeric.
 
-        *xp* is the numpy module (the caller already checked the backend
-        seam).  The numeric check and conversion run once per column.
+        ``valid`` is None for a column without NULLs.  *xp* is the numpy
+        module (the caller already checked the backend seam).  The
+        numeric check and conversion run once per column — once per
+        process for a table's base column.
         """
         if self._lanes is None:
-            values = self._values
-            valid = [True] * len(values)
-            data = [0.0] * len(values)
-            ok = True
-            for i, value in enumerate(values):
-                if value is NULL:
-                    valid[i] = False
-                elif isinstance(value, (int, float)):  # bool included
-                    data[i] = value
-                else:
-                    ok = False
-                    break
-            if ok:
-                self._lanes = (
-                    xp.asarray(data, dtype=xp.float64),
-                    xp.asarray(valid, dtype=bool),
-                )
+            if self._parent is not None:
+                lanes, exact = self._gathered_lanes(xp)
             else:
-                self._lanes = False
+                lanes, exact = _lanes_of_values(self._values, xp)
+            # exactness first: a concurrent reader that sees the lanes
+            # must see their verdict too
+            self._exact = exact
+            self._lanes = lanes
         return self._lanes if self._lanes is not False else None
 
-    def take(self, indices: Iterable[int]) -> "Column":
-        """Gather by row index (no bounds padding — see ``take_padded``)."""
-        values = self.values
-        return Column([values[i] for i in indices])
+    def key_lanes(self, xp):
+        """The lanes if they are exact — fit to key a join or a grouping —
+        else None: non-numeric, a NaN, or an int at or beyond ±2^53."""
+        lanes = self.lanes(xp)
+        if lanes is None:
+            return None
+        if self._exact is None:  # computed lanes hold floats: only NaN is inexact
+            self._exact = not bool(xp.isnan(lanes[0]).any())
+        return lanes if self._exact else None
 
-    def take_padded(self, indices: Iterable[int], pad: SqlValue) -> "Column":
-        """Gather by row index; index ``-1`` yields *pad* (outerjoin fill)."""
-        values = self.values
-        return Column([pad if i < 0 else values[i] for i in indices])
+    def _gathered_lanes(self, xp):
+        parent = self._parent
+        lanes = parent.lanes(xp)
+        if lanes is None:
+            return False, False
+        data, valid = lanes
+        index, pad = self._index, self._pad
+        if pad is _NO_PAD:
+            return (data[index], None if valid is None else valid[index]), parent._exact
+        if pad is not NULL and type(pad) not in _LANE_TYPES:
+            return False, False
+        # take_padded never pads an empty parent, so -1 reads the last
+        # row and the fix-up overwrites it
+        missing = xp.asarray(index) < 0
+        data = data[index]
+        if pad is NULL:
+            data[missing] = 0.0
+            valid = ~missing if valid is None else valid[index] & ~missing
+            return (data, valid), parent._exact
+        try:
+            data[missing] = pad
+        except OverflowError:
+            return False, False
+        if valid is not None:
+            valid = valid[index] | missing
+        exact = parent._exact
+        if pad != pad or (type(pad) is int and abs(pad) >= _EXACT_INT_BOUND):
+            exact = False
+        return (data, valid), exact
+
+    def take(self, indices, composed: Optional[dict] = None) -> "Column":
+        """Late gather by row index (no padding — see ``take_padded``).
+
+        *indices* is an index vector: a numpy integer array, or a list
+        / range in a numpy-less process.  *composed* lets the columns of
+        one batch that share an earlier take compose it once.
+        """
+        if self._parent is None:
+            return Column._late(self, indices)
+        return Column._late(
+            self._parent, self._composed(indices, False, composed), self._pad
+        )
+
+    def take_padded(self, indices, pad: SqlValue, composed: Optional[dict] = None) -> "Column":
+        """Late gather; index ``-1`` yields *pad* (outerjoin fill)."""
+        if self._length == 0:  # nothing to gather: every index is -1
+            return const_column(pad, len(indices))
+        if self._parent is None:
+            return Column._late(self, indices, pad)
+        if self._pad is not _NO_PAD and self._pad is not pad:
+            # two different fills cannot share one index vector
+            return Column._late(Column(self.values), indices, pad)
+        return Column._late(self._parent, self._composed(indices, True, composed), pad)
+
+    def _composed(self, indices, padded: bool, composed: Optional[dict]):
+        if composed is None:
+            return _compose(self._index, indices, padded)
+        vector = composed.get(id(self._index))
+        if vector is None:
+            vector = composed[id(self._index)] = _compose(self._index, indices, padded)
+        return vector
 
 
 def const_column(value: SqlValue, length: int) -> Column:
@@ -135,17 +286,16 @@ class Batch:
     def column(self, attr: str) -> Column:
         return self.columns[attr]
 
-    def take(self, indices: List[int]) -> "Batch":
-        columns = {attr: col.take(indices) for attr, col in self.columns.items()}
+    def take(self, indices) -> "Batch":
+        """Late gather of every column by one index vector."""
+        composed: dict = {}
+        columns = {attr: col.take(indices, composed) for attr, col in self.columns.items()}
         return Batch(self.attributes, columns, len(indices))
 
     def head(self, count: int) -> "Batch":
         if count >= self.length:
             return self
-        columns = {
-            attr: Column(col.values[:count]) for attr, col in self.columns.items()
-        }
-        return Batch(self.attributes, columns, count)
+        return self.take(range(count))
 
     def project(self, attrs: Sequence[str]) -> "Batch":
         attrs = tuple(attrs)

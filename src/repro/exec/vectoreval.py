@@ -90,9 +90,11 @@ class Tri:
         f = self.f.tolist() if self.xp is not None else self.f
         return Column([True if a else (False if b else NULL) for a, b in zip(t, f)])
 
-    def true_indices(self) -> List[int]:
+    def true_indices(self):
+        """Row indices where the predicate is TRUE: an index array for
+        array masks, a list for list masks."""
         if self.xp is not None:
-            return self.t.nonzero()[0].tolist()
+            return self.t.nonzero()[0]
         return [i for i, v in enumerate(self.t) if v]
 
     def true_list(self) -> List[bool]:
@@ -103,14 +105,28 @@ def _promote(tri: Tri, xp) -> Tri:
     return Tri(xp.asarray(tri.t, dtype=bool), xp.asarray(tri.f, dtype=bool), xp)
 
 
+def _masked(valid, hit, xp) -> Tri:
+    """TRUE where *hit*, FALSE where not, UNKNOWN off *valid* (None: all valid)."""
+    if valid is None:
+        return Tri(hit, ~hit, xp)
+    return Tri(valid & hit, valid & ~hit, xp)
+
+
+def _both_valid(left, right):
+    if left is None:
+        return right
+    if right is None:
+        return left
+    return left & right
+
+
 def _tri_from_column(col: Column, xp) -> Tri:
     """Truthiness of a value column (the interpreter's ``bool(value)``)."""
     if xp is not None:
         lanes = col.lanes(xp)
         if lanes is not None:
             data, valid = lanes
-            nonzero = data != 0.0
-            return Tri(valid & nonzero, valid & ~nonzero, xp)
+            return _masked(valid, data != 0.0, xp)
     t = []
     f = []
     for value in col.values:
@@ -154,8 +170,10 @@ def _tri(expr: Expr, batch: Batch, xp) -> Tri:
         if xp is not None:
             lanes = col.lanes(xp)
             if lanes is not None:
-                _, valid = lanes
-                return Tri(~valid, valid.copy(), xp)
+                data, valid = lanes
+                if valid is None:
+                    valid = xp.ones(len(data), dtype=bool)
+                return Tri(~valid, valid, xp)
         nulls = [v is NULL for v in col.values]
         return Tri(nulls, [not n for n in nulls])
     if isinstance(expr, BinOp) and expr.op in _COMPARISONS:
@@ -167,9 +185,8 @@ def _tri(expr: Expr, batch: Batch, xp) -> Tri:
             if llanes is not None and rlanes is not None:
                 ldata, lvalid = llanes
                 rdata, rvalid = rlanes
-                valid = lvalid & rvalid
                 hit = _CMP_FUNCS[expr.op](xp, ldata, rdata)
-                return Tri(valid & hit, valid & ~hit, xp)
+                return _masked(_both_valid(lvalid, rvalid), hit, xp)
         t = []
         f = []
         for lv, rv in zip(left.values, right.values):
@@ -216,7 +233,7 @@ def _arith(expr: BinOp, batch: Batch, xp) -> Column:
         if llanes is not None and rlanes is not None:
             ldata, lvalid = llanes
             rdata, rvalid = rlanes
-            valid = lvalid & rvalid
+            valid = _both_valid(lvalid, rvalid)
             if expr.op == "+":
                 data = ldata + rdata
             elif expr.op == "-":
@@ -224,9 +241,12 @@ def _arith(expr: BinOp, batch: Batch, xp) -> Column:
             elif expr.op == "*":
                 data = ldata * rdata
             else:  # "/" — SQL maps division by zero to NULL
-                valid = valid & (rdata != 0.0)
+                nonzero = rdata != 0.0
+                if not bool(nonzero.all()):
+                    valid = _both_valid(valid, nonzero)
                 with xp.errstate(divide="ignore", invalid="ignore"):
-                    data = xp.where(valid, ldata / xp.where(rdata == 0.0, 1.0, rdata), 0.0)
-            data = xp.where(valid, data, 0.0)
+                    data = ldata / xp.where(nonzero, rdata, 1.0)
+            if valid is not None:
+                data = xp.where(valid, data, 0.0)
             return Column(lanes=(data, valid))
     return Column([sql_arith(expr.op, lv, rv) for lv, rv in zip(left.values, right.values)])

@@ -39,6 +39,28 @@ def test_view_qualifies_columns_without_copying():
     assert view.column("ns.n_name") is NATION.column("n_name")
 
 
+def test_every_view_and_batch_shares_the_tables_columns():
+    """One Column per value list for the life of the table: what a column
+    caches (its lanes) is computed once, not per alias or per request —
+    and only for the columns somebody computed on."""
+    from repro.exec.arrays import numpy_module
+
+    table = ColumnTable("t", {"k": [1, 2, NULL], "v": [1.5, 2.5, 3.5], "w": [7, 8, 9]})
+    first, second = table.view(("a.k", "a.v", "a.w")), table.view(("b.k", "b.v", "b.w"))
+    key = first.as_batch().column("a.k")
+    assert key is second.as_batch().column("b.k") is table.as_batch().column("k")
+    xp = numpy_module()
+    if xp is None:
+        pytest.skip("lanes need numpy")
+    lanes = key.lanes(xp)
+    assert second.as_batch().column("b.k").lanes(xp) is lanes
+    assert lanes[1].tolist() == [True, True, False]
+    # a NULL-free column carries no validity mask at all
+    assert first.as_batch().column("a.v").lanes(xp)[1] is None
+    # and a column nothing computed on has no lanes
+    assert table.as_batch().column("w")._lanes is None
+
+
 def test_view_unknown_attribute():
     with pytest.raises(KeyError):
         NATION.view(("ns.n_missing",))

@@ -12,7 +12,9 @@ from repro.algebra.expressions import Attr, BinOp, Case, Const, IsNull, Logical,
 from repro.algebra.relation import Relation
 from repro.algebra.values import NULL
 from repro.exec import run_plan
+from repro.exec.arrays import numpy_module
 from repro.exec.columnar import execute_physical
+from repro.exec.columns import Batch, Column
 from repro.exec.physical import PhysScan, PhysSort, lower
 from repro.plans.nodes import (
     GroupByNode,
@@ -197,3 +199,51 @@ def test_sort_stable_multikey_nulls_last(backend):
     # ascending on t.a with NULL last; within a=1/2, t.b descending with
     # NULL first (it orders as the largest value).
     assert got == [(1, NULL), (1, "z"), (2, "x"), (2, "a"), (NULL, "y")]
+
+
+# ---------------------------------------------------------------------------
+# late takes
+# ---------------------------------------------------------------------------
+
+def _vector(rows):
+    xp = numpy_module()
+    return rows if xp is None else xp.asarray(rows, dtype=xp.intp)
+
+
+def test_take_is_late_and_composes(backend):
+    base = Column([10, 20, NULL, 40, 50])
+    taken = base.take(_vector([4, 2, 2, 0])).take(_vector([1, 0, 3]))
+    assert taken._parent is base and taken._values is None  # nothing gathered yet
+    assert len(taken) == 3
+    assert taken.values == [NULL, 50, 10]
+    assert all(type(v) is int for v in taken.values if v is not NULL)
+    xp = numpy_module()
+    if xp is not None:
+        data, valid = taken.lanes(xp)
+        assert data.tolist() == [0.0, 50.0, 10.0] and valid.tolist() == [False, True, True]
+
+
+def test_padded_takes_compose_and_keep_their_fills(backend):
+    base = Column([1, 2, 3])
+    padded = base.take_padded(_vector([0, -1, 2]), NULL)
+    assert padded.values == [1, NULL, 3]
+    assert padded.take(_vector([1, 1, 2])).values == [NULL, NULL, 3]
+    assert padded.take_padded(_vector([-1, 1, 0]), NULL).values == [NULL, NULL, 1]
+    # another fill cannot share the index vector: the inner NULL stays NULL
+    assert padded.take_padded(_vector([-1, 1, 0]), 0).values == [0, NULL, 1]
+    assert Column([]).take_padded(_vector([-1, -1]), 7).values == [7, 7]
+    xp = numpy_module()
+    if xp is not None:
+        data, valid = base.take_padded(_vector([0, -1, 2]), 0).lanes(xp)
+        assert data.tolist() == [1.0, 0.0, 3.0] and valid is None
+        data, valid = padded.lanes(xp)
+        assert data.tolist() == [1.0, 0.0, 3.0] and valid.tolist() == [True, False, True]
+
+
+def test_a_batch_composes_a_shared_index_vector_once(backend):
+    relation = Relation.from_tuples(("t.a", "t.b"), [(1, "x"), (2, "y"), (3, "z")])
+    once = Batch.from_relation(relation).take(_vector([2, 0, 1]))
+    twice = once.take(_vector([0, 0, 2]))
+    assert twice.column("t.a")._index is twice.column("t.b")._index
+    assert twice.to_relation().rows == [relation.rows[2], relation.rows[2], relation.rows[1]]
+    assert twice.head(2).to_relation().rows == [relation.rows[2], relation.rows[2]]

@@ -242,3 +242,24 @@ def test_join_key_numeric_unification(backend):
     right = Relation.from_tuples(("r.k",), [(2,), (3.5,)])
     result = both(JoinNode(OpKind.INNER, KEY_EQ, SCAN_L, SCAN_R), {"L": left, "R": right})
     assert [(r["l.k"], r["r.k"]) for r in result.rows] == [(2.0, 2)]
+
+
+def test_keys_float64_cannot_tell_apart_stay_apart(backend):
+    # 2**53 and 2**53 + 1 are one float64: compared on lanes they would
+    # join and group together.  Such a column is not exact, so it keys
+    # through the python kernel on both backends.
+    big = 2**53
+    left = Relation.from_tuples(("l.k",), [(big,), (big + 1,), (big + 1,), (3,)])
+    right = Relation.from_tuples(("r.k",), [(big + 1,), (big,), (3.0,)])
+    database = {"L": left, "R": right}
+    for kind in ALL_JOIN_KINDS:
+        both(JoinNode(kind, KEY_EQ, SCAN_L, SCAN_R), database)
+    inner = run_plan(JoinNode(OpKind.INNER, KEY_EQ, SCAN_L, SCAN_R), database, executor="columnar")
+    assert [(r["l.k"], r["r.k"]) for r in inner.rows] == [
+        (big, big),
+        (big + 1, big + 1),
+        (big + 1, big + 1),
+        (3, 3.0),
+    ]
+    grouped = both(GroupByNode(("l.k",), AggVector([AggItem("n", count_star())]), SCAN_L), database)
+    assert {r["l.k"]: r["n"] for r in grouped.rows} == {big: 1, big + 1: 2, 3: 1}

@@ -320,6 +320,23 @@ class TestExecute:
         rows = [sorted(map(tuple, body["rows"])) for body in bodies]
         assert rows[0] and all(other == rows[0] for other in rows[1:])
 
+    def test_an_int_stays_an_int_through_joins_a_filter_and_a_limit(self, data_core):
+        # Keys are compared on float64 lanes, but a column's values are
+        # gathered from the base table's python values: no 3.0 for a 3.
+        # (cnt is arithmetic over partial counts, which does run on lanes.)
+        sql = (
+            "SELECT o.o_custkey, c.c_nationkey, count(*) AS cnt FROM orders o "
+            "JOIN customer c ON o.o_custkey = c.c_custkey "
+            "JOIN nation n ON c.c_nationkey = n.n_nationkey "
+            "WHERE o.o_orderkey > 10 GROUP BY o.o_custkey, c.c_nationkey"
+        )
+        for limit in (5, None):
+            body = data_core.execute({"sql": sql, "limit": limit})
+            assert body["row_count"] > 0
+            keys = [row[:2] for row in body["rows"]]
+            assert all(type(value) is int for row in keys for value in row)
+            assert ".0" not in json.dumps(keys)
+
     def test_limits(self, data_core):
         assert data_core.execute({"sql": SQL, "limit": 2})["row_count"] == 2
         empty = data_core.execute({"sql": SQL, "limit": 0})
