@@ -44,7 +44,6 @@ import artifact
 import calibrate
 from repro.optimizer import optimize
 from repro.optimizer.planinfo import clear_memo_caches
-from repro.optimizer.strategies import reset_prune_caches
 from repro.workload import topology_query
 
 #: Engine lists per case.  ``IR`` rows are the two-way comparisons;
@@ -104,7 +103,6 @@ def _measure(topology: str, n: int, strategy: str, engine: str) -> dict:
     """Time one (topology, n, strategy, engine) case, every run of it cold."""
 
     def cold_start():
-        reset_prune_caches()
         clear_memo_caches()
         return (topology_query(topology, n),)  # a fresh Query: empty hypergraph memos
 

@@ -49,11 +49,7 @@ from repro.optimizer.deadline import Deadline, PlanningDeadlineExceeded
 from repro.optimizer.edgeindex import EdgeResolver, JoinSpec
 from repro.optimizer.planinfo import PlanBuilder, PlanInfo
 from repro.optimizer.registry import ENGINES
-from repro.optimizer.strategies import (
-    EaPruneStrategy,
-    Strategy,
-    sweep_prune_caches,
-)
+from repro.optimizer.strategies import EaPruneStrategy, Strategy
 from repro.query.spec import Query
 from repro.rewrites.pushdown import OpKind, pushdown_valid_for
 
@@ -247,10 +243,6 @@ def optimize(
     reference = engine == "reference"
     if reference and isinstance(chosen, EaPruneStrategy) and chosen.ordered:
         chosen = EaPruneStrategy(criteria=chosen.criteria, ordered=False)
-
-    # Bound the global FD intern tables between runs (no bucket from this
-    # run exists yet, so a reset here can never alias signature ids).
-    sweep_prune_caches()
 
     builder = PlanBuilder(query, cost_model=cost_model, memo=not reference)
     all_mask = query.all_relations_mask

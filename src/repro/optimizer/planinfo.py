@@ -29,6 +29,25 @@ plan node, no dictionaries — and :meth:`PlanBuilder.construct` turns a
 priced candidate into a :class:`PlanInfo`.  The DP driver constructs only
 what its strategy does not discard on price; :meth:`PlanBuilder.join` is
 the two steps back to back.
+
+Functional dependencies are kept twice, on purpose.  The *sets* — a
+plan's ``keys`` / ``equiv`` / ``duplicate_free`` fields, with
+:meth:`PlanInfo.closure`, :meth:`PlanInfo.has_key_within`,
+:func:`_join_keys` and :func:`_merge_equiv` — are the definition and the
+oracle (``PlanBuilder(memo=False)``, ``engine="reference"``).  The
+*states* are what the hot path asks: a :class:`PlanBuilder` owns one
+:class:`FdTable` per run that interns every distinct triple as an
+:class:`FdState` (keys and classes as int masks over interned
+attributes), a join's state is a dictionary hit on its inputs' states
+(:meth:`PlanBuilder._join_state`), and ``NeedsGrouping`` / Def. 4 are
+mask arithmetic on the state.  The one FD question that is *not* a
+property of the triple — is this side keyed on its join attributes? —
+depends on the plan's ``raw_attrs`` (an eager grouping drops columns, so
+two plans sharing a state may expose different ones): the plan carries
+them as a mask, and the question is the state's ``within(join attributes
+& the plan's columns)``.  States ride on plans as a ``__dict__`` memo,
+point at their table but never at the builder, and are stripped from
+pickles; the table is garbage once the run's plans are.
 """
 
 from __future__ import annotations
@@ -83,12 +102,13 @@ _LEFT_ONLY = (OpKind.LEFT_SEMI, OpKind.LEFT_ANTI, OpKind.GROUPJOIN)
 
 def clear_memo_caches() -> None:
     """Drop the module-level pure-function memos (benchmark hygiene —
-    correctness never requires it; the caches are keyed by value)."""
+    correctness never requires it; the caches are keyed by value and
+    capped).  FD states are not here: they belong to a run's
+    :class:`FdTable`."""
     _minimal_keys_cached.cache_clear()
     _merge_equiv_cached.cache_clear()
     _pairwise_keys.cache_clear()
     _scale_call_cached.cache_clear()
-    _key_within.cache_clear()
 
 
 @dataclass(frozen=True)
@@ -132,7 +152,8 @@ class PlanInfo:
     def __getstate__(self):
         """Pickle the declared fields only.  Everything else in the
         instance ``__dict__`` is a run-local memo — closure caches, the
-        process-local interned FD signature, the plan's eager grouping
+        run's interned :class:`FdState` (``_fd``) and the plan's columns as
+        a mask of that run's table (``_raw_mask``), the plan's eager grouping
         (:meth:`PlanBuilder.grouped`) — and must not ride along to a batch
         worker, a shard snapshot or a plan cache."""
         state = self.__dict__
@@ -153,14 +174,141 @@ class PlanInfo:
         return cached
 
 
+class FdTable:
+    """One optimisation run's intern table for functional-dependency triples.
+
+    Def. 4's FD clause and ``NeedsGrouping`` read only ``(duplicate_free,
+    keys, equiv)``, and a run meets a few thousand distinct triples for
+    tens of thousands of candidates.  The table gives every attribute a
+    bit, so a key or an equivalence class is an int mask, and every
+    distinct triple one :class:`FdState`.  A :class:`PlanBuilder` owns one
+    table; nothing in it outlives the run.
+    """
+
+    def __init__(self) -> None:
+        self.attr_bit: Dict[str, int] = {}
+        self.masks: Dict[FrozenSet[str], int] = {}
+        #: (duplicate_free, {keys}, {classes}) → state.  Keyed on the
+        #: *sets*: the tuple a triple arrives in carries no information.
+        self.states: Dict[tuple, "FdState"] = {}
+
+    def mask(self, attrs: FrozenSet[str]) -> int:
+        """*attrs* as a bit mask (attributes get their bit on first sight)."""
+        mask = self.masks.get(attrs)
+        if mask is None:
+            bits = self.attr_bit
+            mask = 0
+            for attr in attrs:
+                bit = bits.get(attr)
+                if bit is None:
+                    bit = bits[attr] = 1 << len(bits)
+                mask |= bit
+            self.masks[attrs] = mask
+        return mask
+
+    def intern(
+        self,
+        duplicate_free: bool,
+        keys: Tuple[FrozenSet[str], ...],
+        equiv: Tuple[FrozenSet[str], ...],
+    ) -> "FdState":
+        key = (duplicate_free, frozenset(keys), frozenset(equiv))
+        state = self.states.get(key)
+        if state is None:
+            state = self.states[key] = FdState(self, duplicate_free, keys, equiv)
+        return state
+
+
+class FdState:
+    """One distinct ``(duplicate_free, keys, equiv)`` triple of a run.
+
+    ``keys`` / ``equiv`` are the public tuples, as the first derivation
+    that reached the state spelled them; ``key_masks`` / ``class_masks``
+    are the same sets over the table's attribute bits.  Every FD question
+    is asked of the state: :meth:`within` (``NeedsGrouping``, keyedness
+    of a join side) once per attribute mask, :meth:`dominates` (Def. 4,
+    clause 3) in integer arithmetic, and ``joins`` maps what a join reads
+    of its inputs to the state of its result (see
+    :meth:`PlanBuilder._join_state`).
+    """
+
+    __slots__ = (
+        "table", "duplicate_free", "keys", "equiv", "key_masks", "class_masks",
+        "joins", "_within",
+    )
+
+    def __init__(
+        self,
+        table: FdTable,
+        duplicate_free: bool,
+        keys: Tuple[FrozenSet[str], ...],
+        equiv: Tuple[FrozenSet[str], ...],
+    ):
+        self.table = table
+        self.duplicate_free = duplicate_free
+        self.keys = keys
+        self.equiv = equiv
+        mask = table.mask
+        self.key_masks = tuple(mask(key) for key in keys)
+        self.class_masks = tuple(mask(cls) for cls in equiv)
+        #: (right state, id(predicate), left keyed, right keyed) →
+        #: (predicate, op, state of ``self op right``)
+        self.joins: Dict[tuple, tuple] = {}
+        self._within: Dict[int, bool] = {}
+
+    def within(self, attrs: int) -> bool:
+        """Whether some key lies inside the equivalence closure of the
+        attribute mask (:func:`_closure`'s one pass: classes are disjoint)."""
+        hit = self._within.get(attrs)
+        if hit is None:
+            closed = attrs
+            for cls in self.class_masks:
+                if cls & closed:
+                    closed |= cls
+            outside = ~closed
+            hit = False
+            for key in self.key_masks:
+                if not key & outside:
+                    hit = True
+                    break
+            self._within[attrs] = hit
+        return hit
+
+    def has_key_within(self, attrs: FrozenSet[str]) -> bool:
+        """:meth:`PlanInfo.has_key_within`, over masks."""
+        return self.within(self.table.mask(frozenset(attrs)))
+
+    def dominates(self, other: "FdState") -> bool:
+        """FD⁺(self) ⊇ FD⁺(other) — ``strategies._fd_superset``'s three
+        clauses over masks (both states of one table).  Not memoised per
+        pair: a bucket asks each ordered pair once, and states of
+        different relation sets rarely coincide (plan_cold seed 7: 58,826
+        questions, 55,964 distinct)."""
+        if other.duplicate_free and not self.duplicate_free:
+            return False
+        within = self.within
+        for key in other.key_masks:
+            if not within(key):
+                return False
+        classes = self.class_masks
+        for theirs in other.class_masks:
+            for ours in classes:
+                if not theirs & ~ours:
+                    break
+            else:
+                return False
+        return True
+
+
 class PricedJoin:
     """A valid join candidate, priced but not built.
 
     Holds what a strategy needs to decide the candidate's fate — ``cost``,
     ``cardinality``, ``eagerness``, ``duplicate_free`` — computed from the
-    two input plans and the operator alone.  ``keys`` and ``equiv`` (the
-    rest of Def. 4's FD triple) are derived on first access, so only a
-    strategy that compares functional dependencies pays for them.  The
+    two input plans and the operator alone.  ``state`` (Def. 4's FD triple
+    as an interned :class:`FdState`; ``keys`` and ``equiv`` read it) is
+    looked up on first access, so only a strategy that compares
+    functional dependencies pays for it.  The
     record quacks like a :class:`PlanInfo` wherever the DP prices on top
     of it (``needs_grouping``, the top-grouping estimate, cost models):
     besides the numbers it exposes the cheaply derived ``rel_set``,
@@ -171,37 +319,30 @@ class PricedJoin:
 
     __slots__ = (
         "builder", "left", "right", "op", "predicate", "groupjoin_vector",
-        "cost", "cardinality", "eagerness", "duplicate_free", "_fd",
+        "cost", "cardinality", "eagerness", "duplicate_free", "_state",
     )
 
-    def _derive_fd(self):
-        op, left, right, builder = self.op, self.left, self.right, self.builder
-        keys = _join_keys(op, left, right, builder._attrs_of(self.predicate))
-        if op in _LEFT_ONLY:
-            equiv = left.equiv
-        else:
-            equiv = left.equiv + right.equiv
-            if op is OpKind.INNER:
-                # Only inner joins guarantee the equality for *every* output
-                # row; outerjoin padding breaks it.
-                equiv = _merge_equiv_cached(
-                    equiv, builder._equality_pairs_of(self.predicate)
-                )
-        self._fd = fd = (keys, equiv)
-        return fd
+    @property
+    def state(self) -> "FdState":
+        """The candidate's FD triple, interned in the builder's table."""
+        state = self._state
+        if state is None:
+            state = self._state = self.builder._join_state(
+                self.left, self.right, self.op, self.predicate
+            )
+        return state
 
     @property
     def keys(self) -> Tuple[FrozenSet[str], ...]:
         """κ of the join result (Sec. 2.3)."""
-        return (self._fd or self._derive_fd())[0]
+        return self.state.keys
 
     @property
     def equiv(self) -> Tuple[FrozenSet[str], ...]:
-        return (self._fd or self._derive_fd())[1]
+        return self.state.equiv
 
     def has_key_within(self, attrs: FrozenSet[str]) -> bool:
-        keys, equiv = self._fd or self._derive_fd()
-        return _key_within(keys, equiv, frozenset(attrs))
+        return self.state.has_key_within(attrs)
 
     @property
     def rel_set(self) -> int:
@@ -338,6 +479,10 @@ class PlanBuilder:
         self.memo = memo
         self._pred_attrs: Dict[int, Tuple[Expr, FrozenSet[str]]] = {}
         self._pred_eq_pairs: Dict[int, Tuple[Expr, Tuple[Tuple[str, str], ...]]] = {}
+        #: This run's FD states.  Plans and states point at the table,
+        #: never at the builder.
+        self.fd_table = FdTable()
+        self._pred_masks: Dict[int, Tuple[Expr, int]] = {}
         self._group_counter = 0
         # Source relation mask per normalized aggregate; count(*)-style
         # aggregates (no referenced attributes — special case S1 of Def. 1)
@@ -399,6 +544,82 @@ class PlanBuilder:
         pairs = tuple(_equality_pairs(predicate))
         self._pred_eq_pairs[key] = (predicate, pairs)
         return pairs
+
+    # -- functional dependencies -----------------------------------------------
+    def state_of(self, plan: PlanInfo) -> FdState:
+        """The plan's FD triple in this run's table; rides on the plan
+        (``construct`` puts it there) and is re-interned for a plan that
+        arrives from another run."""
+        state = plan.__dict__.get("_fd")
+        if state is None or state.table is not self.fd_table:
+            state = self.fd_table.intern(plan.duplicate_free, plan.keys, plan.equiv)
+            self._attach(plan, state)
+        return state
+
+    def _attach(self, plan: PlanInfo, state: FdState) -> None:
+        """Hang the run-local FD memos on *plan*: its state, and its
+        ``raw_attrs`` as a mask of the state's table."""
+        object.__setattr__(plan, "_fd", state)
+        object.__setattr__(plan, "_raw_mask", state.table.mask(plan.raw_attrs))
+
+    def _join_mask(self, predicate: Expr) -> int:
+        """The predicate's attributes as a mask of this run's table (held
+        with the predicate: an ``id`` cannot be reused while the entry
+        lives)."""
+        hit = self._pred_masks.get(id(predicate))
+        if hit is not None and hit[0] is predicate:
+            return hit[1]
+        mask = self.fd_table.mask(self._attrs_of(predicate))
+        self._pred_masks[id(predicate)] = (predicate, mask)
+        return mask
+
+    def _join_state(
+        self, left: PlanInfo, right: PlanInfo, op: OpKind, predicate: Expr
+    ) -> FdState:
+        """FD state of ``left op right``, by transition.
+
+        What κ (Sec. 2.3) and the equivalence merge read of a join is the
+        two input triples, the operator, the predicate's equality pairs
+        and whether each side is keyed on its join attributes — so the
+        result is looked up under exactly that, on the left input's state,
+        and only a miss does the set arithmetic.  ``memo=False`` (the
+        oracle) derives every time.
+        """
+        left_state = self.state_of(left)
+        if op in _LEFT_ONLY:
+            return left_state  # the result exposes the left rows, once each
+        if not self.memo:
+            return self.fd_table.intern(
+                left.duplicate_free and right.duplicate_free,
+                _join_keys(op, left, right, self._attrs_of(predicate)),
+                self._join_equiv(op, left.equiv, right.equiv, predicate),
+            )
+        right_state = self.state_of(right)
+        # Keyedness reads the plan's columns, which are not part of its
+        # state: plans sharing a state expose different ``raw_attrs``.
+        join_mask = self._join_mask(predicate)
+        left_keyed = left_state.within(join_mask & left.__dict__["_raw_mask"])
+        right_keyed = right_state.within(join_mask & right.__dict__["_raw_mask"])
+        key = (right_state, id(predicate), left_keyed, right_keyed)
+        hit = left_state.joins.get(key)
+        if hit is not None and hit[0] is predicate and hit[1] is op:
+            return hit[2]
+        state = self.fd_table.intern(
+            left_state.duplicate_free and right_state.duplicate_free,
+            _combine_keys(op, left_state.keys, right_state.keys, left_keyed, right_keyed),
+            self._join_equiv(op, left_state.equiv, right_state.equiv, predicate),
+        )
+        left_state.joins[key] = (predicate, op, state)
+        return state
+
+    def _join_equiv(self, op: OpKind, left_equiv, right_equiv, predicate: Expr):
+        """Equivalence classes of a join that exposes both sides."""
+        equiv = left_equiv + right_equiv
+        if op is OpKind.INNER:
+            # Only inner joins guarantee the equality for *every* output
+            # row; outerjoin padding breaks it.
+            equiv = _merge_equiv_cached(equiv, self._equality_pairs_of(predicate))
+        return equiv
 
     # ------------------------------------------------------------------
     def leaf(self, vertex: int) -> PlanInfo:
@@ -494,7 +715,7 @@ class PlanBuilder:
         priced.duplicate_free = left.duplicate_free and (
             op in _LEFT_ONLY or right.duplicate_free
         )
-        priced._fd = None
+        priced._state = None
         return priced
 
     def construct(self, priced: PricedJoin) -> PlanInfo:
@@ -547,12 +768,13 @@ class PlanBuilder:
         if op not in (OpKind.LEFT_SEMI, OpKind.LEFT_ANTI):
             defaults.update(right.defaults)
 
-        return PlanInfo(
+        state = priced.state
+        plan = PlanInfo(
             node=node,
             rel_set=priced.rel_set,
             cost=priced.cost,
             cardinality=priced.cardinality,
-            keys=priced.keys,
+            keys=state.keys,
             duplicate_free=priced.duplicate_free,
             raw_attrs=priced.raw_attrs,
             distinct=distinct,
@@ -560,8 +782,10 @@ class PlanBuilder:
             scale_cols=result_scale,
             defaults=defaults,
             eagerness=priced.eagerness,
-            equiv=priced.equiv,
+            equiv=state.equiv,
         )
+        self._attach(plan, state)
+        return plan
 
     def _fresh_terms(
         self, left_set: int, right_set: int, left_only: bool
@@ -841,24 +1065,38 @@ def _join_keys(
     """κ for join results (Sec. 2.3)."""
     if op in _LEFT_ONLY:
         return left.keys
+    return _combine_keys(
+        op,
+        left.keys,
+        right.keys,
+        left.has_key_within(join_attrs & left.raw_attrs),
+        right.has_key_within(join_attrs & right.raw_attrs),
+    )
 
-    left_keyed = left.has_key_within(join_attrs & left.raw_attrs)
-    right_keyed = right.has_key_within(join_attrs & right.raw_attrs)
 
+def _combine_keys(
+    op: OpKind,
+    left_keys: Tuple[FrozenSet[str], ...],
+    right_keys: Tuple[FrozenSet[str], ...],
+    left_keyed: bool,
+    right_keyed: bool,
+) -> Tuple[FrozenSet[str], ...]:
+    """κ of a join exposing both sides, given whether each side is keyed
+    on its join attributes."""
     if op is OpKind.INNER:
         if left_keyed and right_keyed:
-            return _minimal_keys(left.keys + right.keys)
+            return _minimal_keys(left_keys + right_keys)
         if left_keyed:
-            return right.keys
+            return right_keys
         if right_keyed:
-            return left.keys
-        return _pairwise_keys(left.keys, right.keys)
+            return left_keys
+        return _pairwise_keys(left_keys, right_keys)
     if op is OpKind.LEFT_OUTER:
         if right_keyed:
-            return left.keys
-        return _pairwise_keys(left.keys, right.keys)
+            return left_keys
+        return _pairwise_keys(left_keys, right_keys)
     # full outerjoin: always combine (Sec. 2.3.3)
-    return _pairwise_keys(left.keys, right.keys)
+    return _pairwise_keys(left_keys, right_keys)
 
 
 def _closure(equiv: Tuple[FrozenSet[str], ...], attrs: FrozenSet[str]) -> FrozenSet[str]:
@@ -869,15 +1107,3 @@ def _closure(equiv: Tuple[FrozenSet[str], ...], attrs: FrozenSet[str]) -> Frozen
         if cls & out:
             out |= cls
     return frozenset(out)
-
-
-@lru_cache(maxsize=65536)
-def _key_within(
-    keys: Tuple[FrozenSet[str], ...],
-    equiv: Tuple[FrozenSet[str], ...],
-    attrs: FrozenSet[str],
-) -> bool:
-    """:meth:`PlanInfo.has_key_within` for a plan not built yet: whether
-    some key lies inside the equivalence closure of *attrs*."""
-    closed = _closure(equiv, attrs)
-    return any(key <= closed for key in keys)

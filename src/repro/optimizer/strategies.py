@@ -24,24 +24,32 @@ accelerate it without changing which plans survive:
   cost-bounded slice of the bucket instead of all of it.  Dominance is a
   transitive preorder, which makes the surviving *set* independent of scan
   and insertion order — only the list order changes.
-* **FD signatures** — the functional-dependency part of Def. 4 depends
-  only on ``(duplicate_free, keys, equiv)``.  Those triples repeat across
-  thousands of plans, so they are interned into small integer signature
-  ids (module-level, pure), and each pairwise FD verdict is computed once
-  and memoised under the id pair.  ``reset_prune_caches()`` clears both
-  tables (benchmark hygiene; correctness never needs it).
+* **FD states** — the functional-dependency part of Def. 4 depends only
+  on ``(duplicate_free, keys, equiv)``.  Those triples repeat across
+  thousands of plans, so each run interns them
+  (:class:`~repro.optimizer.planinfo.FdState`, one table per
+  :class:`~repro.optimizer.planinfo.PlanBuilder`): a candidate arrives
+  with its state already looked up, a bucket files plans under the state
+  object, and ``a.dominates(b)`` is the three clauses of
+  :func:`_fd_superset` over int masks.  Nothing here is process-global:
+  the table dies with the run.
 
 The seed's unordered linear-scan insert survives on ``ordered=False``
 instances — the executable reference that equivalence tests and the
-``engine="reference"`` benchmark path run against.
+``engine="reference"`` benchmark path run against.  It compares plans
+with :func:`_fd_superset`, frozenset arithmetic on the plans' own fields,
+and never sees a state: the indexed == reference differential therefore
+checks two independent implementations of Def. 4
+(``tests/optimizer/test_fd_state_differential.py`` compares them pair by
+pair).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.optimizer.planinfo import PlanInfo
+from repro.optimizer.planinfo import FdState, FdTable, PlanInfo
 from repro.optimizer.registry import STRATEGIES
 
 
@@ -68,7 +76,7 @@ class Strategy:
         """Whether :meth:`insert` would drop a plan priced like *priced* (a
         :class:`~repro.optimizer.planinfo.PricedJoin`: ``cost``,
         ``cardinality``, ``eagerness``, ``duplicate_free`` and, on
-        demand, ``keys`` / ``equiv``).  Must not change which plans the
+        demand, ``state`` / ``keys`` / ``equiv``).  Must not change which plans the
         bucket holds, and may say yes only when ``insert`` would discard:
         the driver builds just the candidates this lets through and hands
         them to :meth:`insert`, which decides again on the real plan.
@@ -121,169 +129,51 @@ class EaAllStrategy(Strategy):
         bucket.append(plan)
 
 
-# -- EA-Prune FD-signature interning ----------------------------------------
-
-
-class _FdSignature:
-    """The FD-relevant slice of a plan: ``(duplicate_free, keys, equiv)``.
-
-    Quacks like :class:`PlanInfo` for :func:`_fd_superset`, with its own
-    closure memo, so one representative per distinct triple answers every
-    pairwise FD question for all plans sharing the triple.
-    """
-
-    __slots__ = ("sig_id", "duplicate_free", "keys", "equiv", "attr_class", "_closures")
-
-    def __init__(
-        self,
-        sig_id: int,
-        duplicate_free: bool,
-        keys: Tuple[FrozenSet[str], ...],
-        equiv: Tuple[FrozenSet[str], ...],
-    ):
-        self.sig_id = sig_id
-        self.duplicate_free = duplicate_free
-        self.keys = keys
-        self.equiv = equiv
-        # Equivalence classes are disjoint (``_merge_equiv`` unions any
-        # that touch), so attribute → its class is a function; the map
-        # makes closures and class-containment tests per-attribute lookups
-        # instead of scans over all classes.
-        self.attr_class: Dict[str, FrozenSet[str]] = {
-            attr: cls for cls in equiv for attr in cls
-        }
-        self._closures: Dict[FrozenSet[str], FrozenSet[str]] = {}
-
-    def closure(self, attrs: FrozenSet[str]) -> FrozenSet[str]:
-        cached = self._closures.get(attrs)
-        if cached is None:
-            out = set(attrs)
-            lookup = self.attr_class
-            for attr in attrs:
-                cls = lookup.get(attr)
-                if cls is not None:
-                    out |= cls
-            cached = frozenset(out)
-            self._closures[attrs] = cached
-        return cached
-
-    def has_key_within(self, attrs: FrozenSet[str]) -> bool:
-        closed = self.closure(frozenset(attrs))
-        return any(key <= closed for key in self.keys)
-
-
-#: (duplicate_free, frozenset(keys), frozenset(equiv)) → _FdSignature
-_FD_SIGS: Dict[Tuple[bool, FrozenSet[FrozenSet[str]], FrozenSet[FrozenSet[str]]], _FdSignature] = {}
-_FD_SIG_LIST: List[_FdSignature] = []
-#: (sig_id_a, sig_id_b) → does a's FD closure dominate b's (Def. 4 clause 3)
-_FD_VERDICTS: Dict[Tuple[int, int], bool] = {}
-#: Bumped by reset so signatures cached on long-lived plans are re-interned
-#: instead of carrying ids from a cleared table.
-_FD_GENERATION = [0]
-
-
-#: Intern-table bound for long-lived (serving) processes; one DP run stays
-#: far below it, so the between-runs sweep never fires mid-optimization.
-_FD_SIG_LIMIT = 50_000
-
-
 def reset_prune_caches() -> None:
-    """Drop the interned FD signatures and pairwise verdicts (pure caches)."""
-    _FD_SIGS.clear()
-    _FD_SIG_LIST.clear()
-    _FD_VERDICTS.clear()
-    _FD_GENERATION[0] += 1
-
-
-def sweep_prune_caches() -> None:
-    """Reset the FD intern tables if they outgrew :data:`_FD_SIG_LIMIT`.
-
-    Called by the driver *between* runs (resetting mid-run would let
-    signature ids from different generations alias in the verdict memo).
-    This bounds the tables' growth in a long-lived serving process that
-    streams distinct query shapes; plans that outlive the sweep re-intern
-    lazily via the generation tag.
-    """
-    if len(_FD_SIGS) > _FD_SIG_LIMIT or len(_FD_VERDICTS) > _FD_SIG_LIMIT * 8:
-        reset_prune_caches()
-
-
-def _intern_fd(
-    duplicate_free: bool,
-    keys: Tuple[FrozenSet[str], ...],
-    equiv: Tuple[FrozenSet[str], ...],
-) -> _FdSignature:
-    key = (duplicate_free, frozenset(keys), frozenset(equiv))
-    sig = _FD_SIGS.get(key)
-    if sig is None:
-        sig = _FdSignature(len(_FD_SIG_LIST), duplicate_free, keys, equiv)
-        _FD_SIGS[key] = sig
-        _FD_SIG_LIST.append(sig)
-    return sig
-
-
-def _fd_sig_of(plan: PlanInfo) -> _FdSignature:
-    generation = _FD_GENERATION[0]
-    cached = plan.__dict__.get("_fd_sig")
-    if cached is not None and cached[0] == generation:
-        return cached[1]
-    sig = _intern_fd(plan.duplicate_free, plan.keys, plan.equiv)
-    object.__setattr__(plan, "_fd_sig", (generation, sig))
-    return sig
-
-
-def _sig_fd_superset(a: _FdSignature, b: _FdSignature) -> bool:
-    """:func:`_fd_superset` specialised to interned signatures: the
-    equivalence-containment clause uses the attr→class maps (one lookup
-    per class of *b*) instead of scanning all classes of *a*."""
-    if b.duplicate_free and not a.duplicate_free:
-        return False
-    if not all(a.has_key_within(kb) for kb in b.keys):
-        return False
-    a_classes = a.attr_class
-    for cls_b in b.equiv:
-        cls_a = a_classes.get(next(iter(cls_b)))
-        if cls_a is None or not cls_b <= cls_a:
-            return False
-    return True
+    """Nothing to drop: EA-Prune's FD tables belong to one run
+    (:class:`~repro.optimizer.planinfo.FdTable`) and die with it.  Kept for
+    callers that reset between timed runs (``benchmarks/e2e``)."""
 
 
 class PruneBucket:
-    """A DP-table entry organised as per-FD-signature Pareto frontiers.
+    """A DP-table entry organised as per-FD-state Pareto frontiers.
 
-    Plans sharing an FD signature can only dominate each other through
-    cost and cardinality, so the survivors of one signature always form a
+    Plans sharing an FD state can only dominate each other through
+    cost and cardinality, so the survivors of one state always form a
     Pareto frontier: strictly increasing cost, strictly decreasing
     cardinality.  Each frontier is three parallel arrays (costs, cards,
     plans) sorted by cost, which turns the two dominance questions into
 
-    * *is the candidate dominated?* — for every signature that
+    * *is the candidate dominated?* — for every state that
       FD-dominates the candidate's, one bisection: the minimum
       cardinality among frontier plans with cost ≤ c sits exactly at the
       rightmost such position,
-    * *whom does the candidate evict?* — for every signature the
+    * *whom does the candidate evict?* — for every state the
       candidate FD-dominates, the evicted plans are one contiguous slice
       (the cost-≥-c suffix starts at a bisection; within it cardinalities
       decrease, so the card-≥-d victims are its prefix).
 
     The surviving *set* is identical to the seed's pairwise scan —
     dominance is a transitive preorder, so maximal elements don't depend
-    on scan order — only iteration order differs (by signature, then
+    on scan order — only iteration order differs (by state, then
     cost).  Iteration yields every surviving plan; ``len`` is the
     survivor count the DP table reports.
     """
 
-    __slots__ = ("frontiers", "dominating", "dominated", "count")
+    __slots__ = ("table", "frontiers", "dominating", "dominated", "count")
 
     def __init__(self):
-        #: signature (``_FdSignature`` or None for the reduced criteria) →
+        #: the :class:`FdTable` this bucket's states live in — the run's,
+        #: adopted from the first plan that brings a state (:meth:`home`).
+        self.table: Optional[FdTable] = None
+        #: state (``FdState`` or None for the reduced criteria) →
         #: (costs, cards, plans) parallel arrays sorted by cost.
         self.frontiers: Dict[object, Tuple[List[float], List[float], List[PlanInfo]]] = {}
-        #: per-signature adjacency, built once when a signature first
-        #: appears in this bucket: the frontier entries whose signature
-        #: FD-dominates it / that it FD-dominates (both include its own).
-        #: Inserts then touch only dominance-related frontiers instead of
-        #: probing the FD verdict for every frontier every time.
+        #: per-state adjacency, built once when a state first appears in
+        #: this bucket: the frontier entries whose state FD-dominates it /
+        #: that it FD-dominates (both include its own).  Inserts then touch
+        #: only dominance-related frontiers instead of probing the FD
+        #: verdict for every frontier every time.
         self.dominating: Dict[object, List[Tuple[List[float], List[float], List[PlanInfo]]]] = {}
         self.dominated: Dict[object, List[Tuple[List[float], List[float], List[PlanInfo]]]] = {}
         self.count = 0
@@ -295,40 +185,43 @@ class PruneBucket:
         for _costs, _cards, plans in self.frontiers.values():
             yield from plans
 
-    def frontier_for(self, sig) -> Tuple[List[float], List[float], List[PlanInfo]]:
-        """The signature's frontier entry, registering adjacency on first use."""
-        entry = self.frontiers.get(sig)
+    def home(self, state: Optional[FdState], plan) -> FdState:
+        """*plan*'s FD state in the table this bucket compares in.
+
+        States of different tables number their attributes differently
+        and cannot be compared.  The bucket adopts the table of the first
+        state it is shown — in a DP run the builder's, which every later
+        plan of the run shares, so *state* comes straight back; a plan
+        made by hand or by another run is interned beside the others."""
+        table = self.table
+        if state is not None:
+            if state.table is table:
+                return state
+            if table is None:
+                self.table = state.table
+                return state
+        elif table is None:
+            table = self.table = FdTable()
+        return table.intern(plan.duplicate_free, plan.keys, plan.equiv)
+
+    def frontier_for(self, state) -> Tuple[List[float], List[float], List[PlanInfo]]:
+        """The state's frontier entry, registering adjacency on first use."""
+        entry = self.frontiers.get(state)
         if entry is None:
             entry = ([], [], [])
             doms = [entry]
             subs = [entry]
-            if sig is None:
-                # Reduced criteria: one shared frontier, trivial adjacency.
-                self.frontiers[sig] = entry
-                self.dominating[sig] = doms
-                self.dominated[sig] = subs
-                return entry
-            verdicts = _FD_VERDICTS
-            for other_sig, other_entry in self.frontiers.items():
-                key = (other_sig.sig_id, sig.sig_id)
-                verdict = verdicts.get(key)
-                if verdict is None:
-                    verdict = _sig_fd_superset(other_sig, sig)
-                    verdicts[key] = verdict
-                if verdict:
-                    doms.append(other_entry)
-                    self.dominated[other_sig].append(entry)
-                key = (sig.sig_id, other_sig.sig_id)
-                verdict = verdicts.get(key)
-                if verdict is None:
-                    verdict = _sig_fd_superset(sig, other_sig)
-                    verdicts[key] = verdict
-                if verdict:
-                    subs.append(other_entry)
-                    self.dominating[other_sig].append(entry)
-            self.frontiers[sig] = entry
-            self.dominating[sig] = doms
-            self.dominated[sig] = subs
+            if state is not None:  # reduced criteria: one frontier, trivial adjacency
+                for other, other_entry in self.frontiers.items():
+                    if other.dominates(state):
+                        doms.append(other_entry)
+                        self.dominated[other].append(entry)
+                    if state.dominates(other):
+                        subs.append(other_entry)
+                        self.dominating[other].append(entry)
+            self.frontiers[state] = entry
+            self.dominating[state] = doms
+            self.dominated[state] = subs
         return entry
 
 
@@ -391,15 +284,15 @@ class EaPruneStrategy(Strategy):
         bucket.append(plan)
 
     # -- ordered hot path ---------------------------------------------------
-    def _arrive(self, bucket: PruneBucket, sig, cost: float, card: float) -> bool:
+    def _arrive(self, bucket: PruneBucket, state, cost: float, card: float) -> bool:
         """Step 1 of the ordered insert: is a newcomer with these numbers
-        dominated?  Registers the signature — which also materialises its
+        dominated?  Registers the state — which also materialises its
         adjacency lists, so every pass touches only dominance-related
         frontiers.  A dominated newcomer is counted here, once; a survivor
         is counted when it is inserted."""
-        bucket.frontier_for(sig)
-        dominating = bucket.dominating[sig]
-        # Discard the candidate if any frontier whose signature
+        bucket.frontier_for(state)
+        dominating = bucket.dominating[state]
+        # Discard the candidate if any frontier whose state
         # FD-dominates ours holds a plan with cost <= c and card <= d:
         # the minimum cardinality among cost-≤-c plans sits at the
         # rightmost cost-≤-c position of the Pareto frontier.
@@ -421,23 +314,25 @@ class EaPruneStrategy(Strategy):
     def would_discard(self, bucket: List[PlanInfo], priced) -> bool:
         if type(bucket) is not PruneBucket:
             return False  # unordered reference instances see every plan
-        sig = None
+        state = None
         if self.criteria == "full":
-            sig = _intern_fd(priced.duplicate_free, priced.keys, priced.equiv)
-        return self._arrive(bucket, sig, priced.cost, self._card(priced))
+            state = bucket.home(priced.state, priced)
+        return self._arrive(bucket, state, priced.cost, self._card(priced))
 
     def _insert_ordered(self, bucket: PruneBucket, plan: PlanInfo) -> None:
-        sig = _fd_sig_of(plan) if self.criteria == "full" else None
+        state = None
+        if self.criteria == "full":
+            state = bucket.home(plan.__dict__.get("_fd"), plan)
         cost = plan.cost
         card = self._card(plan)
-        if self._arrive(bucket, sig, cost, card):
+        if self._arrive(bucket, state, cost, card):
             return
         counters = self.counters
         counters["prune_inserts"] += 1
-        counters["dominance_checks"] += len(bucket.dominating[sig])
+        counters["dominance_checks"] += len(bucket.dominating[state])
         # 2) Evict plans the candidate dominates: in every frontier whose
-        #    signature ours FD-dominates, they form one contiguous slice.
-        for costs, cards, plans in bucket.dominated[sig]:
+        #    state ours FD-dominates, they form one contiguous slice.
+        for costs, cards, plans in bucket.dominated[state]:
             lo = bisect_left(costs, cost)
             hi = lo
             size = len(costs)
@@ -450,7 +345,7 @@ class EaPruneStrategy(Strategy):
                 bucket.count -= hi - lo
                 counters["plans_evicted"] += hi - lo
         # 3) Insert into the candidate's own frontier.
-        costs, cards, plans = bucket.frontiers[sig]
+        costs, cards, plans = bucket.frontiers[state]
         at = bisect_left(costs, cost)
         costs.insert(at, cost)
         cards.insert(at, card)
@@ -504,8 +399,9 @@ def _fd_superset(a, b) -> bool:
     * every attribute-equivalence class of *b* must be known to *a* too —
       equivalences are FDs (x = y ⇒ x → y ∧ y → x) and feed key closure.
 
-    Accepts :class:`PlanInfo` or :class:`_FdSignature` (both expose
-    ``duplicate_free`` / ``keys`` / ``equiv`` / ``has_key_within``).
+    The oracle for :meth:`~repro.optimizer.planinfo.FdState.dominates`;
+    accepts anything exposing ``duplicate_free`` / ``keys`` / ``equiv`` /
+    ``has_key_within``.
     """
     if b.duplicate_free and not a.duplicate_free:
         return False

@@ -129,6 +129,7 @@ class Query:
 
         self.all_relations_mask = (1 << len(self.relations)) - 1
         self._sides: Optional[Dict[int, Tuple[int, int]]] = None  # _operator_sides
+        self._users = None  # _attribute_users
 
     # -- helpers -------------------------------------------------------------
     def _tree_vertices(self):
@@ -224,36 +225,52 @@ class Query:
         groupjoin aggregation vectors), and the attributes of aggregates
         whose sources straddle the boundary (they must survive raw).
         """
-        own = set(self.relation_attrs(mask))
-        # Groupjoin outputs computed inside *mask* also count as own.
-        for name in self._groupjoin_outputs():
-            if self._groupjoin_edge_mask(name) & ~mask == 0:
-                own.add(name)
-        needed: set = set(a for a in self.group_by if a in own)
-        for edge in self.edges:
-            pred_attrs = attrs_of(edge.predicate)
-            extra = (
-                edge.groupjoin_vector.attributes()
-                if edge.groupjoin_vector is not None
-                else frozenset()
-            )
-            referenced = pred_attrs | extra
-            touched = self.vertices_of(a for a in referenced if a in self._attr_to_vertex)
-            # A predicate mentioning one input of its operator only (``ON
-            # 1 = s.k``) is still applied where both meet: pad the other
-            # side as the conflict detector pads the edge's TES.
-            for side in self._operator_sides().get(edge.edge_id, ()):
-                if touched and not touched & side:
-                    touched |= side & -side
-            if touched & mask and touched & ~mask & self.all_relations_mask:
-                needed.update(a for a in referenced if a in own)
-        for item in self.normalized.vector:
-            src = item.call.attributes()
-            src_in = {a for a in src if a in own}
-            src_mask = self.vertices_of(src) if src else 0
-            if src_in and src_mask & ~mask & self.all_relations_mask:
-                needed.update(src_in)
+        group_by, users = self._attribute_users()
+        outside = ~mask
+        beyond = outside & self.all_relations_mask
+        # An attribute is the plan's own when its home lies inside *mask*.
+        needed = {attr for attr, home in group_by if not home & outside}
+        for inside, crossing, attrs in users:
+            if inside & mask and crossing & beyond:
+                needed.update(attr for attr, home in attrs if not home & outside)
         return frozenset(needed)
+
+    def _attribute_users(self):
+        """What :meth:`needed_above` reads of the query, computed once:
+        the grouping attributes, and per join edge and per aggregate the
+        attributes it references — each attribute paired with its *home*,
+        the smallest relation set whose plans carry it (its relation; for
+        a groupjoin output, both subtrees of its edge) — together with the
+        relation sets that make it a boundary crosser of a plan for *mask*:
+        it must touch ``inside & mask`` and ``crossing & ~mask``."""
+        if self._users is None:
+            homes = {attr: 1 << vertex for attr, vertex in self._attr_to_vertex.items()}
+            for name in self._groupjoin_outputs():
+                homes[name] = self._groupjoin_edge_mask(name)
+
+            def housed(attrs):
+                return tuple((a, homes[a]) for a in attrs if a in homes)
+
+            users = []
+            for edge in self.edges:
+                referenced = attrs_of(edge.predicate)
+                if edge.groupjoin_vector is not None:
+                    referenced = referenced | edge.groupjoin_vector.attributes()
+                touched = self.vertices_of(a for a in referenced if a in self._attr_to_vertex)
+                # A predicate mentioning one input of its operator only (``ON
+                # 1 = s.k``) is still applied where both meet: pad the other
+                # side as the conflict detector pads the edge's TES.
+                for side in self._operator_sides().get(edge.edge_id, ()):
+                    if touched and not touched & side:
+                        touched |= side & -side
+                users.append((touched, touched, housed(referenced)))
+            for item in self.normalized.vector:
+                src = item.call.attributes()
+                if src:
+                    # Needed raw wherever part of the source is still missing.
+                    users.append((-1, self.vertices_of(src), housed(src)))
+            self._users = (housed(self.group_by), tuple(users))
+        return self._users
 
     def __repr__(self) -> str:
         return (

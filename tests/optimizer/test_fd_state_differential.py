@@ -1,0 +1,365 @@
+"""FD states == FD sets: the interned, mask-based functional-dependency
+bookkeeping of the indexed engine against the frozenset arithmetic it
+replaced (which survives as the oracle: ``PlanInfo.has_key_within``,
+``_join_keys``, ``_merge_equiv``, ``_fd_superset``).
+
+For every plan a DP run materialises (``OptimizerHooks.on_plan``):
+
+* its triple ``(keys, equiv, duplicate_free)`` — and the :class:`FdState`
+  riding on it, sets and masks — is what the frozenset path derives from
+  the plan's two inputs (``equiv`` compared as a set of classes: a state
+  spells it in the order of the first derivation that reached it),
+* ``state_a.dominates(state_b) == _fd_superset(plan_a, plan_b)`` for the
+  ordered pairs of distinct states inside a DP-table entry (sampled in
+  tier-1, every pair under ``--runslow``),
+* the run's cost, ccp count and candidate count are the pinned goldens,
+  and EA-Prune's work counters are the literals measured at the parent
+  commit — the preorder did not change, only its price.
+
+Plus the identity trap (memos keyed on predicate identity while the
+reference resolver makes a fresh conjunction per csg-cmp-pair) and the
+lifetime of the per-run table.
+"""
+
+import gc
+import random
+import weakref
+from dataclasses import replace
+
+import pytest
+
+from repro.algebra.expressions import attrs_of
+from repro.optimizer import OptimizerConfig, OptimizerHooks, PlanBuilder, optimize, prepare
+from repro.optimizer import planinfo, strategies
+from repro.optimizer.driver import _resolve_edge
+from repro.optimizer.planinfo import (
+    _LEFT_ONLY,
+    FdState,
+    _equality_pairs,
+    _join_keys,
+    _merge_equiv,
+    _minimal_keys,
+    _restrict_equiv,
+)
+from repro.optimizer.strategies import EaPruneStrategy, _fd_superset
+from repro.plans.nodes import GroupByNode, JoinNode
+from repro.rewrites.pushdown import OpKind
+from repro.service import PlanCache
+from repro.tpch.queries import build_ex, build_q3, build_q5, build_q10
+from repro.workload import generate_query, topology_query
+
+TPCH = {"ex": build_ex, "q3": build_q3, "q5": build_q5, "q10": build_q10}
+
+#: (cost, ccp count, plans built) of EA-Prune, as pinned by
+#: ``test_hotpath_golden.TPCH_GOLDEN`` (tests are not a package: copied).
+TPCH_EA_PRUNE = {
+    "ex": (149.6511565806907, 10, 48),
+    "q3": (373657.61567229626, 4, 31),
+    "q5": (238439.60164483933, 68, 4018),
+    "q10": (131728.57461675355, 10, 204),
+}
+
+#: EA-Prune at the parent commit (PR 17, ``a0f99b6``): plans built,
+#: dominance checks, plans discarded, plans evicted.
+PARENT_COUNTERS = {
+    ("chain", 9): (59897, 364241, 25625, 3278),
+    ("star", 8): (55868, 49497, 34741, 7847),
+}
+
+#: Ordered pairs compared per DP-table entry in tier-1.
+PAIR_SAMPLE = 150
+
+#: Random-matrix seeds whose EA-Prune run builds 25k–85k candidates (a
+#: second or more each): ``--runslow`` only.
+HEAVY_SEEDS = (6, 9, 12, 27, 33, 35, 37)
+
+
+def _random_matrix_query(seed):
+    """``test_engine_differential._random_query(seed, max_relations=12)``."""
+    rng = random.Random(seed)
+    return generate_query(rng.randint(3, 12), rng)
+
+
+def _collect(query, engine="indexed"):
+    plans = []
+    config = OptimizerConfig(strategy="ea-prune", engine=engine, cache_capacity=None)
+    result = optimize(query, config=config, hooks=OptimizerHooks(on_plan=plans.append))
+    inner = [p for p in plans if p.rel_set != query.all_relations_mask]
+    return result, inner
+
+
+def _grouped_input(child, node):
+    """What ``PlanBuilder.group`` makes of *child*'s FD triple."""
+    group_attrs = frozenset(node.group_attrs)
+    return replace(
+        child,
+        keys=_minimal_keys(
+            (group_attrs,) + tuple(k for k in child.keys if k <= group_attrs)
+        ),
+        duplicate_free=True,
+        raw_attrs=group_attrs,
+        equiv=_restrict_equiv(child.equiv, group_attrs),
+    )
+
+
+def _derived_triple(plan, by_node):
+    """The plan's triple, by the frozenset path, from its two inputs."""
+    node = plan.node
+    sides = []
+    for child in (node.left, node.right):
+        if id(child) in by_node:
+            sides.append(by_node[id(child)])
+        else:  # an eager grouping: Γ over a plan the DP table holds
+            assert isinstance(child, GroupByNode)
+            sides.append(_grouped_input(by_node[id(child.child)], child))
+    left, right = sides
+    keys = _join_keys(node.op, left, right, attrs_of(node.predicate))
+    if node.op in _LEFT_ONLY:
+        return keys, frozenset(left.equiv), left.duplicate_free
+    equiv = left.equiv + right.equiv
+    if node.op is OpKind.INNER:
+        equiv = _merge_equiv(equiv, _equality_pairs(node.predicate))
+    return keys, frozenset(equiv), left.duplicate_free and right.duplicate_free
+
+
+def _decode(table, mask):
+    return frozenset(attr for attr, bit in table.attr_bit.items() if bit & mask)
+
+
+def assert_states_carry_the_derived_triples(plans):
+    """Check (a); returns how many join plans were checked."""
+    by_node = {id(plan.node): plan for plan in plans}
+    checked, states = 0, set()
+    for plan in plans:
+        if not isinstance(plan.node, JoinNode):
+            continue
+        keys, equiv, duplicate_free = _derived_triple(plan, by_node)
+        assert plan.keys == keys
+        assert frozenset(plan.equiv) == equiv
+        assert plan.duplicate_free == duplicate_free
+        state = plan.__dict__["_fd"]
+        assert isinstance(state, FdState)
+        assert (state.keys, state.equiv, state.duplicate_free) == (
+            plan.keys, plan.equiv, plan.duplicate_free,
+        )
+        states.add(state)
+        checked += 1
+    for state in states:
+        table = state.table
+        assert tuple(_decode(table, m) for m in state.key_masks) == state.keys
+        assert tuple(_decode(table, m) for m in state.class_masks) == state.equiv
+    return checked
+
+
+def assert_dominance_agrees(plans, state_of, sample=None):
+    """Check (b) over the ordered pairs of every DP-table entry.  Both
+    sides read the triple alone, and plans sharing a state share the
+    triple (check (a)), so one plan per state stands for all of them."""
+    buckets = {}
+    for plan in plans:
+        buckets.setdefault(plan.rel_set, {}).setdefault(state_of(plan), plan)
+    rng = random.Random(0)
+    for bucket in buckets.values():
+        assert len({state.table for state in bucket}) == 1
+        pairs = [(a, b) for a in bucket.items() for b in bucket.items()]
+        if sample is not None and len(pairs) > sample:
+            pairs = rng.sample(pairs, sample)
+        for (state_a, plan_a), (state_b, plan_b) in pairs:
+            assert state_a.dominates(state_b) == _fd_superset(plan_a, plan_b)
+
+
+def _check_run(query, sample, golden=None):
+    result, plans = _collect(query)
+    if golden is not None:
+        assert (result.cost, result.ccp_count, result.plans_built) == golden
+    assert_states_carry_the_derived_triples(plans)
+    # Leaves carry no state until something joins them: intern those in
+    # the table the run's other plans share.
+    tables = {p.__dict__["_fd"].table for p in plans if "_fd" in p.__dict__}
+    assert len(tables) <= 1
+
+    def state_of(plan):
+        state = plan.__dict__.get("_fd")
+        if state is None:
+            (table,) = tables
+            state = table.intern(plan.duplicate_free, plan.keys, plan.equiv)
+        return state
+
+    if tables:
+        assert_dominance_agrees(plans, state_of, sample=sample)
+
+
+class TestStatesAreTheSets:
+    @pytest.mark.parametrize("topology", ["chain", "cycle", "star", "clique"])
+    def test_topologies(self, topology):
+        _check_run(topology_query(topology, 6), PAIR_SAMPLE)
+
+    @pytest.mark.parametrize("name", sorted(TPCH))
+    def test_tpch(self, name):
+        _check_run(TPCH[name](), PAIR_SAMPLE, golden=TPCH_EA_PRUNE[name])
+
+    @pytest.mark.parametrize("seed", [s for s in range(40) if s not in HEAVY_SEEDS])
+    def test_random_matrix_seeds(self, seed):
+        _check_run(_random_matrix_query(seed), PAIR_SAMPLE)
+
+    @pytest.mark.parametrize("topology,n", sorted(PARENT_COUNTERS))
+    def test_pruning_work_is_the_parents(self, topology, n):
+        result = optimize(topology_query(topology, n), "ea-prune")
+        stats = result.stats
+        assert (
+            result.plans_built,
+            stats["strategy.dominance_checks"],
+            stats["strategy.plans_discarded"],
+            stats["strategy.plans_evicted"],
+        ) == PARENT_COUNTERS[(topology, n)]
+
+
+@pytest.mark.slow
+class TestStatesAreTheSetsExhaustively:
+    """Every ordered pair of every DP-table entry."""
+
+    @pytest.mark.parametrize("topology", ["chain", "cycle", "star", "clique"])
+    def test_fd_state_topologies(self, topology):
+        _check_run(topology_query(topology, 7 if topology != "clique" else 6), None)
+
+    @pytest.mark.parametrize("name", sorted(TPCH))
+    def test_fd_state_tpch(self, name):
+        _check_run(TPCH[name](), None, golden=TPCH_EA_PRUNE[name])
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_fd_state_random_matrix(self, seed):
+        _check_run(_random_matrix_query(seed), None)
+
+
+class TestPredicateIdentityTrap:
+    """The transition memo and the builder's per-predicate masks key on
+    ``id(predicate)``.  A multi-edge csg-cmp-pair of a cyclic query gets a
+    fresh ``conjunction(...)`` from the reference resolver every time, so
+    within one run a dead predicate's ``id`` comes back on a different
+    one; an entry that did not hold its predicate would answer for it."""
+
+    @pytest.mark.parametrize("topology,n", [("cycle", 6), ("clique", 5)])
+    @pytest.mark.parametrize("engine", ["indexed", "reference"])
+    def test_every_built_plan_has_the_derived_triple(self, topology, n, engine):
+        _, plans = _collect(topology_query(topology, n), engine=engine)
+        assert assert_states_carry_the_derived_triples(plans) > 50
+
+    @pytest.mark.parametrize("topology,n", [("cycle", 6), ("clique", 5)])
+    @pytest.mark.parametrize("memo", [True, False])
+    def test_fresh_predicates_through_one_builder(self, topology, n, memo):
+        query = topology_query(topology, n)
+        annotated = prepare(query).annotated
+        _, plans = _collect(query)
+        by_set = {}
+        for plan in plans:
+            by_set.setdefault(plan.rel_set, []).append(plan)
+        by_node = {id(p.node): p for p in plans}
+        builder = PlanBuilder(query, memo=memo)
+        ids, resolved, checked = set(), 0, 0
+        for left_set, lefts in sorted(by_set.items()):
+            for right_set, rights in sorted(by_set.items()):
+                if left_set & right_set or (left_set | right_set) == query.all_relations_mask:
+                    continue
+                for left in lefts[:4]:
+                    for right in rights[:4]:
+                        # One resolution — one conjunction — per plan pair;
+                        # it and the plan die before the next is made.
+                        spec = _resolve_edge(annotated, query, left_set, right_set)
+                        if spec is None or spec.swap:
+                            continue
+                        resolved += 1
+                        ids.add(id(spec.predicate))
+                        plan = builder.join(
+                            left, right, spec.op, spec.predicate, spec.selectivity,
+                            spec.groupjoin_vector,
+                        )
+                        if plan is None:
+                            continue
+                        keys, equiv, duplicate_free = _derived_triple(plan, by_node)
+                        assert (plan.keys, frozenset(plan.equiv), plan.duplicate_free) == (
+                            keys, equiv, duplicate_free,
+                        )
+                        checked += 1
+        assert checked > 100
+        if not memo:
+            # Nothing held the conjunctions, and their ids did come back.
+            assert len(ids) < resolved
+
+
+class TestStatesOfDifferentTables:
+    def test_plans_of_two_runs_meet_in_one_bucket(self):
+        # Each run numbers its attributes in its own table; a bucket
+        # compares in one table and re-interns what arrives from another.
+        query = topology_query("star", 5)
+        _, first = _collect(query)
+        _, second = _collect(query)
+        mask = max(p.rel_set for p in first)
+        plans = [p for run in (first, second) for p in run if p.rel_set == mask]
+        tables = {p.__dict__["_fd"].table for p in plans}
+        assert len(tables) == 2
+        random.Random(5).shuffle(plans)
+        ordered, scan = EaPruneStrategy(), EaPruneStrategy(ordered=False)
+        bucket, reference = ordered.new_bucket(), scan.new_bucket()
+        for plan in plans:
+            ordered.insert(bucket, plan)
+            scan.insert(reference, plan)
+        assert len(bucket) == len(reference) > 1
+        assert sorted((p.cost, p.cardinality) for p in bucket) == sorted(
+            (p.cost, p.cardinality) for p in reference
+        )
+
+
+class TestLifetime:
+    def test_a_result_keeps_no_state_alive(self):
+        seen = []
+        result = optimize(
+            build_q5(), "ea-prune", hooks=OptimizerHooks(on_plan=seen.append)
+        )
+        table = weakref.ref(next(p.__dict__["_fd"].table for p in seen if "_fd" in p.__dict__))
+        assert table() is not None and len(table().states) > 10
+        del seen
+        gc.collect()
+        assert table() is None
+        assert "_fd" not in result.plan.__dict__
+        assert not any(isinstance(obj, FdState) for obj in gc.get_objects())
+
+    def test_a_cache_entry_keeps_no_state_alive(self):
+        cache = PlanCache(capacity=4)
+        config = OptimizerConfig(strategy="ea-prune", cache_capacity=None)
+        cold = optimize(build_q10(), config=config, cache=cache)
+        gc.collect()
+        assert not any(isinstance(obj, FdState) for obj in gc.get_objects())
+        warm = optimize(build_q10(), config=config, cache=cache)
+        assert warm.cache_hit and warm.cost == cold.cost
+
+    def test_module_level_containers_stay_bounded(self):
+        """No process-global FD table: what is left at module level is
+        registries (fixed size) and value-keyed lru caches (capped)."""
+
+        def containers():
+            for module in (planinfo, strategies):
+                for name, value in vars(module).items():
+                    if isinstance(value, (dict, list, set)) or hasattr(value, "cache_info"):
+                        yield f"{module.__name__}.{name}", value
+
+        fixed = {
+            name: len(value) for name, value in containers() if not hasattr(value, "cache_info")
+        }
+        for seed in range(200):
+            query = generate_query(random.Random(seed).randint(3, 5), random.Random(seed))
+            optimize(query, "ea-prune")
+        caches = 0
+        for name, value in containers():
+            if hasattr(value, "cache_info"):
+                caches += 1
+                assert value.cache_info().maxsize is not None, name
+            else:
+                assert len(value) == fixed[name], name
+        assert caches >= 3
+        planinfo.clear_memo_caches()
+        strategies.reset_prune_caches()
+        assert all(
+            value.cache_info().currsize == 0
+            for _name, value in containers()
+            if hasattr(value, "cache_info")
+        )

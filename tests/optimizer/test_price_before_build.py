@@ -13,8 +13,8 @@ the survivors.  These tests pin the contract around that split:
 * the plug-in seams still hold: a strategy that defines only ``insert``
   and a cost model that defines only the three operator prices give the
   reference engine's answers,
-* nothing run-local (the per-plan Γ memo, closure caches, interned FD
-  signatures) rides on a pickled plan,
+* nothing run-local (the per-plan Γ memo, closure caches, the run's FD
+  state) rides on a pickled plan,
 * ``import repro.optimizer`` stays light, and the deleted engine's name is
   an ordinary unknown-engine error.
 """
@@ -335,7 +335,8 @@ class TestNothingRunLocalRidesOnAPlan:
         optimize(query, "ea-prune", hooks=OptimizerHooks(on_plan=plans.append))
         memoised = [p for p in plans if set(p.__dict__) - set(p.__dataclass_fields__)]
         assert any("_grouped" in p.__dict__ for p in memoised)
-        assert any("_fd_sig" in p.__dict__ for p in memoised)
+        assert any("_fd" in p.__dict__ for p in memoised)
+        assert any("_raw_mask" in p.__dict__ for p in memoised)
         for plan in memoised:
             clone = pickle.loads(pickle.dumps(plan))
             assert set(clone.__dict__) == set(plan.__dataclass_fields__)

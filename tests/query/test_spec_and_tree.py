@@ -4,7 +4,7 @@ import pytest
 
 from repro.aggregates import count_star, sum_
 from repro.aggregates.vector import AggItem, AggVector
-from repro.algebra.expressions import Attr, Const
+from repro.algebra.expressions import Attr, Const, attrs_of
 from repro.query.spec import JoinEdge, Query, RelationInfo
 from repro.query.tree import TreeLeaf, TreeNode, tree_depth, tree_leaves, tree_operators
 from repro.rewrites.pushdown import OpKind
@@ -27,6 +27,32 @@ def simple_query(op=OpKind.INNER, keys0=(), keys1=()):
     group_by = ("r0.g",)
     aggregates = AggVector([AggItem("cnt", count_star()), AggItem("s", sum_("r0.a"))])
     return Query(relations, edges, tree, group_by, aggregates)
+
+
+def _needed_above_by_rescan(q, mask):
+    """``Query.needed_above`` as it was written before it was indexed."""
+    own = set(q.relation_attrs(mask))
+    for name in q._groupjoin_outputs():
+        if q._groupjoin_edge_mask(name) & ~mask == 0:
+            own.add(name)
+    needed = {a for a in q.group_by if a in own}
+    for edge in q.edges:
+        referenced = attrs_of(edge.predicate)
+        if edge.groupjoin_vector is not None:
+            referenced |= edge.groupjoin_vector.attributes()
+        touched = q.vertices_of(a for a in referenced if a in q._attr_to_vertex)
+        for side in q._operator_sides().get(edge.edge_id, ()):
+            if touched and not touched & side:
+                touched |= side & -side
+        if touched & mask and touched & ~mask & q.all_relations_mask:
+            needed.update(a for a in referenced if a in own)
+    for item in q.normalized.vector:
+        src = item.call.attributes()
+        src_in = {a for a in src if a in own}
+        src_mask = q.vertices_of(src) if src else 0
+        if src_in and src_mask & ~mask & q.all_relations_mask:
+            needed.update(src_in)
+    return frozenset(needed)
 
 
 class TestTree:
@@ -133,6 +159,23 @@ class TestQuery:
         assert "r1.id" in q.needed_above(0b10)
         assert q.needed_above(0b01) == frozenset({"r0.g"})
         assert q.needed_above(0b11) == frozenset({"r0.g"})
+
+    def test_needed_above_is_the_rescan_of_the_query(self):
+        # The per-Query index (``_attribute_users``) against the definition
+        # read straight off the query, every relation set of seeded random
+        # queries — groupjoin outputs and straddling aggregates included.
+        import random
+
+        from repro.workload import generate_query
+
+        with_groupjoin = 0
+        for seed in range(60):
+            rng = random.Random(seed)
+            q = generate_query(rng.randint(2, 7), rng)
+            with_groupjoin += bool(q._groupjoin_outputs())
+            for mask in range(q.all_relations_mask + 1):
+                assert q.needed_above(mask) == _needed_above_by_rescan(q, mask), (seed, mask)
+        assert with_groupjoin >= 5
 
     def test_normalization_exposed(self):
         from repro.aggregates import avg
