@@ -32,8 +32,8 @@ class ColumnTable:
     The table keeps one :class:`~repro.exec.columns.Column` per value
     list, and every :meth:`view` and every :meth:`as_batch` — so every
     request — hands out that same object: whatever a column caches (its
-    float64 lanes, once an expression or a join / grouping key asks for
-    them) is computed once per process.  The precondition is that **a
+    float64 lanes and its key-code dictionary, once an expression or a
+    join / grouping key asks for them) is computed once per process.  The precondition is that **a
     table's value lists are immutable once built**: nothing may append
     to, reorder or overwrite them.  (``/stats_update`` changes catalog
     statistics, never data.)

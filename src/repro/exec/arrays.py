@@ -12,10 +12,12 @@ python-float semantics of :func:`repro.algebra.values.sql_arith` /
 columnar backend promise row-set equality with the interpreter.  The one
 deliberate divergence: python ints are arbitrary precision, float64
 lanes are not — integer *arithmetic* beyond 2^53 would lose exactness.
-Join and grouping *keys* never do: a column records whether its lanes
-are exact (no NaN, every int strictly inside ±2^53 —
+Join and grouping *keys* and *comparisons* never do: a column records
+whether its lanes are exact (no NaN, every int strictly inside ±2^53 —
 :meth:`repro.exec.columns.Column.key_lanes`) and only exact lanes key a
-join or a grouping; anything else keys on the python values.
+join or a grouping or decide a comparison; anything else goes by the
+python values, through the column's dictionary
+(:meth:`~repro.exec.columns.Column.key_codes`) or row by row.
 Query results compare through :func:`~repro.algebra.values.group_key`
 (integral floats normalise to int), so within the exact range the
 backends stay row-set identical.

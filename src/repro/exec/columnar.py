@@ -9,22 +9,31 @@ final :meth:`Batch.to_relation` reads it (:mod:`repro.exec.columns`).
 Predicates and arithmetic ride the vectorized evaluator, and aggregation
 evaluates each argument expression *once* per input batch.
 
-Pairing (:func:`_hash_pairs`) and grouping (:func:`_group_rows`) each
-have two kernels, chosen by what the key columns hold and never by a
-setting:
+Pairing (:func:`_hash_pairs`) and grouping (:func:`_group_rows`) work
+on **one small integer code per row**, equal on two rows iff their keys
+are equal, and never on the key values themselves:
 
-* **array kernel** — every key column has *exact* float64 lanes
-  (numeric, no NaN, no int at or beyond ±2^53).  The keys are factorised
-  into one small integer code per row (:func:`_joint_codes`); a join
+* a key column with *exact* float64 lanes (numeric, no NaN, no int at
+  or beyond ±2^53) is factorised by one sort of its lanes
+  (:func:`_factorised`);
+* any other key column of a grouping — strings, mixed types, a NaN, an
+  int float64 cannot tell from its neighbour — brings its *key codes*
+  (:meth:`Column.key_codes`): the dictionary is built once per column
+  that owns values (once per process for a table's base column) and a
+  late take gathers its parent's codes, so a request pays an array
+  gather where it used to pay a python loop;
+* several columns combine into one code (:func:`_combined`); a join
   sorts the right rows by code once and lets every left row read its
   code's run (``bincount`` / ``cumsum`` / ``repeat``); a grouping sorts
   the rows by ``(code, row)`` and cuts the runs.  No per-row python.
-* **python kernel** — anything else: string or mixed-type keys, a NaN,
-  an int float64 cannot tell from its neighbour, or a process without
-  numpy (``REPRO_EXEC_FORCE_FALLBACK=1`` forces that).  Hash buckets
-  keyed by the raw values / :func:`group_key` tuples, one loop per row.
 
-Both return the same pairs and the same groups *in the same order*
+Under numpy a grouping therefore never loops over rows, whatever it
+keys on.  The python kernels — hash buckets keyed by the raw values /
+:func:`group_key` tuples, one loop per row — are what a process without
+numpy runs (``REPRO_EXEC_FORCE_FALLBACK=1`` forces that), and what
+pairing still falls back to for a key without exact lanes (no workload
+sends it one).  Array and python kernels return the same pairs and the
+same groups *in the same order*
 (``tests/exec/test_kernel_differential.py``), and downstream of them the
 emission code only distinguishes "numpy" from "no numpy".
 
@@ -128,8 +137,8 @@ def _vector(rows, xp):
 
 def _key_lanes(columns: Sequence[Column], xp) -> Optional[list]:
     """The ``(data, valid)`` lanes of every key column, or None unless
-    all of them are exact — what decides between the array kernels and
-    the python ones."""
+    all of them are exact — what decides between pairing's array kernel
+    and its python one."""
     lanes = []
     for column in columns:
         column_lanes = column.key_lanes(xp)
@@ -139,28 +148,46 @@ def _key_lanes(columns: Sequence[Column], xp) -> Optional[list]:
     return lanes
 
 
-def _joint_codes(lanes: Sequence[tuple], xp):
-    """One small integer per row over several key columns: two rows get
-    the same code iff they agree on every column (NULL being a value of
-    its own).
+def _factorised(data, valid, xp):
+    """``(codes, width)`` of one key column's exact lanes, by one sort:
+    codes in ``[0, width)``, NULL (off *valid*) a code of its own."""
+    uniques, codes = xp.unique(data, return_inverse=True)
+    if valid is not None:
+        codes = xp.where(valid, codes + 1, 0)
+    return codes, len(uniques) + 1
 
-    Each column is factorised by one sort; the running combination is
-    factorised again after every further column, so a code never
-    exceeds the row count and no product leaves int64.
+
+def _combined(columns: Sequence[tuple], xp):
+    """One small integer per row over several ``(codes, width)`` key
+    columns: two rows get the same code iff they agree on every column.
+
+    The running combination is factorised again after every further
+    column, so a code never exceeds the row count and no product leaves
+    int64.
     """
     codes = None
-    for data, valid in lanes:
-        if len(data) == 0:
-            return xp.zeros(0, dtype=xp.intp)
-        uniques, column_codes = xp.unique(data, return_inverse=True)
-        if valid is not None:
-            column_codes = xp.where(valid, column_codes + 1, 0)
+    for column_codes, width in columns:
         if codes is None:
             codes = column_codes
         else:
-            width = len(uniques) + 1
             _, codes = xp.unique(codes * width + column_codes, return_inverse=True)
     return codes
+
+
+def _joint_codes(lanes: Sequence[tuple], xp):
+    """:func:`_combined` over exact lanes, each factorised by one sort
+    (NULL being a value of its own)."""
+    return _combined([_factorised(data, valid, xp) for data, valid in lanes], xp)
+
+
+def _grouping_codes(column: Column, xp):
+    """``(codes, width)`` of one grouping column: its exact lanes
+    factorised, or — it has none — its key codes as they are."""
+    lanes = column.key_lanes(xp)
+    if lanes is not None:
+        return _factorised(*lanes, xp)
+    codes, table = column.key_codes(xp)
+    return codes, len(table)
 
 
 def _rows_by_code(codes, rows, xp):
@@ -477,31 +504,30 @@ def _group_rows(child: Batch, group_attrs: Tuple[str, ...], xp):
     """``(firsts, groups)``: per group its first row and its member rows
     in input order, the groups ordered by first occurrence.
 
-    With exact lanes on every grouping column the rows are factorised
-    into one code, sorted by ``(code, row)`` and cut into runs; otherwise
-    they are bucketed by their :func:`group_key` tuples.  Same answer
-    either way.
+    Under numpy every grouping column brings a code per row — exact
+    lanes factorised, key codes otherwise (:func:`_grouping_codes`) —
+    and the rows are sorted by ``(code, row)`` and cut into runs; without
+    numpy they are bucketed by their :func:`group_key` tuples.  Same
+    answer either way.
     """
-    if not group_attrs:  # one group of everything — and none of nothing
-        if not child.length:
-            return _vector([], xp), []
+    if not child.length:
+        return _vector([], xp), []
+    if not group_attrs:  # one group of everything
         return _vector([0], xp), [list(range(child.length))]
-    if xp is not None and child.length:
-        lanes = _key_lanes([child.column(a) for a in group_attrs], xp)
-        if lanes is not None:
-            codes = _joint_codes(lanes, xp)
-            order = _rows_by_code(codes, xp.arange(child.length), xp)
-            ordered = codes[order]
-            starts = xp.concatenate(([0], (ordered[1:] != ordered[:-1]).nonzero()[0] + 1))
-            ends = xp.append(starts[1:], child.length)
-            firsts = order[starts]  # a run of equal codes starts at its smallest row
-            by_first = xp.argsort(firsts)
-            members = order.tolist()
-            groups = [
-                members[start:end]
-                for start, end in zip(starts[by_first].tolist(), ends[by_first].tolist())
-            ]
-            return firsts[by_first], groups
+    if xp is not None:
+        codes = _combined([_grouping_codes(child.column(a), xp) for a in group_attrs], xp)
+        order = _rows_by_code(codes, xp.arange(child.length), xp)
+        ordered = codes[order]
+        starts = xp.concatenate(([0], (ordered[1:] != ordered[:-1]).nonzero()[0] + 1))
+        ends = xp.append(starts[1:], child.length)
+        firsts = order[starts]  # a run of equal codes starts at its smallest row
+        by_first = xp.argsort(firsts)
+        members = order.tolist()
+        groups = [
+            members[start:end]
+            for start, end in zip(starts[by_first].tolist(), ends[by_first].tolist())
+        ]
+        return firsts[by_first], groups
 
     group_values = [child.column(a).values for a in group_attrs]
     buckets: Dict[Tuple, int] = {}

@@ -1,7 +1,7 @@
 """Column batches: the unit of work of the columnar executor.
 
 A :class:`Column` is one attribute's values for a batch of rows.  It
-has up to three representations, each derived from another only when
+has up to four representations, each derived from another only when
 something reads it:
 
 * ``values`` — a plain python list with the
@@ -10,22 +10,31 @@ something reads it:
   validity mask (``None`` when the column holds no NULL), which is what
   the vectorized expression evaluator and the array join / grouping
   kernels compute on,
+* ``key codes`` — for any column, an ``intp`` array plus the dictionary
+  ``value → code`` it was assigned by (:meth:`Column.key_codes`): two
+  rows share a code iff a python dict takes their values for one key,
+  which is exactly how :func:`~repro.algebra.values.group_key` tuples
+  compare (``1 == 1.0 == True``, NULL an entry like any other, a NaN
+  object equal to itself alone, ``2**53`` apart from ``2**53 + 1``).
+  What groups a column that has no exact lanes, and what answers its
+  comparison with a constant once per entry instead of once per row,
 * a *late take* — ``(parent column, index vector)``: what
   :meth:`Column.take` returns.  A take of a take composes the two index
   vectors, so the parent is always a column that owns its data; values
-  are gathered from the parent's python values (an int stays an int)
-  and lanes by one array gather, and a column nothing reads is never
-  gathered at all.
+  are gathered from the parent's python values (an int stays an int),
+  lanes and key codes by one array gather of the parent's, and a column
+  nothing reads is never gathered at all.  A constant
+  (:func:`const_column`) is a take of a one-value column.
 
 Lanes are *exact* when comparing them compares the values: no NaN (one
 python NaN is not another) and no int at or beyond ±2^53 (where float64
 stops telling neighbours apart).  Only exact lanes may key a join or a
-grouping — :meth:`Column.key_lanes`.
+grouping or decide a comparison — :meth:`Column.key_lanes`.
 
 Columns are immutable once built and may be shared: by the batches of
 one execution, and — for a :class:`~repro.data.tables.ColumnTable`'s
 base columns — by every request of the process, which is what makes a
-base column's lanes a once-per-process cost.
+base column's lanes and its dictionary a once-per-process cost.
 
 A :class:`Batch` is an ordered schema over columns of equal length —
 the columnar analogue of :class:`~repro.algebra.relation.Relation`, with
@@ -94,10 +103,23 @@ def _lanes_of_values(values: List[SqlValue], xp):
     return (data, valid), exact
 
 
-class Column:
-    """One attribute's values: a value list, float64 lanes, or a late take."""
+def _codes_of_values(values: List[SqlValue], xp):
+    """``(codes, table)`` of a value list: the dictionary in order of
+    first occurrence, and each row's code looked up in it — two passes
+    at C speed, no python per row."""
+    table = dict.fromkeys(values)
+    table = dict(zip(table, range(len(table))))
+    codes = xp.fromiter(map(table.__getitem__, values), dtype=xp.intp, count=len(values))
+    return codes, table
 
-    __slots__ = ("_values", "_lanes", "_exact", "_length", "_parent", "_index", "_pad")
+
+class Column:
+    """One attribute's values: a value list, float64 lanes, key codes,
+    or a late take."""
+
+    __slots__ = (
+        "_values", "_lanes", "_exact", "_codes", "_length", "_parent", "_index", "_pad",
+    )
 
     def __init__(self, values: Optional[List[SqlValue]] = None, lanes=None):
         if values is None and lanes is None:
@@ -108,6 +130,8 @@ class Column:
         self._lanes = lanes
         #: whether the lanes are exact; None until somebody asks
         self._exact: Optional[bool] = None
+        #: (codes intp array, dict value -> code) | None (not computed)
+        self._codes = None
         self._length = len(values) if values is not None else int(lanes[0].shape[0])
         self._parent: Optional["Column"] = None
         self._index = None
@@ -119,6 +143,7 @@ class Column:
         column._values = None
         column._lanes = None
         column._exact = None
+        column._codes = None
         column._length = len(index)
         column._parent = parent
         column._index = index
@@ -134,12 +159,16 @@ class Column:
         if self._values is None:
             if self._parent is not None:
                 source = self._parent.values
-                index = self._index.tolist() if _is_array(self._index) else self._index
-                if self._pad is _NO_PAD:
-                    self._values = list(map(source.__getitem__, index))
+                if self._pad is _NO_PAD and len(source) == 1:
+                    # every index is 0: a constant (const_column)
+                    self._values = source * self._length
                 else:
-                    pad = self._pad
-                    self._values = [pad if i < 0 else source[i] for i in index]
+                    index = self._index.tolist() if _is_array(self._index) else self._index
+                    if self._pad is _NO_PAD:
+                        self._values = list(map(source.__getitem__, index))
+                    else:
+                        pad = self._pad
+                        self._values = [pad if i < 0 else source[i] for i in index]
             else:
                 data, valid = self._lanes
                 out = data.tolist()
@@ -208,6 +237,38 @@ class Column:
             exact = False
         return (data, valid), exact
 
+    def key_codes(self, xp):
+        """``(codes, table)``: one ``intp`` code per row and the
+        dictionary ``value → code`` that assigned them.
+
+        Two rows share a code iff the dictionary takes their values for
+        one key — the equality of :func:`group_key` tuples.  A column
+        that owns its values builds the dictionary from them, once (once
+        per process for a table's base column); a late take gathers its
+        parent's codes and shares its parent's dictionary, so entries of
+        the table need not occur in the codes.  A pad value takes its
+        entry's code, or a fresh one in a copy of the table.
+        """
+        if self._codes is None:
+            if self._parent is None:
+                self._codes = _codes_of_values(self.values, xp)
+            else:
+                self._codes = self._gathered_codes(xp)
+        return self._codes
+
+    def _gathered_codes(self, xp):
+        codes, table = self._parent.key_codes(xp)
+        index, pad = self._index, self._pad
+        codes = codes[index]
+        if pad is not _NO_PAD:
+            pad_code = table.get(pad)
+            if pad_code is None:
+                pad_code = len(table)
+                table = {**table, pad: pad_code}
+            # as for lanes: -1 read the last row, the fix-up overwrites it
+            codes[xp.asarray(index) < 0] = pad_code
+        return codes, table
+
     def take(self, indices, composed: Optional[dict] = None) -> "Column":
         """Late gather by row index (no padding — see ``take_padded``).
 
@@ -241,8 +302,14 @@ class Column:
         return vector
 
 
-def const_column(value: SqlValue, length: int) -> Column:
-    return Column([value] * length)
+def const_column(value: SqlValue, length: int, xp=None) -> Column:
+    """*length* copies of *value*.  Under numpy (*xp*) a late take of a
+    one-value column through a stride-0 index vector: no list of
+    *length* is built unless something reads the values, and the lanes
+    are one gather of one float, not a conversion of *length* objects."""
+    if xp is None:
+        return Column([value] * length)
+    return Column([value]).take(xp.broadcast_to(xp.intp(0), (length,)))
 
 
 class Batch:

@@ -10,9 +10,14 @@ Two entry points:
   being neither.  Kleene AND/OR/NOT become bitwise mask algebra.
 
 Numeric sub-expressions ride numpy ``float64`` lanes (comparisons and
-arithmetic are then single broadcasted array ops); anything non-numeric
-— string comparisons, mixed-type columns, or a numpy-less process —
-falls back to elementwise python over the value lists with the *same*
+arithmetic are then single array ops, a constant being one float
+gathered to length).  A comparison rides them only where they are
+*exact* (:meth:`Column.key_lanes`): ``2**53`` and ``2**53 + 1`` are one
+float64 and two python ints.  Where it cannot — strings, mixed types, a
+NaN, a big int — a column against a constant is judged once per
+dictionary entry (:meth:`Column.key_codes`) and the verdicts gathered by
+code; two such columns, or a numpy-less process, compare elementwise
+over the value lists.  Every one of these paths calls the *same*
 :mod:`repro.algebra.values` helpers the interpreter uses, which keeps
 the two backends row-set identical by construction.
 """
@@ -180,13 +185,17 @@ def _tri(expr: Expr, batch: Batch, xp) -> Tri:
         left = _expr(expr.left, batch, xp)
         right = _expr(expr.right, batch, xp)
         if xp is not None:
-            llanes = left.lanes(xp)
-            rlanes = right.lanes(xp)
+            llanes = left.key_lanes(xp)
+            rlanes = right.key_lanes(xp)
             if llanes is not None and rlanes is not None:
                 ldata, lvalid = llanes
                 rdata, rvalid = rlanes
                 hit = _CMP_FUNCS[expr.op](xp, ldata, rdata)
                 return _masked(_both_valid(lvalid, rvalid), hit, xp)
+            if isinstance(expr.right, Const):
+                return _compare_entries(expr.op, left, expr.right.value, False, xp)
+            if isinstance(expr.left, Const):
+                return _compare_entries(expr.op, right, expr.left.value, True, xp)
         t = []
         f = []
         for lv, rv in zip(left.values, right.values):
@@ -196,6 +205,29 @@ def _tri(expr: Expr, batch: Batch, xp) -> Tri:
         return Tri(t, f)
     # Any other expression: evaluate as a value, take its truthiness.
     return _tri_from_column(_expr(expr, batch, xp), xp)
+
+
+def _compare_entries(op: str, column: Column, value, value_first: bool, xp) -> Tri:
+    """``column <op> value`` (``value <op> column`` with *value_first*)
+    by ``sql_compare`` once per dictionary entry, the two masks gathered
+    by key code.
+
+    Only the entries that occur are judged: a take shares its parent's
+    dictionary, and an entry no row holds must neither cost a comparison
+    nor raise its ``TypeError``.
+    """
+    codes, table = column.key_codes(xp)
+    entries = list(table)
+    t = [False] * len(entries)
+    f = [False] * len(entries)
+    for code in xp.bincount(codes).nonzero()[0].tolist():
+        if value_first:
+            verdict = sql_compare(op, value, entries[code])
+        else:
+            verdict = sql_compare(op, entries[code], value)
+        t[code] = verdict is True
+        f[code] = verdict is False
+    return Tri(xp.asarray(t, dtype=bool)[codes], xp.asarray(f, dtype=bool)[codes], xp)
 
 
 def eval_expr(expr: Expr, batch: Batch) -> Column:
@@ -208,7 +240,7 @@ def _expr(expr: Expr, batch: Batch, xp) -> Column:
     if isinstance(expr, Attr):
         return batch.column(expr.name)
     if isinstance(expr, Const):
-        return const_column(expr.value, batch.length)
+        return const_column(expr.value, batch.length, xp)
     if isinstance(expr, BinOp):
         if expr.op in _COMPARISONS:
             return _tri(expr, batch, xp).to_column()

@@ -61,6 +61,49 @@ def test_every_view_and_batch_shares_the_tables_columns():
     assert table.as_batch().column("w")._lanes is None
 
 
+def test_a_base_columns_dictionary_is_built_once_per_process(monkeypatch):
+    """Key codes are cached on the shared column like lanes: every alias
+    and every batch hands out the same codes object, and running a plan
+    a second time builds no dictionary at all."""
+    from repro.aggregates.calls import count_star
+    from repro.aggregates.vector import AggItem, AggVector
+    from repro.algebra.expressions import Attr, BinOp, Const
+    from repro.exec import columns
+    from repro.exec.arrays import numpy_module
+    from repro.plans.nodes import GroupByNode, SelectNode
+
+    xp = numpy_module()
+    if xp is None:
+        pytest.skip("key codes need numpy")
+    table = ColumnTable("t", {"k": ["x", "y", NULL, "x"], "v": [1, 2, 3, 4]})
+    first, second = table.view(("a.k", "a.v")), table.view(("b.k", "b.v"))
+    codes = first.as_batch().column("a.k").key_codes(xp)
+    assert codes[0].tolist() == [0, 1, 2, 0] and list(codes[1]) == ["x", "y", NULL]
+    assert second.as_batch().column("b.k").key_codes(xp) is codes
+    assert table.as_batch().column("k").key_codes(xp) is table.as_batch().column("k").key_codes(xp)
+    # a column nothing keyed on has no dictionary
+    assert table.as_batch().column("v")._codes is None
+
+    built = []
+    build = columns._codes_of_values
+    monkeypatch.setattr(
+        columns, "_codes_of_values", lambda values, xp: built.append(values) or build(values, xp)
+    )
+    fresh = ColumnTable("u", {"k": ["x", "y", NULL, "x", "y"], "s": ["p", "q", "p", "q", "p"]})
+    scan = ScanNode("u", ("u.k", "u.s"))
+    plan = GroupByNode(
+        ("u.k",),
+        AggVector([AggItem("n", count_star())]),
+        SelectNode(BinOp("=", Attr("u.s"), Const("p")), scan),
+    )
+    database = {"u": fresh.view(("u.k", "u.s"))}
+    once = run_plan(plan, database, executor="columnar")
+    assert len(built) == 2  # u.s for the filter, u.k for the grouping
+    again = run_plan(plan, {"u": fresh.view(("u.k", "u.s"))}, executor="columnar")
+    assert len(built) == 2 and again == once
+    assert once == run_plan(plan, database, executor="interpreter")
+
+
 def test_view_unknown_attribute():
     with pytest.raises(KeyError):
         NATION.view(("ns.n_missing",))

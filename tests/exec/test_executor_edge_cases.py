@@ -12,8 +12,10 @@ from repro.aggregates.calls import avg, count, count_star, sum_
 from repro.aggregates.vector import AggItem, AggVector
 from repro.algebra.expressions import Attr, BinOp, Const, IsNull, Logical, Not
 from repro.algebra.relation import Relation
-from repro.algebra.values import NULL
+from repro.algebra.values import NULL, sql_compare
 from repro.exec import run_plan
+from repro.exec.columns import Batch
+from repro.exec.vectoreval import eval_tri
 from repro.plans.nodes import GroupByNode, JoinNode, ScanNode, SelectNode
 from repro.rewrites.pushdown import OpKind
 
@@ -263,3 +265,40 @@ def test_keys_float64_cannot_tell_apart_stay_apart(backend):
     ]
     grouped = both(GroupByNode(("l.k",), AggVector([AggItem("n", count_star())]), SCAN_L), database)
     assert {r["l.k"]: r["n"] for r in grouped.rows} == {big: 1, big + 1: 2, 3: 1}
+
+
+# ---------------------------------------------------------------------------
+# comparisons float64 cannot decide
+# ---------------------------------------------------------------------------
+
+BIG = 2**53
+BIG_PAIR = Relation.from_tuples(("t.a", "t.b"), [(BIG, BIG + 1), (3, 3)])
+#: per operator, ``a <op> b`` on the two rows of BIG_PAIR
+BIG_PAIR_VERDICTS = {
+    "=": [False, True],
+    "<>": [True, False],
+    "<": [True, False],
+    "<=": [True, True],
+    ">": [False, False],
+    ">=": [False, True],
+}
+
+
+@pytest.mark.parametrize("op", sorted(BIG_PAIR_VERDICTS))
+def test_comparison_of_ints_float64_cannot_tell_apart(backend, op):
+    # 2**53 and 2**53 + 1 are one float64: a comparison on lanes calls
+    # them equal.  Neither two such columns nor a constant that large
+    # may ride lanes; they compare as the python ints they are.
+    batch = Batch.from_relation(BIG_PAIR)
+    a, b = Attr("t.a"), Attr("t.b")
+    for expr, expected in (
+        (BinOp(op, a, b), BIG_PAIR_VERDICTS[op]),
+        (BinOp(op, a, Const(BIG + 1)), [BIG_PAIR_VERDICTS[op][0], sql_compare(op, 3, BIG + 1)]),
+        (BinOp(op, Const(BIG), b), [BIG_PAIR_VERDICTS[op][0], sql_compare(op, BIG, 3)]),
+    ):
+        assert [expr.eval(row) for row in BIG_PAIR.rows] == expected
+        assert eval_tri(expr, batch).to_column().values == expected
+        kept = both(SelectNode(expr, ScanNode("T", ("t.a", "t.b"))), {"T": BIG_PAIR})
+        assert [row["t.a"] for row in kept.rows] == [
+            row["t.a"] for row, verdict in zip(BIG_PAIR.rows, expected) if verdict
+        ]

@@ -1,13 +1,16 @@
-"""Order-exact gate for the two pairing / grouping kernels.
+"""Order-exact gate for the array and the python pairing / grouping kernels.
 
-``_hash_pairs`` and ``_group_rows`` choose between an array kernel and a
-python kernel by what the key columns hold; ``limit`` truncates their
-emission order, so the two must return the *same pairs in the same
-order* and the same ``(firsts, groups)`` — not just the same row set.
-Seeded batches mix ints, integral and non-integral floats (``1`` vs
-``1.0``, ``-0.0``), bools, NULLs and strings, duplicate-heavy and empty.
-The tier-1 run is a few hundred small cases; ``--runslow`` repeats it
-over more seeds and larger inputs.
+Under numpy ``_group_rows`` always works on codes (exact lanes
+factorised, key codes otherwise) and ``_hash_pairs`` does wherever the
+key columns have exact lanes; a numpy-less process buckets python
+values.  ``limit`` truncates their emission order, so the two must
+return the *same pairs in the same order* and the same ``(firsts,
+groups)`` — not just the same row set.  Seeded batches mix ints,
+integral and non-integral floats (``1`` vs ``1.0``, ``-0.0``), bools,
+NULLs and strings, duplicate-heavy and empty; hand-built ones bring the
+group keys a dictionary has to get right (pads, prefixes, NaN objects,
+ints beyond 2^53).  The tier-1 run is a few hundred small cases;
+``--runslow`` repeats it over more seeds and larger inputs.
 """
 
 import os
@@ -22,9 +25,10 @@ from repro.algebra.expressions import Attr, BinOp
 from repro.algebra.values import NULL
 from repro.exec.arrays import FORCE_FALLBACK_ENV, HAVE_NUMPY, numpy_module
 from repro.data.tables import ColumnTable
+from repro.exec import columnar
 from repro.exec.columnar import _group_rows, _hash_pairs, _key_lanes, execute_physical
-from repro.exec.columns import Column
-from repro.exec.physical import PhysHashJoin, PhysLimit, PhysScan
+from repro.exec.columns import Batch, Column
+from repro.exec.physical import PhysGroupAgg, PhysHashJoin, PhysLimit, PhysScan
 from repro.rewrites.pushdown import OpKind
 
 pytestmark = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
@@ -45,15 +49,27 @@ JOIN_KINDS = [
 ]
 
 
+def _python_loop_entered(value):
+    raise AssertionError(f"_group_rows bucketed {value!r} in python under numpy")
+
+
 @contextmanager
 def kernels(name):
-    """Run the block on the array kernels ("array") or the python ones."""
+    """Run the block on the array kernels ("array") or the python ones.
+
+    On the array kernels the grouping loop's ``group_key`` raises: under
+    numpy no grouping may reach it, whatever the key columns hold.
+    """
     before = os.environ.pop(FORCE_FALLBACK_ENV, None)
+    group_key = columnar.group_key
     if name == "python":
         os.environ[FORCE_FALLBACK_ENV] = "1"
+    else:
+        columnar.group_key = _python_loop_entered
     try:
         yield numpy_module()
     finally:
+        columnar.group_key = group_key
         os.environ.pop(FORCE_FALLBACK_ENV, None)
         if before is not None:
             os.environ[FORCE_FALLBACK_ENV] = before
@@ -108,15 +124,21 @@ def check_pairs(seed, pool, width, left_rows, right_rows):
     assert (plain(array[0]), plain(array[1])) == (plain(python[0]), plain(python[1]))
 
 
+def same_groups(child, group_attrs):
+    """``_group_rows`` on codes == ``_group_rows`` on python buckets."""
+    with kernels("array") as xp:
+        firsts, groups = _group_rows(child, group_attrs, xp)
+    with kernels("python") as xp:
+        expected_firsts, expected_groups = _group_rows(child, group_attrs, xp)
+    assert plain(firsts) == plain(expected_firsts)
+    assert [plain(g) for g in groups] == [plain(g) for g in expected_groups]
+    return [plain(g) for g in groups]
+
+
 def check_groups(seed, pool, width, rows, _unused):
     rng = random.Random(f"{seed}:{pool}:{width}:{rows}")
     child = batch("t", draw(rng, POOLS[pool], rows, width + 1))
-    with kernels("array") as xp:
-        firsts, groups = _group_rows(child, child.attributes[:width], xp)
-    with kernels("python") as xp:
-        expected_firsts, expected_groups = _group_rows(child, child.attributes[:width], xp)
-    assert plain(firsts) == plain(expected_firsts)
-    assert [plain(g) for g in groups] == [plain(g) for g in expected_groups]
+    same_groups(child, child.attributes[:width])
 
 
 def check_joins(seed, pool, width, left_rows, right_rows):
@@ -170,13 +192,87 @@ def test_kernels_agree_in_order_exhaustive(check):
 
 
 def test_the_array_kernels_are_the_ones_compared():
-    """Numeric keys really take the array kernels (exact lanes on every
-    key column); strings, a NaN and an int beyond 2^53 really do not."""
+    """Numeric keys have exact lanes on every key column; strings, a NaN
+    and an int beyond 2^53 have not — and are grouped by their key codes,
+    never by the python loop (which raises inside ``kernels("array")``)."""
     with kernels("array") as xp:
         exact = batch("t", [[1, 2.5, NULL, True, -0.0], [3, 3, 3, 3, 3]])
         assert _key_lanes(list(exact.columns.values()), xp) is not None
         for odd in (["a", 1], [float("nan"), 1.0], [2**53 + 1, 1], [1, 10**400]):
             assert _key_lanes([Column(odd)], xp) is None
+            assert len(_group_rows(batch("t", [odd]), ("t.0",), xp)[1]) == 2
         assert Column([2**53 - 1, -(2**53) + 1]).key_lanes(xp) is not None
+        with pytest.raises(AssertionError, match="in python under numpy"):
+            _group_rows(batch("t", [["a", "b"]]), ("t.0",), None)
     with kernels("python") as xp:
         assert xp is None
+
+
+def _index(rows):
+    import numpy  # the module is skipped without it
+
+    return numpy.asarray(rows, dtype=numpy.intp)
+
+
+def test_group_keys_arriving_through_takes():
+    """A late take groups by a gather of its parent's codes: plain and
+    composed takes, ``Batch.head``'s ``range``, and an outer join's pads —
+    NULL, a default the dictionary already holds, one it does not."""
+    base = batch("t", [["a", "b", NULL, "a", "", "b"], [1, "x", 1.0, NULL, "x", True]])
+    attrs = base.attributes
+    taken = base.take(_index([5, 3, 3, 0, 2, 1, 4]))
+    for child in (taken, taken.take(_index([6, 0, 0, 2, 5])), base.head(4), taken.head(3)):
+        for group_attrs in (attrs[:1], attrs[1:], attrs):
+            same_groups(child, group_attrs)
+    slots = _index([0, -1, 2, 3, -1, 1, -1])
+    for pad in (NULL, "a", "zz", 0, float("nan")):
+        columns = {a: base.column(a).take_padded(slots, pad) for a in attrs}
+        padded = Batch(attrs, columns, len(slots))
+        groups = [same_groups(padded, group_attrs) for group_attrs in (attrs[:1], attrs[1:], attrs)]
+        if pad == "zz":  # a fresh entry: the padded rows are a group of their own
+            assert groups[0] == [[0, 3], [1, 4, 6], [2], [5]]
+        if pad == "a":  # the dictionary's own entry: they join its group
+            assert groups[0] == [[0, 1, 3, 4, 6], [2], [5]]
+        # and once more over a take of the padded rows
+        same_groups(padded.take(_index([6, 5, 4, 3, 2, 1, 0, 0])), attrs)
+
+
+def test_group_keys_a_dictionary_has_to_get_right():
+    nan, other_nan = float("nan"), float("nan")
+    for values, expected in (
+        ([NULL, NULL, NULL], [[0, 1, 2]]),  # all NULL: one group
+        ([], []),  # an empty batch: no group
+        ([nan, 1.0, nan, nan], [[0, 2, 3], [1]]),  # one NaN object is one key
+        ([nan, other_nan, nan], [[0, 2], [1]]),  # two NaN objects are two
+        ([2**53, 2**53 + 1, 2**53, float(2**53)], [[0, 2, 3], [1]]),
+        ([1, True, 1.0, "1", NULL, 0, False, -0.0], [[0, 1, 2], [3], [4], [5, 6, 7]]),
+    ):
+        child = batch("t", [values, list(range(len(values)))])
+        assert same_groups(child, ("t.0",)) == expected
+        same_groups(child, child.attributes)
+
+
+def test_outer_join_pads_group_like_values():
+    """Group by a string column an outer join padded — with NULL on the
+    left keys, with a default on the right payload — end to end."""
+    left = ColumnTable("L", {"l.k": [1, 2, 3, 4, NULL], "l.s": ["x", "y", "x", NULL, "y"]})
+    right = ColumnTable("R", {"r.k": [2, 2, 5, NULL], "r.s": ["y", "none", "x", "q"]})
+    database = {"L": left, "R": right}
+    join = PhysHashJoin(
+        OpKind.FULL_OUTER,
+        ("l.k",),
+        ("r.k",),
+        None,
+        PhysScan("L", left.attributes),
+        PhysScan("R", right.attributes),
+        right_defaults=(("r.s", "none"),),
+    )
+    vector = AggVector([AggItem("n", count_star())])
+    for group_attrs in (("r.s",), ("l.s",), ("l.s", "r.s"), ("l.s", "r.k")):
+        plan = PhysGroupAgg(group_attrs, vector, (), join)
+        with kernels("array"):
+            array = typed(execute_physical(plan, database))
+        with kernels("python"):
+            python = typed(execute_physical(plan, database))
+        assert array == python
+    assert array[0] == [("str", "x"), ("Null", NULL), ("int", 2)]
