@@ -12,12 +12,23 @@ python-float semantics of :func:`repro.algebra.values.sql_arith` /
 columnar backend promise row-set equality with the interpreter.  The one
 deliberate divergence: python ints are arbitrary precision, float64
 lanes are not — integer *arithmetic* beyond 2^53 would lose exactness.
-Join and grouping *keys* and *comparisons* never do: a column records
-whether its lanes are exact (no NaN, every int strictly inside ±2^53 —
-:meth:`repro.exec.columns.Column.key_lanes`) and only exact lanes key a
-join or a grouping or decide a comparison; anything else goes by the
-python values, through the column's dictionary
-(:meth:`~repro.exec.columns.Column.key_codes`) or row by row.
+Join and grouping *keys*, *comparisons* and *aggregates* never do: a
+column records whether its lanes are exact (no NaN, every int strictly
+inside ±2^53 — :meth:`repro.exec.columns.Column.key_lanes`) and only
+exact lanes key a join or a grouping, decide a comparison or are folded
+by ``reduceat``; anything else goes by the python values, through the
+column's dictionary (:meth:`~repro.exec.columns.Column.key_codes`) or
+row by row.  An integer ``sum`` is exact wherever it ends up: a column
+of nothing but ints (:meth:`~repro.exec.columns.Column.int_only`) is
+added in int64 when no group can leave 2^62 — exact lanes bound every
+term by 2^53, so that is a bound on the group size — and as python ints
+otherwise, so a sum may pass 2^53 and 2^63 and stay an exact ``int``.
+A *float* sum is never vectorized: float addition is not associative,
+``reduceat`` does not promise an order, and python's own ``sum`` —
+which the interpreter calls — is compensated summation from 3.12 on and
+plain left-to-right addition before, so the only float sum equal to the
+interpreter's on every supported version is that same ``sum`` over the
+same values in the same order.
 Query results compare through :func:`~repro.algebra.values.group_key`
 (integral floats normalise to int), so within the exact range the
 backends stay row-set identical.

@@ -14,18 +14,29 @@ on **one small integer code per row**, equal on two rows iff their keys
 are equal, and never on the key values themselves:
 
 * a key column with *exact* float64 lanes (numeric, no NaN, no int at
-  or beyond ±2^53) is factorised by one sort of its lanes
-  (:func:`_factorised`);
+  or beyond ±2^53) is factorised (:func:`_factorised`): by subtraction
+  — ``value - min`` — when the lane is integral and spans a range no
+  wider than a few times the row count, which is what TPC-H keys, dates
+  and quantities do; by one sort otherwise;
 * any other key column of a grouping — strings, mixed types, a NaN, an
   int float64 cannot tell from its neighbour — brings its *key codes*
   (:meth:`Column.key_codes`): the dictionary is built once per column
   that owns values (once per process for a table's base column) and a
   late take gathers its parent's codes, so a request pays an array
   gather where it used to pay a python loop;
-* several columns combine into one code (:func:`_combined`); a join
-  sorts the right rows by code once and lets every left row read its
-  code's run (``bincount`` / ``cumsum`` / ``repeat``); a grouping sorts
-  the rows by ``(code, row)`` and cuts the runs.  No per-row python.
+* several columns combine into one code by plain products while the
+  code space stays that dense, by a sort once it does not
+  (:func:`_combined`); a join sorts the right rows by code once and
+  lets every left row read its code's run (``bincount`` / ``cumsum`` /
+  ``repeat``); a grouping ranks each code by the first row that holds
+  it and sorts the rows by ``(rank, row)`` once.  No per-row python.
+
+What a grouping hands on is one shape, :class:`Runs`: a row vector laid
+out group after group, groups in order of first occurrence, members in
+input order, plus where each run starts and ends.  The groupjoin's
+partner lists are runs of the pair vector (a left row without a partner
+being an empty run) and an aggregation without GROUP BY is one run of
+every row, so there is one :func:`_aggregate_columns` for all three.
 
 Under numpy a grouping therefore never loops over rows, whatever it
 keys on.  The python kernels — hash buckets keyed by the raw values /
@@ -48,14 +59,22 @@ semantics of :mod:`repro.algebra.operators` exactly:
   full outerjoin append at the end in right-input order,
 * rows with a NULL join key never pair — a NULL never makes an equality
   conjunct TRUE; in a grouping NULL is a key value like any other,
-* groups come in order of first occurrence, and per-group aggregation
-  sums python values sequentially in member order, so float rounding
-  matches ``AggCall.evaluate`` bit for bit.
+* groups come in order of first occurrence, and every aggregate is
+  ``AggCall.evaluate``'s value *and type*.  Under numpy ``count``,
+  ``min`` / ``max`` over exact lanes and ``sum`` over a column of ints
+  are ``ufunc.reduceat`` over the runs (:func:`_array_fold`) — a
+  ``min`` is then a late take of the first row that attains it, so
+  ``min([1.0, 1])`` stays ``1.0``, and an int sum is int64 only where
+  no run can leave 2^62.  ``sum`` / ``avg`` over floats stay python's
+  own ``sum`` in member order (:func:`_python_fold`), so float rounding
+  matches the interpreter bit for bit on every python version; so do
+  strings, inexact lanes and DISTINCT.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from itertools import accumulate, chain
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.aggregates.calls import AggKind
 from repro.aggregates.vector import AggVector
@@ -135,6 +154,21 @@ def _vector(rows, xp):
     return xp.asarray(rows, dtype=xp.intp)
 
 
+class Runs(NamedTuple):
+    """The groups of an aggregation, as runs of one row vector: group
+    *g* holds the rows ``order[starts[g]:ends[g]]``, in input order.
+
+    The runs tile *order* — ``starts[0] == 0``, ``starts[g + 1] ==
+    ends[g]``, the last one ends where *order* does — and an empty run
+    is a group without rows (a groupjoin's left row without a partner).
+    Index arrays under numpy, lists without.
+    """
+
+    order: object
+    starts: object
+    ends: object
+
+
 def _key_lanes(columns: Sequence[Column], xp) -> Optional[list]:
     """The ``(data, valid)`` lanes of every key column, or None unless
     all of them are exact — what decides between pairing's array kernel
@@ -148,36 +182,68 @@ def _key_lanes(columns: Sequence[Column], xp) -> Optional[list]:
     return lanes
 
 
+def _dense_width(rows: int) -> int:
+    """The widest code space that counts as *dense* for *rows* rows: a
+    table indexed by code then costs no more than a few passes over the
+    rows, and a product of two such widths stays far inside int64."""
+    return 4 * rows + 1024
+
+
+def _sorted_codes(keys, xp):
+    """``(codes, width)`` of any key array, by one sort."""
+    uniques, codes = xp.unique(keys, return_inverse=True)
+    return codes, len(uniques)
+
+
 def _factorised(data, valid, xp):
-    """``(codes, width)`` of one key column's exact lanes, by one sort:
-    codes in ``[0, width)``, NULL (off *valid*) a code of its own."""
-    uniques, codes = xp.unique(data, return_inverse=True)
+    """``(codes, width)`` of one key column's exact lanes: codes in
+    ``[0, width)``, NULL (off *valid*) being code 0.
+
+    Integral lanes that span a dense range — TPC-H keys, dates,
+    quantities — are coded ``value - min + 1``: two reductions and a
+    compare.  Anything else (a fraction, a sparse key) is coded by one
+    sort.  Nobody reads more from a code than equal-iff-equal, so which
+    of the two ran changes no pair and no group.
+    """
+    if len(data):
+        low = data.min()
+        span = data.max() - low  # inf or nan when an infinity is a key
+        if span + 2 <= _dense_width(len(data)) and bool((data == xp.floor(data)).all()):
+            # integers less than 2^53 apart: the subtraction is exact
+            codes = (data - low).astype(xp.intp) + 1
+            if valid is not None:
+                codes[~valid] = 0
+            return codes, int(span) + 2
+    codes, width = _sorted_codes(data, xp)
     if valid is not None:
         codes = xp.where(valid, codes + 1, 0)
-    return codes, len(uniques) + 1
+    return codes, width + 1
 
 
-def _combined(columns: Sequence[tuple], xp):
-    """One small integer per row over several ``(codes, width)`` key
-    columns: two rows get the same code iff they agree on every column.
+def _combined(columns: Sequence[tuple], rows: int, xp):
+    """``(codes, width)``: one integer per row over several ``(codes,
+    width)`` key columns, two rows getting the same code iff they agree
+    on every column.
 
-    The running combination is factorised again after every further
-    column, so a code never exceeds the row count and no product leaves
-    int64.
+    The combination is the plain product ``code * width + next`` while
+    the code space stays dense for *rows* rows, and is factorised again
+    by one sort once it is not — so the result is never wider than
+    :func:`_dense_width` and no product leaves int64.
     """
-    codes = None
-    for column_codes, width in columns:
-        if codes is None:
-            codes = column_codes
-        else:
-            _, codes = xp.unique(codes * width + column_codes, return_inverse=True)
-    return codes
+    bound = _dense_width(rows)
+    codes, width = None, 1
+    for column_codes, column_width in columns:
+        codes = column_codes if codes is None else codes * column_width + column_codes
+        width *= column_width
+        if width > bound:
+            codes, width = _sorted_codes(codes, xp)
+    return codes, width
 
 
-def _joint_codes(lanes: Sequence[tuple], xp):
-    """:func:`_combined` over exact lanes, each factorised by one sort
-    (NULL being a value of its own)."""
-    return _combined([_factorised(data, valid, xp) for data, valid in lanes], xp)
+def _joint_codes(lanes: Sequence[tuple], rows: int, xp):
+    """:func:`_combined` codes over exact lanes, each factorised (NULL
+    being a value of its own)."""
+    return _combined([_factorised(data, valid, xp) for data, valid in lanes], rows, xp)[0]
 
 
 def _grouping_codes(column: Column, xp):
@@ -240,6 +306,7 @@ def _hash_pairs(
                     (xp.concatenate((ldata, rdata)), None)
                     for (ldata, _), (rdata, _) in zip(llanes, rlanes)
                 ],
+                left.length + right.length,
                 xp,
             )
             return _sorted_pairs(
@@ -353,17 +420,19 @@ def _occurring(length: int, rows, wanted: bool, xp):
     return (flags if wanted else ~flags).nonzero()[0]
 
 
-def _partners(left_length: int, pairs_l, pairs_r, xp) -> List[List[int]]:
-    """Per left row, its right partners in pair order (groupjoin members)."""
+def _partners(left_length: int, pairs_l, pairs_r, xp) -> Runs:
+    """Per left row, its right partners in pair order (groupjoin
+    members).  Pairs are left-major, so a left row's partners are one
+    run of *pairs_r* — an empty one for a row without any."""
     if xp is None:
-        partners: List[List[int]] = [[] for _ in range(left_length)]
-        for i, j in zip(pairs_l, pairs_r):
-            partners[i].append(j)
-        return partners
-    # pairs are left-major: a left row's partners are one run of pairs_r
-    ends = xp.cumsum(xp.bincount(pairs_l, minlength=left_length)).tolist()
-    members = pairs_r.tolist()
-    return [members[start:end] for start, end in zip([0] + ends, ends)]
+        counts = [0] * left_length
+        for i in pairs_l:
+            counts[i] += 1
+        ends = list(accumulate(counts))
+        return Runs(pairs_r, [end - count for end, count in zip(ends, counts)], ends)
+    counts = xp.bincount(pairs_l, minlength=left_length)
+    ends = xp.cumsum(counts)
+    return Runs(pairs_r, ends - counts, ends)
 
 
 def _outer_slots(kind: OpKind, left_length: int, right_length: int, pairs_l, pairs_r, xp):
@@ -420,7 +489,7 @@ def _emit_join(op, left: Batch, right: Batch, pairs_l, pairs_r, xp) -> Batch:
     if kind is OpKind.GROUPJOIN:
         assert op.groupjoin_vector is not None
         partners = _partners(left.length, pairs_l, pairs_r, xp)
-        return left.extended(_aggregate_columns(op.groupjoin_vector, right, partners))
+        return left.extended(_aggregate_columns(op.groupjoin_vector, right, partners, xp))
 
     if kind not in (OpKind.LEFT_OUTER, OpKind.FULL_OUTER):
         raise AssertionError(f"unhandled join kind {kind}")
@@ -443,39 +512,119 @@ def _emit_join(op, left: Batch, right: Batch, pairs_l, pairs_r, xp) -> Batch:
 # ---------------------------------------------------------------------------
 
 def _aggregate_columns(
-    vector: AggVector, source: Batch, groups: List[List[int]]
+    vector: AggVector, source: Batch, runs: Runs, xp
 ) -> List[Tuple[str, Column]]:
     """One output column per aggregate, argument expressions evaluated once."""
     out: List[Tuple[str, Column]] = []
     for item in vector:
         call = item.call
         if call.kind is AggKind.COUNT_STAR:
-            out.append((item.name, Column([len(members) for members in groups])))
+            if xp is None:
+                lengths = [end - start for start, end in zip(runs.starts, runs.ends)]
+            else:
+                lengths = (runs.ends - runs.starts).tolist()
+            out.append((item.name, Column(lengths)))
             continue
-        arg_values = eval_expr(call.arg, source).values
-        out.append(
-            (
-                item.name,
-                Column(
-                    [
-                        _evaluate_call(call.kind, call.distinct, arg_values, members)
-                        for members in groups
-                    ]
-                ),
-            )
-        )
+        argument = eval_expr(call.arg, source)
+        column = None
+        if xp is not None and not call.distinct:
+            column = _array_fold(call.kind, argument, runs, xp)
+        if column is None:
+            column = _python_fold(call.kind, call.distinct, argument, runs, xp)
+        out.append((item.name, column))
     return out
 
 
-def _evaluate_call(
-    kind: AggKind, distinct: bool, arg_values: List[SqlValue], members: List[int]
-) -> SqlValue:
-    """``AggCall.evaluate`` over pre-computed argument values.
+def _array_fold(kind: AggKind, column: Column, runs: Runs, xp) -> Optional[Column]:
+    """*kind* folded over every run with ``ufunc.reduceat`` where that is
+    exact by construction, else None (:func:`_python_fold` takes it).
+
+    ``count`` counts the valid rows.  ``min`` / ``max`` reduce exact
+    lanes and then *take* the first row of each run that attains the
+    result, so the value, its type and its spelling are the argument
+    column's own (``min([1.0, 1])`` is ``1.0``).  ``sum`` adds int64
+    where the column holds nothing but ints and no run can leave 2^62.
+    Float sums are python's: its ``sum`` is not plain left-to-right
+    addition on every version, and the interpreter's is what we owe.
+
+    ``reduceat`` returns the *next* run's first element for an empty run
+    and refuses an index at the end of the array, so only the non-empty
+    runs are folded — they tile the rows, each one's start being the end
+    of the one before — and the results scattered.
+    """
+    if kind is AggKind.AVG or (kind is AggKind.SUM and not column.int_only(xp)):
+        return None
+    lanes = column.lanes(xp) if kind is AggKind.COUNT else column.key_lanes(xp)
+    if lanes is None:
+        return None
+    data, valid = lanes
+    order, starts, ends = runs
+    lengths = ends - starts
+    filled = lengths.nonzero()[0]
+    cuts = starts[filled]
+    if valid is not None:
+        valid = valid[order]
+    if kind in (AggKind.COUNT, AggKind.SUM):
+        counts = lengths
+        if valid is not None:
+            counts = xp.zeros(len(lengths), dtype=xp.intp)
+            counts[filled] = xp.add.reduceat(valid.astype(xp.intp), cuts)
+        if kind is AggKind.COUNT:
+            return Column(counts.tolist())
+        if not len(filled) or max(data.max(), -data.min()) * int(lengths.max()) >= 2.0**62:
+            return None
+        lane = data[order]
+        if valid is not None:
+            lane = xp.where(valid, lane, 0.0)
+        sums = xp.zeros(len(lengths), dtype=xp.int64)
+        sums[filled] = xp.add.reduceat(lane.astype(xp.int64), cuts)
+        totals = sums.tolist()
+        for run in (counts == 0).nonzero()[0].tolist():
+            totals[run] = NULL
+        return Column(totals)
+    ufunc, worst = (xp.minimum, xp.inf) if kind is AggKind.MIN else (xp.maximum, -xp.inf)
+    lane = data[order]
+    if valid is not None:
+        lane = xp.where(valid, lane, worst)
+    hit = lane == xp.repeat(ufunc.reduceat(lane, cuts), lengths[filled])
+    if valid is not None:
+        hit &= valid
+    # the first hit at or after each run's start; past its end: no valid row
+    hits = xp.append(hit.nonzero()[0], len(lane))
+    first_hit = hits[xp.searchsorted(hits, cuts)]
+    found = first_hit < ends[filled]
+    if len(filled) == len(lengths) and bool(found.all()):
+        return column.take(order[first_hit])
+    rows = xp.full(len(lengths), -1, dtype=xp.intp)
+    rows[filled[found]] = order[first_hit[found]]
+    return column.take_padded(rows, NULL)
+
+
+def _python_fold(kind: AggKind, distinct: bool, column: Column, runs: Runs, xp) -> Column:
+    """``AggCall.evaluate`` per run, over the argument's values gathered
+    once in run order and sliced.
 
     Sequential python ``sum`` in member order keeps float results bit
     identical to the interpreter.
     """
-    values = [arg_values[i] for i in members if arg_values[i] is not NULL]
+    order, starts, ends = runs
+    values = column.take(order).values
+    holds_null = True
+    if xp is not None:
+        lanes = column.lanes(xp)
+        holds_null = lanes is None or lanes[1] is not None
+        starts, ends = starts.tolist(), ends.tolist()
+    out = []
+    for start, end in zip(starts, ends):
+        members = values[start:end]
+        if holds_null:
+            members = [v for v in members if v is not NULL]
+        out.append(_evaluate_call(kind, distinct, members))
+    return Column(out)
+
+
+def _evaluate_call(kind: AggKind, distinct: bool, values: List[SqlValue]) -> SqlValue:
+    """``AggCall.evaluate`` over a group's non-NULL argument values."""
     if distinct:
         seen = set()
         unique: List[SqlValue] = []
@@ -501,39 +650,48 @@ def _evaluate_call(
 
 
 def _group_rows(child: Batch, group_attrs: Tuple[str, ...], xp):
-    """``(firsts, groups)``: per group its first row and its member rows
-    in input order, the groups ordered by first occurrence.
+    """``(firsts, runs)``: per group its first row, and the groups as
+    :class:`Runs` — members in input order, groups in order of first
+    occurrence.
 
     Under numpy every grouping column brings a code per row — exact
-    lanes factorised, key codes otherwise (:func:`_grouping_codes`) —
-    and the rows are sorted by ``(code, row)`` and cut into runs; without
-    numpy they are bucketed by their :func:`group_key` tuples.  Same
-    answer either way.
+    lanes factorised, key codes otherwise (:func:`_grouping_codes`);
+    each code is ranked by the first row that holds it, and one sort of
+    ``(rank, row)`` lays the runs out.  Without numpy the rows are
+    bucketed by their :func:`group_key` tuples.  Same answer either way.
     """
-    if not child.length:
-        return _vector([], xp), []
+    rows = child.length
+    if not rows:
+        none = _vector([], xp)
+        return none, Runs(none, none, none)
     if not group_attrs:  # one group of everything
-        return _vector([0], xp), [list(range(child.length))]
+        if xp is None:
+            return [0], Runs(range(rows), [0], [rows])
+        one = xp.zeros(1, dtype=xp.intp)
+        return one, Runs(xp.arange(rows), one, one + rows)
     if xp is not None:
-        codes = _combined([_grouping_codes(child.column(a), xp) for a in group_attrs], xp)
-        order = _rows_by_code(codes, xp.arange(child.length), xp)
-        ordered = codes[order]
-        starts = xp.concatenate(([0], (ordered[1:] != ordered[:-1]).nonzero()[0] + 1))
-        ends = xp.append(starts[1:], child.length)
-        firsts = order[starts]  # a run of equal codes starts at its smallest row
-        by_first = xp.argsort(firsts)
-        members = order.tolist()
-        groups = [
-            members[start:end]
-            for start, end in zip(starts[by_first].tolist(), ends[by_first].tolist())
-        ]
-        return firsts[by_first], groups
+        codes, width = _combined(
+            [_grouping_codes(child.column(a), xp) for a in group_attrs], rows, xp
+        )
+        row_ids = xp.arange(rows)
+        first = xp.full(width, rows)
+        # a repeated index keeps its last assignment: the smallest row
+        first[codes[::-1]] = row_ids[::-1]
+        present = (first < rows).nonzero()[0]
+        by_first = present[xp.argsort(first[present])]
+        rank = xp.empty(width, dtype=xp.intp)
+        rank[by_first] = xp.arange(len(by_first))
+        ranks = rank[codes]
+        counts = xp.bincount(ranks)
+        ends = xp.cumsum(counts)
+        order = xp.argsort(ranks * rows + row_ids)  # as _rows_by_code, over every row
+        return first[by_first], Runs(order, ends - counts, ends)
 
     group_values = [child.column(a).values for a in group_attrs]
     buckets: Dict[Tuple, int] = {}
     firsts: List[int] = []
-    groups = []
-    for i in range(child.length):
+    groups: List[List[int]] = []
+    for i in range(rows):
         key = tuple(group_key(col[i]) for col in group_values)
         slot = buckets.get(key)
         if slot is None:
@@ -542,14 +700,15 @@ def _group_rows(child: Batch, group_attrs: Tuple[str, ...], xp):
             groups.append([i])
         else:
             groups[slot].append(i)
-    return _vector(firsts, xp), groups
+    ends = list(accumulate(map(len, groups)))
+    return firsts, Runs(list(chain.from_iterable(groups)), [0] + ends[:-1], ends)
 
 
 def _group_agg(op: PhysGroupAgg, child: Batch, xp) -> Batch:
-    firsts, groups = _group_rows(child, op.group_attrs, xp)
+    firsts, runs = _group_rows(child, op.group_attrs, xp)
     columns = {attr: child.column(attr).take(firsts) for attr in op.group_attrs}
-    grouped = Batch(op.group_attrs, columns, len(groups))
-    grouped = grouped.extended(_aggregate_columns(op.vector, child, groups))
+    grouped = Batch(op.group_attrs, columns, len(firsts))
+    grouped = grouped.extended(_aggregate_columns(op.vector, child, runs, xp))
 
     if not op.post:
         return grouped

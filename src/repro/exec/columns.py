@@ -29,7 +29,12 @@ something reads it:
 Lanes are *exact* when comparing them compares the values: no NaN (one
 python NaN is not another) and no int at or beyond ±2^53 (where float64
 stops telling neighbours apart).  Only exact lanes may key a join or a
-grouping or decide a comparison — :meth:`Column.key_lanes`.
+grouping, decide a comparison or be folded into a ``min`` / ``max`` —
+:meth:`Column.key_lanes`.  A second verdict rides with them, *int-only*
+(:meth:`Column.int_only`): every non-NULL value is a python int, so an
+int64 sum of the lanes is the int python's ``sum`` would return.  Both
+are read off a value list once, when its lanes are built, and a late
+take inherits its parent's.
 
 Columns are immutable once built and may be shared: by the batches of
 one execution, and — for a :class:`~repro.data.tables.ColumnTable`'s
@@ -55,6 +60,9 @@ _NO_PAD = object()
 
 #: the python types a float64 lane can hold (bool rides as 0.0 / 1.0).
 _LANE_TYPES = frozenset((int, float, bool, type(NULL)))
+
+#: of those, the ones python adds up to an int (``sum([True, 2]) == 3``).
+_INT_TYPES = frozenset((int, bool, type(NULL)))
 
 #: ints strictly inside ±2^53 convert to float64 without collisions.
 _EXACT_INT_BOUND = float(2**53)
@@ -83,11 +91,12 @@ def _compose(index, indices, padded: bool):
 
 
 def _lanes_of_values(values: List[SqlValue], xp):
-    """``((data, valid), exact)`` of a value list, or ``(False, False)``
-    when it is not numeric (or holds an int float64 cannot represent)."""
+    """``((data, valid), exact, int_only)`` of a value list, or three
+    times False when it is not numeric (or holds an int float64 cannot
+    represent)."""
     kinds = set(map(type, values))
     if not kinds <= _LANE_TYPES:
-        return False, False
+        return False, False, False
     try:
         if type(NULL) in kinds:
             valid = xp.asarray([v is not NULL for v in values], dtype=bool)
@@ -96,11 +105,11 @@ def _lanes_of_values(values: List[SqlValue], xp):
             valid = None
             data = xp.asarray(values, dtype=xp.float64)
     except OverflowError:
-        return False, False
+        return False, False, False
     exact = not (float in kinds and bool(xp.isnan(data).any())) and not (
         int in kinds and bool((xp.abs(data) >= _EXACT_INT_BOUND).any())
     )
-    return (data, valid), exact
+    return (data, valid), exact, kinds <= _INT_TYPES
 
 
 def _codes_of_values(values: List[SqlValue], xp):
@@ -118,7 +127,8 @@ class Column:
     or a late take."""
 
     __slots__ = (
-        "_values", "_lanes", "_exact", "_codes", "_length", "_parent", "_index", "_pad",
+        "_values", "_lanes", "_exact", "_int_only", "_codes", "_length", "_parent", "_index",
+        "_pad",
     )
 
     def __init__(self, values: Optional[List[SqlValue]] = None, lanes=None):
@@ -130,6 +140,9 @@ class Column:
         self._lanes = lanes
         #: whether the lanes are exact; None until somebody asks
         self._exact: Optional[bool] = None
+        #: whether every non-NULL value is a python int (or bool): set
+        #: with the lanes of a value list; computed lanes hold floats
+        self._int_only = False
         #: (codes intp array, dict value -> code) | None (not computed)
         self._codes = None
         self._length = len(values) if values is not None else int(lanes[0].shape[0])
@@ -143,6 +156,7 @@ class Column:
         column._values = None
         column._lanes = None
         column._exact = None
+        column._int_only = False
         column._codes = None
         column._length = len(index)
         column._parent = parent
@@ -188,12 +202,13 @@ class Column:
         """
         if self._lanes is None:
             if self._parent is not None:
-                lanes, exact = self._gathered_lanes(xp)
+                lanes, exact, int_only = self._gathered_lanes(xp)
             else:
-                lanes, exact = _lanes_of_values(self._values, xp)
-            # exactness first: a concurrent reader that sees the lanes
-            # must see their verdict too
+                lanes, exact, int_only = _lanes_of_values(self._values, xp)
+            # the verdicts first: a concurrent reader that sees the lanes
+            # must see them too
             self._exact = exact
+            self._int_only = int_only
             self._lanes = lanes
         return self._lanes if self._lanes is not False else None
 
@@ -207,17 +222,28 @@ class Column:
             self._exact = not bool(xp.isnan(lanes[0]).any())
         return lanes if self._exact else None
 
+    def int_only(self, xp) -> bool:
+        """Whether the column has lanes and every non-NULL value is a
+        python int (bools count: ``sum`` adds them up to one) — an int64
+        sum over exact lanes is then python's own, type included."""
+        return self.lanes(xp) is not None and self._int_only
+
     def _gathered_lanes(self, xp):
         parent = self._parent
         lanes = parent.lanes(xp)
         if lanes is None:
-            return False, False
+            return False, False, False
         data, valid = lanes
         index, pad = self._index, self._pad
         if pad is _NO_PAD:
-            return (data[index], None if valid is None else valid[index]), parent._exact
-        if pad is not NULL and type(pad) not in _LANE_TYPES:
-            return False, False
+            return (
+                (data[index], None if valid is None else valid[index]),
+                parent._exact,
+                parent._int_only,
+            )
+        if type(pad) not in _LANE_TYPES:
+            return False, False, False
+        int_only = parent._int_only and type(pad) in _INT_TYPES
         # take_padded never pads an empty parent, so -1 reads the last
         # row and the fix-up overwrites it
         missing = xp.asarray(index) < 0
@@ -225,17 +251,17 @@ class Column:
         if pad is NULL:
             data[missing] = 0.0
             valid = ~missing if valid is None else valid[index] & ~missing
-            return (data, valid), parent._exact
+            return (data, valid), parent._exact, int_only
         try:
             data[missing] = pad
         except OverflowError:
-            return False, False
+            return False, False, False
         if valid is not None:
             valid = valid[index] | missing
         exact = parent._exact
         if pad != pad or (type(pad) is int and abs(pad) >= _EXACT_INT_BOUND):
             exact = False
-        return (data, valid), exact
+        return (data, valid), exact, int_only
 
     def key_codes(self, xp):
         """``(codes, table)``: one ``intp`` code per row and the
