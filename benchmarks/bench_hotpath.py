@@ -9,7 +9,9 @@ Engines (see docs/architecture.md):
 
 * ``indexed`` — the hot path: iterative enumerator, per-vertex hypergraph
   indexes + memos, precomputed per-edge join specs, Pareto-bucket
-  EA-Prune, candidates priced before they are built.
+  EA-Prune, candidates priced before they are built — and, for EA-Prune,
+  an H1 pre-pass whose cost is a ceiling no partial plan may exceed (its
+  time is inside the measured run).
 * ``reference`` — the seed code path (recursive enumerator, linear edge
   scans, uncached builder, unordered pairwise-scan buckets, every
   candidate fully built).  Both engines share a few module-level
@@ -17,8 +19,11 @@ Engines (see docs/architecture.md):
   true pre-refactor seed.
 
 The harness asserts, per case, that both engines produce the same plan
-cost / ccp count / plans built, and (in full mode) that the committed
-EA-Prune reference→indexed speedup targets hold.
+cost / ccp count / plan, and (in full mode) that the committed EA-Prune
+reference→indexed speedup targets hold.  ``plans_built`` is recorded per
+engine and no longer compared: a bounded indexed run considers fewer
+candidates by design (``above_ceiling_share`` says how many of the
+OpTrees variants it met lay above the ceiling).
 
 Usage::
 
@@ -44,6 +49,7 @@ import artifact
 import calibrate
 from repro.optimizer import optimize
 from repro.optimizer.planinfo import clear_memo_caches
+from repro.plans.render import plan_shape
 from repro.workload import topology_query
 
 #: Engine lists per case.  ``IR`` rows are the two-way comparisons;
@@ -99,8 +105,10 @@ FULL_SPEEDUP_TARGETS = {
 }
 
 
-def _measure(topology: str, n: int, strategy: str, engine: str) -> dict:
-    """Time one (topology, n, strategy, engine) case, every run of it cold."""
+def _measure(topology: str, n: int, strategy: str, engine: str) -> tuple:
+    """Time one (topology, n, strategy, engine) case, every run of it cold:
+    the case record and the plan's shape (compared across engines, not
+    recorded)."""
 
     def cold_start():
         clear_memo_caches()
@@ -109,14 +117,17 @@ def _measure(topology: str, n: int, strategy: str, engine: str) -> dict:
     result, timing = artifact.measure(
         lambda query: optimize(query, strategy, engine=engine), setup=cold_start
     )
-    return {
+    above_ceiling = result.stats.get("strategy.plans_above_ceiling", 0)
+    case = {
         "key": {"topology": topology, "n": n, "strategy": strategy, "engine": engine},
         **timing,
         "cost": result.cost,
         "ccp_count": result.ccp_count,
         "plans_built": result.plans_built,
+        "above_ceiling_share": above_ceiling / (above_ceiling + result.plans_built),
         "max_bucket": max(result.table_sizes.values()),
     }
+    return case, plan_shape(result.plan.node)
 
 
 def run(cases, out_path: Path, mode: str) -> dict:
@@ -124,9 +135,9 @@ def run(cases, out_path: Path, mode: str) -> dict:
     mismatches = []
     for topology, strategy, sizes, engines in cases:
         for n in sizes:
-            measured = {}
+            measured, plans = {}, {}
             for engine in engines:
-                case = _measure(topology, n, strategy, engine)
+                case, plans[engine] = _measure(topology, n, strategy, engine)
                 measured[engine] = case
                 payload["cases"].append(case)
                 payload["speedups"] = artifact.pair_speedups(
@@ -139,13 +150,16 @@ def run(cases, out_path: Path, mode: str) -> dict:
                     f"plans={case['plans_built']}",
                     flush=True,
                 )
-            if "reference" in measured and any(
-                measured["indexed"][field] != measured["reference"][field]
-                for field in ("cost", "ccp_count", "plans_built")
+            if "reference" in measured and (
+                plans["indexed"] != plans["reference"]
+                or any(
+                    measured["indexed"][field] != measured["reference"][field]
+                    for field in ("cost", "ccp_count")
+                )
             ):
                 mismatches.append((topology, n, strategy))
     if mismatches:
-        print(f"ENGINE MISMATCH (cost/ccp/plans differ): {mismatches}", file=sys.stderr)
+        print(f"ENGINE MISMATCH (cost/ccp/plan differ): {mismatches}", file=sys.stderr)
         raise SystemExit(2)
     return payload
 

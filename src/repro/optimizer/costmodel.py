@@ -25,11 +25,22 @@ without touching the driver::
         def group(self, output_cardinality, child):
             return child.cardinality  # a grouping reads its input
 
-A caveat the paper's Sec. 4.6 makes precise for Cout: EA-Prune's
-dominance pruning (Def. 4) preserves optimality only for cost functions
-that are monotone in the pruning criteria.  A custom model that is not
-(e.g. one rewarding larger intermediates) keeps EA-All exact but can make
-EA-Prune a heuristic.
+Two things rest on properties of the model rather than of the driver:
+
+* EA-Prune's dominance pruning (Def. 4) preserves optimality only for cost
+  functions that are monotone in the pruning criteria (the paper's
+  Sec. 4.6 makes that precise for Cout).  A custom model that is not
+  (e.g. one rewarding larger intermediates) keeps EA-All exact but can
+  make EA-Prune a heuristic.
+* The driver's *ceiling* (docs/architecture.md, "bound, price, ask,
+  build") drops a partial plan that already costs more than a complete
+  one.  That is exact only when no operator can make a plan cheaper than
+  its inputs — every contribution non-negative, plan cost the sum of
+  them.  A model says so by declaring :attr:`CostModel.monotone`;
+  ``tests/optimizer/test_cost_ceiling.py`` holds every registered model
+  that declares it to the three inequalities.  A model that does not
+  (the default, and ``RowCountModel`` above as written) gets the
+  unbounded run: same answers, no pre-pass.
 """
 
 from __future__ import annotations
@@ -63,6 +74,13 @@ class CostModel:
     #: the same name must price plans identically.
     name = "abstract"
 
+    #: Declares the model additive and non-negative: ``price(l, r).cost >=
+    #: l.cost + r.cost``, ``grouped(p).cost >= p.cost`` and ``top_cost(p)
+    #: >= p.cost`` for every plan.  Only then may the driver refuse a
+    #: partial plan dearer than a known complete one; undeclared, no bound
+    #: is applied.
+    monotone = False
+
     def scan(self, cardinality: float) -> float:
         """Cost of an access path producing *cardinality* rows."""
         raise NotImplementedError
@@ -86,6 +104,7 @@ class CoutModel(CostModel):
     """
 
     name = "cout"
+    monotone = True  # every contribution is a cardinality: never negative
 
     def scan(self, cardinality: float) -> float:
         return 0.0

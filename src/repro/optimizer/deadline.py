@@ -11,10 +11,11 @@ When the budget is exhausted the tick raises
 :class:`PlanningDeadlineExceeded` from inside the DP.  What happens next
 is the caller's policy — ``OptimizerConfig.degradation``:
 
-* ``"heuristic"`` (default) — the driver re-runs the same prepared query
-  under the paper's cheap greedy strategy (H1, Fig. 10) with no deadline
-  and returns that plan marked ``degraded=True``.  Degraded plans are
-  never cached.
+* ``"heuristic"`` (default) — the driver returns the same prepared
+  query's plan under the paper's cheap greedy strategy (H1, Fig. 10),
+  marked ``degraded=True``: the result a bounded run already planned for
+  its ceiling, or one planned on the spot with no deadline.  Degraded
+  plans are never cached.
 * ``"error"`` — the exception propagates to the caller (servers map it
   to HTTP 504).
 

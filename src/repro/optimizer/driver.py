@@ -15,17 +15,32 @@ Two engines drive the same skeleton (see docs/architecture.md):
 * ``engine="indexed"`` (default) — the hot path: iterative enumerator over
   the indexed/memoised hypergraph, per-edge join specs resolved through
   :class:`~repro.optimizer.edgeindex.EdgeResolver`, cost-ordered EA-Prune
-  buckets, and *price, ask, build*: every OpTrees variant is priced
+  buckets, and *bound, price, ask, build*: an OpTrees variant that already
+  costs more than the run's ceiling is dropped, what is left is priced
   (:meth:`~repro.optimizer.planinfo.PlanBuilder.price`), the strategy is
   asked whether it would discard it
   (:meth:`~repro.optimizer.strategies.Strategy.would_discard`), and only
   what survives is constructed,
 * ``engine="reference"`` — the seed's code path (recursive enumerator,
   linear edge scans, uncached builder, unordered buckets, every candidate
-  fully built), kept strictly as the test oracle.  Golden and differential
-  tests assert the engines produce identical costs, ccp counts, candidate
-  counts, table sizes and plans; :mod:`benchmarks.bench_hotpath` times
-  one against the other.
+  fully built, never bounded), kept strictly as the test oracle.  Golden
+  and differential tests assert the engines produce identical costs, ccp
+  counts and plans — and identical candidate counts and table sizes
+  wherever the indexed run is unbounded; :mod:`benchmarks.bench_hotpath`
+  times one against the other.
+
+The ceiling: before the main pass of an *exact eager* run — the strategy
+declares :attr:`~repro.optimizer.strategies.Strategy.accepts_ceiling`
+(EA-Prune with the full criteria), the cost model declares
+:attr:`~repro.optimizer.costmodel.CostModel.monotone` (Cout), the engine
+is the indexed one and the query has :data:`CEILING_MIN_RELATIONS`
+relations or more — the prepared query is planned once under H1
+(:data:`DEGRADED_STRATEGY`; no cache, no hooks, no deadline) and that
+complete plan's cost bounds every partial plan of the run.  Every bucket
+of a bounded run is the unbounded run's bucket restricted to ``cost <=
+ceiling``, so cost, plan and ``ccp_count`` are unchanged; in every other
+case the ceiling is ``inf`` and the same loop drops nothing.  When a
+deadline fires in the main pass, the degraded answer is that H1 result.
 
 The engine choice never changes optimizer *output* — it is part of
 :class:`~repro.optimizer.config.OptimizerConfig` for plumbing (CLI,
@@ -37,6 +52,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 from functools import partial
+from math import inf
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import chaos
@@ -76,9 +92,13 @@ class OptimizationResult:
     #: Hot-path instrumentation (edge-index scans, memo hits, dominance
     #: checks) for the run that produced the plan.  Keys are additive
     #: counters; absent on cache hits only in the sense that they still
-    #: describe the original run.  Populated by :func:`optimize`; empty
-    #: for results constructed elsewhere.
-    stats: Dict[str, int] = field(default_factory=dict)
+    #: describe the original run.  A bounded run adds what its ceiling
+    #: was and did: ``ceiling.cost`` and the pre-pass's ``ceiling.ccps`` /
+    #: ``ceiling.plans`` / ``ceiling.seconds`` (every other key, like
+    #: ``ccp_count``, counts the main pass only; ``elapsed_seconds`` covers
+    #: both) and ``strategy.plans_above_ceiling``.  Populated by
+    #: :func:`optimize`; empty for results constructed elsewhere.
+    stats: Dict[str, float] = field(default_factory=dict)
 
     @property
     def cost(self) -> float:
@@ -188,6 +208,12 @@ def optimize(
     budget, ``config.degradation`` picks between a heuristic fallback
     plan marked ``degraded=True`` and raising
     :class:`~repro.optimizer.deadline.PlanningDeadlineExceeded`.
+
+    An exact eager run (see the module docstring) is preceded by one H1
+    pass over the same pre-pass whose cost bounds it.  That pass is
+    invisible from outside: it probes and stores no cache, fires no hook,
+    takes no deadline tick; the result reports it under
+    ``stats["ceiling.*"]`` and includes its time in ``elapsed_seconds``.
     """
     if config is None:
         config = OptimizerConfig(strategy=strategy, factor=factor, cache_capacity=None)
@@ -244,6 +270,21 @@ def optimize(
     if reference and isinstance(chosen, EaPruneStrategy) and chosen.ordered:
         chosen = EaPruneStrategy(criteria=chosen.criteria, ordered=False)
 
+    # Bound: a complete plan's cost is a ceiling no useful partial plan can
+    # exceed — if the strategy promises the eager optimum and the cost
+    # model promises plans never get cheaper.  Otherwise the ceiling is
+    # infinite and the one code path below prunes nothing.
+    heuristic: Optional[OptimizationResult] = None
+    ceiling = inf
+    if (
+        chosen.accepts_ceiling
+        and cost_model.monotone
+        and not reference
+        and len(query.relations) >= CEILING_MIN_RELATIONS
+    ):
+        heuristic = _heuristic_plan(query, prepared, config, engine)
+        ceiling = heuristic.cost
+
     builder = PlanBuilder(query, cost_model=cost_model, memo=not reference)
     all_mask = query.all_relations_mask
 
@@ -258,7 +299,9 @@ def optimize(
         resolver = prepared.resolver()
         resolve = resolver.resolve
         ccps = enumerate_ccps(graph)
-    build_plans = _build_plans_reference if reference else _build_plans
+    build_plans = (
+        _build_plans_reference if reference else partial(_build_plans, ceiling=ceiling)
+    )
 
     # Counter snapshots: graph/resolver/strategy objects may be shared
     # across runs (PreparedQuery reuse, strategy instances in configs), so
@@ -317,9 +360,9 @@ def optimize(
     except PlanningDeadlineExceeded:
         if config.degradation != "heuristic":
             raise
-        result = _degraded_fallback(
-            query, prepared, config, engine, start, ccp_count, tally.built
-        )
+        if heuristic is None:
+            heuristic = _heuristic_plan(query, prepared, config, engine)
+        result = _degraded_fallback(heuristic, start, ccp_count, tally.built)
         if on_result is not None:
             on_result(result)
         return result
@@ -330,13 +373,19 @@ def optimize(
     best = min(final, key=lambda p: p.cost)
     elapsed = time.perf_counter() - start
 
-    stats: Dict[str, int] = {
+    stats: Dict[str, float] = {
         "engine_reference": 1 if reference else 0,
         "plans_constructed": tally.constructed,
         "top_replacements": tally.top_replacements,
     }
     if tally.priced_away:
         stats["strategy.plans_priced_away"] = tally.priced_away
+    if heuristic is not None:
+        stats["ceiling.cost"] = ceiling
+        stats["ceiling.ccps"] = heuristic.ccp_count
+        stats["ceiling.plans"] = heuristic.plans_built
+        stats["ceiling.seconds"] = heuristic.elapsed_seconds
+        stats["strategy.plans_above_ceiling"] = tally.above_ceiling
     for name, value in graph.counters.items():
         delta = value - graph_before.get(name, 0)
         if delta:
@@ -368,41 +417,50 @@ def optimize(
     return result
 
 
-#: Strategy used for deadline-degraded fallback plans: H1 (Fig. 10), the
-#: paper's cheapest greedy — one plan per DP class, no eager variants.
+#: The heuristic that supplies both the ceiling of a bounded run and the
+#: deadline-degraded fallback plan: H1 (Fig. 10), the paper's cheapest
+#: greedy — one plan per DP class, eager variants included, so its plan
+#: lies in the eager search space.
 DEGRADED_STRATEGY = "h1"
+
+#: Queries with fewer relations are planned without the pre-pass.  With
+#: two there is one csg-cmp-pair, the full set, where keep-the-cheaper
+#: already refuses what a ceiling would; with three the pre-pass cost more
+#: than it saved on 37 of 40 random queries (+24 % in total).  From four
+#: relations on the total falls (0.84x at four, 0.53x at five, 0.21x at
+#: eight; CHANGES.md, PR 24).
+CEILING_MIN_RELATIONS = 4
+
+
+def _heuristic_plan(
+    query: Query, prepared: PreparedQuery, config: OptimizerConfig, engine: str
+) -> OptimizationResult:
+    """The prepared query planned under :data:`DEGRADED_STRATEGY`: no
+    cache, no hooks, and no deadline — so no deadline ticks and no chaos
+    delay either (H1 touches each ccp once with a single plan per class,
+    a small fraction of an exact run)."""
+    return optimize(
+        query,
+        prepared=prepared,
+        config=config.with_overrides(strategy=DEGRADED_STRATEGY, deadline_seconds=None),
+        engine=engine,
+    )
 
 
 def _degraded_fallback(
-    query: Query,
-    prepared: Optional[PreparedQuery],
-    config: OptimizerConfig,
-    engine: str,
-    start: float,
-    primary_ccps: int,
-    primary_plans: int,
+    heuristic: OptimizationResult, start: float, primary_ccps: int, primary_plans: int
 ) -> OptimizationResult:
-    """Build the serve-something plan after a blown planning deadline.
-
-    Re-runs the same prepared query under :data:`DEGRADED_STRATEGY` with
-    no deadline (H1 touches each ccp once with a single plan per class,
-    so its runtime is a small fraction of the budget that just expired).
-    The returned result carries ``degraded=True``, total elapsed time
-    including the abandoned primary run, and stats counters recording
-    how far the primary got before the budget fired.
-    """
-    fallback_config = config.with_overrides(
-        strategy=DEGRADED_STRATEGY, deadline_seconds=None
-    )
-    result = optimize(
-        query, prepared=prepared, config=fallback_config, engine=engine
-    )
-    stats = dict(result.stats)
+    """The serve-something answer after a blown planning deadline:
+    *heuristic* — the pre-pass's result when the run was bounded, planned
+    on the spot otherwise — marked ``degraded=True``, with total elapsed
+    time including the abandoned primary run and stats counters recording
+    how far the primary got before the budget fired."""
+    stats = dict(heuristic.stats)
     stats["degraded"] = 1
     stats["degraded.primary_ccps"] = primary_ccps
     stats["degraded.primary_plans"] = primary_plans
     return replace(
-        result,
+        heuristic,
         degraded=True,
         elapsed_seconds=time.perf_counter() - start,
         stats=stats,
@@ -466,12 +524,15 @@ class _Tally:
     """Per-run candidate counters (``OptimizationResult.plans_built`` and
     the ``stats`` entries beside it)."""
 
-    __slots__ = ("built", "constructed", "priced_away", "top_replacements")
+    __slots__ = (
+        "built", "constructed", "priced_away", "above_ceiling", "top_replacements",
+    )
 
     def __init__(self) -> None:
-        self.built = 0  # candidates considered
+        self.built = 0  # candidates considered (at or below the ceiling)
         self.constructed = 0  # ... of which materialised as a PlanInfo
         self.priced_away = 0  # ... of which discarded on price, never built
+        self.above_ceiling = 0  # OpTrees variants the ceiling dropped instead
         self.top_replacements = 0  # finished plans that displaced the incumbent
 
 
@@ -495,16 +556,21 @@ def _build_plans(
     spec: JoinSpec,
     on_plan,
     tally: _Tally,
+    ceiling: float,
 ) -> None:
-    """BuildPlans for one csg-cmp-pair: price, ask, build.
+    """BuildPlans for one csg-cmp-pair: bound, price, ask, build.
 
     Every OpTrees placement of every plan pair (Fig. 6/8, in the reference
-    engine's order) is *priced*; the strategy is *asked* whether it would
-    discard a plan with those numbers (``would_discard``, or for the full
-    relation set ``would_discard_top`` on the priced ``finish_top``
-    cost); only what survives is *built* and inserted.  Nothing is
-    evicted on price: eviction happens inside ``insert``, once the
-    evicting plan exists.
+    engine's order) is first held against the run's *ceiling* — the cost
+    of a complete plan, or ``inf`` when the run is not bounded: a variant
+    whose inputs together already cost more is never priced, and one
+    whose priced cost (for the full relation set, its ``top_cost``) is
+    strictly above it goes no further.  What is left is *priced*; the
+    strategy is *asked* whether it would discard a plan with those
+    numbers (``would_discard``, or for the full relation set
+    ``would_discard_top`` on the priced ``finish_top`` cost); only what
+    survives is *built* and inserted.  Nothing is evicted on price:
+    eviction happens inside ``insert``, once the evicting plan exists.
 
     NOTE on NeedsGrouping (Fig. 6, lines 10/15): the paper skips grouped
     variants whose grouping attributes contain a key.  That test is
@@ -525,7 +591,8 @@ def _build_plans(
     rights = [(plan, grouped(plan) if group_right else None) for plan in right_bucket]
     insert = partial(_insert_top, strategy, tally) if is_top else strategy.insert
     would_discard, would_discard_top = strategy.would_discard, strategy.would_discard_top
-    built = constructed = priced_away = 0
+    top_cost = builder.top_cost
+    built = constructed = priced_away = above_ceiling = 0
     for left_plan in left_bucket:
         grouped_left = grouped(left_plan) if group_left else None
         for right_plan, grouped_right in rights:
@@ -537,12 +604,19 @@ def _build_plans(
             ):
                 if left is None or right is None:
                     continue
+                if left.cost + right.cost > ceiling:
+                    above_ceiling += 1  # the join can only add to it
+                    continue
                 priced = price(left, right, op, predicate, selectivity, groupjoin_vector)
                 if priced is None:
                     continue  # invalid: the aggregation state cannot be maintained
+                cost = top_cost(priced) if is_top else priced.cost
+                if cost > ceiling:
+                    above_ceiling += 1
+                    continue
                 built += 1
                 if is_top:
-                    if would_discard_top(bucket, builder.top_cost(priced)):
+                    if would_discard_top(bucket, cost):
                         priced_away += 1
                         continue
                     # Report the finalised plan — the candidate the DP table
@@ -560,6 +634,7 @@ def _build_plans(
     tally.built += built
     tally.constructed += constructed
     tally.priced_away += priced_away
+    tally.above_ceiling += above_ceiling
 
 
 def _build_plans_reference(
@@ -575,7 +650,7 @@ def _build_plans_reference(
 ) -> None:
     """The seed's BuildPlans — the oracle :func:`_build_plans` is tested
     against: every OpTrees placement is fully built, with a fresh Γ per
-    plan pair, and the strategy sees them all."""
+    plan pair, and the strategy sees them all — it is never bounded."""
     join = partial(
         builder.join, op=spec.op, predicate=spec.predicate,
         selectivity=spec.selectivity, groupjoin_vector=spec.groupjoin_vector,

@@ -1,17 +1,22 @@
 """The BuildPlans strategies — the only component the paper's four
 algorithms differ in (Figs. 5, 9, 10, 12, 13, 14).
 
-Each strategy answers three questions:
+Each strategy answers four questions:
 
 * ``explore_eager`` — should OpTrees generate the grouping placements
   (b)/(c)/(d) of Fig. 8 at all?  (False only for the DPhyp baseline.)
 * ``insert(bucket, plan)`` — which plans survive in the DP table entry.
 * ``would_discard(bucket, priced)`` — would ``insert`` throw away a plan
   with these numbers?  The driver asks before it builds the plan (see
-  docs/architecture.md, "price, ask, build"); the base class answers
-  "no", so a strategy that defines only ``insert`` sees every candidate
-  built, as before.  ``would_discard_top(bucket, cost)`` is the same
+  docs/architecture.md, "bound, price, ask, build"); the base class
+  answers "no", so a strategy that defines only ``insert`` sees every
+  candidate built, as before.  ``would_discard_top(bucket, cost)`` is the same
   question about ``insert_top`` for the full relation set.
+* ``accepts_ceiling`` — does the strategy return the optimum of the
+  eager search space, so that the driver may drop every partial plan
+  dearer than a complete one (H1's) before asking anything?  Only
+  EA-Prune with the full criteria says yes; a strategy is never shown a
+  candidate above the ceiling, and never told there is one.
 
 Hot-path design (see docs/architecture.md): EA-Prune's dominance test
 (Def. 4) is where the DP spends almost all of its time, so two structures
@@ -64,6 +69,16 @@ class Strategy:
 
     name = "abstract"
     explore_eager = True
+    #: Declares that the strategy returns the *optimum of the eager search
+    #: space* and lets the driver bound it: H1's plan lies in that space, so
+    #: no partial plan dearer than it can be part of the answer, and the
+    #: driver never shows the strategy one (docs/architecture.md, "bound,
+    #: price, ask, build").  False for everything that cannot promise that:
+    #: DPhyp searches a smaller space (H1's plan is outside it), the
+    #: heuristics and the ``cost-card`` / ``cost-only`` ablations promise no
+    #: optimum, and EA-All — which could — stays unbounded on purpose: it
+    #: is the oracle EA-Prune is tested against.
+    accepts_ceiling = False
 
     def new_bucket(self) -> List[PlanInfo]:
         """A fresh DP-table entry; strategies may return an indexed list."""
@@ -250,6 +265,9 @@ class EaPruneStrategy(Strategy):
             raise ValueError(f"unknown pruning criteria {criteria!r}")
         self.criteria = criteria
         self.ordered = ordered
+        # Def. 4's three clauses are what keeps the optimum; the unordered
+        # instance is the reference and sees everything.
+        self.accepts_ceiling = criteria == "full" and ordered
         if criteria != "full":
             self.name = f"ea-prune[{criteria}]"
         self.counters: Dict[str, int] = {

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from typing import Callable, List, Optional
 
 from repro.plans.nodes import (
@@ -26,6 +27,39 @@ def render_plan(node: PlanNode, annotate: Annotator = None) -> str:
     lines: List[str] = []
     _render(node, "", "", lines, annotate)
     return "\n".join(lines)
+
+
+_SUFFIX = re.compile(r"#g(\d+)")
+_DEFAULTS = re.compile(r"(D[12]=\{)([^}]*)(\})")
+
+
+def plan_shape(node: PlanNode) -> str:
+    """:func:`render_plan` with the builder-generated ``#g<n>`` columns
+    renamed by first appearance and each outerjoin default vector ordered
+    by the renamed columns: equal for two plans that differ only in how
+    the runs that made them numbered their groupings.
+
+    The concrete counter values depend on how many groupings a run built
+    along the way (the reference engine builds a fresh Γ per plan pair,
+    the indexed engine one per plan, a bounded run fewer still); the plan
+    *shape* — which columns are shared where — is what two runs agree on.
+    ``JoinNode`` default vectors are stored sorted by column *name*, so
+    their rendered order follows the raw counter values: they take no
+    part in ranking the suffixes (every padded column is also defined by
+    a Γ), and are re-sorted after the renaming — or two equal plans
+    differ in ``D2={…}`` order only.
+    """
+    rendered = render_plan(node)
+    seen: dict = {}
+    for number in _SUFFIX.findall(_DEFAULTS.sub("", rendered)):
+        seen.setdefault(number, len(seen))
+
+    def order(match):
+        entries = sorted(match.group(2).split(", ")) if match.group(2) else []
+        return match.group(1) + ", ".join(entries) + match.group(3)
+
+    renamed = _SUFFIX.sub(lambda match: f"#g{seen[match.group(1)]}", rendered)
+    return _DEFAULTS.sub(order, renamed)
 
 
 def _render(

@@ -1,0 +1,137 @@
+"""What ``engine="indexed"`` owes ``engine="reference"``, in one place.
+
+Shared by the differential suites of this directory (a plain module:
+pytest puts a test file's directory on ``sys.path``, so siblings import
+it by name).
+
+For every strategy the two engines give the same *answer*: best cost,
+normalised plan, csg-cmp-pair emission order and count.  Beyond that:
+
+* a run that reports no ceiling (DPhyp, H1, H2, EA-All, the EA-Prune
+  ablations, any cost model that does not declare ``monotone``) is held
+  to exact parity — same candidate count, same DP-table sizes;
+* a run that reports one (``stats["ceiling.cost"]``: EA-Prune under
+  Cout, four relations or more) never prices, files or joins a partial
+  plan above it, so its counters are *smaller* by design.  What it owes
+  instead is the restriction lemma (docs/architecture.md, "bound, price,
+  ask, build"): per relation set, its bucket is the reference bucket
+  restricted to ``cost <= ceiling`` — compared as sorted lists of
+  ``(cost, cardinality, FD triple)``.
+
+Buckets are rebuilt from ``OptimizerHooks.on_plan`` — every plan either
+engine offers to its DP table — with the seed's pairwise scan
+(``EaPruneStrategy(ordered=False)``), and the indexed side is tied back
+to the real table through ``result.table_sizes``.
+"""
+
+from math import inf
+
+from repro.optimizer import OptimizerConfig, OptimizerHooks, optimize
+from repro.optimizer.costmodel import CoutModel
+from repro.optimizer.strategies import EaPruneStrategy
+from repro.plans.render import plan_shape
+
+
+class UndeclaredCout(CoutModel):
+    """Cout's prices without its ``monotone`` declaration: the driver may
+    not bound a run under it, so EA-Prune runs as it did before there was
+    a ceiling — what the suites about pruning itself (FD states, the
+    criteria ablation, price-before-build bookkeeping) want to look at."""
+
+    name = "cout-undeclared-test"
+    monotone = False
+
+
+def ceiling_of(result):
+    """The ceiling the run reports; ``inf`` when it was not bounded."""
+    return result.stats.get("ceiling.cost", inf)
+
+
+def plan_point(plan):
+    """A plan as Def. 4 sees it: cost, cardinality and the FD triple."""
+    return (
+        plan.cost,
+        plan.cardinality,
+        plan.duplicate_free,
+        tuple(sorted(sorted(key) for key in plan.keys)),
+        tuple(sorted(sorted(cls) for cls in plan.equiv)),
+    )
+
+
+class Observation:
+    """One optimizer run: the result, the ccp emission order and — below
+    *keep_up_to* — the Pareto bucket of every proper relation subset,
+    rebuilt from the plans the run offered to its DP table."""
+
+    def __init__(self, query, strategy, engine, factor=1.03, keep_up_to=inf, **config):
+        self.ccp_order = []
+        self._buckets = {}
+        all_mask = query.all_relations_mask
+        scan = EaPruneStrategy(ordered=False)
+
+        def on_plan(plan):
+            if plan.rel_set != all_mask and plan.cost <= keep_up_to:
+                scan.insert(self._buckets.setdefault(plan.rel_set, []), plan)
+
+        self.result = optimize(
+            query,
+            config=OptimizerConfig(
+                strategy=strategy, factor=factor, engine=engine, cache_capacity=None,
+                **config,
+            ),
+            hooks=OptimizerHooks(
+                on_ccp=lambda s1, s2: self.ccp_order.append((s1, s2)), on_plan=on_plan
+            ),
+        )
+
+    @property
+    def answer(self):
+        """What the engines agree on whatever the strategy."""
+        result = self.result
+        return {
+            "cost": result.cost,
+            "plan": plan_shape(result.plan.node),
+            "ccp_order": tuple(self.ccp_order),
+            "ccp_count": result.ccp_count,
+        }
+
+    @property
+    def buckets(self):
+        return {
+            mask: sorted(plan_point(plan) for plan in bucket)
+            for mask, bucket in self._buckets.items()
+        }
+
+
+def assert_engines_agree(query, strategy, factor=1.03, context=(), **config):
+    """Indexed == reference on *query*; returns the indexed result."""
+    indexed = Observation(query, strategy, "indexed", factor, **config)
+    ceiling = ceiling_of(indexed.result)
+    bounded = ceiling != inf
+    # An unbounded EA-Prune reference run offers every candidate: rebuild
+    # its buckets only when there is a restriction to check.
+    reference = Observation(
+        query, strategy, "reference", factor, keep_up_to=ceiling if bounded else -inf,
+        **config,
+    )
+    assert ceiling_of(reference.result) == inf, context  # the oracle is never bounded
+    assert indexed.answer == reference.answer, context
+    got, expected = indexed.result, reference.result
+    if not bounded:
+        assert got.plans_built == expected.plans_built, context
+        assert got.table_sizes == expected.table_sizes, context
+        assert "strategy.plans_above_ceiling" not in got.stats, context
+        return got
+    assert indexed.buckets == reference.buckets, context
+    # ... and the rebuilt buckets are the ones the DP table held.
+    inner = {
+        mask: size
+        for mask, size in got.table_sizes.items()
+        if size and mask != query.all_relations_mask
+    }
+    assert inner == {mask: len(bucket) for mask, bucket in indexed.buckets.items()}, context
+    assert got.table_sizes[query.all_relations_mask] == 1, context
+    assert got.plans_built <= expected.plans_built, context
+    for mask, size in got.table_sizes.items():
+        assert size <= expected.table_sizes[mask], context
+    return got

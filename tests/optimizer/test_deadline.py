@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from repro.optimizer import optimize
+from repro.optimizer import optimize, prepare
 from repro.optimizer.config import OptimizerConfig
 from repro.optimizer.deadline import (
     DEFAULT_CHECK_EVERY,
@@ -20,6 +20,7 @@ from repro.optimizer.deadline import (
     PlanningDeadlineExceeded,
 )
 from repro.optimizer.driver import DEGRADED_STRATEGY
+from repro.plans.render import render_plan
 from repro.service.cache import PlanCache
 from repro.service.fingerprint import query_fingerprint
 from repro.workload import generate_query
@@ -115,7 +116,59 @@ class TestDegradedFallback:
             query, config=OptimizerConfig(deadline_seconds=0.0)
         )
         plain = optimize(query, config=OptimizerConfig(strategy="h1"))
-        assert degraded.cost == pytest.approx(plain.cost)
+        assert degraded.cost == plain.cost
+        assert render_plan(degraded.plan.node) == render_plan(plain.plan.node)
+        assert (degraded.ccp_count, degraded.plans_built, degraded.table_sizes) == (
+            plain.ccp_count, plain.plans_built, plain.table_sizes,
+        )
+
+    @pytest.mark.parametrize("strategy", ["ea-prune", "h2", "ea-all"])
+    def test_one_heuristic_run_not_two(self, strategy):
+        """A bounded run (EA-Prune) already holds H1's result — the ceiling
+        came from it — and serves that when the deadline fires; an
+        unbounded one plans H1 then.  Either way the prepared query is
+        enumerated under H1 once: the primary pass was stopped on its
+        first tick, before it resolved a single csg-cmp-pair."""
+        query = _query(seed=11)
+        prepared = prepare(query)
+        resolved = prepared.resolver().counters
+        degraded = optimize(
+            query, prepared=prepared,
+            config=OptimizerConfig(strategy=strategy, deadline_seconds=0.0),
+        )
+        plain = optimize(query, config=OptimizerConfig(strategy="h1"))
+        assert degraded.degraded and degraded.strategy == DEGRADED_STRATEGY
+        assert degraded.cost == plain.cost
+        assert resolved["resolve_calls"] == plain.ccp_count == degraded.ccp_count
+        assert degraded.stats["degraded"] == 1
+        assert degraded.stats["degraded.primary_ccps"] == 1
+        assert degraded.stats["degraded.primary_plans"] == len(query.relations)
+        assert "ceiling.cost" not in degraded.stats  # H1's own stats, as before
+
+    def test_a_late_deadline_still_serves_the_plan_in_hand(self):
+        """The budget fires deep in the main pass: what comes back is the
+        pre-pass's H1 plan, with the primary's progress recorded."""
+        query = _query(n=7, seed=5)
+        ticks = []
+
+        def clock():
+            ticks.append(1)
+            return 0.0 if len(ticks) < 12 else 1e9
+
+        prepared = prepare(query)
+        degraded = optimize(
+            query, prepared=prepared, config=OptimizerConfig(),
+            deadline=Deadline(1.0, check_every=1, clock=clock),
+        )
+        plain = optimize(query, config=OptimizerConfig(strategy="h1"))
+        assert degraded.degraded and degraded.cost == plain.cost
+        primary_ccps = degraded.stats["degraded.primary_ccps"]
+        assert 1 < primary_ccps < plain.ccp_count
+        # H1's ccps once, plus the primary's before the budget fired (the
+        # tick that fired it came before that ccp was resolved).
+        assert prepared.resolver().counters["resolve_calls"] == (
+            plain.ccp_count + primary_ccps - 1
+        )
 
     def test_explicit_deadline_argument_wins(self):
         query = _query()

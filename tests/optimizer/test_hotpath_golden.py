@@ -1,12 +1,15 @@
 """Golden-value and engine-equivalence tests for the hot-path refactor.
 
 The indexed engine (iterative enumerator, hypergraph indexes, per-edge
-join specs, Pareto buckets) must be observationally identical to the
-seed's code path, which survives as ``engine="reference"``:
+join specs, Pareto buckets) must give the answers of the seed's code
+path, which survives as ``engine="reference"``:
 
-* identical best-plan cost, ccp count, plans-built count and DP-table
-  sizes on the TPC-H workloads, the fixed topologies and random
-  generated queries (simple *and* complex-edge shapes),
+* identical best-plan cost, plan and ccp count on the TPC-H workloads,
+  the fixed topologies and random generated queries (simple *and*
+  complex-edge shapes) — with identical plans-built counts and DP-table
+  sizes where the run is unbounded, and with every bucket the reference
+  bucket restricted to ``cost <= ceiling`` where it is bounded
+  (EA-Prune; ``engine_oracle.py`` has the rule),
 * golden literal values for the TPC-H queries, pinned so a regression in
   *either* engine (not just a divergence between them) is caught.
 """
@@ -15,6 +18,7 @@ import random
 
 import pytest
 
+from engine_oracle import assert_engines_agree
 from repro.optimizer import optimize
 from repro.optimizer.strategies import EaPruneStrategy
 from repro.tpch.queries import build_ex, build_q3, build_q5, build_q10
@@ -32,9 +36,14 @@ TPCH_BUILDERS = {
 #: (query, strategy) → (best cost, ccp count, plans built), measured on the
 #: seed implementation.  These are *values*, not tolerances: the optimizer
 #: is deterministic and the hot path must not change its output at all.
+#: Re-pinned once, in PR 24, and only in the last column of the EA-Prune
+#: rows: the indexed engine now runs EA-Prune under H1's cost as a ceiling
+#: and no longer counts what lies above it (``REFERENCE_EA_PRUNE_BUILT``
+#: keeps the seed's counts, which the reference engine still reports).
+#: Q3 keeps its 31: three relations are planned without the pre-pass.
 TPCH_GOLDEN = {
     ("ex", "dphyp"): (60218288.47469728, 10, 7),
-    ("ex", "ea-prune"): (149.6511565806907, 10, 48),
+    ("ex", "ea-prune"): (149.6511565806907, 10, 22),
     ("ex", "h1"): (166.38510881600084, 10, 16),
     ("ex", "h2"): (166.38510881600084, 10, 16),
     ("q3", "dphyp"): (657073.7495322055, 4, 7),
@@ -42,14 +51,17 @@ TPCH_GOLDEN = {
     ("q3", "h1"): (373657.61567229626, 4, 19),
     ("q3", "h2"): (373657.61567229626, 4, 19),
     ("q5", "dphyp"): (1101803.7812967582, 68, 74),
-    ("q5", "ea-prune"): (238439.60164483933, 68, 4018),
+    ("q5", "ea-prune"): (238439.60164483933, 68, 97),
     ("q5", "h1"): (592921.7549799087, 68, 278),
     ("q5", "h2"): (592921.7549799087, 68, 278),
     ("q10", "dphyp"): (205534.67790111882, 10, 14),
-    ("q10", "ea-prune"): (131728.57461675355, 10, 204),
+    ("q10", "ea-prune"): (131728.57461675355, 10, 40),
     ("q10", "h1"): (153131.03391426985, 10, 44),
     ("q10", "h2"): (153131.03391426985, 10, 44),
 }
+
+#: EA-Prune's candidate count without a ceiling — the seed's figures.
+REFERENCE_EA_PRUNE_BUILT = {"ex": 48, "q3": 31, "q5": 4018, "q10": 204}
 
 
 def _fingerprint(result):
@@ -66,12 +78,18 @@ class TestTpchGolden:
         assert result.plans_built == plans_built
 
     @pytest.mark.parametrize("query_name", sorted(TPCH_BUILDERS))
+    def test_reference_engine_keeps_the_seed_counts(self, query_name):
+        result = optimize(TPCH_BUILDERS[query_name](), "ea-prune", engine="reference")
+        cost, ccp_count, _bounded = TPCH_GOLDEN[(query_name, "ea-prune")]
+        assert (result.cost, result.ccp_count, result.plans_built) == (
+            cost, ccp_count, REFERENCE_EA_PRUNE_BUILT[query_name],
+        )
+
+    @pytest.mark.parametrize("query_name", sorted(TPCH_BUILDERS))
     def test_engines_identical_on_tpch(self, query_name):
         query = TPCH_BUILDERS[query_name]()
         for strategy in STRATEGIES:
-            indexed = optimize(query, strategy)
-            reference = optimize(query, strategy, engine="reference")
-            assert _fingerprint(indexed) == _fingerprint(reference), strategy
+            assert_engines_agree(query, strategy, context=(strategy,))
 
 
 class TestEngineEquivalenceOnRandomWorkloads:
@@ -80,28 +98,20 @@ class TestEngineEquivalenceOnRandomWorkloads:
         rng = random.Random(seed)
         query = generate_query(rng.randint(2, 6), random.Random(seed * 7919))
         for strategy in STRATEGIES + ("ea-all",):
-            indexed = optimize(query, strategy)
-            reference = optimize(query, strategy, engine="reference")
-            assert _fingerprint(indexed) == _fingerprint(reference), (seed, strategy)
+            assert_engines_agree(query, strategy, context=(seed, strategy))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_inner_only_cyclic_friendly_workload(self, seed):
         config = WorkloadConfig(inner_only=True)
         query = generate_query(5, random.Random(seed + 31), config)
         for strategy in STRATEGIES:
-            indexed = optimize(query, strategy)
-            reference = optimize(query, strategy, engine="reference")
-            assert _fingerprint(indexed) == _fingerprint(reference)
+            assert_engines_agree(query, strategy, context=(seed, strategy))
 
     @pytest.mark.parametrize("criteria", ["full", "cost-card", "cost-only"])
     def test_pruning_criteria_variants(self, criteria):
         for seed in range(4):
             query = generate_query(5, random.Random(seed + 100))
-            indexed = optimize(query, EaPruneStrategy(criteria))
-            reference = optimize(
-                query, EaPruneStrategy(criteria, ordered=False), engine="reference"
-            )
-            assert _fingerprint(indexed) == _fingerprint(reference)
+            assert_engines_agree(query, EaPruneStrategy(criteria), context=(seed, criteria))
 
 
 class TestEngineEquivalenceOnTopologies:
@@ -110,9 +120,7 @@ class TestEngineEquivalenceOnTopologies:
     def test_fixed_topologies(self, topology, n):
         query = topology_query(topology, n)
         for strategy in STRATEGIES:
-            indexed = optimize(query, strategy)
-            reference = optimize(query, strategy, engine="reference")
-            assert _fingerprint(indexed) == _fingerprint(reference), (topology, n, strategy)
+            assert_engines_agree(query, strategy, context=(topology, n, strategy))
 
 
 class TestHotpathStats:

@@ -29,6 +29,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from engine_oracle import UndeclaredCout, assert_engines_agree
 from repro.optimizer import (
     COST_MODELS,
     STRATEGIES,
@@ -42,6 +43,7 @@ from repro.optimizer import (
 )
 from repro.optimizer.planinfo import clear_memo_caches
 from repro.optimizer.costmodel import CoutModel
+from repro.optimizer.driver import CEILING_MIN_RELATIONS
 from repro.optimizer.strategies import EaPruneStrategy, H1Strategy
 from repro.service import PlanCache
 from repro.service.config import ServingConfig
@@ -165,8 +167,15 @@ class TestBookkeeping:
         )
         assert result.stats["plans_constructed"] == result.plans_built == len(seen)
         assert "strategy.plans_priced_away" not in result.stats
-        indexed = optimize(query, "ea-prune")
+        # Without a ceiling the indexed engine sees the same finished plans
+        # in the same order; under one it never finishes the dear ones.
+        indexed = optimize(query, config=OptimizerConfig(
+            cost_model=UndeclaredCout(), cache_capacity=None,
+        ))
         assert indexed.stats["top_replacements"] == result.stats["top_replacements"]
+        assert optimize(query, "ea-prune").stats["top_replacements"] <= (
+            result.stats["top_replacements"]
+        )
 
 
 # -- third-party plug-ins: only the pre-existing seams are implemented -------
@@ -289,27 +298,25 @@ class TestPluginSeams:
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
     def test_cost_model_reading_the_top_grouping_child(self, strategy):
         for _name, query in QUERIES[2:4] if strategy == "ea-all" else QUERIES[:6]:
-            indexed, reference = _both_engines(
-                query, strategy=strategy, cost_model=ChildReadingModel.name
+            # Adds non-negative terms to Cout and inherits its ``monotone``:
+            # EA-Prune is bounded under it and owes the restriction lemma.
+            indexed = assert_engines_agree(
+                query, strategy, cost_model=ChildReadingModel.name, context=(_name,)
             )
-            assert indexed.cost == reference.cost
-            assert indexed.plans_built == reference.plans_built
-            assert indexed.table_sizes == reference.table_sizes
+            assert ("ceiling.cost" in indexed.stats) == (
+                strategy == "ea-prune" and len(query.relations) >= CEILING_MIN_RELATIONS
+            )
 
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
     def test_docstring_cost_model_under_builtin_strategies(self, strategy):
         # EA-All's reference run is seconds on the six-relation queries.
         for _name, query in QUERIES[2:4] if strategy == "ea-all" else QUERIES[:6]:
-            runs = [
-                optimize(query, config=OptimizerConfig(
-                    strategy=strategy, cost_model=RowCountModel.name,
-                    engine=engine, cache_capacity=None,
-                ))
-                for engine in ("indexed", "reference")
-            ]
-            assert runs[0].cost == runs[1].cost
-            assert runs[0].plans_built == runs[1].plans_built
-            assert runs[0].table_sizes == runs[1].table_sizes
+            # Declares nothing, so nothing is bounded: exact parity, EA-Prune
+            # included, candidate counts and table sizes as before.
+            indexed = assert_engines_agree(
+                query, strategy, cost_model=RowCountModel.name, context=(_name,)
+            )
+            assert "ceiling.cost" not in indexed.stats
 
 
 class TestNothingRunLocalRidesOnAPlan:

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from repro.optimizer import optimize
+from engine_oracle import UndeclaredCout
+from repro.optimizer import OptimizerConfig, optimize
 from repro.optimizer.strategies import EaPruneStrategy
 from repro.workload import generate_query
 
@@ -31,8 +32,15 @@ class TestCriteriaKnob:
     def test_weaker_criteria_prune_harder(self, seed):
         rng = random.Random(seed * 137 + 1)
         query = generate_query(rng.randint(4, 6), rng)
-        full = optimize(query, EaPruneStrategy("full"))
-        cost_only = optimize(query, EaPruneStrategy("cost-only"))
+        # Criteria against criteria: no ceiling on either side (the full
+        # criteria alone would run under one and file less than it prunes).
+        full, cost_only = (
+            optimize(query, config=OptimizerConfig(
+                strategy=EaPruneStrategy(criteria), cost_model=UndeclaredCout(),
+                cache_capacity=None,
+            ))
+            for criteria in ("full", "cost-only")
+        )
         assert sum(cost_only.table_sizes.values()) <= sum(full.table_sizes.values())
 
 
