@@ -29,18 +29,22 @@ Two engines drive the same skeleton (see docs/architecture.md):
   wherever the indexed run is unbounded; :mod:`benchmarks.bench_hotpath`
   times one against the other.
 
-The ceiling: before the main pass of an *exact eager* run — the strategy
-declares :attr:`~repro.optimizer.strategies.Strategy.accepts_ceiling`
-(EA-Prune with the full criteria), the cost model declares
+The ceiling: an *exact eager* run — the strategy declares
+:attr:`~repro.optimizer.strategies.Strategy.accepts_ceiling` (EA-Prune
+with the full criteria), the cost model declares
 :attr:`~repro.optimizer.costmodel.CostModel.monotone` (Cout), the engine
-is the indexed one and the query has :data:`CEILING_MIN_RELATIONS`
+is the indexed one — is bounded by the cost of a complete plan of the
+same problem.  Where that cost comes from, first that applies: (1) the
+caller knows one (*known_cost*: a plan cache remembers what an evicted
+plan cost, a revalidator has just re-costed one) — any relation count,
+nothing else is planned; (2) the query has :data:`CEILING_MIN_RELATIONS`
 relations or more — the prepared query is planned once under H1
 (:data:`DEGRADED_STRATEGY`; no cache, no hooks, no deadline) and that
-complete plan's cost bounds every partial plan of the run.  Every bucket
-of a bounded run is the unbounded run's bucket restricted to ``cost <=
-ceiling``, so cost, plan and ``ccp_count`` are unchanged; in every other
-case the ceiling is ``inf`` and the same loop drops nothing.  When a
-deadline fires in the main pass, the degraded answer is that H1 result.
+plan's cost is taken; (3) ``inf``.  Every bucket of a bounded run is the
+unbounded run's bucket restricted to ``cost <= ceiling``, so cost, plan
+and ``ccp_count`` are unchanged; under ``inf`` the same loop drops
+nothing.  When a deadline fires in the main pass, the degraded answer is
+the H1 result — the one in hand after (2), planned on the spot otherwise.
 
 The engine choice never changes optimizer *output* — it is part of
 :class:`~repro.optimizer.config.OptimizerConfig` for plumbing (CLI,
@@ -93,12 +97,16 @@ class OptimizationResult:
     #: checks) for the run that produced the plan.  Keys are additive
     #: counters; absent on cache hits only in the sense that they still
     #: describe the original run.  A bounded run adds what its ceiling
-    #: was and did: ``ceiling.cost`` and the pre-pass's ``ceiling.ccps`` /
-    #: ``ceiling.plans`` / ``ceiling.seconds`` (every other key, like
-    #: ``ccp_count``, counts the main pass only; ``elapsed_seconds`` covers
-    #: both) and ``strategy.plans_above_ceiling``.  Populated by
+    #: was and did: ``ceiling.cost``, ``ceiling.source`` (``"remembered"``
+    #: for a caller's known cost, ``"prepass"`` for H1's — the one value
+    #: that is not a number), ``strategy.plans_above_ceiling`` and, after
+    #: a pre-pass, its ``ceiling.ccps`` / ``ceiling.plans`` /
+    #: ``ceiling.seconds`` (every other key, like ``ccp_count``, counts
+    #: the main pass only; ``elapsed_seconds`` covers both).
+    #: ``ceiling.rerun`` marks a result planned a second time because the
+    #: known cost it was first held to bounded no plan.  Populated by
     #: :func:`optimize`; empty for results constructed elsewhere.
-    stats: Dict[str, float] = field(default_factory=dict)
+    stats: Dict[str, float | str] = field(default_factory=dict)
 
     @property
     def cost(self) -> float:
@@ -185,6 +193,7 @@ def optimize(
     hooks: Optional[OptimizerHooks] = None,
     engine: Optional[str] = None,
     deadline: Optional[Deadline] = None,
+    known_cost: Optional[float] = None,
 ) -> OptimizationResult:
     """Optimize *query* and return the final plan.
 
@@ -214,6 +223,17 @@ def optimize(
     invisible from outside: it probes and stores no cache, fires no hook,
     takes no deadline tick; the result reports it under
     ``stats["ceiling.*"]`` and includes its time in ``elapsed_seconds``.
+
+    *known_cost* spares such a run the H1 pass: the cost of a complete
+    eager plan of exactly this problem — same structure, statistics and
+    cost model, under any spelling — is its ceiling instead (widened by
+    :data:`KNOWN_COST_SLACK`).  A *cache* is asked for one when the
+    caller has none (:meth:`~repro.service.cache.PlanCache.known_cost`).
+    It is a fact about the problem, not a knob: a run that is not
+    bounded ignores it, and if it was wrong — too low, so that no
+    complete plan fits under it — the query is planned again without it
+    (``stats["ceiling.rerun"]``; hooks see both passes).  The answer
+    never depends on it.
     """
     if config is None:
         config = OptimizerConfig(strategy=strategy, factor=factor, cache_capacity=None)
@@ -247,6 +267,15 @@ def optimize(
                 on_result(served)
             return served
 
+    def deliver(result: OptimizationResult) -> OptimizationResult:
+        """Every fresh result leaves through here: stored unless it is a
+        degraded fallback, reported once."""
+        if cache is not None and not result.degraded:
+            cache.store(key, query, result, exact_snapshot=exact_snapshot)
+        if on_result is not None:
+            on_result(result)
+        return result
+
     start = time.perf_counter()
 
     if deadline is None and config.deadline_seconds is not None:
@@ -276,14 +305,17 @@ def optimize(
     # infinite and the one code path below prunes nothing.
     heuristic: Optional[OptimizationResult] = None
     ceiling = inf
-    if (
-        chosen.accepts_ceiling
-        and cost_model.monotone
-        and not reference
-        and len(query.relations) >= CEILING_MIN_RELATIONS
-    ):
-        heuristic = _heuristic_plan(query, prepared, config, engine)
-        ceiling = heuristic.cost
+    source = None  # of the ceiling: "remembered", "prepass", or None for inf
+    if chosen.accepts_ceiling and cost_model.monotone and not reference:
+        if known_cost is None and cache is not None:
+            known_cost = cache.known_cost(key, exact_snapshot)
+        if known_cost is not None:
+            source = "remembered"
+            ceiling = known_cost * (1.0 + KNOWN_COST_SLACK)
+        elif len(query.relations) >= CEILING_MIN_RELATIONS:
+            source = "prepass"
+            heuristic = _heuristic_plan(query, prepared, config, engine)
+            ceiling = heuristic.cost
 
     builder = PlanBuilder(query, cost_model=cost_model, memo=not reference)
     all_mask = query.all_relations_mask
@@ -362,14 +394,27 @@ def optimize(
             raise
         if heuristic is None:
             heuristic = _heuristic_plan(query, prepared, config, engine)
-        result = _degraded_fallback(heuristic, start, ccp_count, tally.built)
-        if on_result is not None:
-            on_result(result)
-        return result
+        return deliver(_degraded_fallback(heuristic, start, ccp_count, tally.built))
 
     final = table.get(all_mask, [])
     if not final:
-        raise RuntimeError("no plan found — query hypergraph not fully connectable")
+        if source != "remembered":
+            raise RuntimeError("no plan found — query hypergraph not fully connectable")
+        # No complete plan at or below the known cost: it was not the cost
+        # of a plan of this problem (statistics that differ past the digits
+        # a snapshot keeps, say).  Plan as if nothing had been known; the
+        # budget, if any, keeps running.
+        rerun = optimize(
+            query, prepared=prepared, config=config, engine=engine, deadline=deadline,
+            hooks=replace(hooks, on_result=None) if hooks is not None else None,
+        )
+        return deliver(
+            replace(
+                rerun,
+                elapsed_seconds=time.perf_counter() - start,
+                stats={**rerun.stats, "ceiling.rerun": 1},
+            )
+        )
     best = min(final, key=lambda p: p.cost)
     elapsed = time.perf_counter() - start
 
@@ -380,12 +425,14 @@ def optimize(
     }
     if tally.priced_away:
         stats["strategy.plans_priced_away"] = tally.priced_away
-    if heuristic is not None:
+    if source is not None:
         stats["ceiling.cost"] = ceiling
+        stats["ceiling.source"] = source
+        stats["strategy.plans_above_ceiling"] = tally.above_ceiling
+    if heuristic is not None:
         stats["ceiling.ccps"] = heuristic.ccp_count
         stats["ceiling.plans"] = heuristic.plans_built
         stats["ceiling.seconds"] = heuristic.elapsed_seconds
-        stats["strategy.plans_above_ceiling"] = tally.above_ceiling
     for name, value in graph.counters.items():
         delta = value - graph_before.get(name, 0)
         if delta:
@@ -401,20 +448,17 @@ def optimize(
             if delta:
                 stats[f"strategy.{name}"] = delta
 
-    result = OptimizationResult(
-        plan=best,
-        strategy=chosen.name,
-        elapsed_seconds=elapsed,
-        ccp_count=ccp_count,
-        plans_built=tally.built,
-        table_sizes={mask: len(plans) for mask, plans in table.items()},
-        stats=stats,
+    return deliver(
+        OptimizationResult(
+            plan=best,
+            strategy=chosen.name,
+            elapsed_seconds=elapsed,
+            ccp_count=ccp_count,
+            plans_built=tally.built,
+            table_sizes={mask: len(plans) for mask, plans in table.items()},
+            stats=stats,
+        )
     )
-    if cache is not None and key is not None and not result.degraded:
-        cache.store(key, query, result, exact_snapshot=exact_snapshot)
-    if on_result is not None:
-        on_result(result)
-    return result
 
 
 #: The heuristic that supplies both the ceiling of a bounded run and the
@@ -430,6 +474,19 @@ DEGRADED_STRATEGY = "h1"
 #: relations on the total falls (0.84x at four, 0.53x at five, 0.21x at
 #: eight; CHANGES.md, PR 24).
 CEILING_MIN_RELATIONS = 4
+
+#: Relative head-room added to a caller's *known_cost* before it becomes a
+#: ceiling.  The cost is a float sum over a plan's operators; the same
+#: problem arriving under another spelling (FROM list reordered, operands
+#: swapped) numbers its relations differently, so the DP may add the same
+#: terms — and multiply the same cardinalities — in another order.  Over n
+#: relations a cost is a sum of fewer than 2n operator outputs, each a
+#: product of a few n factors: re-association moves it by the order of n²
+#: ulps, under 1e-12 relative for any n this DP finishes.  1e-9 leaves
+#: three orders of magnitude, and since the restriction lemma holds for
+#: *any* ceiling at or above the optimum, a wider ceiling costs a few
+#: more priced candidates, never the answer.
+KNOWN_COST_SLACK = 1e-9
 
 
 def _heuristic_plan(

@@ -164,6 +164,10 @@ class Miss:
     #: it holds in a pool worker and queueing for one is charged; ``None``
     #: leaves ``config.deadline_seconds`` in charge.
     deadline_at: Optional[float] = None
+    #: what a plan of exactly this problem is known to cost, when the
+    #: cache that missed remembers one (``PlanCache.known_cost``); the
+    #: run is bounded by it instead of planning a heuristic first.
+    known_cost: Optional[float] = None
 
 
 def plan_miss(miss: Miss) -> WorkerOutcome:
@@ -179,7 +183,9 @@ def plan_miss(miss: Miss) -> WorkerOutcome:
         # check, so the request degrades (or 504s) at once.
         deadline = Deadline(max(0.0, miss.deadline_at - time.monotonic()))
     try:
-        result = driver.optimize(miss.query, config=miss.config, deadline=deadline)
+        result = driver.optimize(
+            miss.query, config=miss.config, deadline=deadline, known_cost=miss.known_cost
+        )
     except Exception as exc:  # noqa: BLE001 - per-item fault isolation
         timed_out = isinstance(exc, PlanningDeadlineExceeded)
         elapsed = time.perf_counter() - started
@@ -260,6 +266,7 @@ def optimize_many(
     missed: set = set()
     for index, query in enumerate(queries):
         key, exact = plan_key(query, config)
+        known = None
         if cache is not None and key not in missed:
             started = time.perf_counter()
             found = cache.serve_entry(key, query, exact_snapshot=exact)
@@ -267,8 +274,9 @@ def optimize_many(
                 # a hit reports the probe time, not the original run's
                 slots.append(BatchItem(index, key, found[0], time.perf_counter() - started, True))
                 continue
+            known = cache.known_cost(key, exact)  # the key's leader runs under it
         missed.add(key)
-        slots.append(Miss(query, config, key, exact))
+        slots.append(Miss(query, config, key, exact, known_cost=known))
 
     processes = min(config.workers or default_workers(), len(missed))
     with _planner(processes) as run:

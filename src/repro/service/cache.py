@@ -17,6 +17,11 @@ a statistics snapshot (stale statistics miss instead of serving a stale
 plan) and the cache additionally supports *eager* invalidation — dropping
 every entry that touches a relation whenever the catalog announces a
 change (:meth:`PlanCache.watch`).
+
+A plan that leaves the cache for want of room leaves its *cost* behind
+(:meth:`PlanCache.known_cost`): the next run of that statement under the
+same statistics is bounded by it from the first csg-cmp-pair on, instead
+of planning a heuristic first to learn a bound the cache already knew.
 """
 
 from __future__ import annotations
@@ -41,6 +46,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: unpickle entries it would misinterpret.
 SNAPSHOT_FORMAT = "repro-plancache"
 SNAPSHOT_VERSION = 2
+
+#: costs remembered for entries that left the cache (``(key, exact snapshot)
+#: → cost``, LRU).  Equal to :data:`repro.service.core.PARSE_MEMO_CAPACITY`:
+#: a core that remembers that many parsed texts can remember a float for
+#: each.  As a multiple of the cache capacity it measured too small below
+#: 8x — on ``serve_churn`` (working set 4x the cache) 1x bounds 31 % of
+#: the misses, 4x 88 %, 8x 99 % — so it is a fixed size, not a multiple.
+KNOWN_COSTS_CAPACITY = 4096
 
 #: entry lifecycle states.  ``fresh`` — statistics unchanged since the
 #: plan was stored; ``stale`` — a stats delta touched one of the plan's
@@ -169,6 +182,32 @@ class PlanCache:
     Thread safety matters because the batch driver consults the cache from
     the dispatching thread while results stream back; a plain lock
     suffices — entries are immutable once stored.
+
+    Beside the entries the cache keeps what it still knows of plans it no
+    longer holds: ``(key, exact snapshot) → cost``, at most
+    :data:`KNOWN_COSTS_CAPACITY` pairs, least recently used first out.
+    That pair names one optimization problem exactly — structure,
+    strategy, cost model and the unbanded statistics — so the float is
+    the cost of a complete plan *of that problem*, which is all an exact
+    bounded run needs of a ceiling (:func:`repro.optimizer.optimize`,
+    *known_cost*).  What writes it and what does not:
+
+    * an entry evicted for room (:meth:`put`, :meth:`load_snapshot`)
+      leaves its cost — the case the map exists for;
+    * :meth:`refresh` leaves the cost of the result it replaces, under
+      the key and snapshot that result was stored with — also when the
+      entry moves to a new key, so statistics that drift back find it;
+    * :meth:`drop` and :meth:`invalidate` leave nothing — the caller is
+      saying the entry's numbers are not to be trusted — and
+      ``invalidate(None)`` / :meth:`clear` forget every remembered cost
+      too.  ``invalidate(relation)`` leaves the map alone: a cost is
+      filed under the statistics it was computed with, so after a change
+      it is out of reach, not wrong, and ages out;
+    * :meth:`mark_stale` touches neither entries' costs nor the map, and
+      snapshots do not carry it (a restarted process relearns it).
+
+    A remembered cost is a hint, never an answer: a run it turns out not
+    to bound is planned again without it (see ``optimize``).
     """
 
     def __init__(self, capacity: int = 256):
@@ -176,6 +215,7 @@ class PlanCache:
             raise ValueError(f"cache capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._entries: "OrderedDict[PlanCacheKey, _Entry]" = OrderedDict()
+        self._costs: "OrderedDict[Tuple[PlanCacheKey, str], float]" = OrderedDict()
         self._lock = threading.RLock()
         self.stats = CacheStats()
         #: False while no entry can be non-fresh: raised wherever an entry
@@ -324,9 +364,44 @@ class PlanCache:
                 query=query,
             )
             self.stats.puts += 1
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.stats.evictions += 1
+            self._evict()
+
+    def _evict(self) -> None:
+        """Drop least-recently-used entries down to :attr:`capacity`
+        (lock held); each leaves its cost behind."""
+        while len(self._entries) > self.capacity:
+            key, entry = self._entries.popitem(last=False)
+            self.stats.evictions += 1
+            self._leave_cost(key, entry)
+
+    def _leave_cost(self, key: PlanCacheKey, entry: _Entry) -> None:
+        """Remember what *entry*'s plan cost under the statistics it was
+        costed with (lock held).  An entry stored without its exact
+        snapshot names no problem exactly and leaves nothing."""
+        cost = getattr(entry.result, "cost", None)
+        if cost is None or entry.exact_snapshot is None:
+            return
+        costs = self._costs
+        pair = (key, entry.exact_snapshot)
+        costs[pair] = cost
+        costs.move_to_end(pair)
+        if len(costs) > KNOWN_COSTS_CAPACITY:
+            costs.popitem(last=False)
+
+    def known_cost(self, key: PlanCacheKey, exact_snapshot: Optional[str]) -> Optional[float]:
+        """The cost of a complete plan this cache once held for exactly
+        this problem — *key* under *exact_snapshot* — or None.
+
+        What a miss asks before it becomes an optimizer run; the answer
+        goes to ``optimize(known_cost=...)``.  A found pair becomes the
+        most recently used.
+        """
+        with self._lock:
+            pair = (key, exact_snapshot)
+            cost = self._costs.get(pair)
+            if cost is not None:
+                self._costs.move_to_end(pair)
+            return cost
 
     def stats_snapshot(self) -> CacheStats:
         """A consistent copy of :attr:`stats`, taken under the cache lock.
@@ -363,7 +438,8 @@ class PlanCache:
 
         The revalidator's last resort for entries it cannot rebuild a
         query for (no stored SQL or query object) — dropping keeps the
-        cache honest rather than serving a plan nobody can re-cost.
+        cache honest rather than serving a plan nobody can re-cost.  No
+        cost is remembered for it.
         """
         with self._lock:
             if self._entries.pop(key, None) is None:
@@ -376,12 +452,15 @@ class PlanCache:
 
         Returns the number of entries removed.  Matching is by the
         relation names recorded at :meth:`put` time, case-insensitive to
-        mirror catalog lookup semantics.
+        mirror catalog lookup semantics.  Invalidated entries leave no
+        cost behind, and dropping everything forgets the remembered costs
+        as well.
         """
         with self._lock:
             if relation is None:
                 removed = len(self._entries)
                 self._entries.clear()
+                self._costs.clear()
             else:
                 needle = relation.lower()
                 doomed = [
@@ -502,6 +581,9 @@ class PlanCache:
         the revalidation path, so a background replan that blew its
         deadline leaves the cached (optimal) entry stale rather than
         overwriting it.  Returns True when the entry was refreshed.
+
+        The replaced result leaves its cost behind under the key and
+        exact snapshot it was stored with (:meth:`known_cost`).
         """
         if getattr(result, "degraded", False):
             with self._lock:
@@ -513,6 +595,7 @@ class PlanCache:
             entry = self._entries.pop(key, None)
             if entry is None:
                 return False  # evicted mid-revalidation
+            self._leave_cost(key, entry)
             entry.result = result
             entry.state = FRESH
             if exact_snapshot is not None:
@@ -695,9 +778,7 @@ class PlanCache:
                     sql=sql,
                 )
                 self.stats.puts += 1
-                while len(self._entries) > self.capacity:
-                    self._entries.popitem(last=False)
-                    self.stats.evictions += 1
+                self._evict()
         return len(kept)
 
     # -- introspection -------------------------------------------------------
@@ -725,5 +806,6 @@ class PlanCache:
                 "stale_hits": float(self.stats.stale_hits),
                 "refreshed": float(self.stats.refreshed),
                 "stale_entries": float(self.stale_count()),
+                "known_costs": float(len(self._costs)),
                 "hit_rate": self.stats.hit_rate,
             }

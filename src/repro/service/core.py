@@ -325,6 +325,8 @@ class ServingCore:
         self._stale_served = 0
         self._recosted = 0
         self._replanned = 0
+        #: runs bounded by a cost the cache remembered (no H1 pre-pass).
+        self._bounded_remembered = 0
         self._by_strategy: Counter = Counter()
         self._executions: Counter = Counter()
         self._execution_rows = 0
@@ -416,7 +418,8 @@ class ServingCore:
                 return result, config, query
         if arrived is None:
             arrived = time.monotonic()
-        return Miss(query, config, key, exact, sql, arrived + self.request_timeout)
+        known = self.cache.known_cost(key, exact) if self.cache is not None else None
+        return Miss(query, config, key, exact, sql, arrived + self.request_timeout, known)
 
     def complete(self, miss: Miss, outcome: WorkerOutcome) -> Planned:
         """Take what planning *miss* produced: count it, and store a
@@ -441,6 +444,7 @@ class ServingCore:
                 self.cache.store(
                     miss.key, miss.query, result, sql=miss.sql, exact_snapshot=miss.exact
                 )
+            self._bounded_remembered += result.stats.get("ceiling.source") == "remembered"
         self._record(result, outcome.shared)
         return result, miss.config, miss.query
 
@@ -590,8 +594,9 @@ class ServingCore:
 
         Scales (``cardinality_factor``) or sets (``cardinality``) a
         table's row count, marks dependent cache entries stale (they
-        keep being served), flushes the parse memo (its queries and
-        digests embed the old statistics) and revalidates up to *inline*
+        keep being served), drops the parse-memo entries that read the
+        table (their queries and digests embed its old statistics; every
+        other text stays parsed) and revalidates up to *inline*
         entries before answering; the owner drains the rest of the
         backlog through :meth:`revalidate` off the request path.
         """
@@ -631,7 +636,15 @@ class ServingCore:
             },
         )
         delta = self.catalog.update_stats(table, new_stats)
-        self._parse_memo.clear()
+        # Only a text that reads the table was bound with its old numbers.
+        drifted = delta.relation.lower()
+        memo = self._parse_memo
+        for sql in [
+            sql
+            for sql, entry in memo.items()
+            if any(rel.source_table.lower() == drifted for rel in entry[0].relations)
+        ]:
+            del memo[sql]
         payload = dict(delta.payload())
         if self.cache is None:
             payload.update(marked_stale=0, stale_entries=0, revalidated_inline={})
@@ -689,6 +702,7 @@ class ServingCore:
                 "stale_served": self._stale_served,
                 "recosted": self._recosted,
                 "replanned": self._replanned,
+                "bounded_remembered": self._bounded_remembered,
                 "by_strategy": dict(self._by_strategy),
             },
             "executions": executions,

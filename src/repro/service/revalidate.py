@@ -127,7 +127,15 @@ class StaleRevalidator:
             # The run respects the config's planning deadline; a degraded
             # fallback is refused by refresh() (entry returns to stale) —
             # the degraded-plan guard extends to the revalidation path.
-            result = optimize(query, prepared=prepared, config=entry_config)
+            # evaluate_stale has just costed complete plans of this very
+            # query — the replayed one, if it replayed, and H1's — so the
+            # replan is bounded by the cheaper instead of planning H1 again.
+            known = decision.bound_cost
+            if decision.recost_cost is not None:
+                known = min(known, decision.recost_cost)
+            result = optimize(
+                query, prepared=prepared, config=entry_config, known_cost=known
+            )
             refreshed = self.cache.refresh(
                 claim.key, result, exact_snapshot=exact, new_key=new_key
             )

@@ -11,12 +11,16 @@ normalised plan, csg-cmp-pair emission order and count.  Beyond that:
   ablations, any cost model that does not declare ``monotone``) is held
   to exact parity — same candidate count, same DP-table sizes;
 * a run that reports one (``stats["ceiling.cost"]``: EA-Prune under
-  Cout, four relations or more) never prices, files or joins a partial
+  Cout, four relations or more — or any number, when the caller hands
+  ``optimize`` a *known_cost*) never prices, files or joins a partial
   plan above it, so its counters are *smaller* by design.  What it owes
   instead is the restriction lemma (docs/architecture.md, "bound, price,
   ask, build"): per relation set, its bucket is the reference bucket
   restricted to ``cost <= ceiling`` — compared as sorted lists of
-  ``(cost, cardinality, FD triple)``.
+  ``(cost, cardinality, FD triple)``.  The lemma does not care where the
+  ceiling came from, so neither does this module: one reference
+  observation serves every ceiling at or below the one it kept plans up
+  to (:meth:`Observation.buckets_up_to`).
 
 Buckets are rebuilt from ``OptimizerHooks.on_plan`` — every plan either
 engine offers to its DP table — with the seed's pairwise scan
@@ -63,7 +67,9 @@ class Observation:
     *keep_up_to* — the Pareto bucket of every proper relation subset,
     rebuilt from the plans the run offered to its DP table."""
 
-    def __init__(self, query, strategy, engine, factor=1.03, keep_up_to=inf, **config):
+    def __init__(
+        self, query, strategy, engine, factor=1.03, keep_up_to=inf, known_cost=None, **config
+    ):
         self.ccp_order = []
         self._buckets = {}
         all_mask = query.all_relations_mask
@@ -82,6 +88,7 @@ class Observation:
             hooks=OptimizerHooks(
                 on_ccp=lambda s1, s2: self.ccp_order.append((s1, s2)), on_plan=on_plan
             ),
+            known_cost=known_cost,
         )
 
     @property
@@ -97,23 +104,38 @@ class Observation:
 
     @property
     def buckets(self):
-        return {
-            mask: sorted(plan_point(plan) for plan in bucket)
+        return self.buckets_up_to(inf)
+
+    def buckets_up_to(self, ceiling):
+        """The kept buckets restricted to ``cost <= ceiling`` (a Pareto
+        bucket restricted is the restricted candidates' Pareto bucket:
+        whatever dominates a plan costs no more than it)."""
+        restricted = {
+            mask: sorted(plan_point(plan) for plan in bucket if plan.cost <= ceiling)
             for mask, bucket in self._buckets.items()
         }
+        return {mask: points for mask, points in restricted.items() if points}
 
 
-def assert_engines_agree(query, strategy, factor=1.03, context=(), **config):
-    """Indexed == reference on *query*; returns the indexed result."""
-    indexed = Observation(query, strategy, "indexed", factor, **config)
+def assert_engines_agree(query, strategy, factor=1.03, context=(), known_cost=None, **config):
+    """Indexed == reference on *query*; returns the indexed result.  Both
+    engines are handed *known_cost*; the reference must ignore it."""
+    indexed = Observation(query, strategy, "indexed", factor, known_cost=known_cost, **config)
     ceiling = ceiling_of(indexed.result)
-    bounded = ceiling != inf
     # An unbounded EA-Prune reference run offers every candidate: rebuild
     # its buckets only when there is a restriction to check.
     reference = Observation(
-        query, strategy, "reference", factor, keep_up_to=ceiling if bounded else -inf,
-        **config,
+        query, strategy, "reference", factor, keep_up_to=ceiling if ceiling != inf else -inf,
+        known_cost=known_cost, **config,
     )
+    return assert_observations_agree(query, indexed, reference, context)
+
+
+def assert_observations_agree(query, indexed, reference, context=()):
+    """What :func:`assert_engines_agree` asserts, on runs already made —
+    *reference* must have kept its plans up to *indexed*'s ceiling."""
+    ceiling = ceiling_of(indexed.result)
+    bounded = ceiling != inf
     assert ceiling_of(reference.result) == inf, context  # the oracle is never bounded
     assert indexed.answer == reference.answer, context
     got, expected = indexed.result, reference.result
@@ -122,7 +144,7 @@ def assert_engines_agree(query, strategy, factor=1.03, context=(), **config):
         assert got.table_sizes == expected.table_sizes, context
         assert "strategy.plans_above_ceiling" not in got.stats, context
         return got
-    assert indexed.buckets == reference.buckets, context
+    assert indexed.buckets == reference.buckets_up_to(ceiling), context
     # ... and the rebuilt buckets are the ones the DP table held.
     inner = {
         mask: size

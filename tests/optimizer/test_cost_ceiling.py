@@ -1,8 +1,11 @@
-"""Bound, price, ask, build: EA-Prune under H1's cost as a ceiling.
+"""Bound, price, ask, build: EA-Prune under a complete plan's cost as a
+ceiling.
 
-Before its main pass an *exact eager* run plans the prepared query once
-under H1 and takes that complete plan's cost as a ceiling: no partial
-plan above it is priced, filed or joined.  These tests pin
+An *exact eager* run is bounded by the cost of a complete plan of the
+same problem: one the caller already knows (``known_cost`` — a plan
+cache remembers what an evicted plan cost), or else H1's, planned once
+over the prepared query before the main pass.  No partial plan above it
+is priced, filed or joined.  These tests pin
 
 * who is bounded — the strategy and the cost model both have to say so,
   and the reference engine, the unordered strategy instance and queries
@@ -15,7 +18,10 @@ plan above it is priced, filed or joined.  These tests pin
   40-seed twin is ``test_engine_differential.py``'s ``--runslow``
   matrix),
 * what the run reports, and that the pre-pass is invisible to hooks,
-  the plan cache, the deadline and chaos delays.
+  the plan cache, the deadline and chaos delays,
+* that a known cost changes nothing but the work: the same lemma under
+  the optimum, H1's cost and a replayed plan's cost as ceilings, a rerun
+  when it was too low, and no effect at all on a run nobody bounds.
 """
 
 import random
@@ -23,7 +29,13 @@ import time
 
 import pytest
 
-from engine_oracle import UndeclaredCout, assert_engines_agree, ceiling_of
+from engine_oracle import (
+    Observation,
+    UndeclaredCout,
+    assert_engines_agree,
+    assert_observations_agree,
+    ceiling_of,
+)
 from repro import chaos
 from repro.optimizer import (
     COST_MODELS,
@@ -39,20 +51,27 @@ from repro.optimizer import (
 from repro.optimizer import driver
 from repro.optimizer.costmodel import CoutModel
 from repro.optimizer.deadline import Deadline
+from repro.optimizer.recost import recost
 from repro.optimizer.strategies import EaAllStrategy, EaPruneStrategy
+from repro.plans.render import plan_shape
 from repro.service import PlanCache
+from repro.sql import Catalog, parse_query
 from repro.tpch.queries import build_ex, build_q3, build_q5, build_q10
 from repro.workload import generate_query, topology_query
 
 CEILING_KEYS = {
-    "ceiling.cost", "ceiling.ccps", "ceiling.plans", "ceiling.seconds",
+    "ceiling.cost", "ceiling.source", "ceiling.ccps", "ceiling.plans", "ceiling.seconds",
     "strategy.plans_above_ceiling",
 }
+#: what only a run that planned H1 first reports
+PREPASS_KEYS = {"ceiling.ccps", "ceiling.plans", "ceiling.seconds"}
 
 
-def _run(query, strategy="ea-prune", **config):
+def _run(query, strategy="ea-prune", known_cost=None, **config):
     return optimize(
-        query, config=OptimizerConfig(strategy=strategy, cache_capacity=None, **config)
+        query,
+        config=OptimizerConfig(strategy=strategy, cache_capacity=None, **config),
+        known_cost=known_cost,
     )
 
 
@@ -63,6 +82,7 @@ class TestWhoIsBounded:
         heuristic = _run(query, "h1")
         assert CEILING_KEYS <= set(result.stats)
         assert result.stats["ceiling.cost"] == heuristic.cost
+        assert result.stats["ceiling.source"] == "prepass"
         assert result.stats["ceiling.ccps"] == heuristic.ccp_count == result.ccp_count
         assert result.stats["ceiling.plans"] == heuristic.plans_built
         assert result.stats["strategy.plans_above_ceiling"] > 0
@@ -321,3 +341,166 @@ class TestThePrePassIsInvisible:
         # (plus the re-check after each pause) — none for the pre-pass's.
         assert len(sleeps) == result.ccp_count == result.stats["ceiling.ccps"]
         assert len(reads) - armed == 2 * result.ccp_count
+
+
+# -- a cost the caller already knows ---------------------------------------------------
+
+
+def _answer(result):
+    return result.cost, plan_shape(result.plan.node), result.ccp_count
+
+
+def _counters(result):
+    """Everything a run reports but its wall-clock time."""
+    stats = {k: v for k, v in result.stats.items() if not k.endswith("seconds")}
+    return result.cost, result.ccp_count, result.plans_built, result.table_sizes, stats
+
+
+def check_known_costs(query, context=()):
+    """The restriction lemma under every ceiling a caller may know — one
+    reference run, kept up to the loosest of them, serves them all."""
+    optimum, h1 = _run(query), _run(query, "h1")
+    # What a plan cache holds after a drift re-cost: some eager plan (here
+    # H2's) replayed under this query's statistics.
+    replayed = recost(query, _run(query, "h2").plan.node).cost
+    assert optimum.cost <= replayed and optimum.cost <= h1.cost
+    loosest = max(h1.cost, replayed) * (1.0 + driver.KNOWN_COST_SLACK)
+    reference = Observation(query, "ea-prune", "reference", keep_up_to=loosest)
+    for name, known in (("optimum", optimum.cost), ("h1", h1.cost), ("replay", replayed)):
+        indexed = Observation(query, "ea-prune", "indexed", known_cost=known)
+        got = assert_observations_agree(query, indexed, reference, (*context, name))
+        assert got.stats["ceiling.source"] == "remembered", (*context, name)
+        assert got.stats["ceiling.cost"] == known * (1.0 + driver.KNOWN_COST_SLACK)
+        assert not PREPASS_KEYS & set(got.stats), (*context, name)
+        assert _answer(got) == _answer(optimum), (*context, name)
+    # Nothing known: today's run, to the last counter.
+    assert _counters(_run(query, known_cost=None)) == _counters(optimum), context
+    # Too low to be the cost of any plan of this query: planned again.
+    rerun = _run(query, known_cost=optimum.cost * (1.0 - 1e-6))
+    assert rerun.stats["ceiling.rerun"] == 1, context
+    assert _answer(rerun) == _answer(optimum), context
+    assert rerun.stats.get("ceiling.source") == optimum.stats.get("ceiling.source"), context
+    return optimum
+
+
+def _known_cost_queries():
+    for topology in ("chain", "cycle", "star", "clique"):
+        for n in (4, 6):
+            yield f"{topology}-{n}", topology_query(topology, n)
+    for seed in range(6):  # test_engine_differential's random slice
+        rng = random.Random(seed * 7919 + 11)
+        yield f"random-{seed}", generate_query(rng.randint(3, 9), rng)
+    for seed in (10, 17, *MATRIX_SLICE):
+        yield f"matrix-{seed}", _matrix_query(seed)
+
+
+KNOWN_COST_QUERIES = list(_known_cost_queries())
+
+RIGHT_JOIN_SQL = (
+    "SELECT n.n_name, count(*) AS cnt FROM customer c "
+    "RIGHT JOIN nation n ON c.c_nationkey = n.n_nationkey "
+    "JOIN region r ON n.n_regionkey = r.r_regionkey "
+    "JOIN supplier s ON s.s_nationkey = n.n_nationkey GROUP BY n.n_name"
+)
+#: the same problem, FROM list reordered: relations 0 and 1 trade places
+LEFT_JOIN_SQL = (
+    "SELECT nn.n_name, count(*) AS cnt FROM nation nn "
+    "LEFT JOIN customer cc ON cc.c_nationkey = nn.n_nationkey "
+    "JOIN region rr ON nn.n_regionkey = rr.r_regionkey "
+    "JOIN supplier ss ON ss.s_nationkey = nn.n_nationkey GROUP BY nn.n_name"
+)
+
+
+class TestKnownCost:
+    """``optimize(known_cost=...)``: the ceiling without the pre-pass."""
+
+    @pytest.mark.parametrize(
+        "name,query", KNOWN_COST_QUERIES, ids=[name for name, _ in KNOWN_COST_QUERIES]
+    )
+    def test_known_cost_differential(self, name, query):
+        check_known_costs(query, (name,))
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("seed", range(40))
+    def test_known_cost_random_matrix(self, seed):
+        check_known_costs(_matrix_query(seed), (seed,))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_it_bounds_below_the_pre_passs_minimum_too(self, n):
+        query = topology_query("chain", n)
+        plain = _run(query)
+        assert "ceiling.cost" not in plain.stats
+        known = assert_engines_agree(query, "ea-prune", known_cost=plain.cost)
+        assert known.stats["ceiling.source"] == "remembered"
+        assert _answer(known) == _answer(plain)
+
+    def test_a_cost_remembered_under_one_spelling_bounds_the_other(self):
+        catalog = Catalog.from_tpch()
+        first, second = parse_query(RIGHT_JOIN_SQL, catalog), parse_query(LEFT_JOIN_SQL, catalog)
+        assert [rel.source_table for rel in first.relations][:2] == ["customer", "nation"]
+        assert [rel.source_table for rel in second.relations][:2] == ["nation", "customer"]
+        config = OptimizerConfig(cache_capacity=None)
+        cache = PlanCache(capacity=1)
+        cold = optimize(first, config=config, cache=cache)
+        assert cold.stats["ceiling.source"] == "prepass"
+        optimize(topology_query("chain", 3), config=config, cache=cache)  # evicts it
+        assert len(cache) == 1 and cache.describe()["known_costs"] == 1.0
+        again = optimize(second, config=config, cache=cache)
+        assert not again.cache_hit and again.stats["ceiling.source"] == "remembered"
+        assert "ceiling.rerun" not in again.stats
+        assert _answer(again) == _answer(_run(second))
+        assert_engines_agree(second, "ea-prune", known_cost=cold.cost)
+
+    @pytest.mark.parametrize(
+        "config",
+        [{"strategy": "dphyp"}, {"strategy": "h2"}, {"strategy": "h1"}, {"strategy": "ea-all"},
+         {"engine": "reference"}, {"cost_model": UndeclaredCout()}],
+        ids=["dphyp", "h2", "h1", "ea-all", "reference", "undeclared-model"],
+    )
+    def test_a_run_nobody_bounds_ignores_it(self, config):
+        query = topology_query("cycle", 5)
+        plain = _run(query, **config)
+        # Even a cost below every plan's: nothing is dropped, nothing rerun.
+        for known in (plain.cost, plain.cost / 2):
+            assert _counters(_run(query, known_cost=known, **config)) == _counters(plain)
+        assert not CEILING_KEYS & set(plain.stats)
+
+    def test_a_rerun_keeps_the_budget_and_reports_once(self):
+        query = topology_query("star", 6)
+        fired = []
+        result = optimize(
+            query,
+            config=OptimizerConfig(cache_capacity=None),
+            hooks=OptimizerHooks(on_result=fired.append),
+            deadline=Deadline(1e9),
+            known_cost=1.0,
+        )
+        assert fired == [result] and result.stats["ceiling.rerun"] == 1
+        assert result.stats["ceiling.source"] == "prepass" and not result.degraded
+        assert _answer(result) == _answer(_run(query))
+        # ... and a budget already spent degrades the rerun like any run.
+        spent = optimize(
+            query, config=OptimizerConfig(cache_capacity=None),
+            deadline=Deadline(0.0, check_every=1), known_cost=1.0,
+        )
+        assert spent.degraded and spent.strategy == "h1"
+
+    def test_a_cache_is_asked_once_and_only_by_a_bounded_run(self):
+        class AskedCache(PlanCache):
+            asked = 0
+
+            def known_cost(self, key, exact_snapshot):
+                self.asked += 1
+                return super().known_cost(key, exact_snapshot)
+
+        query = topology_query("chain", 5)
+        cache = AskedCache(capacity=4)
+        optimize(query, config=OptimizerConfig(cache_capacity=None), cache=cache)
+        assert cache.asked == 1
+        optimize(query, config=OptimizerConfig(strategy="dphyp", cache_capacity=None), cache=cache)
+        assert cache.asked == 1
+        optimize(
+            topology_query("chain", 6), config=OptimizerConfig(cache_capacity=None),
+            cache=cache, known_cost=1e30,
+        )
+        assert cache.asked == 1  # the caller's own is taken as it is

@@ -123,6 +123,19 @@ class TestOneMissPath:
         (claim,) = session.cache.claim_stale()
         assert claim.exact_snapshot == cardinality_snapshot(query) != item.key.snapshot
 
+    @pytest.mark.parametrize("config", [SERIAL, POOL], ids=["serial", "pool"])
+    def test_a_batch_replans_under_the_cost_an_evicted_plan_left(self, config):
+        queries = workload(3, n=5)
+        cache = PlanCache(capacity=1)
+        first = run_batch(queries, cache, config)
+        assert [item.result.stats["ceiling.source"] for item in first.items] == ["prepass"] * 3
+        # Two of the three were evicted; the batch repeats one of them.
+        again = run_batch([queries[0], queries[1], queries[0]], cache, config)
+        assert [item.cache_hit for item in again.items] == [False, False, True]
+        for item, before in zip(again.items[:2], first.items):
+            assert item.result.stats["ceiling.source"] == "remembered"
+            assert (item.cost, item.result.ccp_count) == (before.cost, before.result.ccp_count)
+
     def test_degraded_results_are_shared_but_never_stored(self):
         queries = workload(3, unique=1, n=6)
         cache = PlanCache(capacity=8)

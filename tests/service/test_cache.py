@@ -1,8 +1,11 @@
-"""PlanCache behaviour: hits, LRU eviction, invalidation, catalog hook."""
+"""PlanCache behaviour: hits, LRU eviction, invalidation, catalog hook,
+and the costs evicted plans leave behind."""
 
 import pytest
 
 from repro.service import PlanCache
+from repro.service import cache as cache_module
+from repro.service.core import PARSE_MEMO_CAPACITY
 from repro.service.fingerprint import PlanCacheKey
 from repro.sql.catalog import Catalog, TableStats
 
@@ -70,6 +73,100 @@ class TestEviction:
         assert len(cache) == 1
         assert cache.get(key("a")).tag == "v2"
         assert cache.stats.evictions == 0
+
+
+class Costed:
+    """A result as far as the cost memory looks at one."""
+
+    degraded = False
+
+    def __init__(self, cost):
+        self.cost = cost
+
+
+class TestKnownCosts:
+    """``(key, exact snapshot) → cost`` for plans the cache no longer holds."""
+
+    def test_an_evicted_entry_leaves_its_cost(self):
+        cache = PlanCache(capacity=1)
+        cache.put(key("a"), Costed(10.0), exact_snapshot="s1")
+        assert cache.known_cost(key("a"), "s1") is None  # still held: nothing to remember
+        cache.put(key("b"), Costed(20.0), exact_snapshot="s1")
+        assert cache.get(key("a")) is None
+        assert cache.known_cost(key("a"), "s1") == 10.0
+        # The pair names the problem: another snapshot, another key, no answer.
+        assert cache.known_cost(key("a"), "s2") is None
+        assert cache.known_cost(key("a", "other"), "s1") is None
+        assert cache.known_cost(key("b"), "s1") is None
+        assert cache.describe()["known_costs"] == 1.0
+
+    def test_an_entry_stored_without_its_exact_snapshot_leaves_nothing(self):
+        cache = PlanCache(capacity=1)
+        cache.put(key("a"), Costed(10.0))
+        cache.put(key("b"), Plan("no cost at all"), exact_snapshot="s1")
+        cache.put(key("c"), Costed(30.0), exact_snapshot="s1")
+        assert cache.stats.evictions == 2 and cache.describe()["known_costs"] == 0.0
+
+    def test_the_capacity_is_the_parse_memos(self):
+        assert cache_module.KNOWN_COSTS_CAPACITY == PARSE_MEMO_CAPACITY == 4096
+
+    def test_the_map_is_lru_bounded(self, monkeypatch):
+        monkeypatch.setattr(cache_module, "KNOWN_COSTS_CAPACITY", 3)
+        cache = PlanCache(capacity=1)
+        for index in range(5):  # evicts q0..q3 in turn
+            cache.put(key(f"q{index}"), Costed(float(index)), exact_snapshot="s")
+            if index == 3:
+                assert cache.known_cost(key("q0"), "s") == 0.0  # asked for: most recent
+        assert cache.describe()["known_costs"] == 3.0
+        assert cache.known_cost(key("q1"), "s") is None  # the least recently used went
+        assert [cache.known_cost(key(f"q{i}"), "s") for i in (0, 2, 3)] == [0.0, 2.0, 3.0]
+
+    def test_drop_and_invalidate_leave_nothing(self):
+        cache = PlanCache(capacity=4)
+        cache.put(key("a"), Costed(1.0), relations=["orders"], exact_snapshot="s")
+        cache.put(key("b"), Costed(2.0), relations=["orders"], exact_snapshot="s")
+        assert cache.drop(key("a")) is True
+        assert cache.invalidate("orders") == 1
+        assert cache.known_cost(key("a"), "s") is None
+        assert cache.known_cost(key("b"), "s") is None
+
+    def test_invalidating_a_relation_keeps_the_map_and_clear_empties_it(self):
+        cache = PlanCache(capacity=1)
+        cache.put(key("a"), Costed(1.0), relations=["orders"], exact_snapshot="s")
+        cache.put(key("b"), Costed(2.0), relations=["orders"], exact_snapshot="s")
+        cache.invalidate("orders")  # drops b; a's cost is filed under its statistics
+        assert len(cache) == 0 and cache.known_cost(key("a"), "s") == 1.0
+        cache.put(key("c"), Costed(3.0), exact_snapshot="s")
+        assert cache.clear() == 1
+        assert cache.describe()["known_costs"] == 0.0
+
+    def test_it_survives_mark_stale(self):
+        cache = PlanCache(capacity=1)
+        cache.put(key("a"), Costed(1.0), relations=["orders"], exact_snapshot="s")
+        cache.put(key("b"), Costed(2.0), relations=["orders"], exact_snapshot="s")
+        assert cache.mark_stale("orders") == 1 and cache.mark_stale() == 0
+        assert cache.known_cost(key("a"), "s") == 1.0
+        # A stale entry evicted still leaves what it cost under *its* statistics.
+        cache.put(key("c"), Costed(3.0), exact_snapshot="s2")
+        assert cache.known_cost(key("b"), "s") == 2.0
+
+    @pytest.mark.parametrize("new_key", [None, key("a", "next-band")], ids=["in-place", "moved"])
+    def test_refresh_leaves_the_replaced_results_cost_under_the_old_pair(self, new_key):
+        cache = PlanCache(capacity=4)
+        cache.put(key("a"), Costed(1.0), relations=["orders"], exact_snapshot="s-old")
+        cache.mark_stale("orders")
+        (claim,) = cache.claim_stale()
+        assert cache.refresh(claim.key, Costed(5.0), exact_snapshot="s-new", new_key=new_key)
+        assert cache.known_cost(key("a"), "s-old") == 1.0
+        home = new_key or key("a")
+        assert cache.get(home).cost == 5.0 and cache.known_cost(home, "s-new") is None
+        # A degraded replan replaces nothing and leaves nothing.
+        cache.mark_stale()
+        (claim,) = cache.claim_stale()
+        degraded = Costed(9.0)
+        degraded.degraded = True
+        assert cache.refresh(claim.key, degraded, exact_snapshot="s-3") is False
+        assert cache.known_cost(home, "s-new") is None
 
 
 class TestInvalidation:
@@ -176,6 +273,7 @@ class TestIntrospection:
         assert metrics["hits"] == 1.0
         assert metrics["misses"] == 1.0
         assert metrics["hit_rate"] == 0.5
+        assert metrics["known_costs"] == 0.0
 
     def test_clear(self):
         cache = PlanCache(capacity=4)

@@ -42,6 +42,14 @@ SQL_RENAMED = (
     "JOIN supplier sup ON n2.n_nationkey = sup.s_nationkey GROUP BY n2.n_name"
 )
 SQL_SMALL = "SELECT count(*) AS cnt FROM region GROUP BY r_name"
+JOIN_SQL = (
+    "SELECT r.r_name, count(*) AS cnt FROM region r "
+    "JOIN nation n ON r.r_regionkey = n.n_regionkey GROUP BY r.r_name"
+)
+ORDERS_SQL = (
+    "SELECT c.c_name, count(*) AS cnt FROM customer c "
+    "JOIN orders o ON c.c_custkey = o.o_custkey GROUP BY c.c_name"
+)
 BAD_TABLE = "SELECT count(*) FROM nowhere GROUP BY x"
 # Six relations: enough ccps that the DP loop runs past its first
 # deadline check under a zero-ish budget.
@@ -222,6 +230,35 @@ class TestProbeCompleteShare:
         assert (error.status, error.code) == (500, "optimizer_error")
         assert "KeyError" in error.message
         assert core.stats()["plans"]["failures"] == 1
+
+    def test_an_evicted_plan_leaves_its_cost_in_the_next_ticket(self):
+        core = make_core(cache_capacity=1)
+        first = core.probe({"sql": BIG_SQL})
+        assert first.known_cost is None
+        cold = core.complete(first, plan_miss(first))[0]
+        assert cold.stats["ceiling.source"] == "prepass"
+        core.optimize({"sql": SQL})  # evicts it
+        again = core.probe({"sql": BIG_SQL.replace("FROM lineitem,", "FROM  lineitem,")})
+        assert again.known_cost == cold.cost and again.query is not first.query
+        replanned = core.complete(again, plan_miss(again))[0]
+        assert replanned.cache_hit is False and replanned.stats["ceiling.source"] == "remembered"
+        assert "ceiling.seconds" not in replanned.stats
+        assert (replanned.cost, replanned.ccp_count) == (cold.cost, cold.ccp_count)
+        assert replanned.plans_built < cold.plans_built  # a tighter ceiling than H1's
+        plans = core.stats()["plans"]
+        assert (plans["bounded_remembered"], plans["cache_misses"]) == (1, 3)
+        # A known cost that bounds nothing is planned again, not a 500 — and not counted.
+        stale = core.probe({"sql": SQL})
+        stale.known_cost = 1e-9
+        rerun = core.complete(stale, plan_miss(stale))[0]
+        assert rerun.stats["ceiling.rerun"] == 1 and rerun.cost > 1.0
+        plans = core.stats()["plans"]
+        assert plans["bounded_remembered"] == 1 and plans["failures"] == 0
+
+    def test_a_core_without_a_cache_knows_no_cost(self):
+        core = make_core(cache_capacity=None)
+        assert core.probe({"sql": BIG_SQL}).known_cost is None
+        assert core.stats()["plans"]["bounded_remembered"] == 0
 
     def test_without_a_cache_every_request_plans(self):
         core = make_core(cache_capacity=None)
@@ -451,14 +488,27 @@ class TestStatsUpdateAndRevalidation:
         assert inline["recosted"] + inline["replanned"] == 1
         assert reply["stale_entries"] == 0
 
-    def test_the_memo_is_flushed_so_new_statistics_are_parsed_in(self):
+    def test_a_drift_drops_only_the_memo_entries_that_read_the_table(self):
         core = self.make()
-        core.optimize({"sql": SQL})
-        core.optimize({"sql": SQL_SMALL})
-        assert core.stats()["parse_memo"]["size"] == 2
-        core.stats_update({"table": "orders", "cardinality": 123456.0}, inline=0)
-        assert core.stats()["parse_memo"]["size"] == 0
-        assert core.catalog.lookup("orders").cardinality == 123456.0
+        before_join = core.optimize({"sql": JOIN_SQL})  # nation x region
+        before_orders = core.optimize({"sql": ORDERS_SQL})
+        assert core.stats()["parse_memo"] == {"size": 2, "hits": 0, "misses": 2}
+        core.stats_update({"table": "ORDERS", "cardinality_factor": 4.0}, inline=0)
+        assert core.catalog.lookup("orders").cardinality == 4 * 1_500_000.0
+        assert core.stats()["parse_memo"]["size"] == 1
+
+        after_join = core.optimize({"sql": JOIN_SQL})
+        assert core.stats()["parse_memo"] == {"size": 1, "hits": 1, "misses": 2}
+        assert after_join["cache_hit"] is True
+        assert (after_join["cost"], after_join["plan"]) == (
+            before_join["cost"], before_join["plan"]
+        )
+        # ... and the text over orders is parsed again, under the new numbers
+        # (x4 crosses a band: a new key, a fresh plan).
+        after_orders = core.optimize({"sql": ORDERS_SQL})
+        assert core.stats()["parse_memo"] == {"size": 2, "hits": 1, "misses": 3}
+        assert after_orders["cache_hit"] is False
+        assert after_orders["cost"] > before_orders["cost"]
 
     def test_untouched_tables_keep_their_plans_fresh(self):
         core = self.make()
@@ -530,6 +580,9 @@ class TestTransportHelpers:
         assert merged["plans"]["served"] == served
         assert merged["plans"]["hit_rate"] == hits / served
         assert merged["plans"]["by_strategy"]["dphyp"] == 1
+        snapshots[0]["plans"]["bounded_remembered"] = 3
+        snapshots[2]["plans"]["bounded_remembered"] = 4
+        assert merge_stats(snapshots)["plans"]["bounded_remembered"] == 7
         assert merged["cache"]["capacity"] == 16.0 + 16.0 + 64.0
         lookups = merged["cache"]["hits"] + merged["cache"]["misses"]
         assert merged["cache"]["hit_rate"] == merged["cache"]["hits"] / lookups

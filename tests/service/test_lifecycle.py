@@ -396,6 +396,33 @@ class TestStaleRevalidator:
         assert counts["replanned"] == 1
         assert self.cache.stale_count() == 0
 
+    def test_a_replan_is_bounded_by_what_the_decision_already_costed(self):
+        """``evaluate_stale`` has costed the replayed plan and H1's on the
+        query it is about to replan: the cheaper bounds that run, and H1
+        is not planned a second time."""
+        sql = (
+            "SELECT c.c_custkey, sum(l.l_extendedprice) AS revenue FROM customer c "
+            "JOIN orders o ON c.c_custkey = o.o_custkey "
+            "JOIN lineitem l ON o.o_orderkey = l.l_orderkey "
+            "JOIN nation n ON c.c_nationkey = n.n_nationkey GROUP BY c.c_custkey"
+        )
+        _, cached = store_plan(self.cache, self.catalog, self.config, sql=sql)
+        assert cached.stats["ceiling.source"] == "prepass" and "ceiling.ccps" in cached.stats
+        drift(self.catalog, "lineitem", 1 / 64)  # the old plan is now 9x H1's
+        self.cache.mark_stale("lineitem")
+        assert self.revalidator().drain()["replanned"] == 1
+        query = parse_query(sql, self.catalog)
+        replanned, state = self.cache.serve_entry(self.post_drift_key(sql), query)
+        assert state == FRESH
+        unhinted = optimize(query, config=self.config)
+        h1 = optimize(query, config=self.config.with_overrides(strategy="h1"))
+        assert replanned.cost == unhinted.cost < cached.cost
+        assert replanned.stats["ceiling.source"] == "remembered"
+        assert "ceiling.ccps" not in replanned.stats and "ceiling.rerun" not in replanned.stats
+        # H1's cost was the cheaper of the two the decision held.
+        assert replanned.stats["ceiling.cost"] == pytest.approx(h1.cost, rel=1e-8)
+        assert unhinted.stats["ceiling.ccps"] == unhinted.ccp_count
+
     def test_entry_without_context_is_dropped(self):
         self.cache.put(key("opaque"), Plan("p"), relations=["supplier"])
         self.cache.mark_stale("supplier")

@@ -30,6 +30,15 @@ class Plan:
         return hash(self.tag)
 
 
+class Costed:
+    """A picklable result with the one field the cost memory reads."""
+
+    degraded = False
+
+    def __init__(self, cost):
+        self.cost = cost
+
+
 def populated(entries=3, capacity=8) -> PlanCache:
     cache = PlanCache(capacity=capacity)
     for index in range(entries):
@@ -65,6 +74,30 @@ class TestRoundTrip:
         assert cache.get(key("q0")) is None
         assert cache.get(key("q4")).tag == "p4"
         assert cache.get(key("q5")).tag == "p5"
+
+    def test_known_costs_stay_out_of_the_file_and_loading_leaves_them(self, tmp_path):
+        """The cost memory is relearned, not persisted (layout still v2);
+        what a load evicts leaves its cost like any eviction (one loop)."""
+        assert SNAPSHOT_VERSION == 2
+        path = tmp_path / "shard.plancache"
+        source = PlanCache(capacity=2)
+        for index in range(3):
+            source.put(key(f"q{index}"), Costed(float(index)), exact_snapshot="s")
+        assert source.known_cost(key("q0"), "s") == 0.0
+        assert source.save_snapshot(path, catalog_fingerprint=CATALOG_FP) == 2
+
+        fresh = PlanCache(capacity=2)
+        assert fresh.load_snapshot(path, catalog_fingerprint=CATALOG_FP) == 2
+        assert fresh.describe()["known_costs"] == 0.0
+        assert fresh.known_cost(key("q0"), "s") is None
+
+        busy = PlanCache(capacity=2)
+        busy.put(key("mine"), Costed(7.0), exact_snapshot="s")
+        busy.load_snapshot(path, catalog_fingerprint=CATALOG_FP)
+        assert busy.stats.evictions == 1 and busy.known_cost(key("mine"), "s") == 7.0
+        # ... and a loaded entry remembers the snapshot it was costed under.
+        busy.put(key("next"), Costed(8.0), exact_snapshot="s")
+        assert busy.known_cost(key("q1"), "s") == 1.0
 
     def test_header_readable_without_unpickling(self, tmp_path):
         path = tmp_path / "shard.plancache"

@@ -46,6 +46,17 @@ EXISTS_SQL = (
     "GROUP BY n.n_name"
 )
 NOT_EXISTS_SQL = EXISTS_SQL.replace("WHERE EXISTS", "WHERE NOT EXISTS")
+#: five problems for a cache that holds two
+CHURN_SQLS = (
+    SQL,
+    JOIN_SQL,
+    EXISTS_SQL,
+    "SELECT c.c_name, count(*) AS cnt FROM customer c "
+    "JOIN orders o ON c.c_custkey = o.o_custkey GROUP BY c.c_name",
+    "SELECT r.r_name, count(*) AS cnt FROM supplier s "
+    "JOIN nation n ON s.s_nationkey = n.n_nationkey "
+    "JOIN region r ON n.n_regionkey = r.r_regionkey GROUP BY r.r_name",
+)
 
 TRANSPORTS = ("threaded-workers0", "threaded-workers1", "async-shards1", "async-shards2")
 
@@ -82,6 +93,13 @@ def drift_servers():
     leave with changed statistics."""
     with contextlib.ExitStack() as stack:
         yield boot_all(stack, cache_capacity=64, snapshot_band_width=1.0)
+
+
+@pytest.fixture(scope="module")
+def churn_servers():
+    """Caches of two plans (per shard): every working set churns."""
+    with contextlib.ExitStack() as stack:
+        yield boot_all(stack, cache_capacity=2)
 
 
 @pytest.fixture(params=TRANSPORTS)
@@ -370,7 +388,8 @@ class TestStats:
         plans = client.stats()["plans"]
         assert set(plans) == {
             "served", "cache_hits", "cache_misses", "hit_rate", "failures", "degraded",
-            "timeouts", "stale_served", "recosted", "replanned", "by_strategy",
+            "timeouts", "stale_served", "recosted", "replanned", "bounded_remembered",
+            "by_strategy",
         }
 
     def test_executions_block_has_the_same_keys_everywhere(self, client):
@@ -387,6 +406,34 @@ class TestStats:
         assert executions["p50_ms"] is not None and executions["mean_ms"] is not None
         # /execute requests are metered under their own endpoint too.
         assert stats["requests"]["POST /execute"]["count"] >= 1
+
+
+def test_an_evicted_plans_cost_bounds_its_replan(churn_servers, transport):
+    """Five statements through a cache of two, three times over: from the
+    second pass on a miss re-plans what the cache held and evicted, under
+    the cost it left behind — counted in ``plans.bounded_remembered`` on
+    every transport (a pool worker gets the cost in its ticket), with the
+    answers unchanged."""
+    with ServerClient(port=churn_servers[transport].port) as client:
+        passes = [
+            [client.optimize(sql, include_plan=False) for sql in CHURN_SQLS] for _ in range(3)
+        ]
+        stats = client.stats()
+    for later in passes[1:]:
+        assert [reply["cost"] for reply in later] == [reply["cost"] for reply in passes[0]]
+        assert [reply["ccp_count"] for reply in later] == [
+            reply["ccp_count"] for reply in passes[0]
+        ]
+    assert not any(reply["cache_hit"] for reply in passes[0])
+    plans, cache = stats["plans"], stats["cache"]
+    if stats["shards"] == 1:
+        # Cyclic access over capacity + 3 never hits: both later passes re-plan all five.
+        assert plans["bounded_remembered"] == 10 == plans["cache_misses"] - 5
+    else:
+        # One of two shards owns at least three of the five, and churns.
+        assert 6 <= plans["bounded_remembered"] == plans["cache_misses"] - 5
+    assert cache["known_costs"] >= 3 and cache["evictions"] >= plans["bounded_remembered"]
+    assert plans["failures"] == plans["degraded"] == 0
 
 
 def key_paths(value, prefix=()) -> set:
