@@ -36,6 +36,7 @@ is rewritten after every case, so partial results survive interruption.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
 import time
@@ -185,6 +186,10 @@ def run(head_to_head, scales, out_path: Path, mode: str) -> dict:
         if scale not in datasets:
             started = time.perf_counter()
             datasets[scale] = scaled_dataset(scale)
+            # The tables live as long as the run: out of reach of the
+            # generation-2 collection a timed plan may trigger, which
+            # would otherwise walk them inside one case's best-of-three.
+            gc.freeze()
             print(f"generated tpch-sf{scale} in {time.perf_counter() - started:.2f}s",
                   flush=True)
         return datasets[scale]
@@ -230,8 +235,12 @@ def run(head_to_head, scales, out_path: Path, mode: str) -> dict:
         for query_name in QUERIES:
             query = TPCH_QUERIES[query_name](scale)
             database = dataset(scale).database_for(query)
-            for strategy in STRATEGIES:
-                result = optimize(query, strategy)
+            results = [(strategy, optimize(query, strategy)) for strategy in STRATEGIES]
+            # Un-timed: the first plan to read a database builds its
+            # columns' lanes, which every later plan finds cached — timed,
+            # that run made the first strategy of each query look slow.
+            run_plan(results[0][1].plan.node, database, executor="columnar")
+            for strategy, result in results:
                 record(
                     _measure(query_name, scale, strategy, "columnar",
                              result.plan.node, result.cost, database, "sweep")

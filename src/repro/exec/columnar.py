@@ -26,10 +26,35 @@ are equal, and never on the key values themselves:
   gather where it used to pay a python loop;
 * several columns combine into one code by plain products while the
   code space stays that dense, by a sort once it does not
-  (:func:`_combined`); a join sorts the right rows by code once and
-  lets every left row read its code's run (``bincount`` / ``cumsum`` /
-  ``repeat``); a grouping ranks each code by the first row that holds
-  it and sorts the rows by ``(rank, row)`` once.  No per-row python.
+  (:func:`_combined`); a grouping ranks each code by the first row that
+  holds it and sorts the rows by ``(rank, row)`` once.  No per-row
+  python.
+
+A hash join computes only what its kind reads, and decides that from
+the codes — no plan field, no flag from the optimizer, no option:
+
+* a semi or an anti join without a residual reads *which left rows have
+  a partner* and nothing else, so it builds no pairs: a width-sized
+  boolean table marks the right side's codes and every left row reads
+  its own entry (:func:`_member_rows`);
+* where no code occurs twice on the right — a primary key, the output
+  of a grouping on the join attributes: the joins eager aggregation
+  creates — every left row *looks its one partner up*: one scatter
+  ``slot[code] = row``, one gather ``slot[probe]``
+  (:func:`_lookup_pairs`), no sort; where no code occurs twice on the
+  left the right rows look their owner up and one stable sort by owner
+  makes the pairs left-major;
+* only a many-to-many join sorts the right rows by code once and lets
+  every left row read its code's run (``bincount`` / ``cumsum`` /
+  ``repeat``).
+
+Uniqueness is *observed* — the ``bincount`` of the right codes, which
+the run expansion needs anyway, holds no 2 — not promised by the
+optimizer: a key the planner derived wrongly can never become a wrong
+pairing.  The sorts that remain (a grouping's, a many-to-many join's,
+the sort by owner) go through :func:`_ordered`, which sorts keys that
+fit 16 bits as ``uint16`` — numpy's stable sort is a radix sort there —
+and ``(key, row)`` otherwise.
 
 What a grouping hands on is one shape, :class:`Runs`: a row vector laid
 out group after group, groups in order of first occurrence, members in
@@ -42,9 +67,9 @@ Under numpy a grouping therefore never loops over rows, whatever it
 keys on.  The python kernels — hash buckets keyed by the raw values /
 :func:`group_key` tuples, one loop per row — are what a process without
 numpy runs (``REPRO_EXEC_FORCE_FALLBACK=1`` forces that), and what
-pairing still falls back to for a key without exact lanes (no workload
-sends it one).  Array and python kernels return the same pairs and the
-same groups *in the same order*
+pairing — a semi / anti join's too — still falls back to for a key
+without exact lanes (no workload sends it one).  Array and python
+kernels return the same pairs and the same groups *in the same order*
 (``tests/exec/test_kernel_differential.py``), and downstream of them the
 emission code only distinguishes "numpy" from "no numpy".
 
@@ -53,7 +78,9 @@ differential suite enforces it), so emission mirrors the reference
 semantics of :mod:`repro.algebra.operators` exactly:
 
 * joins emit left-major, partners in right-input order — ``limit``
-  truncates that order, so it is part of the contract,
+  truncates that order, so it is part of the contract; a semi / anti
+  join emits the left rows it keeps in left-input order, whether it
+  read them off pairs or off the membership table,
 * an unmatched left row of a left/full outerjoin emits its padded row
   immediately after its (absent) matches; unmatched right rows of a
   full outerjoin append at the end in right-input order,
@@ -128,6 +155,10 @@ def _execute(op: PhysOp, database: Mapping[str, object], xp) -> Batch:
     if isinstance(op, PhysHashJoin):
         left = _execute(op.left, database, xp)
         right = _execute(op.right, database, xp)
+        if op.residual is None and op.op in (OpKind.LEFT_SEMI, OpKind.LEFT_ANTI):
+            coded = _pairing_codes(left, right, op.left_keys, op.right_keys, xp)
+            if coded is not None:
+                return left.take(_member_rows(*coded, op.op is OpKind.LEFT_SEMI, xp))
         pairs_l, pairs_r = _hash_pairs(left, right, op.left_keys, op.right_keys, xp)
         pairs_l, pairs_r = _filter_pairs(op.residual, left, right, pairs_l, pairs_r)
         return _emit_join(op, left, right, pairs_l, pairs_r, xp)
@@ -241,9 +272,9 @@ def _combined(columns: Sequence[tuple], rows: int, xp):
 
 
 def _joint_codes(lanes: Sequence[tuple], rows: int, xp):
-    """:func:`_combined` codes over exact lanes, each factorised (NULL
-    being a value of its own)."""
-    return _combined([_factorised(data, valid, xp) for data, valid in lanes], rows, xp)[0]
+    """:func:`_combined` ``(codes, width)`` over exact lanes, each
+    factorised (NULL being a value of its own)."""
+    return _combined([_factorised(data, valid, xp) for data, valid in lanes], rows, xp)
 
 
 def _grouping_codes(column: Column, xp):
@@ -256,25 +287,94 @@ def _grouping_codes(column: Column, xp):
     return codes, len(table)
 
 
-def _rows_by_code(codes, rows, xp):
-    """*rows* ordered by their code, rows of one code in input order.
-    ``(code, row)`` is unique, so any sort of it is a stable sort of the
-    codes — and numpy's default sort is several times its stable one."""
-    return rows[xp.argsort(codes[rows] * len(codes) + rows)]
+#: The widest key space whose keys fit 16 bits: numpy's stable sort of
+#: such keys is a radix sort, several times its comparison sort of
+#: wider ones.
+RADIX_WIDTH = 1 << 16
 
 
-def _valid_rows(masks: Sequence, length: int, xp):
-    """The rows that are valid under every mask (None: "no NULL")."""
+def _ordered(keys, width: int, xp):
+    """The positions of *keys* — integers in ``[0, width)`` — in key
+    order, equal keys in input order.
+
+    ``(key, position)`` is unique, so any sort of it is a stable sort of
+    the keys — and numpy's default sort is several times its stable one,
+    except where the stable one is a radix sort."""
+    if width <= RADIX_WIDTH:
+        return xp.argsort(keys.astype(xp.uint16), kind="stable")
+    return xp.argsort(keys * len(keys) + xp.arange(len(keys)))
+
+
+def _all_valid(masks: Sequence):
+    """The rows that are valid under every mask, as one mask (None: "no
+    NULL", as for each of *masks*)."""
     valid = None
     for mask in masks:
         if mask is not None:
             valid = mask if valid is None else valid & mask
-    return xp.arange(length) if valid is None else valid.nonzero()[0]
+    return valid
+
+
+def _keyed_rows(codes, valid, xp):
+    """``(rows, keys)``: the rows whose key has no NULL, and their codes."""
+    if valid is None:
+        return xp.arange(len(codes)), codes
+    rows = valid.nonzero()[0]
+    return rows, codes[rows]
 
 
 # ---------------------------------------------------------------------------
 # joins
 # ---------------------------------------------------------------------------
+
+def _pairing_codes(
+    left: Batch,
+    right: Batch,
+    left_keys: Tuple[str, ...],
+    right_keys: Tuple[str, ...],
+    xp,
+):
+    """``(lcodes, lvalid, rcodes, rvalid, width)`` — a code per row over
+    one code space for both sides, and per side the mask of the rows
+    whose key has no NULL (None: all of them) — or None unless numpy
+    runs and every key column has exact lanes."""
+    if xp is None:
+        return None
+    lanes = _key_lanes(
+        [left.column(k) for k in left_keys] + [right.column(k) for k in right_keys], xp
+    )
+    if lanes is None:
+        return None
+    llanes, rlanes = lanes[: len(left_keys)], lanes[len(left_keys) :]
+    # factorise each key over left ++ right; a NULL rides along as 0.0
+    # and is told apart by the masks alone
+    codes, width = _joint_codes(
+        [(xp.concatenate((ldata, rdata)), None) for (ldata, _), (rdata, _) in zip(llanes, rlanes)],
+        left.length + right.length,
+        xp,
+    )
+    return (
+        codes[: left.length],
+        _all_valid([valid for _, valid in llanes]),
+        codes[left.length :],
+        _all_valid([valid for _, valid in rlanes]),
+        width,
+    )
+
+
+def _member_rows(lcodes, lvalid, rcodes, rvalid, width: int, wanted: bool, xp):
+    """The left rows whose key occurs on the right (*wanted*) or does
+    not (not *wanted*), in input order: all a semi or an anti join
+    without a residual reads of its pairs, so none are built.  A NULL
+    key occurs nowhere — a semi join drops the row, an anti join keeps
+    it."""
+    occurs = xp.zeros(width, dtype=bool)
+    occurs[rcodes if rvalid is None else rcodes[rvalid]] = True
+    hit = occurs[lcodes]
+    if lvalid is not None:
+        hit &= lvalid
+    return (hit if wanted else ~hit).nonzero()[0]
+
 
 def _hash_pairs(
     left: Batch,
@@ -294,28 +394,9 @@ def _hash_pairs(
     coincides with SQL numeric equality, and hashes agree.  Both give
     the same pairs in the same order.
     """
-    if xp is not None:
-        lanes = _key_lanes(
-            [left.column(k) for k in left_keys] + [right.column(k) for k in right_keys], xp
-        )
-        if lanes is not None:
-            llanes, rlanes = lanes[: len(left_keys)], lanes[len(left_keys) :]
-            # one code space for both sides: factorise each key over left ++ right
-            codes = _joint_codes(
-                [
-                    (xp.concatenate((ldata, rdata)), None)
-                    for (ldata, _), (rdata, _) in zip(llanes, rlanes)
-                ],
-                left.length + right.length,
-                xp,
-            )
-            return _sorted_pairs(
-                codes[: left.length],
-                _valid_rows([valid for _, valid in llanes], left.length, xp),
-                codes[left.length :],
-                _valid_rows([valid for _, valid in rlanes], right.length, xp),
-                xp,
-            )
+    coded = _pairing_codes(left, right, left_keys, right_keys, xp)
+    if coded is not None:
+        return _sorted_pairs(*coded, xp)
 
     buckets: Dict[object, List[int]] = {}
     if len(right_keys) == 1:
@@ -356,20 +437,32 @@ def _hash_pairs(
     return _vector(pairs_l, xp), _vector(pairs_r, xp)
 
 
-def _sorted_pairs(lcodes, left_rows, rcodes, right_rows, xp):
-    """The equi-join pairs of two key-code arrays over one code space,
-    *left_rows* / *right_rows* being the rows whose key has no NULL.
+def _sorted_pairs(lcodes, lvalid, rcodes, rvalid, width: int, xp):
+    """The equi-join pairs of two key-code arrays over one code space of
+    *width* codes, *lvalid* / *rvalid* masking the rows whose key has
+    no NULL: left-major, partners in right-input order, as the hash
+    buckets emit them.
 
-    The right rows are sorted by code once — the rows of one code
-    staying in input order — and every left row, in input order, reads
-    its code's run of them: the left-major, right-input-order emission
-    the hash buckets give.
+    How many right rows hold each code says what there is to do.  No
+    code twice on the right: every left row looks its one partner up
+    (:func:`_lookup_pairs`), in input order already.  No code twice on
+    the left: every right row looks its one owner up, and one stable
+    sort by owner makes the pairs left-major.  Otherwise the right rows
+    are sorted by code once — the rows of one code staying in input
+    order — and every left row, in input order, reads its code's run of
+    them.  Uniqueness is observed on the codes, not promised by the
+    plan: a side that is not unique is never treated as if it were.
     """
-    if not len(left_rows) or not len(right_rows):
-        return xp.zeros(0, dtype=xp.intp), xp.zeros(0, dtype=xp.intp)
-    right_rows = _rows_by_code(rcodes, right_rows, xp)
-    probes = lcodes[left_rows]
-    per_code = xp.bincount(rcodes[right_rows], minlength=int(probes.max()) + 1)
+    left_rows, probes = _keyed_rows(lcodes, lvalid, xp)
+    right_rows, right_keys = _keyed_rows(rcodes, rvalid, xp)
+    per_code = xp.bincount(right_keys, minlength=width)
+    if per_code.max() <= 1:
+        return _lookup_pairs(right_rows, right_keys, left_rows, probes, width, xp)
+    if xp.bincount(probes, minlength=width).max() <= 1:
+        pairs_r, pairs_l = _lookup_pairs(left_rows, probes, right_rows, right_keys, width, xp)
+        by_owner = _ordered(pairs_l, len(lcodes), xp)
+        return pairs_l[by_owner], pairs_r[by_owner]
+    right_rows = right_rows[_ordered(right_keys, width, xp)]
     run_start = xp.cumsum(per_code) - per_code
     counts = per_code[probes]
     pairs_l = xp.repeat(left_rows, counts)
@@ -377,6 +470,18 @@ def _sorted_pairs(lcodes, left_rows, rcodes, right_rows, xp):
     first_pair = xp.cumsum(counts) - counts
     positions = xp.arange(len(pairs_l)) + xp.repeat(run_start[probes] - first_pair, counts)
     return pairs_l, right_rows[positions]
+
+
+def _lookup_pairs(rows, keys, probing_rows, probes, width: int, xp):
+    """``(probing rows, their partners)`` where no two of *rows* share a
+    key: one scatter files each row under its code, one gather reads
+    every probe's slot, and an empty slot is a probing row left out.
+    Probing rows stay in input order."""
+    slot = xp.full(width, -1, dtype=xp.intp)
+    slot[keys] = rows
+    partners = slot[probes]
+    matched = partners >= 0
+    return probing_rows[matched], partners[matched]
 
 
 def _cross_pairs(left_length: int, right_length: int, xp):
@@ -684,7 +789,7 @@ def _group_rows(child: Batch, group_attrs: Tuple[str, ...], xp):
         ranks = rank[codes]
         counts = xp.bincount(ranks)
         ends = xp.cumsum(counts)
-        order = xp.argsort(ranks * rows + row_ids)  # as _rows_by_code, over every row
+        order = _ordered(ranks, len(by_first), xp)
         return first[by_first], Runs(order, ends - counts, ends)
 
     group_values = [child.column(a).values for a in group_attrs]

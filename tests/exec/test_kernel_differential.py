@@ -14,11 +14,23 @@ keys that sit on either side of the dense-range bound, where
 ``_factorised`` / ``_combined`` switch from subtraction to a sort.  The
 tier-1 run is a few hundred small cases; ``--runslow`` repeats it over
 more seeds and larger inputs.
+
+The seeded pools are duplicate-heavy, so in them a join almost never
+has a side without a repeated key, and the end-to-end benchmark sends no
+residual, no groupjoin and no two-column unique key: the second half of
+the file builds sides that are unique on the right, the left, both and
+neither, and pins the sorts on either side of 16 bits.  There the path
+the array kernels took — membership test, lookup, run expansion; radix
+or wide sort — is counted by monkeypatch (the ``taken`` fixture), so a
+case that silently falls to the general path fails.  The python kernels
+have one path and are the order oracle for all of them.
 """
 
 import os
 import random
+from collections import Counter
 from contextlib import contextmanager
+from itertools import product
 
 import pytest
 
@@ -30,6 +42,7 @@ from repro.exec.arrays import FORCE_FALLBACK_ENV, HAVE_NUMPY, numpy_module
 from repro.data.tables import ColumnTable
 from repro.exec import columnar
 from repro.exec.columnar import (
+    RADIX_WIDTH,
     _dense_width,
     _group_rows,
     _hash_pairs,
@@ -121,6 +134,17 @@ def typed(result):
     ]
 
 
+def run_both(plan, database):
+    """*plan*'s rows from the array kernels — and the python ones give
+    the same, in the same order, with the same types."""
+    with kernels("array"):
+        array = typed(execute_physical(plan, database))
+    with kernels("python"):
+        python = typed(execute_physical(plan, database))
+    assert array == python, plan.label()
+    return array
+
+
 def check_pairs(seed, pool, width, left_rows, right_rows):
     rng = random.Random(f"{seed}:{pool}:{width}:{left_rows}:{right_rows}")
     left = batch("l", draw(rng, POOLS[pool], left_rows, width + 1))
@@ -165,23 +189,17 @@ def check_groups(seed, pool, width, rows, _unused):
     same_groups(child, child.attributes[:width])
 
 
-def check_joins(seed, pool, width, left_rows, right_rows):
-    """Every join kind, with and without a residual, with and without a
-    limit: the same rows in the same order from both kernels."""
-    rng = random.Random(f"join:{seed}:{pool}:{width}:{left_rows}:{right_rows}")
-    small = [1, 2, 3, NULL]
-    left, right = (
-        ColumnTable(
-            prefix.upper(),
-            _named(prefix, draw(rng, POOLS[pool], rows, width) + draw(rng, small, rows, 1)),
-        )
-        for prefix, rows in (("l", left_rows), ("r", right_rows))
-    )
+def same_joins(left, right, width, taken=None):
+    """Every join kind over the first *width* columns of two tables,
+    with and without a residual, with and without a limit: the same rows
+    in the same order from both kernels.  With *taken* (the fixture),
+    ``{(kind, has residual): the pairing path of the array kernels}``."""
     database = {"L": left, "R": right}
     residual = BinOp("<=", Attr(left.attributes[-1]), Attr(right.attributes[-1]))
     vector = AggVector(
         [AggItem("n", count_star()), AggItem("s", sum_(Attr(right.attributes[-1])))]
     )
+    paths = {}
     for kind in JOIN_KINDS:
         for predicate in (None, residual):
             join = PhysHashJoin(
@@ -195,11 +213,26 @@ def check_joins(seed, pool, width, left_rows, right_rows):
                 groupjoin_vector=vector if kind is OpKind.GROUPJOIN else None,
             )
             for plan in (join, PhysLimit(3, join)):
-                with kernels("array"):
-                    array = typed(execute_physical(plan, database))
-                with kernels("python"):
-                    python = typed(execute_physical(plan, database))
-                assert array == python, (kind, predicate, plan.label())
+                if taken is not None:
+                    taken.clear()
+                run_both(plan, database)
+                if taken is not None:
+                    (path,) = taken.paths  # one join, one path — the same under a limit
+                    assert paths.setdefault((kind, predicate is not None), path) == path
+    return paths
+
+
+def check_joins(seed, pool, width, left_rows, right_rows):
+    rng = random.Random(f"join:{seed}:{pool}:{width}:{left_rows}:{right_rows}")
+    small = [1, 2, 3, NULL]
+    left, right = (
+        ColumnTable(
+            prefix.upper(),
+            _named(prefix, draw(rng, POOLS[pool], rows, width) + draw(rng, small, rows, 1)),
+        )
+        for prefix, rows in (("l", left_rows), ("r", right_rows))
+    )
+    same_joins(left, right, width)
 
 
 @pytest.mark.parametrize("check", [check_pairs, check_groups, check_joins])
@@ -293,12 +326,7 @@ def test_outer_join_pads_group_like_values():
     )
     vector = AggVector([AggItem("n", count_star())])
     for group_attrs in (("r.s",), ("l.s",), ("l.s", "r.s"), ("l.s", "r.k")):
-        plan = PhysGroupAgg(group_attrs, vector, (), join)
-        with kernels("array"):
-            array = typed(execute_physical(plan, database))
-        with kernels("python"):
-            python = typed(execute_physical(plan, database))
-        assert array == python
+        array = run_both(PhysGroupAgg(group_attrs, vector, (), join), database)
     assert array[0] == [("str", "x"), ("Null", NULL), ("int", 2)]
 
 
@@ -389,12 +417,7 @@ def test_a_groupjoin_folds_only_the_runs_that_have_rows():
         PhysScan("R", right.attributes),
         groupjoin_vector=vector,
     )
-    database = {"L": left, "R": right}
-    with kernels("array"):
-        array = typed(execute_physical(join, database))
-    with kernels("python"):
-        python = typed(execute_physical(join, database))
-    assert array == python
+    array = run_both(join, {"L": left, "R": right})
     none = [("int", 0), ("Null", NULL), ("Null", NULL), ("Null", NULL)]
     assert [row[1:] for row in array] == [
         [("int", 2), ("int", 4), ("float", 1.0), ("float", 1.0)],  # first of 1.0, 1
@@ -405,3 +428,254 @@ def test_a_groupjoin_folds_only_the_runs_that_have_rows():
         none,
         none,
     ]
+
+
+# -- only the pairs a join needs ---------------------------------------------
+
+#: ``_sorted_pairs``' three ways, told apart by what one call of it calls:
+#: (lookups, sorts)
+PAIRING_PATHS = {(1, 0): "lookup-right", (1, 1): "lookup-left", (0, 1): "runs"}
+
+
+class Taken:
+    """What the array kernels did: per hash join the pairing path it
+    took, per ``_ordered`` call the width of the key space it sorted."""
+
+    def __init__(self):
+        self.paths, self.sorts = [], []
+
+    def clear(self):
+        self.paths.clear()
+        self.sorts.clear()
+
+
+@pytest.fixture
+def taken(monkeypatch):
+    """The paths counted by monkeypatch, so that a case which silently
+    falls to the general path fails."""
+    log, calls = Taken(), Counter()
+    lookup, ordered = columnar._lookup_pairs, columnar._ordered
+    member, pairs = columnar._member_rows, columnar._sorted_pairs
+
+    def counted_lookup(*args):
+        calls["lookups"] += 1
+        return lookup(*args)
+
+    def counted_ordered(keys, width, xp):
+        calls["sorts"] += 1
+        log.sorts.append(width)
+        return ordered(keys, width, xp)
+
+    def counted_member(*args):
+        log.paths.append("membership")
+        return member(*args)
+
+    def counted_pairs(*args):
+        calls.clear()
+        out = pairs(*args)
+        log.paths.append(PAIRING_PATHS[calls["lookups"], calls["sorts"]])
+        return out
+
+    monkeypatch.setattr(columnar, "_lookup_pairs", counted_lookup)
+    monkeypatch.setattr(columnar, "_ordered", counted_ordered)
+    monkeypatch.setattr(columnar, "_member_rows", counted_member)
+    monkeypatch.setattr(columnar, "_sorted_pairs", counted_pairs)
+    return log
+
+
+def pairing_path(left_keys, right_keys):
+    """What ``_sorted_pairs`` has to do for these key columns, told from
+    the python values: a side is unique when no key without a NULL
+    repeats on it (``1 == 1.0 == True``, as a dict has it)."""
+
+    def unique(columns):
+        keys = [key for key in zip(*columns) if not any(v is NULL for v in key)]
+        return len(set(keys)) == len(keys)
+
+    if unique(right_keys):
+        return "lookup-right"
+    return "lookup-left" if unique(left_keys) else "runs"
+
+
+#: which side(s) hold no key twice → the path of a join of two non-empty sides
+SHAPES = {"right": "lookup-right", "left": "lookup-left", "both": "lookup-right", "neither": "runs"}
+
+
+def keyed_side(rng, unique, rows, width, domain):
+    """*width* key columns and a payload column of *rows* rows over the
+    key tuples of *domain* — no tuple twice (*unique*) or few of them
+    many times — in mixed int / float spelling, and then a quarter of
+    the rows get a NULL into one key column: on a unique side NULL is
+    the one key that repeats."""
+    if unique:
+        keys = rng.sample(domain, rows)
+    else:
+        hot = rng.sample(domain, max(2, rows // 3))
+        keys = [rng.choice(hot) for _ in range(rows)]
+    columns = [
+        [v if rng.random() < 0.7 else float(v) for v in column] for column in zip(*keys)
+    ] or [[] for _ in range(width)]
+    for row in rng.sample(range(rows), rows // 4):
+        columns[rng.randrange(width)][row] = NULL
+    return columns + draw(rng, [1, 2, 3, NULL], rows, 1)
+
+
+def check_unique_sides(seed, sizes, taken):
+    """Unique right, left, both, neither x one- and two-column keys: the
+    pairs, and every join kind with and without a residual and a limit,
+    order-exact — and each on the path its keys call for."""
+    seen = Counter()
+    for shape, width, (left_rows, right_rows) in product(SHAPES, (1, 2), sizes):
+        rng = random.Random(f"unique:{seed}:{shape}:{width}:{left_rows}:{right_rows}")
+        most = max(left_rows, right_rows)
+        # two columns of 40 values each: their product leaves the dense
+        # bound, so the joint codes come out of _combined's sort
+        domain = (
+            [(v,) for v in range(-2, 2 * most + 60)]
+            if width == 1
+            else list(product(range(0, 200, 5), repeat=2))
+        )
+        left = keyed_side(rng, shape in ("left", "both"), left_rows, width, domain)
+        right = keyed_side(rng, shape in ("right", "both"), right_rows, width, domain)
+        path = pairing_path(left[:width], right[:width])
+        if min(left_rows, right_rows) >= 3:  # enough rows to repeat a key
+            assert path == SHAPES[shape]
+        taken.clear()
+        same_pairs(
+            batch("l", left), batch("r", right),
+            tuple(f"l.{i}" for i in range(width)), tuple(f"r.{i}" for i in range(width)),
+        )
+        assert taken.paths == [path]
+        ran = same_joins(
+            ColumnTable("L", _named("l", left)), ColumnTable("R", _named("r", right)), width, taken
+        )
+        for (kind, has_residual), join_path in ran.items():
+            membership = kind in (OpKind.LEFT_SEMI, OpKind.LEFT_ANTI) and not has_residual
+            assert join_path == ("membership" if membership else path), (shape, kind, has_residual)
+            seen[join_path] += 1
+    assert set(seen) == {"membership", "lookup-right", "lookup-left", "runs"}
+
+
+SIDES = [(0, 0), (0, 5), (5, 0), (12, 9), (40, 40)]
+
+
+def test_a_join_builds_only_the_pairs_its_kind_reads(taken):
+    for seed in range(2):
+        check_unique_sides(seed, SIDES, taken)
+
+
+@pytest.mark.slow
+def test_a_join_builds_only_the_pairs_its_kind_reads_exhaustive(taken):
+    for seed in range(2, 12):
+        check_unique_sides(seed, LARGE, taken)
+
+
+def test_null_keys_neither_pair_nor_repeat(taken):
+    """NULL rides the lanes as 0.0 and so shares 0's code: it must not
+    pair with 0, and two NULLs do not make a side repeat a key."""
+    keyed = batch("k", [[0, NULL, 5, NULL, 7]])
+    probing = batch("p", [[NULL, 0, 0.0, 5, NULL, 9, False]])
+    assert same_pairs(probing, keyed, ("p.0",), ("k.0",)) == ([1, 2, 3, 6], [0, 0, 2, 0])
+    assert same_pairs(keyed, probing, ("k.0",), ("p.0",)) == ([0, 0, 0, 2], [1, 2, 6, 3])
+    assert taken.paths == ["lookup-right", "lookup-left"]
+
+
+def test_a_key_unique_only_jointly_is_looked_up(taken):
+    """Either column of the right key repeats; the pair of them does not."""
+    right = batch("r", [[1, 1, 2, 2, NULL, 1], [1, 2, 1, 2.0, 1, NULL]])
+    left = batch("l", [[2, 1, 2, 3, 1, NULL, 2], [2, 1, 2, 1, 1, 2, NULL]])
+    pairs = same_pairs(left, right, left.attributes, right.attributes)
+    assert pairs == ([0, 1, 2, 4], [3, 0, 3, 0])
+    assert taken.paths == ["lookup-right"]
+    same_pairs(right, left, right.attributes, left.attributes)
+    same_pairs(left, left, left.attributes, left.attributes)
+    assert taken.paths[1:] == ["lookup-left", "runs"]
+
+
+def test_a_groupjoin_over_a_unique_right_side(taken):
+    """Runs of length <= 1 — the trailing left rows without a partner
+    being empty runs at the end of the pair vector."""
+    left = ColumnTable("L", {"l.k": [2, 7, 1, 2, 9, NULL, 8]})
+    right = ColumnTable("R", {"r.k": [1, NULL, 2, NULL], "r.v": [5, 3, 1.0, 4]})
+    vector = AggVector(
+        [
+            AggItem("n", count_star()),
+            AggItem("s", sum_(Attr("r.k"))),
+            AggItem("low", AggCall(AggKind.MIN, Attr("r.v"))),
+        ]
+    )
+    join = PhysHashJoin(
+        OpKind.GROUPJOIN,
+        ("l.k",),
+        ("r.k",),
+        None,
+        PhysScan("L", left.attributes),
+        PhysScan("R", right.attributes),
+        groupjoin_vector=vector,
+    )
+    rows = run_both(join, {"L": left, "R": right})
+    assert taken.paths == ["lookup-right"]
+    none = [("int", 0), ("Null", NULL), ("Null", NULL)]
+    two = [("int", 1), ("int", 2), ("float", 1.0)]
+    assert [row[1:] for row in rows] == [
+        two, none, [("int", 1), ("int", 1), ("int", 5)], two, none, none, none,
+    ]
+
+
+def test_an_anti_join_of_null_keys_keeps_every_row(taken):
+    left = ColumnTable("L", {"l.k": [NULL, NULL, NULL, NULL], "l.v": [1, 2, 3, 4]})
+    right = ColumnTable("R", {"r.k": [1, 0, NULL]})
+    for kind, kept in ((OpKind.LEFT_ANTI, [1, 2, 3, 4]), (OpKind.LEFT_SEMI, [])):
+        join = PhysHashJoin(
+            kind, ("l.k",), ("r.k",), None,
+            PhysScan("L", left.attributes), PhysScan("R", right.attributes),
+        )
+        rows = run_both(join, {"L": left, "R": right})
+        assert [row[1][1] for row in rows] == kept
+    assert taken.paths == ["membership", "membership"]
+
+
+def check_sort_widths(seed, width, taken):
+    """Every sort the kernels are left with, over a key space exactly
+    *width* wide and with keys that repeat — a key sorted as 16 bits
+    that needs 17 comes back as another key — order-exact."""
+    rng = random.Random(f"sorts:{seed}:{width}")
+    # a grouping of *width* groups: its (rank, row) sort
+    values = list(range(width)) + [rng.randrange(width) for _ in range(width // 2)]
+    rng.shuffle(values)
+    taken.clear()
+    same_groups(batch("t", [values]), ("t.0",))
+    assert taken.sorts == [width]
+    # a many-to-many pairing over *width* codes: keys 0 .. width - 2 and
+    # NULL's slot, dense — the right rows' (code, row) sort
+    rows = width // 6
+    assert width <= _dense_width(2 * rows)
+    hot = [0, width - 2] + [rng.randrange(width - 1) for _ in range(rows // 8)]
+    left, right = ([rng.choice(hot) for _ in range(rows)] for _ in range(2))
+    right[:4] = [width - 2, 0, width - 2, 0]
+    taken.clear()
+    same_pairs(batch("l", [left]), batch("r", [right]), ("l.0",), ("r.0",))
+    assert (taken.paths, taken.sorts) == (["runs"], [width])
+    # a unique left side of *width* rows: the matched right rows' sort by owner
+    left = rng.sample(range(width), width)
+    hot = left[-(width // 16):] + left[:8]
+    right = [rng.choice(hot) for _ in range(width // 4)]
+    taken.clear()
+    same_pairs(batch("l", [left]), batch("r", [right]), ("l.0",), ("r.0",))
+    assert (taken.paths, taken.sorts) == (["lookup-left"], [width])
+
+
+#: the widths on either side of the switch, each test adding one far beyond it
+BOUNDARY = [RADIX_WIDTH - 1, RADIX_WIDTH, RADIX_WIDTH + 1]
+
+
+@pytest.mark.parametrize("width", BOUNDARY + [3 * RADIX_WIDTH // 2])
+def test_sorts_on_either_side_of_sixteen_bits(width, taken):
+    check_sort_widths(0, width, taken)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("width", BOUNDARY + [5 * RADIX_WIDTH])
+def test_sorts_on_either_side_of_sixteen_bits_exhaustive(width, taken):
+    for seed in range(1, 6):
+        check_sort_widths(seed, width, taken)
