@@ -17,6 +17,13 @@ parsing; ``/batch`` scatters slices to every involved shard and merges
 the per-item results; ``/stats`` aggregates all shards plus the front's
 own request metrics.
 
+A plan request (``/optimize``, ``/explain``, ``/execute``) is a relay,
+not a coroutine: ``data_received`` admits it, routes it and submits its
+frame inline, and the shard's reply callback settles it — releases the
+admission slot, counts it, and writes every reply now at the head of the
+connection's line.  Only the endpoints that talk to several shards run
+as a task.
+
 Endpoints, status codes and error bodies mirror the sync tier
 (:mod:`repro.server.app`) so :class:`repro.server.client.ServerClient`
 works unchanged against either.
@@ -37,7 +44,9 @@ from repro.asyncserver import frames
 from repro.asyncserver.config import AsyncServerConfig
 from repro.asyncserver.supervisor import (
     WORKER_BOOT_SECONDS,
+    Outcome,
     WorkerCrashed,
+    WorkerHandle,
     WorkerSupervisor,
     WorkerUnavailable,
 )
@@ -163,24 +172,50 @@ class AsyncPlanService:
             self._idle.set()
 
     # -- endpoints -----------------------------------------------------------
-    async def dispatch(self, method: str, path: str, body: bytes) -> Tuple[int, bytes]:
-        started = time.perf_counter()
-        try:
-            status, payload = await self._route_request(method, path, body)
-        except RequestError as error:
-            status, payload = error.status, _error_bytes(error.code, error.message)
-        except asyncio.CancelledError:
-            raise
-        except Exception as error:  # noqa: BLE001 - the front must not die
-            logger.exception("unhandled error on %s %s", method, path)
-            status, payload = 500, _error_bytes(
-                "internal", f"{type(error).__name__}: {error}"
-            )
-        self.metrics.record_request(method, path, status, time.perf_counter() - started)
-        return status, payload
+    def dispatch(self, exchange: "_Exchange", body: bytes) -> None:
+        """Start *exchange* on its way to :meth:`_Exchange.settle`.
 
-    async def _route_request(self, method, path, body) -> Tuple[int, bytes]:
-        check_route(method, path)
+        ``/optimize``, ``/explain`` and ``/execute`` are a relay: admitted,
+        routed by fingerprint — the executing shard is the one whose cache
+        shard owns the plan — and handed to that shard right here; its
+        reply frame settles the exchange from the pipe's callback.  The
+        hard (budget + grace) timeout rides along: the worker's
+        cooperative deadline fires at the budget and answers first, so
+        this one expiring means the worker is wedged.  Every other
+        endpoint runs its coroutine as one task.
+        """
+        try:
+            check_route(exchange.method, exchange.path)
+            kind = _PLAN_FRAMES.get(exchange.path)
+            if kind is None:
+                task = asyncio.get_running_loop().create_task(
+                    self._route_request(exchange.path, body)
+                )
+                exchange.task = task
+                task.add_done_callback(exchange.task_done)
+                return
+            self._admit()
+            exchange.admitted = True
+            payload = parse_body(body)
+            exchange.worker = worker = self.supervisor.worker(self.route(payload.get("sql")))
+            worker.submit(kind, body, self.config.hard_timeout_seconds, exchange.settle)
+        except Exception as error:  # noqa: BLE001 - the front must not die
+            exchange.settle(error)
+
+    def error_reply(self, error: Exception, method: str, path: str) -> Tuple[int, bytes]:
+        """The reply an exchange that ended in *error* gets."""
+        if isinstance(error, asyncio.TimeoutError):
+            error = worker_abandoned(self.config.request_timeout_seconds)
+        elif isinstance(error, WorkerUnavailable):
+            error = RequestError(503, "shard_unavailable", str(error))
+        elif isinstance(error, WorkerCrashed):
+            error = RequestError(500, "worker_pool_failure", str(error))
+        if isinstance(error, RequestError):
+            return error.status, _error_bytes(error.code, error.message)
+        logger.error("unhandled error on %s %s", method, path, exc_info=error)
+        return 500, _error_bytes("internal", f"{type(error).__name__}: {error}")
+
+    async def _route_request(self, path: str, body: bytes) -> Tuple[int, bytes]:
         if path == "/stats":
             return 200, json.dumps(await self.stats_body()).encode("utf-8")
         if path == "/healthz":
@@ -190,34 +225,7 @@ class AsyncPlanService:
             return await self._batch_request(body)
         if path == "/stats_update":
             return await self._stats_update_request(body)
-        # /optimize, /explain, /execute: routed by fingerprint — the
-        # executing shard is the one whose cache shard owns the plan.
-        return await self._plan_request(_PLAN_FRAMES[path], body)
-
-    async def _plan_request(self, kind: int, body: bytes) -> Tuple[int, bytes]:
-        self._admit()
-        try:
-            payload = parse_body(body)
-            shard = self.route(payload.get("sql"))
-            try:
-                # Hard (budget + grace) timeout: the worker's cooperative
-                # deadline fires at the budget and answers first, so this
-                # expiring means the worker is wedged — kill it so the
-                # supervisor's crash path restarts the shard.
-                return await self.supervisor.request(
-                    shard, kind, body, timeout=self.config.hard_timeout_seconds
-                )
-            except asyncio.TimeoutError:
-                self.supervisor.worker(shard).reap("request hard-timeout")
-                raise worker_abandoned(self.config.request_timeout_seconds) from None
-            except WorkerUnavailable as unavailable:
-                raise RequestError(
-                    503, "shard_unavailable", str(unavailable)
-                ) from unavailable
-            except WorkerCrashed as crash:
-                raise RequestError(500, "worker_pool_failure", str(crash)) from crash
-        finally:
-            self._release()
+        raise KeyError(path)  # an endpoint check_route knows and this front does not
 
     async def _batch_request(self, body: bytes) -> Tuple[int, bytes]:
         self._admit()
@@ -402,7 +410,7 @@ class _HttpConnection(asyncio.Protocol):
     fans out to its shard immediately, so one connection can keep every
     worker busy and the workers see batched frames) while responses are
     written strictly in request order — a per-connection FIFO of
-    dispatch tasks that a single writer coroutine drains.
+    exchanges; whichever settles writes every reply now at its head.
     """
 
     def __init__(self, service: AsyncPlanService):
@@ -410,8 +418,7 @@ class _HttpConnection(asyncio.Protocol):
         self.transport: Optional[asyncio.Transport] = None
         self.buffer = bytearray()
         self._head: Optional[Tuple[str, str, int, bool]] = None
-        self._responses: Deque[Tuple[asyncio.Task, bool]] = deque()
-        self._writer: Optional[asyncio.Task] = None
+        self._exchanges: Deque[_Exchange] = deque()
 
     def connection_made(self, transport) -> None:
         self.transport = transport
@@ -423,12 +430,14 @@ class _HttpConnection(asyncio.Protocol):
                 pass
 
     def connection_lost(self, exc) -> None:
-        if self._writer is not None:
-            self._writer.cancel()
-            self._writer = None
-        for task, _close in self._responses:
-            task.cancel()
-        self._responses.clear()
+        """Nobody is left to answer.  A coroutine endpoint is cancelled; a
+        relayed request cannot be — the shard is working on it — so it
+        keeps its admission slot until the shard's reply (or the hard
+        timeout) settles it, and its reply is dropped."""
+        for exchange in self._exchanges:
+            if exchange.task is not None:
+                exchange.task.cancel()
+        self._exchanges.clear()
 
     def data_received(self, data: bytes) -> None:
         self.buffer += data
@@ -459,10 +468,9 @@ class _HttpConnection(asyncio.Protocol):
             body = bytes(self.buffer[:length])
             del self.buffer[:length]
             self._head = None
-            task = asyncio.ensure_future(self.service.dispatch(method, path, body))
-            self._responses.append((task, close_after))
-            if self._writer is None:
-                self._writer = asyncio.ensure_future(self._write_responses())
+            exchange = _Exchange(self, method, path, close_after)
+            self._exchanges.append(exchange)
+            self.service.dispatch(exchange, body)
 
     @staticmethod
     def _parse_head(head: bytes) -> Tuple[str, str, int, bool]:
@@ -502,21 +510,76 @@ class _HttpConnection(asyncio.Protocol):
             )
             self.transport.close()
 
-    # -- response loop -------------------------------------------------------
-    async def _write_responses(self) -> None:
-        try:
-            while self._responses:
-                task, close_after = self._responses.popleft()
-                status, payload = await task
-                transport = self.transport
-                if transport is None or transport.is_closing():
-                    return
-                transport.write(_response_bytes(status, payload, close=close_after))
-                if close_after:
-                    transport.close()
-                    return
-        finally:
-            self._writer = None
+    # -- responses -----------------------------------------------------------
+    def write_settled(self) -> None:
+        """Write the reply of every settled exchange at the head of the
+        line — up to the first one still waiting, so replies leave in
+        request order whatever order the shards answered in."""
+        exchanges = self._exchanges
+        transport = self.transport
+        while exchanges and exchanges[0].reply is not None:
+            exchange = exchanges.popleft()
+            if transport.is_closing():
+                continue
+            transport.write(exchange.reply)
+            if exchange.close_after:
+                transport.close()
+
+
+class _Exchange:
+    """One request of a connection, from its parsed head to its reply.
+
+    Every exchange ends in :meth:`settle`, exactly once — called inline
+    for a request refused at the door, by the shard's reply callback for
+    a relayed plan request, by the task's done-callback for a coroutine
+    endpoint — which is where the admission slot is released, the error
+    (if that is how it ended) becomes a reply, and the request is counted.
+    """
+
+    __slots__ = (
+        "connection", "method", "path", "close_after", "started",
+        "admitted", "worker", "task", "reply",
+    )
+
+    def __init__(self, connection: _HttpConnection, method: str, path: str, close_after: bool):
+        self.connection = connection
+        self.method = method
+        self.path = path
+        self.close_after = close_after
+        self.started = time.perf_counter()
+        #: holds an admission slot (a relayed plan request, until settled).
+        self.admitted = False
+        #: the shard a relayed request was handed to.
+        self.worker: Optional[WorkerHandle] = None
+        #: the coroutine of an endpoint that is not a relay.
+        self.task: Optional[asyncio.Task] = None
+        #: the response bytes, once settled.
+        self.reply: Optional[bytes] = None
+
+    def settle(self, outcome: Outcome) -> None:
+        """End the exchange with *outcome*: a ``(status, body bytes)``
+        reply, or the exception that stands for one."""
+        service = self.connection.service
+        if self.admitted:
+            service._release()
+        if isinstance(outcome, Exception):
+            if isinstance(outcome, asyncio.TimeoutError) and self.worker is not None:
+                # Kill the wedged worker so the supervisor's crash path
+                # restarts the shard.
+                self.worker.reap("request hard-timeout")
+            outcome = service.error_reply(outcome, self.method, self.path)
+        status, payload = outcome
+        service.metrics.record_request(
+            self.method, self.path, status, time.perf_counter() - self.started
+        )
+        self.reply = _response_bytes(status, payload, close=self.close_after)
+        self.connection.write_settled()
+
+    def task_done(self, task: asyncio.Task) -> None:
+        if task.cancelled():
+            return  # the client is gone; the coroutine released what it held
+        error = task.exception()
+        self.settle(error if error is not None else task.result())
 
 
 class AsyncPlanServer:

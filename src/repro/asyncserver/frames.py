@@ -14,6 +14,11 @@ payload is the final JSON response body — the front writes it into the
 HTTP response without inspecting it, so a warm hit costs the worker one
 ``json.dumps`` and the front zero.
 
+Both ends parse with :func:`feed`: the worker on what it reads from
+stdin, the front on what its subprocess protocol is handed from the
+worker's stdout — each complete reply frame goes straight to the
+callback waiting on its request id.
+
 Frames also deliberately batch: the worker answers every complete frame
 in its read buffer before flushing one write, and the front coalesces
 same-iteration sends per worker — under load the pipe syscall and

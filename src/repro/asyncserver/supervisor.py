@@ -1,9 +1,22 @@
 """Worker-shard supervisor: spawn, talk to, restart, and drain workers.
 
 The supervisor owns the ``shards`` worker subprocesses.  For each shard
-it keeps one :class:`WorkerHandle` — the subprocess, its pending
-request futures, and a per-iteration send buffer (writes are coalesced
-via ``call_soon`` so a burst of requests costs one pipe write).
+it keeps one :class:`WorkerHandle` — the subprocess, the callbacks of
+its pending requests, and a per-iteration send buffer (writes are
+coalesced via ``call_soon`` so a burst of requests costs one pipe
+write).
+
+:meth:`WorkerHandle.submit` is the one way a frame leaves: it files
+``request id → (callback, hard-timeout timer)`` and queues the frame.
+The worker's stdout arrives at a ``SubprocessProtocol``, is cut into
+frames by :func:`frames.feed <repro.asyncserver.frames.feed>`, and each
+reply is handed to its callback then and there — no reader task, no
+future, nothing awaited between the pipe and whoever asked.  The
+callback gets an ``asyncio.TimeoutError`` instead when its timer fires first and
+a :class:`WorkerCrashed` when the worker exits first; exactly one of the
+three, once.  :meth:`WorkerHandle.request` wraps that in a future for
+the callers that are coroutines anyway (``/batch``, ``/stats``,
+``/stats_update``, snapshot, exit).
 
 Crash policy: a worker that dies outside a drain takes its pending
 requests down with 500 ``worker_pool_failure`` responses and is
@@ -28,7 +41,7 @@ import os
 import sys
 import time
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple, Union
 
 from repro.asyncserver import frames
 from repro.asyncserver.config import AsyncServerConfig
@@ -52,23 +65,85 @@ class WorkerUnavailable(WorkerCrashed):
     rather than queueing onto a process that does not exist."""
 
 
+#: what a request's callback is handed, once: the reply ``(status, body
+#: bytes)``, or the exception that ended the wait — ``asyncio.TimeoutError`` past
+#: its timeout, :class:`WorkerCrashed` when the worker went first.
+Outcome = Union[Tuple[int, bytes], Exception]
+
+
+class _ShardPipes(asyncio.SubprocessProtocol):
+    """The pipes of one spawned worker process: reply frames in, its end
+    noticed.  A respawn gets new pipes; the handle outlives them."""
+
+    def __init__(self, handle: "WorkerHandle", loop: asyncio.AbstractEventLoop):
+        self.handle = handle
+        self.transport: Optional[asyncio.SubprocessTransport] = None
+        self.stdin: Optional[asyncio.WriteTransport] = None
+        self.buffer = bytearray()
+        #: the reply stream stopped parsing; nothing after that is read.
+        self.corrupt = False
+        #: the worker's boot announcement, or why it never came.
+        self.hello: asyncio.Future = loop.create_future()
+        self.booted = False
+        #: resolved when the process has exited and both pipes are closed.
+        self.gone: asyncio.Future = loop.create_future()
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.stdin = transport.get_pipe_transport(0)
+
+    def pipe_data_received(self, fd: int, data: bytes) -> None:
+        if self.corrupt:
+            return
+        self.buffer += data
+        try:
+            ready = frames.feed(self.buffer)
+        except ValueError as error:
+            # No way to find the next frame: the worker goes, and takes
+            # its pending requests with it like any other crash.
+            self.corrupt = True
+            self.buffer.clear()
+            self.handle.reap(f"corrupt reply stream ({error})")
+            return
+        pending = self.handle.pending
+        for request_id, status, payload in ready:
+            waiting = pending.pop(request_id, None)
+            if waiting is not None:
+                callback, timer = waiting
+                timer.cancel()
+                callback((status, payload))
+            elif status == frames.HELLO and not self.hello.done():
+                self.booted = True
+                self.hello.set_result(json.loads(payload))
+
+    def connection_lost(self, exc) -> None:
+        """The process has exited and both pipes are closed."""
+        if not self.hello.done():
+            self.hello.set_exception(WorkerCrashed("worker exited before its hello"))
+        self.transport.close()  # nothing left to close, but it warns unless told
+        self.gone.set_result(None)
+        self.handle.worker_gone(self)
+
+
 class WorkerHandle:
     """One shard's subprocess plus its in-flight request bookkeeping."""
 
     def __init__(self, shard: int, supervisor: "WorkerSupervisor"):
         self.shard = shard
         self.supervisor = supervisor
-        self.process: Optional[asyncio.subprocess.Process] = None
-        self.pending: Dict[int, asyncio.Future] = {}
+        #: request id → (callback, hard-timeout timer) of every frame sent
+        #: and not yet answered.
+        self.pending: Dict[int, Tuple[Callable[[Outcome], None], asyncio.TimerHandle]] = {}
         self.hello: dict = {}
         self.restarts = 0
         self.breaker_open = False
         #: the delay currently (or last) applied before a respawn.
         self.current_backoff = 0.0
         self._crash_times: Deque[float] = deque()
+        self._pipes: Optional[_ShardPipes] = None
         self._send_buffer = bytearray()
         self._flush_scheduled = False
-        self._reader_task: Optional[asyncio.Task] = None
+        self._restart_task: Optional[asyncio.Task] = None
         self._draining = False
 
     # -- lifecycle -----------------------------------------------------------
@@ -78,7 +153,10 @@ class WorkerHandle:
         src_root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
         existing = env.get("PYTHONPATH")
         env["PYTHONPATH"] = src_root if not existing else src_root + os.pathsep + existing
-        self.process = await asyncio.create_subprocess_exec(
+        loop = asyncio.get_running_loop()
+        pipes = _ShardPipes(self, loop)
+        await loop.subprocess_exec(
+            lambda: pipes,
             sys.executable,
             "-m",
             "repro.asyncserver.worker",
@@ -88,91 +166,73 @@ class WorkerHandle:
             stderr=None,  # workers share the front's stderr for diagnostics
             env=env,
         )
-        hello = await asyncio.wait_for(
-            self._read_hello(), timeout=WORKER_BOOT_SECONDS
-        )
-        self.hello = hello
-        self.supervisor.note_persistence(hello.get("persistence"))
+        self._pipes = pipes
+        self.hello = await asyncio.wait_for(pipes.hello, timeout=WORKER_BOOT_SECONDS)
+        self.supervisor.note_persistence(self.hello.get("persistence"))
 
-    async def _read_hello(self) -> dict:
-        assert self.process is not None and self.process.stdout is not None
-        header = await self.process.stdout.readexactly(frames.HEADER_SIZE)
-        _request_id, kind, length = frames.HEADER.unpack(header)
-        payload = await self.process.stdout.readexactly(length)
-        if kind != frames.HELLO:
-            raise RuntimeError(f"shard {self.shard}: expected hello, got kind {kind}")
-        self._reader_task = asyncio.ensure_future(self._read_loop())
-        return json.loads(payload)
+    def worker_gone(self, pipes: _ShardPipes) -> None:
+        """*pipes*' process has exited.  The live worker's exit fails
+        what it was holding and, outside a drain, starts the restart
+        loop — unless it never said hello: then :meth:`start` raises and
+        whoever called it decides."""
+        if pipes is not self._pipes:
+            return  # a worker this handle had given up on already
+        self._pipes = None
+        self._fail_pending(WorkerCrashed(f"shard {self.shard} worker exited"))
+        if pipes.booted and self._restart_task is None and not (
+            self._draining or self.supervisor.closed
+        ):
+            self._restart_task = asyncio.get_running_loop().create_task(self._restart())
 
-    async def _read_loop(self) -> None:
-        assert self.process is not None and self.process.stdout is not None
-        stdout = self.process.stdout
-        try:
-            while True:
-                header = await stdout.readexactly(frames.HEADER_SIZE)
-                request_id, status, length = frames.HEADER.unpack(header)
-                payload = await stdout.readexactly(length)
-                future = self.pending.pop(request_id, None)
-                if future is not None and not future.done():
-                    future.set_result((status, payload))
-        except (asyncio.IncompleteReadError, ConnectionResetError):
-            pass  # worker exited — handled below
-        except asyncio.CancelledError:
-            raise
-        await self._on_exit()
-
-    async def _on_exit(self) -> None:
-        if self.process is not None:
-            await self.process.wait()
+    def _fail_pending(self, error: WorkerCrashed) -> None:
         failed = list(self.pending.values())
         self.pending.clear()
-        for future in failed:
-            if not future.done():
-                future.set_exception(WorkerCrashed(f"shard {self.shard} worker exited"))
-        if self._draining or self.supervisor.closed:
-            return
-        # Crash outside a drain: restart the shard (warm-starting from
-        # its last snapshot when persistence is on), backing off
-        # exponentially, and opening the circuit breaker on a crash
-        # loop.  While this coroutine sleeps, send() raises
-        # WorkerUnavailable → the front answers 503 for this shard and
-        # the other shards keep serving.
-        self.process = None
-        while not (self._draining or self.supervisor.closed):
-            self.restarts += 1
-            delay = self._note_crash()
-            state = "breaker open; cooling down" if self.breaker_open else "backing off"
-            print(
-                f"[supervisor] shard {self.shard} worker died "
-                f"(restart #{self.restarts}); {state} {delay:.2f}s before respawn",
-                file=sys.stderr,
-                flush=True,
-            )
-            if delay > 0:
-                await asyncio.sleep(delay)
-            if self._draining or self.supervisor.closed:
-                return
-            try:
-                await self.start()
-            except Exception as error:  # noqa: BLE001 - keep serving other shards
+        for callback, timer in failed:
+            timer.cancel()
+            callback(error)
+
+    async def _restart(self) -> None:
+        """Crash outside a drain: restart the shard (warm-starting from
+        its last snapshot when persistence is on), backing off
+        exponentially, and opening the circuit breaker on a crash loop.
+        While this coroutine sleeps, :meth:`submit` raises
+        WorkerUnavailable → the front answers 503 for this shard and the
+        other shards keep serving."""
+        try:
+            while not (self._draining or self.supervisor.closed):
+                self.restarts += 1
+                delay = self._note_crash()
+                state = "breaker open; cooling down" if self.breaker_open else "backing off"
                 print(
-                    f"[supervisor] shard {self.shard} restart failed: {error}",
+                    f"[supervisor] shard {self.shard} worker died "
+                    f"(restart #{self.restarts}); {state} {delay:.2f}s before respawn",
                     file=sys.stderr,
                     flush=True,
                 )
-                process, self.process = self.process, None
-                if process is not None and process.returncode is None:
-                    try:
-                        process.kill()
-                    except ProcessLookupError:
-                        pass
-                continue
-            # Half-open probe booted: close the breaker.  Crash history
-            # stays in the window, so an immediate re-crash (a
-            # deterministic crasher being retried) reopens it at once.
-            self.breaker_open = False
-            self.current_backoff = 0.0
-            return
+                if delay > 0:
+                    await asyncio.sleep(delay)
+                if self._draining or self.supervisor.closed:
+                    return
+                try:
+                    await self.start()
+                except Exception as error:  # noqa: BLE001 - keep serving other shards
+                    print(
+                        f"[supervisor] shard {self.shard} restart failed: {error}",
+                        file=sys.stderr,
+                        flush=True,
+                    )
+                    pipes, self._pipes = self._pipes, None
+                    if pipes is not None:
+                        _kill(pipes.transport)
+                    continue
+                # Half-open probe booted: close the breaker.  Crash history
+                # stays in the window, so an immediate re-crash (a
+                # deterministic crasher being retried) reopens it at once.
+                self.breaker_open = False
+                self.current_backoff = 0.0
+                return
+        finally:
+            self._restart_task = None
 
     def _note_crash(self) -> float:
         """Record one crash; return the pre-respawn delay.
@@ -199,31 +259,31 @@ class WorkerHandle:
         self.current_backoff = delay
         return delay
 
-    def reap(self, reason: str) -> None:
-        """Kill a wedged worker (hard-timeout expiry on the front).
+    def _alive(self) -> bool:
+        pipes = self._pipes
+        return pipes is not None and pipes.transport.get_returncode() is None
 
-        The kill surfaces as process exit in the reader loop, which runs
-        the normal crash accounting — backoff, breaker, restart — so a
-        hang is just a crash the supervisor has to cause itself.
+    def reap(self, reason: str) -> None:
+        """Kill a wedged worker (hard-timeout expiry on the front, or a
+        reply stream that no longer parses).
+
+        The kill surfaces as the process's exit, which runs the normal
+        crash accounting — backoff, breaker, restart — so a hang is just
+        a crash the supervisor has to cause itself.
         """
-        process = self.process
-        if process is not None and process.returncode is None:
+        if self._alive():
             print(
                 f"[supervisor] shard {self.shard}: killing wedged worker ({reason})",
                 file=sys.stderr,
                 flush=True,
             )
-            try:
-                process.kill()
-            except ProcessLookupError:
-                pass
+            _kill(self._pipes.transport)
 
     def describe(self) -> dict:
         """Supervision state for ``/stats`` (front-process truth only)."""
-        process = self.process
         return {
             "shard": self.shard,
-            "alive": process is not None and process.returncode is None,
+            "alive": self._alive(),
             "restarts": self.restarts,
             "backoff_seconds": self.current_backoff,
             "breaker_open": self.breaker_open,
@@ -231,40 +291,64 @@ class WorkerHandle:
         }
 
     # -- request path --------------------------------------------------------
-    def send(self, kind: int, payload: bytes) -> asyncio.Future:
-        """Queue one frame; returns a future of ``(status, body_bytes)``."""
+    def submit(
+        self, kind: int, payload: bytes, timeout: float, callback: Callable[[Outcome], None]
+    ) -> None:
+        """Queue one frame.  *callback* is called exactly once, from the
+        loop, with the worker's ``(status, body bytes)`` — or with the
+        ``asyncio.TimeoutError`` of *timeout* seconds without one, or the
+        :class:`WorkerCrashed` of a worker that exited first.  A shard
+        with no worker to send to raises :class:`WorkerUnavailable`
+        instead, and nothing is queued."""
         if self.breaker_open:
             raise WorkerUnavailable(
                 f"shard {self.shard} circuit breaker open after repeated crashes; "
                 "cooling down"
             )
-        if self.process is None or self.process.stdin is None:
+        if self._pipes is None:
             raise WorkerUnavailable(
                 f"shard {self.shard} has no live worker (restarting)"
             )
         request_id = next(self.supervisor.request_ids)
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self.pending[request_id] = future
+        loop = asyncio.get_running_loop()
+        self.pending[request_id] = (
+            callback,
+            loop.call_later(timeout, self._expire, request_id),
+        )
         self._send_buffer += frames.pack(request_id, kind, payload)
         if not self._flush_scheduled:
             self._flush_scheduled = True
-            asyncio.get_running_loop().call_soon(self._flush)
-        return future
+            loop.call_soon(self._flush)
+
+    def _expire(self, request_id: int) -> None:
+        callback, _timer = self.pending.pop(request_id)
+        # asyncio's class, which is what every consumer tests: the builtin
+        # only from Python 3.11 on.
+        callback(asyncio.TimeoutError(f"shard {self.shard}: no reply in time"))
 
     def _flush(self) -> None:
         self._flush_scheduled = False
-        if not self._send_buffer:
-            return
         buffer = bytes(self._send_buffer)
         self._send_buffer.clear()
-        stdin = self.process.stdin if self.process else None
+        stdin = self._pipes.stdin if self._pipes is not None else None
         if stdin is None or stdin.is_closing():
-            return  # pending futures fail via _on_exit
+            return  # the pending requests fail when the worker is gone
         stdin.write(buffer)
 
     async def request(self, kind: int, payload: bytes, timeout: float) -> Tuple[int, bytes]:
-        future = self.send(kind, payload)
-        return await asyncio.wait_for(future, timeout=timeout)
+        """:meth:`submit` for a coroutine: the reply, or the exception raised."""
+        future: asyncio.Future = asyncio.get_running_loop().create_future()
+
+        def settle(outcome: Outcome) -> None:
+            if future.done():
+                return  # the waiting coroutine was cancelled meanwhile
+            if isinstance(outcome, Exception):
+                future.set_exception(outcome)
+            else:
+                future.set_result(outcome)
+
+        self.submit(kind, payload, timeout, settle)
+        return await future
 
     # -- shutdown ------------------------------------------------------------
     async def drain(self, *, snapshot: bool, timeout: float) -> Optional[dict]:
@@ -284,31 +368,28 @@ class WorkerHandle:
         return saved
 
     async def terminate(self) -> None:
-        if self._reader_task is not None:
-            self._reader_task.cancel()
+        task = self._restart_task
+        if task is not None:
+            task.cancel()
             try:
-                await self._reader_task
+                await task
             except (asyncio.CancelledError, Exception):  # noqa: BLE001
                 pass
-            self._reader_task = None
-        process, self.process = self.process, None
-        if process is None:
-            return
-        if process.stdin is not None:
-            try:
-                process.stdin.close()
-            except (BrokenPipeError, ConnectionResetError):
-                pass
-        if process.returncode is None:
-            try:
-                await asyncio.wait_for(process.wait(), timeout=5.0)
-            except asyncio.TimeoutError:
-                process.kill()
-                await process.wait()
-        for future in self.pending.values():
-            if not future.done():
-                future.set_exception(WorkerCrashed(f"shard {self.shard} terminated"))
-        self.pending.clear()
+        pipes, self._pipes = self._pipes, None
+        if pipes is not None:
+            pipes.stdin.close()  # end of input is the worker's cue to leave
+            exited, _ = await asyncio.wait([pipes.gone], timeout=5.0)
+            if not exited:
+                _kill(pipes.transport)
+                await pipes.gone
+        self._fail_pending(WorkerCrashed(f"shard {self.shard} terminated"))
+
+
+def _kill(transport: asyncio.SubprocessTransport) -> None:
+    try:
+        transport.kill()
+    except ProcessLookupError:
+        pass
 
 
 class WorkerSupervisor:

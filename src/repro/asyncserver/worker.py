@@ -14,7 +14,9 @@ Requests arrive as :mod:`~repro.asyncserver.frames` on stdin; responses
 *means* is the :class:`~repro.service.core.ServingCore`'s business — the
 same core the threaded tier serves from; this module is its frame
 transport.  The steady-state warm hit is: memo lookup → cache key →
-``PlanCache.serve_entry`` → ``json.dumps`` of a small dict.  Cold misses
+``PlanCache.serve_entry`` (which hands out the copy it made for that
+spelling last time) → ``json.dumps`` of a small dict around the plan's
+already rendered tree.  Cold misses
 optimize in-process, blocking the shard — queries racing to the same
 shard queue behind the miss, which is the sharding contract (one owner
 per fingerprint).

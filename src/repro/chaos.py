@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Iterable, Optional
+from typing import Dict, Iterable, Optional
 
 CRASH_MARKER = "chaos_crash"
 HANG_MARKER = "chaos_hang"
@@ -58,6 +58,26 @@ def enabled() -> bool:
     """True when fault injection is armed in this process."""
     value = os.environ.get("REPRO_CHAOS", "")
     return value not in ("", "0", "false", "no")
+
+
+def environment() -> Dict[str, str]:
+    """This process's ``REPRO_CHAOS*`` variables."""
+    return {
+        name: value for name, value in os.environ.items() if name.startswith("REPRO_CHAOS")
+    }
+
+
+def adopt(variables: Dict[str, str]) -> None:
+    """Make this process's ``REPRO_CHAOS*`` variables exactly *variables*
+    — a pool's initializer, given the submitting process's
+    :func:`environment`.  A pool process does not inherit them reliably:
+    ``multiprocessing``'s fork server is started once per process, by the
+    first pool, and hands every later pool the environment of that
+    moment — armed or disarmed since, the children would not know."""
+    for name in environment():
+        if name not in variables:
+            del os.environ[name]
+    os.environ.update(variables)
 
 
 def _hang_seconds() -> float:

@@ -91,6 +91,7 @@ from repro.plans.nodes import (
     ScanNode,
     SelectNode,
 )
+from repro.plans.render import plan_to_dict
 from repro.query.spec import Query
 from repro.rewrites.pushdown import OpKind
 
@@ -150,12 +151,24 @@ class PlanInfo:
             cached = cache[attrs] = _closure(self.equiv, attrs)
         return cached
 
+    def rendered(self) -> dict:
+        """``plan_to_dict(self.node)``, built once per plan and kept in the
+        instance ``__dict__`` like :meth:`closure`'s cache.  Every caller
+        gets the same dict: it is for reading (``json.dumps`` of a reply);
+        whoever wants one to change calls ``plan_to_dict`` itself."""
+        cached = self.__dict__.get("_rendered")
+        if cached is None:
+            cached = plan_to_dict(self.node)
+            object.__setattr__(self, "_rendered", cached)
+        return cached
+
     def __getstate__(self):
         """Pickle the declared fields only.  Everything else in the
-        instance ``__dict__`` is a run-local memo — closure caches, the
+        instance ``__dict__`` is a process-local memo — closure caches, the
         run's interned :class:`FdState` (``_fd``) and the plan's columns as
         a mask of that run's table (``_raw_mask``), the plan's eager grouping
-        (:meth:`PlanBuilder.grouped`) — and must not ride along to a batch
+        (:meth:`PlanBuilder.grouped`), the rendered tree a serving core
+        replies with (:meth:`rendered`) — and must not ride along to a batch
         worker, a shard snapshot or a plan cache."""
         state = self.__dict__
         return {name: state[name] for name in self.__dataclass_fields__}

@@ -33,6 +33,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
 from typing import List, Optional, Tuple, Union
 
+from repro import chaos
 from repro.server.config import ServerConfig
 from repro.server.metrics import ServerMetrics, check_admission, worker_abandoned
 from repro.service.batch import Miss, WorkerOutcome, plan_miss, plan_wave
@@ -169,6 +170,8 @@ class PlanService:
                 self._executor = ProcessPoolExecutor(
                     max_workers=self.config.effective_workers,
                     mp_context=context,
+                    initializer=chaos.adopt,
+                    initargs=(chaos.environment(),),
                 )
             return self._executor
 

@@ -55,6 +55,11 @@ SNAPSHOT_VERSION = 2
 #: the misses, 4x 88 %, 8x 99 % — so it is a fixed size, not a multiple.
 KNOWN_COSTS_CAPACITY = 4096
 
+#: spellings (target namings) of one entry whose served copy is kept on
+#: the entry; a hit in a further spelling is rebound on every hit, as all
+#: were before the copies were kept.
+SERVED_SPELLINGS = 8
+
 #: entry lifecycle states.  ``fresh`` — statistics unchanged since the
 #: plan was stored; ``stale`` — a stats delta touched one of the plan's
 #: base tables (or its exact snapshot no longer matches the query's), the
@@ -157,6 +162,14 @@ class _Entry:
     #: hottest entries first so revalidation capacity goes where the
     #: serving traffic is.
     hits: int = 0
+    #: requesting query's naming → ``(the result the copy was made from,
+    #: that result rebound to the naming and marked a cache hit)`` — what
+    #: :meth:`PlanCache.serve_entry` handed out last time.  A pair is good
+    #: only while its first half *is* :attr:`result`, so replacing the
+    #: result is all the invalidation there is; never persisted.
+    served: Dict[Optional[Tuple], Tuple["OptimizationResult", "OptimizationResult"]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
 
 @dataclass(frozen=True)
@@ -253,6 +266,7 @@ class PlanCache:
         key: PlanCacheKey,
         query,
         exact_snapshot: Optional[str] = None,
+        binding: Optional[Tuple] = None,
     ) -> Optional[Tuple["OptimizationResult", str]]:
         """The cached result for *key* re-expressed in *query*'s names,
         with the entry's lifecycle state: ``(result, state)`` or None.
@@ -260,7 +274,11 @@ class PlanCache:
         The one serving entry point: probes once (statistics update
         exactly as :meth:`lookup`), rebinds the stored plan to *query*'s
         naming when the entry came from a renamed-but-isomorphic query,
-        and marks the copy as a cache hit.
+        and marks the copy as a cache hit.  The copy is made once per
+        naming and stored result: later hits get the same object (up to
+        :data:`SERVED_SPELLINGS` namings an entry), so it is for reading.
+        *binding* is ``query_binding(query)`` for a caller that keeps it;
+        left out, it is derived here.
 
         *exact_snapshot* is the probing query's exact (unbanded)
         cardinality snapshot.  Under banded keys a drifted-but-nearby
@@ -272,7 +290,7 @@ class PlanCache:
         :data:`REVALIDATING` results should bump a ``stale_served``
         metric upstream.
         """
-        from repro.service.rebind import rebind_result
+        from repro.service.rebind import query_binding, rebind_result
 
         with self._lock:
             entry = self._entries.get(key)
@@ -294,10 +312,19 @@ class PlanCache:
             state = entry.state
             if state != FRESH:
                 self.stats.stale_hits += 1
-            result, binding = entry.result, entry.binding
-        if binding is not None:
-            result = rebind_result(result, binding, query)
-        return result.as_cache_hit(), state
+            result, source = entry.result, entry.binding
+            target = None  # an entry stored without a binding serves verbatim
+            if source is not None:
+                target = binding if binding is not None else query_binding(query)
+            made = entry.served.get(target)
+            if made is not None and made[0] is result:
+                return made[1], state
+        served = result if source is None else rebind_result(result, source, query, target)
+        served = served.as_cache_hit()
+        with self._lock:
+            if target in entry.served or len(entry.served) < SERVED_SPELLINGS:
+                entry.served[target] = (result, served)
+        return served, state
 
     def store(
         self,
@@ -597,6 +624,7 @@ class PlanCache:
                 return False  # evicted mid-revalidation
             self._leave_cost(key, entry)
             entry.result = result
+            entry.served.clear()  # copies of the replaced result
             entry.state = FRESH
             if exact_snapshot is not None:
                 entry.exact_snapshot = exact_snapshot

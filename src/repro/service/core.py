@@ -23,7 +23,14 @@ locks itself) — the threaded tier runs them unlocked and takes the lock
 for their ``record_*`` twins, which do the counting.
 
 The warm path stays: memo lookup → key → ``PlanCache.serve_entry`` →
-a small dict.
+a small dict — and a repeated text does none of its work twice.  The
+memo holds the text's query, digests and naming; the cache entry holds
+the copy it handed the last hit of that naming (rebound, marked a cache
+hit) for as long as it holds the result the copy was made from; the
+plan holds its rendered tree (:meth:`PlanInfo.rendered
+<repro.optimizer.planinfo.PlanInfo.rendered>`).  What is left per hit
+is two dict lookups, the counters, the reply dict and its
+``json.dumps``.
 """
 
 from __future__ import annotations
@@ -37,12 +44,13 @@ from typing import Deque, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.optimizer.config import OptimizerConfig
 from repro.optimizer.driver import OptimizationResult
-from repro.plans.render import plan_to_dict, render_plan
+from repro.plans.render import render_plan
 from repro.query.spec import Query
 from repro.service.batch import Miss, WorkerOutcome, plan_miss
 from repro.service.cache import FRESH, PlanCache
 from repro.service.config import ServingConfig
 from repro.service.fingerprint import PlanCacheKey, plan_key, strategy_label
+from repro.service.rebind import Binding, query_binding
 from repro.service.revalidate import StaleRevalidator
 from repro.sql.binder import parse_query
 from repro.sql.catalog import Catalog
@@ -138,7 +146,7 @@ def batch_item(index: int, planned: Union[Planned, RequestError], include_plans:
         "elapsed_seconds": result.elapsed_seconds,
     }
     if include_plans:
-        item["plan"] = plan_to_dict(result.plan.node)
+        item["plan"] = result.plan.rendered()
     return item
 
 
@@ -156,7 +164,11 @@ def batch_report(items: List[dict], started: float) -> dict:
 
 
 def optimize_reply(body: dict, planned: Planned, started: float) -> dict:
-    """``POST /optimize`` — one SQL statement → its plan as JSON."""
+    """``POST /optimize`` — one SQL statement → its plan as JSON.
+
+    The reply dict is the caller's; the tree under ``"plan"`` is the
+    plan's own rendered one, shared by every reply that carries it and
+    there to be serialised, not edited."""
     result, config, _query = planned
     payload = {
         "strategy": result.strategy,
@@ -171,7 +183,7 @@ def optimize_reply(body: dict, planned: Planned, started: float) -> dict:
         "plans_built": result.plans_built,
     }
     if body.get("include_plan", True):
-        payload["plan"] = plan_to_dict(result.plan.node)
+        payload["plan"] = result.plan.rendered()
     return payload
 
 
@@ -306,10 +318,13 @@ class ServingCore:
         if self.base_config.caching_enabled:
             self.cache = PlanCache(capacity=self.base_config.cache_capacity)
             self.revalidator = StaleRevalidator(self.cache, self.catalog, self.base_config)
-        # text → (query, fingerprint, key snapshot, exact snapshot) —
-        # parse/bind/digest once per distinct SQL spelling (key snapshot
-        # is banded when snapshot_band_width is configured).
-        self._parse_memo: "OrderedDict[str, Tuple[Query, str, str, str]]" = OrderedDict()
+        # text → (query, fingerprint, key snapshot, exact snapshot, naming)
+        # — parse/bind/digest once per distinct SQL spelling (key snapshot
+        # is banded when snapshot_band_width is configured; the naming is
+        # what a cached plan is rebound to, ``query_binding(query)``).
+        self._parse_memo: "OrderedDict[str, Tuple[Query, str, str, str, Binding]]" = (
+            OrderedDict()
+        )
         self._memo_hits = 0
         self._memo_misses = 0
         # (strategy, factor, cost_model) request overrides → resolved
@@ -334,7 +349,7 @@ class ServingCore:
         self._execution_ms: Deque[float] = deque(maxlen=WINDOW)
 
     # -- request plumbing ----------------------------------------------------
-    def _parse(self, sql) -> Tuple[Query, str, str, str]:
+    def _parse(self, sql) -> Tuple[Query, str, str, str, Binding]:
         memo = self._parse_memo
         hit = memo.get(sql) if isinstance(sql, str) else None
         if hit is not None:
@@ -346,7 +361,7 @@ class ServingCore:
         # The band width is the base config's alone (no request override),
         # so the digests of the base key hold under every override.
         key, exact = plan_key(query, self.base_config)
-        entry = (query, key.fingerprint, key.snapshot, exact)
+        entry = (query, key.fingerprint, key.snapshot, exact, query_binding(query))
         memo[sql] = entry
         if len(memo) > PARSE_MEMO_CAPACITY:
             memo.popitem(last=False)
@@ -399,7 +414,7 @@ class ServingCore:
         time spent queued before this call counts against it.
         """
         sql = body.get("sql")
-        query, fingerprint, snapshot, exact = self._parse(sql)
+        query, fingerprint, snapshot, exact, binding = self._parse(sql)
         config, strategy, factor, cost_model = self._resolve_config(body)
         key = PlanCacheKey(
             fingerprint=fingerprint,
@@ -409,7 +424,7 @@ class ServingCore:
             cost_model=cost_model,
         )
         if self.cache is not None:
-            found = self.cache.serve_entry(key, query, exact_snapshot=exact)
+            found = self.cache.serve_entry(key, query, exact, binding)
             if found is not None:
                 result, state = found
                 if state != FRESH:

@@ -22,7 +22,7 @@ unchanged — the fingerprint already pins them to be identical.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import TYPE_CHECKING, Dict, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.aggregates.calls import AggCall
 from repro.aggregates.vector import AggItem, AggVector
@@ -166,15 +166,20 @@ class _Rebinder:
 
 
 def rebind_result(
-    result: "OptimizationResult", source: Binding, query: Query
+    result: "OptimizationResult",
+    source: Binding,
+    query: Query,
+    target: Optional[Binding] = None,
 ) -> "OptimizationResult":
     """Re-express a cached *result* in *query*'s relation/attribute names.
 
     *source* is the binding of the query the result was computed for (as
-    recorded by :func:`query_binding` at cache-store time).  Identical
+    recorded by :func:`query_binding` at cache-store time); *target* is
+    *query*'s own, for a caller that already holds it.  Identical
     bindings return the result unchanged.
     """
-    target = query_binding(query)
+    if target is None:
+        target = query_binding(query)
     if source == target:
         return result
     return replace(result, plan=_Rebinder(source, target).planinfo(result.plan))

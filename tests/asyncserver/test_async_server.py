@@ -10,6 +10,7 @@ contract shared with the threaded tier —
 ``tests/serving/test_contract.py`` runs them against one and two shards.
 """
 
+import asyncio
 import json
 import os
 import signal
@@ -248,3 +249,215 @@ class TestPersistenceLifecycle:
                 body = c.optimize(SQL)
                 assert body["cache_hit"] is False
             second.drain()
+
+
+# -- the relay: plan requests answered from the shard's reply callback ---------
+
+# Structurally distinct statements (fingerprints are rename-stable, so
+# shard spread needs different shapes, not different aliases).
+CLEAN_CANDIDATES = [
+    "SELECT count(*) AS cnt FROM region GROUP BY r_name",
+    "SELECT count(*) AS cnt FROM customer, orders WHERE customer.c_custkey = orders.o_custkey",
+    "SELECT count(*) AS cnt FROM part, partsupp WHERE part.p_partkey = partsupp.ps_partkey",
+    "SELECT count(*) AS cnt FROM orders GROUP BY o_orderstatus",
+    "SELECT count(*) AS cnt FROM supplier GROUP BY s_nationkey",
+]
+# ``chaos_hang`` sleeps REPRO_CHAOS_HANG_SECONDS before planning a miss,
+# ``chaos_drop`` swallows the request frame (armed by REPRO_CHAOS only).
+HANG_SQL = (
+    "SELECT count(*) AS cnt FROM nation chaos_hang, region "
+    "WHERE chaos_hang.n_regionkey = region.r_regionkey"
+)
+HANG_SQL_2 = (
+    "SELECT count(*) AS cnt FROM customer chaos_hang, nation "
+    "WHERE chaos_hang.c_nationkey = nation.n_nationkey"
+)
+DROP_SQL = (
+    "SELECT count(*) AS cnt FROM supplier chaos_drop, nation "
+    "WHERE chaos_drop.s_nationkey = nation.n_nationkey"
+)
+
+
+def http(method, path, payload=None):
+    body = b"" if payload is None else json.dumps(payload).encode()
+    head = f"{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {len(body)}\r\n\r\n"
+    return head.encode("latin-1") + body
+
+
+def post_optimize(sql):
+    return http("POST", "/optimize", {"sql": sql, "include_plan": False})
+
+
+def clean_sql_on(running, shard):
+    """A clean statement the front routes to *shard*."""
+    for sql in CLEAN_CANDIDATES:
+        if running.service.route(sql) == shard:
+            return sql
+    pytest.skip(f"no candidate statement lands on shard {shard}")
+
+
+def wait_for(predicate, what, budget=30.0):
+    deadline = time.monotonic() + budget
+    while not predicate():
+        assert time.monotonic() < deadline, f"timed out waiting for {what}"
+        time.sleep(0.02)
+
+
+@pytest.fixture()
+def chaos_armed(monkeypatch):
+    monkeypatch.setenv("REPRO_CHAOS", "1")  # worker processes inherit it
+
+
+class TestRelayOrderAndRelease:
+    HANG_SECONDS = 1.0
+
+    @pytest.fixture(scope="class")
+    def slow_server(self):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("REPRO_CHAOS", "1")
+            patch.setenv("REPRO_CHAOS_HANG_SECONDS", str(self.HANG_SECONDS))
+            with AsyncPlanServer(AsyncServerConfig(port=0, shards=2, cache_capacity=64)) as running:
+                yield running
+
+    def test_pipelined_replies_keep_request_order_when_shards_answer_out_of_order(
+        self, slow_server
+    ):
+        """A slow miss on one shard, then hits on the other and a
+        ``GET /stats``: the fast shard's replies wait, settled, behind
+        the slow one at the head of the connection's line."""
+        slow_shard = slow_server.service.route(HANG_SQL)
+        fast = clean_sql_on(slow_server, 1 - slow_shard)
+        with ServerClient(port=slow_server.port) as c:
+            c.optimize(fast)
+        burst = (
+            post_optimize(HANG_SQL) + post_optimize(fast) + post_optimize(fast)
+            + http("GET", "/stats") + post_optimize(fast)
+        )
+        started = time.monotonic()
+        with socket.create_connection((slow_server.host, slow_server.port), 30) as sock:
+            sock.sendall(burst)
+            sock.settimeout(0.25)
+            with pytest.raises(socket.timeout):  # nothing overtakes the head of the line
+                sock.recv(1)
+            sock.settimeout(30)
+            replies = read_replies(sock, 5)
+        assert time.monotonic() - started >= self.HANG_SECONDS
+        assert [status for status, _payload in replies] == [200] * 5
+        slow, hit_1, hit_2, stats, hit_3 = (payload for _status, payload in replies)
+        assert (slow["shard"], slow["cache_hit"]) == (slow_shard, False)
+        for reply in (hit_1, hit_2, hit_3):
+            assert (reply["shard"], reply["cache_hit"]) == (1 - slow_shard, True)
+        assert stats["mode"] == "async" and len(stats["shard_detail"]) == 2
+        # ... although the fast shard answered first: its exchanges were
+        # settled (and counted) long before the slow one.
+        window = slow_server.service.metrics.snapshot()["requests"]["POST /optimize"]
+        assert window["p50_ms"] < self.HANG_SECONDS * 500 < window["p99_ms"]
+
+    def test_a_disconnect_holds_the_admission_slot_until_the_shard_answers(
+        self, slow_server, monkeypatch
+    ):
+        """The relay cannot cancel what a shard is working on: a client
+        that goes away leaves its request in flight — admitted — until
+        the shard's reply settles it.  (A coroutine per request used to
+        release the slot at the disconnect, while the shard was still
+        busy with it.)  The reply is counted, and written nowhere."""
+        from asyncio import selector_events
+
+        written_closed = []
+        write = selector_events._SelectorSocketTransport.write
+
+        def spy(transport, data):
+            if transport.is_closing():
+                written_closed.append(bytes(data))
+            return write(transport, data)
+
+        monkeypatch.setattr(selector_events._SelectorSocketTransport, "write", spy)
+        service = slow_server.service
+
+        def counted():
+            endpoint = service.metrics.snapshot()["requests"].get("POST /optimize")
+            return endpoint["count"] if endpoint else 0
+
+        before = counted()
+        with socket.create_connection((slow_server.host, slow_server.port), 30) as sock:
+            sock.sendall(post_optimize(HANG_SQL_2))
+            wait_for(lambda: service.inflight == 1, "the request to be admitted")
+        time.sleep(self.HANG_SECONDS / 3)  # the front has seen the disconnect by now
+        assert service.inflight == 1 and counted() == before
+        wait_for(lambda: service.inflight == 0, "the shard's reply to release the slot")
+        assert counted() == before + 1
+        assert written_closed == []
+        with ServerClient(port=slow_server.port) as c:
+            assert c.optimize(HANG_SQL_2, include_plan=False)["cache_hit"] is True
+
+
+class TestRelaySupervision:
+    def test_hard_timeout_answers_504_reaps_and_counts_the_restart(
+        self, chaos_armed, monkeypatch
+    ):
+        # Before Python 3.11 asyncio's TimeoutError is not the builtin: the
+        # relay must hand out the class its consumers test for, by that name.
+        monkeypatch.setattr(asyncio, "TimeoutError", type("Timeout310", (Exception,), {}))
+        config = AsyncServerConfig(
+            port=0, shards=2, request_timeout_seconds=0.3,  # hard timeout 2.3 s
+            restart_backoff_base_seconds=0.05,
+        )
+        with AsyncPlanServer(config) as running:
+            service = running.service
+            wedged = service.route(DROP_SQL)
+            same, other = clean_sql_on(running, wedged), clean_sql_on(running, 1 - wedged)
+            with ServerClient(port=running.port) as c:
+                c.optimize(same), c.optimize(other)
+                burst = post_optimize(DROP_SQL) + post_optimize(other) + post_optimize(same)
+                started = time.monotonic()
+                with socket.create_connection((running.host, running.port), 30) as sock:
+                    sock.sendall(burst)
+                    replies = read_replies(sock, 3)
+                assert time.monotonic() - started >= config.hard_timeout_seconds
+                assert [status for status, _payload in replies] == [504, 200, 200]
+                assert replies[0][1]["error"]["code"] == "timeout"
+                # the shard swallowed one frame and answered the next before it was reaped
+                assert [reply["shard"] for _status, reply in replies[1:]] == [1 - wedged, wedged]
+                wait_for(
+                    lambda: service.supervisor.shard_states()[wedged]["alive"]
+                    and service.supervisor.shard_states()[wedged]["restarts"] == 1,
+                    "reap + respawn after the hard timeout",
+                )
+                assert service.inflight == 0
+                stats = c.stats()
+                assert stats["restarts"] == 1
+                assert stats["supervision"][1 - wedged]["restarts"] == 0
+                assert stats["requests"]["POST /optimize"]["errors_5xx"] == 1
+                assert c.optimize(same, include_plan=False)["shard"] == wedged
+
+    def test_a_corrupt_reply_stream_reaps_that_shard_and_fails_only_its_requests(
+        self, chaos_armed
+    ):
+        from repro.asyncserver import frames
+
+        config = AsyncServerConfig(port=0, shards=2, restart_backoff_base_seconds=0.05)
+        with AsyncPlanServer(config) as running:
+            service = running.service
+            broken = service.route(HANG_SQL)
+            worker = service.supervisor.worker(broken)
+            other = clean_sql_on(running, 1 - broken)
+            with ServerClient(port=running.port) as c:
+                c.optimize(other)
+                with socket.create_connection((running.host, running.port), 30) as sock:
+                    sock.sendall(post_optimize(HANG_SQL))  # an hour's hang: pending on `broken`
+                    wait_for(lambda: len(worker.pending) == 1, "the frame to be sent")
+                    oversize = frames.HEADER.pack(1, 200, frames.MAX_FRAME_BYTES + 1)
+                    running._loop.call_soon_threadsafe(
+                        worker._pipes.pipe_data_received, 1, oversize
+                    )
+                    ((status, payload),) = read_replies(sock, 1)
+                assert (status, payload["error"]["code"]) == (500, "worker_pool_failure")
+                assert c.optimize(other, include_plan=False)["cache_hit"] is True
+                wait_for(
+                    lambda: service.supervisor.shard_states()[broken]["alive"]
+                    and service.supervisor.shard_states()[broken]["restarts"] == 1,
+                    "the shard with the corrupt stream to be respawned",
+                )
+                assert service.supervisor.shard_states()[1 - broken]["restarts"] == 0
+                assert service.inflight == 0 and not worker.pending
+                assert c.optimize(clean_sql_on(running, broken), include_plan=False)["cost"] > 0

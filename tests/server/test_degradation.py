@@ -156,6 +156,33 @@ class TestDegradedRevalidationGuard:
 
 
 class TestWorkerReleasedAfterTimeout:
+    def test_a_pool_started_after_the_fork_server_still_sees_chaos_armed(self, monkeypatch):
+        """Regression: ``multiprocessing``'s fork server is started by the
+        process's first pool and keeps the environment of that moment, so
+        a pool forked after ``REPRO_CHAOS`` was set never saw it — the
+        test below passed only while ``tests/server`` was collected before
+        every other ``workers=1`` server (``tests/serving`` first: DID NOT
+        RAISE).  The pool's initializer now adopts the submitting
+        process's ``REPRO_CHAOS*`` variables, set or unset."""
+        monkeypatch.delenv("REPRO_CHAOS", raising=False)
+        with PlanServer(ServerConfig(port=0, workers=1)) as server:
+            with ServerClient(port=server.port, timeout=60.0) as client:
+                client.optimize(SMALL_SQL)  # the fork server exists now, disarmed
+        monkeypatch.setenv("REPRO_CHAOS", "1")
+        config = ServerConfig(
+            port=0, workers=1, request_timeout_seconds=0.2, degradation="error"
+        )
+        with PlanServer(config) as server:
+            with ServerClient(port=server.port, timeout=60.0) as client:
+                with pytest.raises(ServerError) as exc_info:
+                    client.optimize(SLOW_SQL)
+                assert exc_info.value.status == 504
+        # ... and disarmed again, the next pool plans the marked text at once.
+        monkeypatch.delenv("REPRO_CHAOS")
+        with PlanServer(config) as server:
+            with ServerClient(port=server.port, timeout=60.0) as client:
+                assert client.optimize(SLOW_SQL)["degraded"] is False
+
     def test_pool_worker_freed_within_one_check_interval(self, monkeypatch):
         """Regression: a 504 used to only cancel the *future*, leaving
         the pool worker grinding the abandoned query — the next request

@@ -199,7 +199,7 @@ class TestProbeCompleteShare:
         result, _config, query = core.complete(follower, shared)
         assert query is follower.query
         assert result.cache_hit is True and result.cost == planned[0].cost
-        assert "n2" in json.dumps(core_module.plan_to_dict(result.plan.node))
+        assert "n2" in json.dumps(result.plan.rendered())
         plans, cache = core.stats()["plans"], core.stats()["cache"]
         assert (plans["served"], plans["cache_hits"]) == (2, 1) and cache["puts"] == 1.0
 
