@@ -160,8 +160,10 @@ class PlannerSession:
         """Subscribe *callback* to *event*; returns an unsubscribe handle.
 
         Events: ``"prepare"`` (PreparedQuery), ``"ccp"`` (s1, s2),
-        ``"plan"`` (PlanInfo — once per plan the DP *materialises*;
-        candidates discarded on price are never built, see
+        ``"plan"`` (PlanInfo — once per plan the DP *materialises*: an
+        inner plan when a join first reads its bucket, a finished plan as
+        it is offered; candidates discarded on price, or evicted before
+        the read, are never built, see
         :class:`~repro.optimizer.driver.OptimizerHooks`), ``"result"``
         (OptimizationResult).  The ``ccp``/``plan`` events fire only for
         in-process optimization — batch workers in other processes do not

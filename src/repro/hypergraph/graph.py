@@ -14,17 +14,21 @@ are served from per-vertex indexes instead of scans over ``self.edges``:
 * ``_sides_by_min[v]`` — every edge *orientation* ``(u, w)`` whose side
   ``u`` has ``min(u) = v``.  Any edge with ``u ⊆ S`` is findable under one
   of S's vertices, so membership tests touch only edges incident to S,
-* memo dictionaries for ``connected`` and ``neighborhood`` — both are pure
-  functions of the (immutable) graph, so results are cached across the
-  run.  ``reset_caches()`` drops them (e.g. between benchmark repetitions).
+* a memo dictionary for ``neighborhood`` — a pure function of the
+  (immutable) graph whose arguments repeat (≈ 60 % hits on a DP run), so
+  results are cached across the run; ``reset_caches()`` drops it (e.g.
+  between benchmark repetitions).  ``connected`` is not memoised: DPhyp
+  asks it about each csg-cmp candidate about once (≈ 6 % repeats), and
+  the bitmask test is cheaper than the key and the insert a memo costs.
 
 The pre-index linear scans survive as ``connected_scan`` /
 ``neighborhood_scan`` — the executable reference implementation used by
 equivalence tests and by the ``engine="reference"`` optimizer path that
 :mod:`benchmarks.bench_hotpath` times speedups against.
 
-``counters`` tracks index probes and memo hits; the optimizer surfaces a
-snapshot of them on :class:`~repro.optimizer.driver.OptimizationResult`.
+``counters`` tracks calls, index probes and memo hits; the optimizer
+surfaces a snapshot of them on
+:class:`~repro.optimizer.driver.OptimizationResult`.
 """
 
 from __future__ import annotations
@@ -93,13 +97,11 @@ class Hypergraph:
         #: crossover that keeps small graphs from paying per-edge
         #: orientation scans that the reference scan never amortises.
         self._no_complex = not self._complex_edges
-        self._connected_cache: Dict[Tuple[int, int], bool] = {}
         self._neighborhood_cache: Dict[Tuple[int, int], int] = {}
         self.counters: Dict[str, int] = {
             "neighborhood_calls": 0,
             "neighborhood_memo_hits": 0,
             "connected_calls": 0,
-            "connected_memo_hits": 0,
             "edge_sides_scanned": 0,
         }
 
@@ -110,8 +112,7 @@ class Hypergraph:
         return cls(n, edges)
 
     def reset_caches(self) -> None:
-        """Drop the connected/neighbourhood memos and zero the counters."""
-        self._connected_cache.clear()
+        """Drop the neighbourhood memo and zero the counters."""
         self._neighborhood_cache.clear()
         for key in self.counters:
             self.counters[key] = 0
@@ -184,14 +185,9 @@ class Hypergraph:
         return found
 
     def connected(self, s1: int, s2: int) -> bool:
-        """Whether some hyperedge connects *s1* and *s2* (memoised)."""
+        """Whether some hyperedge connects *s1* and *s2*."""
         counters = self.counters
         counters["connected_calls"] += 1
-        key = (s1, s2) if s1 <= s2 else (s2, s1)
-        cached = self._connected_cache.get(key)
-        if cached is not None:
-            counters["connected_memo_hits"] += 1
-            return cached
         # Any crossing edge has the min vertex of its s1-side inside s1, so
         # scanning the smaller side's incident orientations suffices.
         if s1.bit_count() > s2.bit_count():
@@ -200,27 +196,21 @@ class Hypergraph:
         # O(|S1|) test that settles simple-only graphs without touching
         # any orientation list.
         simple = self._simple_neighbors
-        result = False
         for v in bits_of(s1):
             if simple[v] & s2:
-                result = True
-                break
-        if result or self._no_complex:
-            self._connected_cache[key] = result
-            return result
+                return True
+        if self._no_complex:
+            return False
         sides = self._complex_sides_by_min
         scanned = 0
         for v in bits_of(s1):
             for u, w in sides[v]:
                 scanned += 1
                 if not (u & ~s1) and not (w & ~s2):
-                    result = True
-                    break
-            if result:
-                break
+                    counters["edge_sides_scanned"] += scanned
+                    return True
         counters["edge_sides_scanned"] += scanned
-        self._connected_cache[key] = result
-        return result
+        return False
 
     def connected_scan(self, s1: int, s2: int) -> bool:
         """Reference connectivity test: the pre-index scan over all edges."""

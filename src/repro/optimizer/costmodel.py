@@ -33,7 +33,7 @@ Two things rest on properties of the model rather than of the driver:
   (e.g. one rewarding larger intermediates) keeps EA-All exact but can
   make EA-Prune a heuristic.
 * The driver's *ceiling* (docs/architecture.md, "bound, price, ask,
-  build") drops a partial plan that already costs more than a complete
+  file — build on read") drops a partial plan that already costs more than a complete
   one.  That is exact only when no operator can make a plan cheaper than
   its inputs — every contribution non-negative, plan cost the sum of
   them.  A model says so by declaring :attr:`CostModel.monotone`;

@@ -13,14 +13,19 @@ This is the paper's Fig. 5 skeleton with the eager-aggregation extensions:
 Two engines drive the same skeleton (see docs/architecture.md):
 
 * ``engine="indexed"`` (default) — the hot path: iterative enumerator over
-  the indexed/memoised hypergraph, per-edge join specs resolved through
+  the indexed hypergraph, per-edge join specs resolved through
   :class:`~repro.optimizer.edgeindex.EdgeResolver`, cost-ordered EA-Prune
-  buckets, and *bound, price, ask, build*: an OpTrees variant that already
-  costs more than the run's ceiling is dropped, what is left is priced
-  (:meth:`~repro.optimizer.planinfo.PlanBuilder.price`), the strategy is
-  asked whether it would discard it
-  (:meth:`~repro.optimizer.strategies.Strategy.would_discard`), and only
-  what survives is constructed,
+  buckets, and *bound, price, ask, file — build on read*: an OpTrees
+  variant that already costs more than the run's ceiling is dropped, what
+  is left is priced (:meth:`~repro.optimizer.planinfo.PlanBuilder.price`),
+  the strategy is asked whether it would discard it
+  (:meth:`~repro.optimizer.strategies.Strategy.would_discard`), and what
+  survives is filed in its bucket *as priced*.  A bucket is constructed
+  the first time a ccp reads its relation set as an input — DPhyp emits
+  every ccp that produces a set before any that reads it, so the bucket
+  is final by then — and a candidate displaced or evicted before that is
+  never built.  Finished plans for the full relation set are built when
+  they are inserted,
 * ``engine="reference"`` — the seed's code path (recursive enumerator,
   linear edge scans, uncached builder, unordered buckets, every candidate
   fully built, never bounded), kept strictly as the test oracle.  Golden
@@ -57,7 +62,7 @@ import time
 from dataclasses import dataclass, field, replace
 from functools import partial
 from math import inf
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import chaos
 from repro.algebra.expressions import conjunction
@@ -69,7 +74,7 @@ from repro.optimizer.deadline import Deadline, PlanningDeadlineExceeded
 from repro.optimizer.edgeindex import EdgeResolver, JoinSpec
 from repro.optimizer.planinfo import PlanBuilder, PlanInfo
 from repro.optimizer.registry import ENGINES
-from repro.optimizer.strategies import EaPruneStrategy, Strategy
+from repro.optimizer.strategies import EaPruneStrategy, PruneBucket, Strategy
 from repro.query.spec import Query
 from repro.rewrites.pushdown import OpKind, pushdown_valid_for
 
@@ -161,13 +166,15 @@ class OptimizerHooks:
       (not fired when a caller supplies *prepared*; the session fires it
       when preparing a statement),
     * ``on_ccp(s1, s2)`` — once per enumerated csg-cmp-pair,
-    * ``on_plan(plan)`` — once per plan the DP *materialises* and offers to
-      the DP table: access paths, the OpTrees variants that survive
-      pricing (inner table entries), finalised plans for the full relation
-      set.  Candidates a strategy discards on price are never built and
-      never reported (``stats["plans_constructed"]`` counts the calls,
-      ``plans_built`` all candidates); the reference engine builds, and
-      reports, every candidate,
+    * ``on_plan(plan)`` — once per plan the DP *materialises*, always a
+      :class:`PlanInfo`: access paths; an inner bucket's plans when a ccp
+      first reads the bucket (what it holds then — candidates the strategy
+      discarded on price, or that a cheaper one displaced or evicted
+      before, are never built and never reported); finalised plans for the
+      full relation set as they are offered to it.
+      ``stats["plans_constructed"]`` counts the calls, ``plans_built`` all
+      candidates; the reference engine builds, and reports, every
+      candidate as it is offered,
     * ``on_result(result)`` — once per returned result, cache hits
       included.  ``result.stats`` carries the hot-path counters, so
       metrics pipelines hang off this hook without touching the DP loops.
@@ -344,6 +351,10 @@ def optimize(
     strategy_before = dict(strategy_counters) if strategy_counters is not None else {}
 
     table: Dict[int, List[PlanInfo]] = {}
+    #: inner relation sets whose buckets hold priced candidates no ccp has
+    #: read yet (the indexed engine files them unbuilt)
+    unread: Set[int] = set()
+    construct = builder.construct
     for vertex in range(len(query.relations)):
         leaf = builder.leaf(vertex)
         table[1 << vertex] = [leaf]
@@ -378,13 +389,26 @@ def optimize(
             right_bucket = table.get(right_set, ())
             if not left_bucket or not right_bucket:
                 continue
+            # Build on read: every ccp producing a set comes before any
+            # reading it, so a bucket is final the first time it is read.
+            if left_set in unread:
+                unread.remove(left_set)
+                tally.constructed += _materialise(left_bucket, construct, on_plan)
+            if right_set in unread:
+                unread.remove(right_set)
+                tally.constructed += _materialise(right_bucket, construct, on_plan)
             combined = left_set | right_set
             is_top = combined == all_mask
             bucket = table.get(combined)
             if bucket is None:
                 # Top-level entries go through insert_top (single plan, list
                 # semantics); inner entries use the strategy's bucket type.
-                bucket = table[combined] = [] if is_top else chosen.new_bucket()
+                if is_top:
+                    bucket = table[combined] = []
+                else:
+                    bucket = table[combined] = chosen.new_bucket()
+                    if not reference:
+                        unread.add(combined)
             build_plans(
                 builder, chosen, bucket, is_top, left_bucket, right_bucket, spec,
                 on_plan, tally,
@@ -587,8 +611,8 @@ class _Tally:
 
     def __init__(self) -> None:
         self.built = 0  # candidates considered (at or below the ceiling)
-        self.constructed = 0  # ... of which materialised as a PlanInfo
-        self.priced_away = 0  # ... of which discarded on price, never built
+        self.priced_away = 0  # ... of which discarded on price; the rest are filed
+        self.constructed = 0  # filed candidates materialised as a PlanInfo
         self.above_ceiling = 0  # OpTrees variants the ceiling dropped instead
         self.top_replacements = 0  # finished plans that displaced the incumbent
 
@@ -615,7 +639,7 @@ def _build_plans(
     tally: _Tally,
     ceiling: float,
 ) -> None:
-    """BuildPlans for one csg-cmp-pair: bound, price, ask, build.
+    """BuildPlans for one csg-cmp-pair: bound, price, ask, file.
 
     Every OpTrees placement of every plan pair (Fig. 6/8, in the reference
     engine's order) is first held against the run's *ceiling* — the cost
@@ -625,9 +649,12 @@ def _build_plans(
     strictly above it goes no further.  What is left is *priced*; the
     strategy is *asked* whether it would discard a plan with those
     numbers (``would_discard``, or for the full relation set
-    ``would_discard_top`` on the priced ``finish_top`` cost); only what
-    survives is *built* and inserted.  Nothing is evicted on price:
-    eviction happens inside ``insert``, once the evicting plan exists.
+    ``would_discard_top`` on the priced ``finish_top`` cost).  An inner
+    survivor is *filed* as the :class:`PricedJoin` it is — ``insert`` may
+    evict or displace priced candidates — and built only when a ccp reads
+    its bucket (:func:`_materialise`); that is sound because ``price``
+    decides validity completely, so whatever the strategy keeps will
+    construct.  A finished plan is built and inserted at once.
 
     NOTE on NeedsGrouping (Fig. 6, lines 10/15): the paper skips grouped
     variants whose grouping attributes contain a key.  That test is
@@ -649,7 +676,7 @@ def _build_plans(
     insert = partial(_insert_top, strategy, tally) if is_top else strategy.insert
     would_discard, would_discard_top = strategy.would_discard, strategy.would_discard_top
     top_cost = builder.top_cost
-    built = constructed = priced_away = above_ceiling = 0
+    built = finished = priced_away = above_ceiling = 0
     for left_plan in left_bucket:
         grouped_left = grouped(left_plan) if group_left else None
         for right_plan, grouped_right in rights:
@@ -672,26 +699,42 @@ def _build_plans(
                     above_ceiling += 1
                     continue
                 built += 1
-                if is_top:
-                    if would_discard_top(bucket, cost):
-                        priced_away += 1
-                        continue
-                    # Report the finalised plan — the candidate the DP table
-                    # actually considers for the full relation set.
-                    plan = builder.finish_top(construct(priced))
-                else:
+                if not is_top:
                     if would_discard(bucket, priced):
                         priced_away += 1
-                        continue
-                    plan = construct(priced)
-                constructed += 1
+                    else:
+                        insert(bucket, priced)
+                    continue
+                if would_discard_top(bucket, cost):
+                    priced_away += 1
+                    continue
+                # Report the finalised plan — the candidate the DP table
+                # actually considers for the full relation set.
+                plan = builder.finish_top(construct(priced))
+                finished += 1
                 if on_plan is not None:
                     on_plan(plan)
                 insert(bucket, plan)
     tally.built += built
-    tally.constructed += constructed
+    tally.constructed += finished
     tally.priced_away += priced_away
     tally.above_ceiling += above_ceiling
+
+
+def _materialise(bucket, construct, on_plan) -> int:
+    """Build on read: turn every priced candidate an inner bucket holds
+    into its :class:`PlanInfo`, in place, reporting each to *on_plan*;
+    returns how many were built.  Called once per relation set, the first
+    time a ccp reads it — the bucket is final then (module docstring)."""
+    lists = bucket.plan_lists() if type(bucket) is PruneBucket else (bucket,)
+    count = 0
+    for plans in lists:
+        for at, priced in enumerate(plans):
+            plans[at] = plan = construct(priced)
+            if on_plan is not None:
+                on_plan(plan)
+        count += len(plans)
+    return count
 
 
 def _build_plans_reference(

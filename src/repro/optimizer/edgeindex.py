@@ -11,6 +11,9 @@ preparation time:
   filed under ``min(a)``, so the crossing edges of ``(S1, S2)`` are found
   by scanning only the orientations whose ``min`` vertex lies in S1 —
   every crossing edge has the min vertex of its S1-side inside S1,
+* for an edge without conflict rules, the orientation's resolved spec
+  beside it: ``Applicable`` is then TES containment, which the crossing
+  test has just checked, so only edges with rules are asked again,
 * an interning cache for the conjoined predicates of multi-edge ccps
   (cyclic inner-join queries), keyed by the crossing edge-id tuple, so
   each distinct predicate/selectivity combination is built once per run
@@ -64,7 +67,14 @@ class EdgeResolver:
         # sorted by it so multi-edge conjunction and selectivity products
         # fold in exactly the seed's (annotated-order) sequence, keeping
         # float results bit-identical.
-        self._sides_by_min: List[List[Tuple[int, int, int]]] = [[] for _ in range(n)]
+        # An orientation of an edge without conflict rules carries the spec
+        # it resolves to: for such an edge ``applicable`` is TES
+        # containment, which is exactly the crossing test — (l, r) found
+        # inside (S1, S2) is applicable as is, (r, l) swapped.  An edge
+        # with rules carries None and is asked.
+        self._sides_by_min: List[List[Tuple[int, int, int, Optional[JoinSpec]]]] = [
+            [] for _ in range(n)
+        ]
         self._specs: List[Tuple[AnnotatedEdge, JoinSpec, JoinSpec]] = []
         for seq, edge in enumerate(annotated):
             join_edge = query.edge(edge.edge_id)
@@ -77,8 +87,13 @@ class EdgeResolver:
                 join_edge.groupjoin_vector, swap=True,
             )
             self._specs.append((edge, plain, swapped))
-            self._sides_by_min[lowest_bit(edge.l_tes)].append((edge.l_tes, edge.r_tes, seq))
-            self._sides_by_min[lowest_bit(edge.r_tes)].append((edge.r_tes, edge.l_tes, seq))
+            free = not edge.rules
+            self._sides_by_min[lowest_bit(edge.l_tes)].append(
+                (edge.l_tes, edge.r_tes, seq, plain if free else None)
+            )
+            self._sides_by_min[lowest_bit(edge.r_tes)].append(
+                (edge.r_tes, edge.l_tes, seq, swapped if free else None)
+            )
         self._conjunctions: Dict[Tuple[int, ...], Tuple[object, float]] = {}
         self.counters: Dict[str, int] = {"resolve_calls": 0, "edge_sides_scanned": 0}
 
@@ -89,23 +104,28 @@ class EdgeResolver:
         in both orientations; non-commutative operators fix the
         orientation).  Multiple crossing edges: only legal when all of them
         are inner joins — their predicates are conjoined and selectivities
-        multiplied.
+        multiplied.  Only edges with conflict rules are asked
+        ``applicable``: for the others the crossing test has answered.
         """
         counters = self.counters
         counters["resolve_calls"] += 1
         sides_by_min = self._sides_by_min
         crossing: List[int] = []
+        found = None
         scanned = 0
         for v in bits_of(s1):
-            for a, b, seq in sides_by_min[v]:
+            for a, b, seq, spec in sides_by_min[v]:
                 scanned += 1
                 if not (a & ~s1) and not (b & ~s2):
                     crossing.append(seq)
+                    found = spec
         counters["edge_sides_scanned"] += scanned
         if not crossing:
             return None
 
         if len(crossing) == 1:
+            if found is not None:
+                return found
             edge, plain, swapped = self._specs[crossing[0]]
             if edge.applicable(s1, s2):
                 return plain
@@ -120,7 +140,7 @@ class EdgeResolver:
             edge = specs[seq][0]
             if edge.op is not OpKind.INNER:
                 return None
-            if not (edge.applicable(s1, s2) or edge.applicable(s2, s1)):
+            if edge.rules and not (edge.applicable(s1, s2) or edge.applicable(s2, s1)):
                 return None
         key = tuple(crossing)
         interned = self._conjunctions.get(key)

@@ -23,13 +23,14 @@ decomposes every term into inner/outer stages while folding the plan's old
 scale columns into the new count column (``count(*) ⊗ c`` = ``sum(c)``).
 
 Joins are made in two steps (docs/architecture.md, "bound, price, ask,
-build"):
+file — build on read"):
 :meth:`PlanBuilder.price` derives a candidate's validity, cardinality,
 cost and eagerness from the two inputs alone — a :class:`PricedJoin`, no
 plan node, no dictionaries — and :meth:`PlanBuilder.construct` turns a
-priced candidate into a :class:`PlanInfo`.  The DP driver constructs only
-what its strategy does not discard on price; :meth:`PlanBuilder.join` is
-the two steps back to back.
+priced candidate into a :class:`PlanInfo`.  The DP driver files in its
+table what its strategy does not discard on price, still priced, and
+constructs a bucket's candidates when a join first reads it;
+:meth:`PlanBuilder.join` is the two steps back to back.
 
 Functional dependencies are kept twice, on purpose.  The *sets* — a
 plan's ``keys`` / ``equiv`` / ``duplicate_free`` fields, with
@@ -328,7 +329,10 @@ class PricedJoin:
     besides the numbers it exposes the cheaply derived ``rel_set``,
     ``raw_attrs``, ``scale_cols`` and ``distinct`` — everything of a
     :class:`PlanInfo` except ``node`` and the aggregation dictionaries —
-    and :meth:`PlanBuilder.construct` turns it into one.
+    and :meth:`PlanBuilder.construct` turns it into one.  That surface is
+    also all a strategy's ``insert`` may read: the indexed DP files
+    candidates in its buckets as priced and constructs them when a join
+    first reads the bucket.
     """
 
     __slots__ = (

@@ -5,13 +5,18 @@ Each strategy answers four questions:
 
 * ``explore_eager`` — should OpTrees generate the grouping placements
   (b)/(c)/(d) of Fig. 8 at all?  (False only for the DPhyp baseline.)
-* ``insert(bucket, plan)`` — which plans survive in the DP table entry.
-* ``would_discard(bucket, priced)`` — would ``insert`` throw away a plan
-  with these numbers?  The driver asks before it builds the plan (see
-  docs/architecture.md, "bound, price, ask, build"); the base class
-  answers "no", so a strategy that defines only ``insert`` sees every
-  candidate built, as before.  ``would_discard_top(bucket, cost)`` is the same
-  question about ``insert_top`` for the full relation set.
+* ``insert(bucket, plan)`` — which candidates survive in the DP table
+  entry.  The indexed engine files *priced* candidates
+  (:class:`~repro.optimizer.planinfo.PricedJoin`) and builds a bucket's
+  survivors when a join first reads it (see docs/architecture.md, "bound,
+  price, ask, file — build on read"), so ``insert`` reads only the priced
+  surface; the reference engine inserts built plans.
+* ``would_discard(bucket, priced)`` — would ``insert`` throw away a
+  candidate with these numbers?  The driver asks before it files one; the
+  base class answers "no", so a strategy that defines only ``insert`` is
+  offered every candidate.  ``would_discard_top(bucket, cost)`` is the
+  same question about ``insert_top`` for the full relation set, whose
+  finished plans are built before they are inserted.
 * ``accepts_ceiling`` — does the strategy return the optimum of the
   eager search space, so that the driver may drop every partial plan
   dearer than a complete one (H1's) before asking anything?  Only
@@ -54,7 +59,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import Dict, List, Optional, Tuple
 
-from repro.optimizer.planinfo import FdState, FdTable, PlanInfo
+from repro.optimizer.planinfo import FdState, FdTable, PlanInfo, PricedJoin
 from repro.optimizer.registry import STRATEGIES
 
 
@@ -73,29 +78,39 @@ class Strategy:
     #: space* and lets the driver bound it: H1's plan lies in that space, so
     #: no partial plan dearer than it can be part of the answer, and the
     #: driver never shows the strategy one (docs/architecture.md, "bound,
-    #: price, ask, build").  False for everything that cannot promise that:
-    #: DPhyp searches a smaller space (H1's plan is outside it), the
-    #: heuristics and the ``cost-card`` / ``cost-only`` ablations promise no
-    #: optimum, and EA-All — which could — stays unbounded on purpose: it
-    #: is the oracle EA-Prune is tested against.
+    #: price, ask, file — build on read").  False for everything that
+    #: cannot promise that: DPhyp searches a smaller space (H1's plan is
+    #: outside it), the heuristics and the ``cost-card`` / ``cost-only``
+    #: ablations promise no optimum, and EA-All — which could — stays
+    #: unbounded on purpose: it is the oracle EA-Prune is tested against.
     accepts_ceiling = False
 
     def new_bucket(self) -> List[PlanInfo]:
         """A fresh DP-table entry; strategies may return an indexed list."""
         return []
 
-    def insert(self, bucket: List[PlanInfo], plan: PlanInfo) -> None:
+    def insert(self, bucket: List[PlanInfo], plan) -> None:
+        """File *plan* in *bucket*, keeping, evicting or displacing what
+        the policy says.  On the indexed engine *plan* — and every entry
+        of an inner bucket — is a
+        :class:`~repro.optimizer.planinfo.PricedJoin`, built by the driver
+        only once a join reads the bucket; on the reference engine it is a
+        :class:`PlanInfo`.  Read only the surface the two share: ``cost``,
+        ``cardinality``, ``eagerness``, ``duplicate_free``, ``state`` /
+        ``keys`` / ``equiv`` / ``has_key_within``, ``rel_set``,
+        ``raw_attrs``, ``scale_cols`` and ``distinct`` (``state`` is the
+        interned FD triple of a priced candidate; a built plan carries its
+        own in ``__dict__["_fd"]``).  Whatever is evicted before the read
+        is never built — safe, since every priced candidate constructs."""
         raise NotImplementedError
 
     def would_discard(self, bucket: List[PlanInfo], priced) -> bool:
-        """Whether :meth:`insert` would drop a plan priced like *priced* (a
-        :class:`~repro.optimizer.planinfo.PricedJoin`: ``cost``,
-        ``cardinality``, ``eagerness``, ``duplicate_free`` and, on
-        demand, ``state`` / ``keys`` / ``equiv``).  Must not change which plans the
+        """Whether :meth:`insert` would drop a candidate priced like
+        *priced* (a :class:`~repro.optimizer.planinfo.PricedJoin`, the
+        surface :meth:`insert` documents).  Must not change what the
         bucket holds, and may say yes only when ``insert`` would discard:
-        the driver builds just the candidates this lets through and hands
-        them to :meth:`insert`, which decides again on the real plan.
-        Default: admit everything."""
+        the driver files just the candidates this lets through, through
+        :meth:`insert`, which decides again.  Default: admit everything."""
         return False
 
     def insert_top(self, bucket: List[PlanInfo], plan: PlanInfo) -> None:
@@ -115,14 +130,15 @@ class Strategy:
 
 
 class SinglePlanStrategy(Strategy):
-    """One plan per DP class: a newcomer — priced or built, the test is the
-    same — replaces the incumbent unless :meth:`would_discard` says it
-    loses.  Default: keep the cheaper."""
+    """One plan per DP class: a newcomer — priced or built, and so is the
+    incumbent; the test reads only numbers — replaces the incumbent unless
+    :meth:`would_discard` says it loses.  A priced incumbent that is
+    displaced is never built.  Default: keep the cheaper."""
 
     def would_discard(self, bucket: List[PlanInfo], priced) -> bool:
         return loses_on_cost(bucket, priced.cost)
 
-    def insert(self, bucket: List[PlanInfo], plan: PlanInfo) -> None:
+    def insert(self, bucket: List[PlanInfo], plan) -> None:
         if not self.would_discard(bucket, plan):
             bucket[:] = [plan]
 
@@ -140,7 +156,7 @@ class EaAllStrategy(Strategy):
 
     name = "ea-all"
 
-    def insert(self, bucket: List[PlanInfo], plan: PlanInfo) -> None:
+    def insert(self, bucket: List[PlanInfo], plan) -> None:
         bucket.append(plan)
 
 
@@ -200,14 +216,25 @@ class PruneBucket:
         for _costs, _cards, plans in self.frontiers.values():
             yield from plans
 
-    def home(self, state: Optional[FdState], plan) -> FdState:
+    def plan_lists(self) -> List[List[PlanInfo]]:
+        """Every frontier's plan list — what the driver builds in place
+        when a join first reads the bucket (costs and cards stay put)."""
+        return [plans for _costs, _cards, plans in self.frontiers.values()]
+
+    def home(self, plan) -> FdState:
         """*plan*'s FD state in the table this bucket compares in.
 
-        States of different tables number their attributes differently
-        and cannot be compared.  The bucket adopts the table of the first
-        state it is shown — in a DP run the builder's, which every later
-        plan of the run shares, so *state* comes straight back; a plan
-        made by hand or by another run is interned beside the others."""
+        A priced candidate's is its ``state``, a built plan's the one
+        ``construct`` hung on it (none on a plan made by hand).  States of
+        different tables number their attributes differently and cannot
+        be compared.  The bucket adopts the table of the first state it is
+        shown — in a DP run the builder's, which every later plan of the
+        run shares, so the state comes straight back; a plan made by hand
+        or by another run is interned beside the others."""
+        if type(plan) is PricedJoin:
+            state = plan.state
+        else:
+            state = plan.__dict__.get("_fd")
         table = self.table
         if state is not None:
             if state.table is table:
@@ -332,15 +359,11 @@ class EaPruneStrategy(Strategy):
     def would_discard(self, bucket: List[PlanInfo], priced) -> bool:
         if type(bucket) is not PruneBucket:
             return False  # unordered reference instances see every plan
-        state = None
-        if self.criteria == "full":
-            state = bucket.home(priced.state, priced)
+        state = bucket.home(priced) if self.criteria == "full" else None
         return self._arrive(bucket, state, priced.cost, self._card(priced))
 
-    def _insert_ordered(self, bucket: PruneBucket, plan: PlanInfo) -> None:
-        state = None
-        if self.criteria == "full":
-            state = bucket.home(plan.__dict__.get("_fd"), plan)
+    def _insert_ordered(self, bucket: PruneBucket, plan) -> None:
+        state = bucket.home(plan) if self.criteria == "full" else None
         cost = plan.cost
         card = self._card(plan)
         if self._arrive(bucket, state, cost, card):
@@ -370,7 +393,7 @@ class EaPruneStrategy(Strategy):
         plans.insert(at, plan)
         bucket.count += 1
 
-    def insert(self, bucket: List[PlanInfo], plan: PlanInfo) -> None:
+    def insert(self, bucket: List[PlanInfo], plan) -> None:
         if type(bucket) is PruneBucket:
             self._insert_ordered(bucket, plan)
         else:
@@ -398,7 +421,7 @@ class H2Strategy(SinglePlanStrategy):
     def would_discard(self, bucket: List[PlanInfo], priced) -> bool:
         return bool(bucket) and not self._compare_adjusted(priced, bucket[0])
 
-    def _compare_adjusted(self, new, old: PlanInfo) -> bool:
+    def _compare_adjusted(self, new, old) -> bool:
         if new.eagerness == old.eagerness:
             return new.cost < old.cost
         if new.eagerness < old.eagerness:

@@ -1,4 +1,5 @@
-"""DPhyp enumeration tests: closed-form counts + brute-force cross-checks."""
+"""DPhyp enumeration tests: closed-form counts, brute-force cross-checks,
+and the emission order the DP driver relies on (closed before read)."""
 
 import itertools
 import random
@@ -8,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.hypergraph.enumerate import brute_force_ccps, count_ccps, enumerate_ccps
 from repro.hypergraph.graph import Hyperedge, Hypergraph
+from repro.optimizer import prepare
+from repro.workload import generate_query
 
 
 def chain(n):
@@ -24,6 +27,43 @@ def star(n):
 
 def clique(n):
     return Hypergraph.from_pairs(n, list(itertools.combinations(range(n), 2)))
+
+
+def random_hypergraph(rng, n):
+    """Up to n + 2 edges between random disjoint vertex sets (at least one)."""
+    edges = []
+    for _ in range(rng.randint(1, n + 2)):
+        left = rng.randint(1, (1 << n) - 1)
+        right = rng.randint(1, (1 << n) - 1) & ~left
+        if not right:
+            continue
+        edges.append(Hyperedge(left, right, label=len(edges)))
+    if not edges:
+        edges.append(Hyperedge(1, 2, label=0))
+    return Hypergraph(n, edges)
+
+
+def query_graph(seed, n):
+    """The conflict hypergraph of a random query of the paper's generator."""
+    return prepare(generate_query(n, random.Random(seed))).graph
+
+
+def assert_closed_before_read(graph):
+    """The order the DP driver builds on: a pair's components were produced
+    before it reads them (singletons are there from the start), and once a
+    pair has read a set, no later pair produces it — so a DP-table entry is
+    final the first time a join reads it.  Returns the pair count."""
+    produced = {1 << v for v in range(graph.n)}
+    read = set()
+    count = 0
+    for s1, s2 in enumerate_ccps(graph):
+        assert s1 in produced and s2 in produced, (s1, s2)
+        assert s1 | s2 not in read, (s1, s2)
+        read.add(s1)
+        read.add(s2)
+        produced.add(s1 | s2)
+        count += 1
+    return count
 
 
 class TestClosedFormCounts:
@@ -66,15 +106,39 @@ class TestEnumerationProperties:
             assert graph.induces_connected_subgraph(s2)
             assert graph.connected(s1, s2)
 
-    def test_dp_order(self):
-        """Each component appears only after all its proper connected subsets
-        have appeared as components — the property DP relies on."""
-        graph = chain(6)
-        seen = {1 << i for i in range(6)}
-        for s1, s2 in enumerate_ccps(graph):
-            assert s1 in seen or s1.bit_count() == 1
-            assert s2 in seen or s2.bit_count() == 1
-            seen.add(s1 | s2)
+    @pytest.mark.parametrize("make", [chain, cycle, star, clique])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_dp_order(self, make, n):
+        """Closed before read, on the four topologies up to n = 8."""
+        if make is cycle and n == 2:
+            pytest.skip("cycle needs n >= 3")
+        assert assert_closed_before_read(make(n)) == count_ccps(make(n))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    def test_closed_before_read_random_hypergraphs(self, seed):
+        rng = random.Random(seed)
+        assert_closed_before_read(random_hypergraph(rng, rng.randint(2, 8)))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_closed_before_read_generated_queries(self, seed):
+        assert assert_closed_before_read(query_graph(seed, 3 + seed % 8))
+
+    @pytest.mark.slow
+    def test_closed_before_read_exhaustive(self):
+        """The ``--runslow`` twin: 3,000 graphs up to n = 10 — random
+        hypergraphs, the same over a chain backbone (connected, so every
+        pair count is large), and generated queries."""
+        pairs = 0
+        for seed in range(1000):
+            rng = random.Random(seed)
+            n = rng.randint(2, 10)
+            graph = random_hypergraph(rng, n)
+            pairs += assert_closed_before_read(graph)
+            backbone = [Hyperedge(1 << (i - 1), 1 << i) for i in range(1, n)]
+            pairs += assert_closed_before_read(Hypergraph(n, graph.edges + backbone))
+            pairs += assert_closed_before_read(query_graph(seed + 10_000, 3 + seed % 8))
+        assert pairs > 100_000
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -136,19 +200,8 @@ class TestIterativeMatchesReference:
         from repro.hypergraph.enumerate import enumerate_ccps_reference
 
         rng = random.Random(seed)
-        n = rng.randint(2, 7)
-        edges = []
-        for _ in range(rng.randint(1, n + 2)):
-            left = rng.randint(1, (1 << n) - 1)
-            right = rng.randint(1, (1 << n) - 1) & ~left
-            if not right:
-                continue
-            edges.append(Hyperedge(left, right, label=len(edges)))
-        if not edges:
-            edges.append(Hyperedge(1, 2, label=0))
-        iterative = list(enumerate_ccps(Hypergraph(n, edges)))
-        recursive = list(enumerate_ccps_reference(Hypergraph(n, edges)))
-        assert iterative == recursive
+        graph = random_hypergraph(rng, rng.randint(2, 7))
+        assert list(enumerate_ccps(graph)) == list(enumerate_ccps_reference(graph))
 
 
 class TestLargeChains:

@@ -15,15 +15,17 @@ normalised plan, csg-cmp-pair emission order and count.  Beyond that:
   ``optimize`` a *known_cost*) never prices, files or joins a partial
   plan above it, so its counters are *smaller* by design.  What it owes
   instead is the restriction lemma (docs/architecture.md, "bound, price,
-  ask, build"): per relation set, its bucket is the reference bucket
+  ask, file — build on read"): per relation set, its bucket is the reference bucket
   restricted to ``cost <= ceiling`` — compared as sorted lists of
   ``(cost, cardinality, FD triple)``.  The lemma does not care where the
   ceiling came from, so neither does this module: one reference
   observation serves every ceiling at or below the one it kept plans up
   to (:meth:`Observation.buckets_up_to`).
 
-Buckets are rebuilt from ``OptimizerHooks.on_plan`` — every plan either
-engine offers to its DP table — with the seed's pairwise scan
+Buckets are rebuilt from ``OptimizerHooks.on_plan`` — every plan the
+reference engine offers to its DP table, and every plan of each bucket
+the indexed engine builds when a join first reads it (a non-empty
+bucket no join read would surface as missing here) — with the seed's pairwise scan
 (``EaPruneStrategy(ordered=False)``), and the indexed side is tied back
 to the real table through ``result.table_sizes``.
 """

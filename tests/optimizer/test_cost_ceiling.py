@@ -1,4 +1,4 @@
-"""Bound, price, ask, build: EA-Prune under a complete plan's cost as a
+"""Bound, price, ask, file: EA-Prune under a complete plan's cost as a
 ceiling.
 
 An *exact eager* run is bounded by the cost of a complete plan of the

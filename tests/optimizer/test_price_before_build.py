@@ -1,15 +1,20 @@
-"""Price, ask, build: the indexed DP constructs only the plans it keeps.
+"""Price, ask, file — build on read: the indexed DP constructs only the
+plans a join reads.
 
 The driver prices every OpTrees candidate
 (:meth:`PlanBuilder.price`), asks the strategy whether it would discard a
-plan with those numbers (:meth:`Strategy.would_discard`), and builds only
-the survivors.  These tests pin the contract around that split:
+plan with those numbers (:meth:`Strategy.would_discard`), files the
+survivors *as priced* and builds a bucket the first time a ccp reads it
+(finished plans for the full relation set are built as they are
+offered).  These tests pin the contract around that split:
 
 * pricing and construction are one arithmetic (``join`` is price-then-
   construct; the priced ``finish_top`` cost equals the built one),
-* the bookkeeping adds up (``plans_built`` = constructed + priced away,
-  every constructed plan entered a bucket, ``on_plan`` fires once per
-  materialised plan),
+* the bookkeeping adds up (``plans_built`` − priced away = *filed*; every
+  filed candidate entered a bucket; ``on_plan`` fires once per
+  materialised plan and never more often than candidates were filed;
+  ``construct`` runs at most once per filed candidate, and every one it
+  is asked for constructs; nothing priced escapes the run),
 * the plug-in seams still hold: a strategy that defines only ``insert``
   and a cost model that defines only the three operator prices give the
   reference engine's answers,
@@ -41,7 +46,7 @@ from repro.optimizer import (
     optimize,
     prepare,
 )
-from repro.optimizer.planinfo import clear_memo_caches
+from repro.optimizer.planinfo import PlanInfo, PricedJoin, clear_memo_caches
 from repro.optimizer.costmodel import CoutModel
 from repro.optimizer.driver import CEILING_MIN_RELATIONS
 from repro.optimizer.strategies import EaPruneStrategy, H1Strategy
@@ -125,38 +130,100 @@ class TestOneArithmetic:
         assert grouped.node.group_attrs == tuple(sorted(g_plus))
 
 
+def filed(result):
+    """Candidates the run filed in its table: considered, not priced away."""
+    return result.plans_built - result.stats.get("strategy.plans_priced_away", 0)
+
+
 class TestBookkeeping:
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
     @pytest.mark.parametrize("name,query", QUERIES, ids=[n for n, _ in QUERIES])
-    def test_built_is_constructed_plus_priced_away(self, name, query, strategy):
+    def test_constructed_is_at_most_filed(self, name, query, strategy, monkeypatch):
         if (name, strategy) == ("q5", "ea-all"):
             pytest.skip("EA-All keeps 250k plans on Q5: seconds, and nothing new")
+        made = {}  # builder → [(priced, plan)], in call order
+        construct = PlanBuilder.construct
+
+        def counted(builder, priced):
+            plan = construct(builder, priced)
+            made.setdefault(builder, []).append((priced, plan))
+            return plan
+
+        monkeypatch.setattr(PlanBuilder, "construct", counted)
         seen = []
         result = optimize(query, strategy, hooks=OptimizerHooks(on_plan=seen.append))
         stats = result.stats
-        priced_away = stats.get("strategy.plans_priced_away", 0)
-        assert result.plans_built == stats["plans_constructed"] + priced_away
-        # on_plan: once per plan the DP materialised, nothing else.
-        assert len(seen) == stats["plans_constructed"]
+        # on_plan: once per plan the DP materialised, never more than filed.
+        assert stats["plans_constructed"] == len(seen) <= filed(result)
         assert stats["plans_constructed"] >= sum(result.table_sizes.values())
+        # Nothing priced escapes: the answer and every reported plan are built.
+        assert type(result.plan) is PlanInfo
+        assert all(type(plan) is PlanInfo for plan in seen)
+        # construct runs at most once per candidate, on priced ones only —
+        # in the run's own builder and in an H1 pre-pass's alike.
+        for calls in made.values():
+            assert len({id(priced) for priced, _ in calls}) == len(calls)
+            assert all(type(priced) is PricedJoin for priced, _ in calls)
+            assert all(type(plan) is PlanInfo for _, plan in calls)
+        # The run's builder is the last to construct (a pre-pass finishes
+        # first): leaves aside, every constructed plan is one call, and
+        # every inner bucket read was built by exactly those calls.
+        calls = list(made.values())[-1]
+        assert len(calls) == stats["plans_constructed"] - len(query.relations)
+        all_mask = query.all_relations_mask
+        inner = [plan for _, plan in calls if plan.rel_set != all_mask]
+        reported = [
+            plan for plan in seen
+            if plan.rel_set != all_mask and plan.rel_set & (plan.rel_set - 1)
+        ]
+        assert [id(plan) for plan in inner] == [id(plan) for plan in reported]
 
     @pytest.mark.parametrize("criteria", ["full", "cost-card", "cost-only"])
     @pytest.mark.parametrize("name,query", QUERIES, ids=[n for n, _ in QUERIES])
-    def test_every_constructed_plan_entered_a_bucket(self, name, query, criteria):
-        """A plan is built only after ``would_discard`` let it through, so
-        ``insert`` must admit it: it is in the table at the end unless a
-        later plan evicted it or displaced it at the top."""
+    def test_every_filed_candidate_entered_a_bucket(self, name, query, criteria):
+        """A candidate is filed only after ``would_discard`` let it
+        through, so ``insert`` must admit it: it is in the table at the end
+        unless a later one evicted it or displaced it at the top — priced
+        or built, whichever it was then."""
         result = optimize(query, EaPruneStrategy(criteria))
         stats = result.stats
-        assert stats["plans_constructed"] == (
+        assert filed(result) == (
             sum(result.table_sizes.values())
             + stats.get("strategy.plans_evicted", 0)
             + stats["top_replacements"]
         )
+        assert stats["plans_constructed"] <= filed(result)
         # Inner candidates priced away are exactly the ones Def. 4 discards.
         assert stats.get("strategy.plans_priced_away", 0) >= stats.get(
             "strategy.plans_discarded", 0
         )
+
+    @pytest.mark.parametrize("strategy", ["ea-prune", "h1", "h2"])
+    def test_every_priced_candidate_constructs(self, strategy, monkeypatch):
+        """Why evicting or displacing an unbuilt candidate is safe:
+        ``price`` decides validity completely, so whatever it prices — the
+        candidates a bucket keeps among them — would construct, with the
+        numbers it was priced with."""
+        priced_all = []
+        price = PlanBuilder.price
+
+        def recorded(builder, *args):
+            priced = price(builder, *args)
+            if priced is not None:
+                priced_all.append(priced)
+            return priced
+
+        monkeypatch.setattr(PlanBuilder, "price", recorded)
+        for _name, query in QUERIES[:6]:
+            priced_all.clear()
+            optimize(query, strategy)
+            assert priced_all
+            for priced in priced_all:
+                plan = priced.builder.construct(priced)
+                assert (plan.cost, plan.cardinality, plan.eagerness) == (
+                    priced.cost, priced.cardinality, priced.eagerness
+                )
+                assert (plan.keys, plan.equiv) == (priced.keys, priced.equiv)
 
     def test_reference_engine_builds_everything(self):
         query = build_q10()
@@ -183,7 +250,8 @@ class TestBookkeeping:
 
 class KeepTwoCheapest(Strategy):
     """Defines ``insert`` only — no ``would_discard``, so the driver must
-    build every candidate for it, as it always did."""
+    offer it every candidate — and reads only ``cost``, part of the priced
+    surface it is handed."""
 
     name = "keep-two-cheapest-test"
 
@@ -257,23 +325,31 @@ def _both_engines(query, **config):
 class TestPluginSeams:
     @pytest.mark.parametrize("name,query", QUERIES, ids=[n for n, _ in QUERIES])
     def test_insert_only_strategy_and_docstring_cost_model(self, name, query):
-        runs = {}
+        runs, tops = {}, {}
+        all_mask = query.all_relations_mask
         for engine in ("indexed", "reference"):
             config = OptimizerConfig(
                 strategy=KeepTwoCheapest.name, cost_model=RowCountModel.name,
                 engine=engine, cache_capacity=None,
             )
-            runs[engine] = optimize(query, config=config)
+            seen = []
+            runs[engine] = optimize(
+                query, config=config, hooks=OptimizerHooks(on_plan=seen.append)
+            )
+            tops[engine] = sum(plan.rel_set == all_mask for plan in seen)
         indexed, reference = runs["indexed"], runs["reference"]
         assert indexed.cost == reference.cost
         assert indexed.plans_built == reference.plans_built
         assert indexed.table_sizes == reference.table_sizes
         # Nothing inside the DP table is priced away for a strategy that
-        # admits everything; only the top-level keep-the-cheaper rule is.
-        inner_built = indexed.plans_built - indexed.stats.get(
-            "strategy.plans_priced_away", 0
-        )
-        assert indexed.stats["plans_constructed"] == inner_built
+        # admits everything; only the top-level keep-the-cheaper rule is:
+        # the reference engine builds every finished candidate, the indexed
+        # one exactly those it did not price away.
+        priced_away = indexed.stats.get("strategy.plans_priced_away", 0)
+        assert tops["reference"] == tops["indexed"] + priced_away
+        # Inner candidates are filed as priced and built when read: never
+        # more than were filed, and fewer whenever one was displaced first.
+        assert indexed.stats["plans_constructed"] <= filed(indexed)
 
     def test_insert_top_only_strategy_sees_every_finished_plan(self):
         differs_from_h1 = 0
