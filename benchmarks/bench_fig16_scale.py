@@ -70,7 +70,7 @@ FULL_SCALES = (0.01, 0.1)
 QUICK_SCALES = (0.01,)
 
 #: (query, scale_factor) → minimum interpreter/columnar speedup,
-#: asserted on full runs with numpy present.  10× is the committed
+#: asserted on full runs.  10× is the committed
 #: executor-tier target; measured values are 70–380× at SF 0.001 and
 #: ~5000× at SF 0.01, so the floor leaves orders of magnitude of
 #: margin for slow machines.
@@ -319,13 +319,8 @@ def main(argv=None) -> int:
     payload = run(head_to_head, scales, out_path, mode)
 
     failed = False
-    if mode == "full" and not args.no_gate_check:
-        if not payload["env"]["numpy"]:
-            # The pure-python fallback is the correctness net, not the
-            # performance claim — gating it would measure the wrong thing.
-            print("numpy unavailable: skipping speedup/correlation gates")
-        elif not check_gates(payload):
-            failed = True
+    if mode == "full" and not args.no_gate_check and not check_gates(payload):
+        failed = True
     if baseline is not None:
         if not artifact.check_baseline(payload, baseline, args.max_regression):
             failed = True

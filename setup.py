@@ -36,6 +36,8 @@ setup(
     packages=find_packages("src"),
     package_data={"repro": ["py.typed"]},
     python_requires=">=3.10",
+    # planning is stdlib-only; executing on columns needs numpy
+    extras_require={"exec": ["numpy"]},
     classifiers=[
         "Programming Language :: Python :: 3",
         "Programming Language :: Python :: 3.10",

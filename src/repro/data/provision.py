@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import os
 import re
+from typing import TYPE_CHECKING
 
-from repro.data.tables import Dataset
+if TYPE_CHECKING:  # the tables bring numpy; validating a spec needs neither
+    from repro.data.tables import Dataset
 
 #: ``tpch-sf0.01`` / ``tpch-sf1`` — the generated-TPC-H spec form.
 _TPCH_SPEC = re.compile(r"^tpch-sf(?P<scale>[0-9]*\.?[0-9]+)$")

@@ -24,6 +24,10 @@ are equal, and never on the key values themselves:
   that owns values (once per process for a table's base column) and a
   late take gathers its parent's codes, so a request pays an array
   gather where it used to pay a python loop;
+* any other key column of a join is coded by one dictionary over both
+  sides' values, and an entry that can equal nothing — NULL, or a value
+  not equal to itself (a NaN) — masks its rows out, judged once per
+  entry (:func:`_pairing_codes`);
 * several columns combine into one code by plain products while the
   code space stays that dense, by a sort once it does not
   (:func:`_combined`); a grouping ranks each code by the first row that
@@ -62,16 +66,7 @@ input order, plus where each run starts and ends.  The groupjoin's
 partner lists are runs of the pair vector (a left row without a partner
 being an empty run) and an aggregation without GROUP BY is one run of
 every row, so there is one :func:`_aggregate_columns` for all three.
-
-Under numpy a grouping therefore never loops over rows, whatever it
-keys on.  The python kernels — hash buckets keyed by the raw values /
-:func:`group_key` tuples, one loop per row — are what a process without
-numpy runs (``REPRO_EXEC_FORCE_FALLBACK=1`` forces that), and what
-pairing — a semi / anti join's too — still falls back to for a key
-without exact lanes (no workload sends it one).  Array and python
-kernels return the same pairs and the same groups *in the same order*
-(``tests/exec/test_kernel_differential.py``), and downstream of them the
-emission code only distinguishes "numpy" from "no numpy".
+No pairing and no grouping loops over rows, whatever it keys on.
 
 Row-set equality with the interpreter is a hard guarantee (the
 differential suite enforces it), so emission mirrors the reference
@@ -84,10 +79,11 @@ semantics of :mod:`repro.algebra.operators` exactly:
 * an unmatched left row of a left/full outerjoin emits its padded row
   immediately after its (absent) matches; unmatched right rows of a
   full outerjoin append at the end in right-input order,
-* rows with a NULL join key never pair — a NULL never makes an equality
-  conjunct TRUE; in a grouping NULL is a key value like any other,
+* rows with a NULL or NaN join key never pair — neither makes an
+  equality conjunct TRUE; in a grouping NULL is a key value like any
+  other, and a NaN object is equal to itself,
 * groups come in order of first occurrence, and every aggregate is
-  ``AggCall.evaluate``'s value *and type*.  Under numpy ``count``,
+  ``AggCall.evaluate``'s value *and type*.  ``count``,
   ``min`` / ``max`` over exact lanes and ``sum`` over a column of ints
   are ``ufunc.reduceat`` over the runs (:func:`_array_fold`) — a
   ``min`` is then a late take of the first row that attains it, so
@@ -100,14 +96,12 @@ semantics of :mod:`repro.algebra.operators` exactly:
 
 from __future__ import annotations
 
-from itertools import accumulate, chain
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.aggregates.calls import AggKind
 from repro.aggregates.vector import AggVector
 from repro.algebra.values import NULL, SqlValue, group_key
-from repro.exec.arrays import numpy_module
-from repro.exec.columns import Batch, Column
+from repro.exec.columns import Batch, Column, _codes_of_values
 from repro.exec.physical import (
     PhysFilter,
     PhysGroupAgg,
@@ -123,15 +117,12 @@ from repro.exec.physical import (
 from repro.exec.vectoreval import eval_expr, eval_tri
 from repro.rewrites.pushdown import OpKind
 
+# after repro.exec.columns, which names the missing extra
+import numpy as np
+
 
 def execute_physical(op: PhysOp, database: Mapping[str, object]) -> Batch:
     """Evaluate a physical operator tree bottom-up into a batch."""
-    return _execute(op, database, numpy_module())
-
-
-def _execute(op: PhysOp, database: Mapping[str, object], xp) -> Batch:
-    """*xp* is the numpy module or None, fixed for the whole tree: every
-    index vector of one execution is of one kind."""
     if isinstance(op, PhysScan):
         source = database[op.relation]
         batch = Batch.from_source(source)
@@ -142,47 +133,38 @@ def _execute(op: PhysOp, database: Mapping[str, object], xp) -> Batch:
             )
         return batch
     if isinstance(op, PhysFilter):
-        child = _execute(op.child, database, xp)
+        child = execute_physical(op.child, database)
         keep = eval_tri(op.predicate, child).true_indices()
         if len(keep) == child.length:
             return child
-        return child.take(_vector(keep, xp))
+        return child.take(keep)
     if isinstance(op, PhysProject):
-        return _execute(op.child, database, xp).project(op.attributes)
+        return execute_physical(op.child, database).project(op.attributes)
     if isinstance(op, PhysMap):
-        child = _execute(op.child, database, xp)
+        child = execute_physical(op.child, database)
         return child.extended([(name, eval_expr(expr, child)) for name, expr in op.extensions])
     if isinstance(op, PhysHashJoin):
-        left = _execute(op.left, database, xp)
-        right = _execute(op.right, database, xp)
+        left = execute_physical(op.left, database)
+        right = execute_physical(op.right, database)
         if op.residual is None and op.op in (OpKind.LEFT_SEMI, OpKind.LEFT_ANTI):
-            coded = _pairing_codes(left, right, op.left_keys, op.right_keys, xp)
-            if coded is not None:
-                return left.take(_member_rows(*coded, op.op is OpKind.LEFT_SEMI, xp))
-        pairs_l, pairs_r = _hash_pairs(left, right, op.left_keys, op.right_keys, xp)
+            coded = _pairing_codes(left, right, op.left_keys, op.right_keys)
+            return left.take(_member_rows(*coded, op.op is OpKind.LEFT_SEMI))
+        pairs_l, pairs_r = _hash_pairs(left, right, op.left_keys, op.right_keys)
         pairs_l, pairs_r = _filter_pairs(op.residual, left, right, pairs_l, pairs_r)
-        return _emit_join(op, left, right, pairs_l, pairs_r, xp)
+        return _emit_join(op, left, right, pairs_l, pairs_r)
     if isinstance(op, PhysNLJoin):
-        left = _execute(op.left, database, xp)
-        right = _execute(op.right, database, xp)
-        pairs_l, pairs_r = _cross_pairs(left.length, right.length, xp)
+        left = execute_physical(op.left, database)
+        right = execute_physical(op.right, database)
+        pairs_l, pairs_r = _cross_pairs(left.length, right.length)
         pairs_l, pairs_r = _filter_pairs(op.predicate, left, right, pairs_l, pairs_r)
-        return _emit_join(op, left, right, pairs_l, pairs_r, xp)
+        return _emit_join(op, left, right, pairs_l, pairs_r)
     if isinstance(op, PhysGroupAgg):
-        return _group_agg(op, _execute(op.child, database, xp), xp)
+        return _group_agg(op, execute_physical(op.child, database))
     if isinstance(op, PhysSort):
-        return _sort(op, _execute(op.child, database, xp), xp)
+        return _sort(op, execute_physical(op.child, database))
     if isinstance(op, PhysLimit):
-        return _execute(op.child, database, xp).head(op.count)
+        return execute_physical(op.child, database).head(op.count)
     raise TypeError(f"unknown physical operator {op!r}")
-
-
-def _vector(rows, xp):
-    """*rows* as this execution's kind of index vector: an integer array
-    under numpy, the list itself without."""
-    if xp is None or not isinstance(rows, list):
-        return rows
-    return xp.asarray(rows, dtype=xp.intp)
 
 
 class Runs(NamedTuple):
@@ -192,25 +174,11 @@ class Runs(NamedTuple):
     The runs tile *order* — ``starts[0] == 0``, ``starts[g + 1] ==
     ends[g]``, the last one ends where *order* does — and an empty run
     is a group without rows (a groupjoin's left row without a partner).
-    Index arrays under numpy, lists without.
     """
 
     order: object
     starts: object
     ends: object
-
-
-def _key_lanes(columns: Sequence[Column], xp) -> Optional[list]:
-    """The ``(data, valid)`` lanes of every key column, or None unless
-    all of them are exact — what decides between pairing's array kernel
-    and its python one."""
-    lanes = []
-    for column in columns:
-        column_lanes = column.key_lanes(xp)
-        if column_lanes is None:
-            return None
-        lanes.append(column_lanes)
-    return lanes
 
 
 def _dense_width(rows: int) -> int:
@@ -220,13 +188,13 @@ def _dense_width(rows: int) -> int:
     return 4 * rows + 1024
 
 
-def _sorted_codes(keys, xp):
+def _sorted_codes(keys):
     """``(codes, width)`` of any key array, by one sort."""
-    uniques, codes = xp.unique(keys, return_inverse=True)
+    uniques, codes = np.unique(keys, return_inverse=True)
     return codes, len(uniques)
 
 
-def _factorised(data, valid, xp):
+def _factorised(data, valid):
     """``(codes, width)`` of one key column's exact lanes: codes in
     ``[0, width)``, NULL (off *valid*) being code 0.
 
@@ -239,19 +207,19 @@ def _factorised(data, valid, xp):
     if len(data):
         low = data.min()
         span = data.max() - low  # inf or nan when an infinity is a key
-        if span + 2 <= _dense_width(len(data)) and bool((data == xp.floor(data)).all()):
+        if span + 2 <= _dense_width(len(data)) and bool((data == np.floor(data)).all()):
             # integers less than 2^53 apart: the subtraction is exact
-            codes = (data - low).astype(xp.intp) + 1
+            codes = (data - low).astype(np.intp) + 1
             if valid is not None:
                 codes[~valid] = 0
             return codes, int(span) + 2
-    codes, width = _sorted_codes(data, xp)
+    codes, width = _sorted_codes(data)
     if valid is not None:
-        codes = xp.where(valid, codes + 1, 0)
+        codes = np.where(valid, codes + 1, 0)
     return codes, width + 1
 
 
-def _combined(columns: Sequence[tuple], rows: int, xp):
+def _combined(columns: Sequence[tuple], rows: int):
     """``(codes, width)``: one integer per row over several ``(codes,
     width)`` key columns, two rows getting the same code iff they agree
     on every column.
@@ -267,23 +235,17 @@ def _combined(columns: Sequence[tuple], rows: int, xp):
         codes = column_codes if codes is None else codes * column_width + column_codes
         width *= column_width
         if width > bound:
-            codes, width = _sorted_codes(codes, xp)
+            codes, width = _sorted_codes(codes)
     return codes, width
 
 
-def _joint_codes(lanes: Sequence[tuple], rows: int, xp):
-    """:func:`_combined` ``(codes, width)`` over exact lanes, each
-    factorised (NULL being a value of its own)."""
-    return _combined([_factorised(data, valid, xp) for data, valid in lanes], rows, xp)
-
-
-def _grouping_codes(column: Column, xp):
+def _grouping_codes(column: Column):
     """``(codes, width)`` of one grouping column: its exact lanes
     factorised, or — it has none — its key codes as they are."""
-    lanes = column.key_lanes(xp)
+    lanes = column.key_lanes()
     if lanes is not None:
-        return _factorised(*lanes, xp)
-    codes, table = column.key_codes(xp)
+        return _factorised(*lanes)
+    codes, table = column.key_codes()
     return codes, len(table)
 
 
@@ -293,7 +255,7 @@ def _grouping_codes(column: Column, xp):
 RADIX_WIDTH = 1 << 16
 
 
-def _ordered(keys, width: int, xp):
+def _ordered(keys, width: int):
     """The positions of *keys* — integers in ``[0, width)`` — in key
     order, equal keys in input order.
 
@@ -301,8 +263,8 @@ def _ordered(keys, width: int, xp):
     the keys — and numpy's default sort is several times its stable one,
     except where the stable one is a radix sort."""
     if width <= RADIX_WIDTH:
-        return xp.argsort(keys.astype(xp.uint16), kind="stable")
-    return xp.argsort(keys * len(keys) + xp.arange(len(keys)))
+        return np.argsort(keys.astype(np.uint16), kind="stable")
+    return np.argsort(keys * len(keys) + np.arange(len(keys)))
 
 
 def _all_valid(masks: Sequence):
@@ -315,10 +277,10 @@ def _all_valid(masks: Sequence):
     return valid
 
 
-def _keyed_rows(codes, valid, xp):
-    """``(rows, keys)``: the rows whose key has no NULL, and their codes."""
+def _keyed_rows(codes, valid):
+    """``(rows, keys)``: the rows whose key can pair, and their codes."""
     if valid is None:
-        return xp.arange(len(codes)), codes
+        return np.arange(len(codes)), codes
     rows = valid.nonzero()[0]
     return rows, codes[rows]
 
@@ -332,43 +294,48 @@ def _pairing_codes(
     right: Batch,
     left_keys: Tuple[str, ...],
     right_keys: Tuple[str, ...],
-    xp,
 ):
     """``(lcodes, lvalid, rcodes, rvalid, width)`` — a code per row over
     one code space for both sides, and per side the mask of the rows
-    whose key has no NULL (None: all of them) — or None unless numpy
-    runs and every key column has exact lanes."""
-    if xp is None:
-        return None
-    lanes = _key_lanes(
-        [left.column(k) for k in left_keys] + [right.column(k) for k in right_keys], xp
-    )
-    if lanes is None:
-        return None
-    llanes, rlanes = lanes[: len(left_keys)], lanes[len(left_keys) :]
-    # factorise each key over left ++ right; a NULL rides along as 0.0
-    # and is told apart by the masks alone
-    codes, width = _joint_codes(
-        [(xp.concatenate((ldata, rdata)), None) for (ldata, _), (rdata, _) in zip(llanes, rlanes)],
-        left.length + right.length,
-        xp,
-    )
-    return (
-        codes[: left.length],
-        _all_valid([valid for _, valid in llanes]),
-        codes[left.length :],
-        _all_valid([valid for _, valid in rlanes]),
-        width,
-    )
+    whose key can pair (None: all of them).
+
+    A key whose two columns have exact lanes is factorised over
+    ``left ++ right``; a NULL rides along as 0.0 and is told apart by
+    the masks alone.  Any other key is coded by one dictionary over both
+    sides' values (:func:`_codes_of_values`) — dict equality is SQL
+    equality for every value equal to itself — and an entry that can
+    equal nothing, NULL or a value not equal to itself (a NaN, which the
+    dictionary matches by identity), masks its rows out: judged once per
+    entry, not per row.
+    """
+    split = left.length
+    columns, lvalids, rvalids = [], [], []
+    for lkey, rkey in zip(left_keys, right_keys):
+        lcolumn, rcolumn = left.column(lkey), right.column(rkey)
+        llanes, rlanes = lcolumn.key_lanes(), rcolumn.key_lanes()
+        if llanes is not None and rlanes is not None:
+            columns.append(_factorised(np.concatenate((llanes[0], rlanes[0])), None))
+            lvalids.append(llanes[1])
+            rvalids.append(rlanes[1])
+            continue
+        codes, table = _codes_of_values(lcolumn.values + rcolumn.values)
+        pairs = np.fromiter((v is not NULL and v == v for v in table), dtype=bool, count=len(table))
+        columns.append((codes, max(len(table), 1)))  # a code space is never empty
+        if not pairs.all():
+            valid = pairs[codes]
+            lvalids.append(valid[:split])
+            rvalids.append(valid[split:])
+    codes, width = _combined(columns, split + right.length)
+    return codes[:split], _all_valid(lvalids), codes[split:], _all_valid(rvalids), width
 
 
-def _member_rows(lcodes, lvalid, rcodes, rvalid, width: int, wanted: bool, xp):
+def _member_rows(lcodes, lvalid, rcodes, rvalid, width: int, wanted: bool):
     """The left rows whose key occurs on the right (*wanted*) or does
     not (not *wanted*), in input order: all a semi or an anti join
-    without a residual reads of its pairs, so none are built.  A NULL
-    key occurs nowhere — a semi join drops the row, an anti join keeps
-    it."""
-    occurs = xp.zeros(width, dtype=bool)
+    without a residual reads of its pairs, so none are built.  A key
+    that cannot pair occurs nowhere — a semi join drops the row, an
+    anti join keeps it."""
+    occurs = np.zeros(width, dtype=bool)
     occurs[rcodes if rvalid is None else rcodes[rvalid]] = True
     hit = occurs[lcodes]
     if lvalid is not None:
@@ -381,67 +348,16 @@ def _hash_pairs(
     right: Batch,
     left_keys: Tuple[str, ...],
     right_keys: Tuple[str, ...],
-    xp,
 ):
     """Candidate (left, right) index pairs under the equi-keys, as two
-    index vectors.
-
-    Left-major, right partners in right-input order; NULL keys on
-    either side produce no candidates.  When every key column has exact
-    lanes the pairs come from :func:`_sorted_pairs`; otherwise (strings,
-    mixed types, a NaN, an int beyond 2^53, no numpy) from hash buckets
-    keyed by the raw values — python dict equality (``1 == 1.0``)
-    coincides with SQL numeric equality, and hashes agree.  Both give
-    the same pairs in the same order.
-    """
-    coded = _pairing_codes(left, right, left_keys, right_keys, xp)
-    if coded is not None:
-        return _sorted_pairs(*coded, xp)
-
-    buckets: Dict[object, List[int]] = {}
-    if len(right_keys) == 1:
-        rvalues = right.column(right_keys[0]).values
-        for j, key in enumerate(rvalues):
-            if key is NULL:
-                continue
-            buckets.setdefault(key, []).append(j)
-    else:
-        rcols = [right.column(k).values for k in right_keys]
-        for j in range(right.length):
-            key = tuple(col[j] for col in rcols)
-            if any(v is NULL for v in key):
-                continue
-            buckets.setdefault(key, []).append(j)
-
-    pairs_l: List[int] = []
-    pairs_r: List[int] = []
-    if len(left_keys) == 1:
-        lvalues = left.column(left_keys[0]).values
-        for i, key in enumerate(lvalues):
-            if key is NULL:
-                continue
-            js = buckets.get(key)
-            if js:
-                pairs_l.extend([i] * len(js))
-                pairs_r.extend(js)
-    else:
-        lcols = [left.column(k).values for k in left_keys]
-        for i in range(left.length):
-            key = tuple(col[i] for col in lcols)
-            if any(v is NULL for v in key):
-                continue
-            js = buckets.get(key)
-            if js:
-                pairs_l.extend([i] * len(js))
-                pairs_r.extend(js)
-    return _vector(pairs_l, xp), _vector(pairs_r, xp)
+    index vectors: left-major, right partners in right-input order."""
+    return _sorted_pairs(*_pairing_codes(left, right, left_keys, right_keys))
 
 
-def _sorted_pairs(lcodes, lvalid, rcodes, rvalid, width: int, xp):
+def _sorted_pairs(lcodes, lvalid, rcodes, rvalid, width: int):
     """The equi-join pairs of two key-code arrays over one code space of
-    *width* codes, *lvalid* / *rvalid* masking the rows whose key has
-    no NULL: left-major, partners in right-input order, as the hash
-    buckets emit them.
+    *width* codes, *lvalid* / *rvalid* masking the rows whose key can
+    pair: left-major, partners in right-input order.
 
     How many right rows hold each code says what there is to do.  No
     code twice on the right: every left row looks its one partner up
@@ -453,47 +369,42 @@ def _sorted_pairs(lcodes, lvalid, rcodes, rvalid, width: int, xp):
     them.  Uniqueness is observed on the codes, not promised by the
     plan: a side that is not unique is never treated as if it were.
     """
-    left_rows, probes = _keyed_rows(lcodes, lvalid, xp)
-    right_rows, right_keys = _keyed_rows(rcodes, rvalid, xp)
-    per_code = xp.bincount(right_keys, minlength=width)
+    left_rows, probes = _keyed_rows(lcodes, lvalid)
+    right_rows, right_keys = _keyed_rows(rcodes, rvalid)
+    per_code = np.bincount(right_keys, minlength=width)
     if per_code.max() <= 1:
-        return _lookup_pairs(right_rows, right_keys, left_rows, probes, width, xp)
-    if xp.bincount(probes, minlength=width).max() <= 1:
-        pairs_r, pairs_l = _lookup_pairs(left_rows, probes, right_rows, right_keys, width, xp)
-        by_owner = _ordered(pairs_l, len(lcodes), xp)
+        return _lookup_pairs(right_rows, right_keys, left_rows, probes, width)
+    if np.bincount(probes, minlength=width).max() <= 1:
+        pairs_r, pairs_l = _lookup_pairs(left_rows, probes, right_rows, right_keys, width)
+        by_owner = _ordered(pairs_l, len(lcodes))
         return pairs_l[by_owner], pairs_r[by_owner]
-    right_rows = right_rows[_ordered(right_keys, width, xp)]
-    run_start = xp.cumsum(per_code) - per_code
+    right_rows = right_rows[_ordered(right_keys, width)]
+    run_start = np.cumsum(per_code) - per_code
     counts = per_code[probes]
-    pairs_l = xp.repeat(left_rows, counts)
+    pairs_l = np.repeat(left_rows, counts)
     # the k-th pair of a left row reads sorted position run_start + k
-    first_pair = xp.cumsum(counts) - counts
-    positions = xp.arange(len(pairs_l)) + xp.repeat(run_start[probes] - first_pair, counts)
+    first_pair = np.cumsum(counts) - counts
+    positions = np.arange(len(pairs_l)) + np.repeat(run_start[probes] - first_pair, counts)
     return pairs_l, right_rows[positions]
 
 
-def _lookup_pairs(rows, keys, probing_rows, probes, width: int, xp):
+def _lookup_pairs(rows, keys, probing_rows, probes, width: int):
     """``(probing rows, their partners)`` where no two of *rows* share a
     key: one scatter files each row under its code, one gather reads
     every probe's slot, and an empty slot is a probing row left out.
     Probing rows stay in input order."""
-    slot = xp.full(width, -1, dtype=xp.intp)
+    slot = np.full(width, -1, dtype=np.intp)
     slot[keys] = rows
     partners = slot[probes]
     matched = partners >= 0
     return probing_rows[matched], partners[matched]
 
 
-def _cross_pairs(left_length: int, right_length: int, xp):
+def _cross_pairs(left_length: int, right_length: int):
     """Every (left, right) pair, left-major."""
-    if xp is None:
-        return (
-            [i for i in range(left_length) for _ in range(right_length)],
-            list(range(right_length)) * left_length,
-        )
     return (
-        xp.repeat(xp.arange(left_length), right_length),
-        xp.tile(xp.arange(right_length), left_length),
+        np.repeat(np.arange(left_length), right_length),
+        np.tile(np.arange(right_length), left_length),
     )
 
 
@@ -507,98 +418,65 @@ def _filter_pairs(residual, left: Batch, right: Batch, pairs_l, pairs_r):
     if residual is None or not len(pairs_l):
         return pairs_l, pairs_r
     keep = eval_tri(residual, _pair_batch(left, right, pairs_l, pairs_r)).true_indices()
-    if isinstance(pairs_l, list):
-        return [pairs_l[i] for i in keep], [pairs_r[i] for i in keep]
     return pairs_l[keep], pairs_r[keep]
 
 
-def _occurring(length: int, rows, wanted: bool, xp):
+def _occurring(length: int, rows, wanted: bool):
     """The rows of a *length*-row input that occur in the pair vector
     *rows* (*wanted*) or that do not (not *wanted*), in input order."""
-    if xp is None:
-        flags = [False] * length
-        for i in rows:
-            flags[i] = True
-        return [i for i, flag in enumerate(flags) if flag is wanted]
-    flags = xp.zeros(length, dtype=bool)
+    flags = np.zeros(length, dtype=bool)
     flags[rows] = True
     return (flags if wanted else ~flags).nonzero()[0]
 
 
-def _partners(left_length: int, pairs_l, pairs_r, xp) -> Runs:
+def _partners(left_length: int, pairs_l, pairs_r) -> Runs:
     """Per left row, its right partners in pair order (groupjoin
     members).  Pairs are left-major, so a left row's partners are one
     run of *pairs_r* — an empty one for a row without any."""
-    if xp is None:
-        counts = [0] * left_length
-        for i in pairs_l:
-            counts[i] += 1
-        ends = list(accumulate(counts))
-        return Runs(pairs_r, [end - count for end, count in zip(ends, counts)], ends)
-    counts = xp.bincount(pairs_l, minlength=left_length)
-    ends = xp.cumsum(counts)
+    counts = np.bincount(pairs_l, minlength=left_length)
+    ends = np.cumsum(counts)
     return Runs(pairs_r, ends - counts, ends)
 
 
-def _outer_slots(kind: OpKind, left_length: int, right_length: int, pairs_l, pairs_r, xp):
+def _outer_slots(kind: OpKind, left_length: int, right_length: int, pairs_l, pairs_r):
     """Outer-join output as one slot vector per side; ``-1`` means "pad".
 
     A left row's pairs come first, in pair order; a left row without any
     gets one padded slot in their place.  A full outerjoin appends the
     unmatched right rows in right-input order.
     """
-    if xp is None:
-        out_l: List[int] = []
-        out_r: List[int] = []
-        pair_count = len(pairs_l)
-        cursor = 0
-        for i in range(left_length):
-            had_match = False
-            while cursor < pair_count and pairs_l[cursor] == i:
-                out_l.append(i)
-                out_r.append(pairs_r[cursor])
-                cursor += 1
-                had_match = True
-            if not had_match:
-                out_l.append(i)
-                out_r.append(-1)
-        if kind is OpKind.FULL_OUTER:
-            unmatched = _occurring(right_length, pairs_r, False, xp)
-            out_l.extend([-1] * len(unmatched))
-            out_r.extend(unmatched)
-        return out_l, out_r
-    counts = xp.bincount(pairs_l, minlength=left_length)
-    slots = xp.maximum(counts, 1)
-    out_l = xp.repeat(xp.arange(left_length), slots)
-    out_r = xp.full(len(out_l), -1, dtype=xp.intp)
+    counts = np.bincount(pairs_l, minlength=left_length)
+    slots = np.maximum(counts, 1)
+    out_l = np.repeat(np.arange(left_length), slots)
+    out_r = np.full(len(out_l), -1, dtype=np.intp)
     # pairs are left-major: pair p of left row i lands at i's first slot
     # plus p's rank among i's pairs
-    shift = (xp.cumsum(slots) - slots) - (xp.cumsum(counts) - counts)
-    out_r[xp.arange(len(pairs_l)) + shift[pairs_l]] = pairs_r
+    shift = (np.cumsum(slots) - slots) - (np.cumsum(counts) - counts)
+    out_r[np.arange(len(pairs_l)) + shift[pairs_l]] = pairs_r
     if kind is OpKind.FULL_OUTER:
-        unmatched = _occurring(right_length, pairs_r, False, xp)
-        out_l = xp.concatenate((out_l, xp.full(len(unmatched), -1, dtype=xp.intp)))
-        out_r = xp.concatenate((out_r, unmatched))
+        unmatched = _occurring(right_length, pairs_r, False)
+        out_l = np.concatenate((out_l, np.full(len(unmatched), -1, dtype=np.intp)))
+        out_r = np.concatenate((out_r, unmatched))
     return out_l, out_r
 
 
-def _emit_join(op, left: Batch, right: Batch, pairs_l, pairs_r, xp) -> Batch:
+def _emit_join(op, left: Batch, right: Batch, pairs_l, pairs_r) -> Batch:
     """Materialise the join output from matched pairs (left-major order)."""
     kind: OpKind = op.op
     if kind is OpKind.INNER:
         return _pair_batch(left, right, pairs_l, pairs_r)
 
     if kind in (OpKind.LEFT_SEMI, OpKind.LEFT_ANTI):
-        return left.take(_occurring(left.length, pairs_l, kind is OpKind.LEFT_SEMI, xp))
+        return left.take(_occurring(left.length, pairs_l, kind is OpKind.LEFT_SEMI))
 
     if kind is OpKind.GROUPJOIN:
         assert op.groupjoin_vector is not None
-        partners = _partners(left.length, pairs_l, pairs_r, xp)
-        return left.extended(_aggregate_columns(op.groupjoin_vector, right, partners, xp))
+        partners = _partners(left.length, pairs_l, pairs_r)
+        return left.extended(_aggregate_columns(op.groupjoin_vector, right, partners))
 
     if kind not in (OpKind.LEFT_OUTER, OpKind.FULL_OUTER):
         raise AssertionError(f"unhandled join kind {kind}")
-    out_l, out_r = _outer_slots(kind, left.length, right.length, pairs_l, pairs_r, xp)
+    out_l, out_r = _outer_slots(kind, left.length, right.length, pairs_l, pairs_r)
     columns: Dict[str, Column] = {}
     for side, slots, defaults in (
         (left, out_l, dict(op.left_defaults)),
@@ -616,31 +494,23 @@ def _emit_join(op, left: Batch, right: Batch, pairs_l, pairs_r, xp) -> Batch:
 # aggregation
 # ---------------------------------------------------------------------------
 
-def _aggregate_columns(
-    vector: AggVector, source: Batch, runs: Runs, xp
-) -> List[Tuple[str, Column]]:
+def _aggregate_columns(vector: AggVector, source: Batch, runs: Runs) -> List[Tuple[str, Column]]:
     """One output column per aggregate, argument expressions evaluated once."""
     out: List[Tuple[str, Column]] = []
     for item in vector:
         call = item.call
         if call.kind is AggKind.COUNT_STAR:
-            if xp is None:
-                lengths = [end - start for start, end in zip(runs.starts, runs.ends)]
-            else:
-                lengths = (runs.ends - runs.starts).tolist()
-            out.append((item.name, Column(lengths)))
+            out.append((item.name, Column((runs.ends - runs.starts).tolist())))
             continue
         argument = eval_expr(call.arg, source)
-        column = None
-        if xp is not None and not call.distinct:
-            column = _array_fold(call.kind, argument, runs, xp)
+        column = None if call.distinct else _array_fold(call.kind, argument, runs)
         if column is None:
-            column = _python_fold(call.kind, call.distinct, argument, runs, xp)
+            column = _python_fold(call.kind, call.distinct, argument, runs)
         out.append((item.name, column))
     return out
 
 
-def _array_fold(kind: AggKind, column: Column, runs: Runs, xp) -> Optional[Column]:
+def _array_fold(kind: AggKind, column: Column, runs: Runs) -> Optional[Column]:
     """*kind* folded over every run with ``ufunc.reduceat`` where that is
     exact by construction, else None (:func:`_python_fold` takes it).
 
@@ -657,9 +527,9 @@ def _array_fold(kind: AggKind, column: Column, runs: Runs, xp) -> Optional[Colum
     runs are folded — they tile the rows, each one's start being the end
     of the one before — and the results scattered.
     """
-    if kind is AggKind.AVG or (kind is AggKind.SUM and not column.int_only(xp)):
+    if kind is AggKind.AVG or (kind is AggKind.SUM and not column.int_only()):
         return None
-    lanes = column.lanes(xp) if kind is AggKind.COUNT else column.key_lanes(xp)
+    lanes = column.lanes() if kind is AggKind.COUNT else column.key_lanes()
     if lanes is None:
         return None
     data, valid = lanes
@@ -672,40 +542,40 @@ def _array_fold(kind: AggKind, column: Column, runs: Runs, xp) -> Optional[Colum
     if kind in (AggKind.COUNT, AggKind.SUM):
         counts = lengths
         if valid is not None:
-            counts = xp.zeros(len(lengths), dtype=xp.intp)
-            counts[filled] = xp.add.reduceat(valid.astype(xp.intp), cuts)
+            counts = np.zeros(len(lengths), dtype=np.intp)
+            counts[filled] = np.add.reduceat(valid.astype(np.intp), cuts)
         if kind is AggKind.COUNT:
             return Column(counts.tolist())
         if not len(filled) or max(data.max(), -data.min()) * int(lengths.max()) >= 2.0**62:
             return None
         lane = data[order]
         if valid is not None:
-            lane = xp.where(valid, lane, 0.0)
-        sums = xp.zeros(len(lengths), dtype=xp.int64)
-        sums[filled] = xp.add.reduceat(lane.astype(xp.int64), cuts)
+            lane = np.where(valid, lane, 0.0)
+        sums = np.zeros(len(lengths), dtype=np.int64)
+        sums[filled] = np.add.reduceat(lane.astype(np.int64), cuts)
         totals = sums.tolist()
         for run in (counts == 0).nonzero()[0].tolist():
             totals[run] = NULL
         return Column(totals)
-    ufunc, worst = (xp.minimum, xp.inf) if kind is AggKind.MIN else (xp.maximum, -xp.inf)
+    ufunc, worst = (np.minimum, np.inf) if kind is AggKind.MIN else (np.maximum, -np.inf)
     lane = data[order]
     if valid is not None:
-        lane = xp.where(valid, lane, worst)
-    hit = lane == xp.repeat(ufunc.reduceat(lane, cuts), lengths[filled])
+        lane = np.where(valid, lane, worst)
+    hit = lane == np.repeat(ufunc.reduceat(lane, cuts), lengths[filled])
     if valid is not None:
         hit &= valid
     # the first hit at or after each run's start; past its end: no valid row
-    hits = xp.append(hit.nonzero()[0], len(lane))
-    first_hit = hits[xp.searchsorted(hits, cuts)]
+    hits = np.append(hit.nonzero()[0], len(lane))
+    first_hit = hits[np.searchsorted(hits, cuts)]
     found = first_hit < ends[filled]
     if len(filled) == len(lengths) and bool(found.all()):
         return column.take(order[first_hit])
-    rows = xp.full(len(lengths), -1, dtype=xp.intp)
+    rows = np.full(len(lengths), -1, dtype=np.intp)
     rows[filled[found]] = order[first_hit[found]]
     return column.take_padded(rows, NULL)
 
 
-def _python_fold(kind: AggKind, distinct: bool, column: Column, runs: Runs, xp) -> Column:
+def _python_fold(kind: AggKind, distinct: bool, column: Column, runs: Runs) -> Column:
     """``AggCall.evaluate`` per run, over the argument's values gathered
     once in run order and sliced.
 
@@ -714,13 +584,10 @@ def _python_fold(kind: AggKind, distinct: bool, column: Column, runs: Runs, xp) 
     """
     order, starts, ends = runs
     values = column.take(order).values
-    holds_null = True
-    if xp is not None:
-        lanes = column.lanes(xp)
-        holds_null = lanes is None or lanes[1] is not None
-        starts, ends = starts.tolist(), ends.tolist()
+    lanes = column.lanes()
+    holds_null = lanes is None or lanes[1] is not None
     out = []
-    for start, end in zip(starts, ends):
+    for start, end in zip(starts.tolist(), ends.tolist()):
         members = values[start:end]
         if holds_null:
             members = [v for v in members if v is not NULL]
@@ -754,66 +621,44 @@ def _evaluate_call(kind: AggKind, distinct: bool, values: List[SqlValue]) -> Sql
     raise AssertionError(f"unhandled aggregate kind {kind}")
 
 
-def _group_rows(child: Batch, group_attrs: Tuple[str, ...], xp):
+def _group_rows(child: Batch, group_attrs: Tuple[str, ...]):
     """``(firsts, runs)``: per group its first row, and the groups as
     :class:`Runs` — members in input order, groups in order of first
     occurrence.
 
-    Under numpy every grouping column brings a code per row — exact
-    lanes factorised, key codes otherwise (:func:`_grouping_codes`);
-    each code is ranked by the first row that holds it, and one sort of
-    ``(rank, row)`` lays the runs out.  Without numpy the rows are
-    bucketed by their :func:`group_key` tuples.  Same answer either way.
+    Every grouping column brings a code per row — exact lanes
+    factorised, key codes otherwise (:func:`_grouping_codes`); each code
+    is ranked by the first row that holds it, and one sort of
+    ``(rank, row)`` lays the runs out.
     """
     rows = child.length
     if not rows:
-        none = _vector([], xp)
+        none = np.zeros(0, dtype=np.intp)
         return none, Runs(none, none, none)
     if not group_attrs:  # one group of everything
-        if xp is None:
-            return [0], Runs(range(rows), [0], [rows])
-        one = xp.zeros(1, dtype=xp.intp)
-        return one, Runs(xp.arange(rows), one, one + rows)
-    if xp is not None:
-        codes, width = _combined(
-            [_grouping_codes(child.column(a), xp) for a in group_attrs], rows, xp
-        )
-        row_ids = xp.arange(rows)
-        first = xp.full(width, rows)
-        # a repeated index keeps its last assignment: the smallest row
-        first[codes[::-1]] = row_ids[::-1]
-        present = (first < rows).nonzero()[0]
-        by_first = present[xp.argsort(first[present])]
-        rank = xp.empty(width, dtype=xp.intp)
-        rank[by_first] = xp.arange(len(by_first))
-        ranks = rank[codes]
-        counts = xp.bincount(ranks)
-        ends = xp.cumsum(counts)
-        order = _ordered(ranks, len(by_first), xp)
-        return first[by_first], Runs(order, ends - counts, ends)
-
-    group_values = [child.column(a).values for a in group_attrs]
-    buckets: Dict[Tuple, int] = {}
-    firsts: List[int] = []
-    groups: List[List[int]] = []
-    for i in range(rows):
-        key = tuple(group_key(col[i]) for col in group_values)
-        slot = buckets.get(key)
-        if slot is None:
-            buckets[key] = len(groups)
-            firsts.append(i)
-            groups.append([i])
-        else:
-            groups[slot].append(i)
-    ends = list(accumulate(map(len, groups)))
-    return firsts, Runs(list(chain.from_iterable(groups)), [0] + ends[:-1], ends)
+        one = np.zeros(1, dtype=np.intp)
+        return one, Runs(np.arange(rows), one, one + rows)
+    codes, width = _combined([_grouping_codes(child.column(a)) for a in group_attrs], rows)
+    row_ids = np.arange(rows)
+    first = np.full(width, rows)
+    # a repeated index keeps its last assignment: the smallest row
+    first[codes[::-1]] = row_ids[::-1]
+    present = (first < rows).nonzero()[0]
+    by_first = present[np.argsort(first[present])]
+    rank = np.empty(width, dtype=np.intp)
+    rank[by_first] = np.arange(len(by_first))
+    ranks = rank[codes]
+    counts = np.bincount(ranks)
+    ends = np.cumsum(counts)
+    order = _ordered(ranks, len(by_first))
+    return first[by_first], Runs(order, ends - counts, ends)
 
 
-def _group_agg(op: PhysGroupAgg, child: Batch, xp) -> Batch:
-    firsts, runs = _group_rows(child, op.group_attrs, xp)
+def _group_agg(op: PhysGroupAgg, child: Batch) -> Batch:
+    firsts, runs = _group_rows(child, op.group_attrs)
     columns = {attr: child.column(attr).take(firsts) for attr in op.group_attrs}
     grouped = Batch(op.group_attrs, columns, len(firsts))
-    grouped = grouped.extended(_aggregate_columns(op.vector, child, runs, xp))
+    grouped = grouped.extended(_aggregate_columns(op.vector, child, runs))
 
     if not op.post:
         return grouped
@@ -828,7 +673,7 @@ def _group_agg(op: PhysGroupAgg, child: Batch, xp) -> Batch:
 # sort
 # ---------------------------------------------------------------------------
 
-def _sort(op: PhysSort, child: Batch, xp) -> Batch:
+def _sort(op: PhysSort, child: Batch) -> Batch:
     indices = list(range(child.length))
     # Stable multi-key sort: apply keys right-to-left.  NULL sorts as the
     # largest value (Postgres default: NULLS LAST ascending, FIRST
@@ -839,4 +684,4 @@ def _sort(op: PhysSort, child: Batch, xp) -> Batch:
             key=lambda i: (values[i] is NULL, values[i]),
             reverse=descending,
         )
-    return child.take(_vector(indices, xp))
+    return child.take(np.array(indices, dtype=np.intp))

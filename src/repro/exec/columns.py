@@ -26,6 +26,17 @@ something reads it:
   nothing reads is never gathered at all.  A constant
   (:func:`const_column`) is a take of a one-value column.
 
+numpy is the execution tier's dependency, and this module — the root
+every columnar and dataset path imports — is where a process without it
+learns so, in one line naming the ``exec`` extra; planning never
+imports it.  IEEE-754 doubles make elementwise ``+ - * /`` and the six
+comparisons on lanes bit-identical to the python-float semantics of
+:func:`~repro.algebra.values.sql_arith` /
+:func:`~repro.algebra.values.sql_compare`, which is what lets the
+executor promise the interpreter's rows.  The one deliberate
+divergence: python ints are arbitrary precision, float64 lanes are not,
+so integer *arithmetic* beyond 2^53 loses exactness.
+
 Lanes are *exact* when comparing them compares the values: no NaN (one
 python NaN is not another) and no int at or beyond ±2^53 (where float64
 stops telling neighbours apart).  Only exact lanes may key a join or a
@@ -51,6 +62,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+try:
+    import numpy as np
+except ImportError as missing:  # pragma: no cover - exercised in a subprocess test
+    raise ImportError("columnar execution needs numpy: pip install 'repro[exec]'") from missing
+
 from repro.algebra.relation import Relation
 from repro.algebra.rows import Row
 from repro.algebra.values import NULL, SqlValue
@@ -68,29 +84,17 @@ _INT_TYPES = frozenset((int, bool, type(NULL)))
 _EXACT_INT_BOUND = float(2**53)
 
 
-def _is_array(index) -> bool:
-    return hasattr(index, "tolist")
-
-
 def _compose(index, indices, padded: bool):
     """``index[indices]``; with *padded*, ``-1`` in *indices* stays ``-1``."""
     if isinstance(indices, range):  # Batch.head: a prefix, no gather
         return index[indices.start : indices.stop : indices.step]
-    if _is_array(index) and _is_array(indices):
-        vector = index[indices]  # fancy indexing copies, so the fix-up below is safe
-        if padded:
-            vector[indices < 0] = -1
-        return vector
-    if _is_array(index):
-        index = index.tolist()
-    if _is_array(indices):
-        indices = indices.tolist()
+    vector = np.asarray(index)[indices]  # fancy indexing copies, so the fix-up below is safe
     if padded:
-        return [-1 if i < 0 else index[i] for i in indices]
-    return [index[i] for i in indices]
+        vector[indices < 0] = -1
+    return vector
 
 
-def _lanes_of_values(values: List[SqlValue], xp):
+def _lanes_of_values(values: List[SqlValue]):
     """``((data, valid), exact, int_only)`` of a value list, or three
     times False when it is not numeric (or holds an int float64 cannot
     represent)."""
@@ -99,26 +103,26 @@ def _lanes_of_values(values: List[SqlValue], xp):
         return False, False, False
     try:
         if type(NULL) in kinds:
-            valid = xp.asarray([v is not NULL for v in values], dtype=bool)
-            data = xp.asarray([0.0 if v is NULL else v for v in values], dtype=xp.float64)
+            valid = np.asarray([v is not NULL for v in values], dtype=bool)
+            data = np.asarray([0.0 if v is NULL else v for v in values], dtype=np.float64)
         else:
             valid = None
-            data = xp.asarray(values, dtype=xp.float64)
+            data = np.asarray(values, dtype=np.float64)
     except OverflowError:
         return False, False, False
-    exact = not (float in kinds and bool(xp.isnan(data).any())) and not (
-        int in kinds and bool((xp.abs(data) >= _EXACT_INT_BOUND).any())
+    exact = not (float in kinds and bool(np.isnan(data).any())) and not (
+        int in kinds and bool((np.abs(data) >= _EXACT_INT_BOUND).any())
     )
     return (data, valid), exact, kinds <= _INT_TYPES
 
 
-def _codes_of_values(values: List[SqlValue], xp):
+def _codes_of_values(values: List[SqlValue]):
     """``(codes, table)`` of a value list: the dictionary in order of
     first occurrence, and each row's code looked up in it — two passes
     at C speed, no python per row."""
     table = dict.fromkeys(values)
     table = dict(zip(table, range(len(table))))
-    codes = xp.fromiter(map(table.__getitem__, values), dtype=xp.intp, count=len(values))
+    codes = np.fromiter(map(table.__getitem__, values), dtype=np.intp, count=len(values))
     return codes, table
 
 
@@ -177,7 +181,9 @@ class Column:
                     # every index is 0: a constant (const_column)
                     self._values = source * self._length
                 else:
-                    index = self._index.tolist() if _is_array(self._index) else self._index
+                    index = self._index
+                    if not isinstance(index, range):
+                        index = index.tolist()
                     if self._pad is _NO_PAD:
                         self._values = list(map(source.__getitem__, index))
                     else:
@@ -192,19 +198,18 @@ class Column:
                 self._values = out
         return self._values
 
-    def lanes(self, xp):
+    def lanes(self):
         """``(data, valid)`` float64/bool lanes, or None if non-numeric.
 
-        ``valid`` is None for a column without NULLs.  *xp* is the numpy
-        module (the caller already checked the backend seam).  The
-        numeric check and conversion run once per column — once per
-        process for a table's base column.
+        ``valid`` is None for a column without NULLs.  The numeric check
+        and conversion run once per column — once per process for a
+        table's base column.
         """
         if self._lanes is None:
             if self._parent is not None:
-                lanes, exact, int_only = self._gathered_lanes(xp)
+                lanes, exact, int_only = self._gathered_lanes()
             else:
-                lanes, exact, int_only = _lanes_of_values(self._values, xp)
+                lanes, exact, int_only = _lanes_of_values(self._values)
             # the verdicts first: a concurrent reader that sees the lanes
             # must see them too
             self._exact = exact
@@ -212,25 +217,25 @@ class Column:
             self._lanes = lanes
         return self._lanes if self._lanes is not False else None
 
-    def key_lanes(self, xp):
+    def key_lanes(self):
         """The lanes if they are exact — fit to key a join or a grouping —
         else None: non-numeric, a NaN, or an int at or beyond ±2^53."""
-        lanes = self.lanes(xp)
+        lanes = self.lanes()
         if lanes is None:
             return None
         if self._exact is None:  # computed lanes hold floats: only NaN is inexact
-            self._exact = not bool(xp.isnan(lanes[0]).any())
+            self._exact = not bool(np.isnan(lanes[0]).any())
         return lanes if self._exact else None
 
-    def int_only(self, xp) -> bool:
+    def int_only(self) -> bool:
         """Whether the column has lanes and every non-NULL value is a
         python int (bools count: ``sum`` adds them up to one) — an int64
         sum over exact lanes is then python's own, type included."""
-        return self.lanes(xp) is not None and self._int_only
+        return self.lanes() is not None and self._int_only
 
-    def _gathered_lanes(self, xp):
+    def _gathered_lanes(self):
         parent = self._parent
-        lanes = parent.lanes(xp)
+        lanes = parent.lanes()
         if lanes is None:
             return False, False, False
         data, valid = lanes
@@ -246,7 +251,7 @@ class Column:
         int_only = parent._int_only and type(pad) in _INT_TYPES
         # take_padded never pads an empty parent, so -1 reads the last
         # row and the fix-up overwrites it
-        missing = xp.asarray(index) < 0
+        missing = np.asarray(index) < 0
         data = data[index]
         if pad is NULL:
             data[missing] = 0.0
@@ -263,7 +268,7 @@ class Column:
             exact = False
         return (data, valid), exact, int_only
 
-    def key_codes(self, xp):
+    def key_codes(self):
         """``(codes, table)``: one ``intp`` code per row and the
         dictionary ``value → code`` that assigned them.
 
@@ -277,13 +282,13 @@ class Column:
         """
         if self._codes is None:
             if self._parent is None:
-                self._codes = _codes_of_values(self.values, xp)
+                self._codes = _codes_of_values(self.values)
             else:
-                self._codes = self._gathered_codes(xp)
+                self._codes = self._gathered_codes()
         return self._codes
 
-    def _gathered_codes(self, xp):
-        codes, table = self._parent.key_codes(xp)
+    def _gathered_codes(self):
+        codes, table = self._parent.key_codes()
         index, pad = self._index, self._pad
         codes = codes[index]
         if pad is not _NO_PAD:
@@ -292,15 +297,15 @@ class Column:
                 pad_code = len(table)
                 table = {**table, pad: pad_code}
             # as for lanes: -1 read the last row, the fix-up overwrites it
-            codes[xp.asarray(index) < 0] = pad_code
+            codes[np.asarray(index) < 0] = pad_code
         return codes, table
 
     def take(self, indices, composed: Optional[dict] = None) -> "Column":
         """Late gather by row index (no padding — see ``take_padded``).
 
-        *indices* is an index vector: a numpy integer array, or a list
-        / range in a numpy-less process.  *composed* lets the columns of
-        one batch that share an earlier take compose it once.
+        *indices* is an index vector: an integer array, or a ``range``
+        (a prefix).  *composed* lets the columns of one batch that share
+        an earlier take compose it once.
         """
         if self._parent is None:
             return Column._late(self, indices)
@@ -328,14 +333,12 @@ class Column:
         return vector
 
 
-def const_column(value: SqlValue, length: int, xp=None) -> Column:
-    """*length* copies of *value*.  Under numpy (*xp*) a late take of a
-    one-value column through a stride-0 index vector: no list of
-    *length* is built unless something reads the values, and the lanes
-    are one gather of one float, not a conversion of *length* objects."""
-    if xp is None:
-        return Column([value] * length)
-    return Column([value]).take(xp.broadcast_to(xp.intp(0), (length,)))
+def const_column(value: SqlValue, length: int) -> Column:
+    """*length* copies of *value*: a late take of a one-value column
+    through a stride-0 index vector.  No list of *length* is built unless
+    something reads the values, and the lanes are one gather of one
+    float, not a conversion of *length* objects."""
+    return Column([value]).take(np.broadcast_to(np.intp(0), (length,)))
 
 
 class Batch:

@@ -43,20 +43,15 @@ def test_every_view_and_batch_shares_the_tables_columns():
     """One Column per value list for the life of the table: what a column
     caches (its lanes) is computed once, not per alias or per request —
     and only for the columns somebody computed on."""
-    from repro.exec.arrays import numpy_module
-
     table = ColumnTable("t", {"k": [1, 2, NULL], "v": [1.5, 2.5, 3.5], "w": [7, 8, 9]})
     first, second = table.view(("a.k", "a.v", "a.w")), table.view(("b.k", "b.v", "b.w"))
     key = first.as_batch().column("a.k")
     assert key is second.as_batch().column("b.k") is table.as_batch().column("k")
-    xp = numpy_module()
-    if xp is None:
-        pytest.skip("lanes need numpy")
-    lanes = key.lanes(xp)
-    assert second.as_batch().column("b.k").lanes(xp) is lanes
+    lanes = key.lanes()
+    assert second.as_batch().column("b.k").lanes() is lanes
     assert lanes[1].tolist() == [True, True, False]
     # a NULL-free column carries no validity mask at all
-    assert first.as_batch().column("a.v").lanes(xp)[1] is None
+    assert first.as_batch().column("a.v").lanes()[1] is None
     # and a column nothing computed on has no lanes
     assert table.as_batch().column("w")._lanes is None
 
@@ -69,25 +64,21 @@ def test_a_base_columns_dictionary_is_built_once_per_process(monkeypatch):
     from repro.aggregates.vector import AggItem, AggVector
     from repro.algebra.expressions import Attr, BinOp, Const
     from repro.exec import columns
-    from repro.exec.arrays import numpy_module
     from repro.plans.nodes import GroupByNode, SelectNode
 
-    xp = numpy_module()
-    if xp is None:
-        pytest.skip("key codes need numpy")
     table = ColumnTable("t", {"k": ["x", "y", NULL, "x"], "v": [1, 2, 3, 4]})
     first, second = table.view(("a.k", "a.v")), table.view(("b.k", "b.v"))
-    codes = first.as_batch().column("a.k").key_codes(xp)
+    codes = first.as_batch().column("a.k").key_codes()
     assert codes[0].tolist() == [0, 1, 2, 0] and list(codes[1]) == ["x", "y", NULL]
-    assert second.as_batch().column("b.k").key_codes(xp) is codes
-    assert table.as_batch().column("k").key_codes(xp) is table.as_batch().column("k").key_codes(xp)
+    assert second.as_batch().column("b.k").key_codes() is codes
+    assert table.as_batch().column("k").key_codes() is table.as_batch().column("k").key_codes()
     # a column nothing keyed on has no dictionary
     assert table.as_batch().column("v")._codes is None
 
     built = []
     build = columns._codes_of_values
     monkeypatch.setattr(
-        columns, "_codes_of_values", lambda values, xp: built.append(values) or build(values, xp)
+        columns, "_codes_of_values", lambda values: built.append(values) or build(values)
     )
     fresh = ColumnTable("u", {"k": ["x", "y", NULL, "x", "y"], "s": ["p", "q", "p", "q", "p"]})
     scan = ScanNode("u", ("u.k", "u.s"))

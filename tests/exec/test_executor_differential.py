@@ -1,17 +1,12 @@
 """Differential gate: the columnar executor is row-set identical to the
-interpreter on random SQL workloads and every TPC-H query, under both
-array backends and for every optimizer strategy's plan shape."""
+interpreter on random SQL workloads and every TPC-H query, for every
+optimizer strategy's plan shape — and at a scale the interpreter cannot
+reach, every eager strategy's plan returns the lazy plan's rows."""
 
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
-
-# The backend fixture only toggles an env var read per run_plan call, so
-# not resetting it between generated inputs is safe.
-FIXTURE_OK = dict(
-    deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
-)
+from hypothesis import given, settings, strategies as st
 
 from repro.exec import run_plan
 from repro.optimizer import optimize
@@ -21,11 +16,14 @@ from repro.tpch.queries import TPCH_QUERIES, micro_database
 from repro.workload import WorkloadConfig, generate_database, generate_query
 
 STRATEGIES = ["ea-prune", "dphyp", "h1"]
+#: every built-in strategy; all but ``dphyp`` aggregate eagerly
+ALL_STRATEGIES = ["dphyp", "ea-all", "ea-prune", "h1", "h2"]
+EAGER_STRATEGIES = ALL_STRATEGIES[1:]
 
 
-@settings(max_examples=20, **FIXTURE_OK)
+@settings(max_examples=20, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=100_000))
-def test_random_workloads_row_set_identical(backend, seed):
+def test_random_workloads_row_set_identical(seed):
     rng = random.Random(seed)
     query = generate_query(rng.randint(2, 5), rng)
     database = generate_database(query, rng)
@@ -38,9 +36,9 @@ def test_random_workloads_row_set_identical(backend, seed):
         assert columnar == interpreter, f"diverged on seed {seed}"
 
 
-@settings(max_examples=10, **FIXTURE_OK)
+@settings(max_examples=10, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=100_000))
-def test_outer_join_heavy_workloads(backend, seed):
+def test_outer_join_heavy_workloads(seed):
     from repro.rewrites.pushdown import OpKind
 
     rng = random.Random(seed)
@@ -61,31 +59,48 @@ def test_outer_join_heavy_workloads(backend, seed):
     )
 
 
+@pytest.mark.parametrize("strategy", ALL_STRATEGIES)
 @pytest.mark.parametrize("name", sorted(TPCH_QUERIES))
-def test_tpch_micro_all_strategies(backend, name):
+def test_tpch_micro_all_strategies(name, strategy):
     query = TPCH_QUERIES[name](1.0)
     database = micro_database(query)
     expected = run_plan(canonical_plan(query), database, executor="interpreter")
-    for strategy in STRATEGIES:
-        plan = optimize(query, strategy).plan.node
-        assert run_plan(plan, database, executor="columnar") == expected, (
-            f"{name} diverged under {strategy}"
-        )
+    plan = optimize(query, strategy).plan.node
+    assert run_plan(plan, database, executor="columnar") == expected
 
 
-def test_tpch_scaled_numpy_matches_fallback(monkeypatch):
-    """Cross-backend check at a scale the interpreter cannot reach."""
-    from repro.exec.arrays import FORCE_FALLBACK_ENV, HAVE_NUMPY
+@pytest.fixture(scope="module")
+def sf001():
+    return scaled_dataset(0.01)
 
-    if not HAVE_NUMPY:
-        pytest.skip("numpy not installed")
-    dataset = scaled_dataset(0.01)
-    query = TPCH_QUERIES["Q3"](0.01)
-    database = dataset.database_for(query)
-    plan = optimize(query, "ea-prune").plan.node
-    monkeypatch.delenv(FORCE_FALLBACK_ENV, raising=False)
-    accelerated = run_plan(plan, database, executor="columnar")
-    monkeypatch.setenv(FORCE_FALLBACK_ENV, "1")
-    fallback = run_plan(plan, database, executor="columnar")
-    assert accelerated == fallback
-    assert len(accelerated.rows) > 0
+
+@pytest.fixture(scope="module")
+def lazy_rows(sf001):
+    """``name → (database, the dphyp plan's rows)`` at SF 0.01, each
+    query run once per module."""
+    memo = {}
+
+    def rows(name):
+        if name not in memo:
+            query = TPCH_QUERIES[name](0.01)
+            database = sf001.database_for(query)
+            plan = optimize(query, "dphyp").plan.node
+            memo[name] = database, run_plan(plan, database, executor="columnar")
+        return memo[name]
+
+    return rows
+
+
+@pytest.mark.parametrize("strategy", EAGER_STRATEGIES)
+@pytest.mark.parametrize("name", sorted(TPCH_QUERIES))
+def test_tpch_scaled_eager_plans_return_the_lazy_plans_rows(lazy_rows, name, strategy):
+    """At SF 0.01 the plan of every eager strategy returns the rows of
+    the ``dphyp`` (lazy) plan on the columnar executor.  Rows compare as
+    a bag under SQL equality: an eager plan multiplies partial counts on
+    float64 lanes, so its ``count`` may be spelled ``4.0`` where the
+    lazy plan's is ``4``."""
+    database, lazy = lazy_rows(name)
+    assert len(lazy.rows) > 0
+    query = TPCH_QUERIES[name](0.01)
+    eager = run_plan(optimize(query, strategy).plan.node, database, executor="columnar")
+    assert eager == lazy

@@ -2,8 +2,8 @@
 
 NULL join keys under semi/anti/outer joins, predicates evaluating to
 UNKNOWN, empty inputs, and duplicate-heavy group-bys — each asserted
-both against the interpreter (row-set equality) and against the SQL
-semantics directly, under both array backends.
+both against the interpreter (row-set equality, over each scan source
+of the ``both`` fixture) and against the SQL semantics directly.
 """
 
 import pytest
@@ -32,13 +32,6 @@ ALL_JOIN_KINDS = [
 ]
 
 
-def both(plan, database):
-    columnar = run_plan(plan, database, executor="columnar")
-    interpreter = run_plan(plan, database, executor="interpreter")
-    assert columnar == interpreter
-    return columnar
-
-
 # ---------------------------------------------------------------------------
 # NULL join keys
 # ---------------------------------------------------------------------------
@@ -48,24 +41,24 @@ NULL_R = Relation.from_tuples(("r.k",), [(NULL,), (1,), (3,)])
 NULL_DB = {"L": NULL_L, "R": NULL_R}
 
 
-def test_null_keys_never_match_inner(backend):
+def test_null_keys_never_match_inner(both):
     result = both(JoinNode(OpKind.INNER, KEY_EQ, SCAN_L, SCAN_R), NULL_DB)
     # Only 1=1 matches; NULL=NULL is UNKNOWN, not TRUE.
     assert [(r["l.k"], r["r.k"]) for r in result.rows] == [(1, 1)]
 
 
-def test_null_keys_semi_join(backend):
+def test_null_keys_semi_join(both):
     result = both(JoinNode(OpKind.LEFT_SEMI, KEY_EQ, SCAN_L, SCAN_R), NULL_DB)
     assert [r["l.k"] for r in result.rows] == [1]
 
 
-def test_null_keys_anti_join_keeps_null_rows(backend):
+def test_null_keys_anti_join_keeps_null_rows(both):
     # NOT EXISTS semantics: a NULL-keyed left row has no match, so it stays.
     result = both(JoinNode(OpKind.LEFT_ANTI, KEY_EQ, SCAN_L, SCAN_R), NULL_DB)
     assert [r["l.k"] for r in result.rows] == [NULL, 2, NULL]
 
 
-def test_null_keys_left_outer_pads_null_rows(backend):
+def test_null_keys_left_outer_pads_null_rows(both):
     result = both(JoinNode(OpKind.LEFT_OUTER, KEY_EQ, SCAN_L, SCAN_R), NULL_DB)
     assert [(r["l.k"], r["r.k"]) for r in result.rows] == [
         (1, 1),
@@ -75,14 +68,14 @@ def test_null_keys_left_outer_pads_null_rows(backend):
     ]
 
 
-def test_null_keys_full_outer_emits_both_sides(backend):
+def test_null_keys_full_outer_emits_both_sides(both):
     result = both(JoinNode(OpKind.FULL_OUTER, KEY_EQ, SCAN_L, SCAN_R), NULL_DB)
     # 4 left rows (one matched) + 2 unmatched right rows appended at the end.
     assert len(result.rows) == 6
     assert [(r["l.k"], r["r.k"]) for r in result.rows[-2:]] == [(NULL, NULL), (NULL, 3)]
 
 
-def test_null_in_multi_key_conjunction(backend):
+def test_null_in_multi_key_conjunction(both):
     left = Relation.from_tuples(("l.a", "l.b"), [(1, 1), (1, NULL), (NULL, 2)])
     right = Relation.from_tuples(("r.a", "r.b"), [(1, 1), (1, 2), (NULL, 2)])
     pred = Logical(
@@ -99,11 +92,39 @@ def test_null_in_multi_key_conjunction(backend):
     assert [(r["l.a"], r["l.b"]) for r in result.rows] == [(1, 1)]
 
 
+def test_a_nan_key_never_pairs_not_even_with_itself(tmp_path):
+    # A CSV ``nan`` cell loads as one float object, and both views of a
+    # self-join share it: a dictionary matches it by identity, while
+    # SQL ``=`` — NaN = NaN — is FALSE.
+    from repro.data.loader import load_directory
+
+    (tmp_path / "t.csv").write_text("x,y\nnan,1\n2.5,2\n")
+    table = load_directory(str(tmp_path)).table("t")
+    database = {"A": table.view(("a.x", "a.y")), "B": table.view(("b.x", "b.y"))}
+    scans = ScanNode("A", ("a.x", "a.y")), ScanNode("B", ("b.x", "b.y"))
+    keys = BinOp("=", Attr("a.x"), Attr("b.x"))
+    for predicate in (
+        keys,
+        Logical("and", (keys, BinOp("=", Attr("a.y"), Attr("b.y")))),
+        Logical("and", (keys, BinOp("<=", Attr("a.y"), Attr("b.y")))),
+    ):
+        for kind, expected in (
+            (OpKind.INNER, [["2.5", "2", "2.5", "2"]]),
+            (OpKind.LEFT_SEMI, [["2.5", "2"]]),
+            (OpKind.LEFT_ANTI, [["nan", "1"]]),
+        ):
+            plan = JoinNode(kind, predicate, *scans)
+            for executor in ("columnar", "interpreter"):
+                rows = run_plan(plan, database, executor=executor).rows
+                # NaN != NaN: the rows are compared spelled out
+                assert [[repr(row[a]) for a in plan.attributes] for row in rows] == expected
+
+
 # ---------------------------------------------------------------------------
 # UNKNOWN three-valued logic
 # ---------------------------------------------------------------------------
 
-def test_unknown_is_not_false_for_not(backend):
+def test_unknown_is_not_false_for_not(both):
     # NOT (NULL > 0) is UNKNOWN, not TRUE: the row must NOT pass.
     t = Relation.from_tuples(("t.x",), [(NULL,), (-1,), (5,)])
     plan = SelectNode(Not(BinOp(">", Attr("t.x"), Const(0))), ScanNode("T", ("t.x",)))
@@ -111,7 +132,7 @@ def test_unknown_is_not_false_for_not(backend):
     assert [r["t.x"] for r in result.rows] == [-1]
 
 
-def test_kleene_or_rescues_unknown(backend):
+def test_kleene_or_rescues_unknown(both):
     # UNKNOWN OR TRUE = TRUE: rows with NULL x but matching y still pass.
     t = Relation.from_tuples(("t.x", "t.y"), [(NULL, 1), (NULL, 0), (3, 0)])
     pred = Logical("or", (BinOp(">", Attr("t.x"), Const(0)), BinOp("=", Attr("t.y"), Const(1))))
@@ -120,7 +141,7 @@ def test_kleene_or_rescues_unknown(backend):
     assert [(r["t.x"], r["t.y"]) for r in result.rows] == [(NULL, 1), (3, 0)]
 
 
-def test_kleene_and_unknown_poisons_true(backend):
+def test_kleene_and_unknown_poisons_true(both):
     t = Relation.from_tuples(("t.x", "t.y"), [(NULL, 1), (2, 1)])
     pred = Logical("and", (BinOp(">", Attr("t.x"), Const(0)), BinOp("=", Attr("t.y"), Const(1))))
     plan = SelectNode(pred, ScanNode("T", ("t.x", "t.y")))
@@ -128,7 +149,7 @@ def test_kleene_and_unknown_poisons_true(backend):
     assert [r["t.x"] for r in result.rows] == [2]
 
 
-def test_is_null_is_two_valued(backend):
+def test_is_null_is_two_valued(both):
     t = Relation.from_tuples(("t.x",), [(NULL,), (0,), (1,)])
     plan = SelectNode(IsNull(Attr("t.x")), ScanNode("T", ("t.x",)))
     assert len(both(plan, {"T": t}).rows) == 1
@@ -136,7 +157,7 @@ def test_is_null_is_two_valued(backend):
     assert len(both(plan, {"T": t}).rows) == 2
 
 
-def test_unknown_residual_on_hash_join(backend):
+def test_unknown_residual_on_hash_join(both):
     # Hash keys match but the residual is UNKNOWN: the pair must drop.
     left = Relation.from_tuples(("l.k", "l.v"), [(1, NULL), (1, 5)])
     right = Relation.from_tuples(("r.k",), [(1,)])
@@ -157,7 +178,7 @@ SOME_R = Relation.from_tuples(("r.k",), [(2,), (3,)])
 
 
 @pytest.mark.parametrize("kind", ALL_JOIN_KINDS)
-def test_empty_left_input(backend, kind):
+def test_empty_left_input(both, kind):
     plan = JoinNode(kind, KEY_EQ, SCAN_L, SCAN_R)
     result = both(plan, {"L": EMPTY_L, "R": SOME_R})
     if kind is OpKind.FULL_OUTER:
@@ -167,7 +188,7 @@ def test_empty_left_input(backend, kind):
 
 
 @pytest.mark.parametrize("kind", ALL_JOIN_KINDS)
-def test_empty_right_input(backend, kind):
+def test_empty_right_input(both, kind):
     plan = JoinNode(kind, KEY_EQ, SCAN_L, SCAN_R)
     result = both(plan, {"L": SOME_L, "R": EMPTY_R})
     if kind in (OpKind.LEFT_OUTER, OpKind.FULL_OUTER, OpKind.LEFT_ANTI):
@@ -177,24 +198,24 @@ def test_empty_right_input(backend, kind):
 
 
 @pytest.mark.parametrize("kind", ALL_JOIN_KINDS)
-def test_both_inputs_empty(backend, kind):
+def test_both_inputs_empty(both, kind):
     plan = JoinNode(kind, KEY_EQ, SCAN_L, SCAN_R)
     assert both(plan, {"L": EMPTY_L, "R": EMPTY_R}).rows == []
 
 
-def test_empty_groupjoin_left_side(backend):
+def test_empty_groupjoin_left_side(both):
     vector = AggVector([AggItem("cnt", count_star())])
     plan = JoinNode(OpKind.GROUPJOIN, KEY_EQ, SCAN_L, SCAN_R, groupjoin_vector=vector)
     assert both(plan, {"L": EMPTY_L, "R": SOME_R}).rows == []
 
 
-def test_group_by_empty_input(backend):
+def test_group_by_empty_input(both):
     vector = AggVector([AggItem("s", sum_(Attr("l.k")))])
     plan = GroupByNode(("l.k",), vector, SCAN_L)
     assert both(plan, {"L": EMPTY_L}).rows == []
 
 
-def test_filter_on_empty_input(backend):
+def test_filter_on_empty_input(both):
     plan = SelectNode(BinOp(">", Attr("l.k"), Const(0)), SCAN_L)
     assert both(plan, {"L": EMPTY_L}).rows == []
 
@@ -203,7 +224,7 @@ def test_filter_on_empty_input(backend):
 # duplicate-heavy group-by
 # ---------------------------------------------------------------------------
 
-def test_duplicate_heavy_group_by(backend):
+def test_duplicate_heavy_group_by(both):
     # 200 rows over 3 group keys, duplicated values, NULL keys and values.
     tuples = []
     for i in range(200):
@@ -228,8 +249,8 @@ def test_duplicate_heavy_group_by(backend):
     assert sum(1 for row in result.rows if row["t.g"] is NULL) == 1
 
 
-def test_group_key_numeric_unification(backend):
-    # 1 and 1.0 are the same group (group_key), in both backends.
+def test_group_key_numeric_unification(both):
+    # 1 and 1.0 are the same group (group_key).
     t = Relation.from_tuples(("t.g", "t.x"), [(1, 10), (1.0, 20), (2, 30)])
     vector = AggVector([AggItem("s", sum_(Attr("t.x")))])
     plan = GroupByNode(("t.g",), vector, ScanNode("T", ("t.g", "t.x")))
@@ -238,7 +259,7 @@ def test_group_key_numeric_unification(backend):
     assert sorted(row["s"] for row in result.rows) == [30, 30]
 
 
-def test_join_key_numeric_unification(backend):
+def test_join_key_numeric_unification(both):
     # A float 2.0 key hash-matches an int 2 key, as SQL equality demands.
     left = Relation.from_tuples(("l.k",), [(2.0,), (3,)])
     right = Relation.from_tuples(("r.k",), [(2,), (3.5,)])
@@ -246,10 +267,10 @@ def test_join_key_numeric_unification(backend):
     assert [(r["l.k"], r["r.k"]) for r in result.rows] == [(2.0, 2)]
 
 
-def test_keys_float64_cannot_tell_apart_stay_apart(backend):
+def test_keys_float64_cannot_tell_apart_stay_apart(both):
     # 2**53 and 2**53 + 1 are one float64: compared on lanes they would
     # join and group together.  Such a column is not exact, so it keys
-    # through the python kernel on both backends.
+    # through its dictionary of python values.
     big = 2**53
     left = Relation.from_tuples(("l.k",), [(big,), (big + 1,), (big + 1,), (3,)])
     right = Relation.from_tuples(("r.k",), [(big + 1,), (big,), (3.0,)])
@@ -285,7 +306,7 @@ BIG_PAIR_VERDICTS = {
 
 
 @pytest.mark.parametrize("op", sorted(BIG_PAIR_VERDICTS))
-def test_comparison_of_ints_float64_cannot_tell_apart(backend, op):
+def test_comparison_of_ints_float64_cannot_tell_apart(both, op):
     # 2**53 and 2**53 + 1 are one float64: a comparison on lanes calls
     # them equal.  Neither two such columns nor a constant that large
     # may ride lanes; they compare as the python ints they are.

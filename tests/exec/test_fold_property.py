@@ -1,10 +1,9 @@
 """Folding aggregates over runs == ``AggCall.evaluate`` on each run's rows.
 
 The columnar executor hands every aggregation its groups as
-:class:`~repro.exec.columnar.Runs` and, under numpy, folds ``count`` /
-``min`` / ``max`` / integer ``sum`` with ``ufunc.reduceat``; everything
-else — and everything in a numpy-less process — is python's own fold
-over one gathered value list.  Whatever ran, the answer owed is the
+:class:`~repro.exec.columnar.Runs` and folds ``count`` / ``min`` /
+``max`` / integer ``sum`` with ``ufunc.reduceat``; everything else is
+python's own fold over one gathered value list.  Whatever ran, the answer owed is the
 interpreter's, *value and type*: ``min([1.0, 1])`` is ``1.0``, a sum of
 ints is an exact python int however large, a float sum is python's
 ``sum`` bit for bit, ``count`` of nothing is 0 and every other aggregate
@@ -18,31 +17,20 @@ partition is the special case.
 
 from itertools import accumulate
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.aggregates.calls import AggCall, AggKind
 from repro.aggregates.vector import AggItem, AggVector
 from repro.algebra.expressions import Attr
 from repro.algebra.rows import Row
 from repro.algebra.values import NULL
-from repro.exec.arrays import numpy_module
-from repro.exec.columnar import (
-    Runs,
-    _aggregate_columns,
-    _group_rows,
-    _vector,
-    execute_physical,
-)
+from repro.exec.columnar import Runs, _aggregate_columns, _group_rows, execute_physical
 from repro.exec.columns import Batch, Column
 from repro.exec.physical import PhysGroupAgg, PhysHashJoin, PhysScan
 from repro.data.tables import ColumnTable
 from repro.rewrites.pushdown import OpKind
-
-# The backend fixture only toggles an env var that is read per call.
-FIXTURE_OK = dict(
-    deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
-)
 
 CALLS = [AggCall(AggKind.COUNT_STAR)] + [
     AggCall(kind, Attr("t.x"), distinct)
@@ -86,20 +74,23 @@ def evaluated(call, values, groups):
     ]
 
 
+def _vector(rows):
+    return np.asarray(rows, dtype=np.intp)
+
+
 def folded(call, values, groups, late):
     """The same through ``_aggregate_columns`` over *groups* as runs."""
-    xp = numpy_module()
     column = Column(values)
     if late:  # the argument arrives as a take of a longer column
-        column = Column(values + values[::-1]).take(_vector(list(range(len(values))), xp))
+        column = Column(values + values[::-1]).take(_vector(range(len(values))))
     ends = list(accumulate(map(len, groups)))
     runs = Runs(
-        _vector([i for members in groups for i in members], xp),
-        _vector([0] + ends[:-1] if ends else [], xp),
-        _vector(ends, xp),
+        _vector([i for members in groups for i in members]),
+        _vector([0] + ends[:-1] if ends else []),
+        _vector(ends),
     )
     batch = Batch(("t.x",), {"t.x": column}, len(values))
-    ((_, out),) = _aggregate_columns(AggVector([AggItem("out", call)]), batch, runs, xp)
+    ((_, out),) = _aggregate_columns(AggVector([AggItem("out", call)]), batch, runs)
     assert len(out) == len(groups)
     return [spelled(value) for value in out.values]
 
@@ -116,17 +107,17 @@ def check(call, drawn):
 
 
 @pytest.mark.parametrize("call", CALLS, ids=repr)
-@settings(max_examples=30, **FIXTURE_OK)
+@settings(max_examples=30, deadline=None)
 @given(drawn=columns_and_runs(max_rows=12))
-def test_fold_over_runs_is_evaluate_per_run(backend, call, drawn):
+def test_fold_over_runs_is_evaluate_per_run(call, drawn):
     check(call, drawn)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("call", CALLS, ids=repr)
-@settings(max_examples=1500, **FIXTURE_OK)
+@settings(max_examples=1500, deadline=None)
 @given(drawn=columns_and_runs(max_rows=40))
-def test_fold_over_runs_is_evaluate_per_run_exhaustive(backend, call, drawn):
+def test_fold_over_runs_is_evaluate_per_run_exhaustive(call, drawn):
     check(call, drawn)
 
 
@@ -165,17 +156,17 @@ def agg(kind, distinct=False):
         (agg(AggKind.COUNT, True), ["a", "a", NULL, "b"], [[0, 1, 2, 3]], [2]),
     ],
 )
-def test_pinned_folds(backend, call, values, groups, expected):
+def test_pinned_folds(call, values, groups, expected):
     for late in (False, True):
         assert folded(call, values, groups, late) == [spelled(v) for v in expected]
     assert evaluated(call, values, groups) == [spelled(v) for v in expected]
 
 
-def test_scalar_aggregate_builds_no_row_list(backend):
-    """No GROUP BY: one run over every row — a range or an ``arange``,
-    not a python list of them — and several aggregates at once."""
+def test_scalar_aggregate_builds_no_row_list():
+    """No GROUP BY: one run over every row — an ``arange``, not a python
+    list of them — and several aggregates at once."""
     table = ColumnTable("T", {"t.x": [3, NULL, 1, 2], "t.s": ["b", "c", NULL, "a"]})
-    firsts, runs = _group_rows(table.as_batch(), (), numpy_module())
+    firsts, runs = _group_rows(table.as_batch(), ())
     assert not isinstance(runs.order, list) and list(runs.order) == [0, 1, 2, 3]
     assert (list(firsts), list(runs.starts), list(runs.ends)) == ([0], [0], [4])
     vector = AggVector(
@@ -195,7 +186,7 @@ def test_scalar_aggregate_builds_no_row_list(backend):
     ]
 
 
-def test_groupjoin_whose_last_left_rows_have_no_partner(backend):
+def test_groupjoin_whose_last_left_rows_have_no_partner():
     """``reduceat`` must see neither an empty run nor an index at the end
     of the array: the trailing left rows here have both."""
     left = ColumnTable("L", {"l.k": [1, 9, 2, 1, 8, NULL, 9]})

@@ -1,22 +1,21 @@
 """``column <op> constant`` == ``sql_compare`` row by row.
 
-Under numpy a comparison with a constant rides exact lanes where both
-sides have them and is otherwise judged once per dictionary entry of
-the column (:meth:`Column.key_codes`) and gathered by code; without
-numpy it loops over the rows.  Whichever path runs, the two 3VL masks
-must be what ``sql_compare`` says of each row — and where a row makes
-``sql_compare`` raise (``'a' < 1``), the predicate raises the same
-``TypeError`` the interpreter does.
+A comparison with a constant rides exact lanes where both sides have
+them and is otherwise judged once per dictionary entry of the column
+(:meth:`Column.key_codes`) and gathered by code.  Whichever path runs,
+the two 3VL masks must be what ``sql_compare`` says of each row — and
+where a row makes ``sql_compare`` raise (``'a' < 1``), the predicate
+raises the same ``TypeError`` the interpreter does.
 """
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.algebra.expressions import Attr, BinOp, Const
 from repro.algebra.values import NULL, sql_compare
 from repro.data.tables import ColumnTable
-from repro.exec.arrays import numpy_module
 from repro.exec.columns import Batch
 from repro.exec.vectoreval import eval_tri
 
@@ -34,13 +33,11 @@ CONSTANTS = ["a", "", "zz", 1, 1.0, 2.5, True, 2**53 + 1, float(2**53), NULL]
 
 
 def vector(rows):
-    xp = numpy_module()
-    return rows if xp is None else xp.asarray(rows, dtype=xp.intp)
+    return np.asarray(rows, dtype=np.intp)
 
 
 def masks(tri):
-    listed = (lambda m: m.tolist()) if tri.xp is not None else list
-    return listed(tri.t), listed(tri.f)
+    return tri.t.tolist(), tri.f.tolist()
 
 
 def expected(op, lefts, rights):
@@ -69,7 +66,7 @@ def check(op, batch, values, constant):
 
 @pytest.mark.parametrize("pool", sorted(POOLS))
 @pytest.mark.parametrize("op", OPERATORS)
-def test_constant_comparisons_match_sql_compare(backend, op, pool):
+def test_constant_comparisons_match_sql_compare(op, pool):
     rng = random.Random(f"{op}:{pool}")
     for rows in (1, 7, 40):
         values = [rng.choice(POOLS[pool]) for _ in range(rows)]
@@ -85,7 +82,7 @@ def test_constant_comparisons_match_sql_compare(backend, op, pool):
             check(op, Batch(("t.x",), {"t.x": padded}, rows), padded.values, constant)
 
 
-def test_an_entry_no_row_holds_is_not_judged(backend):
+def test_an_entry_no_row_holds_is_not_judged():
     # the take left the string behind: nothing raises, as nothing does
     # row by row — while the whole column still raises
     base = ColumnTable("t", {"t.x": [1, "a", 1.5, 1, 10**400]}).as_batch()
@@ -98,10 +95,7 @@ def test_an_entry_no_row_holds_is_not_judged(backend):
     )
 
 
-def test_a_constant_is_compared_once_per_entry_under_numpy(monkeypatch):
-    xp = numpy_module()
-    if xp is None:
-        pytest.skip("the dictionary path needs numpy")
+def test_a_constant_is_compared_once_per_entry(monkeypatch):
     from repro.exec import vectoreval
 
     calls = []
@@ -117,7 +111,7 @@ def test_a_constant_is_compared_once_per_entry_under_numpy(monkeypatch):
     assert len(calls) == 5  # the one entry the take holds
 
 
-def test_type_mismatched_ordering_raises_what_the_interpreter_raises(backend):
+def test_type_mismatched_ordering_raises_what_the_interpreter_raises():
     batch = ColumnTable("t", {"t.x": ["a", "b"]}).as_batch()
     for expr in (BinOp("<", Attr("t.x"), Const(1)), BinOp(">=", Const(1), Attr("t.x"))):
         with pytest.raises(TypeError) as interpreted:
@@ -130,7 +124,7 @@ def test_type_mismatched_ordering_raises_what_the_interpreter_raises(backend):
 
 
 @pytest.mark.parametrize("constant", ["a", 1, 2**53 + 1, NULL])
-def test_empty_batch_gives_empty_masks(backend, constant):
+def test_empty_batch_gives_empty_masks(constant):
     batch = ColumnTable("t", {"t.x": []}).as_batch()
     for op in OPERATORS:
         for expr in (
