@@ -45,7 +45,7 @@ from pathlib import Path
 import artifact
 import calibrate
 from repro.exec import run_plan
-from repro.optimizer import optimize
+from repro.optimizer import OptimizerConfig, optimize
 from repro.tpch.datagen import scaled_dataset
 from repro.tpch.queries import TPCH_QUERIES
 
@@ -216,7 +216,7 @@ def run(head_to_head, scales, out_path: Path, mode: str) -> dict:
     for query_name, scale in head_to_head:
         query = TPCH_QUERIES[query_name](scale)
         database = dataset(scale).database_for(query)
-        result = optimize(query, "ea-prune")
+        result = optimize(query)
         plan = result.plan.node
         columnar_rows = run_plan(plan, database, executor="columnar")
         interpreter_rows = run_plan(plan, database, executor="interpreter")
@@ -235,7 +235,10 @@ def run(head_to_head, scales, out_path: Path, mode: str) -> dict:
         for query_name in QUERIES:
             query = TPCH_QUERIES[query_name](scale)
             database = dataset(scale).database_for(query)
-            results = [(strategy, optimize(query, strategy)) for strategy in STRATEGIES]
+            results = [
+                (strategy, optimize(query, config=OptimizerConfig(strategy=strategy)))
+                for strategy in STRATEGIES
+            ]
             # Un-timed: the first plan to read a database builds its
             # columns' lanes, which every later plan finds cached — timed,
             # that run made the first strategy of each query look slow.

@@ -47,7 +47,7 @@ from pathlib import Path
 
 import artifact
 import calibrate
-from repro.optimizer import optimize
+from repro.optimizer import OptimizerConfig, optimize
 from repro.optimizer.planinfo import clear_memo_caches
 from repro.plans.render import plan_shape
 from repro.workload import topology_query
@@ -115,7 +115,8 @@ def _measure(topology: str, n: int, strategy: str, engine: str) -> tuple:
         return (topology_query(topology, n),)  # a fresh Query: empty hypergraph memos
 
     result, timing = artifact.measure(
-        lambda query: optimize(query, strategy, engine=engine), setup=cold_start
+        lambda query: optimize(query, config=OptimizerConfig(strategy=strategy), engine=engine),
+        setup=cold_start,
     )
     above_ceiling = result.stats.get("strategy.plans_above_ceiling", 0)
     case = {

@@ -8,7 +8,7 @@ all correctness tests in this repository compare.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Iterator, List, Mapping, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from repro.algebra.rows import Row
 from repro.algebra.values import SqlValue
@@ -91,8 +91,3 @@ def _fmt(value: SqlValue) -> str:
     if isinstance(value, float) and value.is_integer():
         return str(int(value))
     return str(value)
-
-
-def database(relations: Mapping[str, Relation]) -> Mapping[str, Relation]:
-    """A database is simply a mapping from relation name to relation."""
-    return dict(relations)

@@ -43,7 +43,7 @@ from repro.optimizer.strategies import Strategy
 from repro.plans.nodes import PlanNode
 from repro.plans.render import plan_to_dict, render_plan
 from repro.query.spec import Query
-from repro.service.batch import BatchItem, BatchReport, optimize_many, run_batch
+from repro.service.batch import BatchReport, run_batch
 from repro.service.cache import PlanCache
 from repro.sql.binder import parse_query
 from repro.sql.catalog import Catalog
@@ -136,16 +136,6 @@ class PlannerSession:
         return self.optimize(query, **overrides).execute(executor=executor, limit=limit)
 
     # -- workloads -----------------------------------------------------------
-    def optimize_many(
-        self, queries: Sequence[Query], **overrides
-    ) -> Iterator[BatchItem]:
-        """Stream the service batch driver under the session config/cache."""
-        config = self._derive(overrides)
-        for item in optimize_many(queries, cache=self.cache, config=config):
-            if item.result is not None:  # failed items have no result to trace
-                self._emit("result", item.result)
-            yield item
-
     def run_batch(self, queries: Sequence[Query], **overrides) -> BatchReport:
         """Run a whole workload and summarise it (see :func:`run_batch`)."""
         config = self._derive(overrides)

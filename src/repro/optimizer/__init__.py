@@ -38,7 +38,6 @@ from repro.optimizer.strategies import (
     H1Strategy,
     H2Strategy,
     Strategy,
-    make_strategy,
 )
 
 __all__ = [
@@ -52,7 +51,6 @@ __all__ = [
     "PlanningDeadlineExceeded",
     "PlanBuilder",
     "PlanInfo",
-    "make_strategy",
     "Strategy",
     "DphypStrategy",
     "EaAllStrategy",

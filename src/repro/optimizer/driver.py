@@ -191,11 +191,9 @@ class OptimizerHooks:
 
 def optimize(
     query: Query,
-    strategy: str | Strategy = "ea-prune",
-    factor: float = 1.03,
+    *,
     prepared: Optional[PreparedQuery] = None,
     cache=None,
-    *,
     config: Optional[OptimizerConfig] = None,
     hooks: Optional[OptimizerHooks] = None,
     engine: Optional[str] = None,
@@ -204,12 +202,11 @@ def optimize(
 ) -> OptimizationResult:
     """Optimize *query* and return the final plan.
 
-    All optimizer knobs live in *config* (an
-    :class:`~repro.optimizer.config.OptimizerConfig`); the *strategy* /
-    *factor* positional parameters remain as a shim for the seed's call
-    style and are ignored when *config* is given.  *prepared* reuses a
-    :func:`prepare` pre-pass (conflict detection + hypergraph) across
-    strategies or repeated runs.  *cache* is an optional
+    All optimizer knobs live in *config*, an
+    :class:`~repro.optimizer.config.OptimizerConfig`; None means
+    ``OptimizerConfig(cache_capacity=None)``, EA-Prune under Cout.
+    *prepared* reuses a :func:`prepare` pre-pass (conflict detection +
+    hypergraph) across strategies or repeated runs.  *cache* is an optional
     :class:`repro.service.cache.PlanCache`: hits return immediately
     (marked ``cache_hit=True``), misses are stored after optimization.
     *hooks* receive tracing callbacks (see :class:`OptimizerHooks`).
@@ -243,7 +240,7 @@ def optimize(
     never depends on it.
     """
     if config is None:
-        config = OptimizerConfig(strategy=strategy, factor=factor, cache_capacity=None)
+        config = OptimizerConfig(cache_capacity=None)
     if engine is None:
         engine = config.engine
     if engine not in ENGINES:

@@ -20,9 +20,9 @@ used for that shape:
   statistical).
 
 Replaying under an *unchanged* snapshot therefore reproduces the cached
-cost bit-for-bit (the differential tests assert this across all three
-engines' plans); replaying under a drifted snapshot yields the cached
-shape's true cost under the new statistics.
+cost bit-for-bit (the differential tests assert this for both engines'
+plans); replaying under a drifted snapshot yields the cached shape's
+true cost under the new statistics.
 
 The serve/replan decision compares that re-cost against a cheap
 reference: an H1 greedy replan (the same
@@ -60,7 +60,7 @@ from repro.plans.nodes import (
     ScanNode,
     SelectNode,
 )
-from repro.query.spec import Query, RelationInfo
+from repro.query.spec import Query
 
 
 class RecostError(Exception):
@@ -73,124 +73,6 @@ class RecostError(Exception):
     caller falls back to full re-optimization — a replay failure is a
     cache-efficiency event, never a correctness one.
     """
-
-
-#: selectivity floor shared with the SQL binder's derivation.
-MIN_SELECTIVITY = 1e-12
-
-
-def _distinct_maps(old_relations, new_relations):
-    """Per-attribute distinct counts before and after the refresh."""
-    old: dict = {}
-    new: dict = {}
-    for rel_old, rel_new in zip(old_relations, new_relations):
-        for attr in rel_old.attributes:
-            old[attr] = rel_old.distinct_count(attr)
-            new[attr] = rel_new.distinct_count(attr)
-    return old, new
-
-
-def _rescaled_selectivity(
-    selectivity: float, predicate, old_distinct, new_distinct
-) -> float:
-    """*selectivity* with its equi-conjunct factors re-derived.
-
-    The binder prices ``a = b`` at ``1/max(d(a), d(b))`` and ``a = c``
-    at ``1/d(a)``; under drifted statistics each such factor scales by
-    ``old/new`` of the relevant distinct count.  Conjuncts this shape
-    analysis does not recognise keep their old contribution, and
-    unchanged distinct counts contribute a ratio of exactly 1.0 — so a
-    refresh under identical statistics reproduces the old selectivity
-    bit-for-bit.
-    """
-    from repro.algebra.expressions import Attr, BinOp
-
-    from repro.exec.physical import flatten_conjuncts
-
-    result = selectivity
-    for conjunct in flatten_conjuncts(predicate):
-        if not (isinstance(conjunct, BinOp) and conjunct.op == "="):
-            continue
-        left, right = conjunct.left, conjunct.right
-        if isinstance(left, Attr) and isinstance(right, Attr):
-            names = [left.name, right.name]
-            if any(n not in old_distinct for n in names):
-                continue
-            old = max(old_distinct[n] for n in names)
-            new = max(new_distinct[n] for n in names)
-        elif isinstance(left, Attr) or isinstance(right, Attr):
-            name = left.name if isinstance(left, Attr) else right.name
-            if name not in old_distinct:
-                continue
-            old, new = old_distinct[name], new_distinct[name]
-        else:
-            continue
-        if new > 0 and old != new:
-            result *= old / new
-    return min(1.0, max(MIN_SELECTIVITY, result))
-
-
-def refresh_query_stats(query: Query, catalog) -> Query:
-    """*query* rebuilt with relation statistics refreshed from *catalog*.
-
-    Mirrors the SQL binder's statistics projection: each relation's
-    cardinality and per-attribute distinct counts are re-read from its
-    :attr:`~repro.query.spec.RelationInfo.source_table` (qualified
-    ``alias.column`` attributes map onto the catalog's bare column
-    names), and derived **selectivities are re-scaled** to the new
-    distinct counts (each recognised equality factor by its
-    ``old/new`` distinct ratio — see :func:`_rescaled_selectivity`), so
-    hand-built sessions see drift-corrected join estimates after a
-    :meth:`~repro.sql.catalog.Catalog.update_stats` just like re-bound
-    SQL does.  A refresh under unchanged statistics reproduces the old
-    query bit-for-bit.  Relations whose table is gone (or whose columns
-    no longer line up) keep their old statistics — schema changes are
-    the wholesale invalidation channel's job, not drift's.
-    """
-    refreshed = []
-    for rel in query.relations:
-        stats = catalog.lookup(rel.source_table)
-        if stats is None:
-            refreshed.append(rel)
-            continue
-        columns = set(stats.columns)
-        bare = {attr: attr.rsplit(".", 1)[-1] for attr in rel.attributes}
-        if not set(bare.values()) <= columns:
-            refreshed.append(rel)
-            continue
-        distinct = {
-            attr: stats.distinct[column]
-            for attr, column in bare.items()
-            if column in stats.distinct
-        }
-        refreshed.append(
-            replace(rel, cardinality=stats.cardinality, distinct=distinct)
-        )
-    old_distinct, new_distinct = _distinct_maps(query.relations, refreshed)
-    edges = [
-        replace(
-            edge,
-            selectivity=_rescaled_selectivity(
-                edge.selectivity, edge.predicate, old_distinct, new_distinct
-            ),
-        )
-        for edge in query.edges
-    ]
-    local_predicates = {
-        vertex: (
-            predicate,
-            _rescaled_selectivity(selectivity, predicate, old_distinct, new_distinct),
-        )
-        for vertex, (predicate, selectivity) in query.local_predicates.items()
-    }
-    return Query(
-        relations=refreshed,
-        edges=edges,
-        tree=query.tree,
-        group_by=query.group_by,
-        aggregates=query.aggregates,
-        local_predicates=local_predicates,
-    )
 
 
 def _is_finishing_group(node: GroupByNode, query: Query) -> bool:
@@ -310,8 +192,8 @@ def evaluate_stale(
     plan (microseconds), run the cheap H1 reference replan
     (milliseconds), and serve the replayed plan while
     ``recost ≤ config.recost_bound × H1``.  *query* must carry the
-    *fresh* statistics (re-parsed SQL or
-    :func:`refresh_query_stats`) and the cached plan's naming.
+    *fresh* statistics (its SQL re-parsed under the current catalog)
+    and the cached plan's naming.
     """
     start = time.perf_counter()
     if prepared is None:

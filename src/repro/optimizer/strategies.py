@@ -482,8 +482,3 @@ def _h1(**_options) -> Strategy:
 @STRATEGIES.register("h2")
 def _h2(factor: float = 1.03, **_options) -> Strategy:
     return H2Strategy(factor)
-
-
-def make_strategy(name: str, factor: float = 1.03) -> Strategy:
-    """Instantiate a registered strategy by name (see :data:`STRATEGIES`)."""
-    return STRATEGIES.create(name, factor=factor)

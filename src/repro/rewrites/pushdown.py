@@ -39,10 +39,6 @@ class OpKind(enum.Enum):
     GROUPJOIN = "groupjoin"
 
     @property
-    def commutative(self) -> bool:
-        return self in (OpKind.INNER, OpKind.FULL_OUTER)
-
-    @property
     def left_only(self) -> bool:
         """Operators whose output exposes only left-side attributes.
 

@@ -33,7 +33,7 @@ import pickle
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, Iterable, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, Optional, Tuple
 
 from repro.service.fingerprint import PlanCacheKey
 
@@ -153,11 +153,9 @@ class _Entry:
     exact_snapshot: Optional[str] = None
     #: re-parseable source text (when the entry came through a SQL front
     #: door) so a background revalidator can rebuild the query under
-    #: fresh statistics without the original request.
+    #: fresh statistics without the original request; an entry without
+    #: it cannot be re-costed and is dropped when it goes stale.
     sql: Optional[str] = None
-    #: the stored query object — transient revalidation context, NOT
-    #: persisted in snapshots (it can hold resolver caches).
-    query: Optional[object] = None
     #: lifetime hit count; :meth:`PlanCache.claim_stale` drains the
     #: hottest entries first so revalidation capacity goes where the
     #: serving traffic is.
@@ -176,17 +174,15 @@ class _Entry:
 class StaleClaim:
     """One stale entry claimed for revalidation (:meth:`PlanCache.claim_stale`).
 
-    Carries the cached result (for re-costing), the source SQL and/or
-    query object (for re-parsing under fresh statistics), and the exact
-    snapshot the plan was costed under (for drift diagnostics).
+    Carries the cached result (for re-costing), the source SQL (for
+    re-parsing under fresh statistics; None drops the entry) and the
+    exact snapshot the plan was costed under (for drift diagnostics).
     """
 
     key: PlanCacheKey
     result: "OptimizationResult"
     sql: Optional[str]
     exact_snapshot: Optional[str]
-    query: Optional[object]
-    binding: Optional[Tuple]
 
 
 class PlanCache:
@@ -205,7 +201,7 @@ class PlanCache:
     bounded run needs of a ceiling (:func:`repro.optimizer.optimize`,
     *known_cost*).  What writes it and what does not:
 
-    * an entry evicted for room (:meth:`put`, :meth:`load_snapshot`)
+    * an entry evicted for room (:meth:`store`, :meth:`load_snapshot`)
       leaves its cost — the case the map exists for;
     * :meth:`refresh` leaves the cost of the result it replaces, under
       the key and snapshot that result was stored with — also when the
@@ -237,30 +233,6 @@ class PlanCache:
         self._may_hold_stale = False
 
     # -- core protocol -------------------------------------------------------
-    def get(self, key: PlanCacheKey) -> Optional["OptimizationResult"]:
-        """The cached result for *key*, refreshing its recency; else None."""
-        found = self.lookup(key)
-        return found[0] if found is not None else None
-
-    def lookup(
-        self, key: PlanCacheKey
-    ) -> Optional[Tuple["OptimizationResult", Optional[Tuple]]]:
-        """Like :meth:`get`, but returns ``(result, binding)``.
-
-        The binding is the source query's naming as stored at :meth:`put`
-        time; a caller serving a differently-named query must rebind the
-        result (:func:`repro.service.rebind.rebind_result`) before use.
-        """
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.stats.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.stats.hits += 1
-            entry.hits += 1
-            return entry.result, entry.binding
-
     def serve_entry(
         self,
         key: PlanCacheKey,
@@ -271,10 +243,10 @@ class PlanCache:
         """The cached result for *key* re-expressed in *query*'s names,
         with the entry's lifecycle state: ``(result, state)`` or None.
 
-        The one serving entry point: probes once (statistics update
-        exactly as :meth:`lookup`), rebinds the stored plan to *query*'s
-        naming when the entry came from a renamed-but-isomorphic query,
-        and marks the copy as a cache hit.  The copy is made once per
+        The one probe: counts a hit or a miss, refreshes the entry's
+        recency, rebinds the stored plan to *query*'s naming when the
+        entry came from a renamed-but-isomorphic query, and marks the
+        copy as a cache hit.  The copy is made once per
         naming and stored result: later hits get the same object (up to
         :data:`SERVED_SPELLINGS` namings an entry), so it is for reading.
         *binding* is ``query_binding(query)`` for a caller that keeps it;
@@ -336,10 +308,11 @@ class PlanCache:
     ) -> None:
         """Store a freshly computed *result* for *query* under *key*.
 
-        The counterpart of :meth:`serve_entry`: records the base tables the plan
-        scans (the handle eager invalidation grabs) and *query*'s naming
-        (so renamed-but-isomorphic hits can be rebound).  *sql* and
-        *exact_snapshot* feed the revalidation path — see :class:`_Entry`.
+        The one insert, counterpart of :meth:`serve_entry`: records the
+        base tables the plan scans (the handle eager invalidation grabs)
+        and *query*'s naming (so renamed-but-isomorphic hits can be
+        rebound).  *sql* and *exact_snapshot* feed the revalidation path
+        — see :class:`_Entry`; a store always lands in :data:`FRESH`.
 
         Deadline-degraded results are refused (silently): a degraded plan
         is a serve-something fallback, not the plan of record, and caching
@@ -349,49 +322,24 @@ class PlanCache:
             return
         from repro.service.rebind import query_binding
 
-        self.put(
-            key,
+        entry = _Entry(
             result,
-            relations=(rel.source_table for rel in query.relations),
-            binding=query_binding(query),
-            sql=sql,
+            frozenset(rel.source_table for rel in query.relations),
+            query_binding(query),
             exact_snapshot=exact_snapshot,
-            query=query,
+            sql=sql,
         )
-
-    def put(
-        self,
-        key: PlanCacheKey,
-        result: "OptimizationResult",
-        relations: Iterable[str] = (),
-        binding: Optional[Tuple] = None,
-        sql: Optional[str] = None,
-        exact_snapshot: Optional[str] = None,
-        query: Optional[object] = None,
-    ) -> None:
-        """Store *result* under *key*.
-
-        *relations* are the base-table names the plan scans — the handle
-        eager invalidation grabs when the catalog changes.  *binding* is
-        the source query's naming (see :func:`repro.service.rebind.query_binding`)
-        so hits for renamed-but-isomorphic queries can be rebound.
-        *sql* / *exact_snapshot* / *query* are revalidation context (see
-        :class:`_Entry`); a fresh store always lands in :data:`FRESH`.
-        """
         with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-            self._entries[key] = _Entry(
-                result,
-                frozenset(relations),
-                binding,
-                state=FRESH,
-                exact_snapshot=exact_snapshot,
-                sql=sql,
-                query=query,
-            )
-            self.stats.puts += 1
-            self._evict()
+            self._insert(key, entry)
+
+    def _insert(self, key: PlanCacheKey, entry: _Entry) -> None:
+        """File *entry* under *key* as the most recently used, counted as
+        a put (lock held); the least recently used leave for room."""
+        if key in self._entries:
+            self._entries.move_to_end(key)
+        self._entries[key] = entry
+        self.stats.puts += 1
+        self._evict()
 
     def _evict(self) -> None:
         """Drop least-recently-used entries down to :attr:`capacity`
@@ -434,7 +382,7 @@ class PlanCache:
         """A consistent copy of :attr:`stats`, taken under the cache lock.
 
         Counters only ever mutate while :attr:`_lock` is held, so holding
-        it here guarantees the five fields describe one instant — an
+        it here guarantees the eight counters describe one instant — an
         unlocked :meth:`CacheStats.snapshot` can interleave with a
         concurrent lookup and report torn totals.
         """
@@ -464,9 +412,9 @@ class PlanCache:
         """Remove one entry (counted as an invalidation); False if absent.
 
         The revalidator's last resort for entries it cannot rebuild a
-        query for (no stored SQL or query object) — dropping keeps the
-        cache honest rather than serving a plan nobody can re-cost.  No
-        cost is remembered for it.
+        query for (no stored SQL) — dropping keeps the cache honest
+        rather than serving a plan nobody can re-cost.  No cost is
+        remembered for it.
         """
         with self._lock:
             if self._entries.pop(key, None) is None:
@@ -478,7 +426,7 @@ class PlanCache:
         """Drop entries touching *relation* (or everything when None).
 
         Returns the number of entries removed.  Matching is by the
-        relation names recorded at :meth:`put` time, case-insensitive to
+        relation names recorded at :meth:`store` time, case-insensitive to
         mirror catalog lookup semantics.  Invalidated entries leave no
         cost behind, and dropping everything forgets the remembered costs
         as well.
@@ -586,8 +534,6 @@ class PlanCache:
                         result=entry.result,
                         sql=entry.sql,
                         exact_snapshot=entry.exact_snapshot,
-                        query=entry.query,
-                        binding=entry.binding,
                     )
                 )
             return tuple(claims)
@@ -679,11 +625,10 @@ class PlanCache:
         mid-save leaves the previous snapshot intact.
         """
         with self._lock:
-            # v2 layout: lifecycle state and revalidation context ride
-            # along (the transient query object does not — it is not
-            # reliably picklable and re-parsing from sql is cheap).
-            # REVALIDATING demotes to STALE: the claim dies with the
-            # process, so the restarted server must be able to re-claim.
+            # v2 layout: lifecycle state and revalidation context (the
+            # exact snapshot and the SQL text) ride along.  REVALIDATING
+            # demotes to STALE: the claim dies with the process, so the
+            # restarted server must be able to re-claim.
             entries = [
                 (
                     key,
@@ -795,18 +740,17 @@ class PlanCache:
         with self._lock:
             self._may_hold_stale = True  # saved states ride along
             for key, result, relations, binding, state, exact_snapshot, sql in kept:
-                if key in self._entries:
-                    self._entries.move_to_end(key)
-                self._entries[key] = _Entry(
-                    result,
-                    frozenset(relations),
-                    binding,
-                    state=state,
-                    exact_snapshot=exact_snapshot,
-                    sql=sql,
+                self._insert(
+                    key,
+                    _Entry(
+                        result,
+                        frozenset(relations),
+                        binding,
+                        state=state,
+                        exact_snapshot=exact_snapshot,
+                        sql=sql,
+                    ),
                 )
-                self.stats.puts += 1
-                self._evict()
         return len(kept)
 
     # -- introspection -------------------------------------------------------

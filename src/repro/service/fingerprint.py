@@ -47,7 +47,8 @@ from typing import Dict, List, Optional, Tuple
 from repro.algebra.expressions import Attr, BinOp, Case, Const, Expr, IsNull, Logical, Not
 from repro.aggregates.calls import AggCall
 from repro.aggregates.vector import AggVector
-from repro.optimizer.strategies import Strategy, make_strategy
+from repro.optimizer.registry import STRATEGIES
+from repro.optimizer.strategies import Strategy
 from repro.query.spec import Query
 from repro.query.tree import Tree, TreeLeaf, tree_operators
 
@@ -335,8 +336,9 @@ def catalog_fingerprint(catalog) -> str:
 
 def strategy_label(strategy: "str | Strategy", factor: float = 1.03) -> Tuple[str, Optional[float]]:
     """Normalise a strategy spec to (name, effective factor) for keying."""
-    chosen = strategy if isinstance(strategy, Strategy) else make_strategy(strategy, factor)
-    return chosen.name, getattr(chosen, "factor", None)
+    if not isinstance(strategy, Strategy):
+        strategy = STRATEGIES.create(strategy, factor=factor)
+    return strategy.name, getattr(strategy, "factor", None)
 
 
 def cache_key(

@@ -9,9 +9,9 @@ path:
 
 1. claim a batch of stale entries (``stale → revalidating``, so two
    workers never double-plan one entry),
-2. rebuild each entry's query under the *fresh* catalog — re-parsing
-   its stored SQL when it came through a SQL front door, else
-   refreshing the stored query object's statistics in place,
+2. rebuild each entry's query under the *fresh* catalog by re-parsing
+   its stored SQL; an entry stored without SQL cannot be rebuilt and is
+   dropped,
 3. re-cost the cached plan and apply the ``recost_bound`` test:
    within bound → refresh the entry in place (``plans.recosted``),
    past it → full re-optimization (``plans.replanned``),
@@ -83,19 +83,13 @@ class StaleRevalidator:
 
     def _revalidate(self, claim: StaleClaim) -> str:
         from repro.optimizer.driver import optimize, prepare
-        from repro.optimizer.recost import (
-            evaluate_stale,
-            recosted_result,
-            refresh_query_stats,
-        )
+        from repro.optimizer.recost import evaluate_stale, recosted_result
 
         try:
             if claim.sql is not None and self.catalog is not None:
                 from repro.sql.binder import parse_query
 
                 query = parse_query(claim.sql, self.catalog)
-            elif claim.query is not None and self.catalog is not None:
-                query = refresh_query_stats(claim.query, self.catalog)
             else:
                 self.cache.drop(claim.key)
                 return "dropped"

@@ -17,7 +17,6 @@ from repro.api import (
     PlannerSession,
     Strategy,
 )
-from repro.optimizer import make_strategy
 from repro.optimizer.strategies import (
     DphypStrategy,
     EaAllStrategy,
@@ -35,24 +34,24 @@ class TestStrategyRegistry:
     def test_builtins_registered_in_order(self):
         assert STRATEGIES.names()[:5] == BUILTINS
 
-    def test_make_strategy_is_a_registry_lookup(self):
-        assert isinstance(make_strategy("dphyp"), DphypStrategy)
-        assert isinstance(make_strategy("ea-all"), EaAllStrategy)
-        assert isinstance(make_strategy("ea-prune"), EaPruneStrategy)
-        assert isinstance(make_strategy("h1"), H1Strategy)
-        assert isinstance(make_strategy("h2", 1.2), H2Strategy)
-        assert make_strategy("h2", 1.2).factor == 1.2
+    def test_create_builds_each_builtin(self):
+        assert isinstance(STRATEGIES.create("dphyp"), DphypStrategy)
+        assert isinstance(STRATEGIES.create("ea-all"), EaAllStrategy)
+        assert isinstance(STRATEGIES.create("ea-prune"), EaPruneStrategy)
+        assert isinstance(STRATEGIES.create("h1"), H1Strategy)
+        assert isinstance(STRATEGIES.create("h2", factor=1.2), H2Strategy)
+        assert STRATEGIES.create("h2", factor=1.2).factor == 1.2
 
     def test_aliases_and_case(self):
-        assert isinstance(make_strategy("PRUNE"), EaPruneStrategy)
-        assert isinstance(make_strategy("ea_all"), EaAllStrategy)
+        assert isinstance(STRATEGIES.create("PRUNE"), EaPruneStrategy)
+        assert isinstance(STRATEGIES.create("ea_all"), EaAllStrategy)
         # aliases resolve but stay out of the primary listing
         assert "all" in STRATEGIES
         assert "all" not in STRATEGIES.names()
 
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown strategy 'magic'.*registered:"):
-            make_strategy("magic")
+            STRATEGIES.create("magic")
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
@@ -62,10 +61,10 @@ class TestStrategyRegistry:
         original = STRATEGIES._factories["dphyp"]
         try:
             STRATEGIES.register("dphyp", replace=True)(lambda **_: H1Strategy())
-            assert isinstance(make_strategy("dphyp"), H1Strategy)
+            assert isinstance(STRATEGIES.create("dphyp"), H1Strategy)
         finally:
             STRATEGIES.register("dphyp", replace=True)(original)
-        assert isinstance(make_strategy("dphyp"), DphypStrategy)
+        assert isinstance(STRATEGIES.create("dphyp"), DphypStrategy)
 
     def test_replace_retires_old_aliases(self):
         from repro.optimizer.registry import StrategyRegistry

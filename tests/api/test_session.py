@@ -7,10 +7,15 @@ import pytest
 
 from repro.api import OptimizerConfig, PlannerSession
 from repro.exec import execute
+from repro.optimizer import optimize, prepare
+from repro.plans import render_plan
 from repro.query.canonical import canonical_plan
+from repro.service import PlanCache, run_batch
+from repro.service.fingerprint import query_fingerprint
+from repro.sql import Catalog, parse_query
 from repro.sql.catalog import TableStats
-from repro.tpch import build_ex, micro_database
-from repro.workload import generate_workload
+from repro.tpch import TPCH_QUERIES, build_ex, micro_database
+from repro.workload import generate_query, generate_workload
 
 SQL = (
     "SELECT ns.n_name, count(*) AS cnt FROM nation ns "
@@ -239,3 +244,48 @@ class TestSessionBatch:
         workload = generate_workload(4, 3, random.Random(5))
         session.run_batch(workload)
         assert len(results) == 4
+
+
+class TestFreeFunctions:
+    """``parse_query`` / ``prepare`` / ``optimize`` / ``run_batch`` are what
+    the session delegates to: both surfaces give identical plans."""
+
+    @staticmethod
+    def uncached_session(**kwargs):
+        return PlannerSession(config=OptimizerConfig(cache_capacity=None), **kwargs)
+
+    @pytest.mark.parametrize("strategy", BUILTINS)
+    def test_identical_plans_on_tpch(self, strategy):
+        query = TPCH_QUERIES["Q3"](1.0)
+        free = optimize(query, config=OptimizerConfig(strategy=strategy))
+        handle = self.uncached_session().statement(query).optimize(strategy=strategy)
+        assert handle.cost == free.cost
+        assert handle.explain() == render_plan(free.plan.node)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_identical_plans_on_random_workload(self, seed):
+        query = generate_query(5, random.Random(seed))
+        free = optimize(query)
+        handle = self.uncached_session().statement(query).optimize()
+        assert handle.cost == free.cost
+        assert handle.explain() == render_plan(free.plan.node)
+
+    def test_parse_query_matches_session_sql(self):
+        free = parse_query(SQL, Catalog.from_tpch())
+        statement = PlannerSession.tpch().sql(SQL)
+        assert query_fingerprint(free) == query_fingerprint(statement.query)
+
+    def test_prepare_feeds_optimize(self):
+        query = parse_query(SQL, Catalog.from_tpch())
+        prepared = prepare(query)
+        assert optimize(query, prepared=prepared).cost == optimize(query).cost
+
+    def test_run_batch_matches_session_run_batch(self):
+        workload = generate_workload(6, 3, random.Random(21), unique=3)
+        config = OptimizerConfig(workers=1, cache_capacity=32)
+        free = run_batch(workload, PlanCache(capacity=32), config)
+        report = PlannerSession(config=config).run_batch(workload)
+        assert [item.cost for item in report.items] == [item.cost for item in free.items]
+        assert [item.cache_hit for item in report.items] == [
+            item.cache_hit for item in free.items
+        ]

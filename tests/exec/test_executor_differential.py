@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.exec import run_plan
-from repro.optimizer import optimize
+from repro.optimizer import OptimizerConfig, optimize
 from repro.query.canonical import canonical_plan
 from repro.tpch.datagen import scaled_dataset
 from repro.tpch.queries import TPCH_QUERIES, micro_database
@@ -28,7 +28,7 @@ def test_random_workloads_row_set_identical(seed):
     query = generate_query(rng.randint(2, 5), rng)
     database = generate_database(query, rng)
     plans = [canonical_plan(query)] + [
-        optimize(query, s).plan.node for s in STRATEGIES[:2]
+        optimize(query, config=OptimizerConfig(strategy=s)).plan.node for s in STRATEGIES[:2]
     ]
     for plan in plans:
         interpreter = run_plan(plan, database, executor="interpreter")
@@ -65,7 +65,7 @@ def test_tpch_micro_all_strategies(name, strategy):
     query = TPCH_QUERIES[name](1.0)
     database = micro_database(query)
     expected = run_plan(canonical_plan(query), database, executor="interpreter")
-    plan = optimize(query, strategy).plan.node
+    plan = optimize(query, config=OptimizerConfig(strategy=strategy)).plan.node
     assert run_plan(plan, database, executor="columnar") == expected
 
 
@@ -84,7 +84,7 @@ def lazy_rows(sf001):
         if name not in memo:
             query = TPCH_QUERIES[name](0.01)
             database = sf001.database_for(query)
-            plan = optimize(query, "dphyp").plan.node
+            plan = optimize(query, config=OptimizerConfig(strategy="dphyp")).plan.node
             memo[name] = database, run_plan(plan, database, executor="columnar")
         return memo[name]
 
@@ -102,5 +102,6 @@ def test_tpch_scaled_eager_plans_return_the_lazy_plans_rows(lazy_rows, name, str
     database, lazy = lazy_rows(name)
     assert len(lazy.rows) > 0
     query = TPCH_QUERIES[name](0.01)
-    eager = run_plan(optimize(query, strategy).plan.node, database, executor="columnar")
+    plan = optimize(query, config=OptimizerConfig(strategy=strategy)).plan.node
+    eager = run_plan(plan, database, executor="columnar")
     assert eager == lazy

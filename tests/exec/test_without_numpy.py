@@ -27,7 +27,7 @@ from repro.service.core import ServingCore
 from repro.tpch.queries import TPCH_QUERIES, micro_database
 
 query = TPCH_QUERIES["Q3"](1.0)
-plan = optimize(query, "ea-prune").plan.node
+plan = optimize(query).plan.node
 database = micro_database(query)
 rows = run_plan(plan, database, executor="interpreter")
 assert rows == run_plan(canonical_plan(query), database, executor="interpreter")

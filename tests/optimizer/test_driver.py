@@ -13,15 +13,22 @@ import random
 
 import pytest
 
-from repro.optimizer import optimize
+from repro.optimizer import OptimizerConfig, optimize, prepare
+from repro.service import PlanCache
+from repro.sql import Catalog, parse_query
 from repro.workload import WorkloadConfig, generate_query
+
+SQL = (
+    "SELECT ns.n_name, count(*) AS cnt FROM nation ns "
+    "JOIN supplier s ON ns.n_nationkey = s.s_nationkey GROUP BY ns.n_name"
+)
 
 STRATEGIES = ["dphyp", "ea-all", "ea-prune", "h1", "h2"]
 
 
 def costs_for(seed: int, n: int, config=None):
     query = generate_query(n, random.Random(seed), config)
-    return {s: optimize(query, s).cost for s in STRATEGIES}
+    return {s: optimize(query, config=OptimizerConfig(strategy=s)).cost for s in STRATEGIES}
 
 
 class TestStrategyInvariants:
@@ -54,14 +61,16 @@ class TestStrategyInvariants:
         config = WorkloadConfig(inner_only=True)
         for seed in range(6):
             query = generate_query(4, random.Random(seed), config)
-            costs = {s: optimize(query, s).cost for s in STRATEGIES}
+            costs = {
+                s: optimize(query, config=OptimizerConfig(strategy=s)).cost for s in STRATEGIES
+            }
             assert costs["ea-prune"] == pytest.approx(costs["ea-all"], rel=1e-9)
 
 
 class TestResultMetadata:
     def test_result_fields(self):
         query = generate_query(4, random.Random(1))
-        result = optimize(query, "ea-prune")
+        result = optimize(query)
         assert result.strategy == "ea-prune"
         assert result.elapsed_seconds > 0
         assert result.ccp_count > 0
@@ -70,27 +79,48 @@ class TestResultMetadata:
 
     def test_single_relation_query(self):
         query = generate_query(1, random.Random(2))
-        result = optimize(query, "ea-prune")
+        result = optimize(query)
         assert result.plan.rel_set == 1
 
     def test_h2_factor_parameter(self):
         query = generate_query(5, random.Random(3))
-        r1 = optimize(query, "h2", factor=1.01)
-        r2 = optimize(query, "h2", factor=1.5)
+        r1 = optimize(query, config=OptimizerConfig(strategy="h2", factor=1.01))
+        r2 = optimize(query, config=OptimizerConfig(strategy="h2", factor=1.5))
         assert r1.cost > 0 and r2.cost > 0
 
 
 class TestSearchSpaceSize:
     def test_ea_all_builds_more_plans_than_dphyp(self):
         query = generate_query(6, random.Random(4))
-        lazy = optimize(query, "dphyp")
-        eager = optimize(query, "ea-all")
+        lazy = optimize(query, config=OptimizerConfig(strategy="dphyp"))
+        eager = optimize(query, config=OptimizerConfig(strategy="ea-all"))
         assert eager.plans_built > lazy.plans_built
 
     def test_pruning_reduces_table_sizes(self):
         query = generate_query(7, random.Random(5))
-        full = optimize(query, "ea-all")
-        pruned = optimize(query, "ea-prune")
+        full = optimize(query, config=OptimizerConfig(strategy="ea-all"))
+        pruned = optimize(query)
         total_full = sum(full.table_sizes.values())
         total_pruned = sum(pruned.table_sizes.values())
         assert total_pruned <= total_full
+
+
+class TestPreparedMismatch:
+    """A pre-pass built for another query object must raise, even where a
+    cache hit could have been served."""
+
+    def test_mismatch_raises_before_cache_serve(self):
+        catalog = Catalog.from_tpch()
+        query = parse_query(SQL, catalog)
+        twin = parse_query(SQL, catalog)  # same problem, different object
+        cache = PlanCache(capacity=8)
+        optimize(query, cache=cache)  # warm: twin's key now hits
+        with pytest.raises(ValueError, match="different query"):
+            optimize(twin, prepared=prepare(query), cache=cache)
+
+    def test_mismatch_raises_without_cache_too(self):
+        catalog = Catalog.from_tpch()
+        query = parse_query(SQL, catalog)
+        twin = parse_query(SQL, catalog)
+        with pytest.raises(ValueError, match="different query"):
+            optimize(twin, prepared=prepare(query))

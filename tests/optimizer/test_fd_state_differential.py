@@ -204,7 +204,7 @@ def _check_run(query, sample, golden=None):
     result, plans = _collect(query)
     assert "ceiling.cost" not in result.stats
     if golden is not None:
-        bounded = optimize(query, "ea-prune")
+        bounded = optimize(query)
         assert (bounded.cost, bounded.ccp_count, bounded.plans_built) == golden
         assert (result.cost, result.ccp_count) == golden[:2]
     assert_states_carry_the_derived_triples(plans)
@@ -245,7 +245,7 @@ class TestStatesAreTheSets:
         )
         assert "ceiling.cost" not in unbounded.stats
         assert _pruning_work(unbounded) == PARENT_COUNTERS[(topology, n)]
-        bounded = optimize(query, "ea-prune")
+        bounded = optimize(query)
         work, above_ceiling = BOUNDED_COUNTERS[(topology, n)]
         assert _pruning_work(bounded) == work
         assert bounded.stats["strategy.plans_above_ceiling"] == above_ceiling
@@ -351,7 +351,7 @@ class TestLifetime:
     def test_a_result_keeps_no_state_alive(self):
         seen = []
         result = optimize(
-            build_q5(), "ea-prune", hooks=OptimizerHooks(on_plan=seen.append)
+            build_q5(), hooks=OptimizerHooks(on_plan=seen.append)
         )
         table = weakref.ref(next(p.__dict__["_fd"].table for p in seen if "_fd" in p.__dict__))
         assert table() is not None and len(table().states) > 10
@@ -385,7 +385,7 @@ class TestLifetime:
         }
         for seed in range(200):
             query = generate_query(random.Random(seed).randint(3, 5), random.Random(seed))
-            optimize(query, "ea-prune")
+            optimize(query)
         caches = 0
         for name, value in containers():
             if hasattr(value, "cache_info"):

@@ -19,7 +19,7 @@ import random
 import pytest
 
 from engine_oracle import assert_engines_agree
-from repro.optimizer import optimize
+from repro.optimizer import OptimizerConfig, optimize
 from repro.optimizer.strategies import EaPruneStrategy
 from repro.tpch.queries import build_ex, build_q3, build_q5, build_q10
 from repro.workload import WorkloadConfig, generate_query, topology_query
@@ -71,7 +71,7 @@ def _fingerprint(result):
 class TestTpchGolden:
     @pytest.mark.parametrize("query_name,strategy", sorted(TPCH_GOLDEN))
     def test_indexed_engine_matches_golden_values(self, query_name, strategy):
-        result = optimize(TPCH_BUILDERS[query_name](), strategy)
+        result = optimize(TPCH_BUILDERS[query_name](), config=OptimizerConfig(strategy=strategy))
         cost, ccp_count, plans_built = TPCH_GOLDEN[(query_name, strategy)]
         assert result.cost == cost
         assert result.ccp_count == ccp_count
@@ -79,7 +79,7 @@ class TestTpchGolden:
 
     @pytest.mark.parametrize("query_name", sorted(TPCH_BUILDERS))
     def test_reference_engine_keeps_the_seed_counts(self, query_name):
-        result = optimize(TPCH_BUILDERS[query_name](), "ea-prune", engine="reference")
+        result = optimize(TPCH_BUILDERS[query_name](), engine="reference")
         cost, ccp_count, _bounded = TPCH_GOLDEN[(query_name, "ea-prune")]
         assert (result.cost, result.ccp_count, result.plans_built) == (
             cost, ccp_count, REFERENCE_EA_PRUNE_BUILT[query_name],
@@ -125,26 +125,26 @@ class TestEngineEquivalenceOnTopologies:
 
 class TestHotpathStats:
     def test_stats_populated_on_indexed_runs(self):
-        result = optimize(topology_query("chain", 5), "ea-prune")
+        result = optimize(topology_query("chain", 5))
         assert result.stats["engine_reference"] == 0
         assert result.stats["resolver.resolve_calls"] == result.ccp_count
         assert result.stats["graph.neighborhood_calls"] > 0
         assert result.stats["strategy.prune_inserts"] > 0
 
     def test_stats_flag_reference_engine(self):
-        result = optimize(topology_query("chain", 5), "ea-prune", engine="reference")
+        result = optimize(topology_query("chain", 5), engine="reference")
         assert result.stats["engine_reference"] == 1
         assert "resolver.resolve_calls" not in result.stats
 
     def test_stats_survive_cache_hit_copies(self):
-        result = optimize(topology_query("chain", 4), "ea-prune")
+        result = optimize(topology_query("chain", 4))
         hit = result.as_cache_hit()
         assert hit.stats == result.stats
         assert hit.cache_hit and hit.elapsed_seconds == 0.0
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown engine"):
-            optimize(topology_query("chain", 4), "ea-prune", engine="turbo")
+            optimize(topology_query("chain", 4), engine="turbo")
 
 
 class TestPreparedQueryResolver:
@@ -160,6 +160,6 @@ class TestPreparedQueryResolver:
         query = topology_query("cycle", 6)
         prepared = prepare(query)
         for strategy in STRATEGIES:
-            reused = optimize(query, strategy, prepared=prepared)
-            fresh = optimize(query, strategy)
+            reused = optimize(query, config=OptimizerConfig(strategy=strategy), prepared=prepared)
+            fresh = optimize(query, config=OptimizerConfig(strategy=strategy))
             assert _fingerprint(reused) == _fingerprint(fresh)

@@ -20,7 +20,7 @@ import random
 
 import pytest
 
-from repro.optimizer import optimize
+from repro.optimizer import OptimizerConfig, optimize
 from repro.workload import generate_query, topology_query
 
 TOPOLOGY_CASES = [
@@ -31,8 +31,8 @@ TOPOLOGY_CASES = [
 
 
 def assert_pruning_is_optimal(query, context):
-    exhaustive = optimize(query, "ea-all")
-    pruned = optimize(query, "ea-prune")
+    exhaustive = optimize(query, config=OptimizerConfig(strategy="ea-all"))
+    pruned = optimize(query)
     assert pruned.cost == pytest.approx(exhaustive.cost, rel=1e-9), context
     assert sum(pruned.table_sizes.values()) <= sum(exhaustive.table_sizes.values())
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.exec import execute
-from repro.optimizer import optimize
+from repro.optimizer import OptimizerConfig, optimize
 from repro.query.canonical import canonical_plan
 from repro.workload import WorkloadConfig, generate_database, generate_query
 
@@ -30,7 +30,7 @@ def test_all_strategies_produce_canonical_results(seed):
     database = generate_database(query, rng)
     canonical = execute(canonical_plan(query), database)
     for strategy in STRATEGIES:
-        result = optimize(query, strategy)
+        result = optimize(query, config=OptimizerConfig(strategy=strategy))
         optimized = execute(result.plan.node, database)
         assert optimized == canonical, f"strategy {strategy} diverged (seed {seed})"
 
@@ -44,7 +44,7 @@ def test_inner_only_workloads(seed):
     database = generate_database(query, rng)
     canonical = execute(canonical_plan(query), database)
     for strategy in ("ea-prune", "h2"):
-        result = optimize(query, strategy)
+        result = optimize(query, config=OptimizerConfig(strategy=strategy))
         assert execute(result.plan.node, database) == canonical
 
 
@@ -66,7 +66,7 @@ def test_outer_join_heavy_workloads(seed):
     database = generate_database(query, rng)
     canonical = execute(canonical_plan(query), database)
     for strategy in ("ea-prune", "h1"):
-        result = optimize(query, strategy)
+        result = optimize(query, config=OptimizerConfig(strategy=strategy))
         assert execute(result.plan.node, database) == canonical
 
 
@@ -77,5 +77,5 @@ def test_larger_databases(seed):
     query = generate_query(rng.randint(2, 4), rng)
     database = generate_database(query, rng, max_rows=12)
     canonical = execute(canonical_plan(query), database)
-    result = optimize(query, "ea-prune")
+    result = optimize(query)
     assert execute(result.plan.node, database) == canonical

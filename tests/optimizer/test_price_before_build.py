@@ -83,7 +83,7 @@ class TestOneArithmetic:
         builder = PlanBuilder(query)
         by_set = {}
         optimize(
-            query, "ea-prune", prepared=prepared,
+            query, prepared=prepared,
             hooks=OptimizerHooks(
                 on_plan=lambda plan: by_set.setdefault(plan.rel_set, []).append(plan)
             ),
@@ -151,7 +151,10 @@ class TestBookkeeping:
 
         monkeypatch.setattr(PlanBuilder, "construct", counted)
         seen = []
-        result = optimize(query, strategy, hooks=OptimizerHooks(on_plan=seen.append))
+        result = optimize(
+            query, config=OptimizerConfig(strategy=strategy),
+            hooks=OptimizerHooks(on_plan=seen.append),
+        )
         stats = result.stats
         # on_plan: once per plan the DP materialised, never more than filed.
         assert stats["plans_constructed"] == len(seen) <= filed(result)
@@ -185,7 +188,7 @@ class TestBookkeeping:
         through, so ``insert`` must admit it: it is in the table at the end
         unless a later one evicted it or displaced it at the top — priced
         or built, whichever it was then."""
-        result = optimize(query, EaPruneStrategy(criteria))
+        result = optimize(query, config=OptimizerConfig(strategy=EaPruneStrategy(criteria)))
         stats = result.stats
         assert filed(result) == (
             sum(result.table_sizes.values())
@@ -216,7 +219,7 @@ class TestBookkeeping:
         monkeypatch.setattr(PlanBuilder, "price", recorded)
         for _name, query in QUERIES[:6]:
             priced_all.clear()
-            optimize(query, strategy)
+            optimize(query, config=OptimizerConfig(strategy=strategy))
             assert priced_all
             for priced in priced_all:
                 plan = priced.builder.construct(priced)
@@ -229,7 +232,7 @@ class TestBookkeeping:
         query = build_q10()
         seen = []
         result = optimize(
-            query, "ea-prune", engine="reference",
+            query, engine="reference",
             hooks=OptimizerHooks(on_plan=seen.append),
         )
         assert result.stats["plans_constructed"] == result.plans_built == len(seen)
@@ -240,7 +243,7 @@ class TestBookkeeping:
             cost_model=UndeclaredCout(), cache_capacity=None,
         ))
         assert indexed.stats["top_replacements"] == result.stats["top_replacements"]
-        assert optimize(query, "ea-prune").stats["top_replacements"] <= (
+        assert optimize(query).stats["top_replacements"] <= (
             result.stats["top_replacements"]
         )
 
@@ -359,13 +362,14 @@ class TestPluginSeams:
             assert indexed.plans_built == reference.plans_built
             assert indexed.table_sizes == reference.table_sizes
             assert indexed.stats["top_replacements"] == reference.stats["top_replacements"]
-            differs_from_h1 += indexed.cost != optimize(query, "h1").cost
+            h1 = optimize(query, config=OptimizerConfig(strategy="h1"))
+            differs_from_h1 += indexed.cost != h1.cost
         assert differs_from_h1  # the override is what decided the top bucket
 
     def test_insert_top_and_its_pricing_twin_overridden_together(self):
         for _name, query in QUERIES:
             indexed, reference = _both_engines(query, strategy=KeepDearestTopPriced.name)
-            unpriced = optimize(query, KeepDearestTop.name)
+            unpriced = optimize(query, config=OptimizerConfig(strategy=KeepDearestTop.name))
             assert indexed.cost == reference.cost == unpriced.cost
             assert indexed.plans_built == reference.plans_built
             # The twin prices finished plans away; the lone override cannot.
@@ -407,7 +411,7 @@ class TestNothingRunLocalRidesOnAPlan:
         # hand out equal-but-distinct objects, which pickle cannot share
         # (+25–50 bytes at either commit).
         clear_memo_caches()
-        result = optimize(build_q5(), "ea-prune")
+        result = optimize(build_q5())
         proto = pickle.HIGHEST_PROTOCOL
         assert len(pickle.dumps(replace(result, stats={}), proto)) <= self.PARENT_Q5_RESULT_BYTES
         assert len(pickle.dumps(result.plan, proto)) <= self.PARENT_Q5_PLAN_BYTES
@@ -415,7 +419,7 @@ class TestNothingRunLocalRidesOnAPlan:
     def test_memos_are_stripped_from_pickles(self):
         query = topology_query("star", 4)
         plans = []
-        optimize(query, "ea-prune", hooks=OptimizerHooks(on_plan=plans.append))
+        optimize(query, hooks=OptimizerHooks(on_plan=plans.append))
         memoised = [p for p in plans if set(p.__dict__) - set(p.__dataclass_fields__)]
         assert any("_grouped" in p.__dict__ for p in memoised)
         assert any("_fd" in p.__dict__ for p in memoised)
@@ -445,7 +449,7 @@ class TestTheDeletedEngine:
     def test_vectorized_is_an_unknown_engine(self):
         query = topology_query("chain", 3)
         with pytest.raises(ValueError, match="unknown engine 'vectorized'"):
-            optimize(query, "h1", engine="vectorized")
+            optimize(query, config=OptimizerConfig(strategy="h1"), engine="vectorized")
         with pytest.raises(ValueError, match="unknown engine 'vectorized'"):
             OptimizerConfig(engine="vectorized")
         with pytest.raises(TypeError):  # a server has no engine setting at all

@@ -23,9 +23,10 @@ class TestCriteriaKnob:
     def test_weaker_criteria_never_beat_full(self, seed):
         rng = random.Random(seed * 131)
         query = generate_query(rng.randint(3, 5), rng)
-        full = optimize(query, EaPruneStrategy("full")).cost
+        full = optimize(query, config=OptimizerConfig(strategy=EaPruneStrategy("full"))).cost
         for criteria in ("cost-only", "cost-card"):
-            weaker = optimize(query, EaPruneStrategy(criteria)).cost
+            config = OptimizerConfig(strategy=EaPruneStrategy(criteria))
+            weaker = optimize(query, config=config).cost
             assert weaker >= full * (1 - 1e-9)
 
     @pytest.mark.parametrize("seed", range(6))

@@ -18,7 +18,6 @@ from repro.optimizer.recost import (
     evaluate_stale,
     recost,
     recosted_result,
-    refresh_query_stats,
 )
 from repro.sql import parse_query
 from repro.sql.catalog import Catalog, TableStats
@@ -78,7 +77,11 @@ class TestBitForBitReplay:
             recost(other, donor.plan.node)
 
 
-class TestRefreshQueryStats:
+class TestReplayUnderDrift:
+    """A stale entry's query is rebuilt the way the revalidator does it —
+    its SQL re-parsed under the drifted catalog — and the cached plan
+    replayed on it prices the drift."""
+
     def drifted_catalog(self, factor: float) -> Catalog:
         catalog = Catalog.from_tpch()
         old = catalog.lookup("supplier")
@@ -97,83 +100,20 @@ class TestRefreshQueryStats:
         )
         return catalog
 
-    def test_refresh_rereads_cardinalities(self):
-        catalog = self.drifted_catalog(4.0)
-        stale = fresh_query(SQLS[0])  # parsed against undrifted stats
-        refreshed = refresh_query_stats(stale, catalog)
-        by_name = {rel.source_table: rel for rel in refreshed.relations}
-        assert by_name["supplier"].cardinality == catalog.lookup("supplier").cardinality
-        # Untouched relations keep their statistics.
-        assert by_name["nation"].cardinality == 25.0
-
     def test_refresh_changes_the_replayed_cost(self):
         result = optimize(fresh_query(SQLS[0]))
-        refreshed = refresh_query_stats(
-            fresh_query(SQLS[0]), self.drifted_catalog(4.0)
-        )
-        replayed = recost(refreshed, result.plan.node)
+        reparsed = fresh_query(SQLS[0], self.drifted_catalog(4.0))
+        replayed = recost(reparsed, result.plan.node)
         assert replayed.cost > result.cost
-
-    def test_missing_table_keeps_old_statistics(self):
-        catalog = Catalog()  # knows none of the TPC-H tables
-        query = fresh_query(SQLS[0])
-        refreshed = refresh_query_stats(query, catalog)
-        assert [rel.cardinality for rel in refreshed.relations] == [
-            rel.cardinality for rel in query.relations
-        ]
-        assert [edge.selectivity for edge in refreshed.edges] == [
-            edge.selectivity for edge in query.edges
-        ]
-
-    def test_refresh_rederives_edge_selectivities(self):
-        # Drift regression: a stale hand-built query refreshed against a
-        # drifted catalog must converge to the selectivities a full SQL
-        # re-bind would derive — not keep the frozen originals.
-        catalog = self.drifted_catalog(4.0)
-        stale = fresh_query(SQLS[1])
-        rebound = fresh_query(SQLS[1], catalog)
-        refreshed = refresh_query_stats(stale, catalog)
-        assert any(
-            old.selectivity != new.selectivity
-            for old, new in zip(stale.edges, refreshed.edges)
-        ), "drift must move at least one selectivity"
-        for new, expected in zip(refreshed.edges, rebound.edges):
-            assert new.selectivity == pytest.approx(expected.selectivity)
-
-    def test_refresh_rederives_local_predicate_selectivities(self):
-        sql = (
-            "SELECT count(*) AS cnt FROM supplier s, nation n "
-            "WHERE s.s_nationkey = n.n_nationkey AND s.s_acctbal = 100"
-        )
-        catalog = self.drifted_catalog(4.0)
-        stale = fresh_query(sql)
-        rebound = fresh_query(sql, catalog)
-        refreshed = refresh_query_stats(stale, catalog)
-        assert refreshed.local_predicates.keys() == rebound.local_predicates.keys()
-        changed = False
-        for vertex, (_, selectivity) in refreshed.local_predicates.items():
-            expected = rebound.local_predicates[vertex][1]
-            assert selectivity == pytest.approx(expected)
-            changed = changed or selectivity != stale.local_predicates[vertex][1]
-        assert changed
-
-    def test_refresh_unchanged_stats_is_bit_for_bit(self):
-        # The stale-while-revalidate invariant: refreshing under identical
-        # statistics must not perturb a single float, so the subsequent
-        # replay reproduces the cached cost exactly.
-        catalog = Catalog.from_tpch()
-        query = fresh_query(SQLS[2], catalog)
-        refreshed = refresh_query_stats(query, catalog)
-        assert [e.selectivity for e in refreshed.edges] == [
-            e.selectivity for e in query.edges
-        ]
-        result = optimize(query)
-        assert recost(refreshed, result.plan.node).cost == result.cost
 
     def test_drifted_selectivity_changes_replayed_cost(self):
         result = optimize(fresh_query(SQLS[1]))
-        refreshed = refresh_query_stats(fresh_query(SQLS[1]), self.drifted_catalog(4.0))
-        assert recost(refreshed, result.plan.node).cost != result.cost
+        reparsed = fresh_query(SQLS[1], self.drifted_catalog(4.0))
+        assert any(
+            old.selectivity != new.selectivity
+            for old, new in zip(fresh_query(SQLS[1]).edges, reparsed.edges)
+        ), "drift must move at least one selectivity"
+        assert recost(reparsed, result.plan.node).cost != result.cost
 
 
 class TestEvaluateStale:

@@ -14,8 +14,8 @@ from repro.optimizer.strategies import (
     EaPruneStrategy,
     H1Strategy,
     H2Strategy,
-    make_strategy,
 )
+from repro.optimizer.registry import STRATEGIES
 from repro.plans.nodes import ScanNode
 from repro.workload import topology_query
 
@@ -49,11 +49,11 @@ class TestFactory:
         ],
     )
     def test_make_strategy(self, name, cls):
-        assert isinstance(make_strategy(name), cls)
+        assert isinstance(STRATEGIES.create(name), cls)
 
     def test_unknown_rejected(self):
         with pytest.raises(ValueError):
-            make_strategy("magic")
+            STRATEGIES.create("magic")
 
     def test_h2_factor_validation(self):
         with pytest.raises(ValueError):
@@ -62,7 +62,7 @@ class TestFactory:
     def test_only_dphyp_is_lazy(self):
         assert not DphypStrategy().explore_eager
         for name in ("ea-all", "ea-prune", "h1", "h2"):
-            assert make_strategy(name).explore_eager
+            assert STRATEGIES.create(name).explore_eager
 
 
 class TestSinglePlanStrategies:

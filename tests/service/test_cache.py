@@ -2,40 +2,34 @@
 and the costs evicted plans leave behind."""
 
 import pytest
+from cache_entries import Plan, key, query_over, served
 
 from repro.service import PlanCache
 from repro.service import cache as cache_module
 from repro.service.core import PARSE_MEMO_CAPACITY
-from repro.service.fingerprint import PlanCacheKey
 from repro.sql.catalog import Catalog, TableStats
 
-
-def key(tag: str, snapshot: str = "snap") -> PlanCacheKey:
-    return PlanCacheKey(fingerprint=tag, snapshot=snapshot, strategy="ea-prune")
-
-
-class Plan:
-    """Stand-in for an OptimizationResult (the cache never inspects it)."""
-
-    def __init__(self, tag):
-        self.tag = tag
+ORDERS = query_over("orders")
+ORDERS_LINEITEM = query_over("orders", "lineitem")
+CUSTOMER = query_over("customer")
+ANY = query_over()
 
 
 class TestHitsAndMisses:
     def test_miss_then_hit(self):
         cache = PlanCache(capacity=4)
         k = key("q1")
-        assert cache.get(k) is None
-        cache.put(k, Plan("p1"), relations=["orders"])
-        assert cache.get(k).tag == "p1"
+        assert served(cache, k, "orders") is None
+        cache.store(k, ORDERS, Plan("p1"))
+        assert served(cache, k, "orders").tag == "p1"
         assert cache.stats.hits == 1
         assert cache.stats.misses == 1
         assert cache.stats.hit_rate == 0.5
 
     def test_snapshot_is_part_of_the_key(self):
         cache = PlanCache(capacity=4)
-        cache.put(key("q1", "old-stats"), Plan("stale"))
-        assert cache.get(key("q1", "new-stats")) is None
+        cache.store(key("q1", "old-stats"), ANY, Plan("stale"))
+        assert served(cache, key("q1", "new-stats")) is None
 
     def test_stats_idle(self):
         assert PlanCache().stats.hit_rate == 0.0
@@ -48,40 +42,31 @@ class TestHitsAndMisses:
 class TestEviction:
     def test_lru_evicts_oldest(self):
         cache = PlanCache(capacity=2)
-        cache.put(key("a"), Plan("a"))
-        cache.put(key("b"), Plan("b"))
-        cache.put(key("c"), Plan("c"))
-        assert cache.get(key("a")) is None
-        assert cache.get(key("b")) is not None
-        assert cache.get(key("c")) is not None
+        cache.store(key("a"), ANY, Plan("a"))
+        cache.store(key("b"), ANY, Plan("b"))
+        cache.store(key("c"), ANY, Plan("c"))
+        assert served(cache, key("a")) is None
+        assert served(cache, key("b")) is not None
+        assert served(cache, key("c")) is not None
         assert cache.stats.evictions == 1
         assert len(cache) == 2
 
-    def test_get_refreshes_recency(self):
+    def test_a_hit_refreshes_recency(self):
         cache = PlanCache(capacity=2)
-        cache.put(key("a"), Plan("a"))
-        cache.put(key("b"), Plan("b"))
-        cache.get(key("a"))  # a becomes most recent
-        cache.put(key("c"), Plan("c"))
-        assert cache.get(key("a")) is not None
-        assert cache.get(key("b")) is None
+        cache.store(key("a"), ANY, Plan("a"))
+        cache.store(key("b"), ANY, Plan("b"))
+        served(cache, key("a"))  # a becomes most recent
+        cache.store(key("c"), ANY, Plan("c"))
+        assert served(cache, key("a")) is not None
+        assert served(cache, key("b")) is None
 
-    def test_put_overwrites_in_place(self):
+    def test_store_overwrites_in_place(self):
         cache = PlanCache(capacity=2)
-        cache.put(key("a"), Plan("v1"))
-        cache.put(key("a"), Plan("v2"))
+        cache.store(key("a"), ANY, Plan("v1"))
+        cache.store(key("a"), ANY, Plan("v2"))
         assert len(cache) == 1
-        assert cache.get(key("a")).tag == "v2"
+        assert served(cache, key("a")).tag == "v2"
         assert cache.stats.evictions == 0
-
-
-class Costed:
-    """A result as far as the cost memory looks at one."""
-
-    degraded = False
-
-    def __init__(self, cost):
-        self.cost = cost
 
 
 class TestKnownCosts:
@@ -89,10 +74,10 @@ class TestKnownCosts:
 
     def test_an_evicted_entry_leaves_its_cost(self):
         cache = PlanCache(capacity=1)
-        cache.put(key("a"), Costed(10.0), exact_snapshot="s1")
+        cache.store(key("a"), ANY, Plan("costed", 10.0), exact_snapshot="s1")
         assert cache.known_cost(key("a"), "s1") is None  # still held: nothing to remember
-        cache.put(key("b"), Costed(20.0), exact_snapshot="s1")
-        assert cache.get(key("a")) is None
+        cache.store(key("b"), ANY, Plan("costed", 20.0), exact_snapshot="s1")
+        assert served(cache, key("a")) is None
         assert cache.known_cost(key("a"), "s1") == 10.0
         # The pair names the problem: another snapshot, another key, no answer.
         assert cache.known_cost(key("a"), "s2") is None
@@ -102,9 +87,9 @@ class TestKnownCosts:
 
     def test_an_entry_stored_without_its_exact_snapshot_leaves_nothing(self):
         cache = PlanCache(capacity=1)
-        cache.put(key("a"), Costed(10.0))
-        cache.put(key("b"), Plan("no cost at all"), exact_snapshot="s1")
-        cache.put(key("c"), Costed(30.0), exact_snapshot="s1")
+        cache.store(key("a"), ANY, Plan("costed", 10.0))
+        cache.store(key("b"), ANY, Plan("no cost at all"), exact_snapshot="s1")
+        cache.store(key("c"), ANY, Plan("costed", 30.0), exact_snapshot="s1")
         assert cache.stats.evictions == 2 and cache.describe()["known_costs"] == 0.0
 
     def test_the_capacity_is_the_parse_memos(self):
@@ -114,7 +99,8 @@ class TestKnownCosts:
         monkeypatch.setattr(cache_module, "KNOWN_COSTS_CAPACITY", 3)
         cache = PlanCache(capacity=1)
         for index in range(5):  # evicts q0..q3 in turn
-            cache.put(key(f"q{index}"), Costed(float(index)), exact_snapshot="s")
+            plan = Plan("costed", float(index))
+            cache.store(key(f"q{index}"), ANY, plan, exact_snapshot="s")
             if index == 3:
                 assert cache.known_cost(key("q0"), "s") == 0.0  # asked for: most recent
         assert cache.describe()["known_costs"] == 3.0
@@ -123,8 +109,8 @@ class TestKnownCosts:
 
     def test_drop_and_invalidate_leave_nothing(self):
         cache = PlanCache(capacity=4)
-        cache.put(key("a"), Costed(1.0), relations=["orders"], exact_snapshot="s")
-        cache.put(key("b"), Costed(2.0), relations=["orders"], exact_snapshot="s")
+        cache.store(key("a"), ORDERS, Plan("costed", 1.0), exact_snapshot="s")
+        cache.store(key("b"), ORDERS, Plan("costed", 2.0), exact_snapshot="s")
         assert cache.drop(key("a")) is True
         assert cache.invalidate("orders") == 1
         assert cache.known_cost(key("a"), "s") is None
@@ -132,38 +118,39 @@ class TestKnownCosts:
 
     def test_invalidating_a_relation_keeps_the_map_and_clear_empties_it(self):
         cache = PlanCache(capacity=1)
-        cache.put(key("a"), Costed(1.0), relations=["orders"], exact_snapshot="s")
-        cache.put(key("b"), Costed(2.0), relations=["orders"], exact_snapshot="s")
+        cache.store(key("a"), ORDERS, Plan("costed", 1.0), exact_snapshot="s")
+        cache.store(key("b"), ORDERS, Plan("costed", 2.0), exact_snapshot="s")
         cache.invalidate("orders")  # drops b; a's cost is filed under its statistics
         assert len(cache) == 0 and cache.known_cost(key("a"), "s") == 1.0
-        cache.put(key("c"), Costed(3.0), exact_snapshot="s")
+        cache.store(key("c"), ANY, Plan("costed", 3.0), exact_snapshot="s")
         assert cache.clear() == 1
         assert cache.describe()["known_costs"] == 0.0
 
     def test_it_survives_mark_stale(self):
         cache = PlanCache(capacity=1)
-        cache.put(key("a"), Costed(1.0), relations=["orders"], exact_snapshot="s")
-        cache.put(key("b"), Costed(2.0), relations=["orders"], exact_snapshot="s")
+        cache.store(key("a"), ORDERS, Plan("costed", 1.0), exact_snapshot="s")
+        cache.store(key("b"), ORDERS, Plan("costed", 2.0), exact_snapshot="s")
         assert cache.mark_stale("orders") == 1 and cache.mark_stale() == 0
         assert cache.known_cost(key("a"), "s") == 1.0
         # A stale entry evicted still leaves what it cost under *its* statistics.
-        cache.put(key("c"), Costed(3.0), exact_snapshot="s2")
+        cache.store(key("c"), ANY, Plan("costed", 3.0), exact_snapshot="s2")
         assert cache.known_cost(key("b"), "s") == 2.0
 
     @pytest.mark.parametrize("new_key", [None, key("a", "next-band")], ids=["in-place", "moved"])
     def test_refresh_leaves_the_replaced_results_cost_under_the_old_pair(self, new_key):
         cache = PlanCache(capacity=4)
-        cache.put(key("a"), Costed(1.0), relations=["orders"], exact_snapshot="s-old")
+        cache.store(key("a"), ORDERS, Plan("costed", 1.0), exact_snapshot="s-old")
         cache.mark_stale("orders")
         (claim,) = cache.claim_stale()
-        assert cache.refresh(claim.key, Costed(5.0), exact_snapshot="s-new", new_key=new_key)
+        replan = Plan("costed", 5.0)
+        assert cache.refresh(claim.key, replan, exact_snapshot="s-new", new_key=new_key)
         assert cache.known_cost(key("a"), "s-old") == 1.0
         home = new_key or key("a")
-        assert cache.get(home).cost == 5.0 and cache.known_cost(home, "s-new") is None
+        assert served(cache, home, "orders").cost == 5.0 and cache.known_cost(home, "s-new") is None
         # A degraded replan replaces nothing and leaves nothing.
         cache.mark_stale()
         (claim,) = cache.claim_stale()
-        degraded = Costed(9.0)
+        degraded = Plan("costed", 9.0)
         degraded.degraded = True
         assert cache.refresh(claim.key, degraded, exact_snapshot="s-3") is False
         assert cache.known_cost(home, "s-new") is None
@@ -172,16 +159,16 @@ class TestKnownCosts:
 class TestInvalidation:
     def make_cache(self):
         cache = PlanCache(capacity=8)
-        cache.put(key("q1"), Plan("p1"), relations=["orders", "lineitem"])
-        cache.put(key("q2"), Plan("p2"), relations=["customer"])
-        cache.put(key("q3"), Plan("p3"), relations=["ORDERS"])
+        cache.store(key("q1"), ORDERS_LINEITEM, Plan("p1"))
+        cache.store(key("q2"), CUSTOMER, Plan("p2"))
+        cache.store(key("q3"), ORDERS, Plan("p3"))
         return cache
 
     def test_invalidate_by_relation(self):
         cache = self.make_cache()
-        assert cache.invalidate("orders") == 2  # q1 and q3, case-insensitive
-        assert cache.get(key("q1")) is None
-        assert cache.get(key("q2")) is not None
+        assert cache.invalidate("ORDERS") == 2  # q1 and q3, case-insensitive
+        assert served(cache, key("q1"), "orders", "lineitem") is None
+        assert served(cache, key("q2"), "customer") is not None
         assert cache.stats.invalidations == 2
 
     def test_invalidate_everything(self):
@@ -210,30 +197,30 @@ class TestCatalogHook:
 
         cache = PlanCache(capacity=8)
         cache.watch(catalog)
-        cache.put(key("q1"), Plan("p1"), relations=["orders"])
-        cache.put(key("q2"), Plan("p2"), relations=["customer"])
+        cache.store(key("q1"), ORDERS, Plan("p1"))
+        cache.store(key("q2"), CUSTOMER, Plan("p2"))
 
         catalog.register(self.stats("orders", 500.0))  # statistics update
-        assert cache.get(key("q1")) is None
-        assert cache.get(key("q2")) is not None
+        assert served(cache, key("q1"), "orders") is None
+        assert served(cache, key("q2"), "customer") is not None
         assert cache.stats.invalidations == 1
 
     def test_unrelated_change_keeps_entries(self):
         catalog = Catalog()
         cache = PlanCache(capacity=8)
         cache.watch(catalog)
-        cache.put(key("q1"), Plan("p1"), relations=["orders"])
+        cache.store(key("q1"), ORDERS, Plan("p1"))
         catalog.register(self.stats("nation", 25.0))
-        assert cache.get(key("q1")) is not None
+        assert served(cache, key("q1"), "orders") is not None
 
     def test_watch_returns_unsubscribe_handle(self):
         catalog = Catalog()
         cache = PlanCache(capacity=8)
         unsubscribe = cache.watch(catalog)
-        cache.put(key("q1"), Plan("p1"), relations=["orders"])
+        cache.store(key("q1"), ORDERS, Plan("p1"))
         unsubscribe()
         catalog.register(self.stats("orders", 500.0))
-        assert cache.get(key("q1")) is not None  # detached: no eviction
+        assert served(cache, key("q1"), "orders") is not None  # detached: no eviction
         unsubscribe()  # idempotent
 
     def test_double_unsubscribe_keeps_equal_subscriptions(self):
@@ -243,9 +230,9 @@ class TestCatalogHook:
         cache.watch(catalog)  # a second, equal callback
         first()
         first()  # one-shot: must not detach the second subscription
-        cache.put(key("q1"), Plan("p1"), relations=["orders"])
+        cache.store(key("q1"), ORDERS, Plan("p1"))
         catalog.register(self.stats("orders", 500.0))
-        assert cache.get(key("q1")) is None  # still watching
+        assert served(cache, key("q1"), "orders") is None  # still watching
 
     def test_raising_subscriber_does_not_break_registration(self):
         catalog = Catalog()
@@ -264,9 +251,9 @@ class TestCatalogHook:
 class TestIntrospection:
     def test_describe_metrics(self):
         cache = PlanCache(capacity=4)
-        cache.put(key("a"), Plan("a"))
-        cache.get(key("a"))
-        cache.get(key("b"))
+        cache.store(key("a"), ANY, Plan("a"))
+        served(cache, key("a"))
+        served(cache, key("b"))
         metrics = cache.describe()
         assert metrics["size"] == 1.0
         assert metrics["capacity"] == 4.0
@@ -277,7 +264,7 @@ class TestIntrospection:
 
     def test_clear(self):
         cache = PlanCache(capacity=4)
-        cache.put(key("a"), Plan("a"))
+        cache.store(key("a"), ANY, Plan("a"))
         cache.clear()
         assert len(cache) == 0
         assert cache.keys() == ()

@@ -2,24 +2,18 @@
 
 import threading
 
+from cache_entries import Plan, key, query_over, served
+
 from repro.service import PlanCache
-from repro.service.fingerprint import PlanCacheKey
 
-
-def key(tag: str) -> PlanCacheKey:
-    return PlanCacheKey(fingerprint=tag, snapshot="snap", strategy="ea-prune")
-
-
-class Plan:
-    def __init__(self, tag):
-        self.tag = tag
+ANY = query_over()
 
 
 class TestClearCountsInvalidations:
     def test_clear_matches_invalidate_none(self):
         cache = PlanCache(capacity=8)
         for i in range(3):
-            cache.put(key(f"q{i}"), Plan(i))
+            cache.store(key(f"q{i}"), ANY, Plan(i))
         removed = cache.clear()
         assert removed == 3
         assert len(cache) == 0
@@ -27,8 +21,8 @@ class TestClearCountsInvalidations:
 
     def test_describe_stays_honest_after_clear(self):
         cache = PlanCache(capacity=8)
-        cache.put(key("a"), Plan("a"))
-        cache.put(key("b"), Plan("b"))
+        cache.store(key("a"), ANY, Plan("a"))
+        cache.store(key("b"), ANY, Plan("b"))
         cache.clear()
         metrics = cache.describe()
         assert metrics["invalidations"] == 2.0
@@ -43,17 +37,17 @@ class TestClearCountsInvalidations:
 class TestLockedStatsSnapshot:
     def test_snapshot_copies_all_counters(self):
         cache = PlanCache(capacity=1)
-        cache.get(key("miss"))
-        cache.put(key("a"), Plan("a"))
-        cache.put(key("b"), Plan("b"))  # evicts a
-        cache.get(key("b"))
+        served(cache, key("miss"))
+        cache.store(key("a"), ANY, Plan("a"))
+        cache.store(key("b"), ANY, Plan("b"))  # evicts a
+        served(cache, key("b"))
         cache.clear()
         snap = cache.stats_snapshot()
         assert (snap.hits, snap.misses, snap.puts, snap.evictions, snap.invalidations) == (
             1, 1, 2, 1, 1
         )
         # it is a copy: later activity does not mutate it
-        cache.get(key("another-miss"))
+        served(cache, key("another-miss"))
         assert snap.misses == 1
 
     def test_concurrent_hammer_keeps_snapshots_consistent(self):
@@ -73,9 +67,9 @@ class TestLockedStatsSnapshot:
         def mutate(worker: int) -> None:
             i = 0
             while not stop.is_set():
-                cache.put(key(f"w{worker}-{i}"), Plan(i))
-                cache.get(key(f"w{worker}-{i}"))
-                cache.get(key(f"w{worker}-missing-{i}"))
+                cache.store(key(f"w{worker}-{i}"), ANY, Plan(i))
+                served(cache, key(f"w{worker}-{i}"))
+                served(cache, key(f"w{worker}-missing-{i}"))
                 if i % 50 == 0:
                     cache.invalidate(None)
                 i += 1

@@ -11,6 +11,7 @@ import pickle
 from collections import OrderedDict
 
 import pytest
+from cache_entries import Degraded, Plan, key, query_over, served
 
 from repro.optimizer import OptimizerConfig, optimize
 from repro.service import PlanCache
@@ -21,7 +22,7 @@ from repro.service.cache import (
     STALE,
     SnapshotError,
 )
-from repro.service.fingerprint import PlanCacheKey, cache_key, cardinality_snapshot
+from repro.service.fingerprint import cache_key, cardinality_snapshot, plan_key
 from repro.service.revalidate import StaleRevalidator
 from repro.sql import parse_query
 from repro.sql.catalog import Catalog, TableStats
@@ -31,45 +32,27 @@ SQL = (
     "JOIN supplier s ON ns.n_nationkey = s.s_nationkey GROUP BY ns.n_name"
 )
 
-
-def key(tag: str) -> PlanCacheKey:
-    return PlanCacheKey(fingerprint=tag, snapshot="snap", strategy="ea-prune")
-
-
-class Plan:
-    """Stand-in result — the lifecycle never inspects it."""
-
-    degraded = False
-
-    def __init__(self, tag):
-        self.tag = tag
-
-    def as_cache_hit(self):
-        return self
-
-
-class Degraded(Plan):
-    degraded = True
+ORDERS = query_over("orders")
+ANY = query_over()
 
 
 class TestStateTransitions:
     def test_fresh_store_serves_fresh(self):
         cache = PlanCache(capacity=4)
-        cache.put(key("q"), Plan("p"))
+        cache.store(key("q"), ANY, Plan("p"))
         assert cache.entry_state(key("q")) == FRESH
         assert cache.stale_count() == 0
 
     def test_mark_stale_keeps_entry_servable(self):
         cache = PlanCache(capacity=4)
-        cache.put(key("q"), Plan("p"), relations=["orders"])
+        cache.store(key("q"), ORDERS, Plan("p"))
         assert cache.mark_stale("orders") == 1
         assert cache.entry_state(key("q")) == STALE
-        assert cache.get(key("q")).tag == "p"  # still serves
-        assert cache.stats.stale_hits == 0  # plain get is not lifecycle-aware
+        assert served(cache, key("q"), "orders").tag == "p"  # still serves
 
     def test_mark_stale_skips_non_fresh(self):
         cache = PlanCache(capacity=4)
-        cache.put(key("q"), Plan("p"), relations=["orders"])
+        cache.store(key("q"), ORDERS, Plan("p"))
         cache.mark_stale("orders")
         assert cache.mark_stale("orders") == 0  # already stale
         cache.claim_stale()
@@ -77,11 +60,11 @@ class TestStateTransitions:
 
     def test_serve_entry_reports_state(self):
         cache = PlanCache(capacity=4)
-        cache.put(key("q"), Plan("p"), relations=["orders"])
-        _, state = cache.serve_entry(key("q"), query=None)
+        cache.store(key("q"), ORDERS, Plan("p"))
+        _, state = cache.serve_entry(key("q"), ORDERS)
         assert state == FRESH
         cache.mark_stale("orders")
-        _, state = cache.serve_entry(key("q"), query=None)
+        _, state = cache.serve_entry(key("q"), ORDERS)
         assert state == STALE
         assert cache.stats.stale_hits == 1
 
@@ -90,19 +73,19 @@ class TestStateTransitions:
         # hits the structural entry; the exact mismatch flips it stale
         # so revalidation gets queued.
         cache = PlanCache(capacity=4)
-        cache.put(key("q"), Plan("p"), exact_snapshot="cards-v1")
-        _, state = cache.serve_entry(key("q"), query=None, exact_snapshot="cards-v2")
+        cache.store(key("q"), ANY, Plan("p"), exact_snapshot="cards-v1")
+        _, state = cache.serve_entry(key("q"), ANY, exact_snapshot="cards-v2")
         assert state == STALE
         assert cache.stats.marked_stale == 1
         # Matching snapshot does not.
-        cache.put(key("q2"), Plan("p2"), exact_snapshot="cards-v1")
-        _, state = cache.serve_entry(key("q2"), query=None, exact_snapshot="cards-v1")
+        cache.store(key("q2"), ANY, Plan("p2"), exact_snapshot="cards-v1")
+        _, state = cache.serve_entry(key("q2"), ANY, exact_snapshot="cards-v1")
         assert state == FRESH
 
     def test_claim_transitions_and_bounds(self):
         cache = PlanCache(capacity=8)
         for i in range(3):
-            cache.put(key(f"q{i}"), Plan(f"p{i}"), relations=["orders"], sql=f"sql{i}")
+            cache.store(key(f"q{i}"), ORDERS, Plan(f"p{i}"), sql=f"sql{i}")
         cache.mark_stale("orders")
         claims = cache.claim_stale(limit=2)
         assert len(claims) == 2
@@ -116,10 +99,10 @@ class TestStateTransitions:
         # A bounded claim must hand the revalidator q2 before the rest.
         cache = PlanCache(capacity=8)
         for i in range(3):
-            cache.put(key(f"q{i}"), Plan(f"p{i}"), relations=["orders"], sql=f"sql{i}")
+            cache.store(key(f"q{i}"), ORDERS, Plan(f"p{i}"), sql=f"sql{i}")
         for _ in range(10):
-            cache.get(key("q2"))
-        cache.get(key("q0"))
+            served(cache, key("q2"), "orders")
+        served(cache, key("q0"), "orders")
         cache.mark_stale("orders")
         (hottest,) = cache.claim_stale(limit=1)
         assert hottest.sql == "sql2"
@@ -129,7 +112,7 @@ class TestStateTransitions:
     def test_claim_stale_ties_keep_insertion_order(self):
         cache = PlanCache(capacity=8)
         for i in range(3):
-            cache.put(key(f"q{i}"), Plan(f"p{i}"), relations=["orders"], sql=f"sql{i}")
+            cache.store(key(f"q{i}"), ORDERS, Plan(f"p{i}"), sql=f"sql{i}")
         cache.mark_stale("orders")
         claims = cache.claim_stale()
         assert [claim.sql for claim in claims] == ["sql0", "sql1", "sql2"]
@@ -137,34 +120,34 @@ class TestStateTransitions:
     def test_serve_entry_counts_hits_for_claim_priority(self):
         # The lifecycle-aware serving path feeds the same priority.
         cache = PlanCache(capacity=8)
-        cache.put(key("cold"), Plan("c"), relations=["orders"], sql="cold")
-        cache.put(key("hot"), Plan("h"), relations=["orders"], sql="hot")
+        cache.store(key("cold"), ORDERS, Plan("c"), sql="cold")
+        cache.store(key("hot"), ORDERS, Plan("h"), sql="hot")
         for _ in range(5):
-            cache.serve_entry(key("hot"), query=None)
+            cache.serve_entry(key("hot"), ORDERS)
         cache.mark_stale("orders")
         claims = cache.claim_stale()
         assert [claim.sql for claim in claims] == ["hot", "cold"]
 
     def test_refresh_returns_to_fresh(self):
         cache = PlanCache(capacity=4)
-        cache.put(key("q"), Plan("old"), relations=["orders"])
+        cache.store(key("q"), ORDERS, Plan("old"))
         cache.mark_stale("orders")
         (claim,) = cache.claim_stale()
         assert cache.refresh(claim.key, Plan("new"), exact_snapshot="cards-v2")
         assert cache.entry_state(key("q")) == FRESH
-        assert cache.get(key("q")).tag == "new"
+        assert served(cache, key("q"), "orders").tag == "new"
         assert cache.stats.refreshed == 1
 
     def test_refresh_migrates_to_new_key(self):
         # Re-optimization moved the snapshot past its band: the entry
         # must move to the new key, not linger under the old one.
         cache = PlanCache(capacity=4)
-        cache.put(key("q"), Plan("old"), relations=["orders"])
+        cache.store(key("q"), ORDERS, Plan("old"))
         cache.mark_stale("orders")
         (claim,) = cache.claim_stale()
         assert cache.refresh(claim.key, Plan("new"), new_key=key("q-banded"))
         assert key("q") not in cache
-        assert cache.get(key("q-banded")).tag == "new"
+        assert served(cache, key("q-banded"), "orders").tag == "new"
         assert cache.entry_state(key("q-banded")) == FRESH
 
     def test_refresh_refuses_degraded_results(self):
@@ -172,17 +155,17 @@ class TestStateTransitions:
         # background replan that blew its deadline must NOT overwrite
         # the cached optimal plan — the entry goes back to stale.
         cache = PlanCache(capacity=4)
-        cache.put(key("q"), Plan("optimal"), relations=["orders"])
+        cache.store(key("q"), ORDERS, Plan("optimal"))
         cache.mark_stale("orders")
         (claim,) = cache.claim_stale()
         assert cache.refresh(claim.key, Degraded("fallback")) is False
         assert cache.entry_state(key("q")) == STALE  # retryable
-        assert cache.get(key("q")).tag == "optimal"
+        assert served(cache, key("q"), "orders").tag == "optimal"
         assert cache.stats.refreshed == 0
 
     def test_refresh_after_eviction_is_a_noop(self):
         cache = PlanCache(capacity=4)
-        cache.put(key("q"), Plan("old"), relations=["orders"])
+        cache.store(key("q"), ORDERS, Plan("old"))
         cache.mark_stale("orders")
         (claim,) = cache.claim_stale()
         cache.drop(key("q"))
@@ -191,7 +174,7 @@ class TestStateTransitions:
 
     def test_requeue_returns_claim_to_stale(self):
         cache = PlanCache(capacity=4)
-        cache.put(key("q"), Plan("p"), relations=["orders"])
+        cache.store(key("q"), ORDERS, Plan("p"))
         cache.mark_stale("orders")
         (claim,) = cache.claim_stale()
         cache.requeue(claim.key)
@@ -210,7 +193,7 @@ class TestStateTransitions:
 
         cache = PlanCache(capacity=8)
         for tag in ("a", "b", "c"):
-            cache.put(key(tag), Plan(tag), relations=["orders"], exact_snapshot="v1")
+            cache.store(key(tag), ORDERS, Plan(tag), exact_snapshot="v1")
         plain, cache._entries = cache._entries, Counting(cache._entries)
         assert [cache.stale_count() for _ in range(5)] == [0] * 5 and Counting.scans == 0
         # every way out of FRESH raises the flag: a drift mark ...
@@ -223,7 +206,7 @@ class TestStateTransitions:
         scans = Counting.scans
         assert cache.stale_count() == 0 and Counting.scans == scans
         # ... an exact-snapshot mismatch noticed while serving ...
-        cache.serve_entry(key("a"), query=None, exact_snapshot="v2")
+        cache.serve_entry(key("a"), ORDERS, exact_snapshot="v2")
         assert cache.stale_count() == 1
         # ... a claim handed back (the entry never was fresh in between) ...
         (claim,) = cache.claim_stale()
@@ -240,11 +223,7 @@ class TestStateTransitions:
 
     def test_store_refuses_degraded(self):
         cache = PlanCache(capacity=4)
-
-        class Q:
-            relations = ()
-
-        cache.store(key("q"), Q(), Degraded("fallback"))
+        cache.store(key("q"), ANY, Degraded("fallback"))
         assert key("q") not in cache
 
 
@@ -272,9 +251,8 @@ class TestSnapshotVersionRefusal:
 
     def test_round_trip_preserves_lifecycle_state(self, tmp_path):
         cache = PlanCache(capacity=4)
-        cache.put(key("f"), Plan("pf"), relations=["orders"], sql="sql-f",
-                  exact_snapshot="cards")
-        cache.put(key("s"), Plan("ps"), relations=["orders"], sql="sql-s")
+        cache.store(key("f"), ORDERS, Plan("pf"), sql="sql-f", exact_snapshot="cards")
+        cache.store(key("s"), ORDERS, Plan("ps"), sql="sql-s")
         cache.mark_stale("orders")
         cache.claim_stale(limit=1)  # one entry REVALIDATING at save time
         path = tmp_path / "new.plancache"
@@ -424,11 +402,17 @@ class TestStaleRevalidator:
         assert unhinted.stats["ceiling.ccps"] == unhinted.ccp_count
 
     def test_entry_without_context_is_dropped(self):
-        self.cache.put(key("opaque"), Plan("p"), relations=["supplier"])
+        """``optimize(cache=)`` stores no SQL: nothing can rebuild the query
+        under fresh statistics, so a stale entry goes, leaving no cost."""
+        query = parse_query(SQL, self.catalog)
+        optimize(query, config=self.config, cache=self.cache)
+        entry_key, exact = plan_key(query, self.config)
+        assert entry_key in self.cache
         self.cache.mark_stale("supplier")
         counts = self.revalidator().drain()
         assert counts["dropped"] == 1
-        assert key("opaque") not in self.cache
+        assert entry_key not in self.cache
+        assert self.cache.known_cost(entry_key, exact) is None
 
     def test_delta_subscription_marks_and_drains(self):
         store_plan(self.cache, self.catalog, self.config)

@@ -4,45 +4,22 @@ import json
 import os
 
 import pytest
+from cache_entries import Plan, key, query_over, served
 
 from repro.service import PlanCache, SnapshotError
 from repro.service.cache import SNAPSHOT_FORMAT, SNAPSHOT_VERSION
-from repro.service.fingerprint import PlanCacheKey
 
 CATALOG_FP = "a" * 64
 OTHER_CATALOG_FP = "b" * 64
 
-
-def key(tag: str) -> PlanCacheKey:
-    return PlanCacheKey(fingerprint=tag, snapshot="snap", strategy="ea-prune")
-
-
-class Plan:
-    """Stand-in for an OptimizationResult (the cache never inspects it)."""
-
-    def __init__(self, tag):
-        self.tag = tag
-
-    def __eq__(self, other):
-        return isinstance(other, Plan) and other.tag == self.tag
-
-    def __hash__(self):
-        return hash(self.tag)
-
-
-class Costed:
-    """A picklable result with the one field the cost memory reads."""
-
-    degraded = False
-
-    def __init__(self, cost):
-        self.cost = cost
+#: one base table per entry, so a restored entry's relations are its own
+TABLES = ("nation", "region", "supplier", "customer", "orders", "lineitem")
 
 
 def populated(entries=3, capacity=8) -> PlanCache:
     cache = PlanCache(capacity=capacity)
     for index in range(entries):
-        cache.put(key(f"q{index}"), Plan(f"p{index}"), relations=[f"rel{index}"])
+        cache.store(key(f"q{index}"), query_over(TABLES[index]), Plan(f"p{index}"))
     return cache
 
 
@@ -55,8 +32,8 @@ class TestRoundTrip:
         cache = PlanCache(capacity=8)
         loaded = cache.load_snapshot(path, catalog_fingerprint=CATALOG_FP)
         assert loaded == 3
-        assert cache.get(key("q1")).tag == "p1"
-        assert cache.relations_of(key("q2")) == frozenset({"rel2"})
+        assert served(cache, key("q1"), TABLES[1]).tag == "p1"
+        assert cache.relations_of(key("q2")) == frozenset({TABLES[2]})
 
     def test_load_counts_as_puts(self, tmp_path):
         path = tmp_path / "shard.plancache"
@@ -71,9 +48,9 @@ class TestRoundTrip:
         cache = PlanCache(capacity=2)
         assert cache.load_snapshot(path, catalog_fingerprint=CATALOG_FP) == 2
         # The two most-recently-used entries survive, LRU order intact.
-        assert cache.get(key("q0")) is None
-        assert cache.get(key("q4")).tag == "p4"
-        assert cache.get(key("q5")).tag == "p5"
+        assert served(cache, key("q0"), TABLES[0]) is None
+        assert served(cache, key("q4"), TABLES[4]).tag == "p4"
+        assert served(cache, key("q5"), TABLES[5]).tag == "p5"
 
     def test_known_costs_stay_out_of_the_file_and_loading_leaves_them(self, tmp_path):
         """The cost memory is relearned, not persisted (layout still v2);
@@ -82,7 +59,8 @@ class TestRoundTrip:
         path = tmp_path / "shard.plancache"
         source = PlanCache(capacity=2)
         for index in range(3):
-            source.put(key(f"q{index}"), Costed(float(index)), exact_snapshot="s")
+            plan = Plan(f"p{index}", float(index))
+            source.store(key(f"q{index}"), query_over(), plan, exact_snapshot="s")
         assert source.known_cost(key("q0"), "s") == 0.0
         assert source.save_snapshot(path, catalog_fingerprint=CATALOG_FP) == 2
 
@@ -92,11 +70,11 @@ class TestRoundTrip:
         assert fresh.known_cost(key("q0"), "s") is None
 
         busy = PlanCache(capacity=2)
-        busy.put(key("mine"), Costed(7.0), exact_snapshot="s")
+        busy.store(key("mine"), query_over(), Plan("mine", 7.0), exact_snapshot="s")
         busy.load_snapshot(path, catalog_fingerprint=CATALOG_FP)
         assert busy.stats.evictions == 1 and busy.known_cost(key("mine"), "s") == 7.0
         # ... and a loaded entry remembers the snapshot it was costed under.
-        busy.put(key("next"), Costed(8.0), exact_snapshot="s")
+        busy.store(key("next"), query_over(), Plan("next", 8.0), exact_snapshot="s")
         assert busy.known_cost(key("q1"), "s") == 1.0
 
     def test_header_readable_without_unpickling(self, tmp_path):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.exec import execute
-from repro.optimizer import optimize
+from repro.optimizer import OptimizerConfig, optimize
 from repro.query.canonical import canonical_plan
 from repro.rewrites.pushdown import OpKind
 from repro.sql import BindError, Catalog, TableStats, parse_query
@@ -141,11 +141,11 @@ class TestSqlEndToEnd:
         # alias names used in SQL must map onto micro tables
         canonical = execute(canonical_plan(query), database)
         for strategy in ("dphyp", "ea-prune", "h2"):
-            result = optimize(query, strategy)
+            result = optimize(query, config=OptimizerConfig(strategy=strategy))
             assert execute(result.plan.node, database) == canonical
 
     def test_parsed_ex_shows_the_paper_gain(self, catalog):
         query = parse_query(EX_SQL, catalog)
-        lazy = optimize(query, "dphyp")
-        eager = optimize(query, "ea-prune")
+        lazy = optimize(query, config=OptimizerConfig(strategy="dphyp"))
+        eager = optimize(query)
         assert eager.cost < lazy.cost * 1e-3

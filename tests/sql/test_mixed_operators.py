@@ -13,7 +13,7 @@ from repro.algebra.relation import Relation
 from repro.algebra.rows import Row
 from repro.algebra.values import NULL
 from repro.exec import execute
-from repro.optimizer import optimize, prepare
+from repro.optimizer import OptimizerConfig, optimize, prepare
 from repro.query.canonical import canonical_plan
 from repro.query.tree import TreeLeaf, TreeNode
 from repro.rewrites.pushdown import OpKind
@@ -142,7 +142,7 @@ class TestSemijoinBinding:
         )
         prepared = prepare(query)
         assert any(a.op is OpKind.LEFT_SEMI for a in prepared.annotated)
-        result = optimize(query, "ea-prune", prepared=prepared)
+        result = optimize(query, prepared=prepared)
         assert result.cost > 0
 
 
@@ -235,7 +235,7 @@ class TestCommaFrom:
         assert all(e.op is OpKind.INNER for e in query.edges)
         database = micro_database(query)
         canonical = execute(canonical_plan(query), database)
-        result = optimize(query, "ea-prune")
+        result = optimize(query)
         assert execute(result.plan.node, database) == canonical
 
 
@@ -302,7 +302,7 @@ class TestThreeValuedLogic:
             query = parse_query(sql, catalog)
             canonical = execute(canonical_plan(query), database)
             for strategy in ("dphyp", "ea-prune", "h2"):
-                result = optimize(query, strategy)
+                result = optimize(query, config=OptimizerConfig(strategy=strategy))
                 assert execute(result.plan.node, database) == canonical, (sql, strategy)
 
 
@@ -468,7 +468,7 @@ class TestCommaJoinPrecedence:
         result = execute(canonical_plan(query), database)
         # only t.id = 1 (= v.id) survives: its x=1 matches u rows 1 and 4
         assert counts_by_group(result, "u.x", "cnt") == {1: 2}
-        optimized = optimize(query, "ea-prune")
+        optimized = optimize(query)
         assert execute(optimized.plan.node, database) == result
 
     def test_three_table_subquery_conjunct_rejected(self, tpch):

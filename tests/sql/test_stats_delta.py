@@ -5,6 +5,7 @@ import pytest
 from repro.service import PlanCache
 from repro.service.cache import FRESH, STALE
 from repro.service.fingerprint import PlanCacheKey
+from repro.sql import parse_query
 from repro.sql.catalog import Catalog, StatsDelta, TableStats
 
 
@@ -126,12 +127,17 @@ class TestCacheDeltaHook:
     def key(self, tag: str) -> PlanCacheKey:
         return PlanCacheKey(fingerprint=tag, snapshot="snap", strategy="ea-prune")
 
+    def store(self, cache, catalog, tag: str, table: str) -> None:
+        """Store a stand-in plan for a query scanning *table*."""
+        query = parse_query(f"SELECT count(*) AS cnt FROM {table} t", catalog)
+        cache.store(self.key(tag), query, object())
+
     def test_watch_deltas_marks_stale_instead_of_dropping(self):
         catalog = make_catalog()
         cache = PlanCache(capacity=8)
         cache.watch_deltas(catalog)
-        cache.put(self.key("q1"), object(), relations=["orders"])
-        cache.put(self.key("q2"), object(), relations=["customer"])
+        self.store(cache, catalog, "q1", "orders")
+        self.store(cache, catalog, "q2", "customer")
 
         catalog.update_stats("orders", stats("orders", 400.0))
 
@@ -146,7 +152,7 @@ class TestCacheDeltaHook:
         catalog = make_catalog()
         cache = PlanCache(capacity=8)
         unwatch = cache.watch_deltas(catalog)
-        cache.put(self.key("q1"), object(), relations=["orders"])
+        self.store(cache, catalog, "q1", "orders")
         unwatch()
         catalog.update_stats("orders", stats("orders", 400.0))
         assert cache.entry_state(self.key("q1")) == FRESH

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.exec import execute
-from repro.optimizer import optimize
+from repro.optimizer import OptimizerConfig, optimize
 from repro.query.canonical import canonical_plan
 from repro.tpch import (
     TABLES,
@@ -100,14 +100,14 @@ class TestEndToEnd:
         query = TPCH_QUERIES[name](1.0)
         database = micro_database(query, seed=1)
         canonical = execute(canonical_plan(query), database)
-        result = optimize(query, strategy)
+        result = optimize(query, config=OptimizerConfig(strategy=strategy))
         assert execute(result.plan.node, database) == canonical
 
     def test_ex_gains_massively_from_eager_aggregation(self):
         """The headline claim: the outerjoin barrier falls (Sec. 1)."""
         query = build_ex()
-        lazy = optimize(query, "dphyp")
-        eager = optimize(query, "ea-prune")
+        lazy = optimize(query, config=OptimizerConfig(strategy="dphyp"))
+        eager = optimize(query)
         assert eager.cost < lazy.cost * 1e-3
 
     def test_heuristics_find_an_ex_plan_close_to_optimal(self):
@@ -115,22 +115,22 @@ class TestEndToEnd:
         # optimal (Sec. 4.4), but on Ex they must capture nearly all of the
         # gain: within a small factor of EA, orders of magnitude below DPhyp.
         query = build_ex()
-        optimal = optimize(query, "ea-prune")
-        lazy = optimize(query, "dphyp")
+        optimal = optimize(query)
+        lazy = optimize(query, config=OptimizerConfig(strategy="dphyp"))
         for strategy in ("h1", "h2"):
-            cost = optimize(query, strategy).cost
+            cost = optimize(query, config=OptimizerConfig(strategy=strategy)).cost
             assert cost <= optimal.cost * 2
             assert cost < lazy.cost * 1e-3
 
     def test_q10_gains(self):
         query = build_q10()
-        lazy = optimize(query, "dphyp")
-        eager = optimize(query, "ea-prune")
+        lazy = optimize(query, config=OptimizerConfig(strategy="dphyp"))
+        eager = optimize(query)
         assert eager.cost < lazy.cost
 
     def test_eager_never_worse(self):
         for name, build in TPCH_QUERIES.items():
             query = build(1.0)
-            lazy = optimize(query, "dphyp")
-            eager = optimize(query, "ea-prune")
+            lazy = optimize(query, config=OptimizerConfig(strategy="dphyp"))
+            eager = optimize(query)
             assert eager.cost <= lazy.cost * (1 + 1e-9), name

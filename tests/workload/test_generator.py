@@ -161,5 +161,5 @@ class TestSqlWorkloadMode:
             query = parse_query(sql, tpch)
             database = micro_database(query)
             canonical = execute(canonical_plan(query), database)
-            result = optimize(query, "ea-prune")
+            result = optimize(query)
             assert execute(result.plan.node, database) == canonical, sql

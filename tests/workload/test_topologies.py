@@ -50,7 +50,7 @@ class TestTopologyQueries:
     def test_optimizable_end_to_end(self, topology):
         from repro.optimizer import optimize
 
-        result = optimize(topology_query(topology, 5), "ea-prune")
+        result = optimize(topology_query(topology, 5))
         assert result.cost > 0
         assert result.table_sizes
 
