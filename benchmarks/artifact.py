@@ -1,7 +1,7 @@
 """The one format of ``benchmarks/BENCH_*.json`` and the one gate over it.
 
-``bench_hotpath.py``, ``bench_fig16_scale.py`` and ``bench_async_server.py``
-measure different things and record them the same way::
+``bench_hotpath.py``, ``bench_fig16_scale.py``, ``bench_async_server.py`` and
+``bench_paper.py`` measure different things and record them the same way::
 
     {"schema": "repro-bench/v1", "benchmark": "hotpath", "mode": "full",
      "generated_unix": ...,
@@ -9,13 +9,15 @@ measure different things and record them the same way::
              "kernel_nominal_seconds"},
      "cases": [{"key": {...}, "seconds": ..., "raw_seconds": ..., ...}],
      "speedups": [{"key": {...}, "speedup": ..., ...}],
-     ...}                     # what only one benchmark derives (correlation, slo)
+     ...}                     # what only one benchmark derives (correlation, slo, figures)
 
 A case is named by its ``key`` dict.  ``raw_seconds`` is the wall time
 measured; ``seconds`` is that time at the nominal speed of the calibration
 kernel of ``benchmarks/e2e/calibrate.py`` — what the end-to-end benchmark
 reports too, so numbers recorded on a core that was running slow compare
-with numbers that were not.  ``check_baseline`` compares ``seconds``.
+with numbers that were not.  ``check_baseline`` compares ``seconds``;
+``bench_paper.py`` gates on the plan costs its cases keep instead, since a
+cost is exact where a time is not.
 
 Importing this module puts ``src/`` and ``benchmarks/e2e/`` on ``sys.path``:
 the scripts run without ``PYTHONPATH``.

@@ -1,8 +1,8 @@
 """Columnar executor: physical operator trees over column batches.
 
 The performance backend behind ``run_plan(..., executor="columnar")``.
-Operators pass **index vectors over shared columns**: a filter, a join,
-a sort or a limit computes which rows of its input survive and in what
+Operators pass **index vectors over shared columns**: a filter, a join
+or a limit computes which rows of its input survive and in what
 order, and hands that vector to :meth:`Batch.take`, which gathers
 nothing — a column is materialised when an expression, a key or the
 final :meth:`Batch.to_relation` reads it (:mod:`repro.exec.columns`).
@@ -112,7 +112,6 @@ from repro.exec.physical import (
     PhysOp,
     PhysProject,
     PhysScan,
-    PhysSort,
 )
 from repro.exec.vectoreval import eval_expr, eval_tri
 from repro.rewrites.pushdown import OpKind
@@ -160,8 +159,6 @@ def execute_physical(op: PhysOp, database: Mapping[str, object]) -> Batch:
         return _emit_join(op, left, right, pairs_l, pairs_r)
     if isinstance(op, PhysGroupAgg):
         return _group_agg(op, execute_physical(op.child, database))
-    if isinstance(op, PhysSort):
-        return _sort(op, execute_physical(op.child, database))
     if isinstance(op, PhysLimit):
         return execute_physical(op.child, database).head(op.count)
     raise TypeError(f"unknown physical operator {op!r}")
@@ -667,21 +664,3 @@ def _group_agg(op: PhysGroupAgg, child: Batch) -> Batch:
     if new_cols:
         grouped = grouped.extended([(name, eval_expr(expr, grouped)) for name, expr in new_cols])
     return grouped.project(op.attributes)
-
-
-# ---------------------------------------------------------------------------
-# sort
-# ---------------------------------------------------------------------------
-
-def _sort(op: PhysSort, child: Batch) -> Batch:
-    indices = list(range(child.length))
-    # Stable multi-key sort: apply keys right-to-left.  NULL sorts as the
-    # largest value (Postgres default: NULLS LAST ascending, FIRST
-    # descending); NULL keys compare equal to each other via group_key.
-    for attr, descending in reversed(op.keys):
-        values = child.column(attr).values
-        indices.sort(
-            key=lambda i: (values[i] is NULL, values[i]),
-            reverse=descending,
-        )
-    return child.take(np.array(indices, dtype=np.intp))

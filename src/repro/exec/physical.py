@@ -18,10 +18,9 @@ make an equality conjunct TRUE, which is why the hash table skips them
 on both sides.  Joins with no equi conjunct fall back to a block
 nested-loop operator over the full cross pairing.
 
-:class:`PhysSort` and :class:`PhysLimit` have no logical counterpart
-yet (ORDER BY/LIMIT are still parse-reserved, ROADMAP item 3); they
-exist for the executor API (``run_plan(..., limit=N)``) and for the
-future SQL lowering.
+:class:`PhysLimit` has no logical counterpart (LIMIT is still
+parse-reserved); it exists for the executor API
+(``run_plan(..., limit=N)``).
 """
 
 from __future__ import annotations
@@ -201,25 +200,6 @@ class PhysGroupAgg(PhysOp):
 
     def label(self) -> str:
         return f"group[{','.join(self.group_attrs)}; {self.vector!r}]"
-
-
-@dataclass(frozen=True)
-class PhysSort(PhysOp):
-    """Stable multi-key sort; NULLs order as the largest value (Postgres)."""
-
-    keys: Tuple[Tuple[str, bool], ...]  # (attribute, descending)
-    child: PhysOp
-    attributes: Tuple[str, ...] = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "attributes", self.child.attributes)
-
-    def children(self) -> Tuple[PhysOp, ...]:
-        return (self.child,)
-
-    def label(self) -> str:
-        keys = ", ".join(f"{a} {'desc' if d else 'asc'}" for a, d in self.keys)
-        return f"sort[{keys}]"
 
 
 @dataclass(frozen=True)

@@ -207,8 +207,9 @@ def optimize(
     ``OptimizerConfig(cache_capacity=None)``, EA-Prune under Cout.
     *prepared* reuses a :func:`prepare` pre-pass (conflict detection +
     hypergraph) across strategies or repeated runs.  *cache* is an optional
-    :class:`repro.service.cache.PlanCache`: hits return immediately
-    (marked ``cache_hit=True``), misses are stored after optimization.
+    :class:`repro.service.cache.PlanCache`: fresh hits return immediately
+    (marked ``cache_hit=True``); misses and stale entries are planned and
+    stored after optimization.
     *hooks* receive tracing callbacks (see :class:`OptimizerHooks`).
     *engine* selects the hot path (``"indexed"``, the default) or the seed
     code path (``"reference"``, the test oracle); ``None`` defers to
@@ -261,12 +262,15 @@ def optimize(
     key = None
     exact_snapshot = None
     if cache is not None:
+        from repro.service.cache import FRESH
         from repro.service.fingerprint import plan_key
 
         key, exact_snapshot = plan_key(query, config)
         found = cache.serve_entry(key, query, exact_snapshot=exact_snapshot)
-        if found is not None:
-            served, _state = found
+        # Nobody revalidates for this caller: a stale entry is planned
+        # again and stored over, or it would be served forever.
+        if found is not None and found[1] == FRESH:
+            served = found[0]
             if on_result is not None:
                 on_result(served)
             return served

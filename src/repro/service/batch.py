@@ -32,7 +32,7 @@ from repro.optimizer.config import OptimizerConfig
 from repro.optimizer.deadline import Deadline, PlanningDeadlineExceeded
 from repro.optimizer.driver import OptimizationResult
 from repro.query.spec import Query
-from repro.service.cache import CacheStats, PlanCache
+from repro.service.cache import FRESH, CacheStats, PlanCache
 from repro.service.fingerprint import PlanCacheKey, plan_key
 from repro.service.rebind import query_binding, rebind_result
 
@@ -248,9 +248,10 @@ def optimize_many(
     """Optimize *queries* under *config*, yielding a :class:`BatchItem`
     per entry in order.
 
-    Every item whose plan was not freshly computed — served from *cache*
-    or sharing the run of an identical earlier item in the same batch —
-    carries ``cache_hit=True``.  With ``config.workers <= 1`` (or a
+    Every item whose plan was not freshly computed — served from a fresh
+    *cache* entry or sharing the run of an identical earlier item in the
+    same batch — carries ``cache_hit=True``; a stale entry is planned
+    again and stored over.  With ``config.workers <= 1`` (or a
     single miss) everything runs in-process; otherwise distinct misses
     are spread over a process pool.  The cache is consulted and populated
     only in the dispatching process, so workers stay oblivious to it.
@@ -270,7 +271,8 @@ def optimize_many(
         if cache is not None and key not in missed:
             started = time.perf_counter()
             found = cache.serve_entry(key, query, exact_snapshot=exact)
-            if found is not None:
+            # a stale entry is a miss: no revalidator drains this cache
+            if found is not None and found[1] == FRESH:
                 # a hit reports the probe time, not the original run's
                 slots.append(BatchItem(index, key, found[0], time.perf_counter() - started, True))
                 continue

@@ -13,9 +13,7 @@ from repro.algebra.expressions import Attr, BinOp, Case, Const, IsNull, Logical,
 from repro.algebra.relation import Relation
 from repro.algebra.values import NULL
 from repro.exec import run_plan
-from repro.exec.columnar import execute_physical
 from repro.exec.columns import Batch, Column
-from repro.exec.physical import PhysScan, PhysSort, lower
 from repro.plans.nodes import (
     GroupByNode,
     JoinNode,
@@ -178,19 +176,6 @@ def test_limit_rejects_negative():
 def test_unknown_executor_rejected():
     with pytest.raises(ValueError):
         run_plan(SCAN_L, DB, executor="gpu")
-
-
-def test_sort_stable_multikey_nulls_last():
-    t = Relation.from_tuples(
-        ("t.a", "t.b"),
-        [(2, "x"), (NULL, "y"), (1, "z"), (2, "a"), (1, NULL)],
-    )
-    phys = PhysSort((("t.a", False), ("t.b", True)), PhysScan("T", ("t.a", "t.b")))
-    result = execute_physical(phys, {"T": t}).to_relation()
-    got = [(row["t.a"], row["t.b"]) for row in result.rows]
-    # ascending on t.a with NULL last; within a=1/2, t.b descending with
-    # NULL first (it orders as the largest value).
-    assert got == [(1, NULL), (1, "z"), (2, "x"), (2, "a"), (NULL, "y")]
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from collections import OrderedDict
 import pytest
 from cache_entries import Degraded, Plan, key, query_over, served
 
+from repro.api import PlannerSession
 from repro.optimizer import OptimizerConfig, optimize
 from repro.service import PlanCache
 from repro.service.cache import (
@@ -430,3 +431,38 @@ class TestStaleRevalidator:
         # Once unwatched, further deltas no longer mark anything stale.
         drift(self.catalog, "supplier", 1.5)
         assert self.cache.stale_count() == 0
+
+
+class TestNoRevalidator:
+    """A session's statements and the batch driver probe a cache nobody
+    drains: an entry that drifted inside its band is planned again and
+    stored over, never served."""
+
+    def session(self):
+        return PlannerSession.tpch(
+            config=OptimizerConfig(workers=1, snapshot_band_width=1.0)
+        )
+
+    def fresh_cost(self, session):
+        return optimize(session.parse(SQL), config=session.config).cost
+
+    def test_a_session_replans_a_drifted_entry(self):
+        session = self.session()
+        before = session.optimize(SQL)
+        drift(session.catalog, "supplier", 1.05)  # inside the band: same key
+        after = session.optimize(SQL)
+        assert after.cache_hit is False
+        assert after.cost == self.fresh_cost(session) != before.cost
+        assert session.cache.stale_count() == 0 and len(session.cache) == 1
+        assert session.optimize(SQL).cache_hit is True  # the new entry is fresh
+
+    def test_a_batch_replans_a_drifted_entry(self):
+        session = self.session()
+        (first,) = session.run_batch([session.parse(SQL)]).items
+        drift(session.catalog, "supplier", 1.05)
+        (item,) = session.run_batch([session.parse(SQL)]).items
+        assert item.cache_hit is False
+        assert item.result.cost == self.fresh_cost(session) != first.result.cost
+        assert session.cache.stale_count() == 0 and len(session.cache) == 1
+        (again,) = session.run_batch([session.parse(SQL)]).items
+        assert again.cache_hit is True
