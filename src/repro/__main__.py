@@ -32,13 +32,13 @@ import random
 import sys
 from typing import List
 
-from repro.api import COST_MODELS, ENGINES, STRATEGIES, OptimizerConfig, PlannerSession
+from repro.api import COST_MODELS, STRATEGIES, OptimizerConfig, PlannerSession
 from repro.query.spec import Query
 
 SUBCOMMANDS = ("explain", "batch", "serve")
 
 
-def _add_strategy_options(parser: argparse.ArgumentParser, engine: bool = True) -> None:
+def _add_strategy_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--strategy",
         choices=STRATEGIES.names(),
@@ -55,14 +55,6 @@ def _add_strategy_options(parser: argparse.ArgumentParser, engine: bool = True) 
         default="cout",
         help="cost model pricing the plans (default: cout)",
     )
-    if engine:  # the oracle is for explain/batch; a server never runs it
-        parser.add_argument(
-            "--engine",
-            choices=ENGINES,
-            default="indexed",
-            help="driver code path: indexed (the hot path) or reference (the "
-            "seed's, kept as test oracle); identical plans (default: indexed)",
-        )
 
 
 def _config_from(args: argparse.Namespace, **overrides) -> OptimizerConfig:
@@ -70,7 +62,6 @@ def _config_from(args: argparse.Namespace, **overrides) -> OptimizerConfig:
         strategy=args.strategy,
         factor=args.factor,
         cost_model=args.cost_model,
-        engine=args.engine,
         **overrides,
     )
 
@@ -183,7 +174,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "--scale-factor", type=float, default=1.0,
         help="TPC-H scale factor for the catalog statistics (default: 1)",
     )
-    _add_strategy_options(parser, engine=False)
+    _add_strategy_options(parser)
     parser.add_argument(
         "--cache-size", type=int, default=512,
         help="plan cache capacity in entries (default: 512)",
@@ -224,11 +215,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "files (default: planning only, /execute answers 409)",
     )
     parser.add_argument(
-        "--data-dir", default=None,
-        help="directory of .csv/.parquet files to serve /execute against "
-        "(shorthand for --dataset <dir>)",
-    )
-    parser.add_argument(
         "--executor", choices=("interpreter", "columnar"), default="columnar",
         help="default /execute backend when a request names none "
         "(default: columnar)",
@@ -262,9 +248,6 @@ def run_serve(argv) -> int:
 
     args = build_serve_parser().parse_args(argv)
     logging.basicConfig(level=logging.INFO, format="%(message)s", stream=sys.stderr)
-    if args.dataset is not None and args.data_dir is not None:
-        print("error: --dataset and --data-dir are mutually exclusive", file=sys.stderr)
-        return 1
     # What both tiers' configs share (the ServingConfig fields).
     serving = dict(
         host=args.host,
@@ -280,7 +263,7 @@ def run_serve(argv) -> int:
         degradation=args.degradation,
         recost_bound=args.recost_bound,
         snapshot_band_width=args.band_width,
-        dataset=args.dataset if args.dataset is not None else args.data_dir,
+        dataset=args.dataset,
         default_executor=args.executor,
     )
     if args.use_async:
@@ -376,11 +359,11 @@ def _run_serve_async(args, serving: dict) -> int:
 
 def run_explain(argv) -> int:
     args = build_argument_parser().parse_args(argv)
-    session = PlannerSession.tpch(
-        scale_factor=args.scale_factor,
-        config=_config_from(args, cache_capacity=None),
-    )
     try:
+        session = PlannerSession.tpch(
+            scale_factor=args.scale_factor,
+            config=_config_from(args, cache_capacity=None),
+        )
         statement = session.sql(args.sql)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -432,11 +415,15 @@ def run_batch_command(argv) -> int:
     from repro.workload import generate_workload
 
     args = build_batch_parser().parse_args(argv)
-    config = _config_from(
-        args,
-        workers=args.workers,
-        cache_capacity=None if args.no_cache else args.cache_size,
-    )
+    try:
+        config = _config_from(
+            args,
+            workers=args.workers,
+            cache_capacity=None if args.no_cache else args.cache_size,
+        )
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
 
     if args.sql_file:
         session = PlannerSession.tpch(scale_factor=args.scale_factor, config=config)

@@ -31,7 +31,6 @@ from repro.optimizer.deadline import Deadline, PlanningDeadlineExceeded
 from repro.optimizer.driver import OptimizationResult, OptimizerHooks
 from repro.optimizer.registry import (
     COST_MODELS,
-    ENGINES,
     STRATEGIES,
     CostModelRegistry,
     StrategyRegistry,
@@ -58,7 +57,6 @@ __all__ = [
     "CostModelRegistry",
     "STRATEGIES",
     "COST_MODELS",
-    "ENGINES",
     "PlanCache",
     "Catalog",
 ]

@@ -26,7 +26,6 @@ from repro.optimizer.driver import (
 from repro.optimizer.planinfo import PlanBuilder, PlanInfo
 from repro.optimizer.registry import (
     COST_MODELS,
-    ENGINES,
     STRATEGIES,
     CostModelRegistry,
     StrategyRegistry,
@@ -63,5 +62,4 @@ __all__ = [
     "CostModelRegistry",
     "STRATEGIES",
     "COST_MODELS",
-    "ENGINES",
 ]

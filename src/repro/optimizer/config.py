@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields, replace
 from typing import Optional, Union
 
 from repro.optimizer.costmodel import CostModel
-from repro.optimizer.registry import COST_MODELS, ENGINES, STRATEGIES
+from repro.optimizer.registry import COST_MODELS, STRATEGIES
 from repro.optimizer.strategies import Strategy
 
 
@@ -36,10 +36,7 @@ class OptimizerConfig:
 
     ``strategy`` / ``cost_model`` — registry name (validated against the
     registries) or a ready instance.  ``factor`` — H2's eagerness
-    tolerance F (≥ 1).  ``engine`` — the driver code path
-    (:data:`~repro.optimizer.registry.ENGINES`); engines never change
-    optimizer output, so the field is plumbing only and stays out of
-    plan-cache keys.  ``workers`` — batch-driver process count (None =
+    tolerance F (≥ 1).  ``workers`` — batch-driver process count (None =
     auto).  ``cache_capacity`` — plan-cache entries for components that
     own a cache, e.g. a session (None or 0 = caching off).
     ``deadline_seconds`` — cooperative planning budget per optimize call
@@ -61,7 +58,6 @@ class OptimizerConfig:
     strategy: Union[str, Strategy] = "ea-prune"
     factor: float = 1.03
     cost_model: Union[str, CostModel] = "cout"
-    engine: str = "indexed"
     workers: Optional[int] = None
     cache_capacity: Optional[int] = 512
     deadline_seconds: Optional[float] = None
@@ -89,10 +85,6 @@ class OptimizerConfig:
         elif not isinstance(self.cost_model, CostModel):
             raise TypeError(
                 f"cost_model must be a registered name or a CostModel, got {self.cost_model!r}"
-            )
-        if self.engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {self.engine!r} (use one of: {', '.join(ENGINES)})"
             )
         if not self.factor >= 1.0:
             raise ValueError(f"tolerance factor must be >= 1, got {self.factor}")

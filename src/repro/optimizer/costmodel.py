@@ -32,8 +32,8 @@ Two things rest on properties of the model rather than of the driver:
   Sec. 4.6 makes that precise for Cout).  A custom model that is not
   (e.g. one rewarding larger intermediates) keeps EA-All exact but can
   make EA-Prune a heuristic.
-* The driver's *ceiling* (docs/architecture.md, "bound, price, ask,
-  file — build on read") drops a partial plan that already costs more than a complete
+* The driver's *ceiling* (docs/architecture.md, "bound, price, file —
+  build on read") drops a partial plan that already costs more than a complete
   one.  That is exact only when no operator can make a plan cheaper than
   its inputs — every contribution non-negative, plan cost the sum of
   them.  A model says so by declaring :attr:`CostModel.monotone`;

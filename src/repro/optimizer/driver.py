@@ -8,24 +8,25 @@ This is the paper's Fig. 5 skeleton with the eager-aggregation extensions:
 4. build plans — ``OpTrees`` generates up to four grouping placements per
    join (Fig. 8), and the chosen strategy decides what survives,
 5. finalise plans for the full relation set (top grouping or Eqv.-42
-   elimination) through ``InsertTopLevelPlan``.
+   elimination) and keep the cheapest — ``InsertTopLevelPlan``, the
+   driver's own rule, the same for every strategy.
 
 Two engines drive the same skeleton (see docs/architecture.md):
 
 * ``engine="indexed"`` (default) — the hot path: iterative enumerator over
   the indexed hypergraph, per-edge join specs resolved through
   :class:`~repro.optimizer.edgeindex.EdgeResolver`, cost-ordered EA-Prune
-  buckets, and *bound, price, ask, file — build on read*: an OpTrees
-  variant that already costs more than the run's ceiling is dropped, what
-  is left is priced (:meth:`~repro.optimizer.planinfo.PlanBuilder.price`),
-  the strategy is asked whether it would discard it
-  (:meth:`~repro.optimizer.strategies.Strategy.would_discard`), and what
-  survives is filed in its bucket *as priced*.  A bucket is constructed
-  the first time a ccp reads its relation set as an input — DPhyp emits
-  every ccp that produces a set before any that reads it, so the bucket
-  is final by then — and a candidate displaced or evicted before that is
-  never built.  Finished plans for the full relation set are built when
-  they are inserted,
+  buckets, and *bound, price, file — build on read*: an OpTrees variant
+  that already costs more than the run's ceiling is dropped, what is left
+  is priced (:meth:`~repro.optimizer.planinfo.PlanBuilder.price`) and
+  filed in its bucket *as priced*
+  (:meth:`~repro.optimizer.strategies.Strategy.insert`, which says
+  whether it kept it).  A bucket is constructed the first time a ccp
+  reads its relation set as an input — DPhyp emits every ccp that
+  produces a set before any that reads it, so the bucket is final by
+  then — and a candidate displaced or evicted before that is never
+  built.  A finished plan for the full relation set is built only if its
+  priced cost beats the incumbent's,
 * ``engine="reference"`` — the seed's code path (recursive enumerator,
   linear edge scans, uncached builder, unordered buckets, every candidate
   fully built, never bounded), kept strictly as the test oracle.  Golden
@@ -51,9 +52,9 @@ and ``ccp_count`` are unchanged; under ``inf`` the same loop drops
 nothing.  When a deadline fires in the main pass, the degraded answer is
 the H1 result — the one in hand after (2), planned on the spot otherwise.
 
-The engine choice never changes optimizer *output* — it is part of
-:class:`~repro.optimizer.config.OptimizerConfig` for plumbing (CLI,
-server) but deliberately *not* part of the plan cache key.
+The engine choice never changes optimizer *output*; it is a keyword of
+:func:`optimize` only — no configuration, plan-cache key or CLI flag
+carries it.
 """
 
 from __future__ import annotations
@@ -73,7 +74,6 @@ from repro.optimizer.config import OptimizerConfig
 from repro.optimizer.deadline import Deadline, PlanningDeadlineExceeded
 from repro.optimizer.edgeindex import EdgeResolver, JoinSpec
 from repro.optimizer.planinfo import PlanBuilder, PlanInfo
-from repro.optimizer.registry import ENGINES
 from repro.optimizer.strategies import EaPruneStrategy, PruneBucket, Strategy
 from repro.query.spec import Query
 from repro.rewrites.pushdown import OpKind, pushdown_valid_for
@@ -196,7 +196,7 @@ def optimize(
     cache=None,
     config: Optional[OptimizerConfig] = None,
     hooks: Optional[OptimizerHooks] = None,
-    engine: Optional[str] = None,
+    engine: str = "indexed",
     deadline: Optional[Deadline] = None,
     known_cost: Optional[float] = None,
 ) -> OptimizationResult:
@@ -212,8 +212,8 @@ def optimize(
     stored after optimization.
     *hooks* receive tracing callbacks (see :class:`OptimizerHooks`).
     *engine* selects the hot path (``"indexed"``, the default) or the seed
-    code path (``"reference"``, the test oracle); ``None`` defers to
-    ``config.engine``.  The result is identical whichever engine runs.
+    code path (``"reference"``, the test oracle).  The result is identical
+    whichever engine runs.
 
     *deadline* arms a cooperative planning budget checked inside the DP
     loop (both engines share it); ``None`` defers to
@@ -242,12 +242,8 @@ def optimize(
     """
     if config is None:
         config = OptimizerConfig(cache_capacity=None)
-    if engine is None:
-        engine = config.engine
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r} (use one of: {', '.join(ENGINES)})"
-        )
+    if engine not in ("indexed", "reference"):
+        raise ValueError(f"unknown engine {engine!r} (use 'indexed' or 'reference')")
     chosen = config.resolve_strategy()
     cost_model = config.resolve_cost_model()
 
@@ -367,10 +363,8 @@ def optimize(
     ccp_count = 0
 
     if len(query.relations) == 1:
-        top: List[PlanInfo] = []
         finished = builder.finish_top(table[1][0])
-        chosen.insert_top(top, finished)
-        table[all_mask] = top
+        table[all_mask] = [finished]
         if on_plan is not None:
             on_plan(finished)
 
@@ -402,8 +396,8 @@ def optimize(
             is_top = combined == all_mask
             bucket = table.get(combined)
             if bucket is None:
-                # Top-level entries go through insert_top (single plan, list
-                # semantics); inner entries use the strategy's bucket type.
+                # The full relation set keeps one plan (the driver's
+                # InsertTopLevelPlan); inner entries use the strategy's bucket.
                 if is_top:
                     bucket = table[combined] = []
                 else:
@@ -618,16 +612,6 @@ class _Tally:
         self.top_replacements = 0  # finished plans that displaced the incumbent
 
 
-def _insert_top(
-    strategy: Strategy, tally: _Tally, bucket: List[PlanInfo], plan: PlanInfo
-) -> None:
-    """``strategy.insert_top``, counting the incumbents it displaces."""
-    incumbent = bucket[0] if bucket else None
-    strategy.insert_top(bucket, plan)
-    if incumbent is not None and (not bucket or bucket[0] is not incumbent):
-        tally.top_replacements += 1
-
-
 def _build_plans(
     builder: PlanBuilder,
     strategy: Strategy,
@@ -640,22 +624,23 @@ def _build_plans(
     tally: _Tally,
     ceiling: float,
 ) -> None:
-    """BuildPlans for one csg-cmp-pair: bound, price, ask, file.
+    """BuildPlans for one csg-cmp-pair: bound, price, file.
 
     Every OpTrees placement of every plan pair (Fig. 6/8, in the reference
     engine's order) is first held against the run's *ceiling* — the cost
     of a complete plan, or ``inf`` when the run is not bounded: a variant
     whose inputs together already cost more is never priced, and one
     whose priced cost (for the full relation set, its ``top_cost``) is
-    strictly above it goes no further.  What is left is *priced*; the
-    strategy is *asked* whether it would discard a plan with those
-    numbers (``would_discard``, or for the full relation set
-    ``would_discard_top`` on the priced ``finish_top`` cost).  An inner
-    survivor is *filed* as the :class:`PricedJoin` it is — ``insert`` may
-    evict or displace priced candidates — and built only when a ccp reads
-    its bucket (:func:`_materialise`); that is sound because ``price``
-    decides validity completely, so whatever the strategy keeps will
-    construct.  A finished plan is built and inserted at once.
+    strictly above it goes no further.  What is left is *priced* and, for
+    an inner relation set, *filed* as the :class:`PricedJoin` it is:
+    ``strategy.insert`` keeps, evicts or displaces priced candidates and
+    says whether it kept this one.  A kept candidate is built only when a
+    ccp reads its bucket (:func:`_materialise`); that is sound because
+    ``price`` decides validity completely, so whatever the strategy keeps
+    will construct.  For the full relation set the driver keeps the
+    strictly cheaper plan (``InsertTopLevelPlan``): a finished plan whose
+    priced ``finish_top`` cost beats the incumbent's is built at once and
+    replaces it, any other is never built.
 
     NOTE on NeedsGrouping (Fig. 6, lines 10/15): the paper skips grouped
     variants whose grouping attributes contain a key.  That test is
@@ -674,10 +659,9 @@ def _build_plans(
     # Γ_{G⁺} of a plan is the plan's own (PlanBuilder.grouped): one per
     # plan, not one per partner.
     rights = [(plan, grouped(plan) if group_right else None) for plan in right_bucket]
-    insert = partial(_insert_top, strategy, tally) if is_top else strategy.insert
-    would_discard, would_discard_top = strategy.would_discard, strategy.would_discard_top
+    insert = strategy.insert
     top_cost = builder.top_cost
-    built = finished = priced_away = above_ceiling = 0
+    built = finished = priced_away = above_ceiling = replaced = 0
     for left_plan in left_bucket:
         grouped_left = grouped(left_plan) if group_left else None
         for right_plan, grouped_right in rights:
@@ -701,25 +685,26 @@ def _build_plans(
                     continue
                 built += 1
                 if not is_top:
-                    if would_discard(bucket, priced):
+                    if not insert(bucket, priced):
                         priced_away += 1
-                    else:
-                        insert(bucket, priced)
                     continue
-                if would_discard_top(bucket, cost):
-                    priced_away += 1
-                    continue
+                if bucket:
+                    if not cost < bucket[0].cost:
+                        priced_away += 1
+                        continue
+                    replaced += 1
                 # Report the finalised plan — the candidate the DP table
                 # actually considers for the full relation set.
                 plan = builder.finish_top(construct(priced))
                 finished += 1
                 if on_plan is not None:
                     on_plan(plan)
-                insert(bucket, plan)
+                bucket[:] = [plan]
     tally.built += built
     tally.constructed += finished
     tally.priced_away += priced_away
     tally.above_ceiling += above_ceiling
+    tally.top_replacements += replaced
 
 
 def _materialise(bucket, construct, on_plan) -> int:
@@ -751,14 +736,15 @@ def _build_plans_reference(
 ) -> None:
     """The seed's BuildPlans — the oracle :func:`_build_plans` is tested
     against: every OpTrees placement is fully built, with a fresh Γ per
-    plan pair, and the strategy sees them all — it is never bounded."""
+    plan pair, and every one is offered — the strategy its inner ones, the
+    keep-the-cheaper rule the finished ones; it is never bounded."""
     join = partial(
         builder.join, op=spec.op, predicate=spec.predicate,
         selectivity=spec.selectivity, groupjoin_vector=spec.groupjoin_vector,
     )
     group_left = strategy.explore_eager and pushdown_valid_for(spec.op, 1)
     group_right = strategy.explore_eager and pushdown_valid_for(spec.op, 2)
-    insert = partial(_insert_top, strategy, tally) if is_top else strategy.insert
+    insert = strategy.insert
     for left in left_bucket:
         for right in right_bucket:
             grouped_left = grouped_right = None
@@ -781,4 +767,11 @@ def _build_plans_reference(
                     plan = builder.finish_top(plan)
                 if on_plan is not None:
                     on_plan(plan)
-                insert(bucket, plan)
+                if not is_top:
+                    insert(bucket, plan)
+                    continue
+                if bucket:
+                    if not plan.cost < bucket[0].cost:
+                        continue
+                    tally.top_replacements += 1
+                bucket[:] = [plan]

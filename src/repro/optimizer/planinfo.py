@@ -22,8 +22,8 @@ each side's terms by the other side's scale columns, and grouping a plan
 decomposes every term into inner/outer stages while folding the plan's old
 scale columns into the new count column (``count(*) ⊗ c`` = ``sum(c)``).
 
-Joins are made in two steps (docs/architecture.md, "bound, price, ask,
-file — build on read"):
+Joins are made in two steps (docs/architecture.md, "bound, price, file
+— build on read"):
 :meth:`PlanBuilder.price` derives a candidate's validity, cardinality,
 cost and eagerness from the two inputs alone — a :class:`PricedJoin`, no
 plan node, no dictionaries — and :meth:`PlanBuilder.construct` turns a

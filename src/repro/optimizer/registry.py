@@ -103,18 +103,6 @@ class CostModelRegistry(Registry):
     kind = "cost model"
 
 
-#: The driver's execution engines, in documentation order.  Engines are
-#: *code paths* through :func:`repro.optimizer.optimize` — both produce
-#: identical output, so unlike strategies and cost models they are a
-#: closed set (a fixed tuple, not a plug-in registry) and are excluded
-#: from plan-cache keys:
-#:
-#: * ``"indexed"`` — the default hot path (iterative enumerator, edge
-#:   index, memoised builder, ordered Pareto buckets, candidates priced
-#:   before they are built),
-#: * ``"reference"`` — the seed's code path, kept as the test oracle.
-ENGINES: Tuple[str, ...] = ("indexed", "reference")
-
 #: the process-wide strategy registry; built-ins register on import of
 #: :mod:`repro.optimizer.strategies`.
 STRATEGIES = StrategyRegistry()

@@ -1,25 +1,23 @@
 """The BuildPlans strategies — the only component the paper's four
 algorithms differ in (Figs. 5, 9, 10, 12, 13, 14).
 
-Each strategy answers four questions:
+Besides its ``name``, a strategy has four members:
 
 * ``explore_eager`` — should OpTrees generate the grouping placements
   (b)/(c)/(d) of Fig. 8 at all?  (False only for the DPhyp baseline.)
-* ``insert(bucket, plan)`` — which candidates survive in the DP table
-  entry.  The indexed engine files *priced* candidates
-  (:class:`~repro.optimizer.planinfo.PricedJoin`) and builds a bucket's
-  survivors when a join first reads it (see docs/architecture.md, "bound,
-  price, ask, file — build on read"), so ``insert`` reads only the priced
-  surface; the reference engine inserts built plans.
-* ``would_discard(bucket, priced)`` — would ``insert`` throw away a
-  candidate with these numbers?  The driver asks before it files one; the
-  base class answers "no", so a strategy that defines only ``insert`` is
-  offered every candidate.  ``would_discard_top(bucket, cost)`` is the
-  same question about ``insert_top`` for the full relation set, whose
-  finished plans are built before they are inserted.
+* ``new_bucket()`` — a fresh DP-table entry (EA-Prune's is a
+  :class:`PruneBucket`, everyone else's a list).
+* ``insert(bucket, plan)`` — which candidates survive in an inner DP
+  table entry, and whether this one did.  The indexed engine files
+  *priced* candidates (:class:`~repro.optimizer.planinfo.PricedJoin`) and
+  builds a bucket's survivors when a join first reads it (see
+  docs/architecture.md, "bound, price, file — build on read"), so
+  ``insert`` reads only the priced surface; the reference engine inserts
+  built plans.  The full relation set is not a strategy's: the driver
+  keeps its single cheapest plan (``InsertTopLevelPlan``, Fig. 9).
 * ``accepts_ceiling`` — does the strategy return the optimum of the
   eager search space, so that the driver may drop every partial plan
-  dearer than a complete one (H1's) before asking anything?  Only
+  dearer than a complete one (H1's) before inserting anything?  Only
   EA-Prune with the full criteria says yes; a strategy is never shown a
   candidate above the ceiling, and never told there is one.
 
@@ -63,12 +61,6 @@ from repro.optimizer.planinfo import FdState, FdTable, PlanInfo, PricedJoin
 from repro.optimizer.registry import STRATEGIES
 
 
-def loses_on_cost(bucket: List[PlanInfo], cost: float) -> bool:
-    """Keep-the-cheaper, asked of a one-plan bucket: a newcomer at *cost*
-    loses unless it is strictly cheaper than the incumbent."""
-    return bool(bucket) and not cost < bucket[0].cost
-
-
 class Strategy:
     """Base class: a DP-table insertion policy."""
 
@@ -78,7 +70,7 @@ class Strategy:
     #: space* and lets the driver bound it: H1's plan lies in that space, so
     #: no partial plan dearer than it can be part of the answer, and the
     #: driver never shows the strategy one (docs/architecture.md, "bound,
-    #: price, ask, file — build on read").  False for everything that
+    #: price, file — build on read").  False for everything that
     #: cannot promise that: DPhyp searches a smaller space (H1's plan is
     #: outside it), the heuristics and the ``cost-card`` / ``cost-only``
     #: ablations promise no optimum, and EA-All — which could — stays
@@ -89,58 +81,42 @@ class Strategy:
         """A fresh DP-table entry; strategies may return an indexed list."""
         return []
 
-    def insert(self, bucket: List[PlanInfo], plan) -> None:
+    def insert(self, bucket: List[PlanInfo], plan) -> bool:
         """File *plan* in *bucket*, keeping, evicting or displacing what
-        the policy says.  On the indexed engine *plan* — and every entry
-        of an inner bucket — is a
-        :class:`~repro.optimizer.planinfo.PricedJoin`, built by the driver
-        only once a join reads the bucket; on the reference engine it is a
-        :class:`PlanInfo`.  Read only the surface the two share: ``cost``,
-        ``cardinality``, ``eagerness``, ``duplicate_free``, ``state`` /
-        ``keys`` / ``equiv`` / ``has_key_within``, ``rel_set``,
-        ``raw_attrs``, ``scale_cols`` and ``distinct`` (``state`` is the
-        interned FD triple of a priced candidate; a built plan carries its
-        own in ``__dict__["_fd"]``).  Whatever is evicted before the read
-        is never built — safe, since every priced candidate constructs."""
+        the policy says, and return whether *plan* was kept: ``False``
+        leaves the bucket's plans, and their order, as they were (the
+        driver counts the candidate in ``strategy.plans_priced_away``);
+        ``True`` means *plan* is in the bucket now.  Asked once per
+        candidate of an inner relation set.
+
+        On the indexed engine *plan* — and every entry of the bucket — is
+        a :class:`~repro.optimizer.planinfo.PricedJoin`, built by the
+        driver only once a join reads the bucket; on the reference engine
+        it is a :class:`PlanInfo`.  Read only the surface the two share:
+        ``cost``, ``cardinality``, ``eagerness``, ``duplicate_free``,
+        ``state`` / ``keys`` / ``equiv`` / ``has_key_within``,
+        ``rel_set``, ``raw_attrs``, ``scale_cols`` and ``distinct``
+        (``state`` is the interned FD triple of a priced candidate; a built
+        plan carries its own in ``__dict__["_fd"]``).  Whatever is evicted
+        before the read is never built — safe, since every priced
+        candidate constructs."""
         raise NotImplementedError
-
-    def would_discard(self, bucket: List[PlanInfo], priced) -> bool:
-        """Whether :meth:`insert` would drop a candidate priced like
-        *priced* (a :class:`~repro.optimizer.planinfo.PricedJoin`, the
-        surface :meth:`insert` documents).  Must not change what the
-        bucket holds, and may say yes only when ``insert`` would discard:
-        the driver files just the candidates this lets through, through
-        :meth:`insert`, which decides again.  Default: admit everything."""
-        return False
-
-    def insert_top(self, bucket: List[PlanInfo], plan: PlanInfo) -> None:
-        """``InsertTopLevelPlan`` (Fig. 9): keep the single cheapest plan."""
-        if not loses_on_cost(bucket, plan.cost):
-            bucket[:] = [plan]
-
-    def would_discard_top(self, bucket: List[PlanInfo], cost: float) -> bool:
-        """:meth:`would_discard` for the full relation set: would
-        :meth:`insert_top` drop a finished plan of this *cost* (the priced
-        ``finish_top`` cost)?  Same contract.  A subclass that overrides
-        only :meth:`insert_top` is asked nothing and sees every finished
-        plan, as before; one that overrides both keeps them consistent."""
-        if type(self).insert_top is not Strategy.insert_top:
-            return False
-        return loses_on_cost(bucket, cost)
 
 
 class SinglePlanStrategy(Strategy):
     """One plan per DP class: a newcomer — priced or built, and so is the
-    incumbent; the test reads only numbers — replaces the incumbent unless
-    :meth:`would_discard` says it loses.  A priced incumbent that is
-    displaced is never built.  Default: keep the cheaper."""
+    incumbent; the test reads only numbers — replaces the incumbent if it
+    :meth:`_beats` it.  A priced incumbent that is displaced is never
+    built.  Default: keep the strictly cheaper."""
 
-    def would_discard(self, bucket: List[PlanInfo], priced) -> bool:
-        return loses_on_cost(bucket, priced.cost)
+    def insert(self, bucket: List[PlanInfo], plan) -> bool:
+        if bucket and not self._beats(plan, bucket[0]):
+            return False
+        bucket[:] = [plan]
+        return True
 
-    def insert(self, bucket: List[PlanInfo], plan) -> None:
-        if not self.would_discard(bucket, plan):
-            bucket[:] = [plan]
+    def _beats(self, new, old) -> bool:
+        return new.cost < old.cost
 
 
 class DphypStrategy(SinglePlanStrategy):
@@ -156,8 +132,9 @@ class EaAllStrategy(Strategy):
 
     name = "ea-all"
 
-    def insert(self, bucket: List[PlanInfo], plan) -> None:
+    def insert(self, bucket: List[PlanInfo], plan) -> bool:
         bucket.append(plan)
+        return True
 
 
 def reset_prune_caches() -> None:
@@ -319,58 +296,42 @@ class EaPruneStrategy(Strategy):
             return True
         return _fd_superset(a, b)
 
-    def _insert_scan(self, bucket: List[PlanInfo], plan: PlanInfo) -> None:
+    def _insert_scan(self, bucket: List[PlanInfo], plan: PlanInfo) -> bool:
         for existing in bucket:
             if self._dominates(existing, plan):
-                return  # dominated: discard the new plan
+                return False  # dominated: discard the new plan
         bucket[:] = [
             existing for existing in bucket if not self._dominates(plan, existing)
         ]
         bucket.append(plan)
+        return True
 
     # -- ordered hot path ---------------------------------------------------
-    def _arrive(self, bucket: PruneBucket, state, cost: float, card: float) -> bool:
-        """Step 1 of the ordered insert: is a newcomer with these numbers
-        dominated?  Registers the state — which also materialises its
-        adjacency lists, so every pass touches only dominance-related
-        frontiers.  A dominated newcomer is counted here, once; a survivor
-        is counted when it is inserted."""
-        bucket.frontier_for(state)
-        dominating = bucket.dominating[state]
-        # Discard the candidate if any frontier whose state
-        # FD-dominates ours holds a plan with cost <= c and card <= d:
-        # the minimum cardinality among cost-≤-c plans sits at the
-        # rightmost cost-≤-c position of the Pareto frontier.
-        for costs, cards, _plans in dominating:
-            at = bisect_right(costs, cost) - 1
-            if at >= 0 and cards[at] <= card:
-                counters = self.counters
-                counters["prune_inserts"] += 1
-                counters["dominance_checks"] += len(dominating)
-                counters["plans_discarded"] += 1
-                return True
-        return False
-
     def _card(self, plan) -> float:
         # Under cost-only pruning every cardinality is treated as equal, so
         # the frontier degenerates to the single cheapest plan.
         return plan.cardinality if self.criteria != "cost-only" else 0.0
 
-    def would_discard(self, bucket: List[PlanInfo], priced) -> bool:
-        if type(bucket) is not PruneBucket:
-            return False  # unordered reference instances see every plan
-        state = bucket.home(priced) if self.criteria == "full" else None
-        return self._arrive(bucket, state, priced.cost, self._card(priced))
-
-    def _insert_ordered(self, bucket: PruneBucket, plan) -> None:
+    def _insert_ordered(self, bucket: PruneBucket, plan) -> bool:
         state = bucket.home(plan) if self.criteria == "full" else None
         cost = plan.cost
         card = self._card(plan)
-        if self._arrive(bucket, state, cost, card):
-            return
+        # Registering the state also materialises its adjacency lists, so
+        # every pass below touches only dominance-related frontiers.
+        bucket.frontier_for(state)
+        dominating = bucket.dominating[state]
         counters = self.counters
         counters["prune_inserts"] += 1
-        counters["dominance_checks"] += len(bucket.dominating[state])
+        counters["dominance_checks"] += len(dominating)
+        # 1) Discard the candidate if any frontier whose state
+        #    FD-dominates ours holds a plan with cost <= c and card <= d:
+        #    the minimum cardinality among cost-≤-c plans sits at the
+        #    rightmost cost-≤-c position of the Pareto frontier.
+        for costs, cards, _plans in dominating:
+            at = bisect_right(costs, cost) - 1
+            if at >= 0 and cards[at] <= card:
+                counters["plans_discarded"] += 1
+                return False
         # 2) Evict plans the candidate dominates: in every frontier whose
         #    state ours FD-dominates, they form one contiguous slice.
         for costs, cards, plans in bucket.dominated[state]:
@@ -392,13 +353,13 @@ class EaPruneStrategy(Strategy):
         cards.insert(at, card)
         plans.insert(at, plan)
         bucket.count += 1
+        return True
 
-    def insert(self, bucket: List[PlanInfo], plan) -> None:
+    def insert(self, bucket: List[PlanInfo], plan) -> bool:
         if type(bucket) is PruneBucket:
-            self._insert_ordered(bucket, plan)
-        else:
-            self.counters["prune_inserts"] += 1
-            self._insert_scan(bucket, plan)
+            return self._insert_ordered(bucket, plan)
+        self.counters["prune_inserts"] += 1
+        return self._insert_scan(bucket, plan)
 
 
 class H1Strategy(SinglePlanStrategy):
@@ -418,10 +379,8 @@ class H2Strategy(SinglePlanStrategy):
             raise ValueError("tolerance factor must be >= 1")
         self.factor = factor
 
-    def would_discard(self, bucket: List[PlanInfo], priced) -> bool:
-        return bool(bucket) and not self._compare_adjusted(priced, bucket[0])
-
-    def _compare_adjusted(self, new, old) -> bool:
+    def _beats(self, new, old) -> bool:
+        """``CompareAdjustedCosts``: the less eager plan must win by F."""
         if new.eagerness == old.eagerness:
             return new.cost < old.cost
         if new.eagerness < old.eagerness:

@@ -107,10 +107,10 @@ class KeepCheapestStrategy(Strategy):
     name = "keep-cheapest-test"
 
     def insert(self, bucket, plan):
-        if not bucket:
-            bucket.append(plan)
-        elif plan.cost < bucket[0].cost:
-            bucket[0] = plan
+        if bucket and not plan.cost < bucket[0].cost:
+            return False
+        bucket[:] = [plan]
+        return True
 
 
 class PaidScansModel(CostModel):

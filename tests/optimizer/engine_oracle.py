@@ -15,7 +15,7 @@ normalised plan, csg-cmp-pair emission order and count.  Beyond that:
   ``optimize`` a *known_cost*) never prices, files or joins a partial
   plan above it, so its counters are *smaller* by design.  What it owes
   instead is the restriction lemma (docs/architecture.md, "bound, price,
-  ask, file — build on read"): per relation set, its bucket is the reference bucket
+  file — build on read"): per relation set, its bucket is the reference bucket
   restricted to ``cost <= ceiling`` — compared as sorted lists of
   ``(cost, cardinality, FD triple)``.  The lemma does not care where the
   ceiling came from, so neither does this module: one reference
@@ -84,9 +84,9 @@ class Observation:
         self.result = optimize(
             query,
             config=OptimizerConfig(
-                strategy=strategy, factor=factor, engine=engine, cache_capacity=None,
-                **config,
+                strategy=strategy, factor=factor, cache_capacity=None, **config,
             ),
+            engine=engine,
             hooks=OptimizerHooks(
                 on_ccp=lambda s1, s2: self.ccp_order.append((s1, s2)), on_plan=on_plan
             ),

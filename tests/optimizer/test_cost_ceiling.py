@@ -1,4 +1,4 @@
-"""Bound, price, ask, file: EA-Prune under a complete plan's cost as a
+"""Bound, price, file: EA-Prune under a complete plan's cost as a
 ceiling.
 
 An *exact eager* run is bounded by the cost of a complete plan of the
@@ -67,11 +67,12 @@ CEILING_KEYS = {
 PREPASS_KEYS = {"ceiling.ccps", "ceiling.plans", "ceiling.seconds"}
 
 
-def _run(query, strategy="ea-prune", known_cost=None, **config):
+def _run(query, strategy="ea-prune", known_cost=None, engine="indexed", **config):
     return optimize(
         query,
         config=OptimizerConfig(strategy=strategy, cache_capacity=None, **config),
         known_cost=known_cost,
+        engine=engine,
     )
 
 
@@ -143,7 +144,8 @@ def _offered_plans(query, model):
     plans = []
     optimize(
         query,
-        config=OptimizerConfig(cost_model=model, engine="reference", cache_capacity=None),
+        config=OptimizerConfig(cost_model=model, cache_capacity=None),
+        engine="reference",
         hooks=OptimizerHooks(on_plan=plans.append),
     )
     return [p for p in plans if p.rel_set != query.all_relations_mask]

@@ -89,8 +89,8 @@ class TestDegradedFallback:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_zero_budget_degrades_to_heuristic(self, engine):
         query = _query()
-        config = OptimizerConfig(deadline_seconds=0.0, engine=engine)
-        result = optimize(query, config=config)
+        config = OptimizerConfig(deadline_seconds=0.0)
+        result = optimize(query, config=config, engine=engine)
         assert result.degraded is True
         assert result.strategy == DEGRADED_STRATEGY
         assert result.cost > 0
@@ -181,10 +181,10 @@ class TestDegradedNeverCached:
     def test_degraded_results_skip_the_cache(self, engine):
         query = _query(seed=3)
         cache = PlanCache(capacity=8)
-        config = OptimizerConfig(deadline_seconds=0.0, engine=engine)
-        first = optimize(query, cache=cache, config=config)
+        config = OptimizerConfig(deadline_seconds=0.0)
+        first = optimize(query, cache=cache, config=config, engine=engine)
         assert first.degraded is True
-        second = optimize(query, cache=cache, config=config)
+        second = optimize(query, cache=cache, config=config, engine=engine)
         assert second.cache_hit is False
         assert len(cache) == 0
 

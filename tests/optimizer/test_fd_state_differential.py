@@ -103,9 +103,11 @@ def _collect(query, engine="indexed"):
     about from ever being built (TPC-H Q5: 97 candidates, not 4,018)."""
     plans = []
     config = OptimizerConfig(
-        strategy="ea-prune", engine=engine, cost_model=UndeclaredCout(), cache_capacity=None
+        strategy="ea-prune", cost_model=UndeclaredCout(), cache_capacity=None
     )
-    result = optimize(query, config=config, hooks=OptimizerHooks(on_plan=plans.append))
+    result = optimize(
+        query, config=config, engine=engine, hooks=OptimizerHooks(on_plan=plans.append)
+    )
     inner = [p for p in plans if p.rel_set != query.all_relations_mask]
     return result, inner
 

@@ -28,13 +28,13 @@ CASES = {"chain": 8, "cycle": 7, "star": 6, "clique": 5}
 MAX_RATIO = 1.5
 
 
-def _best_of(query, prepared, config, reps):
+def _best_of(query, prepared, config, engine, reps):
     best = float("inf")
     for _ in range(reps):
         start = time.perf_counter()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            optimize(query, prepared=prepared, config=config)
+            optimize(query, prepared=prepared, config=config, engine=engine)
         best = min(best, time.perf_counter() - start)
     return best
 
@@ -42,18 +42,15 @@ def _best_of(query, prepared, config, reps):
 def _measure_ratio(topology, n, strategy, reps):
     query = topology_query(topology, n)
     prepared = prepare(query)  # shared pre-pass: time the engines, not detect()
-    indexed_cfg = OptimizerConfig(strategy=strategy, engine="indexed", cache_capacity=None)
-    reference_cfg = OptimizerConfig(
-        strategy=strategy, engine="reference", cache_capacity=None
-    )
+    config = OptimizerConfig(strategy=strategy, cache_capacity=None)
     # Warm both paths (imports, leaf statistics, memo tables), then
     # interleave so frequency scaling and background load hit both.
-    _best_of(query, prepared, indexed_cfg, 1)
-    _best_of(query, prepared, reference_cfg, 1)
+    _best_of(query, prepared, config, "indexed", 1)
+    _best_of(query, prepared, config, "reference", 1)
     indexed = reference = float("inf")
     for _ in range(reps):
-        indexed = min(indexed, _best_of(query, prepared, indexed_cfg, 1))
-        reference = min(reference, _best_of(query, prepared, reference_cfg, 1))
+        indexed = min(indexed, _best_of(query, prepared, config, "indexed", 1))
+        reference = min(reference, _best_of(query, prepared, config, "reference", 1))
     return indexed / reference
 
 

@@ -1,12 +1,11 @@
-"""Price, ask, file — build on read: the indexed DP constructs only the
-plans a join reads.
+"""Price, file — build on read: the indexed DP constructs only the plans
+a join reads.
 
-The driver prices every OpTrees candidate
-(:meth:`PlanBuilder.price`), asks the strategy whether it would discard a
-plan with those numbers (:meth:`Strategy.would_discard`), files the
-survivors *as priced* and builds a bucket the first time a ccp reads it
-(finished plans for the full relation set are built as they are
-offered).  These tests pin the contract around that split:
+The driver prices every OpTrees candidate (:meth:`PlanBuilder.price`),
+files it *as priced* through :meth:`Strategy.insert` — which says whether
+it kept it — and builds a bucket the first time a ccp reads it (a
+finished plan for the full relation set is built only if it beats the
+incumbent).  These tests pin the contract around that split:
 
 * pricing and construction are one arithmetic (``join`` is price-then-
   construct; the priced ``finish_top`` cost equals the built one),
@@ -49,7 +48,7 @@ from repro.optimizer import (
 from repro.optimizer.planinfo import PlanInfo, PricedJoin, clear_memo_caches
 from repro.optimizer.costmodel import CoutModel
 from repro.optimizer.driver import CEILING_MIN_RELATIONS
-from repro.optimizer.strategies import EaPruneStrategy, H1Strategy
+from repro.optimizer.strategies import EaPruneStrategy
 from repro.service import PlanCache
 from repro.service.config import ServingConfig
 from repro.tpch.queries import build_q5, build_q10
@@ -184,10 +183,10 @@ class TestBookkeeping:
     @pytest.mark.parametrize("criteria", ["full", "cost-card", "cost-only"])
     @pytest.mark.parametrize("name,query", QUERIES, ids=[n for n, _ in QUERIES])
     def test_every_filed_candidate_entered_a_bucket(self, name, query, criteria):
-        """A candidate is filed only after ``would_discard`` let it
-        through, so ``insert`` must admit it: it is in the table at the end
-        unless a later one evicted it or displaced it at the top — priced
-        or built, whichever it was then."""
+        """A candidate counts as filed only when ``insert`` kept it (or,
+        for the full relation set, when it beat the incumbent): it is in
+        the table at the end unless a later one evicted it or displaced it
+        at the top — priced or built, whichever it was then."""
         result = optimize(query, config=OptimizerConfig(strategy=EaPruneStrategy(criteria)))
         stats = result.stats
         assert filed(result) == (
@@ -252,16 +251,15 @@ class TestBookkeeping:
 
 
 class KeepTwoCheapest(Strategy):
-    """Defines ``insert`` only — no ``would_discard``, so the driver must
-    offer it every candidate — and reads only ``cost``, part of the priced
+    """Defines ``insert`` only and reads only ``cost``, part of the priced
     surface it is handed."""
 
     name = "keep-two-cheapest-test"
 
     def insert(self, bucket, plan):
         bucket.append(plan)
-        bucket.sort(key=lambda p: p.cost)
-        del bucket[2:]
+        bucket.sort(key=lambda p: p.cost)  # stable: a tie stays behind
+        return len(bucket) <= 2 or bucket.pop() is not plan
 
 
 class RowCountModel(CostModel):
@@ -279,27 +277,6 @@ class RowCountModel(CostModel):
         return child.cardinality  # a grouping reads its input
 
 
-class KeepDearestTop(H1Strategy):
-    """Overrides ``insert_top`` only — with a rule ``loses_on_cost`` gets
-    wrong on purpose — so the driver must not price finished plans away
-    behind its back."""
-
-    name = "keep-dearest-top-test"
-
-    def insert_top(self, bucket, plan):
-        if not bucket or plan.cost > bucket[0].cost:
-            bucket[:] = [plan]
-
-
-class KeepDearestTopPriced(KeepDearestTop):
-    """... and its pricing twin, overridden together."""
-
-    name = "keep-dearest-top-priced-test"
-
-    def would_discard_top(self, bucket, cost):
-        return bool(bucket) and not cost > bucket[0].cost
-
-
 class ChildReadingModel(CoutModel):
     """A ``group`` that reads the read-only surface a :class:`PlanInfo` and
     a :class:`PricedJoin` share beyond the numbers."""
@@ -312,17 +289,8 @@ class ChildReadingModel(CoutModel):
 
 
 STRATEGIES.register(KeepTwoCheapest.name)(lambda **_options: KeepTwoCheapest())
-STRATEGIES.register(KeepDearestTop.name)(lambda **_options: KeepDearestTop())
-STRATEGIES.register(KeepDearestTopPriced.name)(lambda **_options: KeepDearestTopPriced())
 COST_MODELS.register(RowCountModel.name)(RowCountModel)
 COST_MODELS.register(ChildReadingModel.name)(ChildReadingModel)
-
-
-def _both_engines(query, **config):
-    return [
-        optimize(query, config=OptimizerConfig(engine=engine, cache_capacity=None, **config))
-        for engine in ("indexed", "reference")
-    ]
 
 
 class TestPluginSeams:
@@ -333,47 +301,26 @@ class TestPluginSeams:
         for engine in ("indexed", "reference"):
             config = OptimizerConfig(
                 strategy=KeepTwoCheapest.name, cost_model=RowCountModel.name,
-                engine=engine, cache_capacity=None,
+                cache_capacity=None,
             )
             seen = []
             runs[engine] = optimize(
-                query, config=config, hooks=OptimizerHooks(on_plan=seen.append)
+                query, config=config, engine=engine,
+                hooks=OptimizerHooks(on_plan=seen.append),
             )
             tops[engine] = sum(plan.rel_set == all_mask for plan in seen)
         indexed, reference = runs["indexed"], runs["reference"]
         assert indexed.cost == reference.cost
         assert indexed.plans_built == reference.plans_built
         assert indexed.table_sizes == reference.table_sizes
-        # Nothing inside the DP table is priced away for a strategy that
-        # admits everything; only the top-level keep-the-cheaper rule is:
-        # the reference engine builds every finished candidate, the indexed
-        # one exactly those it did not price away.
-        priced_away = indexed.stats.get("strategy.plans_priced_away", 0)
-        assert tops["reference"] == tops["indexed"] + priced_away
+        # The reference engine builds every finished candidate, the indexed
+        # one only those that beat the incumbent — the first and each
+        # replacement, met in the same order.
+        assert indexed.stats["top_replacements"] == reference.stats["top_replacements"]
+        assert tops["indexed"] == indexed.stats["top_replacements"] + 1 <= tops["reference"]
         # Inner candidates are filed as priced and built when read: never
         # more than were filed, and fewer whenever one was displaced first.
         assert indexed.stats["plans_constructed"] <= filed(indexed)
-
-    def test_insert_top_only_strategy_sees_every_finished_plan(self):
-        differs_from_h1 = 0
-        for _name, query in QUERIES:
-            indexed, reference = _both_engines(query, strategy=KeepDearestTop.name)
-            assert indexed.cost == reference.cost
-            assert indexed.plans_built == reference.plans_built
-            assert indexed.table_sizes == reference.table_sizes
-            assert indexed.stats["top_replacements"] == reference.stats["top_replacements"]
-            h1 = optimize(query, config=OptimizerConfig(strategy="h1"))
-            differs_from_h1 += indexed.cost != h1.cost
-        assert differs_from_h1  # the override is what decided the top bucket
-
-    def test_insert_top_and_its_pricing_twin_overridden_together(self):
-        for _name, query in QUERIES:
-            indexed, reference = _both_engines(query, strategy=KeepDearestTopPriced.name)
-            unpriced = optimize(query, config=OptimizerConfig(strategy=KeepDearestTop.name))
-            assert indexed.cost == reference.cost == unpriced.cost
-            assert indexed.plans_built == reference.plans_built
-            # The twin prices finished plans away; the lone override cannot.
-            assert indexed.stats["plans_constructed"] <= unpriced.stats["plans_constructed"]
 
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
     def test_cost_model_reading_the_top_grouping_child(self, strategy):
@@ -450,9 +397,10 @@ class TestTheDeletedEngine:
         query = topology_query("chain", 3)
         with pytest.raises(ValueError, match="unknown engine 'vectorized'"):
             optimize(query, config=OptimizerConfig(strategy="h1"), engine="vectorized")
-        with pytest.raises(ValueError, match="unknown engine 'vectorized'"):
-            OptimizerConfig(engine="vectorized")
-        with pytest.raises(TypeError):  # a server has no engine setting at all
+        # The engine is a keyword of optimize() alone: no config has one.
+        with pytest.raises(TypeError):
+            OptimizerConfig(engine="indexed")
+        with pytest.raises(TypeError):
             ServingConfig(engine="indexed")
 
     @pytest.mark.parametrize(

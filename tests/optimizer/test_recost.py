@@ -50,8 +50,8 @@ class TestBitForBitReplay:
     @pytest.mark.parametrize("sql", SQLS)
     def test_replay_reproduces_cost_across_engines(self, engine, sql):
         query = fresh_query(sql)
-        config = OptimizerConfig(engine=engine)
-        result = optimize(query, config=config)
+        config = OptimizerConfig()
+        result = optimize(query, config=config, engine=engine)
         replayed = recost(
             query, result.plan.node, cost_model=config.resolve_cost_model()
         )

@@ -1,5 +1,6 @@
 """Unit tests for the DP-table insertion strategies."""
 
+import copy
 import dataclasses
 import random
 
@@ -14,6 +15,7 @@ from repro.optimizer.strategies import (
     EaPruneStrategy,
     H1Strategy,
     H2Strategy,
+    PruneBucket,
 )
 from repro.optimizer.registry import STRATEGIES
 from repro.plans.nodes import ScanNode
@@ -151,16 +153,6 @@ class TestH2:
         assert bucket[0].cost == 10.0
         strategy.insert(bucket, plan(9.0, eagerness=0))  # 1.1*9.0 < 10
         assert bucket[0].cost == 9.0
-
-
-class TestInsertTop:
-    def test_keeps_single_cheapest(self):
-        strategy = EaAllStrategy()
-        bucket = []
-        strategy.insert_top(bucket, plan(10.0))
-        strategy.insert_top(bucket, plan(5.0))
-        strategy.insert_top(bucket, plan(7.0))
-        assert len(bucket) == 1 and bucket[0].cost == 5.0
 
 
 class TestPruneBucketMatchesSeedScan:
@@ -340,3 +332,126 @@ class TestAdversarialPruneBuckets:
                 )
             )
         _assert_ordered_matches_scan(criteria, plans)
+
+
+# -- the insert verdict -------------------------------------------------------
+
+#: Every built-in strategy, EA-Prune under each criteria, and the unordered
+#: reference instance the reference engine runs.  H2 gets a factor wide
+#: enough for the cost pool below to meet both of its branches.
+VERDICT_STRATEGIES = {
+    "dphyp": lambda: STRATEGIES.create("dphyp"),
+    "h1": lambda: STRATEGIES.create("h1"),
+    "h2": lambda: STRATEGIES.create("h2", factor=1.5),
+    "ea-all": lambda: STRATEGIES.create("ea-all"),
+    "ea-prune": lambda: EaPruneStrategy("full"),
+    "ea-prune[cost-card]": lambda: EaPruneStrategy("cost-card"),
+    "ea-prune[cost-only]": lambda: EaPruneStrategy("cost-only"),
+    "ea-prune-unordered": lambda: EaPruneStrategy(ordered=False),
+}
+
+
+def _priced_pool():
+    """Real priced candidates — what the indexed engine files — over every
+    leaf pair of chain-4, plain and with either input grouped, so their FD
+    states differ."""
+    query = topology_query("chain", 4)
+    resolver = prepare(query).resolver()
+    builder = PlanBuilder(query, cost_model=CoutModel())
+    leaves = [builder.leaf(v) for v in range(4)]
+    pool = []
+    for a in range(3):
+        spec = resolver.resolve(1 << a, 2 << a)
+        left, right = leaves[a], leaves[a + 1]
+        if spec.swap:
+            left, right = right, left
+        args = (spec.op, spec.predicate, spec.selectivity, spec.groupjoin_vector)
+        for lhs, rhs in ((left, right), (builder.grouped(left), right), (left, builder.grouped(right))):
+            priced = builder.price(lhs, rhs, *args)
+            if priced is not None:
+                pool.append(priced)
+    return pool
+
+
+def _candidates(rng, kind, count):
+    """*count* distinct candidates of one kind, from tiny value pools so
+    that cost and cardinality ties are frequent."""
+    costs, cards, eagerness = [10.0, 20.0, 30.0, 40.0], [1.0, 2.0, 3.0], [0, 1, 2]
+    if kind == "priced":
+        pool = _priced_pool()
+        out = []
+        for _ in range(count):
+            candidate = copy.copy(rng.choice(pool))
+            candidate.cost = rng.choice(costs)
+            candidate.cardinality = rng.choice(cards)
+            candidate.eagerness = rng.choice(eagerness)
+            out.append(candidate)
+        return out
+    bases = _base_plans()
+    key_pool = [None, (), (frozenset({"k"}),)]
+    return [
+        dataclasses.replace(
+            _variant(
+                rng.choice(bases), rng.choice(costs), rng.choice(cards),
+                keys=rng.choice(key_pool), duplicate_free=rng.random() < 0.3,
+            ),
+            eagerness=rng.choice(eagerness),
+        )
+        for _ in range(count)
+    ]
+
+
+def _check_verdicts(name, kind, seed, count):
+    """Feed one seeded sequence to each bucket kind the strategy meets —
+    its own and a plain list — and check every verdict.  Returns the
+    verdicts per bucket kind."""
+    rng = random.Random(seed * 7919 + len(name))
+    candidates = _candidates(rng, kind, count)
+    verdicts = {}
+    for bucket_kind in ("own", "list"):
+        strategy = VERDICT_STRATEGIES[name]()
+        bucket = strategy.new_bucket() if bucket_kind == "own" else []
+        counters = getattr(strategy, "counters", None)
+        seen = []
+        for candidate in candidates:
+            before = [id(p) for p in bucket]
+            inserts = counters["prune_inserts"] if counters is not None else 0
+            kept = strategy.insert(bucket, candidate)
+            after = [id(p) for p in bucket]
+            context = (name, kind, seed, bucket_kind, len(seen))
+            assert type(kept) is bool, context
+            # False <=> the bucket's plans and their order are unchanged.
+            assert (not kept) == (after == before), context
+            # True <=> the candidate is in the bucket afterwards.
+            assert kept == (id(candidate) in after), context
+            assert len(bucket) == len(after), context
+            if counters is not None:
+                assert counters["prune_inserts"] == inserts + 1, context
+            seen.append(kept)
+        verdicts[type(bucket)] = seen
+    return verdicts
+
+
+def _assert_verdict_contract(name, kind, seeds, count):
+    for seed in seeds:
+        verdicts = _check_verdicts(name, kind, seed, count)
+        if PruneBucket in verdicts:
+            # The ordered bucket and the seed's scan keep the same set, so
+            # they discard the same candidates.
+            assert verdicts[PruneBucket] == verdicts[list], (name, kind, seed)
+
+
+class TestInsertVerdict:
+    """``Strategy.insert`` returns whether it kept the candidate; the driver
+    counts ``strategy.plans_priced_away`` from that alone."""
+
+    @pytest.mark.parametrize("kind", ["built", "priced"])
+    @pytest.mark.parametrize("name", sorted(VERDICT_STRATEGIES))
+    def test_insert_verdict(self, name, kind):
+        _assert_verdict_contract(name, kind, range(4), 60)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("kind", ["built", "priced"])
+    @pytest.mark.parametrize("name", sorted(VERDICT_STRATEGIES))
+    def test_insert_verdict_exhaustive(self, name, kind):
+        _assert_verdict_contract(name, kind, range(200), 150)

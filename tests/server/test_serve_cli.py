@@ -46,6 +46,14 @@ class TestServeParser:
         with pytest.raises(SystemExit):
             build_serve_parser().parse_args(["--strategy", "magic"])
 
+    @pytest.mark.parametrize("flag", ["--data-dir", "--engine"])
+    def test_deleted_flags_are_rejected(self, flag):
+        # --dataset <dir> is the one spelling of a directory dataset, and a
+        # server never had the test oracle's engine.
+        with pytest.raises(SystemExit) as exit_info:
+            build_serve_parser().parse_args([flag, "x"])
+        assert exit_info.value.code == 2
+
 
 @contextlib.contextmanager
 def serving(*flags):

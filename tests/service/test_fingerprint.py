@@ -229,7 +229,7 @@ class TestPlanKey:
             OptimizerConfig(),
             OptimizerConfig(strategy="h2", factor=1.5, snapshot_band_width=1.0),
             OptimizerConfig(strategy=EaPruneStrategy("cost-only"), snapshot_band_width=0.5),
-            OptimizerConfig(strategy="dphyp", engine="reference", workers=3, deadline_seconds=1.0),
+            OptimizerConfig(strategy="dphyp", workers=3, deadline_seconds=1.0),
         ],
         ids=["defaults", "h2-banded", "instance-banded", "plumbing-only"],
     )
@@ -247,7 +247,7 @@ class TestPlanKey:
         query = make_query()
         plain = plan_key(query, OptimizerConfig(strategy="dphyp"))
         plumbed = plan_key(query, OptimizerConfig(
-            strategy="dphyp", engine="reference", workers=3, deadline_seconds=1.0,
+            strategy="dphyp", workers=3, deadline_seconds=1.0,
             degradation="error", cache_capacity=None, recost_bound=4.0,
         ))
         assert plain == plumbed

@@ -79,6 +79,14 @@ class TestMain:
         assert main(["explain", SQL]) == 0
         assert "Cout=" in capsys.readouterr().out
 
+    def test_rejected_factor_is_an_error_not_a_traceback(self, capsys):
+        assert main(["--factor", "0.5", SQL]) == 1
+        assert "error: tolerance factor must be >= 1" in capsys.readouterr().err
+
+    def test_engine_is_not_a_flag(self):
+        with pytest.raises(SystemExit):
+            build_argument_parser().parse_args(["--engine", "reference", SQL])
+
 
 class TestBatchSubcommand:
     def test_random_workload_warms_cache(self, capsys):
@@ -111,6 +119,19 @@ class TestBatchSubcommand:
         out = capsys.readouterr().out
         assert "2 queries" in out
         assert "optimized=1" in out  # identical statements dedup to one run
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--workers", "0"], "workers must be >= 1"),
+            (["--cache-size", "-1"], "cache_capacity must be >= 0"),
+            (["--factor", "0.5"], "tolerance factor must be >= 1"),
+        ],
+        ids=["workers", "cache-size", "factor"],
+    )
+    def test_rejected_setting_is_an_error_not_a_traceback(self, flags, message, capsys):
+        assert main(["batch", "--count", "2", "--relations", "3", *flags]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
 
     def test_missing_sql_file_reports_error(self, capsys):
         assert main(["batch", "--sql-file", "/nonexistent.sql"]) == 1
