@@ -12,13 +12,18 @@
 or to any columnar source exposing ``as_batch()``/``to_relation()``
 (:class:`repro.data.tables.ColumnTable` views) — each backend adapts
 the other's native format at the scan boundary.
+
+``run_columns`` (same arguments) is the same run column-major —
+attributes plus one value list each — which is what ``/execute``
+replies from: the columnar backend then builds no row at all.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Tuple
+from typing import List, Mapping, Optional, Tuple
 
 from repro.algebra.relation import Relation
+from repro.algebra.values import SqlValue
 from repro.exec.interpreter import Database, execute
 from repro.plans.nodes import PlanNode
 
@@ -52,13 +57,10 @@ class _RelationAdapter(Mapping):
         return len(self._source)
 
 
-def run_plan(
-    plan: PlanNode,
-    database: Mapping[str, object],
-    executor: str = DEFAULT_EXECUTOR,
-    limit: Optional[int] = None,
-) -> Relation:
-    """Execute *plan* against *database* with the chosen backend.
+def _execute(plan: PlanNode, database: Mapping[str, object], executor: str, limit: Optional[int]):
+    """The backend's own result: a :class:`Relation` from the
+    interpreter, a column :class:`~repro.exec.columns.Batch` from the
+    columnar backend.
 
     *limit*, when given, truncates the result to its first rows (the
     columnar backend truncates via a physical limit operator; the
@@ -79,8 +81,40 @@ def run_plan(
         physical = lower(plan)
         if limit is not None:
             physical = PhysLimit(limit, physical)
-        return execute_physical(physical, database).to_relation()
+        return execute_physical(physical, database)
     raise ValueError(f"unknown executor {executor!r} (registered: {', '.join(EXECUTORS)})")
+
+
+def run_plan(
+    plan: PlanNode,
+    database: Mapping[str, object],
+    executor: str = DEFAULT_EXECUTOR,
+    limit: Optional[int] = None,
+) -> Relation:
+    """Execute *plan* against *database* with the chosen backend, to its
+    first *limit* rows when *limit* is given."""
+    result = _execute(plan, database, executor, limit)
+    return result if isinstance(result, Relation) else result.to_relation()
+
+
+def run_columns(
+    plan: PlanNode,
+    database: Mapping[str, object],
+    executor: str = DEFAULT_EXECUTOR,
+    limit: Optional[int] = None,
+) -> Tuple[Tuple[str, ...], List[List[SqlValue]]]:
+    """:func:`run_plan`'s result column-major: its attributes and one
+    value list per attribute (NULL in place), rows in emission order.
+
+    The columnar backend hands its columns' own value lists over, with
+    no row built; read them, never write (a base table's column may be
+    among them).
+    """
+    result = _execute(plan, database, executor, limit)
+    if isinstance(result, Relation):
+        rows = result.rows
+        return result.attributes, [[row[a] for row in rows] for a in result.attributes]
+    return result.attributes, [result.column(a).values for a in result.attributes]
 
 
 def load_backend(executor: str) -> None:
@@ -92,4 +126,6 @@ def load_backend(executor: str) -> None:
         import repro.exec.columnar  # noqa: F401
 
 
-__all__ = ["execute", "run_plan", "load_backend", "Database", "EXECUTORS", "DEFAULT_EXECUTOR"]
+__all__ = [
+    "execute", "run_plan", "run_columns", "load_backend", "Database", "EXECUTORS", "DEFAULT_EXECUTOR",
+]

@@ -5,7 +5,8 @@ Operators pass **index vectors over shared columns**: a filter, a join
 or a limit computes which rows of its input survive and in what
 order, and hands that vector to :meth:`Batch.take`, which gathers
 nothing — a column is materialised when an expression, a key or the
-final :meth:`Batch.to_relation` reads it (:mod:`repro.exec.columns`).
+result's reader (``run_columns`` / ``run_plan`` in :mod:`repro.exec`)
+reads it (:mod:`repro.exec.columns`).
 Predicates and arithmetic ride the vectorized evaluator, and aggregation
 evaluates each argument expression *once* per input batch.
 
@@ -89,13 +90,17 @@ semantics of :mod:`repro.algebra.operators` exactly:
   ``min`` is then a late take of the first row that attains it, so
   ``min([1.0, 1])`` stays ``1.0``, and an int sum is int64 only where
   no run can leave 2^62.  ``sum`` / ``avg`` over floats stay python's
-  own ``sum`` in member order (:func:`_python_fold`), so float rounding
-  matches the interpreter bit for bit on every python version; so do
-  strings, inexact lanes and DISTINCT.
+  own ``sum`` in member order, mapped over the runs' slices with no
+  call per group (:func:`_python_fold`), so float rounding matches the
+  interpreter bit for bit on every python version; strings, ``min`` /
+  ``max`` over inexact lanes and DISTINCT are folded there too, one
+  :func:`_evaluate_call` a run.
 """
 
 from __future__ import annotations
 
+from itertools import compress
+from operator import truediv
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.aggregates.calls import AggKind
@@ -573,23 +578,37 @@ def _array_fold(kind: AggKind, column: Column, runs: Runs) -> Optional[Column]:
 
 
 def _python_fold(kind: AggKind, distinct: bool, column: Column, runs: Runs) -> Column:
-    """``AggCall.evaluate`` per run, over the argument's values gathered
-    once in run order and sliced.
+    """*kind* over every run in python: the argument's values gathered
+    once in run order, their NULLs dropped by one ``compress`` (the
+    runs' bounds moved with them), and each run one slice.
 
-    Sequential python ``sum`` in member order keeps float results bit
-    identical to the interpreter.
+    A non-DISTINCT ``sum`` / ``avg`` over numbers is python's own
+    ``sum`` mapped over the slices — in member order, so float results
+    are the interpreter's bit for bit, and with no call per group; an
+    empty run is NULL.  DISTINCT, ``min`` / ``max`` over inexact lanes
+    and strings take :func:`_evaluate_call` once a run.
     """
     order, starts, ends = runs
     values = column.take(order).values
     lanes = column.lanes()
-    holds_null = lanes is None or lanes[1] is not None
-    out = []
-    for start, end in zip(starts.tolist(), ends.tolist()):
-        members = values[start:end]
-        if holds_null:
-            members = [v for v in members if v is not NULL]
-        out.append(_evaluate_call(kind, distinct, members))
-    return Column(out)
+    if lanes is None or lanes[1] is not None:
+        if lanes is None:
+            keep = np.fromiter((value is not NULL for value in values), bool, len(values))
+        else:
+            keep = lanes[1][order]
+        bounds = np.concatenate(([0], np.cumsum(keep)))
+        values = list(compress(values, keep.tolist()))
+        starts, ends = bounds[starts], bounds[ends]
+    members = map(values.__getitem__, map(slice, starts.tolist(), ends.tolist()))
+    if distinct or lanes is None or kind not in (AggKind.SUM, AggKind.AVG):
+        return Column([_evaluate_call(kind, distinct, run) for run in members])
+    totals = list(map(sum, members))
+    counts = ends - starts
+    if kind is AggKind.AVG:
+        totals = list(map(truediv, totals, np.maximum(counts, 1).tolist()))
+    for run in (counts == 0).nonzero()[0].tolist():
+        totals[run] = NULL
+    return Column(totals)
 
 
 def _evaluate_call(kind: AggKind, distinct: bool, values: List[SqlValue]) -> SqlValue:

@@ -54,8 +54,11 @@ base column's lanes and its dictionary a once-per-process cost.
 
 A :class:`Batch` is an ordered schema over columns of equal length —
 the columnar analogue of :class:`~repro.algebra.relation.Relation`, with
-conversions both ways at the executor boundary;
-:meth:`Batch.to_relation` is the only place rows are materialised.
+conversions both ways at the executor boundary.  A result leaves the
+executor column-major — its columns' value lists, read once, which is
+what ``/execute`` replies from (:func:`repro.exec.run_columns`) — or
+as rows: :meth:`Batch.to_relation`, for :func:`repro.exec.run_plan`'s
+callers, is the only place ``Row`` objects are built.
 """
 
 from __future__ import annotations

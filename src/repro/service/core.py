@@ -42,6 +42,7 @@ import time
 from collections import Counter, OrderedDict, deque
 from typing import Deque, Dict, Iterable, List, Optional, Tuple, Union
 
+from repro.algebra.values import NULL
 from repro.optimizer.config import OptimizerConfig
 from repro.optimizer.driver import OptimizationResult
 from repro.plans.render import render_plan
@@ -197,6 +198,14 @@ def explain_reply(planned: Planned) -> dict:
         "degraded": result.degraded,
         "explain": render_plan(result.plan.node),
     }
+
+
+def reply_rows(values: List[list]) -> List[list]:
+    """An ``/execute`` reply's row arrays from a run's value lists (one
+    per column, :func:`repro.exec.run_columns`): NULL spelled ``None``
+    column by column, then the columns zipped into rows."""
+    columns = [[None if value is NULL else value for value in column] for column in values]
+    return list(map(list, zip(*columns)))
 
 
 def tune_gc_for_serving() -> None:
@@ -546,25 +555,28 @@ class ServingCore:
         self, planned: Planned, executor: str, limit: Optional[int], started: float
     ) -> Union[dict, RequestError]:
         """Execute a planned statement against the dataset → the
-        ``/execute`` reply: rows columnar-style (``columns`` + row
-        arrays) with the pure execution runtime.  Needs no owner; a
-        failure is returned, not raised — either way the outcome goes
-        through :meth:`record_run`, which is where it is counted."""
-        from repro.algebra.values import NULL
-        from repro.exec import run_plan
+        ``/execute`` reply: ``columns`` + row arrays built from the run's
+        value lists (:func:`reply_rows`), and ``execution_seconds``, the
+        time to run the plan and read its columns.  Needs no owner; a
+        failure — running or building the rows — is returned, not
+        raised: either way the outcome goes through :meth:`record_run`,
+        which is where it is counted."""
+        from repro.exec import run_columns
 
         result, _config, query = planned
         try:
             database = self.dataset.database_for(query)
-        except KeyError as exc:
-            return RequestError(404, "unknown_table", f"dataset has no table for {exc.args[0]!r}")
+        except KeyError as exc:  # no table, or a table without a column
+            return RequestError(404, "unknown_table", exc.args[0])
         run_started = time.perf_counter()
         try:
-            relation = run_plan(result.plan.node, database, executor=executor, limit=limit)
+            columns, values = run_columns(
+                result.plan.node, database, executor=executor, limit=limit
+            )
+            execution_seconds = time.perf_counter() - run_started
+            rows = reply_rows(values)
         except Exception as exc:  # noqa: BLE001 - per-request isolation
             return RequestError(500, "execution_error", f"{type(exc).__name__}: {exc}")
-        execution_seconds = time.perf_counter() - run_started
-        columns = list(relation.attributes)
         return {
             "strategy": result.strategy,
             "cost": result.cost,
@@ -572,12 +584,9 @@ class ServingCore:
             "degraded": result.degraded,
             "executor": executor,
             "limit": limit,
-            "columns": columns,
-            "rows": [
-                [None if row[column] is NULL else row[column] for column in columns]
-                for row in relation
-            ],
-            "row_count": len(relation),
+            "columns": list(columns),
+            "rows": rows,
+            "row_count": len(rows),
             "execution_seconds": execution_seconds,
             "server_seconds": time.perf_counter() - started,
         }

@@ -404,13 +404,19 @@ class TestExecute:
         for name in ("mean_ms", "p50_ms", "p95_ms", "p99_ms"):
             assert executions[name] is not None
 
-    def test_a_failed_run_is_a_500_and_counted(self, data_core, monkeypatch):
+    @pytest.mark.parametrize("seam", ["run", "reply"])
+    def test_a_failed_run_is_a_500_and_counted(self, data_core, monkeypatch, seam):
+        # Running the plan and building the reply's rows from its columns
+        # are one per-request isolation: either failing is a counted 500.
         import repro.exec
 
         def broken(*args, **kwargs):
             raise ZeroDivisionError("boom")
 
-        monkeypatch.setattr(repro.exec, "run_plan", broken)
+        if seam == "run":
+            monkeypatch.setattr(repro.exec, "run_columns", broken)
+        else:
+            monkeypatch.setattr(core_module, "reply_rows", broken)
         before = data_core.stats()
         error = error_of(data_core.execute, {"sql": SQL})
         assert (error.status, error.code) == (500, "execution_error")
@@ -418,6 +424,34 @@ class TestExecute:
         after = data_core.stats()
         assert after["plans"]["failures"] == before["plans"]["failures"] + 1
         assert after["executions"]["count"] == before["executions"]["count"]
+
+    def test_a_table_the_dataset_lacks_is_a_404_in_its_own_words(self, data_core):
+        from repro.data.tables import Dataset
+
+        core = make_core()
+        core.dataset = Dataset(
+            {name: table for name, table in data_core.dataset.tables.items() if name != "region"},
+            name="partial",
+        )
+        sql = "SELECT r.r_name, count(*) AS c FROM region r GROUP BY r.r_name"
+        error = error_of(core.execute, {"sql": sql})
+        assert (error.status, error.code) == (404, "unknown_table")
+        assert error.message == "dataset 'partial' has no table for relation 'r' (source 'region')"
+
+    def test_a_column_the_table_lacks_is_a_404_in_its_own_words(self, data_core):
+        from repro.data.tables import ColumnTable, Dataset
+
+        region = data_core.dataset.table("region")
+        tables = dict(data_core.dataset.tables)
+        tables["region"] = ColumnTable("region", {"r_regionkey": region.column("r_regionkey")})
+        core = make_core()
+        core.dataset = Dataset(tables, name="partial")
+        sql = "SELECT r.r_name, count(*) AS c FROM region r GROUP BY r.r_name"
+        error = error_of(core.execute, {"sql": sql})
+        assert (error.status, error.code) == (404, "unknown_table")
+        assert error.message == (
+            "table 'region' has no column for attribute 'r.r_name' (columns: r_regionkey)"
+        )
 
     def test_run_touches_no_counter_until_recorded(self, data_core):
         # The threaded tier calls run() outside its lock, record_run() under it.
