@@ -2,7 +2,7 @@
 
 ``benchmarks/e2e`` drives the server closed-loop: callers that wait for a
 reply.  This file asks what that cannot: what independent arrivals, which
-do not wait for completions, get from ``python -m repro serve --async
+do not wait for completions, get from ``python -m repro serve
 --shards 2`` (booted as a child through ``e2e/loadgen.ServerProcess``).
 
 1. **Capacity probe** — pipelined closed-loop clients over a warm cache
@@ -348,7 +348,7 @@ def main(argv=None) -> int:
     payload = artifact.new_payload("async", "smoke" if args.smoke else "full")
     print(f"bench_async_server: shards={SHARDS} ({payload['mode']} phases)")
     command = [
-        sys.executable, "-m", "repro", "serve", "--async", "--shards", str(SHARDS),
+        sys.executable, "-m", "repro", "serve", "--shards", str(SHARDS),
         "--port", "0", "--max-inflight", str(MAX_INFLIGHT),
     ]
     env = dict(os.environ, PYTHONPATH=str(artifact.ROOT / "src"))

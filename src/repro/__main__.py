@@ -18,10 +18,10 @@ parallel workers), printing per-batch throughput and cache statistics::
     python -m repro batch --sql-file queries.sql --workers 4
     python -m repro batch --mixed-sql --count 50    # EXISTS/IN/outer-join SQL
 
-``serve`` — run the concurrent plan server (JSON over HTTP) until
-SIGTERM/SIGINT, then drain gracefully::
+``serve`` — run the plan server (JSON over HTTP: one event loop in front
+of worker shards) until SIGTERM/SIGINT, then drain gracefully::
 
-    python -m repro serve --port 8080 --workers 4
+    python -m repro serve --port 8080 --shards 4
     curl -X POST localhost:8080/optimize -d '{"sql": "SELECT ..."}'
 """
 
@@ -162,13 +162,13 @@ def build_serve_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--workers", type=int, default=None,
-        help="optimizer worker processes (default: min(cpu count, 8); "
-        "0 = optimize in the request thread)",
+        help="accepted and ignored: misses are planned in parallel "
+        "across --shards",
     )
     parser.add_argument(
         "--max-inflight", type=int, default=None,
         help="admitted-but-unfinished request bound before 429 "
-        "(default: 2*workers + 8)",
+        "(default: 16*shards + 32)",
     )
     parser.add_argument(
         "--scale-factor", type=float, default=1.0,
@@ -178,10 +178,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--cache-size", type=int, default=512,
         help="plan cache capacity in entries (default: 512)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the plan cache",
     )
     parser.add_argument(
         "--timeout", type=float, default=120.0,
@@ -221,18 +217,16 @@ def build_serve_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--async", dest="use_async", action="store_true",
-        help="serve with the async tier: one event loop in front of "
-        "sharded worker processes, each owning a private plan-cache "
-        "shard (see --shards / --cache-dir)",
+        help="accepted and ignored: serve is the async tier",
     )
     parser.add_argument(
         "--shards", type=int, default=None,
-        help="[--async] worker shard count (default: one per core, max 4); "
-        "--cache-size becomes per-shard capacity",
+        help="worker shard count, each owning a private plan-cache shard "
+        "(default: one per core, max 4); --cache-size is per shard",
     )
     parser.add_argument(
         "--cache-dir", default=None,
-        help="[--async] directory for plan-cache shard snapshots: shards "
+        help="directory for plan-cache shard snapshots: shards "
         "persist on graceful drain and warm-start from it on boot "
         "(default: no persistence)",
     )
@@ -240,67 +234,9 @@ def build_serve_parser() -> argparse.ArgumentParser:
 
 
 def run_serve(argv) -> int:
-    import logging
-    import signal
-    import threading
-
-    from repro.server import PlanServer, ServerConfig
-
-    args = build_serve_parser().parse_args(argv)
-    logging.basicConfig(level=logging.INFO, format="%(message)s", stream=sys.stderr)
-    # What both tiers' configs share (the ServingConfig fields).
-    serving = dict(
-        host=args.host,
-        port=args.port,
-        max_inflight=args.max_inflight,
-        scale_factor=args.scale_factor,
-        strategy=args.strategy,
-        factor=args.factor,
-        cost_model=args.cost_model,
-        cache_capacity=None if args.no_cache else args.cache_size,
-        request_timeout_seconds=args.timeout,
-        drain_grace_seconds=args.grace,
-        degradation=args.degradation,
-        recost_bound=args.recost_bound,
-        snapshot_band_width=args.band_width,
-        dataset=args.dataset,
-        default_executor=args.executor,
-    )
-    if args.use_async:
-        return _run_serve_async(args, serving)
-    if args.shards is not None or args.cache_dir is not None:
-        print("error: --shards/--cache-dir require --async", file=sys.stderr)
-        return 1
-    try:
-        config = ServerConfig(workers=args.workers, **serving)
-        server = PlanServer(config)
-    except (ValueError, OSError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-
-    stop = threading.Event()
-    signal.signal(signal.SIGTERM, lambda signum, frame: stop.set())
-    signal.signal(signal.SIGINT, lambda signum, frame: stop.set())
-
-    server.start()
-    print(
-        f"repro plan server listening on {server.url}  "
-        f"(workers={config.effective_workers}, strategy={config.strategy}, "
-        f"cache={'off' if config.cache_capacity in (None, 0) else config.cache_capacity})",
-        flush=True,
-    )
-    try:
-        stop.wait()
-        drained = server.drain()
-    finally:
-        server.close()
-    print(f"shutdown: {'drained cleanly' if drained else 'drain grace expired'}", flush=True)
-    return 0 if drained else 1
-
-
-def _run_serve_async(args, serving: dict) -> int:
-    """``repro serve --async``: the event-loop front + worker shards."""
+    """``repro serve``: the event-loop front + worker shards."""
     import asyncio
+    import logging
     import signal
 
     from repro.asyncserver import (
@@ -309,12 +245,32 @@ def _run_serve_async(args, serving: dict) -> int:
         tune_gc_for_serving,
     )
 
-    if args.no_cache:
-        print("error: --no-cache makes no sense with --async (the shard "
-              "cache IS the tier); use the sync server", file=sys.stderr)
-        return 1
+    args = build_serve_parser().parse_args(argv)
+    logging.basicConfig(level=logging.INFO, format="%(message)s", stream=sys.stderr)
+    if args.workers is not None:
+        # stderr: the first stdout line is the banner clients wait for
+        print("note: --workers is ignored; misses are planned in parallel "
+              "across --shards", file=sys.stderr)
     try:
-        config = AsyncServerConfig(shards=args.shards, cache_dir=args.cache_dir, **serving)
+        config = AsyncServerConfig(
+            host=args.host,
+            port=args.port,
+            max_inflight=args.max_inflight,
+            scale_factor=args.scale_factor,
+            strategy=args.strategy,
+            factor=args.factor,
+            cost_model=args.cost_model,
+            cache_capacity=args.cache_size,
+            request_timeout_seconds=args.timeout,
+            drain_grace_seconds=args.grace,
+            degradation=args.degradation,
+            recost_bound=args.recost_bound,
+            snapshot_band_width=args.band_width,
+            dataset=args.dataset,
+            default_executor=args.executor,
+            shards=args.shards,
+            cache_dir=args.cache_dir,
+        )
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
@@ -333,7 +289,7 @@ def _run_serve_async(args, serving: dict) -> int:
             loop.add_signal_handler(signum, stop.set)
         print(
             f"repro plan server listening on {server.url}  "
-            f"(async, shards={server.service.supervisor.shards}, "
+            f"(shards={server.service.supervisor.shards}, "
             f"strategy={config.strategy}, "
             f"cache={config.cache_capacity}/shard"
             f"{', dir=' + config.cache_dir if config.cache_dir else ''})",

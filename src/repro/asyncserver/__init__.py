@@ -1,19 +1,18 @@
-"""The async serving tier: event-loop front, sharded worker processes.
+"""The serving tier: event-loop front, sharded worker processes.
 
-Replaces thread-per-connection serving (:mod:`repro.server`) with one
-asyncio event loop that routes each request by structural fingerprint to
+One asyncio event loop routes each request by structural fingerprint to
 a worker *process* owning a private plan-cache shard — no cross-process
 lock on the warm path — plus shard snapshot/warm-start persistence and
 crash-restart supervision.  Start it with::
 
-    python -m repro serve --async --shards 4 --cache-dir /var/cache/repro
+    python -m repro serve --shards 4 --cache-dir /var/cache/repro
 
 or in-process::
 
     from repro.asyncserver import AsyncPlanServer, AsyncServerConfig
 
     with AsyncPlanServer(AsyncServerConfig(port=0, shards=2)) as server:
-        ...                     # same HTTP surface as the sync tier
+        ...                     # the HTTP surface of README "The contract"
         server.drain()          # snapshot shards + graceful stop
 """
 

@@ -24,9 +24,9 @@ admission slot, counts it, and writes every reply now at the head of the
 connection's line.  Only the endpoints that talk to several shards run
 as a task.
 
-Endpoints, status codes and error bodies mirror the sync tier
-(:mod:`repro.server.app`) so :class:`repro.server.client.ServerClient`
-works unchanged against either.
+Routes, body parsing, admission errors and request metrics come from
+:mod:`repro.server.metrics`; :class:`repro.server.client.ServerClient`
+speaks the result.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ from repro.sql.catalog import Catalog
 
 logger = logging.getLogger("repro.asyncserver")
 
-#: same request-size bound as the sync tier.
+#: largest accepted request body; protects the JSON parser from abuse.
 MAX_BODY_BYTES = 8 * 1024 * 1024
 MAX_HEADER_BYTES = 64 * 1024
 
@@ -104,7 +104,7 @@ def _error_bytes(code: str, message: str) -> bytes:
 
 def _response_bytes(status: int, body: bytes, *, close: bool = False) -> bytes:
     # Backpressure statuses advertise a retry hint that ServerClient's
-    # opt-in retry loop honours (mirrors the sync tier).
+    # opt-in retry loop honours.
     retry_after = "Retry-After: 1\r\n" if status in (429, 503) else ""
     head = (
         f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"
@@ -589,8 +589,7 @@ class AsyncPlanServer:
 
     * **async** (the CLI): ``await server.async_start()`` inside a
       running loop, later ``await server.async_drain()``.
-    * **sync facade** (tests, parity with the sync
-      :class:`~repro.server.app.PlanServer`)::
+    * **sync facade** (tests)::
 
           with AsyncPlanServer(AsyncServerConfig(port=0, shards=2)) as server:
               ...  # server.port, server.url
@@ -721,7 +720,8 @@ class AsyncPlanServer:
             self._thread = None
 
     def drain(self, grace: Optional[float] = None) -> bool:
-        """Sync-facade graceful stop (mirrors ``PlanServer.drain``)."""
+        """Sync-facade :meth:`async_drain`: True when every in-flight
+        request finished inside *grace*."""
         loop = self._loop
         if loop is None or self._thread is None:
             return True

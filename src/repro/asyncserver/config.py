@@ -1,11 +1,10 @@
-"""`AsyncServerConfig` — the async serving tier's knobs, validated eagerly.
+"""`AsyncServerConfig` — the serving tier's knobs, validated eagerly.
 
-The async tier replaces thread-per-connection with one asyncio event
-loop in front of ``shards`` worker *processes*, each owning a private
+The tier is one asyncio event loop in front of ``shards`` worker
+*processes*, each owning a private
 :class:`~repro.service.cache.PlanCache` shard — so capacity knobs here
-are **per shard** where the sync :class:`~repro.server.ServerConfig`'s
-were global.  ``cache_dir`` enables persistence: shards snapshot to
-``<cache_dir>/shard-<i>-of-<N>.plancache`` on graceful drain and
+are **per shard**.  ``cache_dir`` enables persistence: shards snapshot
+to ``<cache_dir>/shard-<i>-of-<N>.plancache`` on graceful drain and
 warm-start from the same files on boot.
 """
 
@@ -23,7 +22,7 @@ def default_shards() -> int:
     """Worker-shard count when unspecified: one per core, capped at 4.
 
     Unlike the batch pool (CPU-bound misses, more workers help), the
-    async tier's warm path is dominated by per-request overhead; extra
+    serving tier's warm path is dominated by per-request overhead; extra
     shards past the core count only add context switching.
     """
     return min(default_workers(), 4)
@@ -31,54 +30,33 @@ def default_shards() -> int:
 
 @dataclass(frozen=True)
 class AsyncServerConfig(ServingConfig):
-    """Immutable async-tier settings (on top of :class:`ServingConfig`).
+    """Immutable serving-tier settings (on top of :class:`ServingConfig`).
 
     ``shards`` — worker processes, each owning one serving core and so
     one plan-cache shard (``None`` auto-sizes via :func:`default_shards`);
-    ``cache_capacity`` is therefore **per shard**, and caching cannot be
-    switched off (the shard cache *is* the tier).  ``cache_dir`` —
+    ``cache_capacity`` is therefore **per shard**.  ``cache_dir`` —
     directory for shard snapshots; ``None`` disables persistence.
     ``max_inflight`` defaults to ``16 * shards + 32`` — the tier is built
-    for open-loop traffic, so the bound is deliberately deeper than the
-    threaded server's.  ``revalidate_batch`` bounds inline revalidation
-    per ``STATS_UPDATE`` frame (the rest drains in serve-loop idle gaps).
+    for open-loop traffic.  ``revalidate_batch`` bounds inline
+    revalidation per ``STATS_UPDATE`` frame (the rest drains in
+    serve-loop idle gaps).
 
-    Crash supervision: restarts back off exponentially
-    (``restart_backoff_base_seconds`` doubling per crash, capped), and
-    ``breaker_threshold`` crashes within a sliding window open a
-    per-shard circuit breaker — the shard's fingerprints answer 503 for
-    ``breaker_cooldown_seconds`` while other shards keep serving, then
-    one restart probe closes the breaker if it boots.  (The cap, the
-    window, the boot wait and the route-memo size are constants of
-    :mod:`~repro.asyncserver.supervisor` / :mod:`~repro.asyncserver.app`.)
+    Crash supervision (restart backoff, the per-shard circuit breaker),
+    the boot wait and the route-memo size are constants of
+    :mod:`~repro.asyncserver.supervisor` / :mod:`~repro.asyncserver.app`.
     """
 
     shards: Optional[int] = None
     cache_dir: Optional[str] = None
     revalidate_batch: int = 8
-    restart_backoff_base_seconds: float = 0.5
-    breaker_threshold: int = 5
-    breaker_cooldown_seconds: float = 30.0
 
     def __post_init__(self) -> None:
         super().__post_init__()
         if self.shards is not None and self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
-        if self.cache_capacity is None or self.cache_capacity < 1:
-            raise ValueError(f"cache_capacity must be >= 1, got {self.cache_capacity}")
         if self.revalidate_batch < 1:
             raise ValueError(
                 f"revalidate_batch must be >= 1, got {self.revalidate_batch}"
-            )
-        if self.restart_backoff_base_seconds < 0:
-            raise ValueError(
-                f"restart_backoff_base_seconds must be >= 0, got {self.restart_backoff_base_seconds}"
-            )
-        if self.breaker_threshold < 1:
-            raise ValueError(f"breaker_threshold must be >= 1, got {self.breaker_threshold}")
-        if self.breaker_cooldown_seconds < 0:
-            raise ValueError(
-                f"breaker_cooldown_seconds must be >= 0, got {self.breaker_cooldown_seconds}"
             )
 
     @property

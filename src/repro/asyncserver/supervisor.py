@@ -23,9 +23,9 @@ requests down with 500 ``worker_pool_failure`` responses and is
 restarted with capped exponential backoff (the fresh worker warm-starts
 from the shard's last snapshot when persistence is on, so a crash loses
 at most the plans cached since the previous drain).  A crash *loop* —
-``breaker_threshold`` crashes inside :data:`BREAKER_WINDOW_SECONDS` — opens
-the shard's circuit breaker: its fingerprints answer 503
-(:class:`WorkerUnavailable`) for ``breaker_cooldown_seconds`` while the
+:data:`BREAKER_THRESHOLD` crashes inside :data:`BREAKER_WINDOW_SECONDS` —
+opens the shard's circuit breaker: its fingerprints answer 503
+(:class:`WorkerUnavailable`) for :data:`BREAKER_COOLDOWN_SECONDS` while the
 other shards keep serving, then a single restart probe closes the
 breaker if the worker boots.  During a drain, exits are expected and no
 restart happens.
@@ -49,10 +49,16 @@ from repro.service.config import ServingConfig
 
 #: how long a spawn waits for the worker's hello.
 WORKER_BOOT_SECONDS = 60.0
+#: first restart delay; it doubles with every crash in the window.
+RESTART_BACKOFF_BASE_SECONDS = 0.5
 #: ceiling of the exponential restart backoff.
 RESTART_BACKOFF_CAP_SECONDS = 30.0
+#: crashes inside the window that open a shard's circuit breaker.
+BREAKER_THRESHOLD = 5
 #: sliding window in which crashes count towards the circuit breaker.
 BREAKER_WINDOW_SECONDS = 60.0
+#: how long an open breaker answers 503 before one restart probe.
+BREAKER_COOLDOWN_SECONDS = 30.0
 
 
 class WorkerCrashed(Exception):
@@ -237,24 +243,23 @@ class WorkerHandle:
     def _note_crash(self) -> float:
         """Record one crash; return the pre-respawn delay.
 
-        Exponential backoff doubles from the configured base per crash in
-        the sliding window, capped; reaching ``breaker_threshold`` crashes
-        in the window opens the breaker and switches the delay to the
-        breaker cooldown.
+        Exponential backoff doubles from :data:`RESTART_BACKOFF_BASE_SECONDS`
+        per crash in the sliding window, capped; reaching
+        :data:`BREAKER_THRESHOLD` crashes in the window opens the breaker
+        and switches the delay to the breaker cooldown.
         """
-        config = self.supervisor.config
         now = time.monotonic()
         self._crash_times.append(now)
         while self._crash_times and now - self._crash_times[0] > BREAKER_WINDOW_SECONDS:
             self._crash_times.popleft()
         crashes = len(self._crash_times)
-        if crashes >= config.breaker_threshold:
+        if crashes >= BREAKER_THRESHOLD:
             self.breaker_open = True
-            delay = config.breaker_cooldown_seconds
+            delay = BREAKER_COOLDOWN_SECONDS
         else:
             delay = min(
                 RESTART_BACKOFF_CAP_SECONDS,
-                config.restart_backoff_base_seconds * (2 ** (crashes - 1)),
+                RESTART_BACKOFF_BASE_SECONDS * (2 ** (crashes - 1)),
             )
         self.current_backoff = delay
         return delay

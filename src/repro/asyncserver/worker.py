@@ -11,9 +11,8 @@ stats snapshots are consistent by construction.
 
 Requests arrive as :mod:`~repro.asyncserver.frames` on stdin; responses
 (HTTP status + ready-to-send JSON body) leave on stdout.  What a request
-*means* is the :class:`~repro.service.core.ServingCore`'s business — the
-same core the threaded tier serves from; this module is its frame
-transport.  The steady-state warm hit is: memo lookup → cache key →
+*means* is the :class:`~repro.service.core.ServingCore`'s business; this
+module is its frame transport.  The steady-state warm hit is: memo lookup → cache key →
 ``PlanCache.serve_entry`` (which hands out the copy it made for that
 spelling last time) → ``json.dumps`` of a small dict around the plan's
 already rendered tree.  Cold misses
@@ -213,7 +212,7 @@ def serve(worker: ShardWorker, in_fd: int, out_fd: int) -> None:
             _write_all(out_fd, out)
         # Idle-gap revalidation: with every received frame answered and
         # flushed, drain the stale backlog one entry at a time, yielding
-        # the moment new input arrives — the async tier's "task per
+        # the moment new input arrives — the tier's "task per
         # shard" revalidator, expressed in this blocking loop.
         while running and worker.core.stale_backlog():
             ready, _, _ = select.select([in_fd], [], [], 0)

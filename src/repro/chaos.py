@@ -1,7 +1,7 @@
 """Fault injection for robustness tests — disabled unless armed via env.
 
 The chaos layer lets the test suite (and the CI ``chaos-smoke`` job)
-inject failures at the exact seams the serving tiers are supposed to
+inject failures at the exact seams the serving tier is supposed to
 survive: worker crashes, worker hangs, pathologically slow planning,
 snapshot corruption, and dropped response frames.  It is **test-build
 plumbing only**: every hook is a no-op unless the ``REPRO_CHAOS``
@@ -15,7 +15,7 @@ follow-up query through the same worker behaves normally — which is
 exactly what the recovery tests assert.  SQL table aliases survive
 binding as ``RelationInfo.name``, so markers written as aliases
 (``FROM nation chaos_slow_200 JOIN ...``) are visible both to the
-serving tiers (raw SQL) and to the optimizer driver (query relations).
+serving tier (raw SQL) and to the optimizer driver (query relations).
 
 Markers:
 
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Dict, Iterable, Optional
+from typing import Iterable, Optional
 
 CRASH_MARKER = "chaos_crash"
 HANG_MARKER = "chaos_hang"
@@ -58,26 +58,6 @@ def enabled() -> bool:
     """True when fault injection is armed in this process."""
     value = os.environ.get("REPRO_CHAOS", "")
     return value not in ("", "0", "false", "no")
-
-
-def environment() -> Dict[str, str]:
-    """This process's ``REPRO_CHAOS*`` variables."""
-    return {
-        name: value for name, value in os.environ.items() if name.startswith("REPRO_CHAOS")
-    }
-
-
-def adopt(variables: Dict[str, str]) -> None:
-    """Make this process's ``REPRO_CHAOS*`` variables exactly *variables*
-    — a pool's initializer, given the submitting process's
-    :func:`environment`.  A pool process does not inherit them reliably:
-    ``multiprocessing``'s fork server is started once per process, by the
-    first pool, and hands every later pool the environment of that
-    moment — armed or disarmed since, the children would not know."""
-    for name in environment():
-        if name not in variables:
-            del os.environ[name]
-    os.environ.update(variables)
 
 
 def _hang_seconds() -> float:

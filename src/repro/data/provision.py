@@ -1,11 +1,11 @@
 """Dataset provisioning: turn a ``--dataset`` spec into tables in memory.
 
-One spec grammar shared by both serving tiers and the CLI:
+One spec grammar shared by the serving tier and the CLI:
 
 * ``tpch-sf<scale>`` — generate the deterministic scaled TPC-H dataset
   (:func:`repro.tpch.datagen.scaled_dataset`), e.g. ``tpch-sf0.01``.
   Generation is seeded per table, so every process that asks for the
-  same spec holds byte-identical data — the async tier's worker shards
+  same spec holds byte-identical data — the serving tier's worker shards
   each provision their own copy and stay consistent without shipping
   rows over the wire.
 * a directory path — load every ``.csv``/``.parquet`` file in it

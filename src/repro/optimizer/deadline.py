@@ -22,7 +22,7 @@ is the caller's policy — ``OptimizerConfig.degradation``:
 Budgets come from two places: ``OptimizerConfig.deadline_seconds``
 (relative, armed when the run starts) or an explicit ``Deadline`` passed
 to :func:`~repro.optimizer.optimize` (absolute, used by the serving
-tiers to charge queue time against the request budget).
+tier to charge queue time against the request budget).
 """
 
 from __future__ import annotations

@@ -11,15 +11,16 @@ raises :class:`ServerError` carrying the HTTP status and the body's
 server's 503 is an answer, not a failure).
 
 Retries are **opt-in** (``retries=N``): transient failures — connection
-errors and 429/503 responses, which the servers emit for backpressure,
+errors and 429/503 responses, which the server emits for backpressure,
 draining, and open circuit breakers — are retried with capped
 exponential backoff and *full jitter* (each sleep is uniform in
 ``[0, min(cap, base * 2**attempt)]``, so a thundering herd of clients
 decorrelates instead of re-arriving in lockstep).  A ``Retry-After``
-response header, which both tiers attach to 429/503, takes precedence
+response header, which the server attaches to 429/503, takes precedence
 over the computed backoff.  Non-transient errors (400/404/500/504)
 never retry: a 504 means a planning budget was truly blown and a retry
-would blow it again.
+would blow it again.  Nor does a client-side timeout: the server may
+still be working on the request.
 """
 
 from __future__ import annotations
@@ -67,16 +68,13 @@ class ServerClient:
     # -- plumbing ------------------------------------------------------------
     def _connection(self) -> http.client.HTTPConnection:
         if self._conn is None:
-            self._conn = http.client.HTTPConnection(
-                self.host, self.port, timeout=self.timeout
-            )
-            self._conn.connect()
+            conn = http.client.HTTPConnection(self.host, self.port, timeout=self.timeout)
+            conn.connect()
             # Headers and body go out as separate writes; without
             # TCP_NODELAY the body waits on the server's delayed ACK
             # (~40ms) and dominates warm-cache latency.
-            self._conn.sock.setsockopt(
-                socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
-            )
+            conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self._conn = conn
         return self._conn
 
     def _backoff(self, attempt: int, retry_after: Optional[float]) -> None:
@@ -100,6 +98,8 @@ class ServerClient:
             last = attempt == attempts - 1
             try:
                 decoded, status, retry_after = self._exchange(method, path, payload, headers)
+            except TimeoutError:
+                raise  # the server may be working on it: never send it twice
             except (ConnectionError, http.client.HTTPException, OSError):
                 if last:
                     raise
@@ -126,21 +126,25 @@ class ServerClient:
     def _exchange(self, method, path, payload, headers):
         """One request/response on the keep-alive connection.
 
-        Retries **once** on a dead keep-alive socket (server restarted,
-        or the idle connection was reaped between calls) regardless of
-        the retry policy — that reconnect was always free and is not a
-        server failure.
+        A request that fails on a connection reused from an earlier call
+        is sent **once** more on a fresh one, regardless of the retry
+        policy: the server restarted, or reaped the idle connection
+        between calls — not a server failure.  A failure on a fresh
+        connection, and a timeout on any, are raised as they are: the
+        server may have the request, and sending it again could apply it
+        twice.
         """
         for attempt in (0, 1):
+            reused = self._conn is not None
             conn = self._connection()
             try:
                 conn.request(method, path, body=payload, headers=headers)
                 response = conn.getresponse()
                 data = response.read()
                 break
-            except (ConnectionError, http.client.HTTPException, OSError):
+            except (ConnectionError, http.client.HTTPException, OSError) as error:
                 self.close()
-                if attempt:
+                if attempt or not reused or isinstance(error, TimeoutError):
                     raise
         retry_after: Optional[float] = None
         raw_hint = response.getheader("Retry-After")

@@ -1,4 +1,5 @@
-"""What both HTTP fronts share: the route table, JSON body parsing and
+"""The HTTP surface apart from its transport: the route table, JSON body
+parsing (the shard workers parse with it too), admission errors and
 thread-safe per-endpoint request metrics.
 
 Every finished exchange records its endpoint, status class and wall
@@ -8,7 +9,7 @@ unbounded memory; counters are cumulative since server start.
 
 ``snapshot()`` produces the ``uptime_seconds`` / ``requests`` part of
 ``GET /stats``; the ``plans`` / ``executions`` / ``cache`` blocks come
-from the serving core(s) (:meth:`repro.service.core.ServingCore.stats`).
+from the shards' serving cores (:meth:`repro.service.core.ServingCore.stats`).
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 Everything below the transports turns a plan-cache miss into an optimizer
 run here: a :class:`Miss` is the ticket, :func:`plan_miss` the only place
 a ticket becomes a :func:`repro.optimizer.optimize` run — in whichever
-process holds it (a shard plans its own; the threaded tier's pool and the
-batch pool map the same function over pickled tickets) — and
+process holds it (a shard plans its own; the batch pool maps the same
+function over pickled tickets) — and
 :func:`plan_wave` says once that *the first miss of a key leads, later
 ones share its outcome*.
 
@@ -160,9 +160,9 @@ class Miss:
     exact: str
     #: the source text, when the query came through a SQL front door.
     sql: Optional[str] = None
-    #: ``time.monotonic()`` instant the budget expires — system-wide, so
-    #: it holds in a pool worker and queueing for one is charged; ``None``
-    #: leaves ``config.deadline_seconds`` in charge.
+    #: ``time.monotonic()`` instant the budget expires, so time queued
+    #: before the run is charged; ``None`` leaves
+    #: ``config.deadline_seconds`` in charge.
     deadline_at: Optional[float] = None
     #: what a plan of exactly this problem is known to cost, when the
     #: cache that missed remembers one (``PlanCache.known_cost``); the

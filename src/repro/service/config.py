@@ -1,10 +1,10 @@
-"""`ServingConfig` — the knobs both serving transports share, validated eagerly.
+"""`ServingConfig` — the knobs every serving core is built from, validated eagerly.
 
 The same philosophy as :class:`~repro.optimizer.config.OptimizerConfig`:
 one frozen value object instead of scattered kwargs, rejected at
-construction rather than at first use.  :class:`repro.server.ServerConfig`
-and :class:`repro.asyncserver.AsyncServerConfig` extend it with what only
-their transport owns (a process pool; shards, persistence, supervision);
+construction rather than at first use.
+:class:`repro.asyncserver.AsyncServerConfig` extends it with what only
+the transport owns (shards, persistence, inline revalidation);
 :class:`~repro.service.core.ServingCore` is built from the base alone.
 """
 
@@ -18,13 +18,13 @@ from repro.optimizer.config import OptimizerConfig
 
 @dataclass(frozen=True)
 class ServingConfig:
-    """Immutable settings common to the threaded and the async tier.
+    """Immutable settings of one serving core (and the front's bind address).
 
     ``max_inflight`` bounds admitted-but-unfinished requests across all
     endpoints that plan; excess requests get an immediate 429 (``None``
     lets the transport derive a bound from its parallelism).
     ``cache_capacity`` — plan-cache entries per serving core, i.e. per
-    process (``None``/``0`` = no cache, threaded tier only).
+    process; at least 1, the cache is what a core serves from.
     ``request_timeout_seconds`` caps one request's planning budget: time
     already spent queued or parsing is charged against it and the
     remainder is armed as a cooperative deadline inside the DP, with
@@ -56,7 +56,7 @@ class ServingConfig:
     strategy: str = "ea-prune"
     factor: float = 1.03
     cost_model: str = "cout"
-    cache_capacity: Optional[int] = 512
+    cache_capacity: int = 512
     request_timeout_seconds: float = 120.0
     drain_grace_seconds: float = 10.0
     degradation: str = "heuristic"
@@ -70,6 +70,8 @@ class ServingConfig:
             raise ValueError(f"port must be in [0, 65535] (0 = ephemeral), got {self.port}")
         if self.max_inflight is not None and self.max_inflight < 1:
             raise ValueError(f"max_inflight must be >= 1, got {self.max_inflight}")
+        if self.cache_capacity is None or self.cache_capacity < 1:
+            raise ValueError(f"cache_capacity must be >= 1, got {self.cache_capacity}")
         if self.scale_factor <= 0:
             raise ValueError(f"scale_factor must be > 0, got {self.scale_factor}")
         if self.request_timeout_seconds <= 0:

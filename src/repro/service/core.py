@@ -1,4 +1,4 @@
-"""`ServingCore` — the one request pipeline behind both serving transports.
+"""`ServingCore` — the one request pipeline behind the serving tier.
 
 Everything between "a JSON body arrived" and "here is the reply dict"
 lives here exactly once: SQL-text validation and the parse memo,
@@ -10,17 +10,10 @@ go in as dicts and come out as dicts, or raise :class:`RequestError`;
 nothing here knows about sockets, threads, processes or event loops.
 
 **Single owner.**  A core has no locks: whoever holds it must call it
-from one thread at a time.  The async tier's shard worker is
-single-threaded, so it simply calls (:meth:`ServingCore.plan` blocks the
+from one thread at a time.  Its owner is a shard worker process, which
+is single-threaded and simply calls (:meth:`ServingCore.plan` blocks the
 shard while it optimizes — the sharding contract, one owner per
-fingerprint).  The threaded tier takes one lock around each call and
-plans outside it: :meth:`~ServingCore.probe` under the lock → the
-:class:`Miss` tickets go to its process pool as one wave →
-:meth:`~ServingCore.complete` under the lock again.  Two slow halves
-touch no core state and so need no owner — :meth:`~ServingCore.run`
-(reads only the dataset) and the revalidator's ``drain`` (the plan cache
-locks itself) — the threaded tier runs them unlocked and takes the lock
-for their ``record_*`` twins, which do the counting.
+fingerprint).
 
 The warm path stays: memo lookup → key → ``PlanCache.serve_entry`` →
 a small dict — and a repeated text does none of its work twice.  The
@@ -215,7 +208,7 @@ def tune_gc_for_serving() -> None:
     collector and makes full collections rare, so a gen-2 pass over
     thousands of plan nodes cannot stall the event loop mid-burst; the
     warm path allocates only small short-lived objects that gen-0
-    handles.  Called by the shard worker processes, the ``serve --async``
+    handles.  Called by the shard worker processes, the ``serve``
     CLI and the benchmark — NOT by the in-process test facade, which
     must leave its host process's GC alone.
     """
@@ -299,8 +292,7 @@ def _ratio(part: float, whole: float) -> float:
 
 class ServingCore:
     """Catalog, base config, plan cache, dataset, revalidator, memos and
-    counters of one serving process — see the module docstring for who
-    may call it when."""
+    counters of one serving process, which is its one owner."""
 
     def __init__(self, config: ServingConfig):
         self.base_config = config.optimizer_config()
@@ -322,11 +314,8 @@ class ServingCore:
             # not an import inside the first /execute request.
             load_backend(self.default_executor)
         self.catalog = Catalog.from_tpch(scale_factor=config.scale_factor)
-        self.cache: Optional[PlanCache] = None
-        self.revalidator: Optional[StaleRevalidator] = None
-        if self.base_config.caching_enabled:
-            self.cache = PlanCache(capacity=self.base_config.cache_capacity)
-            self.revalidator = StaleRevalidator(self.cache, self.catalog, self.base_config)
+        self.cache = PlanCache(capacity=config.cache_capacity)
+        self.revalidator = StaleRevalidator(self.cache, self.catalog, self.base_config)
         # text → (query, fingerprint, key snapshot, exact snapshot, naming)
         # — parse/bind/digest once per distinct SQL spelling (key snapshot
         # is banded when snapshot_band_width is configured; the naming is
@@ -432,17 +421,16 @@ class ServingCore:
             factor=factor,
             cost_model=cost_model,
         )
-        if self.cache is not None:
-            found = self.cache.serve_entry(key, query, exact, binding)
-            if found is not None:
-                result, state = found
-                if state != FRESH:
-                    self._stale_served += 1
-                self._record(result, True)
-                return result, config, query
+        found = self.cache.serve_entry(key, query, exact, binding)
+        if found is not None:
+            result, state = found
+            if state != FRESH:
+                self._stale_served += 1
+            self._record(result, True)
+            return result, config, query
         if arrived is None:
             arrived = time.monotonic()
-        known = self.cache.known_cost(key, exact) if self.cache is not None else None
+        known = self.cache.known_cost(key, exact)
         return Miss(query, config, key, exact, sql, arrived + self.request_timeout, known)
 
     def complete(self, miss: Miss, outcome: WorkerOutcome) -> Planned:
@@ -450,26 +438,21 @@ class ServingCore:
         fresh result unless it is a deadline-degraded fallback (never
         cached; ``PlanCache.store`` refuses them too).  A failed run
         raises its request's error: 504 for a blown budget under
-        ``degradation="error"``, else 500, the optimizer's own fault.  A
-        ``shared`` outcome (a wave follower's copy) is a hit, or the
-        leader's error again — counted once, with the leader.
+        ``degradation="error"``, else 500, the optimizer's own fault.
         """
         result = outcome.result
         if result is None:
             if outcome.deadline:
-                self._timeouts += not outcome.shared
+                self._timeouts += 1
                 raise RequestError(504, "timeout", outcome.error)
-            self._failures += not outcome.shared
+            self._failures += 1
             raise RequestError(500, "optimizer_error", outcome.error)
-        if not outcome.shared:
-            if result.degraded:
-                self._degraded += 1
-            elif self.cache is not None:
-                self.cache.store(
-                    miss.key, miss.query, result, sql=miss.sql, exact_snapshot=miss.exact
-                )
-            self._bounded_remembered += result.stats.get("ceiling.source") == "remembered"
-        self._record(result, outcome.shared)
+        if result.degraded:
+            self._degraded += 1
+        else:
+            self.cache.store(miss.key, miss.query, result, sql=miss.sql, exact_snapshot=miss.exact)
+        self._bounded_remembered += result.stats.get("ceiling.source") == "remembered"
+        self._record(result, False)
         return result, miss.config, miss.query
 
     def plan(self, body: dict, arrived: Optional[float] = None) -> Planned:
@@ -488,46 +471,36 @@ class ServingCore:
     def explain(self, body: dict, arrived: Optional[float] = None) -> dict:
         return explain_reply(self.plan(body, arrived))
 
-    def batch_bodies(self, body: dict, sqls: Iterable) -> List[dict]:
-        """One /optimize-shaped body per statement of a ``/batch``, each
-        carrying the batch's overrides — which are the whole request's:
-        a bad one is a 400 ``bad_config`` for the batch, not per item."""
-        self._resolve_config(body)
-        shared = {field: body.get(field) for field in _OVERRIDES}
-        return [dict(shared, sql=sql) for sql in sqls]
-
-    def batch_error(self, error: RequestError) -> RequestError:
-        """Count a ``/batch`` statement this core could not parse in
-        ``plans.failures`` (a lone request's 400 is not counted)."""
-        self._failures += error.status == 400
-        return error
-
     def batch_items(self, body: dict, indexed_sqls, arrived: Optional[float] = None) -> List[dict]:
         """Plan ``(index, sql)`` pairs under *body*'s overrides.
 
-        All items share *arrived*, so the whole batch shares one budget
-        — later items whose predecessors ate it degrade rather than
-        extend the request.
+        The overrides are the whole request's: a bad one is a 400
+        ``bad_config`` for the batch, not per item.  A statement that
+        does not parse is counted in ``plans.failures`` (a lone
+        request's 400 is not).  All items share *arrived*, so the whole
+        batch shares one budget — later items whose predecessors ate it
+        degrade rather than extend the request.
         """
+        self._resolve_config(body)
         include_plans = bool(body.get("include_plans", False))
-        pairs = list(indexed_sqls)
-        bodies = self.batch_bodies(body, [sql for _index, sql in pairs])
+        overrides = {field: body.get(field) for field in _OVERRIDES}
         items = []
-        for (index, _sql), item_body in zip(pairs, bodies):
+        for index, sql in indexed_sqls:
             try:
-                planned = self.plan(item_body, arrived)
+                planned = self.plan(dict(overrides, sql=sql), arrived)
             except RequestError as error:
-                planned = self.batch_error(error)
+                self._failures += error.status == 400
+                planned = error
             items.append(batch_item(index, planned, include_plans))
         return items
 
-    def check_execute(self, body: dict) -> Tuple[str, Optional[int]]:
-        """The ``(executor, limit)`` of one ``/execute`` body.
-
-        ``"limit": null`` means unlimited; an absent limit defaults to
-        :data:`DEFAULT_EXECUTE_LIMIT` so an unbounded join cannot melt
-        the JSON serialiser by accident.
-        """
+    def execute(self, body: dict, arrived: Optional[float] = None) -> dict:
+        """``POST /execute`` — plan (cached or fresh), then :meth:`run`.
+        Takes the /optimize fields plus ``executor`` and ``limit``
+        (``null``: unlimited; absent: :data:`DEFAULT_EXECUTE_LIMIT`, so
+        an unbounded join cannot melt the JSON serialiser by accident);
+        409 without a dataset."""
+        started = time.perf_counter()
         if self.dataset is None:
             raise RequestError(
                 409,
@@ -549,25 +522,22 @@ class ServingCore:
             not isinstance(limit, int) or isinstance(limit, bool) or limit < 0
         ):
             raise RequestError(400, "bad_request", "'limit' must be an integer >= 0 or null")
-        return executor, limit
+        return self.run(self.plan(body, arrived), executor, limit, started)
 
-    def run(
-        self, planned: Planned, executor: str, limit: Optional[int], started: float
-    ) -> Union[dict, RequestError]:
+    def run(self, planned: Planned, executor: str, limit: Optional[int], started: float) -> dict:
         """Execute a planned statement against the dataset → the
         ``/execute`` reply: ``columns`` + row arrays built from the run's
         value lists (:func:`reply_rows`), and ``execution_seconds``, the
-        time to run the plan and read its columns.  Needs no owner; a
-        failure — running or building the rows — is returned, not
-        raised: either way the outcome goes through :meth:`record_run`,
-        which is where it is counted."""
+        time to run the plan and read its columns.  The run is counted in
+        the ``executions`` block of :meth:`stats`; a failure — running or
+        building the rows — is a 500 counted in ``plans.failures``."""
         from repro.exec import run_columns
 
         result, _config, query = planned
         try:
             database = self.dataset.database_for(query)
         except KeyError as exc:  # no table, or a table without a column
-            return RequestError(404, "unknown_table", exc.args[0])
+            raise RequestError(404, "unknown_table", exc.args[0]) from exc
         run_started = time.perf_counter()
         try:
             columns, values = run_columns(
@@ -576,7 +546,14 @@ class ServingCore:
             execution_seconds = time.perf_counter() - run_started
             rows = reply_rows(values)
         except Exception as exc:  # noqa: BLE001 - per-request isolation
-            return RequestError(500, "execution_error", f"{type(exc).__name__}: {exc}")
+            self._failures += 1
+            raise RequestError(
+                500, "execution_error", f"{type(exc).__name__}: {exc}"
+            ) from exc
+        self._executions[executor] += 1
+        self._execution_rows += len(rows)
+        self._execution_seconds += execution_seconds
+        self._execution_ms.append(execution_seconds * 1000.0)
         return {
             "strategy": result.strategy,
             "cost": result.cost,
@@ -590,27 +567,6 @@ class ServingCore:
             "execution_seconds": execution_seconds,
             "server_seconds": time.perf_counter() - started,
         }
-
-    def record_run(self, outcome: Union[dict, RequestError]) -> dict:
-        """Count one :meth:`run` outcome in the ``executions`` block of
-        :meth:`stats` (or ``plans.failures``) and hand the reply on."""
-        if isinstance(outcome, RequestError):
-            self._failures += outcome.status >= 500
-            raise outcome
-        seconds = outcome["execution_seconds"]
-        self._executions[outcome["executor"]] += 1
-        self._execution_rows += outcome["row_count"]
-        self._execution_seconds += seconds
-        self._execution_ms.append(seconds * 1000.0)
-        return outcome
-
-    def execute(self, body: dict, arrived: Optional[float] = None) -> dict:
-        """``POST /execute`` — plan (cached or fresh), then run.  Takes
-        the /optimize fields plus ``executor`` and ``limit``; 409
-        without a dataset."""
-        started = time.perf_counter()
-        executor, limit = self.check_execute(body)
-        return self.record_run(self.run(self.plan(body, arrived), executor, limit, started))
 
     # -- statistics drift ----------------------------------------------------
     def stats_update(self, body: dict, inline: int) -> dict:
@@ -670,35 +626,29 @@ class ServingCore:
         ]:
             del memo[sql]
         payload = dict(delta.payload())
-        if self.cache is None:
-            payload.update(marked_stale=0, stale_entries=0, revalidated_inline={})
-            return payload
         payload["marked_stale"] = self.cache.mark_stale(delta.relation)
-        payload["revalidated_inline"] = counts = self.revalidator.drain(limit=inline)
-        self.record_revalidation(counts)
+        payload["revalidated_inline"] = self._drain(inline)
         payload["stale_entries"] = self.cache.stale_count()
         return payload
 
     def stale_backlog(self) -> bool:
         """Whether :meth:`revalidate` has entries left to process."""
-        return self.cache is not None and self.cache.stale_count() > 0
+        return self.cache.stale_count() > 0
 
     def revalidate(self, limit: int = 1) -> bool:
-        """Re-cost or re-plan up to *limit* stale entries: the
-        revalidator's ``drain`` (needs no owner — a claimed entry is
-        nobody else's), then :meth:`record_revalidation`."""
-        if self.revalidator is None:
-            return False
-        return self.record_revalidation(self.revalidator.drain(limit=limit))
+        """Re-cost or re-plan up to *limit* stale entries.  Returns
+        whether any entry actually left the stale backlog — False means
+        everything claimed failed (e.g. replans that deadline-degrade)
+        and went back to stale, so the caller must stop looping rather
+        than spin on the same entry."""
+        counts = self._drain(limit)
+        return counts["recosted"] + counts["replanned"] + counts["dropped"] > 0
 
-    def record_revalidation(self, counts: dict) -> bool:
-        """Count one drain.  Returns whether any entry actually left the
-        stale backlog — False means everything claimed failed (e.g.
-        replans that deadline-degrade) and went back to stale, so the
-        caller must stop looping rather than spin on the same entry."""
+    def _drain(self, limit: int) -> dict:
+        counts = self.revalidator.drain(limit=limit)
         self._recosted += counts["recosted"]
         self._replanned += counts["replanned"]
-        return counts["recosted"] + counts["replanned"] + counts["dropped"] > 0
+        return counts
 
     # -- introspection -------------------------------------------------------
     def stats(self) -> dict:
@@ -730,7 +680,7 @@ class ServingCore:
                 "by_strategy": dict(self._by_strategy),
             },
             "executions": executions,
-            "cache": self.cache.describe() if self.cache is not None else None,
+            "cache": self.cache.describe(),
             "parse_memo": {
                 "size": len(self._parse_memo),
                 "hits": self._memo_hits,

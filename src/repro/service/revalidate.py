@@ -20,8 +20,9 @@ path:
    results); the entry returns to ``stale`` and is retried later.
 
 ``drain`` runs in the caller's thread — the owner of a
-:class:`~repro.service.core.ServingCore` decides when: both serving tiers
-call it with a ``limit`` between requests, outside their locks.
+:class:`~repro.service.core.ServingCore` decides when: a shard worker
+calls it with a ``limit`` inline on ``/stats_update`` and in the idle
+gaps between requests.
 """
 
 from __future__ import annotations

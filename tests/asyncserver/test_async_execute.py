@@ -4,8 +4,7 @@ One worker shard provisions ``tpch-sf0.001`` at boot; the front routes
 ``/execute`` by the SQL's structural fingerprint exactly like
 ``/optimize``, so the executing shard is the one whose cache shard owns
 the plan.  The endpoint's contract (executors, limits, error codes, 409
-without a dataset) is shared with the threaded tier:
-``tests/serving/test_contract.py``.
+without a dataset) is ``tests/serving/test_contract.py``'s.
 """
 
 import pytest

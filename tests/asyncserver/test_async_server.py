@@ -1,13 +1,13 @@
-"""End-to-end tests for what only the async serving tier owns.
+"""End-to-end tests for what the serving tier owns beyond the contract.
 
 Boots real servers (event-loop front + worker subprocesses) on
 ephemeral ports and drives them with the ordinary
 :class:`~repro.server.client.ServerClient`.  Covers shard routing, the
 merged ``/stats`` detail, the front's admission bound under a pipelined
-burst, crash restart, and the drain → snapshot → restart → warm-hit
-cycle.  Endpoint round-trips and error codes are the
-contract shared with the threaded tier —
-``tests/serving/test_contract.py`` runs them against one and two shards.
+burst, crash restart, graceful drain, and the drain → snapshot →
+restart → warm-hit cycle.  Endpoint round-trips and error codes are the
+contract — ``tests/serving/test_contract.py`` runs them against one and
+two shards.
 """
 
 import asyncio
@@ -15,6 +15,7 @@ import json
 import os
 import signal
 import socket
+import threading
 import time
 
 import pytest
@@ -89,6 +90,11 @@ class TestStats:
 
 class TestBackpressure:
     """A burst beyond ``max_inflight`` is shed at the front, not queued."""
+
+    def test_the_default_bound_grows_with_the_shards(self):
+        assert AsyncServerConfig(shards=1).effective_max_inflight == 48
+        assert AsyncServerConfig(shards=4).effective_max_inflight == 96
+        assert AsyncServerConfig(shards=4, max_inflight=3).effective_max_inflight == 3
 
     MAX_INFLIGHT = 4
     BURST = 24
@@ -308,6 +314,66 @@ def chaos_armed(monkeypatch):
     monkeypatch.setenv("REPRO_CHAOS", "1")  # worker processes inherit it
 
 
+class TestGracefulDrain:
+    """A drain refuses new work and lets in-flight requests finish —
+    their replies written and metered — or gives up after its grace."""
+
+    @staticmethod
+    def hanging_server(monkeypatch, hang_seconds, **settings):
+        """One shard whose ``chaos_hang`` misses take *hang_seconds*."""
+        monkeypatch.setenv("REPRO_CHAOS", "1")
+        monkeypatch.setenv("REPRO_CHAOS_HANG_SECONDS", str(hang_seconds))
+        return AsyncPlanServer(AsyncServerConfig(port=0, shards=1, **settings)).start()
+
+    @staticmethod
+    def request_in_background(running, results):
+        def send():
+            try:
+                with ServerClient(port=running.port) as c:
+                    results["body"] = c.optimize(HANG_SQL, include_plan=False)
+            except Exception as error:  # noqa: BLE001 - reported by the test
+                results["error"] = error
+
+        thread = threading.Thread(target=send, daemon=True)
+        thread.start()
+        wait_for(lambda: running.service.inflight == 1, "the request to be admitted")
+        return thread
+
+    def test_drain_finishes_inflight_work_and_refuses_new_work(self, monkeypatch):
+        running = self.hanging_server(monkeypatch, 1.5)
+        service, results, drained = running.service, {}, []
+        try:
+            request = self.request_in_background(running, results)
+            drainer = threading.Thread(target=lambda: drained.append(running.drain(grace=30.0)))
+            drainer.start()
+            wait_for(lambda: service.draining, "the drain to begin")
+            with ServerClient(port=running.port) as c:
+                health = c.healthz()
+                assert (health["_status"], health["status"]) == (503, "draining")
+                with pytest.raises(ServerError) as excinfo:
+                    c.optimize(SQL)
+                assert (excinfo.value.status, excinfo.value.code) == (503, "draining")
+            assert results == {}  # still planning
+            request.join(timeout=30.0)
+            drainer.join(timeout=60.0)
+        finally:
+            running.close()
+        assert drained == [True]
+        assert results["body"]["cost"] > 0
+        # The in-flight exchange was written and metered before the drain returned.
+        counted = service.metrics.snapshot()["requests"]["POST /optimize"]
+        assert (counted["count"], counted["errors_5xx"]) == (2, 1)
+
+    def test_drain_gives_up_after_its_grace(self, monkeypatch):
+        running = self.hanging_server(monkeypatch, 3.0)
+        try:
+            request = self.request_in_background(running, {})
+            assert running.drain(grace=0.2) is False
+            request.join(timeout=30.0)
+        finally:
+            running.close()
+
+
 class TestRelayOrderAndRelease:
     HANG_SECONDS = 1.0
 
@@ -393,14 +459,13 @@ class TestRelayOrderAndRelease:
 
 class TestRelaySupervision:
     def test_hard_timeout_answers_504_reaps_and_counts_the_restart(
-        self, chaos_armed, monkeypatch
+        self, chaos_armed, fast_restarts, monkeypatch
     ):
         # Before Python 3.11 asyncio's TimeoutError is not the builtin: the
         # relay must hand out the class its consumers test for, by that name.
         monkeypatch.setattr(asyncio, "TimeoutError", type("Timeout310", (Exception,), {}))
         config = AsyncServerConfig(
             port=0, shards=2, request_timeout_seconds=0.3,  # hard timeout 2.3 s
-            restart_backoff_base_seconds=0.05,
         )
         with AsyncPlanServer(config) as running:
             service = running.service
@@ -431,11 +496,11 @@ class TestRelaySupervision:
                 assert c.optimize(same, include_plan=False)["shard"] == wedged
 
     def test_a_corrupt_reply_stream_reaps_that_shard_and_fails_only_its_requests(
-        self, chaos_armed
+        self, chaos_armed, fast_restarts
     ):
         from repro.asyncserver import frames
 
-        config = AsyncServerConfig(port=0, shards=2, restart_backoff_base_seconds=0.05)
+        config = AsyncServerConfig(port=0, shards=2)
         with AsyncPlanServer(config) as running:
             service = running.service
             broken = service.route(HANG_SQL)

@@ -14,7 +14,7 @@ import time
 import pytest
 
 from repro import chaos
-from repro.asyncserver import AsyncPlanServer, AsyncServerConfig
+from repro.asyncserver import AsyncPlanServer, AsyncServerConfig, supervisor
 from repro.server.client import ServerClient, ServerError
 
 CLEAN_SQL = "SELECT count(*) AS cnt FROM region GROUP BY r_name"
@@ -120,14 +120,12 @@ def chaos_env(monkeypatch):
 
 
 class TestCrashBreaker:
-    def test_crash_loop_opens_breaker_while_other_shard_serves(self, chaos_env):
-        config = AsyncServerConfig(
-            port=0,
-            shards=2,
-            breaker_threshold=2,
-            restart_backoff_base_seconds=0.05,
-            breaker_cooldown_seconds=120.0,
-        )
+    def test_crash_loop_opens_breaker_while_other_shard_serves(
+        self, chaos_env, fast_restarts, monkeypatch
+    ):
+        monkeypatch.setattr(supervisor, "BREAKER_THRESHOLD", 2)
+        monkeypatch.setattr(supervisor, "BREAKER_COOLDOWN_SECONDS", 120.0)
+        config = AsyncServerConfig(port=0, shards=2)
         with AsyncPlanServer(config) as server:
             crash_shard = server.service.route(CRASH_SQL)
             clean_sql = _other_shard_sql(server, crash_shard)
@@ -168,12 +166,11 @@ class TestCrashBreaker:
 
 
 class TestHangReap:
-    def test_hung_worker_times_out_and_is_reaped(self, chaos_env):
+    def test_hung_worker_times_out_and_is_reaped(self, chaos_env, fast_restarts):
         config = AsyncServerConfig(
             port=0,
             shards=1,
             request_timeout_seconds=0.5,  # hard timeout = 2.5s
-            restart_backoff_base_seconds=0.05,
         )
         with AsyncPlanServer(config) as server:
             with ServerClient(port=server.port, timeout=60.0) as client:
@@ -196,14 +193,13 @@ class TestHangReap:
                 assert body["degraded"] is False
             server.close()
 
-    def test_dropped_frame_times_out_and_is_reaped(self, chaos_env):
+    def test_dropped_frame_times_out_and_is_reaped(self, chaos_env, fast_restarts):
         """A swallowed response frame is indistinguishable from a hang
         at the front: hard timeout, 504, reap, restart."""
         config = AsyncServerConfig(
             port=0,
             shards=1,
             request_timeout_seconds=0.5,
-            restart_backoff_base_seconds=0.05,
         )
         with AsyncPlanServer(config) as server:
             with ServerClient(port=server.port, timeout=60.0) as client:
@@ -220,11 +216,10 @@ class TestHangReap:
 
 
 class TestPoisonedBatch:
-    def test_crash_in_batch_does_not_poison_other_shards(self, chaos_env):
+    def test_crash_in_batch_does_not_poison_other_shards(self, chaos_env, fast_restarts):
         config = AsyncServerConfig(
             port=0,
             shards=2,
-            restart_backoff_base_seconds=0.05,
         )
         with AsyncPlanServer(config) as server:
             crash_shard = server.service.route(CRASH_SQL)

@@ -410,13 +410,13 @@ class TestTheDeletedEngine:
             # in numpy (the deleted engine did: +13 MB and 0.1–0.2 s per
             # process), nor the serving stacks.
             ("repro.optimizer", ("numpy", "asyncio", "http")),
-            # A shard worker serves frames over pipes: neither front's
-            # event loop, HTTP stack or process pool belongs in it
+            # A shard worker serves frames over pipes: the front's
+            # event loop, an HTTP stack or a process pool never belongs in it
             # (100 modules / 8 MB of RSS per shard when they were).
             (
                 "repro.asyncserver.worker",
                 ("asyncio", "http", "ssl", "email", "multiprocessing",
-                 "repro.asyncserver.app", "repro.server.app", "repro.api"),
+                 "repro.asyncserver.app", "repro.api"),
             ),
         ],
     )

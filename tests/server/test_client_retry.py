@@ -1,13 +1,15 @@
 """`ServerClient` opt-in retry policy against a scripted stub server.
 
 The stub speaks just enough HTTP to script status sequences
-(503, 503, 200, ...) and count attempts, so the tests pin down exactly
-which statuses retry, that ``Retry-After`` is honoured, and that the
-default client (``retries=0``) behaves as before.
+(503, 503, 200, ...), slow answers and reaped connections, and counts
+attempts, so the tests pin down exactly which statuses retry, that
+``Retry-After`` is honoured, that the default client (``retries=0``)
+behaves as before, and that no request is sent twice after a timeout.
 """
 
 import json
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -23,6 +25,8 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
         with server.lock:
             server.attempts += 1
             status = server.script[min(server.attempts - 1, len(server.script) - 1)]
+        if server.delay:
+            time.sleep(server.delay)
         if status == 200:
             body = json.dumps({"ok": True, "attempts": server.attempts}).encode()
         else:
@@ -36,6 +40,8 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
             self.send_header("Retry-After", "0")
         self.end_headers()
         self.wfile.write(body)
+        # Reap the keep-alive connection without telling the client.
+        self.close_connection = server.reap
 
     do_GET = _respond
     do_POST = _respond
@@ -49,6 +55,8 @@ def stub():
     server = ThreadingHTTPServer(("127.0.0.1", 0), _ScriptedHandler)
     server.script = [200]
     server.attempts = 0
+    server.delay = 0.0
+    server.reap = False
     server.lock = threading.Lock()
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -139,3 +147,32 @@ class TestRetryPolicy:
                           backoff_base=0.01, backoff_cap=0.02) as client:
             with pytest.raises(OSError):
                 client.stats()
+
+
+class TestNoResendAfterTimeout:
+    """A timed-out request may be in the server's hands: the client must
+    not send it again (a ``/stats_update`` would be applied twice)."""
+
+    TIMEOUT = 0.3
+
+    @pytest.mark.parametrize("retries", [0, 2])
+    def test_a_timeout_is_raised_after_one_request(self, stub, retries):
+        with ServerClient(port=stub.server_address[1], timeout=self.TIMEOUT,
+                          retries=retries, backoff_base=0.01) as client:
+            client.stats()  # the next call reuses this connection
+            stub.delay = 1.0
+            started = time.monotonic()
+            with pytest.raises(TimeoutError):
+                client.stats()
+            elapsed = time.monotonic() - started
+        assert elapsed < 2 * self.TIMEOUT  # one timeout, not two
+        time.sleep(2 * stub.delay)  # anything sent again would have arrived
+        assert stub.attempts == 2  # the first call and one send of the second
+
+    def test_a_reaped_keep_alive_connection_is_reopened_once(self, stub):
+        stub.reap = True
+        with _client(stub) as client:
+            assert client.stats()["attempts"] == 1
+            # the server closed that connection after answering
+            assert client.stats()["attempts"] == 2
+        assert stub.attempts == 2

@@ -1,19 +1,20 @@
-"""Sync-tier deadline degradation over real HTTP.
+"""Deadline degradation over real HTTP, on a one-shard server.
 
 A query that blows its ``request_timeout_seconds`` budget must come back
 as HTTP 200 with ``degraded: true`` and an H1 plan when
 ``degradation="heuristic"`` (the default), or as a 504 when
 ``degradation="error"`` — and either way the worker must stop planning
 within one deadline check interval, so the next request finds a free
-worker instead of one still grinding the abandoned query.
+shard instead of one still grinding the abandoned query.
 """
 
 import time
 
 import pytest
 
+from repro.asyncserver import AsyncPlanServer, AsyncServerConfig
 from repro.optimizer import OptimizerConfig, optimize
-from repro.server import PlanServer, ServerClient, ServerConfig, ServerError
+from repro.server import ServerClient, ServerError
 from repro.service import PlanCache
 from repro.service.cache import STALE
 from repro.service.fingerprint import cache_key, cardinality_snapshot
@@ -44,10 +45,8 @@ SLOW_SQL = (
 class TestHeuristicDegradation:
     @pytest.fixture(scope="class")
     def server(self):
-        config = ServerConfig(
-            port=0, workers=0, request_timeout_seconds=0.001
-        )
-        with PlanServer(config) as running:
+        config = AsyncServerConfig(port=0, shards=1, request_timeout_seconds=0.001)
+        with AsyncPlanServer(config) as running:
             yield running
 
     def test_blown_budget_returns_degraded_200(self, server):
@@ -87,11 +86,10 @@ class TestHeuristicDegradation:
 
 class TestErrorModeDegradation:
     def test_blown_budget_is_a_504(self):
-        config = ServerConfig(
-            port=0, workers=0, request_timeout_seconds=0.001,
-            degradation="error",
+        config = AsyncServerConfig(
+            port=0, shards=1, request_timeout_seconds=0.001, degradation="error"
         )
-        with PlanServer(config) as server:
+        with AsyncPlanServer(config) as server:
             with ServerClient(port=server.port) as client:
                 with pytest.raises(ServerError) as exc_info:
                     client.optimize(BIG_SQL)
@@ -156,53 +154,25 @@ class TestDegradedRevalidationGuard:
 
 
 class TestWorkerReleasedAfterTimeout:
-    def test_a_pool_started_after_the_fork_server_still_sees_chaos_armed(self, monkeypatch):
-        """Regression: ``multiprocessing``'s fork server is started by the
-        process's first pool and keeps the environment of that moment, so
-        a pool forked after ``REPRO_CHAOS`` was set never saw it — the
-        test below passed only while ``tests/server`` was collected before
-        every other ``workers=1`` server (``tests/serving`` first: DID NOT
-        RAISE).  The pool's initializer now adopts the submitting
-        process's ``REPRO_CHAOS*`` variables, set or unset."""
-        monkeypatch.delenv("REPRO_CHAOS", raising=False)
-        with PlanServer(ServerConfig(port=0, workers=1)) as server:
-            with ServerClient(port=server.port, timeout=60.0) as client:
-                client.optimize(SMALL_SQL)  # the fork server exists now, disarmed
-        monkeypatch.setenv("REPRO_CHAOS", "1")
-        config = ServerConfig(
-            port=0, workers=1, request_timeout_seconds=0.2, degradation="error"
+    def test_shard_worker_freed_within_one_check_interval(self, monkeypatch):
+        """Regression: a 504 must not leave the worker grinding the
+        abandoned query — the next request would queue behind a zombie
+        computation.  With cooperative deadlines the worker itself stops
+        at the next check point, so a follow-up query on the same single
+        shard completes promptly."""
+        monkeypatch.setenv("REPRO_CHAOS", "1")  # the shard process inherits it
+        config = AsyncServerConfig(
+            port=0, shards=1, request_timeout_seconds=0.2, degradation="error"
         )
-        with PlanServer(config) as server:
+        with AsyncPlanServer(config) as server:
             with ServerClient(port=server.port, timeout=60.0) as client:
+                client.optimize(SMALL_SQL)
                 with pytest.raises(ServerError) as exc_info:
                     client.optimize(SLOW_SQL)
-                assert exc_info.value.status == 504
-        # ... and disarmed again, the next pool plans the marked text at once.
-        monkeypatch.delenv("REPRO_CHAOS")
-        with PlanServer(config) as server:
-            with ServerClient(port=server.port, timeout=60.0) as client:
-                assert client.optimize(SLOW_SQL)["degraded"] is False
-
-    def test_pool_worker_freed_within_one_check_interval(self, monkeypatch):
-        """Regression: a 504 used to only cancel the *future*, leaving
-        the pool worker grinding the abandoned query — the next request
-        then queued behind a zombie computation.  With cooperative
-        deadlines the worker itself stops at the next check point, so a
-        follow-up query on a single-worker pool completes promptly."""
-        monkeypatch.setenv("REPRO_CHAOS", "1")
-        config = ServerConfig(
-            port=0, workers=1, request_timeout_seconds=0.2,
-            degradation="error",
-        )
-        with PlanServer(config) as server:
-            with ServerClient(port=server.port, timeout=60.0) as client:
-                client.optimize(SMALL_SQL)  # force the pool to spawn
-                with pytest.raises(ServerError) as exc_info:
-                    client.optimize(SLOW_SQL)
-                assert exc_info.value.status == 504
-                # The single pool worker must be free again: a clean
-                # query completes far faster than the chaos grind would
-                # allow if the worker were still stuck on SLOW_SQL.
+                assert (exc_info.value.status, exc_info.value.code) == (504, "timeout")
+                # The one shard must be free again: a clean query completes
+                # far faster than the chaos grind would allow if it were
+                # still stuck on SLOW_SQL.
                 started = time.perf_counter()
                 body = client.optimize(SMALL_SQL)
                 elapsed = time.perf_counter() - started

@@ -31,32 +31,32 @@ class TestServeParser:
 
     def test_flags(self):
         args = build_serve_parser().parse_args(
-            ["--port", "0", "--workers", "0", "--strategy", "h2",
-             "--factor", "1.1", "--max-inflight", "3", "--no-cache",
-             "--grace", "2.5"]
+            ["--port", "0", "--strategy", "h2", "--factor", "1.1",
+             "--max-inflight", "3", "--grace", "2.5", "--shards", "2",
+             "--cache-dir", "snapshots"]
         )
         assert args.port == 0
-        assert args.workers == 0
         assert args.strategy == "h2"
         assert args.max_inflight == 3
-        assert args.no_cache is True
         assert args.grace == 2.5
+        assert (args.shards, args.cache_dir) == (2, "snapshots")
 
     def test_bad_strategy_rejected(self):
         with pytest.raises(SystemExit):
             build_serve_parser().parse_args(["--strategy", "magic"])
 
-    @pytest.mark.parametrize("flag", ["--data-dir", "--engine"])
+    @pytest.mark.parametrize("flag", ["--data-dir", "--engine", "--no-cache"])
     def test_deleted_flags_are_rejected(self, flag):
-        # --dataset <dir> is the one spelling of a directory dataset, and a
-        # server never had the test oracle's engine.
+        # --dataset <dir> is the one spelling of a directory dataset, a
+        # server never had the test oracle's engine, and every shard
+        # serves from its plan cache.
         with pytest.raises(SystemExit) as exit_info:
             build_serve_parser().parse_args([flag, "x"])
         assert exit_info.value.code == 2
 
 
 @contextlib.contextmanager
-def serving(*flags):
+def serving(*flags, stderr=subprocess.DEVNULL):
     """``python -m repro serve --port 0 <flags>`` as a child; yields ``(proc, url)``."""
     env = dict(os.environ)
     existing = env.get("PYTHONPATH")
@@ -64,7 +64,7 @@ def serving(*flags):
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", "0", *flags],
         stdout=subprocess.PIPE,
-        stderr=subprocess.DEVNULL,
+        stderr=stderr,
         env=env,
         text=True,
     )
@@ -89,18 +89,19 @@ def call(url, path, payload=None):
 
 
 def drain(proc):
-    """SIGTERM; the daemon must finish in-flight work and exit 0."""
+    """SIGTERM; the daemon must finish in-flight work and exit 0.
+    Returns the rest of its stdout and (when piped) its stderr."""
     proc.send_signal(signal.SIGTERM)
-    out, _ = proc.communicate(timeout=60)
+    out, err = proc.communicate(timeout=60)
     assert proc.returncode == 0
     assert "drained cleanly" in out
-    return out
+    return out, err
 
 
 class TestServeDaemon:
     def test_serve_healthz_optimize_sigterm_drain(self):
         """The CI smoke, as a test: start, probe, optimize, drain cleanly."""
-        with serving("--workers", "0") as (proc, url):
+        with serving() as (proc, url):
             assert call(url, "/healthz")["status"] == "ok"
             body = call(url, "/optimize", {"sql": SQL, "include_plan": False})
             assert body["cost"] > 0
@@ -108,15 +109,15 @@ class TestServeDaemon:
             drain(proc)
 
     def test_async_drain_snapshots_and_restart_serves_warm(self, tmp_path):
-        """``serve --async --cache-dir``: a SIGTERM drain writes the shard
-        snapshots, and a restart over the same directory answers its
+        """``serve --shards 2 --cache-dir``: a SIGTERM drain writes the
+        shard snapshots, and a restart over the same directory answers its
         first request from them with the identical plan."""
-        flags = ("--async", "--shards", "2", "--cache-dir", str(tmp_path))
+        flags = ("--shards", "2", "--cache-dir", str(tmp_path))
         with serving(*flags) as (proc, url):
             cold = call(url, "/optimize", {"sql": SQL})
             assert cold["cache_hit"] is False
             explain_before = call(url, "/explain", {"sql": SQL})["explain"]
-            assert "snapshotted" in drain(proc)
+            assert "snapshotted" in drain(proc)[0]
         assert sorted(os.listdir(tmp_path)) == [
             "shard-000-of-002.plancache", "shard-001-of-002.plancache",
         ]
@@ -130,3 +131,29 @@ class TestServeDaemon:
             assert warm["plan"] == cold["plan"]
             assert call(url, "/explain", {"sql": SQL})["explain"] == explain_before
             drain(proc)
+
+
+#: the note ``serve --workers N`` prints on stderr, never on stdout.
+WORKERS_NOTE = "--workers is ignored; misses are planned in parallel across --shards"
+
+
+class TestBenchmarkSpellings:
+    """The two ``serve`` command lines of ``benchmarks/e2e/loadgen.py``,
+    which the benchmark keeps passing: both boot the one serving tier."""
+
+    @pytest.mark.parametrize(
+        "flags, noted",
+        [
+            (("--cache-size", "8", "--workers", "1"), True),
+            (("--cache-size", "8", "--async", "--shards", "1"), False),
+        ],
+        ids=["workers", "async-shards"],
+    )
+    def test_boots_answers_and_notes_workers_on_stderr_only(self, flags, noted):
+        with serving(*flags, stderr=subprocess.PIPE) as (proc, url):
+            assert call(url, "/healthz")["status"] == "ok"
+            body = call(url, "/optimize", {"sql": SQL, "include_plan": False})
+            assert body["cost"] > 0 and "shard" in body
+            out, err = drain(proc)
+        assert WORKERS_NOTE not in out
+        assert (WORKERS_NOTE in err) is noted

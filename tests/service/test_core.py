@@ -1,10 +1,11 @@
 """The serving core without sockets or processes: dict in → dict or
 :class:`RequestError` out.
 
-Both transports are adapters over :class:`repro.service.core.ServingCore`,
-so what a request *means* — hit, miss, stale-served, degraded, 504, every
-4xx — is pinned here once, in-process.  The HTTP-level contract (status
-codes on the wire, ``/stats`` shape per transport) lives in
+Every shard of the serving tier answers through a
+:class:`repro.service.core.ServingCore`, so what a request *means* — hit,
+miss, stale-served, degraded, 504, every 4xx — is pinned here once,
+in-process.  The HTTP-level contract (status codes on the wire, the
+``/stats`` shape on one shard and on two) lives in
 ``tests/serving/test_contract.py``.
 """
 
@@ -162,7 +163,8 @@ class TestOptimizeAndExplain:
 
 
 class TestProbeCompleteShare:
-    """The split the threaded tier plans through (probe → pool → complete)."""
+    """:meth:`ServingCore.plan` is probe → :func:`plan_miss` → complete;
+    :func:`plan_wave` (the batch driver's) shares one run per key."""
 
     def test_probe_hands_out_a_ticket_then_a_hit(self, core):
         stamped = core.probe({"sql": SQL}, arrived=100.0)
@@ -196,12 +198,11 @@ class TestProbeCompleteShare:
         led, shared = plan_wave([leader, follower], run)
         assert runs == [leader] and not led.shared and shared.shared
         planned = core.complete(leader, led)
-        result, _config, query = core.complete(follower, shared)
-        assert query is follower.query
-        assert result.cache_hit is True and result.cost == planned[0].cost
-        assert "n2" in json.dumps(result.plan.rendered())
+        assert shared.result.cache_hit is True and shared.result.cost == planned[0].cost
+        assert "n2" in json.dumps(shared.result.plan.rendered())
+        assert "n2" not in json.dumps(planned[0].plan.rendered())
         plans, cache = core.stats()["plans"], core.stats()["cache"]
-        assert (plans["served"], plans["cache_hits"]) == (2, 1) and cache["puts"] == 1.0
+        assert (plans["served"], plans["cache_misses"]) == (1, 1) and cache["puts"] == 1.0
 
     @pytest.mark.parametrize(
         "deadline, status, code, counter",
@@ -212,11 +213,13 @@ class TestProbeCompleteShare:
     ):
         misses = [core.probe({"sql": sql}) for sql in (SQL, SQL_RENAMED, SQL)]
         failed = WorkerOutcome(None, "KeyError: 'x'", 0.01, deadline=deadline)
-        errors = [
-            error_of(core.complete, miss, outcome)
-            for miss, outcome in zip(misses, plan_wave(misses, lambda leaders: [failed]))
-        ]
-        assert {(e.status, e.code, e.message) for e in errors} == {(status, code, "KeyError: 'x'")}
+        outcomes = list(plan_wave(misses, lambda leaders: [failed]))
+        assert [outcome.shared for outcome in outcomes] == [False, True, True]
+        assert {(o.result, o.error, o.deadline) for o in outcomes} == {
+            (None, "KeyError: 'x'", deadline)
+        }
+        error = error_of(core.complete, misses[0], outcomes[0])
+        assert (error.status, error.code, error.message) == (status, code, "KeyError: 'x'")
         plans = core.stats()["plans"]
         assert plans[counter] == 1 and plans["timeouts"] + plans["failures"] == 1
         assert plans["served"] == 0 and core.stats()["cache"]["size"] == 0.0
@@ -255,20 +258,6 @@ class TestProbeCompleteShare:
         plans = core.stats()["plans"]
         assert plans["bounded_remembered"] == 1 and plans["failures"] == 0
 
-    def test_a_core_without_a_cache_knows_no_cost(self):
-        core = make_core(cache_capacity=None)
-        assert core.probe({"sql": BIG_SQL}).known_cost is None
-        assert core.stats()["plans"]["bounded_remembered"] == 0
-
-    def test_without_a_cache_every_request_plans(self):
-        core = make_core(cache_capacity=None)
-        assert core.optimize({"sql": SQL})["cache_hit"] is False
-        assert core.optimize({"sql": SQL})["cache_hit"] is False
-        stats = core.stats()
-        assert stats["cache"] is None and stats["plans"]["cache_misses"] == 2
-        body = core.stats_update({"table": "supplier", "cardinality_factor": 2.0}, inline=4)
-        assert body["marked_stale"] == 0 and body["stale_entries"] == 0
-        assert core.revalidate(4) is False and core.stale_backlog() is False
 
 
 class TestDeadlines:
@@ -453,14 +442,9 @@ class TestExecute:
             "table 'region' has no column for attribute 'r.r_name' (columns: r_regionkey)"
         )
 
-    def test_run_touches_no_counter_until_recorded(self, data_core):
-        # The threaded tier calls run() outside its lock, record_run() under it.
-        before = data_core.stats()["executions"]
-        reply = data_core.run(data_core.plan({"sql": SQL}), "columnar", 3, time.perf_counter())
-        assert reply["row_count"] == 3
-        assert data_core.stats()["executions"] == before
-        assert data_core.record_run(reply) is reply
-        assert data_core.stats()["executions"]["count"] == before["count"] + 1
+    def test_an_interpreter_default_executor_is_honoured(self):
+        core = make_core(dataset="tpch-sf0.001", default_executor="interpreter")
+        assert core.execute({"sql": SQL})["executor"] == "interpreter"
 
     @pytest.mark.parametrize(
         "extra, code",
@@ -663,6 +647,27 @@ class TestTransportHelpers:
         subprocess.run(
             [sys.executable, "-c", probe], check=True, env={"PYTHONPATH": SRC}, timeout=60
         )
+
+
+class TestServingConfig:
+    """A core's settings are rejected at construction, not at first use
+    (``AsyncServerConfig`` inherits every check)."""
+
+    @pytest.mark.parametrize(
+        "settings, match",
+        [
+            ({"port": 70000}, "port"),
+            ({"strategy": "nonsense"}, "unknown strategy"),
+            ({"cache_capacity": None}, "cache_capacity"),
+            ({"cache_capacity": 0}, "cache_capacity"),
+            ({"dataset": "nonsense-spec"}, "dataset spec"),
+            ({"dataset": "tpch-sf2"}, "scale"),
+            ({"default_executor": "gpu"}, "default_executor"),
+        ],
+    )
+    def test_bad_settings_are_rejected_at_construction(self, settings, match):
+        with pytest.raises(ValueError, match=match):
+            ServingConfig(**settings)
 
 
 # -- frontend fuzz (ROADMAP 4e): junk in, only 2xx bodies or 4xx errors out --------

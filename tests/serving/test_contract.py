@@ -1,14 +1,12 @@
-"""One HTTP contract, every transport.
+"""One HTTP contract, on one shard and on two.
 
-Both tiers serve from the same :class:`repro.service.core.ServingCore`;
-this suite holds them to one request / response / error-code contract by
-running every case against four live servers: the threaded tier
-in-thread (``workers=0``) and through its process pool (``workers=1``),
-and the async tier with one shard and with two.  What a request *means*
-is pinned in-process in ``tests/service/test_core.py``; what only one
-transport owns stays in its own suite (``tests/server``: 429 / drain /
-pool mapping; ``tests/asyncserver``: crash-restart, persistence,
-sharding, chaos).
+Every shard serves from a :class:`repro.service.core.ServingCore`; this
+suite holds the server to one request / response / error-code contract
+by running every case against two live servers: one shard, and two
+shards behind the routing front.  What a request *means* is pinned
+in-process in ``tests/service/test_core.py``; what the transport owns
+beyond the contract stays in ``tests/asyncserver`` (429, drain,
+crash-restart, persistence, sharding, chaos).
 """
 
 import contextlib
@@ -20,7 +18,7 @@ import urllib.request
 import pytest
 
 from repro.asyncserver import AsyncPlanServer, AsyncServerConfig
-from repro.server import PlanServer, ServerClient, ServerConfig, ServerError
+from repro.server import ServerClient, ServerError
 
 SQL = (
     "SELECT ns.n_name, count(*) AS cnt FROM nation ns "
@@ -58,26 +56,20 @@ CHURN_SQLS = (
     "JOIN region r ON n.n_regionkey = r.r_regionkey GROUP BY r.r_name",
 )
 
-TRANSPORTS = ("threaded-workers0", "threaded-workers1", "async-shards1", "async-shards2")
+TRANSPORTS = ("async-shards1", "async-shards2")
 
-#: ``/stats`` keys only one transport can have: the threaded tier's pool
-#: size; the async tier's supervision, routing and per-shard detail.
-TRANSPORT_OWNED = {"workers", "restarts", "supervision", "route_cache", "shard_detail"}
+#: ``/stats`` keys outside the contract: supervision, routing and
+#: per-shard detail, whose contents depend on the shard count.
+TRANSPORT_OWNED = {"restarts", "supervision", "route_cache", "shard_detail"}
 
 
 def boot_all(stack: contextlib.ExitStack, **settings) -> dict:
-    """All four transports, same settings, alive together."""
-    configs = {
-        "threaded-workers0": ServerConfig(port=0, workers=0, **settings),
-        "threaded-workers1": ServerConfig(port=0, workers=1, **settings),
-        "async-shards1": AsyncServerConfig(port=0, shards=1, **settings),
-        "async-shards2": AsyncServerConfig(port=0, shards=2, **settings),
-    }
+    """Both transports, same settings, alive together."""
     return {
         name: stack.enter_context(
-            PlanServer(config) if isinstance(config, ServerConfig) else AsyncPlanServer(config)
+            AsyncPlanServer(AsyncServerConfig(port=0, shards=shards, **settings))
         )
-        for name, config in configs.items()
+        for name, shards in (("async-shards1", 1), ("async-shards2", 2))
     }
 
 
@@ -166,7 +158,7 @@ class TestOptimize:
 
     def test_renamed_isomorphic_query_hits_across_spellings(self, client):
         """Rename-stable fingerprints: both spellings reach the same cache
-        entry (on the async tier: the same shard), which rebinds the plan
+        entry (with two shards: the same shard), which rebinds the plan
         to the new names."""
         client.optimize(SQL)
         body = client.optimize(SQL_RENAMED, include_plan=True)
@@ -266,8 +258,7 @@ class TestBatch:
         assert body["items"][0]["plan"]["op"] in ("groupby", "project", "map")
 
     def test_a_bad_override_fails_the_whole_batch(self, client):
-        # The overrides are the request's, not an item's (the threaded
-        # tier's behaviour before the tiers shared a core).
+        # The overrides are the request's, not an item's.
         error = error_of(
             client, "POST", "/batch", {"queries": [SQL, SQL_SMALL], "strategy": "nonsense"}
         )
@@ -361,7 +352,7 @@ class TestStats:
         client.optimize(SQL)
         client.execute(SQL)
         stats = client.stats()
-        assert stats["mode"] == ("sync" if transport.startswith("threaded") else "async")
+        assert stats["mode"] == "async"
         assert stats["shards"] == (2 if transport == "async-shards2" else 1)
         assert stats["draining"] is False and stats["degradation"] == "heuristic"
         assert set(stats["persistence"]) == {"loaded", "saved", "rejected"}
@@ -412,8 +403,7 @@ def test_an_evicted_plans_cost_bounds_its_replan(churn_servers, transport):
     """Five statements through a cache of two, three times over: from the
     second pass on a miss re-plans what the cache held and evicted, under
     the cost it left behind — counted in ``plans.bounded_remembered`` on
-    every transport (a pool worker gets the cost in its ticket), with the
-    answers unchanged."""
+    every transport, with the answers unchanged."""
     with ServerClient(port=churn_servers[transport].port) as client:
         passes = [
             [client.optimize(sql, include_plan=False) for sql in CHURN_SQLS] for _ in range(3)
@@ -459,10 +449,7 @@ def test_stats_schema_is_one_schema(servers):
             client.stats()
             stats = client.stats()
         del stats["_status"]
-        owned = set(stats) & TRANSPORT_OWNED
-        assert owned == (
-            {"workers"} if name.startswith("threaded") else TRANSPORT_OWNED - {"workers"}
-        )
+        assert set(stats) & TRANSPORT_OWNED == TRANSPORT_OWNED, name
         paths[name] = key_paths({k: v for k, v in stats.items() if k not in TRANSPORT_OWNED})
     reference = paths[TRANSPORTS[0]]
     for name in TRANSPORTS[1:]:
@@ -474,8 +461,8 @@ class TestStatsUpdate:
     """Drift lands, dependent plans turn over, untouched ones do not."""
 
     def wait_for_revalidation(self, client, minimum, timeout=15.0):
-        """The threaded tier revalidates on its own thread, the async tier
-        inline and in idle gaps: poll /stats until either got there."""
+        """Shards revalidate inline and in idle gaps between requests:
+        poll /stats until they got there."""
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
             stats = client.stats()
