@@ -1,19 +1,26 @@
-"""One HTTP contract, on one shard and on two.
+"""One HTTP contract, however the server is started.
 
 Every shard serves from a :class:`repro.service.core.ServingCore`; this
 suite holds the server to one request / response / error-code contract
-by running every case against two live servers: one shard, and two
-shards behind the routing front.  What a request *means* is pinned
-in-process in ``tests/service/test_core.py``; what the transport owns
-beyond the contract stays in ``tests/asyncserver`` (429, drain,
-crash-restart, persistence, sharding, chaos).
+by running every case against four live servers: the front started
+in-process with one shard and with two, and ``python -m repro serve``
+started as a process with one shard and with two shards persisting to
+``--cache-dir`` (the command lines an operator types).  What a request
+*means* is pinned in-process in ``tests/service/test_core.py``; what the
+transport owns beyond the contract stays in ``tests/asyncserver`` (429,
+drain, crash-restart, persistence, sharding, chaos).
 """
 
 import contextlib
 import json
+import os
+import signal
+import subprocess
+import sys
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +44,15 @@ JOIN_SQL = (
     "JOIN nation n ON r.r_regionkey = n.n_regionkey GROUP BY r.r_name"
 )
 SQL_SMALL = "SELECT count(*) FROM region GROUP BY r_name"
+#: sent only by the batch dedup case, so its first item is a miss
+PART_SQL = (
+    "SELECT p.p_type, count(*) AS cnt FROM part p "
+    "JOIN partsupp ps ON p.p_partkey = ps.ps_partkey GROUP BY p.p_type"
+)
+PART_SQL_RENAMED = (
+    "SELECT pt2.p_type, count(*) AS cnt FROM part pt2 "
+    "JOIN partsupp ps2 ON pt2.p_partkey = ps2.ps_partkey GROUP BY pt2.p_type"
+)
 BAD_TABLE = "SELECT count(*) FROM nowhere GROUP BY x"
 EXISTS_SQL = (
     "SELECT n.n_name, count(*) AS cnt FROM nation n WHERE EXISTS "
@@ -56,45 +72,106 @@ CHURN_SQLS = (
     "JOIN region r ON n.n_regionkey = r.r_regionkey GROUP BY r.r_name",
 )
 
-TRANSPORTS = ("async-shards1", "async-shards2")
+#: transport name → shard count
+TRANSPORTS = {
+    "async-shards1": 1,
+    "async-shards2": 2,
+    "serve-shards1": 1,
+    "serve-shards2-cache-dir": 2,
+}
 
 #: ``/stats`` keys outside the contract: supervision, routing and
 #: per-shard detail, whose contents depend on the shard count.
 TRANSPORT_OWNED = {"restarts", "supervision", "route_cache", "shard_detail"}
 
+SRC = str(Path(__file__).resolve().parents[2] / "src")
 
-def boot_all(stack: contextlib.ExitStack, **settings) -> dict:
-    """Both transports, same settings, alive together."""
-    return {
-        name: stack.enter_context(
-            AsyncPlanServer(AsyncServerConfig(port=0, shards=shards, **settings))
+#: the ``serve`` flag for each setting the fixtures below use
+SERVE_FLAGS = {
+    "cache_capacity": "--cache-size",
+    "dataset": "--dataset",
+    "snapshot_band_width": "--band-width",
+}
+
+
+class ServeProcess:
+    """``python -m repro serve --port 0 <flags>`` as a child process,
+    with the ``port`` / ``url`` of an in-process server.  Leaving the
+    block sends SIGTERM; the daemon must drain cleanly and exit 0."""
+
+    def __init__(self, *flags: str) -> None:
+        self.argv = [sys.executable, "-m", "repro", "serve", "--port", "0", *flags]
+
+    def __enter__(self) -> "ServeProcess":
+        env = dict(os.environ)
+        existing = env.get("PYTHONPATH")
+        env["PYTHONPATH"] = SRC + (os.pathsep + existing if existing else "")
+        self.proc = subprocess.Popen(
+            self.argv, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env, text=True
         )
-        for name, shards in (("async-shards1", 1), ("async-shards2", 2))
+        banner = self.proc.stdout.readline()
+        if "listening on http://" not in banner:
+            self.proc.kill()
+            self.proc.communicate(timeout=30)
+            raise AssertionError(f"serve printed {banner!r}, not its banner")
+        self.url = banner.split("listening on ")[1].split()[0]
+        self.port = int(self.url.rsplit(":", 1)[1])
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.proc.send_signal(signal.SIGTERM)
+        try:
+            out, _ = self.proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            self.proc.kill()
+            self.proc.communicate(timeout=30)
+            raise
+        assert self.proc.returncode == 0 and "drained cleanly" in out, out
+
+
+def boot_all(stack: contextlib.ExitStack, snapshots: Path, **settings) -> dict:
+    """Every transport, same settings, alive together."""
+    flags = [f"{SERVE_FLAGS[name]}={value}" for name, value in settings.items()]
+    return {
+        "async-shards1": stack.enter_context(
+            AsyncPlanServer(AsyncServerConfig(port=0, shards=1, **settings))
+        ),
+        "async-shards2": stack.enter_context(
+            AsyncPlanServer(AsyncServerConfig(port=0, shards=2, **settings))
+        ),
+        "serve-shards1": stack.enter_context(ServeProcess("--shards=1", *flags)),
+        "serve-shards2-cache-dir": stack.enter_context(
+            ServeProcess("--shards=2", f"--cache-dir={snapshots}", *flags)
+        ),
     }
 
 
 @pytest.fixture(scope="module")
-def servers():
+def servers(tmp_path_factory):
     with contextlib.ExitStack() as stack:
-        yield boot_all(stack, cache_capacity=64, dataset="tpch-sf0.001")
+        yield boot_all(
+            stack, tmp_path_factory.mktemp("snapshots"), cache_capacity=64, dataset="tpch-sf0.001"
+        )
 
 
 @pytest.fixture(scope="module")
-def drift_servers():
+def drift_servers(tmp_path_factory):
     """No dataset, banded keys: the servers the drift cases are allowed to
     leave with changed statistics."""
     with contextlib.ExitStack() as stack:
-        yield boot_all(stack, cache_capacity=64, snapshot_band_width=1.0)
+        yield boot_all(
+            stack, tmp_path_factory.mktemp("snapshots"), cache_capacity=64, snapshot_band_width=1.0
+        )
 
 
 @pytest.fixture(scope="module")
-def churn_servers():
+def churn_servers(tmp_path_factory):
     """Caches of two plans (per shard): every working set churns."""
     with contextlib.ExitStack() as stack:
-        yield boot_all(stack, cache_capacity=2)
+        yield boot_all(stack, tmp_path_factory.mktemp("snapshots"), cache_capacity=2)
 
 
-@pytest.fixture(params=TRANSPORTS)
+@pytest.fixture(params=list(TRANSPORTS))
 def transport(request):
     return request.param
 
@@ -238,6 +315,19 @@ class TestExplain:
         assert len(body["explain"].splitlines()) >= 2
         assert "nation" in body["explain"]
 
+    def test_parse_error_is_400(self, client):
+        error = error_of(client, "POST", "/explain", {"sql": BAD_TABLE})
+        assert (error.status, error.code) == (400, "parse_error")
+        assert "nowhere" in error.message
+
+    def test_bad_config_is_400(self, client):
+        error = error_of(client, "POST", "/explain", {"sql": SQL, "strategy": "nonsense"})
+        assert (error.status, error.code) == (400, "bad_config")
+
+    def test_missing_sql_is_400(self, client):
+        error = error_of(client, "POST", "/explain", {"not_sql": 1})
+        assert (error.status, error.code) == (400, "bad_request")
+
 
 class TestBatch:
     def test_poisoned_item_is_isolated_and_order_kept(self, client):
@@ -252,6 +342,20 @@ class TestBatch:
         body = client.batch([JOIN_SQL, JOIN_SQL])
         assert body["succeeded"] == 2 and body["cache_hits"] >= 1
         assert body["items"][1]["cache_hit"] is True
+
+    def test_renamed_duplicates_plan_once_under_their_own_names(self, client):
+        """A statement no other case sends, its renamed twin, and itself
+        again: one miss and one cache entry, and each item's plan speaks
+        its own statement's names."""
+        before = client.stats()
+        body = client.batch([PART_SQL, PART_SQL_RENAMED, PART_SQL], include_plans=True)
+        after = client.stats()
+        items = body["items"]
+        assert [item["cache_hit"] for item in items] == [False, True, True]
+        assert "pt2" in json.dumps(items[1]["plan"])
+        assert "pt2" not in json.dumps(items[2]["plan"])
+        assert after["plans"]["cache_misses"] == before["plans"]["cache_misses"] + 1
+        assert after["cache"]["puts"] == before["cache"]["puts"] + 1
 
     def test_include_plans(self, client):
         body = client.batch([SQL], include_plans=True)
@@ -289,7 +393,9 @@ class TestHttpEdges:
         error = error_of(client, "POST", path, {})
         assert (error.status, error.code) == (405, "method_not_allowed")
 
-    @pytest.mark.parametrize("path", ["/optimize", "/batch", "/execute", "/stats_update"])
+    @pytest.mark.parametrize(
+        "path", ["/optimize", "/batch", "/execute", "/stats_update", "/explain"]
+    )
     @pytest.mark.parametrize("data", [b"this is not json", b"[1, 2]", b'"sql"', b""])
     def test_a_body_that_is_not_a_json_object_is_bad_json(self, server, path, data):
         status, body = raw_post(server, path, data)
@@ -353,7 +459,7 @@ class TestStats:
         client.execute(SQL)
         stats = client.stats()
         assert stats["mode"] == "async"
-        assert stats["shards"] == (2 if transport == "async-shards2" else 1)
+        assert stats["shards"] == TRANSPORTS[transport]
         assert stats["draining"] is False and stats["degradation"] == "heuristic"
         assert set(stats["persistence"]) == {"loaded", "saved", "rejected"}
         assert "engine" not in stats  # one engine serves; the other is the test oracle
@@ -451,8 +557,9 @@ def test_stats_schema_is_one_schema(servers):
         del stats["_status"]
         assert set(stats) & TRANSPORT_OWNED == TRANSPORT_OWNED, name
         paths[name] = key_paths({k: v for k, v in stats.items() if k not in TRANSPORT_OWNED})
-    reference = paths[TRANSPORTS[0]]
-    for name in TRANSPORTS[1:]:
+    first, *others = TRANSPORTS
+    reference = paths[first]
+    for name in others:
         assert paths[name] - reference == set(), name
         assert reference - paths[name] == set(), name
 
