@@ -1,24 +1,26 @@
-"""Hot-path perf harness: indexed vs reference engine.
+"""Hot-path perf harness: the DP against the seed's, the test oracle.
 
-Times :func:`repro.optimizer.optimize` on the four classic join topologies
-(:mod:`repro.workload.topologies`) per strategy and engine, and writes the
-results to ``BENCH_hotpath.json`` (format and gate: ``artifact.py``) — the
-topology × size scaling that ROADMAP's optimizer items are gated on.
+Times the optimizer on the four classic join topologies
+(:mod:`repro.workload.topologies`) per strategy and program, and writes
+the results to ``BENCH_hotpath.json`` (format and gate: ``artifact.py``) —
+the topology × size scaling that ROADMAP's optimizer items are gated on.
 
-Engines (see docs/architecture.md):
+The two programs, named by each case's ``engine`` key (see
+docs/architecture.md):
 
-* ``indexed`` — the hot path: iterative enumerator, per-vertex hypergraph
-  indexes + memos, precomputed per-edge join specs, Pareto-bucket
-  EA-Prune, candidates priced before they are built — and, for EA-Prune,
-  an H1 pre-pass whose cost is a ceiling no partial plan may exceed (its
-  time is inside the measured run).
-* ``reference`` — the seed code path (recursive enumerator, linear edge
-  scans, uncached builder, unordered pairwise-scan buckets, every
-  candidate fully built).  Both engines share a few module-level
-  pure-function memos, so recorded speedups *understate* the gap to the
-  true pre-refactor seed.
+* ``indexed`` — :func:`repro.optimizer.optimize`, the product's one DP
+  loop: iterative enumerator, per-vertex hypergraph indexes + memos,
+  precomputed per-edge join specs, Pareto-bucket EA-Prune, candidates
+  priced before they are built — and, for EA-Prune, an H1 pre-pass whose
+  cost is a ceiling no partial plan may exceed (its time is inside the
+  measured run).
+* ``reference`` — :func:`repro.optimizer.reference.optimize_reference`,
+  the seed's loop (recursive enumerator, linear edge scans, uncached
+  builder, unordered pairwise-scan buckets, every candidate fully
+  built).  Both share a few module-level pure-function memos, so
+  recorded speedups *understate* the gap to the true pre-refactor seed.
 
-The harness asserts, per case, that both engines produce the same plan
+The harness asserts, per case, that both programs produce the same plan
 cost / ccp count / plan, and (in full mode) that the committed EA-Prune
 reference→indexed speedup targets hold.  ``plans_built`` is recorded per
 engine and no longer compared: a bounded indexed run considers fewer
@@ -49,12 +51,16 @@ import artifact
 import calibrate
 from repro.optimizer import OptimizerConfig, optimize
 from repro.optimizer.planinfo import clear_memo_caches
+from repro.optimizer.reference import optimize_reference
 from repro.plans.render import plan_shape
 from repro.workload import topology_query
 
-#: Engine lists per case.  ``IR`` rows are the two-way comparisons;
-#: ``INDEXED_ONLY`` rows are sizes where the reference engine would take
-#: tens of minutes (clique-8 EA-Prune) or adds nothing (scale rows).
+#: The program behind each ``engine`` label.
+ENGINES = {"indexed": optimize, "reference": optimize_reference}
+
+#: Program lists per case.  ``IR`` rows are the two-way comparisons;
+#: ``INDEXED_ONLY`` rows are sizes where the oracle would take tens of
+#: minutes (clique-8 EA-Prune) or adds nothing (scale rows).
 IR = ("indexed", "reference")
 INDEXED_ONLY = ("indexed",)
 
@@ -95,8 +101,8 @@ QUICK_CASES = [
 
 #: (topology, n, strategy) → minimum required reference/indexed speedup,
 #: asserted on full runs (the committed perf target of the hot-path
-#: refactor).  n=10 is the largest size where the reference engine
-#: finishes in minutes; the measured ratio there is ~3.0× and keeps
+#: refactor).  n=10 is the largest size where the oracle finishes in
+#: minutes; the measured ratio there is ~3.0× and keeps
 #: growing with n (chain-12 measured 7.1×), so 2.5 leaves noise margin
 #: without understating the trend.
 FULL_SPEEDUP_TARGETS = {
@@ -114,8 +120,9 @@ def _measure(topology: str, n: int, strategy: str, engine: str) -> tuple:
         clear_memo_caches()
         return (topology_query(topology, n),)  # a fresh Query: empty hypergraph memos
 
+    run = ENGINES[engine]
     result, timing = artifact.measure(
-        lambda query: optimize(query, config=OptimizerConfig(strategy=strategy), engine=engine),
+        lambda query: run(query, config=OptimizerConfig(strategy=strategy)),
         setup=cold_start,
     )
     above_ceiling = result.stats.get("strategy.plans_above_ceiling", 0)

@@ -382,8 +382,8 @@ def run_batch_command(argv) -> int:
         return 1
 
     if args.sql_file:
-        session = PlannerSession.tpch(scale_factor=args.scale_factor, config=config)
         try:
+            session = PlannerSession.tpch(scale_factor=args.scale_factor, config=config)
             queries = _load_sql_workload(args.sql_file, session)
         except (OSError, ValueError) as error:
             print(f"error: {error}", file=sys.stderr)
@@ -394,9 +394,9 @@ def run_batch_command(argv) -> int:
     elif args.mixed_sql:
         from repro.workload import generate_sql_workload
 
-        session = PlannerSession.tpch(scale_factor=args.scale_factor, config=config)
         rng = random.Random(args.seed)
         try:
+            session = PlannerSession.tpch(scale_factor=args.scale_factor, config=config)
             statements = generate_sql_workload(args.count, rng, unique=args.unique)
             queries = [session.parse(statement) for statement in statements]
         except ValueError as error:

@@ -13,21 +13,16 @@ plan): the representative-based neighbourhood growth of hypergraph DPhyp can
 visit sets that no join of two connected parts can ever produce, and those
 must not surface as csg-cmp components.
 
-Two implementations live here:
-
-* :class:`_Enumerator` — the hot path.  EnumerateCsgRec / EmitCsg /
-  EnumerateCmpRec are small generators that yield either a csg-cmp-pair or
-  a child generator, and ``run`` drives them from an explicit LIFO stack.
-  That keeps the exact depth-first emission order of the published
-  recursion while making every emitted pair O(1) (the recursive
-  ``yield from`` chains re-yield each pair through O(depth) frames) and
-  removing Python's recursion limit from the picture — chains of hundreds
-  of relations enumerate fine.
-* :class:`_RecursiveEnumerator` — the seed's literal recursive
-  transcription, kept as the executable reference.  Equivalence tests pin
-  the iterative enumerator to it, and ``engine="reference"`` optimizer
-  runs (see :mod:`benchmarks.bench_hotpath`) time against it.  It uses the
-  uncached ``*_scan`` graph methods, so its cost profile is the seed's.
+In :class:`_Enumerator` EnumerateCsgRec / EmitCsg / EnumerateCmpRec are
+small generators that yield either a csg-cmp-pair or a child generator,
+and ``run`` drives them from an explicit LIFO stack.  That keeps the
+exact depth-first emission order of the published recursion while making
+every emitted pair O(1) (a recursive ``yield from`` chain re-yields each
+pair through O(depth) frames) and removing Python's recursion limit from
+the picture — chains of hundreds of relations enumerate fine.  The
+seed's literal recursive transcription is the test oracle's
+(:mod:`repro.optimizer.reference`); tests pin this enumerator to it pair
+for pair, in order.
 """
 
 from __future__ import annotations
@@ -36,9 +31,6 @@ from typing import Iterator, Tuple
 
 from repro.hypergraph.bitset import bits_of, prefix_below, subsets
 from repro.hypergraph.graph import Hypergraph
-
-#: Recursion depth the reference enumerator can safely need per vertex.
-_REFERENCE_MAX_N = 400
 
 
 class _Enumerator:
@@ -119,67 +111,6 @@ class _Enumerator:
             yield self._enumerate_cmp_rec(s1, s2 | subset, grown_excluded)
 
 
-class _RecursiveEnumerator:
-    """The seed's recursive DPhyp transcription (reference implementation).
-
-    Every emitted pair travels back through a ``yield from`` chain of up to
-    O(n) generator frames, and deep recursions can exhaust the interpreter
-    stack — which is why the hot path above is iterative.  Uses the
-    uncached ``connected_scan`` / ``neighborhood_scan`` graph methods so
-    reference timings reflect the pre-index cost profile.
-    """
-
-    def __init__(self, graph: Hypergraph):
-        self.graph = graph
-        self.buildable = {1 << v for v in range(graph.n)}
-
-    def run(self) -> Iterator[Tuple[int, int]]:
-        if self.graph.n > _REFERENCE_MAX_N:
-            raise RecursionError(
-                f"reference enumerator supports n <= {_REFERENCE_MAX_N} "
-                f"(got n={self.graph.n}); use the default iterative enumerator"
-            )
-        for i in range(self.graph.n - 1, -1, -1):
-            seed = 1 << i
-            yield from self.emit_csg(seed)
-            yield from self.enumerate_csg_rec(seed, prefix_below(i))
-
-    def enumerate_csg_rec(self, s1: int, excluded: int) -> Iterator[Tuple[int, int]]:
-        neighborhood = self.graph.neighborhood_scan(s1, excluded)
-        if not neighborhood:
-            return
-        for subset in subsets(neighborhood):
-            grown = s1 | subset
-            if grown in self.buildable:
-                yield from self.emit_csg(grown)
-        for subset in subsets(neighborhood):
-            yield from self.enumerate_csg_rec(s1 | subset, excluded | neighborhood)
-
-    def emit_csg(self, s1: int) -> Iterator[Tuple[int, int]]:
-        min_index = (s1 & -s1).bit_length() - 1
-        excluded = s1 | prefix_below(min_index)
-        neighborhood = self.graph.neighborhood_scan(s1, excluded)
-        for v in sorted(bits_of(neighborhood), reverse=True):
-            s2 = 1 << v
-            if self.graph.connected_scan(s1, s2):
-                self.buildable.add(s1 | s2)
-                yield s1, s2
-            below = neighborhood & prefix_below(v)
-            yield from self.enumerate_cmp_rec(s1, s2, excluded | below)
-
-    def enumerate_cmp_rec(self, s1: int, s2: int, excluded: int) -> Iterator[Tuple[int, int]]:
-        neighborhood = self.graph.neighborhood_scan(s2, excluded)
-        if not neighborhood:
-            return
-        for subset in subsets(neighborhood):
-            grown = s2 | subset
-            if grown in self.buildable and self.graph.connected_scan(s1, grown):
-                self.buildable.add(s1 | grown)
-                yield s1, grown
-        for subset in subsets(neighborhood):
-            yield from self.enumerate_cmp_rec(s1, s2 | subset, excluded | neighborhood)
-
-
 def enumerate_ccps(graph: Hypergraph) -> Iterator[Tuple[int, int]]:
     """Yield csg-cmp-pairs ``(S1, S2)`` (bitsets), each unordered pair once.
 
@@ -195,37 +126,6 @@ def enumerate_ccps(graph: Hypergraph) -> Iterator[Tuple[int, int]]:
     return _Enumerator(graph).run()
 
 
-def enumerate_ccps_reference(graph: Hypergraph) -> Iterator[Tuple[int, int]]:
-    """The seed's recursive enumerator over uncached graph scans.
-
-    Raises :class:`RecursionError` up front for graphs too deep for the
-    interpreter stack; the default :func:`enumerate_ccps` has no such
-    limit.  Emission order is pinned to :func:`enumerate_ccps` by tests.
-    """
-    return _RecursiveEnumerator(graph).run()
-
-
 def count_ccps(graph: Hypergraph) -> int:
     """Number of csg-cmp-pairs (#ccp in the paper's complexity analysis)."""
     return sum(1 for _ in enumerate_ccps(graph))
-
-
-def brute_force_ccps(graph: Hypergraph) -> set:
-    """Reference implementation straight from Def. 3 (for testing).
-
-    Enumerates every unordered pair of disjoint, individually connected
-    (buildable) vertex sets that are connected to each other by a hyperedge.
-    """
-    n = graph.n
-    result = set()
-    for s1 in range(1, 1 << n):
-        if not graph.induces_connected_subgraph(s1):
-            continue
-        for s2 in range(s1 + 1, 1 << n):
-            if s1 & s2:
-                continue
-            if not graph.induces_connected_subgraph(s2):
-                continue
-            if graph.connected(s1, s2):
-                result.add((s1, s2))
-    return result

@@ -21,10 +21,8 @@ are served from per-vertex indexes instead of scans over ``self.edges``:
   asks it about each csg-cmp candidate about once (≈ 6 % repeats), and
   the bitmask test is cheaper than the key and the insert a memo costs.
 
-The pre-index linear scans survive as ``connected_scan`` /
-``neighborhood_scan`` — the executable reference implementation used by
-equivalence tests and by the ``engine="reference"`` optimizer path that
-:mod:`benchmarks.bench_hotpath` times speedups against.
+The pre-index linear scans are the test oracle's
+(:mod:`repro.optimizer.reference`); tests pin both queries to them.
 
 ``counters`` tracks calls, index probes and memo hits; the optimizer
 surfaces a snapshot of them on
@@ -36,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Sequence, Tuple
 
-from repro.hypergraph.bitset import bits_of, is_subset, lowest_bit
+from repro.hypergraph.bitset import bits_of, lowest_bit
 
 
 @dataclass(frozen=True)
@@ -75,7 +73,6 @@ class Hypergraph:
                 raise ValueError(f"edge {edge} references vertices outside 0..{n - 1}")
         # Simple-edge adjacency per vertex accelerates the common case.
         self._simple_neighbors = [0] * n
-        self._complex_edges: List[Hyperedge] = []
         # Both orientations (u, w) of every edge, indexed by min(u); the
         # complex-only sublist drives the neighbourhood representatives.
         self._sides_by_min: List[List[Tuple[int, int, Hyperedge]]] = [[] for _ in range(n)]
@@ -86,8 +83,6 @@ class Hypergraph:
                 w = lowest_bit(edge.right)
                 self._simple_neighbors[u] |= edge.right
                 self._simple_neighbors[w] |= edge.left
-            else:
-                self._complex_edges.append(edge)
             for u, w in ((edge.left, edge.right), (edge.right, edge.left)):
                 self._sides_by_min[lowest_bit(u)].append((u, w, edge))
                 if not edge.simple:
@@ -95,8 +90,8 @@ class Hypergraph:
         #: Simple-only graphs (every bench topology) answer both hot-path
         #: queries from the bitmask adjacency alone — the explicit
         #: crossover that keeps small graphs from paying per-edge
-        #: orientation scans that the reference scan never amortises.
-        self._no_complex = not self._complex_edges
+        #: orientation scans that the seed's linear scan never paid for.
+        self._no_complex = not any(self._complex_sides_by_min)
         self._neighborhood_cache: Dict[Tuple[int, int], int] = {}
         self.counters: Dict[str, int] = {
             "neighborhood_calls": 0,
@@ -156,34 +151,6 @@ class Hypergraph:
         self._neighborhood_cache[key] = result
         return result
 
-    def neighborhood_scan(self, s: int, excluded: int) -> int:
-        """Reference ``N(S, X)``: the pre-index linear scan over all edges."""
-        forbidden = s | excluded
-        result = 0
-        for v in bits_of(s):
-            result |= self._simple_neighbors[v]
-        result &= ~forbidden
-        for edge in self._complex_edges:
-            for u, w in ((edge.left, edge.right), (edge.right, edge.left)):
-                if is_subset(u, s) and not (w & forbidden):
-                    result |= 1 << lowest_bit(w)
-        return result
-
-    def connecting_edges(self, s1: int, s2: int) -> List[Hyperedge]:
-        """All hyperedges with one side inside *s1* and the other inside *s2*.
-
-        Not on the DP hot path (the driver resolves operators through
-        :class:`repro.optimizer.edgeindex.EdgeResolver`), so this stays
-        the simple order-preserving scan.
-        """
-        found = []
-        for edge in self.edges:
-            if (is_subset(edge.left, s1) and is_subset(edge.right, s2)) or (
-                is_subset(edge.left, s2) and is_subset(edge.right, s1)
-            ):
-                found.append(edge)
-        return found
-
     def connected(self, s1: int, s2: int) -> bool:
         """Whether some hyperedge connects *s1* and *s2*."""
         counters = self.counters
@@ -210,46 +177,6 @@ class Hypergraph:
                     counters["edge_sides_scanned"] += scanned
                     return True
         counters["edge_sides_scanned"] += scanned
-        return False
-
-    def connected_scan(self, s1: int, s2: int) -> bool:
-        """Reference connectivity test: the pre-index scan over all edges."""
-        for edge in self.edges:
-            if (is_subset(edge.left, s1) and is_subset(edge.right, s2)) or (
-                is_subset(edge.left, s2) and is_subset(edge.right, s1)
-            ):
-                return True
-        return False
-
-    def induces_connected_subgraph(self, s: int) -> bool:
-        """Whether *s* is connected in the DP-relevant (buildable) sense.
-
-        For hypergraphs the right notion of connectivity is recursive: a set
-        is connected iff it is a single vertex, or it can be partitioned into
-        two connected parts S1, S2 linked by a hyperedge ``(u, w)`` with
-        ``u ⊆ S1 ∧ w ⊆ S2``.  (A set like {2,4} whose only incident
-        hyperedge is ({2,4}, {1}) is *not* connected: no plan could ever be
-        built for it.)  Computed bottom-up over the connected subsets of *s*.
-        """
-        if not s:
-            return False
-        if s.bit_count() == 1:
-            return True
-        known = {1 << v for v in bits_of(s)}
-        frontier = list(known)
-        while frontier:
-            a = frontier.pop()
-            for b in list(known):
-                if a & b:
-                    continue
-                combined = a | b
-                if combined in known or not is_subset(combined, s):
-                    continue
-                if self.connected(a, b):
-                    if combined == s:
-                        return True
-                    known.add(combined)
-                    frontier.append(combined)
         return False
 
     def __repr__(self) -> str:

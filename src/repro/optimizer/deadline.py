@@ -4,8 +4,9 @@ A :class:`Deadline` is a cheap, cooperative budget check threaded through
 :func:`repro.optimizer.optimize`: the driver calls :meth:`Deadline.tick`
 once per enumerated csg-cmp-pair, and the tick reads the clock only every
 ``check_every`` ccps (plus once on the very first ccp, so tiny budgets
-fire deterministically even on small queries).  Both engines (reference /
-indexed) consume the same ccp loop, so one check site covers them.
+fire deterministically even on small queries).  The driver has one ccp
+loop, so one check site covers every strategy; the test oracle
+(:mod:`repro.optimizer.reference`) takes no deadline.
 
 When the budget is exhausted the tick raises
 :class:`PlanningDeadlineExceeded` from inside the DP.  What happens next

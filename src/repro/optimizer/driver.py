@@ -11,39 +11,32 @@ This is the paper's Fig. 5 skeleton with the eager-aggregation extensions:
    elimination) and keep the cheapest — ``InsertTopLevelPlan``, the
    driver's own rule, the same for every strategy.
 
-Two engines drive the same skeleton (see docs/architecture.md):
-
-* ``engine="indexed"`` (default) — the hot path: iterative enumerator over
-  the indexed hypergraph, per-edge join specs resolved through
-  :class:`~repro.optimizer.edgeindex.EdgeResolver`, cost-ordered EA-Prune
-  buckets, and *bound, price, file — build on read*: an OpTrees variant
-  that already costs more than the run's ceiling is dropped, what is left
-  is priced (:meth:`~repro.optimizer.planinfo.PlanBuilder.price`) and
-  filed in its bucket *as priced*
-  (:meth:`~repro.optimizer.strategies.Strategy.insert`, which says
-  whether it kept it).  A bucket is constructed the first time a ccp
-  reads its relation set as an input — DPhyp emits every ccp that
-  produces a set before any that reads it, so the bucket is final by
-  then — and a candidate displaced or evicted before that is never
-  built.  A finished plan for the full relation set is built only if its
-  priced cost beats the incumbent's,
-* ``engine="reference"`` — the seed's code path (recursive enumerator,
-  linear edge scans, uncached builder, unordered buckets, every candidate
-  fully built, never bounded), kept strictly as the test oracle.  Golden
-  and differential tests assert the engines produce identical costs, ccp
-  counts and plans — and identical candidate counts and table sizes
-  wherever the indexed run is unbounded; :mod:`benchmarks.bench_hotpath`
-  times one against the other.
+The loop is the hot path (see docs/architecture.md): iterative
+enumerator over the indexed hypergraph, per-edge join specs resolved
+through :class:`~repro.optimizer.edgeindex.EdgeResolver`, cost-ordered
+EA-Prune buckets, and *bound, price, file — build on read*: an OpTrees
+variant that already costs more than the run's ceiling is dropped, what
+is left is priced (:meth:`~repro.optimizer.planinfo.PlanBuilder.price`)
+and filed in its bucket *as priced*
+(:meth:`~repro.optimizer.strategies.Strategy.insert`, which says whether
+it kept it).  A bucket is constructed the first time a ccp reads its
+relation set as an input — DPhyp emits every ccp that produces a set
+before any that reads it, so the bucket is final by then — and a
+candidate displaced or evicted before that is never built.  A finished
+plan for the full relation set is built only if its priced cost beats
+the incumbent's.  The seed's unindexed, unbounded loop, which every
+piece of this one is tested against, is the oracle module beside this
+one; nothing in the product imports it.
 
 The ceiling: an *exact eager* run — the strategy declares
 :attr:`~repro.optimizer.strategies.Strategy.accepts_ceiling` (EA-Prune
-with the full criteria), the cost model declares
-:attr:`~repro.optimizer.costmodel.CostModel.monotone` (Cout), the engine
-is the indexed one — is bounded by the cost of a complete plan of the
-same problem.  Where that cost comes from, first that applies: (1) the
-caller knows one (*known_cost*: a plan cache remembers what an evicted
-plan cost, a revalidator has just re-costed one) — any relation count,
-nothing else is planned; (2) the query has :data:`CEILING_MIN_RELATIONS`
+with the full criteria) and the cost model declares
+:attr:`~repro.optimizer.costmodel.CostModel.monotone` (Cout) — is
+bounded by the cost of a complete plan of the same problem.  Where that
+cost comes from, first that applies: (1) the caller knows one
+(*known_cost*: a plan cache remembers what an evicted plan cost, a
+revalidator has just re-costed one) — any relation count, nothing else
+is planned; (2) the query has :data:`CEILING_MIN_RELATIONS`
 relations or more — the prepared query is planned once under H1
 (:data:`DEGRADED_STRATEGY`; no cache, no hooks, no deadline) and that
 plan's cost is taken; (3) ``inf``.  Every bucket of a bounded run is the
@@ -51,32 +44,26 @@ unbounded run's bucket restricted to ``cost <= ceiling``, so cost, plan
 and ``ccp_count`` are unchanged; under ``inf`` the same loop drops
 nothing.  When a deadline fires in the main pass, the degraded answer is
 the H1 result — the one in hand after (2), planned on the spot otherwise.
-
-The engine choice never changes optimizer *output*; it is a keyword of
-:func:`optimize` only — no configuration, plan-cache key or CLI flag
-carries it.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from functools import partial
 from math import inf
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro import chaos
-from repro.algebra.expressions import conjunction
 from repro.conflict.detector import AnnotatedEdge, detect
 from repro.hypergraph.graph import Hypergraph
-from repro.hypergraph.enumerate import enumerate_ccps, enumerate_ccps_reference
+from repro.hypergraph.enumerate import enumerate_ccps
 from repro.optimizer.config import OptimizerConfig
 from repro.optimizer.deadline import Deadline, PlanningDeadlineExceeded
 from repro.optimizer.edgeindex import EdgeResolver, JoinSpec
 from repro.optimizer.planinfo import PlanBuilder, PlanInfo
-from repro.optimizer.strategies import EaPruneStrategy, PruneBucket, Strategy
+from repro.optimizer.strategies import PruneBucket, Strategy
 from repro.query.spec import Query
-from repro.rewrites.pushdown import OpKind, pushdown_valid_for
+from repro.rewrites.pushdown import pushdown_valid_for
 
 
 @dataclass
@@ -88,8 +75,8 @@ class OptimizationResult:
     elapsed_seconds: float
     ccp_count: int
     #: candidate plans the DP considered (access paths, valid OpTrees
-    #: variants, finalised top-level plans) — engine-independent.  How many
-    #: of them were materialised is ``stats["plans_constructed"]``.
+    #: variants, finalised top-level plans).  How many of them were
+    #: materialised is ``stats["plans_constructed"]``.
     plans_built: int
     table_sizes: Dict[int, int]
     cache_hit: bool = False
@@ -173,8 +160,7 @@ class OptimizerHooks:
       before, are never built and never reported); finalised plans for the
       full relation set as they are offered to it.
       ``stats["plans_constructed"]`` counts the calls, ``plans_built`` all
-      candidates; the reference engine builds, and reports, every
-      candidate as it is offered,
+      candidates,
     * ``on_result(result)`` — once per returned result, cache hits
       included.  ``result.stats`` carries the hot-path counters, so
       metrics pipelines hang off this hook without touching the DP loops.
@@ -211,12 +197,9 @@ def optimize(
     (marked ``cache_hit=True``); misses and stale entries are planned and
     stored after optimization.
     *hooks* receive tracing callbacks (see :class:`OptimizerHooks`).
-    *engine* selects the hot path (``"indexed"``, the default) or the seed
-    code path (``"reference"``, the test oracle).  The result is identical
-    whichever engine runs.
 
     *deadline* arms a cooperative planning budget checked inside the DP
-    loop (both engines share it); ``None`` defers to
+    loop; ``None`` defers to
     ``config.deadline_seconds``, measured from the start of this run.
     Cache hits are served before the budget is consulted.  On a blown
     budget, ``config.degradation`` picks between a heuristic fallback
@@ -239,11 +222,30 @@ def optimize(
     complete plan fits under it — the query is planned again without it
     (``stats["ceiling.rerun"]``; hooks see both passes).  The answer
     never depends on it.
+
+    *engine* has one value besides the default: ``"reference"`` hands
+    *query* and *config*, and nothing else, to the test oracle.
     """
+    if engine != "indexed":
+        # The bridge for benchmarks/e2e/golden.py's optimize(..., engine="reference");
+        # the benchmark-only change that repoints golden.py at optimize_reference deletes it.
+        if engine != "reference":
+            raise ValueError(f"unknown engine {engine!r} (use 'indexed' or 'reference')")
+        extra = [
+            name
+            for name, value in (
+                ("prepared", prepared), ("cache", cache), ("hooks", hooks),
+                ("deadline", deadline), ("known_cost", known_cost),
+            )
+            if value is not None
+        ]
+        if extra:
+            raise ValueError(f"engine='reference' takes a config only, not {', '.join(extra)}")
+        from repro.optimizer.reference import optimize_reference
+
+        return optimize_reference(query, config=config)
     if config is None:
         config = OptimizerConfig(cache_capacity=None)
-    if engine not in ("indexed", "reference"):
-        raise ValueError(f"unknown engine {engine!r} (use 'indexed' or 'reference')")
     chosen = config.resolve_strategy()
     cost_model = config.resolve_cost_model()
 
@@ -290,18 +292,11 @@ def optimize(
     if deadline is not None and chaos.enabled():
         chaos_pause = chaos.planning_delay(rel.name for rel in query.relations)
 
-    if prepared is not None:
-        annotated, graph = prepared.annotated, prepared.graph
-    else:
-        prepared_here = prepare(query)
-        annotated, graph = prepared_here.annotated, prepared_here.graph
+    if prepared is None:
+        prepared = prepare(query)
         if hooks is not None and hooks.on_prepare is not None:
-            hooks.on_prepare(prepared_here)
-        prepared = prepared_here
-
-    reference = engine == "reference"
-    if reference and isinstance(chosen, EaPruneStrategy) and chosen.ordered:
-        chosen = EaPruneStrategy(criteria=chosen.criteria, ordered=False)
+            hooks.on_prepare(prepared)
+    graph = prepared.graph
 
     # Bound: a complete plan's cost is a ceiling no useful partial plan can
     # exceed — if the strategy promises the eager optimum and the cost
@@ -310,7 +305,7 @@ def optimize(
     heuristic: Optional[OptimizationResult] = None
     ceiling = inf
     source = None  # of the ceiling: "remembered", "prepass", or None for inf
-    if chosen.accepts_ceiling and cost_model.monotone and not reference:
+    if chosen.accepts_ceiling and cost_model.monotone:
         if known_cost is None and cache is not None:
             known_cost = cache.known_cost(key, exact_snapshot)
         if known_cost is not None:
@@ -318,38 +313,29 @@ def optimize(
             ceiling = known_cost * (1.0 + KNOWN_COST_SLACK)
         elif len(query.relations) >= CEILING_MIN_RELATIONS:
             source = "prepass"
-            heuristic = _heuristic_plan(query, prepared, config, engine)
+            heuristic = _heuristic_plan(query, prepared, config)
             ceiling = heuristic.cost
 
-    builder = PlanBuilder(query, cost_model=cost_model, memo=not reference)
+    builder = PlanBuilder(query, cost_model=cost_model)
     all_mask = query.all_relations_mask
 
     on_ccp = hooks.on_ccp if hooks is not None else None
     on_plan = hooks.on_plan if hooks is not None else None
 
-    if reference:
-        resolver = None
-        resolve = partial(_resolve_edge, annotated, query)
-        ccps = enumerate_ccps_reference(graph)
-    else:
-        resolver = prepared.resolver()
-        resolve = resolver.resolve
-        ccps = enumerate_ccps(graph)
-    build_plans = (
-        _build_plans_reference if reference else partial(_build_plans, ceiling=ceiling)
-    )
+    resolver = prepared.resolver()
+    resolve = resolver.resolve
 
     # Counter snapshots: graph/resolver/strategy objects may be shared
     # across runs (PreparedQuery reuse, strategy instances in configs), so
     # the per-run stats are end-minus-start diffs.
     graph_before = dict(graph.counters)
-    resolver_before = dict(resolver.counters) if resolver is not None else {}
+    resolver_before = dict(resolver.counters)
     strategy_counters = getattr(chosen, "counters", None)
     strategy_before = dict(strategy_counters) if strategy_counters is not None else {}
 
     table: Dict[int, List[PlanInfo]] = {}
     #: inner relation sets whose buckets hold priced candidates no ccp has
-    #: read yet (the indexed engine files them unbuilt)
+    #: read yet (they are filed unbuilt)
     unread: Set[int] = set()
     construct = builder.construct
     for vertex in range(len(query.relations)):
@@ -369,7 +355,7 @@ def optimize(
             on_plan(finished)
 
     try:
-        for s1, s2 in ccps:
+        for s1, s2 in enumerate_ccps(graph):
             ccp_count += 1
             if deadline is not None and deadline.tick() and chaos_pause is not None:
                 time.sleep(chaos_pause)
@@ -402,17 +388,16 @@ def optimize(
                     bucket = table[combined] = []
                 else:
                     bucket = table[combined] = chosen.new_bucket()
-                    if not reference:
-                        unread.add(combined)
-            build_plans(
+                    unread.add(combined)
+            _build_plans(
                 builder, chosen, bucket, is_top, left_bucket, right_bucket, spec,
-                on_plan, tally,
+                on_plan, tally, ceiling,
             )
     except PlanningDeadlineExceeded:
         if config.degradation != "heuristic":
             raise
         if heuristic is None:
-            heuristic = _heuristic_plan(query, prepared, config, engine)
+            heuristic = _heuristic_plan(query, prepared, config)
         return deliver(_degraded_fallback(heuristic, start, ccp_count, tally.built))
 
     final = table.get(all_mask, [])
@@ -424,7 +409,7 @@ def optimize(
         # a snapshot keeps, say).  Plan as if nothing had been known; the
         # budget, if any, keeps running.
         rerun = optimize(
-            query, prepared=prepared, config=config, engine=engine, deadline=deadline,
+            query, prepared=prepared, config=config, deadline=deadline,
             hooks=replace(hooks, on_result=None) if hooks is not None else None,
         )
         return deliver(
@@ -438,7 +423,6 @@ def optimize(
     elapsed = time.perf_counter() - start
 
     stats: Dict[str, float] = {
-        "engine_reference": 1 if reference else 0,
         "plans_constructed": tally.constructed,
         "top_replacements": tally.top_replacements,
     }
@@ -456,11 +440,10 @@ def optimize(
         delta = value - graph_before.get(name, 0)
         if delta:
             stats[f"graph.{name}"] = delta
-    if resolver is not None:
-        for name, value in resolver.counters.items():
-            delta = value - resolver_before.get(name, 0)
-            if delta:
-                stats[f"resolver.{name}"] = delta
+    for name, value in resolver.counters.items():
+        delta = value - resolver_before.get(name, 0)
+        if delta:
+            stats[f"resolver.{name}"] = delta
     if strategy_counters is not None:
         for name, value in strategy_counters.items():
             delta = value - strategy_before.get(name, 0)
@@ -509,7 +492,7 @@ KNOWN_COST_SLACK = 1e-9
 
 
 def _heuristic_plan(
-    query: Query, prepared: PreparedQuery, config: OptimizerConfig, engine: str
+    query: Query, prepared: PreparedQuery, config: OptimizerConfig
 ) -> OptimizationResult:
     """The prepared query planned under :data:`DEGRADED_STRATEGY`: no
     cache, no hooks, and no deadline — so no deadline ticks and no chaos
@@ -519,7 +502,6 @@ def _heuristic_plan(
         query,
         prepared=prepared,
         config=config.with_overrides(strategy=DEGRADED_STRATEGY, deadline_seconds=None),
-        engine=engine,
     )
 
 
@@ -541,59 +523,6 @@ def _degraded_fallback(
         elapsed_seconds=time.perf_counter() - start,
         stats=stats,
     )
-
-
-def _resolve_edge(
-    annotated: Sequence[AnnotatedEdge], query: Query, s1: int, s2: int
-) -> Optional[JoinSpec]:
-    """Reference operator resolution: the seed's linear scan over all
-    annotated edges (see :meth:`EdgeResolver.resolve` for the hot path).
-
-    Exactly one edge crossing: use its operator (checking applicability in
-    both orientations; non-commutative operators fix the orientation).
-    Multiple crossing edges: only legal when all of them are inner joins —
-    their predicates are conjoined and selectivities multiplied.
-    """
-    crossing = [
-        e
-        for e in annotated
-        if (_subset(e.l_tes, s1) and _subset(e.r_tes, s2))
-        or (_subset(e.l_tes, s2) and _subset(e.r_tes, s1))
-    ]
-    if not crossing:
-        return None
-
-    if len(crossing) == 1:
-        edge = crossing[0]
-        join_edge = query.edge(edge.edge_id)
-        if edge.applicable(s1, s2):
-            return JoinSpec(
-                edge.op, join_edge.predicate, join_edge.selectivity,
-                join_edge.groupjoin_vector, swap=False,
-            )
-        if edge.applicable(s2, s1):
-            return JoinSpec(
-                edge.op, join_edge.predicate, join_edge.selectivity,
-                join_edge.groupjoin_vector, swap=True,
-            )
-        return None
-
-    # Several predicates meet at this ccp (cyclic inner-join queries).
-    if any(e.op is not OpKind.INNER for e in crossing):
-        return None
-    predicates = []
-    selectivity = 1.0
-    for edge in crossing:
-        if not (edge.applicable(s1, s2) or edge.applicable(s2, s1)):
-            return None
-        join_edge = query.edge(edge.edge_id)
-        predicates.append(join_edge.predicate)
-        selectivity *= join_edge.selectivity
-    return JoinSpec(OpKind.INNER, conjunction(predicates), selectivity, None, swap=False)
-
-
-def _subset(small: int, big: int) -> bool:
-    return small & ~big == 0
 
 
 class _Tally:
@@ -626,8 +555,8 @@ def _build_plans(
 ) -> None:
     """BuildPlans for one csg-cmp-pair: bound, price, file.
 
-    Every OpTrees placement of every plan pair (Fig. 6/8, in the reference
-    engine's order) is first held against the run's *ceiling* — the cost
+    Every OpTrees placement of every plan pair (Fig. 6/8, in the seed's
+    order) is first held against the run's *ceiling* — the cost
     of a complete plan, or ``inf`` when the run is not bounded: a variant
     whose inputs together already cost more is never priced, and one
     whose priced cost (for the full relation set, its ``top_cost``) is
@@ -721,57 +650,3 @@ def _materialise(bucket, construct, on_plan) -> int:
                 on_plan(plan)
         count += len(plans)
     return count
-
-
-def _build_plans_reference(
-    builder: PlanBuilder,
-    strategy: Strategy,
-    bucket: List[PlanInfo],
-    is_top: bool,
-    left_bucket,
-    right_bucket,
-    spec: JoinSpec,
-    on_plan,
-    tally: _Tally,
-) -> None:
-    """The seed's BuildPlans — the oracle :func:`_build_plans` is tested
-    against: every OpTrees placement is fully built, with a fresh Γ per
-    plan pair, and every one is offered — the strategy its inner ones, the
-    keep-the-cheaper rule the finished ones; it is never bounded."""
-    join = partial(
-        builder.join, op=spec.op, predicate=spec.predicate,
-        selectivity=spec.selectivity, groupjoin_vector=spec.groupjoin_vector,
-    )
-    group_left = strategy.explore_eager and pushdown_valid_for(spec.op, 1)
-    group_right = strategy.explore_eager and pushdown_valid_for(spec.op, 2)
-    insert = strategy.insert
-    for left in left_bucket:
-        for right in right_bucket:
-            grouped_left = grouped_right = None
-            if group_left:
-                g_plus = builder.needed_above(left.rel_set) & left.raw_attrs
-                grouped_left = builder.group(left, g_plus)
-            if group_right:
-                g_plus = builder.needed_above(right.rel_set) & right.raw_attrs
-                grouped_right = builder.group(right, g_plus)
-            for lhs, rhs in (
-                (left, right), (grouped_left, right), (left, grouped_right),
-                (grouped_left, grouped_right),
-            ):
-                plan = None if lhs is None or rhs is None else join(lhs, rhs)
-                if plan is None:
-                    continue
-                tally.built += 1
-                tally.constructed += 1
-                if is_top:
-                    plan = builder.finish_top(plan)
-                if on_plan is not None:
-                    on_plan(plan)
-                if not is_top:
-                    insert(bucket, plan)
-                    continue
-                if bucket:
-                    if not plan.cost < bucket[0].cost:
-                        continue
-                    tally.top_replacements += 1
-                bucket[:] = [plan]

@@ -34,10 +34,10 @@ constructs a bucket's candidates when a join first reads it;
 
 Functional dependencies are kept twice, on purpose.  The *sets* — a
 plan's ``keys`` / ``equiv`` / ``duplicate_free`` fields, with
-:meth:`PlanInfo.closure`, :meth:`PlanInfo.has_key_within`,
-:func:`_join_keys` and :func:`_merge_equiv` — are the definition and the
-oracle (``PlanBuilder(memo=False)``, ``engine="reference"``).  The
-*states* are what the hot path asks: a :class:`PlanBuilder` owns one
+:meth:`PlanInfo.closure` and :meth:`PlanInfo.has_key_within` — are the
+definition: what a plan carries and what the test oracle derives a
+join's triple from, every time (:mod:`repro.optimizer.reference`).  The
+*states* are what the DP asks: a :class:`PlanBuilder` owns one
 :class:`FdTable` per run that interns every distinct triple as an
 :class:`FdState` (keys and classes as int masks over interned
 attributes), a join's state is a dictionary hit on its inputs' states
@@ -294,11 +294,11 @@ class FdState:
         return self.within(self.table.mask(frozenset(attrs)))
 
     def dominates(self, other: "FdState") -> bool:
-        """FD⁺(self) ⊇ FD⁺(other) — ``strategies._fd_superset``'s three
-        clauses over masks (both states of one table).  Not memoised per
-        pair: a bucket asks each ordered pair once, and states of
-        different relation sets rarely coincide (plan_cold seed 7: 58,826
-        questions, 55,964 distinct)."""
+        """FD⁺(self) ⊇ FD⁺(other) — Def. 4's FD clause, as the test
+        oracle spells it on frozensets, over masks (both states of one
+        table).  Not memoised per pair: a bucket asks each ordered pair
+        once, and states of different relation sets rarely coincide
+        (plan_cold seed 7: 58,826 questions, 55,964 distinct)."""
         if other.duplicate_free and not self.duplicate_free:
             return False
         within = self.within
@@ -479,12 +479,7 @@ class PlanBuilder:
     contribution (see :mod:`repro.optimizer.costmodel`).
     """
 
-    def __init__(
-        self,
-        query: Query,
-        cost_model: Optional["CostModel"] = None,
-        memo: bool = True,
-    ):
+    def __init__(self, query: Query, cost_model: Optional["CostModel"] = None):
         if cost_model is None:
             from repro.optimizer.costmodel import CoutModel
 
@@ -492,9 +487,6 @@ class PlanBuilder:
         self.cost_model = cost_model
         self.query = query
         #: Per-predicate metadata memos (attribute sets, equality pairs).
-        #: ``memo=False`` restores the seed's recompute-per-join behaviour —
-        #: used by the ``engine="reference"`` benchmark path.
-        self.memo = memo
         self._pred_attrs: Dict[int, Tuple[Expr, FrozenSet[str]]] = {}
         self._pred_eq_pairs: Dict[int, Tuple[Expr, Tuple[Tuple[str, str], ...]]] = {}
         #: This run's FD states.  Plans and states point at the table,
@@ -542,8 +534,6 @@ class PlanBuilder:
     # garbage collected.
 
     def _attrs_of(self, predicate: Expr) -> FrozenSet[str]:
-        if not self.memo:
-            return attrs_of(predicate)
         key = id(predicate)
         hit = self._pred_attrs.get(key)
         if hit is not None and hit[0] is predicate:
@@ -553,8 +543,6 @@ class PlanBuilder:
         return attrs
 
     def _equality_pairs_of(self, predicate: Expr) -> Tuple[Tuple[str, str], ...]:
-        if not self.memo:
-            return tuple(_equality_pairs(predicate))
         key = id(predicate)
         hit = self._pred_eq_pairs.get(key)
         if hit is not None and hit[0] is predicate:
@@ -600,18 +588,11 @@ class PlanBuilder:
         two input triples, the operator, the predicate's equality pairs
         and whether each side is keyed on its join attributes — so the
         result is looked up under exactly that, on the left input's state,
-        and only a miss does the set arithmetic.  ``memo=False`` (the
-        oracle) derives every time.
+        and only a miss does the set arithmetic.
         """
         left_state = self.state_of(left)
         if op in _LEFT_ONLY:
             return left_state  # the result exposes the left rows, once each
-        if not self.memo:
-            return self.fd_table.intern(
-                left.duplicate_free and right.duplicate_free,
-                _join_keys(op, left, right, self._attrs_of(predicate)),
-                self._join_equiv(op, left.equiv, right.equiv, predicate),
-            )
         right_state = self.state_of(right)
         # Keyedness reads the plan's columns, which are not part of its
         # state: plans sharing a state expose different ``raw_attrs``.
@@ -1075,21 +1056,6 @@ def _join_raw_attrs(
         assert gj_vector is not None
         return left.raw_attrs | frozenset(gj_vector.names())
     return left.raw_attrs | right.raw_attrs
-
-
-def _join_keys(
-    op: OpKind, left: PlanInfo, right: PlanInfo, join_attrs: FrozenSet[str]
-) -> Tuple[FrozenSet[str], ...]:
-    """κ for join results (Sec. 2.3)."""
-    if op in _LEFT_ONLY:
-        return left.keys
-    return _combine_keys(
-        op,
-        left.keys,
-        right.keys,
-        left.has_key_within(join_attrs & left.raw_attrs),
-        right.has_key_within(join_attrs & right.raw_attrs),
-    )
 
 
 def _combine_keys(

@@ -20,8 +20,8 @@ used for that shape:
   statistical).
 
 Replaying under an *unchanged* snapshot therefore reproduces the cached
-cost bit-for-bit (the differential tests assert this for both engines'
-plans); replaying under a drifted snapshot yields the cached shape's
+cost bit-for-bit (the differential tests assert this for the DP's and
+the test oracle's plans); replaying under a drifted snapshot yields the cached shape's
 true cost under the new statistics.
 
 The serve/replan decision compares that re-cost against a cheap

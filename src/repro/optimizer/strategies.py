@@ -8,11 +8,11 @@ Besides its ``name``, a strategy has four members:
 * ``new_bucket()`` — a fresh DP-table entry (EA-Prune's is a
   :class:`PruneBucket`, everyone else's a list).
 * ``insert(bucket, plan)`` — which candidates survive in an inner DP
-  table entry, and whether this one did.  The indexed engine files
-  *priced* candidates (:class:`~repro.optimizer.planinfo.PricedJoin`) and
-  builds a bucket's survivors when a join first reads it (see
+  table entry, and whether this one did.  The driver files *priced*
+  candidates (:class:`~repro.optimizer.planinfo.PricedJoin`) and builds
+  a bucket's survivors when a join first reads it (see
   docs/architecture.md, "bound, price, file — build on read"), so
-  ``insert`` reads only the priced surface; the reference engine inserts
+  ``insert`` reads only the priced surface; the test oracle inserts
   built plans.  The full relation set is not a strategy's: the driver
   keeps its single cheapest plan (``InsertTopLevelPlan``, Fig. 9).
 * ``accepts_ceiling`` — does the strategy return the optimum of the
@@ -38,16 +38,14 @@ accelerate it without changing which plans survive:
   (:class:`~repro.optimizer.planinfo.FdState`, one table per
   :class:`~repro.optimizer.planinfo.PlanBuilder`): a candidate arrives
   with its state already looked up, a bucket files plans under the state
-  object, and ``a.dominates(b)`` is the three clauses of
-  :func:`_fd_superset` over int masks.  Nothing here is process-global:
-  the table dies with the run.
+  object, and ``a.dominates(b)`` is Def. 4's FD clause over int masks.
+  Nothing here is process-global: the table dies with the run.
 
-The seed's unordered linear-scan insert survives on ``ordered=False``
-instances — the executable reference that equivalence tests and the
-``engine="reference"`` benchmark path run against.  It compares plans
-with :func:`_fd_superset`, frozenset arithmetic on the plans' own fields,
-and never sees a state: the indexed == reference differential therefore
-checks two independent implementations of Def. 4
+The seed's unordered linear-scan insert is the test oracle's
+(:class:`repro.optimizer.reference.SeedPruneStrategy`): it compares plans
+with frozenset arithmetic on their own fields and never sees a state, so
+the indexed == oracle differential checks two independent
+implementations of Def. 4
 (``tests/optimizer/test_fd_state_differential.py`` compares them pair by
 pair).
 """
@@ -89,10 +87,10 @@ class Strategy:
         ``True`` means *plan* is in the bucket now.  Asked once per
         candidate of an inner relation set.
 
-        On the indexed engine *plan* — and every entry of the bucket — is
-        a :class:`~repro.optimizer.planinfo.PricedJoin`, built by the
-        driver only once a join reads the bucket; on the reference engine
-        it is a :class:`PlanInfo`.  Read only the surface the two share:
+        In the driver *plan* — and every entry of the bucket — is a
+        :class:`~repro.optimizer.planinfo.PricedJoin`, built only once a
+        join reads the bucket; in the test oracle it is a
+        :class:`PlanInfo`.  Read only the surface the two share:
         ``cost``, ``cardinality``, ``eagerness``, ``duplicate_free``,
         ``state`` / ``keys`` / ``equiv`` / ``has_key_within``,
         ``rel_set``, ``raw_attrs``, ``scale_cols`` and ``distinct``
@@ -256,22 +254,16 @@ class EaPruneStrategy(Strategy):
     The ``criteria`` knob exists for the ablation benchmark: dropping the
     cardinality or FD dimension makes pruning more aggressive but destroys
     the optimality guarantee — exactly the point of Def. 4's three clauses.
-
-    ``ordered=False`` restores the seed's unordered bucket with the
-    uncached pairwise scan — the reference both for equivalence tests and
-    for :mod:`benchmarks.bench_hotpath` speedup measurements.
     """
 
     name = "ea-prune"
 
-    def __init__(self, criteria: str = "full", ordered: bool = True):
+    def __init__(self, criteria: str = "full"):
         if criteria not in ("full", "cost-card", "cost-only"):
             raise ValueError(f"unknown pruning criteria {criteria!r}")
         self.criteria = criteria
-        self.ordered = ordered
-        # Def. 4's three clauses are what keeps the optimum; the unordered
-        # instance is the reference and sees everything.
-        self.accepts_ceiling = criteria == "full" and ordered
+        # Def. 4's three clauses are what keeps the optimum.
+        self.accepts_ceiling = criteria == "full"
         if criteria != "full":
             self.name = f"ea-prune[{criteria}]"
         self.counters: Dict[str, int] = {
@@ -281,38 +273,15 @@ class EaPruneStrategy(Strategy):
             "plans_evicted": 0,
         }
 
-    def new_bucket(self) -> List[PlanInfo]:
-        return PruneBucket() if self.ordered else []
+    def new_bucket(self) -> PruneBucket:
+        return PruneBucket()
 
-    # -- reference (seed) path ---------------------------------------------
-    def _dominates(self, a: PlanInfo, b: PlanInfo) -> bool:
-        if a.cost > b.cost:
-            return False
-        if self.criteria == "cost-only":
-            return True
-        if a.cardinality > b.cardinality:
-            return False
-        if self.criteria == "cost-card":
-            return True
-        return _fd_superset(a, b)
-
-    def _insert_scan(self, bucket: List[PlanInfo], plan: PlanInfo) -> bool:
-        for existing in bucket:
-            if self._dominates(existing, plan):
-                return False  # dominated: discard the new plan
-        bucket[:] = [
-            existing for existing in bucket if not self._dominates(plan, existing)
-        ]
-        bucket.append(plan)
-        return True
-
-    # -- ordered hot path ---------------------------------------------------
     def _card(self, plan) -> float:
         # Under cost-only pruning every cardinality is treated as equal, so
         # the frontier degenerates to the single cheapest plan.
         return plan.cardinality if self.criteria != "cost-only" else 0.0
 
-    def _insert_ordered(self, bucket: PruneBucket, plan) -> bool:
+    def insert(self, bucket: PruneBucket, plan) -> bool:
         state = bucket.home(plan) if self.criteria == "full" else None
         cost = plan.cost
         card = self._card(plan)
@@ -355,12 +324,6 @@ class EaPruneStrategy(Strategy):
         bucket.count += 1
         return True
 
-    def insert(self, bucket: List[PlanInfo], plan) -> bool:
-        if type(bucket) is PruneBucket:
-            return self._insert_ordered(bucket, plan)
-        self.counters["prune_inserts"] += 1
-        return self._insert_scan(bucket, plan)
-
 
 class H1Strategy(SinglePlanStrategy):
     """BuildPlansH1 (Fig. 10): local greedy choice, single plan per class."""
@@ -386,30 +349,6 @@ class H2Strategy(SinglePlanStrategy):
         if new.eagerness < old.eagerness:
             return self.factor * new.cost < old.cost
         return new.cost < self.factor * old.cost
-
-
-def _fd_superset(a, b) -> bool:
-    """FD⁺(a) ⊇ FD⁺(b), approximated through candidate keys and attribute
-    equivalences:
-
-    * *a* must be duplicate-free whenever *b* is (NeedsGrouping depends on
-      the flag),
-    * every key of *b* must be implied by *a* (some key of *a* inside the
-      equivalence closure of *b*'s key),
-    * every attribute-equivalence class of *b* must be known to *a* too —
-      equivalences are FDs (x = y ⇒ x → y ∧ y → x) and feed key closure.
-
-    The oracle for :meth:`~repro.optimizer.planinfo.FdState.dominates`;
-    accepts anything exposing ``duplicate_free`` / ``keys`` / ``equiv`` /
-    ``has_key_within``.
-    """
-    if b.duplicate_free and not a.duplicate_free:
-        return False
-    if not all(a.has_key_within(kb) for kb in b.keys):
-        return False
-    return all(
-        any(cls_b <= cls_a for cls_a in a.equiv) for cls_b in b.equiv
-    )
 
 
 # -- registration -----------------------------------------------------------

@@ -40,8 +40,8 @@ def plan_shape(node: PlanNode) -> str:
     the runs that made them numbered their groupings.
 
     The concrete counter values depend on how many groupings a run built
-    along the way (the reference engine builds a fresh Γ per plan pair,
-    the indexed engine one per plan, a bounded run fewer still); the plan
+    along the way (the test oracle builds a fresh Γ per plan pair, the
+    DP one per plan, a bounded run fewer still); the plan
     *shape* — which columns are shared where — is what two runs agree on.
     ``JoinNode`` default vectors are stored sorted by column *name*, so
     their rendered order follows the raw counter values: they take no

@@ -72,8 +72,9 @@ class ServingConfig:
             raise ValueError(f"max_inflight must be >= 1, got {self.max_inflight}")
         if self.cache_capacity is None or self.cache_capacity < 1:
             raise ValueError(f"cache_capacity must be >= 1, got {self.cache_capacity}")
-        if self.scale_factor <= 0:
-            raise ValueError(f"scale_factor must be > 0, got {self.scale_factor}")
+        from repro.sql.catalog import check_scale_factor
+
+        check_scale_factor(self.scale_factor)
         if self.request_timeout_seconds <= 0:
             raise ValueError(
                 f"request_timeout_seconds must be > 0, got {self.request_timeout_seconds}"

@@ -2,8 +2,17 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple
+
+
+def check_scale_factor(scale_factor: float) -> None:
+    """Reject a TPC-H scale factor that is not a finite number > 0: SF 0,
+    a negative SF or NaN price every plan at 0 or nonsense, SF ∞
+    overflows the statistics."""
+    if not (math.isfinite(scale_factor) and scale_factor > 0):
+        raise ValueError(f"scale_factor must be finite and > 0, got {scale_factor}")
 
 
 @dataclass(frozen=True)
@@ -157,10 +166,12 @@ class Catalog:
 
     @classmethod
     def from_tpch(cls, scale_factor: float = 1.0) -> "Catalog":
-        """The eight TPC-H tables with SF-scaled statistics."""
+        """The eight TPC-H tables with SF-scaled statistics; *scale_factor*
+        must be finite and > 0."""
         from repro.tpch.schema import TABLES
         from repro.tpch.stats import scaled_distinct
 
+        check_scale_factor(scale_factor)
         catalog = cls()
         for table in TABLES.values():
             distinct = {

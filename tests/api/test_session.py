@@ -31,6 +31,11 @@ def session():
 
 
 class TestSessionPipeline:
+    @pytest.mark.parametrize("scale_factor", [0, -1.0, float("nan"), float("inf")])
+    def test_tpch_rejects_a_scale_factor_that_is_not_finite_and_positive(self, scale_factor):
+        with pytest.raises(ValueError, match="scale_factor must be finite and > 0"):
+            PlannerSession.tpch(scale_factor)
+
     def test_sql_requires_catalog(self):
         with pytest.raises(ValueError, match="no catalog"):
             PlannerSession().sql(SQL)

@@ -1,10 +1,10 @@
-"""What ``engine="indexed"`` owes ``engine="reference"``, in one place.
+"""What ``optimize`` owes the oracle, ``optimize_reference``, in one place.
 
 Shared by the differential suites of this directory (a plain module:
 pytest puts a test file's directory on ``sys.path``, so siblings import
 it by name).
 
-For every strategy the two engines give the same *answer*: best cost,
+For every strategy the two loops give the same *answer*: best cost,
 normalised plan, csg-cmp-pair emission order and count.  Beyond that:
 
 * a run that reports no ceiling (DPhyp, H1, H2, EA-All, the EA-Prune
@@ -23,18 +23,20 @@ normalised plan, csg-cmp-pair emission order and count.  Beyond that:
   to (:meth:`Observation.buckets_up_to`).
 
 Buckets are rebuilt from ``OptimizerHooks.on_plan`` — every plan the
-reference engine offers to its DP table, and every plan of each bucket
-the indexed engine builds when a join first reads it (a non-empty
-bucket no join read would surface as missing here) — with the seed's pairwise scan
-(``EaPruneStrategy(ordered=False)``), and the indexed side is tied back
-to the real table through ``result.table_sizes``.
+oracle offers to its DP table, and every plan of each bucket the
+indexed loop builds when a join first reads it (a non-empty bucket no
+join read would surface as missing here) — with the seed's pairwise scan
+(``SeedPruneStrategy``), and the indexed side is tied back to the real
+table through ``result.table_sizes``.  "indexed" and "reference" below
+name the two sides: :func:`~repro.optimizer.optimize` and
+:func:`~repro.optimizer.reference.optimize_reference`.
 """
 
 from math import inf
 
 from repro.optimizer import OptimizerConfig, OptimizerHooks, optimize
 from repro.optimizer.costmodel import CoutModel
-from repro.optimizer.strategies import EaPruneStrategy
+from repro.optimizer.reference import SeedPruneStrategy, optimize_reference
 from repro.plans.render import plan_shape
 
 
@@ -75,27 +77,24 @@ class Observation:
         self.ccp_order = []
         self._buckets = {}
         all_mask = query.all_relations_mask
-        scan = EaPruneStrategy(ordered=False)
+        scan = SeedPruneStrategy()
 
         def on_plan(plan):
             if plan.rel_set != all_mask and plan.cost <= keep_up_to:
                 scan.insert(self._buckets.setdefault(plan.rel_set, []), plan)
 
-        self.result = optimize(
-            query,
-            config=OptimizerConfig(
-                strategy=strategy, factor=factor, cache_capacity=None, **config,
-            ),
-            engine=engine,
-            hooks=OptimizerHooks(
-                on_ccp=lambda s1, s2: self.ccp_order.append((s1, s2)), on_plan=on_plan
-            ),
-            known_cost=known_cost,
+        config = OptimizerConfig(strategy=strategy, factor=factor, cache_capacity=None, **config)
+        hooks = OptimizerHooks(
+            on_ccp=lambda s1, s2: self.ccp_order.append((s1, s2)), on_plan=on_plan
         )
+        if engine == "reference":  # the oracle takes no known cost
+            self.result = optimize_reference(query, config=config, hooks=hooks)
+        else:
+            self.result = optimize(query, config=config, hooks=hooks, known_cost=known_cost)
 
     @property
     def answer(self):
-        """What the engines agree on whatever the strategy."""
+        """What the two sides agree on whatever the strategy."""
         result = self.result
         return {
             "cost": result.cost,
@@ -120,15 +119,15 @@ class Observation:
 
 
 def assert_engines_agree(query, strategy, factor=1.03, context=(), known_cost=None, **config):
-    """Indexed == reference on *query*; returns the indexed result.  Both
-    engines are handed *known_cost*; the reference must ignore it."""
+    """Indexed == reference on *query*; returns the indexed result.  Only
+    the indexed side is handed *known_cost*: the oracle has none."""
     indexed = Observation(query, strategy, "indexed", factor, known_cost=known_cost, **config)
     ceiling = ceiling_of(indexed.result)
     # An unbounded EA-Prune reference run offers every candidate: rebuild
     # its buckets only when there is a restriction to check.
     reference = Observation(
         query, strategy, "reference", factor, keep_up_to=ceiling if ceiling != inf else -inf,
-        known_cost=known_cost, **config,
+        **config,
     )
     return assert_observations_agree(query, indexed, reference, context)
 

@@ -8,8 +8,7 @@ over the prepared query before the main pass.  No partial plan above it
 is priced, filed or joined.  These tests pin
 
 * who is bounded — the strategy and the cost model both have to say so,
-  and the reference engine, the unordered strategy instance and queries
-  of fewer than four relations never are,
+  and queries of fewer than four relations never are,
 * what the bound rests on — every cost model that declares ``monotone``
   is held to the three inequalities the argument uses, on plans drawn
   from real buckets,
@@ -52,6 +51,7 @@ from repro.optimizer import driver
 from repro.optimizer.costmodel import CoutModel
 from repro.optimizer.deadline import Deadline
 from repro.optimizer.recost import recost
+from repro.optimizer.reference import optimize_reference
 from repro.optimizer.strategies import EaAllStrategy, EaPruneStrategy
 from repro.plans.render import plan_shape
 from repro.service import PlanCache
@@ -67,12 +67,11 @@ CEILING_KEYS = {
 PREPASS_KEYS = {"ceiling.ccps", "ceiling.plans", "ceiling.seconds"}
 
 
-def _run(query, strategy="ea-prune", known_cost=None, engine="indexed", **config):
+def _run(query, strategy="ea-prune", known_cost=None, **config):
     return optimize(
         query,
         config=OptimizerConfig(strategy=strategy, cache_capacity=None, **config),
         known_cost=known_cost,
-        engine=engine,
     )
 
 
@@ -101,21 +100,16 @@ class TestWhoIsBounded:
         assert Strategy.accepts_ceiling is False and EaAllStrategy.accepts_ceiling is False
         assert not EaPruneStrategy("cost-card").accepts_ceiling
         assert not EaPruneStrategy("cost-only").accepts_ceiling
-        assert not EaPruneStrategy(ordered=False).accepts_ceiling
         assert CostModel.monotone is False and CoutModel.monotone is True
 
     @pytest.mark.parametrize(
         "strategy",
         ["dphyp", "ea-all", "h1", "h2", EaPruneStrategy("cost-card"),
-         EaPruneStrategy("cost-only"), EaPruneStrategy(ordered=False)],
-        ids=lambda s: s if isinstance(s, str) else f"{s.name}-ordered={s.ordered}",
+         EaPruneStrategy("cost-only")],
+        ids=lambda s: s if isinstance(s, str) else s.name,
     )
     def test_other_strategies_are_not(self, strategy):
         result = _run(topology_query("star", 5), strategy)
-        assert not CEILING_KEYS & set(result.stats)
-
-    def test_reference_engine_is_not(self):
-        result = _run(topology_query("star", 5), engine="reference")
         assert not CEILING_KEYS & set(result.stats)
 
     def test_undeclared_cost_model_is_not(self):
@@ -140,12 +134,11 @@ class TestWhoIsBounded:
 
 def _offered_plans(query, model):
     """Every inner plan an exhaustive EA-Prune run under *model* offers
-    its DP table (the reference engine builds them all)."""
+    its DP table (the oracle builds them all)."""
     plans = []
-    optimize(
+    optimize_reference(
         query,
         config=OptimizerConfig(cost_model=model, cache_capacity=None),
-        engine="reference",
         hooks=OptimizerHooks(on_plan=plans.append),
     )
     return [p for p in plans if p.rel_set != query.all_relations_mask]
@@ -235,7 +228,7 @@ class TestDeclaredModelsAreMonotone:
 
 #: Random-matrix seeds (``test_engine_differential._random_query(seed,
 #: max_relations=12)``) of 6–11 relations whose unbounded run prices
-#: 1.4k–8k candidates — about a second each on the reference engine.
+#: 1.4k–8k candidates — about a second each in the oracle.
 MATRIX_SLICE = (7, 13, 17, 23, 24, 26, 30, 36, 38)
 
 
@@ -456,8 +449,8 @@ class TestKnownCost:
     @pytest.mark.parametrize(
         "config",
         [{"strategy": "dphyp"}, {"strategy": "h2"}, {"strategy": "h1"}, {"strategy": "ea-all"},
-         {"engine": "reference"}, {"cost_model": UndeclaredCout()}],
-        ids=["dphyp", "h2", "h1", "ea-all", "reference", "undeclared-model"],
+         {"cost_model": UndeclaredCout()}],
+        ids=["dphyp", "h2", "h1", "ea-all", "undeclared-model"],
     )
     def test_a_run_nobody_bounds_ignores_it(self, config):
         query = topology_query("cycle", 5)

@@ -1,8 +1,8 @@
 """Cooperative planning deadlines and graceful degradation.
 
 The :class:`~repro.optimizer.deadline.Deadline` is the robustness
-tentpole's core primitive: a budget checked cheaply inside the ccp loop
-of every engine, raising :class:`PlanningDeadlineExceeded` from inside
+tentpole's core primitive: a budget checked cheaply inside the DP's ccp
+loop, raising :class:`PlanningDeadlineExceeded` from inside
 the DP so the driver can fall back to an H1 heuristic plan (marked
 ``degraded``) instead of answering with an error or, worse, burning CPU
 past the budget.
@@ -24,8 +24,6 @@ from repro.plans.render import render_plan
 from repro.service.cache import PlanCache
 from repro.service.fingerprint import query_fingerprint
 from repro.workload import generate_query
-
-ENGINES = ("reference", "indexed")
 
 
 def _query(n=6, seed=7):
@@ -86,11 +84,10 @@ class TestDeadlineObject:
 
 
 class TestDegradedFallback:
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_zero_budget_degrades_to_heuristic(self, engine):
+    def test_zero_budget_degrades_to_heuristic(self):
         query = _query()
         config = OptimizerConfig(deadline_seconds=0.0)
-        result = optimize(query, config=config, engine=engine)
+        result = optimize(query, config=config)
         assert result.degraded is True
         assert result.strategy == DEGRADED_STRATEGY
         assert result.cost > 0
@@ -177,14 +174,13 @@ class TestDegradedFallback:
 
 
 class TestDegradedNeverCached:
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_degraded_results_skip_the_cache(self, engine):
+    def test_degraded_results_skip_the_cache(self):
         query = _query(seed=3)
         cache = PlanCache(capacity=8)
         config = OptimizerConfig(deadline_seconds=0.0)
-        first = optimize(query, cache=cache, config=config, engine=engine)
+        first = optimize(query, cache=cache, config=config)
         assert first.degraded is True
-        second = optimize(query, cache=cache, config=config, engine=engine)
+        second = optimize(query, cache=cache, config=config)
         assert second.cache_hit is False
         assert len(cache) == 0
 

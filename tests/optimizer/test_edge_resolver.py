@@ -15,7 +15,7 @@ import random
 import pytest
 
 from repro.conflict.detector import AnnotatedEdge, ConflictRule
-from repro.optimizer.driver import _resolve_edge
+from repro.optimizer.reference import _resolve_edge
 from repro.optimizer.edgeindex import EdgeResolver
 from repro.rewrites.pushdown import OpKind
 from repro.workload import topology_query

@@ -1,9 +1,10 @@
-"""Cross-engine differential harness: indexed == reference.
+"""Differential harness: indexed == oracle.
 
-The two driver engines are required to give the same *answer* — same
-best plan (shape and cost), same csg-cmp-pair emission order — on every
-query, although the indexed engine prices candidates and builds only the
-survivors while the reference builds them all.  What else they share
+The product's loop (``optimize``) and the seed's (``optimize_reference``)
+are required to give the same *answer* — same best plan (shape and
+cost), same csg-cmp-pair emission order — on every query, although the
+product prices candidates and builds only the survivors while the oracle
+builds them all.  What else they share
 depends on whether the run was bounded (``engine_oracle.py`` has the
 rule): DPhyp, H1, H2 and the EA-Prune ablations keep exact parity of
 candidate counts and table sizes; EA-Prune proper runs under H1's cost

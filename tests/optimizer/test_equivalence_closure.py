@@ -125,7 +125,7 @@ class TestPlanEquivalences:
 
 class TestFdSupersetWithEquiv:
     def test_equivalences_participate_in_dominance(self):
-        from repro.optimizer.strategies import _fd_superset
+        from repro.optimizer.reference import _fd_superset
 
         query = two_relation_query(OpKind.INNER)
         builder = PlanBuilder(query)

@@ -1,7 +1,7 @@
 """FD states == FD sets: the interned, mask-based functional-dependency
-bookkeeping of the indexed engine against the frozenset arithmetic it
-replaced (which survives as the oracle: ``PlanInfo.has_key_within``,
-``_join_keys``, ``_merge_equiv``, ``_fd_superset``).
+bookkeeping of the DP against the frozenset arithmetic it replaced
+(``PlanInfo.has_key_within``, ``_merge_equiv`` and the oracle's
+``_join_keys`` and ``_fd_superset`` in :mod:`repro.optimizer.reference`).
 
 For every plan a DP run materialises (``OptimizerHooks.on_plan``):
 
@@ -19,7 +19,7 @@ For every plan a DP run materialises (``OptimizerHooks.on_plan``):
   a ceiling the smaller ones measured when PR 24 introduced it.
 
 Plus the identity trap (memos keyed on predicate identity while the
-reference resolver makes a fresh conjunction per csg-cmp-pair) and the
+oracle's resolver makes a fresh conjunction per csg-cmp-pair) and the
 lifetime of the per-run table.
 """
 
@@ -34,17 +34,23 @@ from engine_oracle import UndeclaredCout
 from repro.algebra.expressions import attrs_of
 from repro.optimizer import OptimizerConfig, OptimizerHooks, PlanBuilder, optimize, prepare
 from repro.optimizer import planinfo, strategies
-from repro.optimizer.driver import _resolve_edge
 from repro.optimizer.planinfo import (
     _LEFT_ONLY,
     FdState,
     _equality_pairs,
-    _join_keys,
     _merge_equiv,
     _minimal_keys,
     _restrict_equiv,
 )
-from repro.optimizer.strategies import EaPruneStrategy, _fd_superset
+from repro.optimizer.reference import (
+    SeedPlanBuilder,
+    SeedPruneStrategy,
+    _fd_superset,
+    _join_keys,
+    _resolve_edge,
+    optimize_reference,
+)
+from repro.optimizer.strategies import EaPruneStrategy
 from repro.plans.nodes import GroupByNode, JoinNode
 from repro.rewrites.pushdown import OpKind
 from repro.service import PlanCache
@@ -105,9 +111,8 @@ def _collect(query, engine="indexed"):
     config = OptimizerConfig(
         strategy="ea-prune", cost_model=UndeclaredCout(), cache_capacity=None
     )
-    result = optimize(
-        query, config=config, engine=engine, hooks=OptimizerHooks(on_plan=plans.append)
-    )
+    run = optimize if engine == "indexed" else optimize_reference
+    result = run(query, config=config, hooks=OptimizerHooks(on_plan=plans.append))
     inner = [p for p in plans if p.rel_set != query.all_relations_mask]
     return result, inner
 
@@ -274,7 +279,7 @@ class TestStatesAreTheSetsExhaustively:
 class TestPredicateIdentityTrap:
     """The transition memo and the builder's per-predicate masks key on
     ``id(predicate)``.  A multi-edge csg-cmp-pair of a cyclic query gets a
-    fresh ``conjunction(...)`` from the reference resolver every time, so
+    fresh ``conjunction(...)`` from the oracle's resolver every time, so
     within one run a dead predicate's ``id`` comes back on a different
     one; an entry that did not hold its predicate would answer for it."""
 
@@ -294,7 +299,8 @@ class TestPredicateIdentityTrap:
         for plan in plans:
             by_set.setdefault(plan.rel_set, []).append(plan)
         by_node = {id(p.node): p for p in plans}
-        builder = PlanBuilder(query, memo=memo)
+        # The product's builder memoises per predicate; the oracle's does not.
+        builder = (PlanBuilder if memo else SeedPlanBuilder)(query)
         ids, resolved, checked = set(), 0, 0
         for left_set, lefts in sorted(by_set.items()):
             for right_set, rights in sorted(by_set.items()):
@@ -338,7 +344,7 @@ class TestStatesOfDifferentTables:
         tables = {p.__dict__["_fd"].table for p in plans}
         assert len(tables) == 2
         random.Random(5).shuffle(plans)
-        ordered, scan = EaPruneStrategy(), EaPruneStrategy(ordered=False)
+        ordered, scan = EaPruneStrategy(), SeedPruneStrategy()
         bucket, reference = ordered.new_bucket(), scan.new_bucket()
         for plan in plans:
             ordered.insert(bucket, plan)

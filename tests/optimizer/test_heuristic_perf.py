@@ -1,12 +1,12 @@
-"""Perf regression guard: indexed H1/H2 must not lose to reference scans.
+"""Perf regression guard: indexed H1/H2 must not lose to the oracle's scans.
 
-The ROADMAP noted the heuristics sometimes lost to the reference engine
+The ROADMAP noted the heuristics sometimes lost to the seed's code path
 on small graphs — the per-call index machinery (orientation-list scans,
 memo keys) cost more than the tiny runs it was amortised over.  The
 hypergraph now serves simple-only graphs (every bench topology) straight
 from the bitmask adjacency, making that crossover explicit; this test
-pins the outcome: indexed H1/H2 at most 1.5× the reference engine's
-time on the bench topologies.
+pins the outcome: indexed H1/H2 at most 1.5× the oracle's
+(``optimize_reference``) time on the bench topologies.
 
 Timing discipline: interleaved min-of-N per engine (min is the robust
 statistic for "how fast can this go"), sizes chosen so a run takes tens
@@ -20,6 +20,7 @@ import warnings
 import pytest
 
 from repro.optimizer import OptimizerConfig, optimize, prepare
+from repro.optimizer.reference import optimize_reference
 from repro.workload import topology_query
 
 #: topology → size: the smallest bench sizes where a heuristic run is
@@ -28,13 +29,16 @@ CASES = {"chain": 8, "cycle": 7, "star": 6, "clique": 5}
 MAX_RATIO = 1.5
 
 
+ENGINES = {"indexed": optimize, "reference": optimize_reference}
+
+
 def _best_of(query, prepared, config, engine, reps):
     best = float("inf")
     for _ in range(reps):
         start = time.perf_counter()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            optimize(query, prepared=prepared, config=config, engine=engine)
+            ENGINES[engine](query, prepared=prepared, config=config)
         best = min(best, time.perf_counter() - start)
     return best
 

@@ -16,7 +16,7 @@ incumbent).  These tests pin the contract around that split:
   is asked for constructs; nothing priced escapes the run),
 * the plug-in seams still hold: a strategy that defines only ``insert``
   and a cost model that defines only the three operator prices give the
-  reference engine's answers,
+  oracle's answers,
 * nothing run-local (the per-plan Γ memo, closure caches, the run's FD
   state) rides on a pickled plan,
 * ``import repro.optimizer`` stays light, and the deleted engine's name is
@@ -48,6 +48,7 @@ from repro.optimizer import (
 from repro.optimizer.planinfo import PlanInfo, PricedJoin, clear_memo_caches
 from repro.optimizer.costmodel import CoutModel
 from repro.optimizer.driver import CEILING_MIN_RELATIONS
+from repro.optimizer.reference import optimize_reference
 from repro.optimizer.strategies import EaPruneStrategy
 from repro.service import PlanCache
 from repro.service.config import ServingConfig
@@ -230,10 +231,7 @@ class TestBookkeeping:
     def test_reference_engine_builds_everything(self):
         query = build_q10()
         seen = []
-        result = optimize(
-            query, engine="reference",
-            hooks=OptimizerHooks(on_plan=seen.append),
-        )
+        result = optimize_reference(query, hooks=OptimizerHooks(on_plan=seen.append))
         assert result.stats["plans_constructed"] == result.plans_built == len(seen)
         assert "strategy.plans_priced_away" not in result.stats
         # Without a ceiling the indexed engine sees the same finished plans
@@ -304,10 +302,8 @@ class TestPluginSeams:
                 cache_capacity=None,
             )
             seen = []
-            runs[engine] = optimize(
-                query, config=config, engine=engine,
-                hooks=OptimizerHooks(on_plan=seen.append),
-            )
+            run = optimize if engine == "indexed" else optimize_reference
+            runs[engine] = run(query, config=config, hooks=OptimizerHooks(on_plan=seen.append))
             tops[engine] = sum(plan.rel_set == all_mask for plan in seen)
         indexed, reference = runs["indexed"], runs["reference"]
         assert indexed.cost == reference.cost
@@ -432,3 +428,47 @@ class TestTheDeletedEngine:
             capture_output=True, text=True, check=True,
         )
         assert out.stdout.strip() == "[]"
+
+
+#: Everything the product runs for one planned statement, one /optimize and
+#: one /batch, in a fresh interpreter; prints whether the oracle got loaded.
+PRODUCT_RUN = """
+import sys
+import repro, repro.api, repro.service, repro.asyncserver
+from repro.optimizer import optimize
+from repro.service.config import ServingConfig
+from repro.service.core import ServingCore, batch_queries
+from repro.sql import Catalog, parse_query
+
+SIX = (
+    "SELECT r.r_name, count(*) AS cnt FROM region r "
+    "JOIN nation n ON r.r_regionkey = n.n_regionkey "
+    "JOIN supplier s ON s.s_nationkey = n.n_nationkey "
+    "JOIN customer c ON c.c_nationkey = n.n_nationkey "
+    "JOIN orders o ON o.o_custkey = c.c_custkey "
+    "JOIN lineitem l ON l.l_orderkey = o.o_orderkey GROUP BY r.r_name"
+)
+TWO = (
+    "SELECT ns.n_name, count(*) AS cnt FROM nation ns "
+    "JOIN supplier s ON ns.n_nationkey = s.s_nationkey GROUP BY ns.n_name"
+)
+query = parse_query(SIX, Catalog.from_tpch())
+assert len(query.relations) == 6 and optimize(query).cost > 0
+core = ServingCore(ServingConfig(cache_capacity=8))
+assert core.optimize({"sql": SIX})["cost"] > 0
+body = {"queries": [TWO, SIX]}
+items = core.batch_items(body, enumerate(batch_queries(body)))
+assert len(items) == 2 and not any("error" in item for item in items), items
+print("repro.optimizer.reference" in sys.modules)
+"""
+
+
+class TestTheProductNeverLoadsTheOracle:
+    def test_planning_and_serving_leave_the_oracle_unimported(self):
+        src = str(Path(repro.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", PRODUCT_RUN],
+            env={"PYTHONPATH": src, "PATH": ""},
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "False"

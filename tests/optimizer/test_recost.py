@@ -4,7 +4,7 @@ The load-bearing invariant of the plan lifecycle: replaying a cached
 plan's operator tree through a fresh :class:`PlanBuilder` under an
 *unchanged* statistics snapshot must reproduce the cached cost exactly
 (``==`` on floats — same arithmetic in the same order), for plans
-produced by every engine and strategy.  Anything less and a statistics
+produced by the DP, the oracle and every strategy.  Anything less and a statistics
 refresh with ``cardinality_factor=1.0`` would spuriously re-plan the
 whole cache.
 """
@@ -13,6 +13,7 @@ whole cache.
 import pytest
 
 from repro.optimizer import OptimizerConfig, optimize
+from repro.optimizer.reference import optimize_reference
 from repro.optimizer.recost import (
     RecostError,
     evaluate_stale,
@@ -37,7 +38,7 @@ SQLS = [
     "JOIN nation n ON r.r_regionkey = n.n_regionkey "
     "JOIN supplier s ON n.n_nationkey = s.s_nationkey GROUP BY r.r_name",
 ]
-ENGINES = ["indexed", "reference"]
+ENGINES = {"indexed": optimize, "reference": optimize_reference}
 STRATEGIES = ["dphyp", "ea-all", "ea-prune", "h1", "h2"]
 
 
@@ -46,12 +47,12 @@ def fresh_query(sql: str, catalog=None):
 
 
 class TestBitForBitReplay:
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
     @pytest.mark.parametrize("sql", SQLS)
     def test_replay_reproduces_cost_across_engines(self, engine, sql):
         query = fresh_query(sql)
         config = OptimizerConfig()
-        result = optimize(query, config=config, engine=engine)
+        result = ENGINES[engine](query, config=config)
         replayed = recost(
             query, result.plan.node, cost_model=config.resolve_cost_model()
         )

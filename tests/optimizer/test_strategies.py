@@ -9,6 +9,7 @@ import pytest
 from repro.optimizer.costmodel import CoutModel
 from repro.optimizer.driver import prepare
 from repro.optimizer.planinfo import PlanBuilder, PlanInfo
+from repro.optimizer.reference import SeedPruneStrategy
 from repro.optimizer.strategies import (
     DphypStrategy,
     EaAllStrategy,
@@ -87,22 +88,30 @@ class TestEaAll:
         assert len(bucket) == 3
 
 
+def _prune_bucket(strategy, *plans):
+    """A fresh bucket of *strategy* holding *plans*."""
+    bucket = strategy.new_bucket()
+    for p in plans:
+        strategy.insert(bucket, p)
+    return bucket
+
+
 class TestEaPrune:
     def test_dominated_new_plan_discarded(self):
         strategy = EaPruneStrategy()
-        bucket = [plan(5.0, card=5.0)]
+        bucket = _prune_bucket(strategy, plan(5.0, card=5.0))
         strategy.insert(bucket, plan(10.0, card=10.0))
-        assert len(bucket) == 1 and bucket[0].cost == 5.0
+        assert len(bucket) == 1 and list(bucket)[0].cost == 5.0
 
     def test_dominated_old_plan_discarded(self):
         strategy = EaPruneStrategy()
-        bucket = [plan(10.0, card=10.0)]
+        bucket = _prune_bucket(strategy, plan(10.0, card=10.0))
         strategy.insert(bucket, plan(5.0, card=5.0))
-        assert len(bucket) == 1 and bucket[0].cost == 5.0
+        assert len(bucket) == 1 and list(bucket)[0].cost == 5.0
 
     def test_incomparable_plans_coexist(self):
         strategy = EaPruneStrategy()
-        bucket = [plan(5.0, card=100.0)]
+        bucket = _prune_bucket(strategy, plan(5.0, card=100.0))
         strategy.insert(bucket, plan(10.0, card=1.0))  # cheaper card, higher cost
         assert len(bucket) == 2
 
@@ -110,19 +119,19 @@ class TestEaPrune:
         strategy = EaPruneStrategy()
         # The cheaper plan has no keys; the expensive one is duplicate-free
         # with a key — its FDs are strictly richer, so it must survive.
-        bucket = [plan(5.0, card=5.0)]
+        bucket = _prune_bucket(strategy, plan(5.0, card=5.0))
         strategy.insert(bucket, plan(6.0, card=5.0, keys=[{"r.a"}], dup_free=True))
         assert len(bucket) == 2
 
     def test_finer_keys_dominate_coarser(self):
         strategy = EaPruneStrategy()
-        bucket = [plan(6.0, card=5.0, keys=[{"r.a", "r.b"}], dup_free=True)]
+        bucket = _prune_bucket(strategy, plan(6.0, card=5.0, keys=[{"r.a", "r.b"}], dup_free=True))
         strategy.insert(bucket, plan(5.0, card=5.0, keys=[{"r.a"}], dup_free=True))
-        assert len(bucket) == 1 and bucket[0].cost == 5.0
+        assert len(bucket) == 1 and list(bucket)[0].cost == 5.0
 
     def test_duplicate_freeness_participates(self):
         strategy = EaPruneStrategy()
-        bucket = [plan(5.0, card=5.0, keys=[{"r.a"}], dup_free=False)]
+        bucket = _prune_bucket(strategy, plan(5.0, card=5.0, keys=[{"r.a"}], dup_free=False))
         strategy.insert(bucket, plan(6.0, card=5.0, keys=[{"r.a"}], dup_free=True))
         assert len(bucket) == 2
 
@@ -190,7 +199,7 @@ class TestPruneBucketMatchesSeedScan:
     def test_surviving_sets_identical(self, criteria, seed):
         plans = self._random_plans(seed)
         ordered = EaPruneStrategy(criteria)
-        scan = EaPruneStrategy(criteria, ordered=False)
+        scan = SeedPruneStrategy(criteria)
         fast_bucket = ordered.new_bucket()
         seed_bucket = scan.new_bucket()
         assert isinstance(seed_bucket, list) and not isinstance(
@@ -260,8 +269,8 @@ def _survivors(strategy_factory, plans):
 
 
 def _assert_ordered_matches_scan(criteria, plans):
-    ordered = _survivors(lambda: EaPruneStrategy(criteria, ordered=True), plans)
-    scan = _survivors(lambda: EaPruneStrategy(criteria, ordered=False), plans)
+    ordered = _survivors(lambda: EaPruneStrategy(criteria), plans)
+    scan = _survivors(lambda: SeedPruneStrategy(criteria), plans)
     assert ordered == scan, criteria
 
 
@@ -308,7 +317,7 @@ class TestAdversarialPruneBuckets:
         # The keyless plan is cheaper but offers no keys: under "full"
         # neither dominates, so both survive in both implementations.
         survivors, _ = _survivors(
-            lambda: EaPruneStrategy("full", ordered=True), [keyed, keyless]
+            lambda: EaPruneStrategy("full"), [keyed, keyless]
         )
         assert survivors == [(5.0, 3.0), (10.0, 5.0)]
 
@@ -337,7 +346,7 @@ class TestAdversarialPruneBuckets:
 # -- the insert verdict -------------------------------------------------------
 
 #: Every built-in strategy, EA-Prune under each criteria, and the unordered
-#: reference instance the reference engine runs.  H2 gets a factor wide
+#: seed scan the oracle runs EA-Prune as.  H2 gets a factor wide
 #: enough for the cost pool below to meet both of its branches.
 VERDICT_STRATEGIES = {
     "dphyp": lambda: STRATEGIES.create("dphyp"),
@@ -347,7 +356,7 @@ VERDICT_STRATEGIES = {
     "ea-prune": lambda: EaPruneStrategy("full"),
     "ea-prune[cost-card]": lambda: EaPruneStrategy("cost-card"),
     "ea-prune[cost-only]": lambda: EaPruneStrategy("cost-only"),
-    "ea-prune-unordered": lambda: EaPruneStrategy(ordered=False),
+    "ea-prune-unordered": lambda: SeedPruneStrategy(),
 }
 
 
@@ -403,13 +412,16 @@ def _candidates(rng, kind, count):
 
 def _check_verdicts(name, kind, seed, count):
     """Feed one seeded sequence to each bucket kind the strategy meets —
-    its own and a plain list — and check every verdict.  Returns the
-    verdicts per bucket kind."""
+    its own and a plain list — and check every verdict.  EA-Prune meets a
+    plain list only in the oracle, as the seed scan.  Returns the verdicts
+    per bucket kind."""
     rng = random.Random(seed * 7919 + len(name))
     candidates = _candidates(rng, kind, count)
     verdicts = {}
     for bucket_kind in ("own", "list"):
         strategy = VERDICT_STRATEGIES[name]()
+        if bucket_kind == "list" and isinstance(strategy, EaPruneStrategy):
+            strategy = SeedPruneStrategy(strategy.criteria)
         bucket = strategy.new_bucket() if bucket_kind == "own" else []
         counters = getattr(strategy, "counters", None)
         seen = []

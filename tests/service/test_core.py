@@ -663,6 +663,8 @@ class TestServingConfig:
             ({"dataset": "nonsense-spec"}, "dataset spec"),
             ({"dataset": "tpch-sf2"}, "scale"),
             ({"default_executor": "gpu"}, "default_executor"),
+            ({"scale_factor": float("nan")}, "scale_factor"),
+            ({"scale_factor": float("inf")}, "scale_factor"),
         ],
     )
     def test_bad_settings_are_rejected_at_construction(self, settings, match):

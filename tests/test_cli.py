@@ -83,6 +83,13 @@ class TestMain:
         assert main(["--factor", "0.5", SQL]) == 1
         assert "error: tolerance factor must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scale_factor", ["-1", "0", "nan", "inf"])
+    def test_bad_scale_factor_is_an_error_not_a_wrong_cost(self, scale_factor, capsys):
+        assert main(["--scale-factor", scale_factor, SQL]) == 1
+        captured = capsys.readouterr()
+        assert "error: scale_factor must be finite and > 0" in captured.err
+        assert "Cout=" not in captured.out
+
     def test_engine_is_not_a_flag(self):
         with pytest.raises(SystemExit):
             build_argument_parser().parse_args(["--engine", "reference", SQL])
@@ -132,6 +139,14 @@ class TestBatchSubcommand:
     def test_rejected_setting_is_an_error_not_a_traceback(self, flags, message, capsys):
         assert main(["batch", "--count", "2", "--relations", "3", *flags]) == 1
         assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workload", ["sql-file", "mixed-sql"])
+    def test_bad_scale_factor_is_an_error_not_a_traceback(self, workload, tmp_path, capsys):
+        sql_file = tmp_path / "queries.sql"
+        sql_file.write_text(SQL + "\n")
+        flags = ["--sql-file", str(sql_file)] if workload == "sql-file" else ["--mixed-sql"]
+        assert main(["batch", "--count", "2", "--scale-factor", "0", *flags]) == 1
+        assert "error: scale_factor must be finite and > 0" in capsys.readouterr().err
 
     def test_missing_sql_file_reports_error(self, capsys):
         assert main(["batch", "--sql-file", "/nonexistent.sql"]) == 1
