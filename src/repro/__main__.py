@@ -28,12 +28,14 @@ of worker shards) until SIGTERM/SIGINT, then drain gracefully::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import random
 import sys
 from typing import List
 
 from repro.api import COST_MODELS, STRATEGIES, OptimizerConfig, PlannerSession
 from repro.query.spec import Query
+from repro.service.config import ServingConfig
 
 SUBCOMMANDS = ("explain", "batch", "serve")
 
@@ -42,18 +44,25 @@ def _add_strategy_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--strategy",
         choices=STRATEGIES.names(),
-        default="ea-prune",
-        help="plan generator (default: ea-prune)",
+        default=OptimizerConfig.strategy,
+        help="plan generator (default: %(default)s)",
     )
     parser.add_argument(
-        "--factor", type=float, default=1.03,
-        help="H2 eagerness tolerance factor F (default: 1.03)",
+        "--factor", type=float, default=OptimizerConfig.factor,
+        help="H2 eagerness tolerance factor F (default: %(default)s)",
     )
     parser.add_argument(
         "--cost-model",
         choices=COST_MODELS.names(),
-        default="cout",
-        help="cost model pricing the plans (default: cout)",
+        default=OptimizerConfig.cost_model,
+        help="cost model pricing the plans (default: %(default)s)",
+    )
+
+
+def _add_scale_factor_option(parser, what: str = "the catalog statistics") -> None:
+    parser.add_argument(
+        "--scale-factor", type=float, default=ServingConfig.scale_factor,
+        help=f"TPC-H scale factor for {what} (default: %(default)s)",
     )
 
 
@@ -75,10 +84,7 @@ def build_argument_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("sql", help="the SELECT statement to optimize")
     _add_strategy_options(parser)
-    parser.add_argument(
-        "--scale-factor", type=float, default=1.0,
-        help="TPC-H scale factor for the catalog statistics (default: 1)",
-    )
+    _add_scale_factor_option(parser)
     parser.add_argument(
         "--compare", action="store_true",
         help="run every registered strategy and print a cost/time comparison",
@@ -98,10 +104,7 @@ def build_batch_parser() -> argparse.ArgumentParser:
         help="file of SELECT statements (one per line, '#' comments) "
         "optimized against the TPC-H catalog; default is a random workload",
     )
-    source.add_argument(
-        "--scale-factor", type=float, default=1.0,
-        help="TPC-H scale factor for --sql-file statistics (default: 1)",
-    )
+    _add_scale_factor_option(source, "--sql-file statistics")
     source.add_argument(
         "--mixed-sql", action="store_true",
         help="random workload: emit mixed-operator SQL text over the TPC-H "
@@ -127,12 +130,12 @@ def build_batch_parser() -> argparse.ArgumentParser:
     )
     _add_strategy_options(parser)
     parser.add_argument(
-        "--workers", type=int, default=None,
+        "--workers", type=int, default=OptimizerConfig.workers,
         help="worker processes (default: min(cpu count, 8); 1 = serial)",
     )
     parser.add_argument(
-        "--cache-size", type=int, default=512,
-        help="plan cache capacity in entries (default: 512)",
+        "--cache-size", type=int, default=OptimizerConfig.cache_capacity,
+        help="plan cache capacity in entries (default: %(default)s)",
     )
     parser.add_argument(
         "--no-cache", action="store_true",
@@ -147,18 +150,20 @@ def build_batch_parser() -> argparse.ArgumentParser:
 
 
 def build_serve_parser() -> argparse.ArgumentParser:
+    """``repro serve``'s flags: each one's ``dest`` is the
+    :class:`ServingConfig` field it sets, its default that field's."""
     parser = argparse.ArgumentParser(
         prog="repro serve",
         description="Serve plans over JSON/HTTP: POST /optimize, /batch, "
         "/explain; GET /stats, /healthz.  SIGTERM drains gracefully.",
     )
     parser.add_argument(
-        "--host", default="127.0.0.1",
-        help="bind address (default: 127.0.0.1)",
+        "--host", default=ServingConfig.host,
+        help="bind address (default: %(default)s)",
     )
     parser.add_argument(
-        "--port", type=int, default=8080,
-        help="bind port, 0 for an ephemeral one (default: 8080)",
+        "--port", type=int, default=ServingConfig.port,
+        help="bind port, 0 for an ephemeral one (default: %(default)s)",
     )
     parser.add_argument(
         "--workers", type=int, default=None,
@@ -166,71 +171,74 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "across --shards",
     )
     parser.add_argument(
-        "--max-inflight", type=int, default=None,
+        "--max-inflight", type=int, default=ServingConfig.max_inflight,
         help="admitted-but-unfinished request bound before 429 "
         "(default: 16*shards + 32)",
     )
-    parser.add_argument(
-        "--scale-factor", type=float, default=1.0,
-        help="TPC-H scale factor for the catalog statistics (default: 1)",
-    )
+    _add_scale_factor_option(parser)
     _add_strategy_options(parser)
     parser.add_argument(
-        "--cache-size", type=int, default=512,
-        help="plan cache capacity in entries (default: 512)",
+        "--cache-size", dest="cache_capacity", metavar="CACHE_SIZE", type=int,
+        default=ServingConfig.cache_capacity,
+        help="plan cache capacity in entries (default: %(default)s)",
     )
     parser.add_argument(
-        "--timeout", type=float, default=120.0,
-        help="per-request optimization timeout in seconds (default: 120)",
+        "--timeout", dest="request_timeout_seconds", metavar="TIMEOUT", type=float,
+        default=ServingConfig.request_timeout_seconds,
+        help="per-request optimization timeout in seconds (default: %(default)s)",
     )
     parser.add_argument(
-        "--grace", type=float, default=10.0,
-        help="drain grace period on shutdown in seconds (default: 10)",
+        "--grace", dest="drain_grace_seconds", metavar="GRACE", type=float,
+        default=ServingConfig.drain_grace_seconds,
+        help="drain grace period on shutdown in seconds (default: %(default)s)",
     )
     parser.add_argument(
-        "--degradation", choices=("heuristic", "error"), default="heuristic",
+        "--degradation", choices=("heuristic", "error"),
+        default=ServingConfig.degradation,
         help="what a blown --timeout budget returns: a greedy heuristic "
-        "plan marked degraded (200) or a 504 (default: heuristic)",
+        "plan marked degraded (200) or a 504 (default: %(default)s)",
     )
     parser.add_argument(
-        "--recost-bound", type=float, default=2.0,
-        help="serve a stale cached plan while its re-cost stays within "
-        "this factor of a cheap greedy replan; past it the entry is "
-        "fully re-optimized (default: 2.0)",
-    )
-    parser.add_argument(
-        "--band-width", type=float, default=None,
+        "--band-width", dest="snapshot_band_width", metavar="BAND_WIDTH", type=float,
+        default=ServingConfig.snapshot_band_width,
         help="log10 band width for banded cache keys: statistics "
         "snapshots within the same band share one cache entry "
         "(default: exact snapshots)",
     )
     parser.add_argument(
-        "--dataset", default=None,
+        "--dataset", default=ServingConfig.dataset,
         help="enable POST /execute against this dataset: 'tpch-sf<scale>' "
         "(generated, e.g. tpch-sf0.01) or a directory of .csv/.parquet "
         "files (default: planning only, /execute answers 409)",
     )
     parser.add_argument(
-        "--executor", choices=("interpreter", "columnar"), default="columnar",
+        "--executor", dest="default_executor", choices=("interpreter", "columnar"),
+        default=ServingConfig.default_executor,
         help="default /execute backend when a request names none "
-        "(default: columnar)",
+        "(default: %(default)s)",
     )
     parser.add_argument(
         "--async", dest="use_async", action="store_true",
         help="accepted and ignored: serve is the async tier",
     )
     parser.add_argument(
-        "--shards", type=int, default=None,
+        "--shards", type=int, default=ServingConfig.shards,
         help="worker shard count, each owning a private plan-cache shard "
         "(default: one per core, max 4); --cache-size is per shard",
     )
     parser.add_argument(
-        "--cache-dir", default=None,
+        "--cache-dir", default=ServingConfig.cache_dir,
         help="directory for plan-cache shard snapshots: shards "
         "persist on graceful drain and warm-start from it on boot "
         "(default: no persistence)",
     )
     return parser
+
+
+def serve_config(args: argparse.Namespace) -> ServingConfig:
+    """The :class:`ServingConfig` *args* (from :func:`build_serve_parser`) set."""
+    names = {field.name for field in dataclasses.fields(ServingConfig)}
+    return ServingConfig(**{name: value for name, value in vars(args).items() if name in names})
 
 
 def run_serve(argv) -> int:
@@ -239,11 +247,7 @@ def run_serve(argv) -> int:
     import logging
     import signal
 
-    from repro.asyncserver import (
-        AsyncPlanServer,
-        AsyncServerConfig,
-        tune_gc_for_serving,
-    )
+    from repro.asyncserver import AsyncPlanServer, tune_gc_for_serving
 
     args = build_serve_parser().parse_args(argv)
     logging.basicConfig(level=logging.INFO, format="%(message)s", stream=sys.stderr)
@@ -252,25 +256,7 @@ def run_serve(argv) -> int:
         print("note: --workers is ignored; misses are planned in parallel "
               "across --shards", file=sys.stderr)
     try:
-        config = AsyncServerConfig(
-            host=args.host,
-            port=args.port,
-            max_inflight=args.max_inflight,
-            scale_factor=args.scale_factor,
-            strategy=args.strategy,
-            factor=args.factor,
-            cost_model=args.cost_model,
-            cache_capacity=args.cache_size,
-            request_timeout_seconds=args.timeout,
-            drain_grace_seconds=args.grace,
-            degradation=args.degradation,
-            recost_bound=args.recost_bound,
-            snapshot_band_width=args.band_width,
-            dataset=args.dataset,
-            default_executor=args.executor,
-            shards=args.shards,
-            cache_dir=args.cache_dir,
-        )
+        config = serve_config(args)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1

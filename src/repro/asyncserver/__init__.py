@@ -9,16 +9,23 @@ crash-restart supervision.  Start it with::
 
 or in-process::
 
-    from repro.asyncserver import AsyncPlanServer, AsyncServerConfig
+    from repro.asyncserver import AsyncPlanServer
+    from repro.service.config import ServingConfig
 
-    with AsyncPlanServer(AsyncServerConfig(port=0, shards=2)) as server:
+    with AsyncPlanServer(ServingConfig(port=0, shards=2)) as server:
         ...                     # the HTTP surface of README "The contract"
         server.drain()          # snapshot shards + graceful stop
+
+Every setting — the front's, the shards', each core's — is one
+:class:`~repro.service.config.ServingConfig`.
 """
 
 from repro import lazy_exports
-from repro.asyncserver.config import AsyncServerConfig, default_shards
+from repro.service.config import ServingConfig, default_shards
 from repro.service.core import tune_gc_for_serving
+
+# Bridge for benchmarks/e2e/serve_child.py; the benchmark-only change deletes it, as optimize(engine=).
+AsyncServerConfig = ServingConfig
 
 __getattr__ = lazy_exports(__name__, {
     "AsyncPlanServer": "repro.asyncserver.app",

@@ -41,7 +41,6 @@ from collections import OrderedDict, deque
 from typing import Deque, Optional, Tuple
 
 from repro.asyncserver import frames
-from repro.asyncserver.config import AsyncServerConfig
 from repro.asyncserver.supervisor import (
     WORKER_BOOT_SECONDS,
     Outcome,
@@ -57,6 +56,7 @@ from repro.server.metrics import (
     parse_body,
     worker_abandoned,
 )
+from repro.service.config import ServingConfig
 from repro.service.core import (
     RequestError,
     batch_item,
@@ -120,9 +120,9 @@ def _response_bytes(status: int, body: bytes, *, close: bool = False) -> bytes:
 class AsyncPlanService:
     """Loop-side state: supervisor, route cache, admission, metrics."""
 
-    def __init__(self, config: AsyncServerConfig):
-        self.config = config
+    def __init__(self, config: ServingConfig):
         self.supervisor = WorkerSupervisor(config)
+        self.config = self.supervisor.config  # the shard count, as decided at boot
         self.catalog = Catalog.from_tpch(scale_factor=config.scale_factor)
         self.metrics = ServerMetrics()
         self.inflight = 0
@@ -591,16 +591,16 @@ class AsyncPlanServer:
       running loop, later ``await server.async_drain()``.
     * **sync facade** (tests)::
 
-          with AsyncPlanServer(AsyncServerConfig(port=0, shards=2)) as server:
+          with AsyncPlanServer(ServingConfig(port=0, shards=2)) as server:
               ...  # server.port, server.url
               server.drain()
 
       which hosts a private event loop in a background thread.
     """
 
-    def __init__(self, config: Optional[AsyncServerConfig] = None):
-        self.config = config if config is not None else AsyncServerConfig()
-        self.service = AsyncPlanService(self.config)
+    def __init__(self, config: Optional[ServingConfig] = None):
+        self.service = AsyncPlanService(config if config is not None else ServingConfig())
+        self.config = self.service.config
         self._server: Optional[asyncio.AbstractServer] = None
         self._port: Optional[int] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None

@@ -29,6 +29,12 @@ opens the shard's circuit breaker: its fingerprints answer 503
 other shards keep serving, then a single restart probe closes the
 breaker if the worker boots.  During a drain, exits are expected and no
 restart happens.
+
+Boot: the supervisor fixes the shard count once (``shards``, or
+:func:`~repro.service.config.default_shards` when unset) and every
+worker, first start or restart, boots from its shard index and
+``dataclasses.asdict`` of that one
+:class:`~repro.service.config.ServingConfig`.
 """
 
 from __future__ import annotations
@@ -44,7 +50,6 @@ from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Tuple, Union
 
 from repro.asyncserver import frames
-from repro.asyncserver.config import AsyncServerConfig
 from repro.service.config import ServingConfig
 
 #: how long a spawn waits for the worker's hello.
@@ -400,9 +405,11 @@ def _kill(transport: asyncio.SubprocessTransport) -> None:
 class WorkerSupervisor:
     """All shards: spawn on start, route by shard index, drain together."""
 
-    def __init__(self, config: AsyncServerConfig):
-        self.config = config
-        self.shards = config.effective_shards
+    def __init__(self, config: ServingConfig):
+        # The shard count is decided here, once: routing, admission and
+        # every (re)started shard's snapshot path read this config.
+        self.config = dataclasses.replace(config, shards=config.effective_shards)
+        self.shards = self.config.shards
         self.workers: List[WorkerHandle] = [
             WorkerHandle(shard, self) for shard in range(self.shards)
         ]
@@ -414,19 +421,9 @@ class WorkerSupervisor:
         self._persistence = {"loaded": 0, "saved": 0, "rejected": 0}
 
     def worker_config(self, shard: int) -> dict:
-        """What shard *shard*'s process boots from: its identity, plus the
-        shared serving settings its :class:`ServingCore` is built from."""
-        config = self.config
-        return {
-            "shard": shard,
-            "shards": self.shards,
-            "snapshot_path": config.shard_path(shard),
-            "revalidate_batch": config.revalidate_batch,
-            "serving": {
-                field.name: getattr(config, field.name)
-                for field in dataclasses.fields(ServingConfig)
-            },
-        }
+        """What shard *shard*'s process boots from: its index and the
+        server's :class:`ServingConfig`, field by field."""
+        return {"shard": shard, "config": dataclasses.asdict(self.config)}
 
     def note_persistence(self, counters: Optional[dict]) -> None:
         if not counters:

@@ -1,8 +1,11 @@
 """One worker shard: a process that *owns* its plan-cache shard.
 
 ``python -m repro.asyncserver.worker '<json config>'`` — spawned by the
-:mod:`~repro.asyncserver.supervisor`, one per shard.  Each worker builds
-its own serving core — TPC-H catalog and a **private**
+:mod:`~repro.asyncserver.supervisor`, one per shard, with its shard
+index and the server's
+:class:`~repro.service.config.ServingConfig` as ``dataclasses.asdict``
+made it.  Each worker rebuilds that config and from it its own serving
+core — TPC-H catalog and a **private**
 :class:`~repro.service.cache.PlanCache` —
 the shard router guarantees every structural fingerprint always arrives
 at the same worker, so there is no cross-process lock anywhere on the
@@ -50,14 +53,11 @@ class ShardWorker:
     shard owns — its id, snapshot persistence, and the ``"shard"`` stamp
     on every reply."""
 
-    def __init__(self, config: dict):
-        self.shard = int(config["shard"])
-        self.shards = int(config["shards"])
-        self.snapshot_path = config.get("snapshot_path")
-        #: stale entries revalidated inline per STATS_UPDATE frame; the
-        #: rest of the backlog drains in the serve loop's idle gaps.
-        self.revalidate_batch = int(config.get("revalidate_batch", 8))
-        self.core = ServingCore(ServingConfig(**config.get("serving", {})))
+    def __init__(self, boot: dict):
+        self.shard = int(boot["shard"])
+        self.config = ServingConfig(**boot["config"])
+        self.snapshot_path = self.config.shard_path(self.shard)
+        self.core = ServingCore(self.config)
         self.cache = self.core.cache
         self.catalog_fp = catalog_fingerprint(self.core.catalog)
         self.persistence = {"loaded": 0, "saved": 0, "rejected": 0}
@@ -91,7 +91,7 @@ class ShardWorker:
         saved = self.cache.save_snapshot(
             self.snapshot_path,
             catalog_fingerprint=self.catalog_fp,
-            meta={"shard": self.shard, "shards": self.shards},
+            meta={"shard": self.shard, "shards": self.config.effective_shards},
         )
         self.persistence["saved"] += saved
         if chaos.enabled():
@@ -125,7 +125,9 @@ class ShardWorker:
             request = parse_body(payload)
             body = {"items": core.batch_items(request, request.get("queries", ()), arrived)}
         elif kind == frames.STATS_UPDATE:
-            body = core.stats_update(parse_body(payload), inline=self.revalidate_batch)
+            # Inline revalidation is bounded; the rest of the backlog
+            # drains in the serve loop's idle gaps.
+            body = core.stats_update(parse_body(payload), inline=self.config.revalidate_batch)
         elif kind == frames.STATS:
             body = core.stats()
             body.update(
@@ -227,7 +229,7 @@ def main(argv=None) -> int:
     if len(argv) != 1:
         print("usage: python -m repro.asyncserver.worker '<json config>'", file=sys.stderr)
         return 2
-    config = json.loads(argv[0])
+    boot = json.loads(argv[0])
 
     # The frame channel owns fd 1.  Point fd 1 at stderr so any stray
     # print()/traceback inside the optimizer cannot corrupt the stream.
@@ -235,7 +237,7 @@ def main(argv=None) -> int:
     os.dup2(2, 1)
     sys.stdout = sys.stderr
 
-    worker = ShardWorker(config)
+    worker = ShardWorker(boot)
     worker.warm_start()
     # A worker process exists only to serve its shard: adopt the
     # latency-oriented GC posture (frozen boot heap, rare full passes).

@@ -48,11 +48,7 @@ class OptimizerConfig:
     ``snapshot_band_width`` — log10 band width for plan-cache snapshot
     keys (None = exact statistics in the key); with banding, nearby
     statistics share a structural cache entry and drift within a band
-    re-costs the cached plan instead of missing.  ``recost_bound`` — the
-    stale-while-revalidate regression bound (≥ 1): a stale plan
-    re-costed under fresh statistics is still served while its cost
-    stays within ``recost_bound ×`` a cheap H1 lower bound; past it,
-    full re-optimization is queued.
+    re-costs the cached plan instead of missing.
     """
 
     strategy: Union[str, Strategy] = "ea-prune"
@@ -63,7 +59,6 @@ class OptimizerConfig:
     deadline_seconds: Optional[float] = None
     degradation: str = "heuristic"
     snapshot_band_width: Optional[float] = None
-    recost_bound: float = 2.0
 
     def __post_init__(self) -> None:
         if isinstance(self.strategy, str):
@@ -94,7 +89,7 @@ class OptimizerConfig:
             raise ValueError(
                 f"cache_capacity must be >= 0 (or None for no cache), got {self.cache_capacity}"
             )
-        if self.deadline_seconds is not None and self.deadline_seconds < 0:
+        if self.deadline_seconds is not None and not self.deadline_seconds >= 0:
             raise ValueError(
                 f"deadline_seconds must be >= 0 (or None for unbounded), got {self.deadline_seconds}"
             )
@@ -107,8 +102,6 @@ class OptimizerConfig:
                 "snapshot_band_width must be > 0 (or None for exact keys), "
                 f"got {self.snapshot_band_width}"
             )
-        if not self.recost_bound >= 1.0:
-            raise ValueError(f"recost_bound must be >= 1, got {self.recost_bound}")
 
     # -- derivation ----------------------------------------------------------
     def with_overrides(self, **overrides) -> "OptimizerConfig":

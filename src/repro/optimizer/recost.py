@@ -31,7 +31,7 @@ uses — one plan per DP class, milliseconds).  H1's plan is feasible, so
 its cost upper-bounds nothing and lower-bounds nothing *exactly*, but
 under the monotone Cout structure it tracks the optimum closely enough
 to be the regression trigger ROADMAP item 4 asks for: a stale plan is
-still served while ``recost(plan) ≤ recost_bound × cost(H1 replan)``,
+still served while ``recost(plan) ≤ RECOST_BOUND × cost(H1 replan)``,
 i.e. while it stays competitive with what a cheap re-optimization would
 ship; past the bound the entry is queued for full re-enumeration.
 """
@@ -159,6 +159,11 @@ def recost(
     return finished
 
 
+#: the stale-while-revalidate bound: a re-costed stale plan is served
+#: while its cost stays within this factor of the H1 reference replan.
+RECOST_BOUND = 2.0
+
+
 @dataclass(frozen=True)
 class RecostDecision:
     """Outcome of :func:`evaluate_stale` for one stale cache entry.
@@ -191,7 +196,7 @@ def evaluate_stale(
     The stale-while-revalidate decision procedure: replay the cached
     plan (microseconds), run the cheap H1 reference replan
     (milliseconds), and serve the replayed plan while
-    ``recost ≤ config.recost_bound × H1``.  *query* must carry the
+    ``recost ≤ RECOST_BOUND × H1``.  *query* must carry the
     *fresh* statistics (its SQL re-parsed under the current catalog)
     and the cached plan's naming.
     """
@@ -217,18 +222,18 @@ def evaluate_stale(
             reason="replay_failed",
             recost_cost=None,
             bound_cost=reference.cost,
-            bound_factor=config.recost_bound,
+            bound_factor=RECOST_BOUND,
             plan=None,
             elapsed_seconds=time.perf_counter() - start,
         )
     reference = optimize(query, prepared=prepared, config=bound_config)
-    within = plan.cost <= config.recost_bound * reference.cost
+    within = plan.cost <= RECOST_BOUND * reference.cost
     return RecostDecision(
         serve=within,
         reason="within_bound" if within else "over_bound",
         recost_cost=plan.cost,
         bound_cost=reference.cost,
-        bound_factor=config.recost_bound,
+        bound_factor=RECOST_BOUND,
         plan=plan,
         elapsed_seconds=time.perf_counter() - start,
     )

@@ -13,7 +13,10 @@ nothing here knows about sockets, threads, processes or event loops.
 from one thread at a time.  Its owner is a shard worker process, which
 is single-threaded and simply calls (:meth:`ServingCore.plan` blocks the
 shard while it optimizes — the sharding contract, one owner per
-fingerprint).
+fingerprint).  A core is built from the server's one
+:class:`~repro.service.config.ServingConfig` and reads its core fields;
+the shard, persistence and inline-revalidation fields on the same value
+are the worker's.
 
 The warm path stays: memo lookup → key → ``PlanCache.serve_entry`` →
 a small dict — and a repeated text does none of its work twice.  The

@@ -12,7 +12,7 @@ path:
 2. rebuild each entry's query under the *fresh* catalog by re-parsing
    its stored SQL; an entry stored without SQL cannot be rebuilt and is
    dropped,
-3. re-cost the cached plan and apply the ``recost_bound`` test:
+3. re-cost the cached plan and apply the ``RECOST_BOUND`` test:
    within bound → refresh the entry in place (``plans.recosted``),
    past it → full re-optimization (``plans.replanned``),
 4. a replan that deadline-degrades never overwrites the entry

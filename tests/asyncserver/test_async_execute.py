@@ -9,8 +9,9 @@ without a dataset) is ``tests/serving/test_contract.py``'s.
 
 import pytest
 
-from repro.asyncserver import AsyncPlanServer, AsyncServerConfig
+from repro.asyncserver import AsyncPlanServer
 from repro.server import ServerClient
+from repro.service.config import ServingConfig
 
 SQL = (
     "SELECT ns.n_name, count(*) AS cnt FROM nation ns "
@@ -20,7 +21,7 @@ SQL = (
 
 @pytest.fixture(scope="module")
 def server():
-    config = AsyncServerConfig(
+    config = ServingConfig(
         port=0, shards=1, cache_capacity=64, dataset="tpch-sf0.001"
     )
     with AsyncPlanServer(config) as running:
@@ -54,4 +55,4 @@ class TestAsyncExecute:
 class TestDatasetConfig:
     def test_bad_spec_rejected_at_construction(self):
         with pytest.raises(ValueError, match="dataset spec"):
-            AsyncServerConfig(dataset="nonsense-spec")
+            ServingConfig(dataset="nonsense-spec")

@@ -20,8 +20,10 @@ import time
 
 import pytest
 
-from repro.asyncserver import AsyncPlanServer, AsyncServerConfig
+from repro.asyncserver import AsyncPlanServer, AsyncPlanService
+from repro.asyncserver.worker import ShardWorker
 from repro.server.client import ServerClient, ServerError
+from repro.service.config import ServingConfig
 
 SQL = (
     "SELECT nation.n_name, count(*) AS cnt FROM nation, supplier "
@@ -35,7 +37,7 @@ SQL_RENAMED = (
 
 @pytest.fixture(scope="module")
 def server():
-    config = AsyncServerConfig(port=0, shards=2, cache_capacity=64)
+    config = ServingConfig(port=0, shards=2, cache_capacity=64)
     with AsyncPlanServer(config) as running:
         yield running
 
@@ -92,15 +94,27 @@ class TestBackpressure:
     """A burst beyond ``max_inflight`` is shed at the front, not queued."""
 
     def test_the_default_bound_grows_with_the_shards(self):
-        assert AsyncServerConfig(shards=1).effective_max_inflight == 48
-        assert AsyncServerConfig(shards=4).effective_max_inflight == 96
-        assert AsyncServerConfig(shards=4, max_inflight=3).effective_max_inflight == 3
+        assert ServingConfig(shards=1).effective_max_inflight == 48
+        assert ServingConfig(shards=4).effective_max_inflight == 96
+        assert ServingConfig(shards=4, max_inflight=3).effective_max_inflight == 3
+
+    def test_the_shard_count_is_decided_once_per_server(self, tmp_path, monkeypatch):
+        """Without ``shards`` a server sizes itself from CPU affinity at
+        boot; affinity that shrinks later moves neither the admission
+        bound nor the snapshot file a restarted shard reads and writes."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        service = AsyncPlanService(ServingConfig(port=0, cache_dir=str(tmp_path)))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert service.supervisor.shards == 2
+        assert service.config.effective_max_inflight == 64
+        restarted = ShardWorker(service.supervisor.worker_config(0))
+        assert restarted.snapshot_path == str(tmp_path / "shard-000-of-002.plancache")
 
     MAX_INFLIGHT = 4
     BURST = 24
 
     def test_burst_past_admission_gets_429_while_admitted_answer_200(self):
-        config = AsyncServerConfig(
+        config = ServingConfig(
             port=0, shards=2, cache_capacity=64, max_inflight=self.MAX_INFLIGHT
         )
         body = json.dumps({"sql": SQL, "include_plan": False}).encode()
@@ -186,7 +200,7 @@ class TestPersistenceLifecycle:
     def test_drain_snapshot_restart_serves_warm_hit(self, tmp_path):
         cache_dir = str(tmp_path / "shards")
         os.makedirs(cache_dir)
-        config = AsyncServerConfig(port=0, shards=2, cache_dir=cache_dir)
+        config = ServingConfig(port=0, shards=2, cache_dir=cache_dir)
 
         with AsyncPlanServer(config) as first:
             with ServerClient(port=first.port) as c:
@@ -212,7 +226,7 @@ class TestPersistenceLifecycle:
     def test_tampered_snapshot_is_rejected_on_boot(self, tmp_path):
         cache_dir = str(tmp_path / "shards")
         os.makedirs(cache_dir)
-        config = AsyncServerConfig(port=0, shards=1, cache_dir=cache_dir)
+        config = ServingConfig(port=0, shards=1, cache_dir=cache_dir)
 
         with AsyncPlanServer(config) as first:
             with ServerClient(port=first.port) as c:
@@ -240,14 +254,14 @@ class TestPersistenceLifecycle:
         os.makedirs(cache_dir)
 
         with AsyncPlanServer(
-            AsyncServerConfig(port=0, shards=1, cache_dir=cache_dir)
+            ServingConfig(port=0, shards=1, cache_dir=cache_dir)
         ) as first:
             with ServerClient(port=first.port) as c:
                 c.optimize(SQL)
             first.drain()
 
         with AsyncPlanServer(
-            AsyncServerConfig(port=0, shards=2, cache_dir=cache_dir)
+            ServingConfig(port=0, shards=2, cache_dir=cache_dir)
         ) as second:
             with ServerClient(port=second.port) as c:
                 stats = c.stats()
@@ -323,7 +337,7 @@ class TestGracefulDrain:
         """One shard whose ``chaos_hang`` misses take *hang_seconds*."""
         monkeypatch.setenv("REPRO_CHAOS", "1")
         monkeypatch.setenv("REPRO_CHAOS_HANG_SECONDS", str(hang_seconds))
-        return AsyncPlanServer(AsyncServerConfig(port=0, shards=1, **settings)).start()
+        return AsyncPlanServer(ServingConfig(port=0, shards=1, **settings)).start()
 
     @staticmethod
     def request_in_background(running, results):
@@ -382,7 +396,7 @@ class TestRelayOrderAndRelease:
         with pytest.MonkeyPatch.context() as patch:
             patch.setenv("REPRO_CHAOS", "1")
             patch.setenv("REPRO_CHAOS_HANG_SECONDS", str(self.HANG_SECONDS))
-            with AsyncPlanServer(AsyncServerConfig(port=0, shards=2, cache_capacity=64)) as running:
+            with AsyncPlanServer(ServingConfig(port=0, shards=2, cache_capacity=64)) as running:
                 yield running
 
     def test_pipelined_replies_keep_request_order_when_shards_answer_out_of_order(
@@ -464,7 +478,7 @@ class TestRelaySupervision:
         # Before Python 3.11 asyncio's TimeoutError is not the builtin: the
         # relay must hand out the class its consumers test for, by that name.
         monkeypatch.setattr(asyncio, "TimeoutError", type("Timeout310", (Exception,), {}))
-        config = AsyncServerConfig(
+        config = ServingConfig(
             port=0, shards=2, request_timeout_seconds=0.3,  # hard timeout 2.3 s
         )
         with AsyncPlanServer(config) as running:
@@ -500,7 +514,7 @@ class TestRelaySupervision:
     ):
         from repro.asyncserver import frames
 
-        config = AsyncServerConfig(port=0, shards=2)
+        config = ServingConfig(port=0, shards=2)
         with AsyncPlanServer(config) as running:
             service = running.service
             broken = service.route(HANG_SQL)

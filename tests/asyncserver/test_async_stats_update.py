@@ -12,8 +12,9 @@ What a drift does to plans, and every 4xx, is the shared contract:
 
 import pytest
 
-from repro.asyncserver import AsyncPlanServer, AsyncServerConfig
+from repro.asyncserver import AsyncPlanServer
 from repro.server.client import ServerClient
+from repro.service.config import ServingConfig
 
 SQL = (
     "SELECT ns.n_name, count(*) AS cnt FROM nation ns "
@@ -23,7 +24,7 @@ SQL = (
 
 @pytest.fixture(scope="module")
 def server():
-    config = AsyncServerConfig(
+    config = ServingConfig(
         port=0, shards=2, cache_capacity=64, snapshot_band_width=1.0
     )
     with AsyncPlanServer(config) as running:

@@ -14,8 +14,9 @@ import time
 import pytest
 
 from repro import chaos
-from repro.asyncserver import AsyncPlanServer, AsyncServerConfig, supervisor
+from repro.asyncserver import AsyncPlanServer, supervisor
 from repro.server.client import ServerClient, ServerError
+from repro.service.config import ServingConfig
 
 CLEAN_SQL = "SELECT count(*) AS cnt FROM region GROUP BY r_name"
 # Structurally distinct statements: fingerprints are rename-stable, so
@@ -125,7 +126,7 @@ class TestCrashBreaker:
     ):
         monkeypatch.setattr(supervisor, "BREAKER_THRESHOLD", 2)
         monkeypatch.setattr(supervisor, "BREAKER_COOLDOWN_SECONDS", 120.0)
-        config = AsyncServerConfig(port=0, shards=2)
+        config = ServingConfig(port=0, shards=2)
         with AsyncPlanServer(config) as server:
             crash_shard = server.service.route(CRASH_SQL)
             clean_sql = _other_shard_sql(server, crash_shard)
@@ -167,7 +168,7 @@ class TestCrashBreaker:
 
 class TestHangReap:
     def test_hung_worker_times_out_and_is_reaped(self, chaos_env, fast_restarts):
-        config = AsyncServerConfig(
+        config = ServingConfig(
             port=0,
             shards=1,
             request_timeout_seconds=0.5,  # hard timeout = 2.5s
@@ -196,7 +197,7 @@ class TestHangReap:
     def test_dropped_frame_times_out_and_is_reaped(self, chaos_env, fast_restarts):
         """A swallowed response frame is indistinguishable from a hang
         at the front: hard timeout, 504, reap, restart."""
-        config = AsyncServerConfig(
+        config = ServingConfig(
             port=0,
             shards=1,
             request_timeout_seconds=0.5,
@@ -217,7 +218,7 @@ class TestHangReap:
 
 class TestPoisonedBatch:
     def test_crash_in_batch_does_not_poison_other_shards(self, chaos_env, fast_restarts):
-        config = AsyncServerConfig(
+        config = ServingConfig(
             port=0,
             shards=2,
         )
@@ -252,7 +253,7 @@ class TestSnapshotChaos:
     ):
         monkeypatch.setenv("REPRO_CHAOS_SNAPSHOT", mode)
         cache_dir = str(tmp_path / "plancache")
-        config = AsyncServerConfig(port=0, shards=1, cache_dir=cache_dir)
+        config = ServingConfig(port=0, shards=1, cache_dir=cache_dir)
         # First life: populate the shard cache, then drain — the worker
         # snapshots and the armed chaos hook damages the file on disk.
         with AsyncPlanServer(config) as first:

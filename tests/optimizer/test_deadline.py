@@ -202,9 +202,14 @@ class TestDegradedNeverCached:
 
 
 class TestConfigValidation:
-    def test_negative_deadline_rejected(self):
-        with pytest.raises(ValueError):
-            OptimizerConfig(deadline_seconds=-1.0)
+    @pytest.mark.parametrize("seconds", [-1.0, float("nan")])
+    def test_negative_or_nan_deadline_rejected(self, seconds):
+        # NaN compares false both ways: accepted, it armed a 0 s budget.
+        with pytest.raises(ValueError, match="deadline_seconds must be >= 0"):
+            OptimizerConfig(deadline_seconds=seconds)
+
+    def test_infinite_deadline_is_unbounded(self):
+        assert OptimizerConfig(deadline_seconds=float("inf")).deadline_seconds == float("inf")
 
     def test_unknown_degradation_rejected(self):
         with pytest.raises(ValueError):

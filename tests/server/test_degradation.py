@@ -12,11 +12,12 @@ import time
 
 import pytest
 
-from repro.asyncserver import AsyncPlanServer, AsyncServerConfig
+from repro.asyncserver import AsyncPlanServer
 from repro.optimizer import OptimizerConfig, optimize
 from repro.server import ServerClient, ServerError
 from repro.service import PlanCache
 from repro.service.cache import STALE
+from repro.service.config import ServingConfig
 from repro.service.fingerprint import cache_key, cardinality_snapshot
 from repro.service.revalidate import StaleRevalidator
 from repro.sql import parse_query
@@ -45,7 +46,7 @@ SLOW_SQL = (
 class TestHeuristicDegradation:
     @pytest.fixture(scope="class")
     def server(self):
-        config = AsyncServerConfig(port=0, shards=1, request_timeout_seconds=0.001)
+        config = ServingConfig(port=0, shards=1, request_timeout_seconds=0.001)
         with AsyncPlanServer(config) as running:
             yield running
 
@@ -86,7 +87,7 @@ class TestHeuristicDegradation:
 
 class TestErrorModeDegradation:
     def test_blown_budget_is_a_504(self):
-        config = AsyncServerConfig(
+        config = ServingConfig(
             port=0, shards=1, request_timeout_seconds=0.001, degradation="error"
         )
         with AsyncPlanServer(config) as server:
@@ -161,7 +162,7 @@ class TestWorkerReleasedAfterTimeout:
         at the next check point, so a follow-up query on the same single
         shard completes promptly."""
         monkeypatch.setenv("REPRO_CHAOS", "1")  # the shard process inherits it
-        config = AsyncServerConfig(
+        config = ServingConfig(
             port=0, shards=1, request_timeout_seconds=0.2, degradation="error"
         )
         with AsyncPlanServer(config) as server:

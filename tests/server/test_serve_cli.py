@@ -1,6 +1,7 @@
 """The ``python -m repro serve`` subcommand: flags, daemon, SIGTERM drain."""
 
 import contextlib
+import dataclasses
 import json
 import os
 import signal
@@ -11,7 +12,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.__main__ import build_serve_parser
+from repro.__main__ import build_serve_parser, serve_config
+from repro.asyncserver.supervisor import WorkerSupervisor
+from repro.asyncserver.worker import ShardWorker
+from repro.service.config import ServingConfig
 
 SQL = (
     "SELECT ns.n_name, count(*) AS cnt FROM nation ns "
@@ -21,38 +25,76 @@ SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 class TestServeParser:
-    def test_defaults(self):
-        args = build_serve_parser().parse_args([])
-        assert args.host == "127.0.0.1"
-        assert args.port == 8080
-        assert args.workers is None
-        assert args.cache_size == 512
-        assert args.strategy == "ea-prune"
+    def test_defaults_are_the_configs(self):
+        assert serve_config(build_serve_parser().parse_args([])) == ServingConfig()
 
     def test_flags(self):
         args = build_serve_parser().parse_args(
             ["--port", "0", "--strategy", "h2", "--factor", "1.1",
              "--max-inflight", "3", "--grace", "2.5", "--shards", "2",
-             "--cache-dir", "snapshots"]
+             "--cache-dir", "snapshots", "--cache-size", "9", "--timeout", "4",
+             "--band-width", "1", "--executor", "interpreter", "--workers", "1"]
         )
-        assert args.port == 0
-        assert args.strategy == "h2"
-        assert args.max_inflight == 3
-        assert args.grace == 2.5
-        assert (args.shards, args.cache_dir) == (2, "snapshots")
+        assert serve_config(args) == ServingConfig(
+            port=0, strategy="h2", factor=1.1, max_inflight=3,
+            drain_grace_seconds=2.5, shards=2, cache_dir="snapshots",
+            cache_capacity=9, request_timeout_seconds=4.0,
+            snapshot_band_width=1.0, default_executor="interpreter",
+        )
 
     def test_bad_strategy_rejected(self):
         with pytest.raises(SystemExit):
             build_serve_parser().parse_args(["--strategy", "magic"])
 
-    @pytest.mark.parametrize("flag", ["--data-dir", "--engine", "--no-cache"])
+    @pytest.mark.parametrize(
+        "flag", ["--data-dir", "--engine", "--no-cache", "--recost-bound"]
+    )
     def test_deleted_flags_are_rejected(self, flag):
         # --dataset <dir> is the one spelling of a directory dataset, a
-        # server never had the test oracle's engine, and every shard
-        # serves from its plan cache.
+        # server never had the test oracle's engine, every shard serves
+        # from its plan cache, and the re-cost bound is a constant.
         with pytest.raises(SystemExit) as exit_info:
             build_serve_parser().parse_args([flag, "x"])
         assert exit_info.value.code == 2
+
+
+class TestOneConfig:
+    """The front's :class:`ServingConfig` is what every shard boots from."""
+
+    def test_the_config_reaches_the_shard_unchanged(self, tmp_path):
+        config = ServingConfig(
+            host="localhost", port=0, max_inflight=7, scale_factor=0.5,
+            strategy="h2", factor=1.1, request_timeout_seconds=30.0,
+            drain_grace_seconds=3.0, degradation="error", cache_capacity=9,
+            snapshot_band_width=1.0, dataset="tpch-sf0.001",
+            default_executor="interpreter", shards=3, cache_dir=str(tmp_path),
+            revalidate_batch=2,
+        )
+        # Every field off its default (only "cout" is a registered cost
+        # model), so a field that is lost on the way shows here.
+        assert {
+            field.name for field in dataclasses.fields(ServingConfig)
+            if getattr(config, field.name) == field.default
+        } == {"cost_model"}
+        supervisor = WorkerSupervisor(config)
+        assert supervisor.config == config
+        worker = ShardWorker(supervisor.worker_config(2))
+        assert worker.config == config
+        assert worker.core.base_config == config.optimizer_config()
+        assert worker.snapshot_path == config.shard_path(2)
+        assert worker.snapshot_path.endswith("shard-002-of-003.plancache")
+
+    def test_nan_timeout_is_an_error_not_a_server(self):
+        # Accepted, every request's planning budget was NaN: 504s, then a
+        # shard restart, then 503s.
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--port", "0", "--timeout", "nan"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: request_timeout_seconds must be > 0")
+        assert proc.stdout == ""
 
 
 @contextlib.contextmanager

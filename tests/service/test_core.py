@@ -474,7 +474,7 @@ class TestExecute:
 
 class TestStatsUpdateAndRevalidation:
     def make(self) -> ServingCore:
-        return make_core(snapshot_band_width=1.0, recost_bound=2.0)
+        return make_core(snapshot_band_width=1.0)
 
     def test_drift_serves_stale_then_revalidates(self):
         core = self.make()
@@ -650,8 +650,7 @@ class TestTransportHelpers:
 
 
 class TestServingConfig:
-    """A core's settings are rejected at construction, not at first use
-    (``AsyncServerConfig`` inherits every check)."""
+    """A server's settings are rejected at construction, not at first use."""
 
     @pytest.mark.parametrize(
         "settings, match",
@@ -665,6 +664,12 @@ class TestServingConfig:
             ({"default_executor": "gpu"}, "default_executor"),
             ({"scale_factor": float("nan")}, "scale_factor"),
             ({"scale_factor": float("inf")}, "scale_factor"),
+            ({"request_timeout_seconds": 0}, "request_timeout_seconds"),
+            ({"request_timeout_seconds": float("nan")}, "request_timeout_seconds"),
+            ({"drain_grace_seconds": -1}, "drain_grace_seconds"),
+            ({"drain_grace_seconds": float("nan")}, "drain_grace_seconds"),
+            ({"shards": 0}, "shards"),
+            ({"revalidate_batch": 0}, "revalidate_batch"),
         ],
     )
     def test_bad_settings_are_rejected_at_construction(self, settings, match):

@@ -248,7 +248,7 @@ class TestPlanKey:
         plain = plan_key(query, OptimizerConfig(strategy="dphyp"))
         plumbed = plan_key(query, OptimizerConfig(
             strategy="dphyp", workers=3, deadline_seconds=1.0,
-            degradation="error", cache_capacity=None, recost_bound=4.0,
+            degradation="error", cache_capacity=None,
         ))
         assert plain == plumbed
 

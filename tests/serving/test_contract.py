@@ -24,8 +24,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.asyncserver import AsyncPlanServer, AsyncServerConfig
+from repro.asyncserver import AsyncPlanServer
 from repro.server import ServerClient, ServerError
+from repro.service.config import ServingConfig
 
 SQL = (
     "SELECT ns.n_name, count(*) AS cnt FROM nation ns "
@@ -134,10 +135,10 @@ def boot_all(stack: contextlib.ExitStack, snapshots: Path, **settings) -> dict:
     flags = [f"{SERVE_FLAGS[name]}={value}" for name, value in settings.items()]
     return {
         "async-shards1": stack.enter_context(
-            AsyncPlanServer(AsyncServerConfig(port=0, shards=1, **settings))
+            AsyncPlanServer(ServingConfig(port=0, shards=1, **settings))
         ),
         "async-shards2": stack.enter_context(
-            AsyncPlanServer(AsyncServerConfig(port=0, shards=2, **settings))
+            AsyncPlanServer(ServingConfig(port=0, shards=2, **settings))
         ),
         "serve-shards1": stack.enter_context(ServeProcess("--shards=1", *flags)),
         "serve-shards2-cache-dir": stack.enter_context(
