@@ -12,10 +12,10 @@ need comes through one facade::
 Configuration is one frozen value (:class:`OptimizerConfig`), extension
 is registration (:data:`STRATEGIES`, :data:`COST_MODELS`), tracing is
 :meth:`PlannerSession.on`.  The free functions below it —
-``parse_query``, ``prepare``, ``optimize``, ``execute`` and the batch
-driver's ``optimize_many`` / ``run_batch(queries, cache, config)`` — are
-what the session delegates to, so both surfaces always produce identical
-plans.
+``parse_query``, ``prepare``, ``optimize`` (which consults no cache),
+``execute`` and the service layer's ``optimize_cached`` /
+``optimize_many`` / ``run_batch(queries, cache, config)`` — are what the
+session delegates to, so both surfaces always produce identical plans.
 """
 
 from repro.api.session import (

@@ -3,9 +3,10 @@
 A :class:`PlannerSession` owns everything a serving process needs —
 a :class:`~repro.sql.Catalog` for name/statistics resolution, an
 :class:`~repro.optimizer.config.OptimizerConfig` with the optimizer
-knobs, a :class:`~repro.service.cache.PlanCache` (auto-watching the
-catalog for invalidation), and optionally a database to execute plans
-against — and exposes the whole pipeline as one fluent flow::
+knobs, a :class:`~repro.service.cache.PlanCache` (its keys carry the
+statistics every plan was costed under, so a catalog change needs no
+notice), and optionally a database to execute plans against — and
+exposes the whole pipeline as one fluent flow::
 
     session = PlannerSession.tpch(scale_factor=1.0)
     handle = session.sql("SELECT ... GROUP BY ...").optimize()
@@ -14,8 +15,10 @@ against — and exposes the whole pipeline as one fluent flow::
 
 Stage by stage: :meth:`PlannerSession.sql` parses, binds, runs conflict
 detection and builds the hypergraph once (a :class:`PreparedStatement`);
-:meth:`PreparedStatement.optimize` runs the DP driver under the session
-config (consulting the session cache) and returns a :class:`PlanHandle`;
+:meth:`PreparedStatement.optimize` serves a fresh plan from the session
+cache or runs the DP driver under the session config
+(:func:`~repro.service.batch.optimize_cached`) and returns a
+:class:`PlanHandle`;
 :meth:`PreparedStatement.optimize_all_strategies` reuses the pre-pass
 across every registered strategy and reports the cheapest.  Workloads go
 through :meth:`PlannerSession.run_batch`, which delegates to the service
@@ -35,7 +38,6 @@ from repro.optimizer.driver import (
     OptimizationResult,
     OptimizerHooks,
     PreparedQuery,
-    optimize,
     prepare,
 )
 from repro.optimizer.registry import STRATEGIES
@@ -43,7 +45,7 @@ from repro.optimizer.strategies import Strategy
 from repro.plans.nodes import PlanNode
 from repro.plans.render import plan_to_dict, render_plan
 from repro.query.spec import Query
-from repro.service.batch import BatchReport, run_batch
+from repro.service.batch import BatchReport, optimize_cached, run_batch
 from repro.service.cache import PlanCache
 from repro.sql.binder import parse_query
 from repro.sql.catalog import Catalog
@@ -59,8 +61,9 @@ class PlannerSession:
     programmatically-built :class:`Query` objects).  *config* defaults to
     :class:`OptimizerConfig`'s defaults (EA-Prune, Cout, a 512-entry
     cache).  *cache* overrides the config-derived plan cache with a
-    caller-owned one; the session subscribes whichever cache it ends up
-    with to the catalog, so statistics updates invalidate stale plans.
+    caller-owned one.  A cached plan is served only while the statistics
+    it was costed under still hold: the cache key and the entry's exact
+    snapshot carry them, so drifted statistics are planned again.
     *database* (mapping relation name → Relation) is the default
     execution target for :meth:`PlanHandle.execute`.
     """
@@ -81,13 +84,6 @@ class PlannerSession:
             self.cache = PlanCache(capacity=self.config.cache_capacity)
         else:
             self.cache = None
-        self._unwatch: Optional[Callable[[], None]] = None
-        self._unwatch_deltas: Optional[Callable[[], None]] = None
-        if self.cache is not None and self.catalog is not None:
-            self._unwatch = self.cache.watch(self.catalog)
-            # Statistics *drift* (update_stats) marks entries stale instead
-            # of dropping them — the stale-while-revalidate lifecycle.
-            self._unwatch_deltas = self.cache.watch_deltas(self.catalog)
         self._listeners: Dict[str, List[Callable]] = {event: [] for event in EVENTS}
 
     @classmethod
@@ -191,24 +187,8 @@ class PlannerSession:
             if listeners["result"] else None,
         )
 
-    # -- lifecycle -----------------------------------------------------------
     def _derive(self, overrides: dict) -> OptimizerConfig:
         return self.config.with_overrides(**overrides) if overrides else self.config
-
-    def close(self) -> None:
-        """Detach the cache from the catalog (idempotent)."""
-        if self._unwatch_deltas is not None:
-            self._unwatch_deltas()
-            self._unwatch_deltas = None
-        if self._unwatch is not None:
-            self._unwatch()
-            self._unwatch = None
-
-    def __enter__(self) -> "PlannerSession":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     def __repr__(self) -> str:
         catalog = "-" if self.catalog is None else f"{len(self.catalog.tables())} tables"
@@ -241,15 +221,13 @@ class PreparedStatement:
         self.sql = sql
 
     def optimize(self, **overrides) -> "PlanHandle":
-        """Run the DP driver under the session config (+ *overrides*)."""
-        config = self.session._derive(overrides)
-        result = optimize(
-            self.query,
-            prepared=self.prepared,
-            cache=self.session.cache,
-            config=config,
-            hooks=self.session._hooks(),
-        )
+        """Plan under the session config (+ *overrides*), through the
+        session cache; ``"result"`` fires for a served plan too."""
+        session = self.session
+        config = session._derive(overrides)
+        result = optimize_cached(self.prepared, session.cache, config, session._hooks())
+        if result.cache_hit:
+            session._emit("result", result)
         return PlanHandle(self, result, config)
 
     def optimize_all_strategies(

@@ -450,23 +450,22 @@ class WorkerSupervisor:
         return [worker.describe() for worker in self.workers]
 
     async def request(
-        self, shard: int, kind: int, payload: bytes, timeout: Optional[float] = None
+        self, shard: int, kind: int, payload: bytes, timeout: float
     ) -> Tuple[int, bytes]:
-        """One request to *shard*.  *timeout* defaults to the request
-        budget; planning endpoints pass the hard (budget + grace) timeout
-        instead so the worker's cooperative deadline answers first."""
-        if timeout is None:
-            timeout = self.config.request_timeout_seconds
+        """One request to *shard*, given up on after *timeout* seconds."""
         return await self.workers[shard].request(kind, payload, timeout)
 
     async def broadcast(self, kind: int, payload: bytes) -> List[Optional[Tuple[int, bytes]]]:
-        """Send *kind* to every shard; crashed shards yield ``None``."""
+        """Send *kind* to every shard; crashed shards yield ``None``.
+
+        Each shard gets the hard (budget + grace) timeout: a shard answers
+        frames in order, so this one may queue behind a plan that runs
+        out its budget, and a shard given up on may still apply it.
+        """
 
         async def one(worker: WorkerHandle):
             try:
-                return await worker.request(
-                    kind, payload, self.config.request_timeout_seconds
-                )
+                return await worker.request(kind, payload, self.config.hard_timeout_seconds)
             except (WorkerCrashed, asyncio.TimeoutError):
                 return None
 

@@ -11,9 +11,10 @@ Hot-path design (see docs/architecture.md): the DPhyp enumerator calls
 are served from per-vertex indexes instead of scans over ``self.edges``:
 
 * ``_simple_neighbors[v]`` — union of simple-edge neighbours of ``v``,
-* ``_sides_by_min[v]`` — every edge *orientation* ``(u, w)`` whose side
-  ``u`` has ``min(u) = v``.  Any edge with ``u ⊆ S`` is findable under one
-  of S's vertices, so membership tests touch only edges incident to S,
+* ``_complex_sides_by_min[v]`` — every orientation ``(u, w)`` of a
+  complex edge whose side ``u`` has ``min(u) = v``.  Any edge with
+  ``u ⊆ S`` is findable under one of S's vertices, so both queries touch
+  only complex edges incident to S,
 * a memo dictionary for ``neighborhood`` — a pure function of the
   (immutable) graph whose arguments repeat (≈ 60 % hits on a DP run), so
   results are cached across the run; ``reset_caches()`` drops it (e.g.
@@ -73,9 +74,7 @@ class Hypergraph:
                 raise ValueError(f"edge {edge} references vertices outside 0..{n - 1}")
         # Simple-edge adjacency per vertex accelerates the common case.
         self._simple_neighbors = [0] * n
-        # Both orientations (u, w) of every edge, indexed by min(u); the
-        # complex-only sublist drives the neighbourhood representatives.
-        self._sides_by_min: List[List[Tuple[int, int, Hyperedge]]] = [[] for _ in range(n)]
+        # Both orientations (u, w) of every complex edge, indexed by min(u).
         self._complex_sides_by_min: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
         for edge in self.edges:
             if edge.simple:
@@ -83,9 +82,8 @@ class Hypergraph:
                 w = lowest_bit(edge.right)
                 self._simple_neighbors[u] |= edge.right
                 self._simple_neighbors[w] |= edge.left
-            for u, w in ((edge.left, edge.right), (edge.right, edge.left)):
-                self._sides_by_min[lowest_bit(u)].append((u, w, edge))
-                if not edge.simple:
+            else:
+                for u, w in ((edge.left, edge.right), (edge.right, edge.left)):
                     self._complex_sides_by_min[lowest_bit(u)].append((u, w))
         #: Simple-only graphs (every bench topology) answer both hot-path
         #: queries from the bitmask adjacency alone — the explicit

@@ -48,7 +48,8 @@ class OptimizerConfig:
     ``snapshot_band_width`` — log10 band width for plan-cache snapshot
     keys (None = exact statistics in the key); with banding, nearby
     statistics share a structural cache entry and drift within a band
-    re-costs the cached plan instead of missing.
+    makes it stale: a serving core re-costs it, a library caller (a
+    session, ``run_batch``) plans it again.
     """
 
     strategy: Union[str, Strategy] = "ea-prune"

@@ -38,7 +38,7 @@ cost comes from, first that applies: (1) the caller knows one
 revalidator has just re-costed one) — any relation count, nothing else
 is planned; (2) the query has :data:`CEILING_MIN_RELATIONS`
 relations or more — the prepared query is planned once under H1
-(:data:`DEGRADED_STRATEGY`; no cache, no hooks, no deadline) and that
+(:data:`DEGRADED_STRATEGY`; no hooks, no deadline) and that
 plan's cost is taken; (3) ``inf``.  Every bucket of a bounded run is the
 unbounded run's bucket restricted to ``cost <= ceiling``, so cost, plan
 and ``ccp_count`` are unchanged; under ``inf`` the same loop drops
@@ -161,9 +161,9 @@ class OptimizerHooks:
       full relation set as they are offered to it.
       ``stats["plans_constructed"]`` counts the calls, ``plans_built`` all
       candidates,
-    * ``on_result(result)`` — once per returned result, cache hits
-      included.  ``result.stats`` carries the hot-path counters, so
-      metrics pipelines hang off this hook without touching the DP loops.
+    * ``on_result(result)`` — once per returned result.  ``result.stats``
+      carries the hot-path counters, so metrics pipelines hang off this
+      hook without touching the DP loops.
 
     Absent callbacks cost a single attribute read; the DP hot loops stay
     untouched when no hooks are installed.
@@ -192,33 +192,33 @@ def optimize(
     :class:`~repro.optimizer.config.OptimizerConfig`; None means
     ``OptimizerConfig(cache_capacity=None)``, EA-Prune under Cout.
     *prepared* reuses a :func:`prepare` pre-pass (conflict detection +
-    hypergraph) across strategies or repeated runs.  *cache* is an optional
-    :class:`repro.service.cache.PlanCache`: fresh hits return immediately
-    (marked ``cache_hit=True``); misses and stale entries are planned and
-    stored after optimization.
+    hypergraph) across strategies or repeated runs.  No cache is consulted
+    here: a caller with one goes through
+    :func:`repro.service.batch.optimize_cached` (or ``optimize_many``),
+    which asks it first and stores what this returns.  *cache* accepts
+    only ``None``.
     *hooks* receive tracing callbacks (see :class:`OptimizerHooks`).
 
     *deadline* arms a cooperative planning budget checked inside the DP
     loop; ``None`` defers to
-    ``config.deadline_seconds``, measured from the start of this run.
-    Cache hits are served before the budget is consulted.  On a blown
-    budget, ``config.degradation`` picks between a heuristic fallback
-    plan marked ``degraded=True`` and raising
+    ``config.deadline_seconds``, measured from the start of this run.  On
+    a blown budget, ``config.degradation`` picks between a heuristic
+    fallback plan marked ``degraded=True`` and raising
     :class:`~repro.optimizer.deadline.PlanningDeadlineExceeded`.
 
     An exact eager run (see the module docstring) is preceded by one H1
     pass over the same pre-pass whose cost bounds it.  That pass is
-    invisible from outside: it probes and stores no cache, fires no hook,
-    takes no deadline tick; the result reports it under
-    ``stats["ceiling.*"]`` and includes its time in ``elapsed_seconds``.
+    invisible from outside: it fires no hook and takes no deadline tick;
+    the result reports it under ``stats["ceiling.*"]`` and includes its
+    time in ``elapsed_seconds``.
 
     *known_cost* spares such a run the H1 pass: the cost of a complete
     eager plan of exactly this problem — same structure, statistics and
     cost model, under any spelling — is its ceiling instead (widened by
-    :data:`KNOWN_COST_SLACK`).  A *cache* is asked for one when the
-    caller has none (:meth:`~repro.service.cache.PlanCache.known_cost`).
-    It is a fact about the problem, not a knob: a run that is not
-    bounded ignores it, and if it was wrong — too low, so that no
+    :data:`KNOWN_COST_SLACK`); a plan cache remembers one for a plan it
+    evicted (:meth:`~repro.service.cache.PlanCache.known_cost`).  It is
+    a fact about the problem, not a knob: a run that is not bounded
+    ignores it, and if it was wrong — too low, so that no
     complete plan fits under it — the query is planned again without it
     (``stats["ceiling.rerun"]``; hooks see both passes).  The answer
     never depends on it.
@@ -226,6 +226,9 @@ def optimize(
     *engine* has one value besides the default: ``"reference"`` hands
     *query* and *config*, and nothing else, to the test oracle.
     """
+    # Only benchmarks/e2e/child.py still spells cache=None; the benchmark-only change deletes it.
+    if cache is not None:
+        raise ValueError("optimize() consults no cache: pass cache=None or leave it out")
     if engine != "indexed":
         # The bridge for benchmarks/e2e/golden.py's optimize(..., engine="reference");
         # the benchmark-only change that repoints golden.py at optimize_reference deletes it.
@@ -234,7 +237,7 @@ def optimize(
         extra = [
             name
             for name, value in (
-                ("prepared", prepared), ("cache", cache), ("hooks", hooks),
+                ("prepared", prepared), ("hooks", hooks),
                 ("deadline", deadline), ("known_cost", known_cost),
             )
             if value is not None
@@ -249,35 +252,13 @@ def optimize(
     chosen = config.resolve_strategy()
     cost_model = config.resolve_cost_model()
 
-    # The pre-pass identity check runs before any cache probe: a mismatched
-    # pre-pass is a caller bug and must raise even when a hit could have
-    # been served.
     if prepared is not None and prepared.query is not query:
         raise ValueError("prepared pre-pass belongs to a different query")
 
     on_result = hooks.on_result if hooks is not None else None
 
-    key = None
-    exact_snapshot = None
-    if cache is not None:
-        from repro.service.cache import FRESH
-        from repro.service.fingerprint import plan_key
-
-        key, exact_snapshot = plan_key(query, config)
-        found = cache.serve_entry(key, query, exact_snapshot=exact_snapshot)
-        # Nobody revalidates for this caller: a stale entry is planned
-        # again and stored over, or it would be served forever.
-        if found is not None and found[1] == FRESH:
-            served = found[0]
-            if on_result is not None:
-                on_result(served)
-            return served
-
     def deliver(result: OptimizationResult) -> OptimizationResult:
-        """Every fresh result leaves through here: stored unless it is a
-        degraded fallback, reported once."""
-        if cache is not None and not result.degraded:
-            cache.store(key, query, result, exact_snapshot=exact_snapshot)
+        """Every result leaves through here, reported once."""
         if on_result is not None:
             on_result(result)
         return result
@@ -306,8 +287,6 @@ def optimize(
     ceiling = inf
     source = None  # of the ceiling: "remembered", "prepass", or None for inf
     if chosen.accepts_ceiling and cost_model.monotone:
-        if known_cost is None and cache is not None:
-            known_cost = cache.known_cost(key, exact_snapshot)
         if known_cost is not None:
             source = "remembered"
             ceiling = known_cost * (1.0 + KNOWN_COST_SLACK)
@@ -495,7 +474,7 @@ def _heuristic_plan(
     query: Query, prepared: PreparedQuery, config: OptimizerConfig
 ) -> OptimizationResult:
     """The prepared query planned under :data:`DEGRADED_STRATEGY`: no
-    cache, no hooks, and no deadline — so no deadline ticks and no chaos
+    hooks and no deadline — so no deadline ticks and no chaos
     delay either (H1 touches each ccp once with a single plan per class,
     a small fraction of an exact run)."""
     return optimize(

@@ -8,8 +8,9 @@ needs on top of that function:
   statistics snapshots, stable under relation renaming and predicate
   reordering, combined into plan-cache keys (``plan_key``),
 * :mod:`repro.service.cache` — a bounded LRU :class:`PlanCache` with
-  hit/miss/eviction statistics and catalog-change invalidation,
-* :mod:`repro.service.batch` — the one miss path and on it
+  hit/miss/eviction statistics, kept right by its keys,
+* :mod:`repro.service.batch` — the one miss path, the library's cache
+  policy (:func:`optimize_cached` for one prepared query) and
   :func:`optimize_many`, the parallel workload driver that dedups,
   caches and fans misses out over worker processes while streaming
   results back in order.
@@ -22,6 +23,7 @@ from repro.service.batch import (
     BatchItem,
     BatchReport,
     default_workers,
+    optimize_cached,
     optimize_many,
     run_batch,
 )
@@ -47,6 +49,7 @@ __all__ = [
     "cardinality_snapshot",
     "catalog_fingerprint",
     "default_workers",
+    "optimize_cached",
     "optimize_many",
     "query_binding",
     "query_fingerprint",

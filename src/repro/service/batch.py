@@ -1,4 +1,4 @@
-"""The one miss path, and the batch driver built on it.
+"""The one miss path, the library's cache policy, and the batch driver.
 
 Everything below the transports turns a plan-cache miss into an optimizer
 run here: a :class:`Miss` is the ticket, :func:`plan_miss` the only place
@@ -7,6 +7,13 @@ process holds it (a shard plans its own; the batch pool maps the same
 function over pickled tickets) — and
 :func:`plan_wave` says once that *the first miss of a key leads, later
 ones share its outcome*.
+
+A library caller's cache — a :class:`~repro.api.PlannerSession`'s, or one
+handed to :func:`run_batch` — is consulted here and nowhere else:
+:func:`serve_fresh` decides when a cached plan may be served and what a
+miss is bounded by, :func:`store_planned` files what the miss planned.
+:func:`optimize_cached` is that policy for one prepared query (the
+session's statements).  The optimizer itself knows no cache.
 
 :func:`optimize_many` is that path applied to a workload — bursts of
 queries full of repeated shapes: items are keyed by
@@ -30,7 +37,7 @@ from repro import chaos
 from repro.optimizer import driver
 from repro.optimizer.config import OptimizerConfig
 from repro.optimizer.deadline import Deadline, PlanningDeadlineExceeded
-from repro.optimizer.driver import OptimizationResult
+from repro.optimizer.driver import OptimizationResult, OptimizerHooks, PreparedQuery
 from repro.query.spec import Query
 from repro.service.cache import FRESH, CacheStats, PlanCache
 from repro.service.fingerprint import PlanCacheKey, plan_key
@@ -193,6 +200,55 @@ def plan_miss(miss: Miss) -> WorkerOutcome:
     return WorkerOutcome(result, None, result.elapsed_seconds)
 
 
+def serve_fresh(cache: PlanCache, miss: Miss) -> Optional[OptimizationResult]:
+    """The cached plan for *miss*'s key if it may be served, else None.
+
+    Only a fresh entry is served (rebound to the ticket's names, marked a
+    cache hit).  A stale one is a miss: nothing drains a library cache, so
+    an entry served stale would be served forever — only
+    :class:`~repro.service.core.ServingCore`, whose revalidator drains
+    its cache, serves one.  A miss leaves with the cost the cache
+    remembers for exactly this problem in ``miss.known_cost``
+    (:meth:`PlanCache.known_cost`), which bounds its run.
+    """
+    found = cache.serve_entry(miss.key, miss.query, exact_snapshot=miss.exact)
+    if found is not None and found[1] == FRESH:
+        return found[0]
+    miss.known_cost = cache.known_cost(miss.key, miss.exact)
+    return None
+
+
+def store_planned(cache: PlanCache, miss: Miss, result: OptimizationResult) -> None:
+    """File what *miss* planned, with its exact snapshot (a degraded
+    fallback is refused by :meth:`PlanCache.store`)."""
+    cache.store(miss.key, miss.query, result, exact_snapshot=miss.exact)
+
+
+def optimize_cached(
+    prepared: PreparedQuery,
+    cache: Optional[PlanCache],
+    config: OptimizerConfig,
+    hooks: Optional[OptimizerHooks] = None,
+) -> OptimizationResult:
+    """Optimize *prepared*'s query through *cache* (None: plan every time).
+
+    A served plan comes back as it is, ``cache_hit=True``, and no hook
+    fires for it; a miss is planned under *hooks* and stored.
+    """
+    query = prepared.query
+    if cache is None:
+        return driver.optimize(query, prepared=prepared, config=config, hooks=hooks)
+    miss = Miss(query, config, *plan_key(query, config))
+    served = serve_fresh(cache, miss)
+    if served is not None:
+        return served
+    result = driver.optimize(
+        query, prepared=prepared, config=config, hooks=hooks, known_cost=miss.known_cost
+    )
+    store_planned(cache, miss, result)
+    return result
+
+
 def plan_wave(
     misses: Sequence[Miss],
     run: Callable[[List[Miss]], Iterable[WorkerOutcome]],
@@ -248,13 +304,13 @@ def optimize_many(
     """Optimize *queries* under *config*, yielding a :class:`BatchItem`
     per entry in order.
 
-    Every item whose plan was not freshly computed — served from a fresh
-    *cache* entry or sharing the run of an identical earlier item in the
-    same batch — carries ``cache_hit=True``; a stale entry is planned
-    again and stored over.  With ``config.workers <= 1`` (or a
-    single miss) everything runs in-process; otherwise distinct misses
-    are spread over a process pool.  The cache is consulted and populated
-    only in the dispatching process, so workers stay oblivious to it.
+    Every item whose plan was not freshly computed — served from *cache*
+    (:func:`serve_fresh`) or sharing the run of an identical earlier item
+    in the same batch — carries ``cache_hit=True``.  With
+    ``config.workers <= 1`` (or a single miss) everything runs
+    in-process; otherwise distinct misses are spread over a process pool.
+    The cache is consulted and populated only in the dispatching process,
+    so workers stay oblivious to it.
 
     A query whose optimizer run raises does not abort the batch: its item
     (and every in-batch duplicate's) streams back with ``result=None`` and
@@ -266,19 +322,17 @@ def optimize_many(
     slots: List["BatchItem | Miss"] = []
     missed: set = set()
     for index, query in enumerate(queries):
-        key, exact = plan_key(query, config)
-        known = None
-        if cache is not None and key not in missed:
+        miss = Miss(query, config, *plan_key(query, config))
+        if cache is not None and miss.key not in missed:
             started = time.perf_counter()
-            found = cache.serve_entry(key, query, exact_snapshot=exact)
-            # a stale entry is a miss: no revalidator drains this cache
-            if found is not None and found[1] == FRESH:
+            served = serve_fresh(cache, miss)
+            if served is not None:
                 # a hit reports the probe time, not the original run's
-                slots.append(BatchItem(index, key, found[0], time.perf_counter() - started, True))
+                elapsed = time.perf_counter() - started
+                slots.append(BatchItem(index, miss.key, served, elapsed, cache_hit=True))
                 continue
-            known = cache.known_cost(key, exact)  # the key's leader runs under it
-        missed.add(key)
-        slots.append(Miss(query, config, key, exact, known_cost=known))
+        missed.add(miss.key)
+        slots.append(miss)
 
     processes = min(config.workers or default_workers(), len(missed))
     with _planner(processes) as run:
@@ -289,7 +343,7 @@ def optimize_many(
                 continue
             outcome = next(wave)
             if cache is not None and outcome.ok and not outcome.shared:
-                cache.store(slot.key, slot.query, outcome.result, exact_snapshot=slot.exact)
+                store_planned(cache, slot, outcome.result)
             yield BatchItem(
                 index,
                 slot.key,

@@ -1,4 +1,4 @@
-"""An LRU plan cache with statistics and catalog invalidation.
+"""An LRU plan cache keyed by structure and statistics.
 
 DP plan generation is by far the most expensive step of serving a query
 (Fig. 16: seconds per query at larger relation counts), while the inputs
@@ -11,12 +11,13 @@ dictionary lookups.  (Constant *values* are part of the fingerprint:
 queries differing in constants are different problems — their plans embed
 the constants — so they intentionally miss.)
 
-Correctness hinges on invalidation: a cached plan embeds cost and
-cardinality decisions derived from catalog statistics, so the key includes
-a statistics snapshot (stale statistics miss instead of serving a stale
-plan) and the cache additionally supports *eager* invalidation — dropping
-every entry that touches a relation whenever the catalog announces a
-change (:meth:`PlanCache.watch`).
+Correctness hinges on the key: a cached plan embeds cost and cardinality
+decisions derived from catalog statistics, so the key includes a
+statistics snapshot — every statistic the cost model reads — and changed
+statistics miss instead of serving a stale plan.  Under banded keys an
+entry also keeps its exact snapshot, and a probe under other exact
+numbers marks it stale (:meth:`PlanCache.serve_entry`); nothing has to
+tell the cache that the catalog changed.
 
 A plan that leaves the cache for want of room leaves its *cost* behind
 (:meth:`PlanCache.known_cost`): the next run of that statement under the
@@ -33,7 +34,7 @@ import pickle
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Optional, Tuple
 
 from repro.service.fingerprint import PlanCacheKey
 
@@ -206,12 +207,9 @@ class PlanCache:
     * :meth:`refresh` leaves the cost of the result it replaces, under
       the key and snapshot that result was stored with — also when the
       entry moves to a new key, so statistics that drift back find it;
-    * :meth:`drop` and :meth:`invalidate` leave nothing — the caller is
-      saying the entry's numbers are not to be trusted — and
-      ``invalidate(None)`` / :meth:`clear` forget every remembered cost
-      too.  ``invalidate(relation)`` leaves the map alone: a cost is
-      filed under the statistics it was computed with, so after a change
-      it is out of reach, not wrong, and ages out;
+    * :meth:`drop` leaves nothing — the caller is saying the entry's
+      numbers are not to be trusted — and :meth:`clear` forgets every
+      remembered cost too;
     * :meth:`mark_stale` touches neither entries' costs nor the map, and
       snapshots do not carry it (a restarted process relearns it).
 
@@ -309,7 +307,7 @@ class PlanCache:
         """Store a freshly computed *result* for *query* under *key*.
 
         The one insert, counterpart of :meth:`serve_entry`: records the
-        base tables the plan scans (the handle eager invalidation grabs)
+        base tables the plan scans (what :meth:`mark_stale` matches)
         and *query*'s naming (so renamed-but-isomorphic hits can be
         rebound).  *sql* and *exact_snapshot* feed the revalidation path
         — see :class:`_Entry`; a store always lands in :data:`FRESH`.
@@ -398,16 +396,15 @@ class PlanCache:
             return key in self._entries
 
     def clear(self) -> int:
-        """Drop every entry, counting each as an invalidation.
+        """Drop every entry, counting each as an invalidation, and forget
+        every remembered cost.  Returns the number of entries removed."""
+        with self._lock:
+            removed = len(self._entries)
+            self._entries.clear()
+            self._costs.clear()
+            self.stats.invalidations += removed
+            return removed
 
-        Alias for ``invalidate(None)`` — the two used to diverge (``clear``
-        silently skipped the invalidation counters, so ``describe()`` lied
-        about how entries had left the cache).  Returns the number of
-        entries removed.
-        """
-        return self.invalidate(None)
-
-    # -- invalidation --------------------------------------------------------
     def drop(self, key: PlanCacheKey) -> bool:
         """Remove one entry (counted as an invalidation); False if absent.
 
@@ -422,65 +419,11 @@ class PlanCache:
             self.stats.invalidations += 1
             return True
 
-    def invalidate(self, relation: Optional[str] = None) -> int:
-        """Drop entries touching *relation* (or everything when None).
-
-        Returns the number of entries removed.  Matching is by the
-        relation names recorded at :meth:`store` time, case-insensitive to
-        mirror catalog lookup semantics.  Invalidated entries leave no
-        cost behind, and dropping everything forgets the remembered costs
-        as well.
-        """
-        with self._lock:
-            if relation is None:
-                removed = len(self._entries)
-                self._entries.clear()
-                self._costs.clear()
-            else:
-                needle = relation.lower()
-                doomed = [
-                    key
-                    for key, entry in self._entries.items()
-                    if any(name.lower() == needle for name in entry.relations)
-                ]
-                for key in doomed:
-                    del self._entries[key]
-                removed = len(doomed)
-            self.stats.invalidations += removed
-            return removed
-
-    def watch(self, catalog) -> Callable[[], None]:
-        """Subscribe to *catalog* so statistics changes evict stale plans.
-
-        The catalog calls back with the changed table name; entries whose
-        plans scan that table are dropped.  (Entries keyed under the old
-        statistics would miss anyway via the snapshot — watching reclaims
-        their memory immediately and keeps the hit-rate signal honest.)
-
-        Returns the catalog's unsubscribe handle; call it to detach the
-        cache (e.g. before discarding a short-lived cache so the catalog
-        does not keep it alive).
-        """
-        return catalog.subscribe(self.invalidate)
-
-    def watch_deltas(self, catalog) -> Callable[[], None]:
-        """Subscribe to *catalog* stats deltas, marking entries stale.
-
-        The lifecycle-aware sibling of :meth:`watch`:
-        :meth:`~repro.sql.catalog.Catalog.update_stats` drift events mark
-        affected entries :data:`STALE` instead of dropping them, so the
-        server keeps serving them while a revalidator re-costs or
-        re-plans (stale-while-revalidate).  Returns the unsubscribe
-        handle.
-        """
-        return catalog.subscribe_deltas(lambda delta: self.mark_stale(delta.relation))
-
     # -- lifecycle -----------------------------------------------------------
     def mark_stale(self, relation: Optional[str] = None) -> int:
         """Mark fresh entries touching *relation* (or all, when None) stale.
 
-        The stale-while-revalidate counterpart of :meth:`invalidate`:
-        entries stay servable — :meth:`serve_entry` reports their state so
+        Entries stay servable — :meth:`serve_entry` reports their state so
         callers can count stale serves — until a revalidator refreshes or
         evicts them.  Entries already stale or claimed for revalidation
         are left alone.  Returns the number of entries newly marked.

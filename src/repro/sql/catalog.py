@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Mapping, Optional, Tuple
 
 
 def check_scale_factor(scale_factor: float) -> None:
@@ -33,11 +33,10 @@ class TableStats:
 class StatsDelta:
     """One statistics drift event: a table's stats moved old → new.
 
-    Emitted by :meth:`Catalog.update_stats` to delta subscribers so they
-    can react *proportionally* — a plan cache marks affected entries
-    stale for re-costing instead of dropping them wholesale (the
-    stale-while-revalidate path), and a monitor can log how far the
-    numbers moved.
+    Returned by :meth:`Catalog.update_stats`, so its caller can react
+    *proportionally* — a serving core marks the entries that scan the
+    table stale for re-costing instead of dropping them (the
+    stale-while-revalidate path), and reports how far the numbers moved.
     """
 
     relation: str
@@ -69,73 +68,25 @@ class StatsDelta:
 class Catalog:
     """A set of tables the binder can resolve.
 
-    Registering (or re-registering with fresh statistics) a table notifies
-    subscribers — the hook :class:`repro.service.cache.PlanCache` uses to
-    evict plans whose statistics went stale.
+    Nothing is told when statistics change: a plan cache keys every plan
+    by the statistics it was costed under
+    (:func:`~repro.service.fingerprint.cardinality_snapshot`), so a plan
+    priced under old numbers is a miss, not a hit.
     """
 
     def __init__(self):
         self._tables: Dict[str, TableStats] = {}
-        self._listeners: List[Callable[[str], object]] = []
-        self._delta_listeners: List[Callable[[StatsDelta], object]] = []
-
-    def subscribe(self, callback: Callable[[str], object]) -> Callable[[], None]:
-        """Call *callback(table_name)* whenever a table (re)registers.
-
-        Returns an unsubscribe handle; calling it detaches the callback
-        (idempotent), releasing the catalog's reference to it.
-        """
-        return self._attach(self._listeners, callback)
-
-    def subscribe_deltas(
-        self, callback: Callable[[StatsDelta], object]
-    ) -> Callable[[], None]:
-        """Call *callback(delta)* whenever :meth:`update_stats` drifts a
-        table's statistics.  Deltas carry the old AND new stats, so a
-        subscriber can react proportionally (mark-stale + re-cost) where
-        the name-only :meth:`subscribe` channel can only invalidate.
-
-        Returns an unsubscribe handle like :meth:`subscribe`.
-        """
-        return self._attach(self._delta_listeners, callback)
-
-    @staticmethod
-    def _attach(listeners: List, callback) -> Callable[[], None]:
-        listeners.append(callback)
-        detached = False
-
-        def unsubscribe() -> None:
-            # One-shot: a second call must not detach another subscription
-            # that registered an equal callback.
-            nonlocal detached
-            if detached:
-                return
-            detached = True
-            listeners.remove(callback)
-
-        return unsubscribe
 
     def register(self, stats: TableStats) -> None:
         self._tables[stats.name.lower()] = stats
-        for callback in list(self._listeners):
-            try:
-                callback(stats.name)
-            except Exception:
-                # A misbehaving subscriber must not fail table registration
-                # or starve the remaining subscribers.
-                continue
 
     def update_stats(self, table: str, stats: TableStats) -> StatsDelta:
-        """Drift an existing table's statistics, emitting a typed delta.
+        """Drift an existing table's statistics and return the delta.
 
-        The successor to the re-register idiom for statistics refreshes:
-        where :meth:`register` announces "this table changed, drop
-        everything" to name subscribers, ``update_stats`` requires the
-        table to already exist and tells delta subscribers exactly how
-        its numbers moved (old → new), which is what lifecycle-aware
-        caches need to mark entries stale and re-cost instead of
-        cold-starting.  Name subscribers are deliberately NOT notified —
-        wholesale invalidation is exactly what this path replaces.
+        Unlike :meth:`register`, the table must already exist, and the
+        caller learns exactly how its numbers moved (old → new) — what a
+        serving core needs to mark its entries stale and re-cost them
+        instead of cold-starting (``ServingCore.stats_update``).
 
         Raises ``KeyError`` for unknown tables and ``ValueError`` when
         *stats* names a different table.
@@ -148,15 +99,7 @@ class Catalog:
                 f"stats are for table {stats.name!r}, not {table!r}"
             )
         self._tables[table.lower()] = stats
-        delta = StatsDelta(relation=old.name, old=old, new=stats)
-        for callback in list(self._delta_listeners):
-            try:
-                callback(delta)
-            except Exception:
-                # A misbehaving subscriber must not abort the update or
-                # starve the remaining subscribers.
-                continue
-        return delta
+        return StatsDelta(relation=old.name, old=old, new=stats)
 
     def lookup(self, name: str) -> Optional[TableStats]:
         return self._tables.get(name.lower())

@@ -2,6 +2,7 @@
 
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -143,27 +144,63 @@ class TestSessionCache:
         assert not statement.optimize().cache_hit
         assert not statement.optimize().cache_hit
 
-    def test_catalog_update_invalidates_cached_plans(self, session):
-        session.sql(SQL).optimize()
-        assert len(session.cache) == 1
-        nation = session.catalog.lookup("nation")
-        session.catalog.register(
-            TableStats(
-                name="nation",
-                columns=nation.columns,
-                cardinality=nation.cardinality * 2,
-                distinct=dict(nation.distinct),
-                keys=nation.keys,
-            )
-        )
-        assert len(session.cache) == 0
+#: a three-table join whose plan reads nation's and supplier's statistics
+JOIN3_SQL = (
+    "SELECT ns.n_name, count(*) AS cnt FROM nation ns "
+    "JOIN supplier s ON ns.n_nationkey = s.s_nationkey "
+    "JOIN partsupp ps ON s.s_suppkey = ps.ps_suppkey GROUP BY ns.n_name"
+)
 
-    def test_close_detaches_the_catalog_watch(self, session):
-        session.sql(SQL).optimize()
-        session.close()
-        nation = session.catalog.lookup("nation")
-        session.catalog.register(nation)
-        assert len(session.cache) == 1  # no longer invalidated
+
+def scaled(old: TableStats, factor: float) -> TableStats:
+    rows = old.cardinality * factor
+    return replace(
+        old,
+        cardinality=rows,
+        distinct={column: min(value * factor, rows) for column, value in old.distinct.items()},
+    )
+
+
+DRIFTS = {
+    "x1.05": lambda old: scaled(old, 1.05),  # inside a 0.5 band: the same key
+    "x40": lambda old: scaled(old, 40.0),
+    "distinct-div-3": lambda old: replace(
+        old, distinct={column: value / 3 for column, value in old.distinct.items()}
+    ),
+    "keys-dropped": lambda old: replace(old, keys=()),
+}
+
+
+class TestDriftNeverServesAnOldPlan:
+    """Nothing tells a library cache that statistics moved: its keys and
+    the entries' exact snapshots are what keep a plan priced under the
+    old numbers from being served, whichever way the catalog changed."""
+
+    @pytest.mark.parametrize("table", ["nation", "supplier"])
+    @pytest.mark.parametrize("drift", list(DRIFTS))
+    @pytest.mark.parametrize("how", ["register", "update_stats"])
+    @pytest.mark.parametrize("band", [None, 0.5], ids=["exact", "band-0.5"])
+    def test_a_drifted_query_is_planned_again(self, band, how, drift, table):
+        config = OptimizerConfig(workers=1, snapshot_band_width=band)
+
+        def drifted():
+            session = PlannerSession.tpch(config=config)
+            session.sql(JOIN3_SQL).optimize()
+            assert len(session.cache) == 1
+            new = DRIFTS[drift](session.catalog.lookup(table))
+            if how == "register":
+                session.catalog.register(new)
+            else:
+                session.catalog.update_stats(table, new)
+            return session
+
+        session = drifted()
+        cold = PlannerSession(catalog=session.catalog, config=config).sql(JOIN3_SQL).optimize()
+        handle = session.sql(JOIN3_SQL).optimize()
+        assert not handle.cache_hit and handle.cost == cold.cost
+        session = drifted()
+        (item,) = session.run_batch([session.parse(JOIN3_SQL)]).items
+        assert not item.cache_hit and item.cost == cold.cost
 
 
 class TestEvents:

@@ -9,6 +9,7 @@ isolates the broken shard, and clean traffic keeps flowing.
 """
 
 import os
+import threading
 import time
 
 import pytest
@@ -214,6 +215,50 @@ class TestHangReap:
                 )
                 assert client.optimize(CLEAN_SQL)["degraded"] is False
             server.close()
+
+
+class TestBroadcastBehindAHang:
+    """``/stats`` and ``/stats_update`` reach every shard, and a shard
+    answers frames in order: a broadcast queued behind a request that
+    runs past its budget (0.2 s here; hard timeout 2.2 s) waits for the
+    shard, not just for the budget."""
+
+    @pytest.fixture()
+    def hanging(self, chaos_env, monkeypatch):
+        monkeypatch.setenv("REPRO_CHAOS_HANG_SECONDS", "0.6")
+        config = ServingConfig(port=0, shards=1, request_timeout_seconds=0.2)
+        with AsyncPlanServer(config) as server:
+            replies = []
+
+            def hang():
+                with ServerClient(port=server.port, timeout=60.0) as client:
+                    replies.append(client.optimize(HANG_SQL, include_plan=False))
+
+            thread = threading.Thread(target=hang)
+            thread.start()
+            _wait_for(lambda: server.service.inflight == 1, what="the hang in flight")
+            yield server
+            thread.join(30.0)
+            assert replies and replies[0]["degraded"] is True  # planned past its budget
+            server.close()
+
+    def test_stats_keeps_every_shards_block(self, hanging):
+        with ServerClient(port=hanging.port, timeout=60.0) as client:
+            stats = client.stats()
+        assert len(stats["shard_detail"]) == 1
+        assert "degraded" in stats["plans"] and "served" in stats["plans"]
+
+    def test_stats_update_answers_and_applies_the_drift_once(self, hanging):
+        with ServerClient(port=hanging.port, timeout=60.0, retries=2) as client:
+            body = client._request(
+                "POST", "/stats_update", {"table": "nation", "cardinality_factor": 2}
+            )
+            assert body["_status"] == 200 and body["shards"] == 1
+            assert (body["old_cardinality"], body["new_cardinality"]) == (25.0, 50.0)
+            again = client._request(
+                "POST", "/stats_update", {"table": "nation", "cardinality_factor": 1}
+            )
+        assert again["old_cardinality"] == 50.0  # not 100: nothing was sent twice
 
 
 class TestPoisonedBatch:

@@ -54,7 +54,9 @@ from repro.optimizer.recost import recost
 from repro.optimizer.reference import optimize_reference
 from repro.optimizer.strategies import EaAllStrategy, EaPruneStrategy
 from repro.plans.render import plan_shape
+from repro.api import PlannerSession
 from repro.service import PlanCache
+from repro.service.batch import optimize_cached
 from repro.sql import Catalog, parse_query
 from repro.tpch.queries import build_ex, build_q3, build_q5, build_q10
 from repro.workload import generate_query, topology_query
@@ -296,14 +298,16 @@ class TestThePrePassIsInvisible:
         assert fired.count("result") == 1
 
     def test_a_supplied_cache_is_probed_and_stored_once(self):
-        query = build_q10()
         cache = CountingCache()
         config = OptimizerConfig(cache_capacity=None)
         fired = []
-        cold = optimize(query, config=config, cache=cache, hooks=self._hooks(fired))
+        session = PlannerSession(config=config, cache=cache)
+        session.on("result", lambda result: fired.append("result"))
+        statement = session.statement(build_q10())
+        cold = statement.optimize().result
         assert (cache.probes, cache.stores, len(cache)) == (1, 1, 1)
         assert cold.strategy == "ea-prune" and "ceiling.cost" in cold.stats
-        warm = optimize(query, config=config, cache=cache, hooks=self._hooks(fired))
+        warm = statement.optimize().result
         assert warm.cache_hit and warm.cost == cold.cost
         assert (cache.probes, cache.stores) == (2, 1)
         assert fired.count("result") == 2
@@ -436,11 +440,11 @@ class TestKnownCost:
         assert [rel.source_table for rel in second.relations][:2] == ["nation", "customer"]
         config = OptimizerConfig(cache_capacity=None)
         cache = PlanCache(capacity=1)
-        cold = optimize(first, config=config, cache=cache)
+        cold = optimize_cached(prepare(first), cache, config)
         assert cold.stats["ceiling.source"] == "prepass"
-        optimize(topology_query("chain", 3), config=config, cache=cache)  # evicts it
+        optimize_cached(prepare(topology_query("chain", 3)), cache, config)  # evicts it
         assert len(cache) == 1 and cache.describe()["known_costs"] == 1.0
-        again = optimize(second, config=config, cache=cache)
+        again = optimize_cached(prepare(second), cache, config)
         assert not again.cache_hit and again.stats["ceiling.source"] == "remembered"
         assert "ceiling.rerun" not in again.stats
         assert _answer(again) == _answer(_run(second))
@@ -480,7 +484,7 @@ class TestKnownCost:
         )
         assert spent.degraded and spent.strategy == "h1"
 
-    def test_a_cache_is_asked_once_and_only_by_a_bounded_run(self):
+    def test_a_cache_is_asked_once_per_miss_and_not_on_a_hit(self):
         class AskedCache(PlanCache):
             asked = 0
 
@@ -490,12 +494,11 @@ class TestKnownCost:
 
         query = topology_query("chain", 5)
         cache = AskedCache(capacity=4)
-        optimize(query, config=OptimizerConfig(cache_capacity=None), cache=cache)
+        config = OptimizerConfig(cache_capacity=None)
+        optimize_cached(prepare(query), cache, config)
         assert cache.asked == 1
-        optimize(query, config=OptimizerConfig(strategy="dphyp", cache_capacity=None), cache=cache)
+        assert optimize_cached(prepare(query), cache, config).cache_hit
         assert cache.asked == 1
-        optimize(
-            topology_query("chain", 6), config=OptimizerConfig(cache_capacity=None),
-            cache=cache, known_cost=1e30,
-        )
-        assert cache.asked == 1  # the caller's own is taken as it is
+        # A run nobody bounds is asked too; the driver ignores the answer.
+        optimize_cached(prepare(query), cache, config.with_overrides(strategy="dphyp"))
+        assert cache.asked == 2

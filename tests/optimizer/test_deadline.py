@@ -21,6 +21,7 @@ from repro.optimizer.deadline import (
 )
 from repro.optimizer.driver import DEGRADED_STRATEGY
 from repro.plans.render import render_plan
+from repro.service.batch import optimize_cached
 from repro.service.cache import PlanCache
 from repro.service.fingerprint import query_fingerprint
 from repro.workload import generate_query
@@ -178,9 +179,9 @@ class TestDegradedNeverCached:
         query = _query(seed=3)
         cache = PlanCache(capacity=8)
         config = OptimizerConfig(deadline_seconds=0.0)
-        first = optimize(query, cache=cache, config=config)
+        first = optimize_cached(prepare(query), cache, config)
         assert first.degraded is True
-        second = optimize(query, cache=cache, config=config)
+        second = optimize_cached(prepare(query), cache, config)
         assert second.cache_hit is False
         assert len(cache) == 0
 
@@ -196,8 +197,8 @@ class TestDegradedNeverCached:
     def test_healthy_results_still_cached(self):
         query = _query(seed=9)
         cache = PlanCache(capacity=8)
-        optimize(query, cache=cache, config=OptimizerConfig())
-        repeat = optimize(query, cache=cache, config=OptimizerConfig())
+        optimize_cached(prepare(query), cache, OptimizerConfig())
+        repeat = optimize_cached(prepare(query), cache, OptimizerConfig())
         assert repeat.cache_hit is True
 
 

@@ -106,17 +106,7 @@ class TestSearchSpaceSize:
 
 
 class TestPreparedMismatch:
-    """A pre-pass built for another query object must raise, even where a
-    cache hit could have been served."""
-
-    def test_mismatch_raises_before_cache_serve(self):
-        catalog = Catalog.from_tpch()
-        query = parse_query(SQL, catalog)
-        twin = parse_query(SQL, catalog)  # same problem, different object
-        cache = PlanCache(capacity=8)
-        optimize(query, cache=cache)  # warm: twin's key now hits
-        with pytest.raises(ValueError, match="different query"):
-            optimize(twin, prepared=prepare(query), cache=cache)
+    """A pre-pass built for another query object must raise."""
 
     def test_mismatch_raises_without_cache_too(self):
         catalog = Catalog.from_tpch()
@@ -124,3 +114,21 @@ class TestPreparedMismatch:
         twin = parse_query(SQL, catalog)
         with pytest.raises(ValueError, match="different query"):
             optimize(twin, prepared=prepare(query))
+
+
+class TestNoCache:
+    """``optimize`` consults no cache; ``cache=None`` is still spelled by
+    a benchmark and plans as if it were left out."""
+
+    def test_cache_none_plans_as_before(self):
+        query = parse_query(SQL, Catalog.from_tpch())
+        spelled = optimize(query, cache=None)
+        assert not spelled.cache_hit and spelled.cost == optimize(query).cost
+
+    @pytest.mark.parametrize(
+        "cache", [PlanCache(capacity=8), {}, False], ids=["plan-cache", "empty-dict", "false"]
+    )
+    def test_any_other_cache_is_refused(self, cache):
+        query = parse_query(SQL, Catalog.from_tpch())
+        with pytest.raises(ValueError, match="consults no cache"):
+            optimize(query, cache=cache)

@@ -54,6 +54,7 @@ from repro.optimizer.strategies import EaPruneStrategy
 from repro.plans.nodes import GroupByNode, JoinNode
 from repro.rewrites.pushdown import OpKind
 from repro.service import PlanCache
+from repro.service.batch import optimize_cached
 from repro.tpch.queries import build_ex, build_q3, build_q5, build_q10
 from repro.workload import generate_query, topology_query
 
@@ -372,10 +373,10 @@ class TestLifetime:
     def test_a_cache_entry_keeps_no_state_alive(self):
         cache = PlanCache(capacity=4)
         config = OptimizerConfig(strategy="ea-prune", cache_capacity=None)
-        cold = optimize(build_q10(), config=config, cache=cache)
+        cold = optimize_cached(prepare(build_q10()), cache, config)
         gc.collect()
         assert not any(isinstance(obj, FdState) for obj in gc.get_objects())
-        warm = optimize(build_q10(), config=config, cache=cache)
+        warm = optimize_cached(prepare(build_q10()), cache, config)
         assert warm.cache_hit and warm.cost == cold.cost
 
     def test_module_level_containers_stay_bounded(self):

@@ -51,6 +51,7 @@ from repro.optimizer.driver import CEILING_MIN_RELATIONS
 from repro.optimizer.reference import optimize_reference
 from repro.optimizer.strategies import EaPruneStrategy
 from repro.service import PlanCache
+from repro.service.batch import optimize_cached
 from repro.service.config import ServingConfig
 from repro.tpch.queries import build_q5, build_q10
 from repro.workload import generate_query, topology_query
@@ -375,14 +376,14 @@ class TestNothingRunLocalRidesOnAPlan:
     def test_snapshot_round_trip_still_serves_a_warm_hit(self, tmp_path):
         config = OptimizerConfig(strategy="ea-prune", cache_capacity=None)
         cache = PlanCache(capacity=8)
-        cold = optimize(build_q5(), config=config, cache=cache)
+        cold = optimize_cached(prepare(build_q5()), cache, config)
         assert not cold.cache_hit
         path = tmp_path / "plans.snapshot"
         assert cache.save_snapshot(path, catalog_fingerprint="f" * 64) == 1
 
         restored = PlanCache(capacity=8)
         assert restored.load_snapshot(path, catalog_fingerprint="f" * 64) == 1
-        warm = optimize(build_q5(), config=config, cache=restored)
+        warm = optimize_cached(prepare(build_q5()), restored, config)
         assert warm.cache_hit
         assert warm.cost == cold.cost
         assert restored.stats.hits == 1

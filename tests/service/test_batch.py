@@ -5,8 +5,9 @@ import random
 import pytest
 
 from repro.api import PlannerSession
-from repro.optimizer import OptimizerConfig, optimize
+from repro.optimizer import OptimizerConfig, optimize, prepare
 from repro.service import PlanCache, cardinality_snapshot, optimize_many, run_batch
+from repro.service.batch import optimize_cached
 from repro.service.fingerprint import plan_key
 from repro.workload import generate_query, generate_workload
 
@@ -67,8 +68,8 @@ class TestCacheReuse:
     def test_cache_hit_results_report_zero_elapsed(self):
         queries = workload(2, unique=1)
         cache = PlanCache(capacity=64)
-        fresh = optimize(queries[0], cache=cache)
-        served = optimize(queries[1], cache=cache)
+        fresh = optimize_cached(prepare(queries[0]), cache, SERIAL)
+        served = optimize_cached(prepare(queries[1]), cache, SERIAL)
         assert fresh.elapsed_seconds > 0
         assert served.cache_hit
         assert served.elapsed_seconds == 0.0  # a lookup, not a re-run
@@ -80,8 +81,7 @@ class TestCacheReuse:
         queries = workload(3, unique=1)
         cache = PlanCache(capacity=64)
         run_batch(queries, cache, SERIAL)
-        relation = queries[0].relations[0].name
-        assert cache.invalidate(relation) == 1
+        assert cache.clear() == 1
         report = run_batch(queries, cache, SERIAL)
         assert report.hits == 2  # one fresh run, two within-batch reuses
 

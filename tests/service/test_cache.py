@@ -1,5 +1,5 @@
-"""PlanCache behaviour: hits, LRU eviction, invalidation, catalog hook,
-and the costs evicted plans leave behind."""
+"""PlanCache behaviour: hits, LRU eviction, dropping entries, and the
+costs evicted plans leave behind."""
 
 import pytest
 from cache_entries import Plan, key, query_over, served
@@ -7,7 +7,6 @@ from cache_entries import Plan, key, query_over, served
 from repro.service import PlanCache
 from repro.service import cache as cache_module
 from repro.service.core import PARSE_MEMO_CAPACITY
-from repro.sql.catalog import Catalog, TableStats
 
 ORDERS = query_over("orders")
 ORDERS_LINEITEM = query_over("orders", "lineitem")
@@ -107,22 +106,20 @@ class TestKnownCosts:
         assert cache.known_cost(key("q1"), "s") is None  # the least recently used went
         assert [cache.known_cost(key(f"q{i}"), "s") for i in (0, 2, 3)] == [0.0, 2.0, 3.0]
 
-    def test_drop_and_invalidate_leave_nothing(self):
+    def test_drop_and_clear_leave_nothing(self):
         cache = PlanCache(capacity=4)
         cache.store(key("a"), ORDERS, Plan("costed", 1.0), exact_snapshot="s")
         cache.store(key("b"), ORDERS, Plan("costed", 2.0), exact_snapshot="s")
         assert cache.drop(key("a")) is True
-        assert cache.invalidate("orders") == 1
+        assert cache.clear() == 1
         assert cache.known_cost(key("a"), "s") is None
         assert cache.known_cost(key("b"), "s") is None
 
-    def test_invalidating_a_relation_keeps_the_map_and_clear_empties_it(self):
+    def test_clear_empties_the_map(self):
         cache = PlanCache(capacity=1)
         cache.store(key("a"), ORDERS, Plan("costed", 1.0), exact_snapshot="s")
         cache.store(key("b"), ORDERS, Plan("costed", 2.0), exact_snapshot="s")
-        cache.invalidate("orders")  # drops b; a's cost is filed under its statistics
-        assert len(cache) == 0 and cache.known_cost(key("a"), "s") == 1.0
-        cache.store(key("c"), ANY, Plan("costed", 3.0), exact_snapshot="s")
+        assert cache.known_cost(key("a"), "s") == 1.0  # evicted for room
         assert cache.clear() == 1
         assert cache.describe()["known_costs"] == 0.0
 
@@ -164,88 +161,22 @@ class TestInvalidation:
         cache.store(key("q3"), ORDERS, Plan("p3"))
         return cache
 
-    def test_invalidate_by_relation(self):
-        cache = self.make_cache()
-        assert cache.invalidate("ORDERS") == 2  # q1 and q3, case-insensitive
-        assert served(cache, key("q1"), "orders", "lineitem") is None
-        assert served(cache, key("q2"), "customer") is not None
-        assert cache.stats.invalidations == 2
-
     def test_invalidate_everything(self):
         cache = self.make_cache()
-        assert cache.invalidate() == 3
+        assert cache.clear() == 3
         assert len(cache) == 0
+        assert cache.stats.invalidations == 3
 
-    def test_invalidate_unknown_relation_is_noop(self):
+    def test_mark_stale_by_relation(self):
         cache = self.make_cache()
-        assert cache.invalidate("nation") == 0
-        assert len(cache) == 3
+        assert cache.mark_stale("ORDERS") == 2  # q1 and q3, case-insensitive
+        assert cache.entry_state(key("q2")) == "fresh" and len(cache) == 3
+        assert cache.mark_stale("nation") == 0
 
     def test_relations_recorded(self):
         cache = self.make_cache()
         assert cache.relations_of(key("q1")) == frozenset({"orders", "lineitem"})
         assert cache.relations_of(key("missing")) == frozenset()
-
-
-class TestCatalogHook:
-    def stats(self, name: str, rows: float) -> TableStats:
-        return TableStats(name=name, columns=("a", "b"), cardinality=rows)
-
-    def test_catalog_change_evicts_watching_cache(self):
-        catalog = Catalog()
-        catalog.register(self.stats("orders", 100.0))
-
-        cache = PlanCache(capacity=8)
-        cache.watch(catalog)
-        cache.store(key("q1"), ORDERS, Plan("p1"))
-        cache.store(key("q2"), CUSTOMER, Plan("p2"))
-
-        catalog.register(self.stats("orders", 500.0))  # statistics update
-        assert served(cache, key("q1"), "orders") is None
-        assert served(cache, key("q2"), "customer") is not None
-        assert cache.stats.invalidations == 1
-
-    def test_unrelated_change_keeps_entries(self):
-        catalog = Catalog()
-        cache = PlanCache(capacity=8)
-        cache.watch(catalog)
-        cache.store(key("q1"), ORDERS, Plan("p1"))
-        catalog.register(self.stats("nation", 25.0))
-        assert served(cache, key("q1"), "orders") is not None
-
-    def test_watch_returns_unsubscribe_handle(self):
-        catalog = Catalog()
-        cache = PlanCache(capacity=8)
-        unsubscribe = cache.watch(catalog)
-        cache.store(key("q1"), ORDERS, Plan("p1"))
-        unsubscribe()
-        catalog.register(self.stats("orders", 500.0))
-        assert served(cache, key("q1"), "orders") is not None  # detached: no eviction
-        unsubscribe()  # idempotent
-
-    def test_double_unsubscribe_keeps_equal_subscriptions(self):
-        catalog = Catalog()
-        cache = PlanCache(capacity=8)
-        first = cache.watch(catalog)
-        cache.watch(catalog)  # a second, equal callback
-        first()
-        first()  # one-shot: must not detach the second subscription
-        cache.store(key("q1"), ORDERS, Plan("p1"))
-        catalog.register(self.stats("orders", 500.0))
-        assert served(cache, key("q1"), "orders") is None  # still watching
-
-    def test_raising_subscriber_does_not_break_registration(self):
-        catalog = Catalog()
-        seen = []
-
-        def bad(_name):
-            raise RuntimeError("boom")
-
-        catalog.subscribe(bad)
-        catalog.subscribe(seen.append)
-        catalog.register(self.stats("orders", 100.0))  # must not raise
-        assert catalog.lookup("orders") is not None
-        assert seen == ["orders"]  # later subscribers still notified
 
 
 class TestIntrospection:

@@ -71,7 +71,7 @@ class TestLockedStatsSnapshot:
                 served(cache, key(f"w{worker}-{i}"))
                 served(cache, key(f"w{worker}-missing-{i}"))
                 if i % 50 == 0:
-                    cache.invalidate(None)
+                    cache.clear()
                 i += 1
 
         def observe() -> None:

@@ -14,7 +14,7 @@ import pytest
 from cache_entries import Degraded, Plan, key, query_over, served
 
 from repro.api import PlannerSession
-from repro.optimizer import OptimizerConfig, optimize
+from repro.optimizer import OptimizerConfig, optimize, prepare
 from repro.service import PlanCache
 from repro.service.cache import (
     FRESH,
@@ -24,6 +24,7 @@ from repro.service.cache import (
     SnapshotError,
 )
 from repro.service.fingerprint import cache_key, cardinality_snapshot, plan_key
+from repro.service.batch import optimize_cached
 from repro.service.revalidate import StaleRevalidator
 from repro.sql import parse_query
 from repro.sql.catalog import Catalog, TableStats
@@ -403,10 +404,10 @@ class TestStaleRevalidator:
         assert unhinted.stats["ceiling.ccps"] == unhinted.ccp_count
 
     def test_entry_without_context_is_dropped(self):
-        """``optimize(cache=)`` stores no SQL: nothing can rebuild the query
+        """A library caller stores no SQL: nothing can rebuild the query
         under fresh statistics, so a stale entry goes, leaving no cost."""
         query = parse_query(SQL, self.catalog)
-        optimize(query, config=self.config, cache=self.cache)
+        optimize_cached(prepare(query), self.cache, self.config)
         entry_key, exact = plan_key(query, self.config)
         assert entry_key in self.cache
         self.cache.mark_stale("supplier")
@@ -414,23 +415,6 @@ class TestStaleRevalidator:
         assert counts["dropped"] == 1
         assert entry_key not in self.cache
         assert self.cache.known_cost(entry_key, exact) is None
-
-    def test_delta_subscription_marks_and_drains(self):
-        store_plan(self.cache, self.catalog, self.config)
-        unwatch = self.cache.watch_deltas(self.catalog)
-        try:
-            drift(self.catalog, "supplier", 1.5)
-            assert self.cache.stale_count() == 1
-            counts = self.revalidator().drain()
-            assert counts == {"recosted": 1, "replanned": 0, "dropped": 0, "failed": 0}
-            assert self.cache.entry_state(self.post_drift_key()) == FRESH
-            assert self.cache.stats.refreshed == 1
-            assert self.cache.stale_count() == 0
-        finally:
-            unwatch()
-        # Once unwatched, further deltas no longer mark anything stale.
-        drift(self.catalog, "supplier", 1.5)
-        assert self.cache.stale_count() == 0
 
 
 class TestNoRevalidator:

@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.optimizer import OptimizerConfig, optimize
+from repro.optimizer import OptimizerConfig, prepare
 from repro.plans import render_plan
 from repro.service import PlanCache, cache_key, optimize_many
+from repro.service.batch import optimize_cached
 from repro.sql import Catalog, parse_query
-from repro.sql.catalog import TableStats
 
 SQL_NS = (
     "SELECT ns.n_name, count(*) AS cnt FROM nation ns "
@@ -27,6 +27,10 @@ def queries(catalog):
     return parse_query(SQL_NS, catalog), parse_query(SQL_XY, catalog)
 
 
+def cached(query, cache):
+    return optimize_cached(prepare(query), cache, OptimizerConfig())
+
+
 class TestRenamedCacheHits:
     def test_aliases_share_the_cache_key(self, catalog):
         q_ns, q_xy = queries(catalog)
@@ -35,8 +39,8 @@ class TestRenamedCacheHits:
     def test_hit_is_rebound_to_the_requesting_alias(self, catalog):
         q_ns, q_xy = queries(catalog)
         cache = PlanCache(capacity=8)
-        fresh = optimize(q_ns, cache=cache)
-        served = optimize(q_xy, cache=cache)
+        fresh = cached(q_ns, cache=cache)
+        served = cached(q_xy, cache=cache)
 
         assert served.cache_hit
         assert served.cost == fresh.cost
@@ -47,8 +51,8 @@ class TestRenamedCacheHits:
     def test_rebound_planinfo_properties_use_new_names(self, catalog):
         q_ns, q_xy = queries(catalog)
         cache = PlanCache(capacity=8)
-        optimize(q_ns, cache=cache)
-        served = optimize(q_xy, cache=cache)
+        cached(q_ns, cache=cache)
+        served = cached(q_xy, cache=cache)
 
         def ok(name):
             # Base attributes must carry the new aliases; synthetic columns
@@ -62,8 +66,8 @@ class TestRenamedCacheHits:
     def test_same_alias_hit_served_verbatim(self, catalog):
         q_ns, _ = queries(catalog)
         cache = PlanCache(capacity=8)
-        fresh = optimize(q_ns, cache=cache)
-        served = optimize(parse_query(SQL_NS, catalog), cache=cache)
+        fresh = cached(q_ns, cache=cache)
+        served = cached(parse_query(SQL_NS, catalog), cache=cache)
         assert served.cache_hit
         assert served.plan is fresh.plan  # fast path: no rebuild
 
@@ -74,8 +78,8 @@ class TestRenamedCacheHits:
 
         q_ns, q_xy = queries(catalog)
         cache = PlanCache(capacity=8)
-        optimize(q_ns, cache=cache)
-        served = optimize(q_xy, cache=cache)
+        cached(q_ns, cache=cache)
+        served = cached(q_xy, cache=cache)
         assert served.cache_hit
 
         db = {"x": micro_table("nation", alias="x"), "y": micro_table("supplier", alias="y")}
@@ -95,19 +99,10 @@ class TestRenamedCacheHits:
 
 
 class TestBaseTableInvalidation:
-    def test_invalidate_matches_base_table_not_alias(self, catalog):
+    def test_mark_stale_matches_base_table_not_alias(self, catalog):
         q_ns, _ = queries(catalog)
         cache = PlanCache(capacity=8)
-        optimize(q_ns, cache=cache)
+        cached(q_ns, cache=cache)
         assert cache.relations_of(cache.keys()[0]) == frozenset({"nation", "supplier"})
-        assert cache.invalidate("nation") == 1
-
-    def test_catalog_statistics_refresh_evicts_aliased_plans(self, catalog):
-        q_ns, _ = queries(catalog)
-        cache = PlanCache(capacity=8)
-        cache.watch(catalog)
-        optimize(q_ns, cache=cache)
-        stats = catalog.lookup("nation")
-        catalog.register(TableStats("nation", stats.columns, stats.cardinality * 2))
-        assert len(cache) == 0
-        assert cache.stats.invalidations == 1
+        assert cache.mark_stale("ns") == 0
+        assert cache.mark_stale("nation") == 1

@@ -226,11 +226,11 @@ class TestLifecycle:
         assert served is first and state == STALE
         assert cache.stats.marked_stale == 1 and cache.stats.stale_hits == 1
 
-    def test_invalidate_then_store_again(self, planned):
+    def test_drop_then_store_again(self, planned):
         query, key, exact, result = planned
         cache = stored(planned)
         before = hit(cache, planned)[0]
-        assert cache.invalidate("nation") == 1 and hit(cache, planned) is None
+        assert cache.drop(key) is True and hit(cache, planned) is None
         cache.store(key, query, variant(result, 7), sql=SQL, exact_snapshot=exact)
         after = hit(cache, planned)[0]
         assert after is not before and after.plans_built == 7

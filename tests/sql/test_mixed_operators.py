@@ -390,14 +390,14 @@ class TestCacheServing:
     def test_exists_and_not_exists_never_share_an_entry(self, tpch):
         from repro.api import PlannerSession
 
-        with PlannerSession(catalog=tpch) as session:
-            first = session.sql(self.EXISTS_SQL).optimize()
-            assert not first.cache_hit
-            anti = session.sql(self.NOT_EXISTS_SQL).optimize()
-            assert not anti.cache_hit  # distinct problem, distinct entry
-            again = session.sql(self.EXISTS_SQL).optimize()
-            assert again.cache_hit
-            assert again.cost == first.cost
+        session = PlannerSession(catalog=tpch)
+        first = session.sql(self.EXISTS_SQL).optimize()
+        assert not first.cache_hit
+        anti = session.sql(self.NOT_EXISTS_SQL).optimize()
+        assert not anti.cache_hit  # distinct problem, distinct entry
+        again = session.sql(self.EXISTS_SQL).optimize()
+        assert again.cache_hit
+        assert again.cost == first.cost
 
     def test_right_join_cache_hit_serves_a_correct_plan(self, tpch):
         """Key equality across the RIGHT JOIN normalization is only safe if
@@ -414,15 +414,15 @@ class TestCacheServing:
             "LEFT JOIN supplier s ON s.s_nationkey = n.n_nationkey "
             "GROUP BY n.n_name"
         )
-        with PlannerSession(catalog=tpch) as session:
-            session.sql(right_sql).optimize()
-            served = session.sql(left_sql).optimize()
-            assert served.cache_hit
-            query = session.parse(left_sql)
-            database = micro_database(query)
-            assert execute(served.plan, database) == execute(
-                canonical_plan(query), database
-            )
+        session = PlannerSession(catalog=tpch)
+        session.sql(right_sql).optimize()
+        served = session.sql(left_sql).optimize()
+        assert served.cache_hit
+        query = session.parse(left_sql)
+        database = micro_database(query)
+        assert execute(served.plan, database) == execute(
+            canonical_plan(query), database
+        )
 
 
 class TestCommaJoinPrecedence:

@@ -1,4 +1,5 @@
-"""Catalog.update_stats: typed drift deltas and their subscription channel."""
+"""Catalog.update_stats: typed drift deltas, and what the serving path
+does with one."""
 
 import pytest
 
@@ -69,61 +70,10 @@ class TestUpdateStats:
         assert delta.cardinality_ratio == float("inf")
 
 
-class TestDeltaSubscription:
-    def test_delta_subscribers_see_the_event(self):
-        catalog = make_catalog()
-        seen = []
-        catalog.subscribe_deltas(seen.append)
-        catalog.update_stats("orders", stats("orders", 300.0))
-        assert len(seen) == 1
-        assert seen[0].relation == "orders"
-        assert seen[0].new.cardinality == 300.0
+class TestTheServingPathsMarkStale:
+    """What ``ServingCore.stats_update`` does with the delta: the entries
+    that scan the drifted table go stale and stay servable."""
 
-    def test_name_subscribers_are_not_notified(self):
-        # update_stats replaces wholesale invalidation; notifying the
-        # name channel too would drop the very entries the delta channel
-        # is trying to keep servable.
-        catalog = make_catalog()
-        names = []
-        catalog.subscribe(names.append)
-        catalog.update_stats("orders", stats("orders", 300.0))
-        assert names == []
-
-    def test_raising_subscriber_does_not_starve_others(self):
-        catalog = make_catalog()
-        seen = []
-
-        def broken(delta):
-            raise RuntimeError("subscriber bug")
-
-        catalog.subscribe_deltas(broken)
-        catalog.subscribe_deltas(seen.append)
-        delta = catalog.update_stats("orders", stats("orders", 300.0))
-        assert delta.relation == "orders"  # the update itself succeeded
-        assert len(seen) == 1
-
-    def test_unsubscribe_detaches(self):
-        catalog = make_catalog()
-        seen = []
-        unsubscribe = catalog.subscribe_deltas(seen.append)
-        unsubscribe()
-        catalog.update_stats("orders", stats("orders", 300.0))
-        assert seen == []
-
-    def test_unsubscribe_is_one_shot(self):
-        # A second call must not detach another subscription that happens
-        # to compare equal.
-        catalog = make_catalog()
-        seen = []
-        first = catalog.subscribe_deltas(seen.append)
-        first()
-        catalog.subscribe_deltas(seen.append)
-        first()  # stale handle: must be a no-op now
-        catalog.update_stats("orders", stats("orders", 300.0))
-        assert len(seen) == 1
-
-
-class TestCacheDeltaHook:
     def key(self, tag: str) -> PlanCacheKey:
         return PlanCacheKey(fingerprint=tag, snapshot="snap", strategy="ea-prune")
 
@@ -132,14 +82,14 @@ class TestCacheDeltaHook:
         query = parse_query(f"SELECT count(*) AS cnt FROM {table} t", catalog)
         cache.store(self.key(tag), query, object())
 
-    def test_watch_deltas_marks_stale_instead_of_dropping(self):
+    def test_the_delta_marks_stale_instead_of_dropping(self):
         catalog = make_catalog()
         cache = PlanCache(capacity=8)
-        cache.watch_deltas(catalog)
         self.store(cache, catalog, "q1", "orders")
         self.store(cache, catalog, "q2", "customer")
 
-        catalog.update_stats("orders", stats("orders", 400.0))
+        delta = catalog.update_stats("orders", stats("orders", 400.0))
+        assert cache.mark_stale(delta.relation) == 1
 
         # The affected entry is stale but still present and servable;
         # the untouched one stays fresh.
@@ -147,12 +97,3 @@ class TestCacheDeltaHook:
         assert cache.entry_state(self.key("q2")) == FRESH
         assert len(cache) == 2
         assert cache.stale_count() == 1
-
-    def test_unwatch_stops_marking(self):
-        catalog = make_catalog()
-        cache = PlanCache(capacity=8)
-        unwatch = cache.watch_deltas(catalog)
-        self.store(cache, catalog, "q1", "orders")
-        unwatch()
-        catalog.update_stats("orders", stats("orders", 400.0))
-        assert cache.entry_state(self.key("q1")) == FRESH
