@@ -23,9 +23,15 @@ docs/architecture.md):
 The harness asserts, per case, that both programs produce the same plan
 cost / ccp count / plan, and (in full mode) that the committed EA-Prune
 reference→indexed speedup targets hold.  ``plans_built`` is recorded per
-engine and no longer compared: a bounded indexed run considers fewer
-candidates by design (``above_ceiling_share`` says how many of the
-OpTrees variants it met lay above the ceiling).
+engine and not compared, because the indexed program considers fewer
+candidates by design, for two reasons:
+
+* an EA-Prune run under its H1 ceiling never prices what lies above it
+  (``above_ceiling_share`` says how many of the OpTrees variants it met
+  did);
+* under Cout every run skips a candidate whose inputs already cost its
+  bucket incumbent's threshold — inner buckets under DPhyp, H1 and H2,
+  the full relation set under every strategy.
 
 Usage::
 

@@ -27,7 +27,7 @@ from typing import Optional, Union
 
 from repro.optimizer.costmodel import CostModel
 from repro.optimizer.registry import COST_MODELS, STRATEGIES
-from repro.optimizer.strategies import Strategy
+from repro.optimizer.strategies import Strategy, check_factor
 
 
 @dataclass(frozen=True)
@@ -82,8 +82,7 @@ class OptimizerConfig:
             raise TypeError(
                 f"cost_model must be a registered name or a CostModel, got {self.cost_model!r}"
             )
-        if not self.factor >= 1.0:
-            raise ValueError(f"tolerance factor must be >= 1, got {self.factor}")
+        check_factor(self.factor)
         if self.workers is not None and self.workers < 1:
             raise ValueError(f"workers must be >= 1 (or None for auto), got {self.workers}")
         if self.cache_capacity is not None and self.cache_capacity < 0:

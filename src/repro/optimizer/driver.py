@@ -15,8 +15,14 @@ The loop is the hot path (see docs/architecture.md): iterative
 enumerator over the indexed hypergraph, per-edge join specs resolved
 through :class:`~repro.optimizer.edgeindex.EdgeResolver`, cost-ordered
 EA-Prune buckets, and *bound, price, file — build on read*: an OpTrees
-variant that already costs more than the run's ceiling is dropped, what
-is left is priced (:meth:`~repro.optimizer.planinfo.PlanBuilder.price`)
+variant that already costs more than the run's ceiling is dropped, and
+so is one whose inputs already cost its bucket's *threshold* — the cost
+from which it cannot displace the incumbent, declared by the strategies
+that keep one plan per class, and the incumbent's cost for the full
+relation set under every strategy (under a monotone cost model; a whole
+csg-cmp-pair whose input buckets' cheapest plans reach it is skipped
+before it is resolved).  What is left is priced
+(:meth:`~repro.optimizer.planinfo.PlanBuilder.price`)
 and filed in its bucket *as priced*
 (:meth:`~repro.optimizer.strategies.Strategy.insert`, which says whether
 it kept it).  A bucket is constructed the first time a ccp reads its
@@ -51,6 +57,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 from math import inf
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro import chaos
@@ -61,7 +68,7 @@ from repro.optimizer.config import OptimizerConfig
 from repro.optimizer.deadline import Deadline, PlanningDeadlineExceeded
 from repro.optimizer.edgeindex import EdgeResolver, JoinSpec
 from repro.optimizer.planinfo import PlanBuilder, PlanInfo
-from repro.optimizer.strategies import PruneBucket, Strategy
+from repro.optimizer.strategies import PruneBucket, Strategy, declared_threshold
 from repro.query.spec import Query
 from repro.rewrites.pushdown import pushdown_valid_for
 
@@ -75,8 +82,9 @@ class OptimizationResult:
     elapsed_seconds: float
     ccp_count: int
     #: candidate plans the DP considered (access paths, valid OpTrees
-    #: variants, finalised top-level plans).  How many of them were
-    #: materialised is ``stats["plans_constructed"]``.
+    #: variants under the ceiling and the incumbent's threshold, finalised
+    #: top-level plans).  How many of them were materialised is
+    #: ``stats["plans_constructed"]``.
     plans_built: int
     table_sizes: Dict[int, int]
     cache_hit: bool = False
@@ -96,7 +104,11 @@ class OptimizationResult:
     #: ``ceiling.seconds`` (every other key, like ``ccp_count``, counts
     #: the main pass only; ``elapsed_seconds`` covers both).
     #: ``ceiling.rerun`` marks a result planned a second time because the
-    #: known cost it was first held to bounded no plan.  Populated by
+    #: known cost it was first held to bounded no plan.  The incumbent cut
+    #: adds ``strategy.pairs_cut`` (csg-cmp-pairs skipped before they were
+    #: resolved: ``resolver.resolve_calls`` + it = ``ccp_count``) and
+    #: ``strategy.plans_cut`` (variants skipped unpriced, not counted in
+    #: ``plans_built``).  Populated by
     #: :func:`optimize`; empty for results constructed elsewhere.
     stats: Dict[str, float | str] = field(default_factory=dict)
 
@@ -312,6 +324,18 @@ def optimize(
     strategy_counters = getattr(chosen, "counters", None)
     strategy_before = dict(strategy_counters) if strategy_counters is not None else {}
 
+    # Cut: under a monotone model a join costs at least its inputs, so a
+    # candidate whose inputs already cost the target bucket's threshold
+    # cannot displace the incumbent.  Single-plan strategies declare one
+    # for their inner buckets; the full set's is the incumbent's cost
+    # under every strategy (InsertTopLevelPlan keeps the strictly cheaper).
+    monotone = cost_model.monotone
+    inner_threshold = declared_threshold(chosen) if monotone else None
+    top_threshold = attrgetter("cost") if monotone else None
+    #: each final bucket's cheapest cost, for the ccp-level cut
+    floors: Dict[int, float] = {}
+    pairs_cut = 0
+
     table: Dict[int, List[PlanInfo]] = {}
     #: inner relation sets whose buckets hold priced candidates no ccp has
     #: read yet (they are filed unbuilt)
@@ -341,6 +365,23 @@ def optimize(
                 deadline.check()
             if on_ccp is not None:
                 on_ccp(s1, s2)
+            combined = s1 | s2
+            is_top = combined == all_mask
+            threshold = top_threshold if is_top else inner_threshold
+            bucket = table.get(combined)
+            limit = None
+            if threshold is not None and bucket:
+                limit = threshold(bucket[0])
+                # Both inputs are final (DPhyp's order), so are their floors.
+                floor1 = floors.get(s1)
+                if floor1 is None:
+                    floor1 = floors[s1] = _cheapest(table.get(s1))
+                floor2 = floors.get(s2)
+                if floor2 is None:
+                    floor2 = floors[s2] = _cheapest(table.get(s2))
+                if floor1 + floor2 >= limit:
+                    pairs_cut += 1
+                    continue
             spec = resolve(s1, s2)
             if spec is None:
                 continue
@@ -357,9 +398,6 @@ def optimize(
             if right_set in unread:
                 unread.remove(right_set)
                 tally.constructed += _materialise(right_bucket, construct, on_plan)
-            combined = left_set | right_set
-            is_top = combined == all_mask
-            bucket = table.get(combined)
             if bucket is None:
                 # The full relation set keeps one plan (the driver's
                 # InsertTopLevelPlan); inner entries use the strategy's bucket.
@@ -370,7 +408,7 @@ def optimize(
                     unread.add(combined)
             _build_plans(
                 builder, chosen, bucket, is_top, left_bucket, right_bucket, spec,
-                on_plan, tally, ceiling,
+                on_plan, tally, ceiling, threshold, limit,
             )
     except PlanningDeadlineExceeded:
         if config.degradation != "heuristic":
@@ -407,6 +445,10 @@ def optimize(
     }
     if tally.priced_away:
         stats["strategy.plans_priced_away"] = tally.priced_away
+    if pairs_cut:
+        stats["strategy.pairs_cut"] = pairs_cut
+    if tally.cut:
+        stats["strategy.plans_cut"] = tally.cut
     if source is not None:
         stats["ceiling.cost"] = ceiling
         stats["ceiling.source"] = source
@@ -450,10 +492,14 @@ DEGRADED_STRATEGY = "h1"
 
 #: Queries with fewer relations are planned without the pre-pass.  With
 #: two there is one csg-cmp-pair, the full set, where keep-the-cheaper
-#: already refuses what a ceiling would; with three the pre-pass cost more
-#: than it saved on 37 of 40 random queries (+24 % in total).  From four
-#: relations on the total falls (0.84x at four, 0.53x at five, 0.21x at
-#: eight; CHANGES.md, PR 24).
+#: already refuses what a ceiling would.  EA-Prune's total time with the
+#: pre-pass over without it, 40 random queries a size (best of 5, the two
+#: alternating, three rounds; CHANGES.md): 1.26-1.30x at three relations,
+#: 1.01-1.02x at four, 0.66-0.72x at five, 0.58-0.63x at six.  The
+#: incumbent cut made both runs cheaper, the unbounded one more (on the
+#: same queries without it: 1.14-1.21x, 0.86-0.91x, 0.55-0.56x,
+#: 0.45-0.49x), so four now breaks even; it stays the threshold, because
+#: moving it changes which cache misses take a pre-pass.
 CEILING_MIN_RELATIONS = 4
 
 #: Relative head-room added to a caller's *known_cost* before it becomes a
@@ -509,15 +555,27 @@ class _Tally:
     the ``stats`` entries beside it)."""
 
     __slots__ = (
-        "built", "constructed", "priced_away", "above_ceiling", "top_replacements",
+        "built", "constructed", "priced_away", "above_ceiling", "cut", "top_replacements",
     )
 
     def __init__(self) -> None:
-        self.built = 0  # candidates considered (at or below the ceiling)
+        # candidates priced and considered: valid, at or below the ceiling,
+        # under the incumbent's threshold
+        self.built = 0
         self.priced_away = 0  # ... of which discarded on price; the rest are filed
         self.constructed = 0  # filed candidates materialised as a PlanInfo
         self.above_ceiling = 0  # OpTrees variants the ceiling dropped instead
+        self.cut = 0  # ... and variants the incumbent's threshold dropped, unpriced
         self.top_replacements = 0  # finished plans that displaced the incumbent
+
+
+def _cheapest(bucket) -> float:
+    """The least cost among a final bucket's plans; ``inf`` for none."""
+    if not bucket:
+        return inf
+    if type(bucket) is PruneBucket:
+        return min(costs[0] for costs, _cards, _plans in bucket.frontiers.values() if costs)
+    return min(plan.cost for plan in bucket)
 
 
 def _build_plans(
@@ -531,15 +589,21 @@ def _build_plans(
     on_plan,
     tally: _Tally,
     ceiling: float,
+    threshold,
+    limit: Optional[float],
 ) -> None:
-    """BuildPlans for one csg-cmp-pair: bound, price, file.
+    """BuildPlans for one csg-cmp-pair: bound, cut, price, file.
 
     Every OpTrees placement of every plan pair (Fig. 6/8, in the seed's
     order) is first held against the run's *ceiling* — the cost
     of a complete plan, or ``inf`` when the run is not bounded: a variant
     whose inputs together already cost more is never priced, and one
     whose priced cost (for the full relation set, its ``top_cost``) is
-    strictly above it goes no further.  What is left is *priced* and, for
+    strictly above it goes no further.  Then against *limit*, the
+    bucket's *threshold* of its incumbent (``None``: no incumbent, or no
+    threshold): a variant whose inputs already cost that much cannot
+    displace the incumbent and is never priced; *limit* follows each new
+    incumbent.  What is left is *priced* and, for
     an inner relation set, *filed* as the :class:`PricedJoin` it is:
     ``strategy.insert`` keeps, evicts or displaces priced candidates and
     says whether it kept this one.  A kept candidate is built only when a
@@ -569,7 +633,7 @@ def _build_plans(
     rights = [(plan, grouped(plan) if group_right else None) for plan in right_bucket]
     insert = strategy.insert
     top_cost = builder.top_cost
-    built = finished = priced_away = above_ceiling = replaced = 0
+    built = finished = priced_away = above_ceiling = cut = replaced = 0
     for left_plan in left_bucket:
         grouped_left = grouped(left_plan) if group_left else None
         for right_plan, grouped_right in rights:
@@ -581,8 +645,12 @@ def _build_plans(
             ):
                 if left is None or right is None:
                     continue
-                if left.cost + right.cost > ceiling:
+                inputs = left.cost + right.cost
+                if inputs > ceiling:
                     above_ceiling += 1  # the join can only add to it
+                    continue
+                if limit is not None and inputs >= limit:
+                    cut += 1  # ... so it cannot displace the incumbent
                     continue
                 priced = price(left, right, op, predicate, selectivity, groupjoin_vector)
                 if priced is None:
@@ -595,6 +663,8 @@ def _build_plans(
                 if not is_top:
                     if not insert(bucket, priced):
                         priced_away += 1
+                    elif threshold is not None:
+                        limit = threshold(priced)
                     continue
                 if bucket:
                     if not cost < bucket[0].cost:
@@ -608,10 +678,13 @@ def _build_plans(
                 if on_plan is not None:
                     on_plan(plan)
                 bucket[:] = [plan]
+                if threshold is not None:
+                    limit = threshold(plan)
     tally.built += built
     tally.constructed += finished
     tally.priced_away += priced_away
     tally.above_ceiling += above_ceiling
+    tally.cut += cut
     tally.top_replacements += replaced
 
 

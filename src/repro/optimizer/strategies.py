@@ -21,6 +21,14 @@ Besides its ``name``, a strategy has four members:
   EA-Prune with the full criteria says yes; a strategy is never shown a
   candidate above the ceiling, and never told there is one.
 
+A strategy that keeps one plan per class also declares a *threshold*
+(:meth:`SinglePlanStrategy.threshold`): the cost from which a newcomer
+cannot displace the incumbent.  Under a monotone cost model a join costs
+at least its inputs, so the driver skips a candidate — or a whole
+csg-cmp-pair — whose inputs already cost that much, before resolving or
+pricing it (:func:`declared_threshold`; docs/architecture.md, "Bound,
+price, file").
+
 Hot-path design (see docs/architecture.md): EA-Prune's dominance test
 (Def. 4) is where the DP spends almost all of its time, so two structures
 accelerate it without changing which plans survive:
@@ -53,7 +61,7 @@ pair).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.optimizer.planinfo import FdState, FdTable, PlanInfo, PricedJoin
 from repro.optimizer.registry import STRATEGIES
@@ -115,6 +123,33 @@ class SinglePlanStrategy(Strategy):
 
     def _beats(self, new, old) -> bool:
         return new.cost < old.cost
+
+    def threshold(self, incumbent) -> float:
+        """A newcomer costing at least this much does not :meth:`_beats`
+        *incumbent*, whatever else it is.  It speaks for the ``_beats``
+        beside it only: a subclass that overrides ``_beats`` (or
+        ``insert``) and not this has no threshold
+        (:func:`declared_threshold`)."""
+        return incumbent.cost
+
+
+def declared_threshold(strategy: Strategy) -> Optional[Callable[[object], float]]:
+    """*strategy*'s :meth:`SinglePlanStrategy.threshold` when the class
+    that defines it also defines, or inherits unchanged, the ``_beats``
+    and ``insert`` it runs; ``None`` for every other strategy — EA-All,
+    EA-Prune, a plug-in, and a single-plan subclass that changed the rule
+    without saying what it makes of the threshold."""
+    if not isinstance(strategy, SinglePlanStrategy):
+        return None
+    mro = type(strategy).__mro__
+
+    def owner(name):
+        return next(klass for klass in mro if name in vars(klass))
+
+    declared_by = owner("threshold")
+    if issubclass(declared_by, owner("_beats")) and issubclass(declared_by, owner("insert")):
+        return strategy.threshold
+    return None
 
 
 class DphypStrategy(SinglePlanStrategy):
@@ -338,9 +373,7 @@ class H2Strategy(SinglePlanStrategy):
     name = "h2"
 
     def __init__(self, factor: float = 1.03):
-        if factor < 1.0:
-            raise ValueError("tolerance factor must be >= 1")
-        self.factor = factor
+        self.factor = check_factor(factor)
 
     def _beats(self, new, old) -> bool:
         """``CompareAdjustedCosts``: the less eager plan must win by F."""
@@ -349,6 +382,20 @@ class H2Strategy(SinglePlanStrategy):
         if new.eagerness < old.eagerness:
             return self.factor * new.cost < old.cost
         return new.cost < self.factor * old.cost
+
+    def threshold(self, incumbent) -> float:
+        """The right-hand side of ``_beats``' most lenient case, a more
+        eager newcomer's: ``F · cost`` of the incumbent, the same float
+        expression.  With F ≥ 1 it is at least the incumbent's cost, so
+        the other two cases refuse such a newcomer too."""
+        return self.factor * incumbent.cost
+
+
+def check_factor(factor: float) -> float:
+    """H2's tolerance F, validated: a number ≥ 1 (NaN is not)."""
+    if not factor >= 1.0:
+        raise ValueError(f"tolerance factor must be >= 1, got {factor}")
+    return factor
 
 
 # -- registration -----------------------------------------------------------

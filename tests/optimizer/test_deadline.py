@@ -31,6 +31,10 @@ def _query(n=6, seed=7):
     return generate_query(n, random.Random(seed))
 
 
+def _pairs_cut(result):
+    return result.stats.get("strategy.pairs_cut", 0)
+
+
 class TestDeadlineObject:
     def test_not_expired_with_generous_budget(self):
         deadline = Deadline(3600.0)
@@ -137,7 +141,9 @@ class TestDegradedFallback:
         plain = optimize(query, config=OptimizerConfig(strategy="h1"))
         assert degraded.degraded and degraded.strategy == DEGRADED_STRATEGY
         assert degraded.cost == plain.cost
-        assert resolved["resolve_calls"] == plain.ccp_count == degraded.ccp_count
+        assert plain.ccp_count == degraded.ccp_count
+        # Every H1 ccp is resolved unless the incumbent cut skipped it first.
+        assert resolved["resolve_calls"] + _pairs_cut(plain) == plain.ccp_count
         assert degraded.stats["degraded"] == 1
         assert degraded.stats["degraded.primary_ccps"] == 1
         assert degraded.stats["degraded.primary_plans"] == len(query.relations)
@@ -162,10 +168,11 @@ class TestDegradedFallback:
         assert degraded.degraded and degraded.cost == plain.cost
         primary_ccps = degraded.stats["degraded.primary_ccps"]
         assert 1 < primary_ccps < plain.ccp_count
-        # H1's ccps once, plus the primary's before the budget fired (the
-        # tick that fired it came before that ccp was resolved).
+        # H1's ccps once (less those the incumbent cut skipped), plus the
+        # primary's before the budget fired (the tick that fired it came
+        # before that ccp was resolved; EA-Prune cuts only at the full set).
         assert prepared.resolver().counters["resolve_calls"] == (
-            plain.ccp_count + primary_ccps - 1
+            plain.ccp_count - _pairs_cut(plain) + primary_ccps - 1
         )
 
     def test_explicit_deadline_argument_wins(self):

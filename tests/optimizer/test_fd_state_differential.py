@@ -62,15 +62,18 @@ TPCH = {"ex": build_ex, "q3": build_q3, "q5": build_q5, "q10": build_q10}
 
 #: (cost, ccp count, plans built) of EA-Prune, as pinned by
 #: ``test_hotpath_golden.TPCH_GOLDEN`` (copied: the literals of one suite
-#: should not move with another's).  Plans built re-pinned in PR 24 — the
-#: run is bounded by H1's cost and no longer counts what lies above it
-#: (48 / 4018 / 204 before; Q3's three relations are planned without the
-#: pre-pass and keep their 31); cost and ccps are the seed's.
+#: should not move with another's).  Plans built re-pinned twice.  First
+#: the run became bounded by H1's cost and stopped counting what lies
+#: above it (48 / 4018 / 204 before; Q3's three relations are planned
+#: without the pre-pass and kept their 31).  Then the incumbent cut
+#: stopped pricing finished plans whose inputs already cost the full
+#: set's incumbent (31 / 97 / 40 before, Q3 / Q5 / Q10).  Cost and ccps
+#: are the seed's.
 TPCH_EA_PRUNE = {
     "ex": (149.6511565806907, 10, 22),
-    "q3": (373657.61567229626, 4, 31),
-    "q5": (238439.60164483933, 68, 97),
-    "q10": (131728.57461675355, 10, 40),
+    "q3": (373657.61567229626, 4, 15),
+    "q5": (238439.60164483933, 68, 55),
+    "q10": (131728.57461675355, 10, 39),
 }
 
 #: EA-Prune without a ceiling, as at PR 17 (``a0f99b6``): plans built,
@@ -84,8 +87,11 @@ PARENT_COUNTERS = {
 #: OpTrees variants the ceiling dropped.  Every bucket is the unbounded
 #: bucket restricted to ``cost <= ceiling`` (``engine_oracle.py``), so
 #: these fall because there is less to compare, not because Def. 4 moved.
+#: Chain-9's plans built and variants above the ceiling fell again with
+#: the incumbent cut, which skips full-set candidates before the ceiling
+#: sees them (17870 and 9199 before); the Def. 4 counters did not move.
 BOUNDED_COUNTERS = {
-    ("chain", 9): ((17870, 88792, 5255, 1265), 9199),
+    ("chain", 9): ((9663, 88792, 5255, 1265), 5764),
     ("star", 8): ((18362, 18984, 11158, 3304), 23058),
 }
 

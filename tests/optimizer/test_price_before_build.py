@@ -10,10 +10,14 @@ incumbent).  These tests pin the contract around that split:
 * pricing and construction are one arithmetic (``join`` is price-then-
   construct; the priced ``finish_top`` cost equals the built one),
 * the bookkeeping adds up (``plans_built`` − priced away = *filed*; every
-  filed candidate entered a bucket; ``on_plan`` fires once per
-  materialised plan and never more often than candidates were filed;
-  ``construct`` runs at most once per filed candidate, and every one it
-  is asked for constructs; nothing priced escapes the run),
+  filed candidate entered a bucket; every csg-cmp-pair is resolved or
+  cut, ``resolver.resolve_calls`` + ``strategy.pairs_cut`` =
+  ``ccp_count``; a variant the incumbent cut skips, counted in
+  ``strategy.plans_cut``, is neither priced nor counted in
+  ``plans_built``; ``on_plan`` fires once per materialised plan and
+  never more often than candidates were filed; ``construct`` runs at
+  most once per filed candidate, and every one it is asked for
+  constructs; nothing priced escapes the run),
 * the plug-in seams still hold: a strategy that defines only ``insert``
   and a cost model that defines only the three operator prices give the
   oracle's answers,
@@ -33,7 +37,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from engine_oracle import UndeclaredCout, assert_engines_agree
+from engine_oracle import UndeclaredCout, assert_engines_agree, was_cut
 from repro.optimizer import (
     COST_MODELS,
     STRATEGIES,
@@ -159,7 +163,15 @@ class TestBookkeeping:
         stats = result.stats
         # on_plan: once per plan the DP materialised, never more than filed.
         assert stats["plans_constructed"] == len(seen) <= filed(result)
-        assert stats["plans_constructed"] >= sum(result.table_sizes.values())
+        # Every ccp was resolved or cut.
+        assert stats["resolver.resolve_calls"] + stats.get("strategy.pairs_cut", 0) == (
+            result.ccp_count
+        )
+        # Every bucket a ccp read was built; only the cut leaves one unread.
+        read = {plan.rel_set for plan in seen}
+        unread = sum(size for mask, size in result.table_sizes.items() if mask not in read)
+        assert unread == 0 or was_cut(result)
+        assert stats["plans_constructed"] >= sum(result.table_sizes.values()) - unread
         # Nothing priced escapes: the answer and every reported plan are built.
         assert type(result.plan) is PlanInfo
         assert all(type(plan) is PlanInfo for plan in seen)

@@ -2,14 +2,18 @@
 
 import copy
 import dataclasses
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from engine_oracle import assert_engines_agree
+from repro.optimizer import OptimizerConfig, OptimizerHooks, optimize
 from repro.optimizer.costmodel import CoutModel
 from repro.optimizer.driver import prepare
 from repro.optimizer.planinfo import PlanBuilder, PlanInfo
-from repro.optimizer.reference import SeedPruneStrategy
+from repro.optimizer.reference import SeedPruneStrategy, optimize_reference
 from repro.optimizer.strategies import (
     DphypStrategy,
     EaAllStrategy,
@@ -17,10 +21,13 @@ from repro.optimizer.strategies import (
     H1Strategy,
     H2Strategy,
     PruneBucket,
+    SinglePlanStrategy,
+    declared_threshold,
 )
 from repro.optimizer.registry import STRATEGIES
 from repro.plans.nodes import ScanNode
-from repro.workload import topology_query
+from repro.tpch.queries import build_q5, build_q10
+from repro.workload import generate_query, topology_query
 
 
 def plan(cost, card=10.0, keys=(), dup_free=False, eagerness=0):
@@ -61,6 +68,18 @@ class TestFactory:
     def test_h2_factor_validation(self):
         with pytest.raises(ValueError):
             H2Strategy(0.9)
+
+    def test_h2_refuses_a_nan_factor(self):
+        """NaN compares false both ways: an H2 holding it would never
+        displace an incumbent, and its threshold would never cut."""
+        nan = float("nan")
+        with pytest.raises(ValueError, match="tolerance factor must be >= 1, got nan"):
+            H2Strategy(nan)
+        with pytest.raises(ValueError, match="tolerance factor"):
+            STRATEGIES.create("h2", factor=nan)
+        with pytest.raises(ValueError, match="tolerance factor"):
+            OptimizerConfig(strategy="h2", factor=nan)
+        assert H2Strategy(1.0).factor == 1.0
 
     def test_only_dphyp_is_lazy(self):
         assert not DphypStrategy().explore_eager
@@ -467,3 +486,108 @@ class TestInsertVerdict:
     @pytest.mark.parametrize("name", sorted(VERDICT_STRATEGIES))
     def test_insert_verdict_exhaustive(self, name, kind):
         _assert_verdict_contract(name, kind, range(200), 150)
+
+
+# -- the incumbent's threshold ------------------------------------------------
+
+#: Costs as floats come: zero, subnormals, the normal range's ends, ~1e300
+#: (where F · cost overflows to inf), inf itself.
+COSTS = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.0, 1e300, math.inf]),
+    st.floats(min_value=0.0, max_value=1.7976931348623157e308),
+)
+EAGERNESS = st.integers(min_value=0, max_value=2)
+
+THRESHOLD_STRATEGIES = {
+    "dphyp": DphypStrategy(),
+    "h1": H1Strategy(),
+    "h2-1.0": H2Strategy(1.0),
+    "h2-1.03": H2Strategy(1.03),
+    "h2-1e6": H2Strategy(1e6),
+}
+
+
+class FewerRowsWins(SinglePlanStrategy):
+    """A plug-in that changes the rule — the lower cardinality wins — and
+    says nothing about a threshold: it must not inherit the cost one."""
+
+    name = "fewer-rows-wins-test"
+
+    def _beats(self, new, old):
+        return new.cardinality < old.cardinality
+
+
+STRATEGIES.register(FewerRowsWins.name)(lambda **_options: FewerRowsWins())
+
+
+class TestThreshold:
+    """Why the driver may skip a candidate whose inputs already cost the
+    incumbent's threshold: such a candidate never ``_beats`` the
+    incumbent, in floats, and its own cost is at least its inputs'."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(THRESHOLD_STRATEGIES)),
+        old_cost=COSTS, new_cost=COSTS, old_eager=EAGERNESS, new_eager=EAGERNESS,
+    )
+    def test_threshold_refuses_what_beats_would(
+        self, name, old_cost, new_cost, old_eager, new_eager
+    ):
+        strategy = THRESHOLD_STRATEGIES[name]
+        old = plan(old_cost, eagerness=old_eager)
+        limit = strategy.threshold(old)
+        # The drawn cost, and the costs nearest the threshold from above.
+        for cost in (new_cost, limit, math.nextafter(limit, math.inf), limit + new_cost):
+            if cost >= limit:
+                assert not strategy._beats(plan(cost, eagerness=new_eager), old), cost
+
+    @settings(max_examples=400, deadline=None)
+    @given(left=COSTS, right=COSTS, more_left=COSTS, more_right=COSTS, join=COSTS)
+    def test_threshold_premise_a_join_costs_its_inputs(
+        self, left, right, more_left, more_right, join
+    ):
+        """``price`` adds ``left.cost + right.cost + join``: never below the
+        inputs' sum, and dearer inputs (a grouped variant, another plan of
+        the bucket) never make the sum smaller than the bucket floors'."""
+        assert left + right + join >= left + right
+        assert (left + more_left) + (right + more_right) >= left + right
+
+    def test_threshold_is_declared_not_inherited(self):
+        for strategy in THRESHOLD_STRATEGIES.values():
+            assert declared_threshold(strategy) == strategy.threshold
+        for strategy in (FewerRowsWins(), EaPruneStrategy(), EaAllStrategy()):
+            assert declared_threshold(strategy) is None
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_undeclared_threshold_keeps_oracle_parity(self, seed, monkeypatch):
+        """The plug-in's inner buckets are never cut: beside the answer and
+        the table, the candidates it counts below the full relation set
+        are the oracle's, one for one.  (The full set is the driver's
+        own keep-the-cheaper, cut under every strategy.)"""
+        queries = [build_q5(), build_q10(), topology_query("clique", 5)]
+        queries += [generate_query(random.Random(seed).randint(3, 6), random.Random(seed))]
+        top_cost = PlanBuilder.top_cost
+        top_priced = []
+
+        def counted(builder, candidate):
+            top_priced.append(1)
+            return top_cost(builder, candidate)
+
+        for query in queries:
+            indexed = assert_engines_agree(query, FewerRowsWins.name, context=(seed,))
+            assert "strategy.plans_above_ceiling" not in indexed.stats
+            all_mask = query.all_relations_mask
+            config = OptimizerConfig(strategy=FewerRowsWins.name, cache_capacity=None)
+            reference_tops = []
+            reference = optimize_reference(query, config=config, hooks=OptimizerHooks(
+                on_plan=lambda p: reference_tops.append(1) if p.rel_set == all_mask else None
+            ))
+            top_priced.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(PlanBuilder, "top_cost", counted)
+                again = optimize(query, config=config)
+            assert again.plans_built == indexed.plans_built
+            assert indexed.plans_built - len(top_priced) == (
+                reference.plans_built - len(reference_tops)
+            )
+
