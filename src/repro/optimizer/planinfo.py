@@ -49,7 +49,9 @@ two plans sharing a state may expose different ones): the plan carries
 them as a mask, and the question is the state's ``within(join attributes
 & the plan's columns)``.  States ride on plans as a ``__dict__`` memo,
 point at their table but never at the builder, and are stripped from
-pickles; the table is garbage once the run's plans are.
+pickles; the table is garbage once the run's plans are.  EA-Prune
+compares states projected onto what a completion of the plan's relation
+set can still read (:meth:`FdTable.project`), interned in the same table.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from __future__ import annotations
 from collections import ChainMap
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.optimizer.costmodel import CostModel
@@ -97,6 +99,11 @@ from repro.query.spec import Query
 from repro.rewrites.pushdown import OpKind
 
 _KEY_LIMIT = 12  # cap on tracked candidate keys per plan
+
+#: The pseudo-attribute a projected key carries when it reaches what a
+#: completion reads only through an equivalence class (:meth:`FdTable.project`).
+#: No SQL identifier contains a NUL, so it never names a column.
+VIA_CLASS = "\x00via-class"
 
 #: Operators whose output exposes only left-side attributes and rows
 #: (``OpKind.left_only``, as a constant for the hot loop).
@@ -198,14 +205,22 @@ class FdTable:
     bit, so a key or an equivalence class is an int mask, and every
     distinct triple one :class:`FdState`.  A :class:`PlanBuilder` owns one
     table; nothing in it outlives the run.
+
+    *needed_above* (the query's, for a DP run) says which attributes of a
+    relation set a completion can still read: :meth:`reads`.  A table made
+    without one projects nothing.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, needed_above: Optional[Callable[[int], FrozenSet[str]]] = None) -> None:
         self.attr_bit: Dict[str, int] = {}
         self.masks: Dict[FrozenSet[str], int] = {}
         #: (duplicate_free, {keys}, {classes}) → state.  Keyed on the
         #: *sets*: the tuple a triple arrives in carries no information.
         self.states: Dict[tuple, "FdState"] = {}
+        self.needed_above = needed_above
+        #: relation set → :meth:`reads` mask
+        self.read_masks: Dict[int, int] = {}
+        self.via_class = self.mask(frozenset((VIA_CLASS,)))
 
     def mask(self, attrs: FrozenSet[str]) -> int:
         """*attrs* as a bit mask (attributes get their bit on first sight)."""
@@ -221,6 +236,10 @@ class FdTable:
             self.masks[attrs] = mask
         return mask
 
+    def attrs(self, mask: int) -> FrozenSet[str]:
+        """The attributes of *mask* (:meth:`mask` backwards)."""
+        return frozenset(attr for attr, bit in self.attr_bit.items() if bit & mask)
+
     def intern(
         self,
         duplicate_free: bool,
@@ -232,6 +251,62 @@ class FdTable:
         if state is None:
             state = self.states[key] = FdState(self, duplicate_free, keys, equiv)
         return state
+
+    def reads(self, rel_set: int) -> int:
+        """R(S): the attributes of relation set *rel_set* that a completion
+        of one of its plans can read — ``needed_above(rel_set)`` as a mask:
+        the final grouping's attributes, the join attributes of the edges
+        leaving the set, the raw inputs of aggregates straddling it.  -1
+        (every attribute) in a table without a query."""
+        mask = self.read_masks.get(rel_set)
+        if mask is None:
+            needed = self.needed_above
+            mask = self.read_masks[rel_set] = -1 if needed is None else self.mask(needed(rel_set))
+        return mask
+
+    def project(self, state: "FdState", reads: int) -> "FdState":
+        """*state* as a completion that reads only *reads* can tell it
+        apart — what EA-Prune's FD clause compares (docs/architecture.md,
+        "What a completion reads", has why every DP step preserves it):
+
+        * a class is cut to *reads* (and gone below two members);
+        * a key attribute outside *reads* is replaced by its class's
+          members inside, and the key is marked :data:`VIA_CLASS` — an
+          eager grouping keeps only keys inside its attributes *literally*,
+          so a key that reaches them only through a class must not stand
+          in for one that lies there;
+        * a key with an attribute whose class never reaches *reads* is
+          dropped (no completion is ever keyed through it);
+        * if any key is left, *reads* itself is one, unmarked — it holds
+          every key left, and an eager grouping over *reads* keeps it —
+          and of all these the minimal keys are kept;
+        * ``duplicate_free`` stays.
+        """
+        classes = state.class_masks
+        keys = set()
+        for key in state.key_masks:
+            outside = key & ~reads
+            if outside:
+                key = (key & reads) | self.via_class
+                for cls in classes:
+                    if cls & outside:
+                        if not cls & reads:
+                            break
+                        key |= cls & reads
+                        outside &= ~cls
+                if outside:
+                    continue
+            keys.add(key)
+        if keys:
+            keys.add(reads)
+        minimal = [key for key in keys if not any(o != key and not o & ~key for o in keys)]
+        cut = [cls & reads for cls in classes]
+        attrs = self.attrs
+        return self.intern(
+            state.duplicate_free,
+            tuple(attrs(key) for key in sorted(minimal)),
+            tuple(attrs(cls) for cls in cut if cls & (cls - 1)),
+        )
 
 
 class FdState:
@@ -249,7 +324,7 @@ class FdState:
 
     __slots__ = (
         "table", "duplicate_free", "keys", "equiv", "key_masks", "class_masks",
-        "joins", "_within",
+        "joins", "_within", "_projections",
     )
 
     def __init__(
@@ -270,6 +345,7 @@ class FdState:
         #: (predicate, op, state of ``self op right``)
         self.joins: Dict[tuple, tuple] = {}
         self._within: Dict[int, bool] = {}
+        self._projections: Dict[int, "FdState"] = {}
 
     def within(self, attrs: int) -> bool:
         """Whether some key lies inside the equivalence closure of the
@@ -293,12 +369,23 @@ class FdState:
         """:meth:`PlanInfo.has_key_within`, over masks."""
         return self.within(self.table.mask(frozenset(attrs)))
 
+    def projected(self, reads: int) -> "FdState":
+        """:meth:`FdTable.project` onto the mask *reads*, once per mask;
+        -1 (everything) is the state itself."""
+        if reads == -1:
+            return self
+        hit = self._projections.get(reads)
+        if hit is None:
+            hit = self._projections[reads] = self.table.project(self, reads)
+        return hit
+
     def dominates(self, other: "FdState") -> bool:
         """FD⁺(self) ⊇ FD⁺(other) — Def. 4's FD clause, as the test
         oracle spells it on frozensets, over masks (both states of one
-        table).  Not memoised per pair: a bucket asks each ordered pair
-        once, and states of different relation sets rarely coincide
-        (plan_cold seed 7: 58,826 questions, 55,964 distinct)."""
+        table; EA-Prune asks it of states projected onto R(S)).  Not
+        memoised per pair: a bucket asks each ordered pair once, when a
+        state first appears in it (a plan_cold seed-7 pass: 328
+        questions, 206 distinct)."""
         if other.duplicate_free and not self.duplicate_free:
             return False
         within = self.within
@@ -491,7 +578,7 @@ class PlanBuilder:
         self._pred_eq_pairs: Dict[int, Tuple[Expr, Tuple[Tuple[str, str], ...]]] = {}
         #: This run's FD states.  Plans and states point at the table,
         #: never at the builder.
-        self.fd_table = FdTable()
+        self.fd_table = FdTable(query.needed_above)
         self._pred_masks: Dict[int, Tuple[Expr, int]] = {}
         self._group_counter = 0
         # Source relation mask per normalized aggregate; count(*)-style

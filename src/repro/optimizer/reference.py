@@ -15,10 +15,12 @@ memo: the recursive enumerator over uncached edge scans against
 (:func:`_resolve_edge`) against
 :class:`~repro.optimizer.edgeindex.EdgeResolver`; FD *sets* against FD
 *states* — :class:`SeedPlanBuilder` derives a join's triple with
-frozenset arithmetic every time, and :class:`SeedPruneStrategy` compares
-plans with :func:`_fd_superset` in an unordered list, where the product
-looks states up by transition and asks
-:meth:`~repro.optimizer.planinfo.FdState.dominates` over masks.
+frozenset arithmetic every time, and :class:`SeedPruneStrategy` projects
+each plan's triple onto ``query.needed_above(S)`` (:func:`_projected_fd`)
+and compares with :func:`_fd_superset` in an unordered list, where the
+product looks states up by transition, projects them over masks
+(:meth:`~repro.optimizer.planinfo.FdTable.project`) and asks
+:meth:`~repro.optimizer.planinfo.FdState.dominates`.
 
 Tests and ``benchmarks/bench_hotpath.py`` import this module; nothing in
 the product does.
@@ -27,8 +29,8 @@ the product does.
 from __future__ import annotations
 
 import time
-from functools import partial
-from typing import Iterator, List, Optional, Sequence, Tuple
+from functools import lru_cache, partial
+from typing import FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.algebra.expressions import Expr, attrs_of, conjunction
 from repro.conflict.detector import AnnotatedEdge
@@ -44,9 +46,11 @@ from repro.optimizer.driver import (
 from repro.optimizer.edgeindex import JoinSpec
 from repro.optimizer.planinfo import (
     _LEFT_ONLY,
+    VIA_CLASS,
     FdState,
     PlanBuilder,
     PlanInfo,
+    _closure,
     _combine_keys,
     _equality_pairs,
 )
@@ -79,7 +83,7 @@ def optimize_reference(
         raise ValueError("prepared pre-pass belongs to a different query")
     strategy = config.resolve_strategy()
     if isinstance(strategy, EaPruneStrategy):
-        strategy = SeedPruneStrategy(strategy.criteria)
+        strategy = SeedPruneStrategy(strategy.criteria, query)
     start = time.perf_counter()
     if prepared is None:
         prepared = prepare(query)
@@ -296,11 +300,27 @@ def _join_keys(
 class SeedPruneStrategy(Strategy):
     """EA-Prune as the seed ran it: an unordered list, scanned pairwise
     with Def. 4 spelled out on each plan's own fields — it never looks at
-    an :class:`FdState`.  *criteria* is EA-Prune's ablation knob."""
+    an :class:`FdState`.  *criteria* is EA-Prune's ablation knob.  With a
+    *query*, the FD clause compares triples projected onto what a
+    completion of the plan's relation set can read
+    (:func:`_projected_fd` of ``query.needed_above(S)``); without one —
+    plans made by hand — it compares them whole."""
 
-    def __init__(self, criteria: str = "full"):
+    def __init__(self, criteria: str = "full", query: Optional[Query] = None):
         self.criteria = criteria
         self.name = "ea-prune" if criteria == "full" else f"ea-prune[{criteria}]"
+        self.query = query
+        self._needed = {}
+
+    def _fd(self, plan):
+        """What the FD clause compares of *plan*: its triple projected
+        onto ``needed_above`` of its relation set, or the plan itself."""
+        if self.query is None:
+            return plan
+        needed = self._needed.get(plan.rel_set)
+        if needed is None:
+            needed = self._needed[plan.rel_set] = self.query.needed_above(plan.rel_set)
+        return _projected_fd(plan.duplicate_free, plan.keys, plan.equiv, needed)
 
     def _dominates(self, a, b) -> bool:
         if a.cost > b.cost:
@@ -311,7 +331,7 @@ class SeedPruneStrategy(Strategy):
             return False
         if self.criteria == "cost-card":
             return True
-        return _fd_superset(a, b)
+        return _fd_superset(self._fd(a), self._fd(b))
 
     def insert(self, bucket: List[PlanInfo], plan) -> bool:
         for existing in bucket:
@@ -320,6 +340,51 @@ class SeedPruneStrategy(Strategy):
         bucket[:] = [existing for existing in bucket if not self._dominates(plan, existing)]
         bucket.append(plan)
         return True
+
+
+class ProjectedFd(NamedTuple):
+    """An FD triple as a completion sees it (:func:`_projected_fd`)."""
+
+    duplicate_free: bool
+    keys: Tuple[FrozenSet[str], ...]
+    equiv: Tuple[FrozenSet[str], ...]
+
+    def has_key_within(self, attrs: FrozenSet[str]) -> bool:
+        closed = _closure(self.equiv, attrs)
+        return any(key <= closed for key in self.keys)
+
+
+@lru_cache(maxsize=65536)
+def _projected_fd(
+    duplicate_free: bool,
+    keys: Tuple[FrozenSet[str], ...],
+    equiv: Tuple[FrozenSet[str], ...],
+    needed: FrozenSet[str],
+) -> ProjectedFd:
+    """The triple cut down to *needed*, on frozensets: a class keeps its
+    members in *needed* (two or more); a key keeps its attributes in
+    *needed*, trades each other one for the *needed* members of its class
+    plus the :data:`~repro.optimizer.planinfo.VIA_CLASS` mark, or is
+    dropped when some attribute's class has none; *needed* is a key too
+    if any key is left; the minimal keys remain."""
+    projected = set()
+    for key in keys:
+        outside = key - needed
+        if outside:
+            classes = [cls for cls in equiv if cls & outside]
+            if not outside <= frozenset().union(*classes) or not all(
+                cls & needed for cls in classes
+            ):
+                continue
+            key = frozenset((key & needed).union(*(cls & needed for cls in classes), (VIA_CLASS,)))
+        projected.add(key)
+    if projected:
+        projected.add(needed)
+    return ProjectedFd(
+        duplicate_free,
+        tuple(key for key in projected if not any(other < key for other in projected)),
+        tuple(cls for cls in (cls & needed for cls in equiv) if len(cls) >= 2),
+    )
 
 
 def _fd_superset(a, b) -> bool:
@@ -335,7 +400,7 @@ def _fd_superset(a, b) -> bool:
 
     The oracle for :meth:`~repro.optimizer.planinfo.FdState.dominates`;
     accepts anything exposing ``duplicate_free`` / ``keys`` / ``equiv`` /
-    ``has_key_within``.
+    ``has_key_within`` — a plan, or its :class:`ProjectedFd`.
     """
     if b.duplicate_free and not a.duplicate_free:
         return False

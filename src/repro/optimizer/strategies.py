@@ -49,11 +49,24 @@ accelerate it without changing which plans survive:
   object, and ``a.dominates(b)`` is Def. 4's FD clause over int masks.
   Nothing here is process-global: the table dies with the run.
 
+The FD clause compares states *projected* onto R(S), the attributes of
+the plan's relation set S that a completion can still read
+(``needed_above(S)``; :meth:`~repro.optimizer.planinfo.FdTable.project`):
+classes cut to R(S), a key's attributes outside it traded for their
+class's members inside it (and the key marked as reached through a
+class), keys that cannot reach it dropped, and R(S) itself a key if any
+key is left.  Plans keep their whole triple; only the comparison is
+coarser.  It is sound because every DP step — an eager grouping, a join
+with any partner, the top grouping — preserves the projected preorder
+(Ji et al.'s thinning theorem; docs/architecture.md, "What a completion
+reads", and ``tests/optimizer/test_pruning_monotone.py``), and it keeps
+far fewer incomparable plans than the whole triple did.
+
 The seed's unordered linear-scan insert is the test oracle's
-(:class:`repro.optimizer.reference.SeedPruneStrategy`): it compares plans
-with frozenset arithmetic on their own fields and never sees a state, so
-the indexed == oracle differential checks two independent
-implementations of Def. 4
+(:class:`repro.optimizer.reference.SeedPruneStrategy`): it projects and
+compares with frozenset arithmetic on the plans' own fields and never
+sees a state, so the indexed == oracle differential checks two
+independent implementations of Def. 4
 (``tests/optimizer/test_fd_state_differential.py`` compares them pair by
 pair).
 """
@@ -232,29 +245,28 @@ class PruneBucket:
         return [plans for _costs, _cards, plans in self.frontiers.values()]
 
     def home(self, plan) -> FdState:
-        """*plan*'s FD state in the table this bucket compares in.
+        """*plan*'s FD state in the table this bucket compares in,
+        projected onto what a completion of its relation set can read
+        (:meth:`~repro.optimizer.planinfo.FdTable.project`).
 
-        A priced candidate's is its ``state``, a built plan's the one
+        A priced candidate's state is its ``state``, a built plan's the one
         ``construct`` hung on it (none on a plan made by hand).  States of
         different tables number their attributes differently and cannot
         be compared.  The bucket adopts the table of the first state it is
         shown — in a DP run the builder's, which every later plan of the
         run shares, so the state comes straight back; a plan made by hand
-        or by another run is interned beside the others."""
+        or by another run is interned beside the others.  A table made
+        without a query (a bucket of plans made by hand) projects nothing."""
         if type(plan) is PricedJoin:
             state = plan.state
         else:
             state = plan.__dict__.get("_fd")
         table = self.table
-        if state is not None:
-            if state.table is table:
-                return state
-            if table is None:
-                self.table = state.table
-                return state
-        elif table is None:
-            table = self.table = FdTable()
-        return table.intern(plan.duplicate_free, plan.keys, plan.equiv)
+        if table is None:
+            table = self.table = FdTable() if state is None else state.table
+        if state is None or state.table is not table:
+            state = table.intern(plan.duplicate_free, plan.keys, plan.equiv)
+        return state.projected(table.reads(plan.rel_set))
 
     def frontier_for(self, state) -> Tuple[List[float], List[float], List[PlanInfo]]:
         """The state's frontier entry, registering adjacency on first use."""
@@ -284,7 +296,11 @@ class EaPruneStrategy(Strategy):
     dependencies are all no worse (Def. 4).  As sanctioned by the paper,
     FD-closure comparison is implemented via candidate-key sets; the
     duplicate-freeness flag participates because ``NeedsGrouping`` and
-    Eqv. 42 depend on it.
+    Eqv. 42 depend on it.  The dependencies compared are those a
+    completion of the plan's relation set S can still read: both FD
+    states projected onto R(S) (:meth:`PruneBucket.home`, module
+    docstring), which every DP step preserves — so the optimum stays,
+    with far thinner buckets than comparing the whole triple.
 
     The ``criteria`` knob exists for the ablation benchmark: dropping the
     cardinality or FD dimension makes pruning more aggressive but destroys

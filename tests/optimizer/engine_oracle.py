@@ -89,7 +89,7 @@ class Observation:
         self.ccp_order = []
         self._buckets = {}
         all_mask = query.all_relations_mask
-        scan = SeedPruneStrategy()
+        scan = SeedPruneStrategy(query=query)
 
         def on_plan(plan):
             if plan.rel_set != all_mask and plan.cost <= keep_up_to:

@@ -1,7 +1,8 @@
 """FD states == FD sets: the interned, mask-based functional-dependency
 bookkeeping of the DP against the frozenset arithmetic it replaced
 (``PlanInfo.has_key_within``, ``_merge_equiv`` and the oracle's
-``_join_keys`` and ``_fd_superset`` in :mod:`repro.optimizer.reference`).
+``_join_keys``, ``_projected_fd`` and ``_fd_superset`` in
+:mod:`repro.optimizer.reference`).
 
 For every plan a DP run materialises (``OptimizerHooks.on_plan``):
 
@@ -9,14 +10,17 @@ For every plan a DP run materialises (``OptimizerHooks.on_plan``):
   riding on it, sets and masks — is what the frozenset path derives from
   the plan's two inputs (``equiv`` compared as a set of classes: a state
   spells it in the order of the first derivation that reached it),
-* ``state_a.dominates(state_b) == _fd_superset(plan_a, plan_b)`` for the
-  ordered pairs of distinct states inside a DP-table entry (sampled in
-  tier-1, every pair under ``--runslow``),
+* inside a DP-table entry for relation set S, each state projected onto
+  R(S) (``FdTable.project`` over masks) is the oracle's projection of the
+  plan's triple onto ``query.needed_above(S)`` (frozensets), and for the
+  ordered pairs of distinct states ``projected_a.dominates(projected_b)
+  == _fd_superset(oracle_a, oracle_b)`` (sampled in tier-1, every pair
+  under ``--runslow``),
 * the run's cost, ccp count and candidate count are the pinned goldens,
   and EA-Prune's work counters are literals: without a ceiling (a cost
-  model that does not declare ``monotone``) the ones measured at PR 17 —
-  the preorder did not change, only its price — and under H1's cost as
-  a ceiling the smaller ones measured when PR 24 introduced it.
+  model that does not declare ``monotone``) and under H1's cost as a
+  ceiling, both measured when the FD clause began comparing projected
+  states.
 
 Plus the identity trap (memos keyed on predicate identity while the
 oracle's resolver makes a fresh conjunction per csg-cmp-pair) and the
@@ -47,6 +51,7 @@ from repro.optimizer.reference import (
     SeedPruneStrategy,
     _fd_superset,
     _join_keys,
+    _projected_fd,
     _resolve_edge,
     optimize_reference,
 )
@@ -67,20 +72,24 @@ TPCH = {"ex": build_ex, "q3": build_q3, "q5": build_q5, "q10": build_q10}
 #: above it (48 / 4018 / 204 before; Q3's three relations are planned
 #: without the pre-pass and kept their 31).  Then the incumbent cut
 #: stopped pricing finished plans whose inputs already cost the full
-#: set's incumbent (31 / 97 / 40 before, Q3 / Q5 / Q10).  Cost and ccps
-#: are the seed's.
+#: set's incumbent (31 / 97 / 40 before, Q3 / Q5 / Q10).  Then the FD
+#: clause began comparing states projected onto what a completion can read
+#: (55 / 39 before, Q5 / Q10).  Cost and ccps are the seed's.
 TPCH_EA_PRUNE = {
     "ex": (149.6511565806907, 10, 22),
     "q3": (373657.61567229626, 4, 15),
-    "q5": (238439.60164483933, 68, 55),
-    "q10": (131728.57461675355, 10, 39),
+    "q5": (238439.60164483933, 68, 45),
+    "q10": (131728.57461675355, 10, 40),
 }
 
-#: EA-Prune without a ceiling, as at PR 17 (``a0f99b6``): plans built,
-#: dominance checks, plans discarded, plans evicted.
+#: EA-Prune without a ceiling: plans built, dominance checks, plans
+#: discarded, plans evicted.  Measured when the FD clause began comparing
+#: projected states; before, from ``a0f99b6`` on, they were
+#: (59897, 364241, 25625, 3278) on chain-9 and (55868, 49497, 34741, 7847)
+#: on star-8.
 PARENT_COUNTERS = {
-    ("chain", 9): (59897, 364241, 25625, 3278),
-    ("star", 8): (55868, 49497, 34741, 7847),
+    ("chain", 9): (8361, 8968, 4134, 748),
+    ("star", 8): (7176, 7728, 5523, 882),
 }
 
 #: The same four under H1's cost as a ceiling (PR 24), and how many
@@ -90,9 +99,12 @@ PARENT_COUNTERS = {
 #: Chain-9's plans built and variants above the ceiling fell again with
 #: the incumbent cut, which skips full-set candidates before the ceiling
 #: sees them (17870 and 9199 before); the Def. 4 counters did not move.
+#: All of them fell with the projected FD clause, from
+#: ((9663, 88792, 5255, 1265), 5764) on chain-9 and
+#: ((18362, 18984, 11158, 3304), 23058) on star-8.
 BOUNDED_COUNTERS = {
-    ("chain", 9): ((9663, 88792, 5255, 1265), 5764),
-    ("star", 8): ((18362, 18984, 11158, 3304), 23058),
+    ("chain", 9): ((5021, 7139, 3341, 713), 846),
+    ("star", 8): ((4327, 5061, 3262, 616), 1785),
 }
 
 
@@ -187,7 +199,7 @@ def assert_states_carry_the_derived_triples(plans):
     return checked
 
 
-def assert_dominance_agrees(plans, state_of, sample=None):
+def assert_dominance_agrees(query, plans, state_of, sample=None):
     """Check (b) over the ordered pairs of every DP-table entry.  Both
     sides read the triple alone, and plans sharing a state share the
     triple (check (a)), so one plan per state stands for all of them."""
@@ -195,13 +207,23 @@ def assert_dominance_agrees(plans, state_of, sample=None):
     for plan in plans:
         buckets.setdefault(plan.rel_set, {}).setdefault(state_of(plan), plan)
     rng = random.Random(0)
-    for bucket in buckets.values():
-        assert len({state.table for state in bucket}) == 1
-        pairs = [(a, b) for a in bucket.items() for b in bucket.items()]
+    for rel_set, bucket in buckets.items():
+        (table,) = {state.table for state in bucket}
+        reads, needed = table.reads(rel_set), query.needed_above(rel_set)
+        assert table.attrs(reads) == needed
+        projected = {}
+        for state, plan in bucket.items():
+            ours = state.projected(reads)
+            theirs = _projected_fd(plan.duplicate_free, plan.keys, plan.equiv, needed)
+            assert (ours.duplicate_free, set(ours.keys), set(ours.equiv)) == (
+                theirs.duplicate_free, set(theirs.keys), set(theirs.equiv),
+            )
+            projected[state] = (ours, theirs)
+        pairs = [(a, b) for a in projected.values() for b in projected.values()]
         if sample is not None and len(pairs) > sample:
             pairs = rng.sample(pairs, sample)
-        for (state_a, plan_a), (state_b, plan_b) in pairs:
-            assert state_a.dominates(state_b) == _fd_superset(plan_a, plan_b)
+        for (ours_a, theirs_a), (ours_b, theirs_b) in pairs:
+            assert ours_a.dominates(ours_b) == _fd_superset(theirs_a, theirs_b)
 
 
 def _pruning_work(result):
@@ -235,7 +257,7 @@ def _check_run(query, sample, golden=None):
         return state
 
     if tables:
-        assert_dominance_agrees(plans, state_of, sample=sample)
+        assert_dominance_agrees(query, plans, state_of, sample=sample)
 
 
 class TestStatesAreTheSets:
@@ -351,7 +373,7 @@ class TestStatesOfDifferentTables:
         tables = {p.__dict__["_fd"].table for p in plans}
         assert len(tables) == 2
         random.Random(5).shuffle(plans)
-        ordered, scan = EaPruneStrategy(), SeedPruneStrategy()
+        ordered, scan = EaPruneStrategy(), SeedPruneStrategy(query=query)
         bucket, reference = ordered.new_bucket(), scan.new_bucket()
         for plan in plans:
             ordered.insert(bucket, plan)

@@ -440,7 +440,10 @@ def _check_verdicts(name, kind, seed, count):
     for bucket_kind in ("own", "list"):
         strategy = VERDICT_STRATEGIES[name]()
         if bucket_kind == "list" and isinstance(strategy, EaPruneStrategy):
-            strategy = SeedPruneStrategy(strategy.criteria)
+            # Priced candidates come from a DP run, whose buckets project
+            # FD states onto the query's R(S); the oracle needs the query.
+            query = topology_query("chain", 4) if kind == "priced" else None
+            strategy = SeedPruneStrategy(strategy.criteria, query)
         bucket = strategy.new_bucket() if bucket_kind == "own" else []
         counters = getattr(strategy, "counters", None)
         seen = []
