@@ -13,6 +13,10 @@ plan): the representative-based neighbourhood growth of hypergraph DPhyp can
 visit sets that no join of two connected parts can ever produce, and those
 must not surface as csg-cmp components.
 
+On a graph without complex edges no pair is put to ``Hypergraph.connected``:
+every vertex of N(S1, X) has a simple edge into S1, and every complement
+grown from one keeps it, so the neighbourhood has proved the pair connected.
+
 In :class:`_Enumerator` EnumerateCsgRec / EmitCsg / EnumerateCmpRec are
 small generators that yield either a csg-cmp-pair or a child generator,
 and ``run`` drives them from an explicit LIFO stack.  That keeps the
@@ -29,17 +33,19 @@ from __future__ import annotations
 
 from typing import Iterator, Tuple
 
-from repro.hypergraph.bitset import bits_of, prefix_below, subsets
+from repro.hypergraph.bitset import prefix_below, subsets
 from repro.hypergraph.graph import Hypergraph
 
 
 class _Enumerator:
     """Stateful DPhyp run over one hypergraph (iterative hot path)."""
 
-    __slots__ = ("graph", "buildable")
+    __slots__ = ("graph", "buildable", "ask")
 
     def __init__(self, graph: Hypergraph):
         self.graph = graph
+        # Whether a pair is put to `connected` (see the module docstring).
+        self.ask = not graph._no_complex
         # Mirrors "DPTable[S] is non-empty": singletons start buildable, and
         # every emitted pair makes its union buildable.
         self.buildable = {1 << v for v in range(graph.n)}
@@ -85,25 +91,27 @@ class _Enumerator:
 
     def _emit_csg(self, s1: int):
         graph = self.graph
+        ask = self.ask
         excluded = s1 | prefix_below((s1 & -s1).bit_length() - 1)
-        neighborhood = graph.neighborhood(s1, excluded)
-        for v in sorted(bits_of(neighborhood), reverse=True):
-            s2 = 1 << v
-            if graph.connected(s1, s2):
+        # Highest neighbour v first; `rest` holds N(S1) up to v.
+        rest = graph.neighborhood(s1, excluded)
+        while rest:
+            s2 = 1 << (rest.bit_length() - 1)
+            if not ask or graph.connected(s1, s2):
                 self.buildable.add(s1 | s2)
                 yield s1, s2
-            below = neighborhood & prefix_below(v)
-            yield self._enumerate_cmp_rec(s1, s2, excluded | below)
+            yield self._enumerate_cmp_rec(s1, s2, excluded | rest)
+            rest ^= s2
 
     def _enumerate_cmp_rec(self, s1: int, s2: int, excluded: int):
         graph = self.graph
         neighborhood = graph.neighborhood(s2, excluded)
         if not neighborhood:
             return
-        buildable = self.buildable
+        buildable, ask = self.buildable, self.ask
         for subset in subsets(neighborhood):
             grown = s2 | subset
-            if grown in buildable and graph.connected(s1, grown):
+            if grown in buildable and (not ask or graph.connected(s1, grown)):
                 buildable.add(s1 | grown)
                 yield s1, grown
         grown_excluded = excluded | neighborhood

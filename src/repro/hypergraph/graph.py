@@ -7,8 +7,9 @@ the initial tree to one hyperedge ``(L-TES, R-TES)``, so hyperedges carry an
 opaque ``label`` (the operator's edge id) for the plan generator.
 
 Hot-path design (see docs/architecture.md): the DPhyp enumerator calls
-``neighborhood`` and ``connected`` once or more per csg-cmp-pair, so both
-are served from per-vertex indexes instead of scans over ``self.edges``:
+``neighborhood`` once or more per csg-cmp-pair, and ``connected`` on graphs
+with complex edges, so both are served from per-vertex indexes instead of
+scans over ``self.edges``:
 
 * ``_simple_neighbors[v]`` — union of simple-edge neighbours of ``v``,
 * ``_complex_sides_by_min[v]`` — every orientation ``(u, w)`` of a
@@ -131,8 +132,11 @@ class Hypergraph:
         result = 0
         simple = self._simple_neighbors
         if self._no_complex:
-            for v in bits_of(s):
-                result |= simple[v]
+            rest = s
+            while rest:
+                low = rest & -rest
+                result |= simple[low.bit_length() - 1]
+                rest ^= low
             result &= ~forbidden
             self._neighborhood_cache[key] = result
             return result

@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from math import inf
+from math import inf, isnan
 from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
@@ -233,7 +233,7 @@ def optimize(
     ignores it, and if it was wrong — too low, so that no
     complete plan fits under it — the query is planned again without it
     (``stats["ceiling.rerun"]``; hooks see both passes).  The answer
-    never depends on it.
+    never depends on it.  ``inf`` bounds nothing; NaN is refused.
 
     *engine* has one value besides the default: ``"reference"`` hands
     *query* and *config*, and nothing else, to the test oracle.
@@ -241,6 +241,8 @@ def optimize(
     # Only benchmarks/e2e/child.py still spells cache=None; the benchmark-only change deletes it.
     if cache is not None:
         raise ValueError("optimize() consults no cache: pass cache=None or leave it out")
+    if known_cost is not None and isnan(known_cost):
+        raise ValueError("known_cost must be a cost or inf, got nan")
     if engine != "indexed":
         # The bridge for benchmarks/e2e/golden.py's optimize(..., engine="reference");
         # the benchmark-only change that repoints golden.py at optimize_reference deletes it.
@@ -494,12 +496,13 @@ DEGRADED_STRATEGY = "h1"
 #: two there is one csg-cmp-pair, the full set, where keep-the-cheaper
 #: already refuses what a ceiling would.  EA-Prune's total time with the
 #: pre-pass over without it, 40 random queries a size (best of 5, the two
-#: alternating, three rounds; CHANGES.md): 1.26-1.30x at three relations,
-#: 1.01-1.02x at four, 0.66-0.72x at five, 0.58-0.63x at six.  The
-#: incumbent cut made both runs cheaper, the unbounded one more (on the
-#: same queries without it: 1.14-1.21x, 0.86-0.91x, 0.55-0.56x,
-#: 0.45-0.49x), so four now breaks even; it stays the threshold, because
-#: moving it changes which cache misses take a pre-pass.
+#: alternating, three rounds, one pinned core; CHANGES.md): 1.50-1.51x at
+#: three relations, 1.20-1.22x at four, 0.88-0.91x at five, 0.85-0.87x at
+#: six.  The projected FD clause made the unbounded run much cheaper (the
+#: incumbent cut alone had left four at 1.01-1.02x, five at 0.66-0.72x),
+#: and a cheaper pre-pass took back little of it (the same queries before
+#: it: 1.50-1.52x, 1.21-1.25x, 0.87-0.92x, 0.85-0.88x).  Four stays the
+#: threshold: moving it changes which cache misses take a pre-pass.
 CEILING_MIN_RELATIONS = 4
 
 #: Relative head-room added to a caller's *known_cost* before it becomes a

@@ -9,10 +9,11 @@ preparation time:
 * one immutable :class:`JoinSpec` per edge and orientation, built once,
 * a per-vertex index over edge orientations: orientation ``(a, b)`` is
   filed under ``min(a)``, so the crossing edges of ``(S1, S2)`` are found
-  by scanning only the orientations whose ``min`` vertex lies in S1 —
-  every crossing edge has the min vertex of its S1-side inside S1,
+  by scanning only the orientations whose ``min`` vertex lies in the
+  smaller side — every crossing edge has an orientation filed there,
 * for an edge without conflict rules, the orientation's resolved spec
-  beside it: ``Applicable`` is then TES containment, which the crossing
+  and its partner's beside it (found under S2, it is the edge's other
+  orientation): ``Applicable`` is then TES containment, which the crossing
   test has just checked, so only edges with rules are asked again,
 * an interning cache for the conjoined predicates of multi-edge ccps
   (cyclic inner-join queries), keyed by the crossing edge-id tuple, so
@@ -29,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.algebra.expressions import conjunction
 from repro.conflict.detector import AnnotatedEdge
-from repro.hypergraph.bitset import bits_of, lowest_bit
+from repro.hypergraph.bitset import lowest_bit
 from repro.query.spec import Query
 from repro.rewrites.pushdown import OpKind
 
@@ -71,10 +72,11 @@ class EdgeResolver:
         # it resolves to: for such an edge ``applicable`` is TES
         # containment, which is exactly the crossing test — (l, r) found
         # inside (S1, S2) is applicable as is, (r, l) swapped.  An edge
-        # with rules carries None and is asked.
-        self._sides_by_min: List[List[Tuple[int, int, int, Optional[JoinSpec]]]] = [
-            [] for _ in range(n)
-        ]
+        # with rules carries None and is asked.  Last comes the partner: the
+        # other orientation's spec, for a scan from S2's side.
+        self._sides_by_min: List[
+            List[Tuple[int, int, int, Optional[JoinSpec], Optional[JoinSpec]]]
+        ] = [[] for _ in range(n)]
         self._specs: List[Tuple[AnnotatedEdge, JoinSpec, JoinSpec]] = []
         for seq, edge in enumerate(annotated):
             join_edge = query.edge(edge.edge_id)
@@ -87,12 +89,12 @@ class EdgeResolver:
                 join_edge.groupjoin_vector, swap=True,
             )
             self._specs.append((edge, plain, swapped))
-            free = not edge.rules
+            plain_found, swapped_found = (None, None) if edge.rules else (plain, swapped)
             self._sides_by_min[lowest_bit(edge.l_tes)].append(
-                (edge.l_tes, edge.r_tes, seq, plain if free else None)
+                (edge.l_tes, edge.r_tes, seq, plain_found, swapped_found)
             )
             self._sides_by_min[lowest_bit(edge.r_tes)].append(
-                (edge.r_tes, edge.l_tes, seq, swapped if free else None)
+                (edge.r_tes, edge.l_tes, seq, swapped_found, plain_found)
             )
         self._conjunctions: Dict[Tuple[int, ...], Tuple[object, float]] = {}
         self.counters: Dict[str, int] = {"resolve_calls": 0, "edge_sides_scanned": 0}
@@ -105,7 +107,8 @@ class EdgeResolver:
         orientation).  Multiple crossing edges: only legal when all of them
         are inner joins — their predicates are conjoined and selectivities
         multiplied.  Only edges with conflict rules are asked
-        ``applicable``: for the others the crossing test has answered.
+        ``applicable``: for the others the crossing test, made from the
+        smaller side as ``connected``'s, has answered.
         """
         counters = self.counters
         counters["resolve_calls"] += 1
@@ -113,12 +116,17 @@ class EdgeResolver:
         crossing: List[int] = []
         found = None
         scanned = 0
-        for v in bits_of(s1):
-            for a, b, seq, spec in sides_by_min[v]:
+        from_s2 = s1.bit_count() > s2.bit_count()
+        side, other = (s2, s1) if from_s2 else (s1, s2)
+        rest = side
+        while rest:
+            low = rest & -rest
+            for a, b, seq, spec, partner in sides_by_min[low.bit_length() - 1]:
                 scanned += 1
-                if not (a & ~s1) and not (b & ~s2):
+                if not (a & ~side) and not (b & ~other):
                     crossing.append(seq)
-                    found = spec
+                    found = partner if from_s2 else spec
+            rest ^= low
         counters["edge_sides_scanned"] += scanned
         if not crossing:
             return None

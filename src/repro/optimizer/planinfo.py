@@ -109,6 +109,9 @@ VIA_CLASS = "\x00via-class"
 #: (``OpKind.left_only``, as a constant for the hot loop).
 _LEFT_ONLY = (OpKind.LEFT_SEMI, OpKind.LEFT_ANTI, OpKind.GROUPJOIN)
 
+#: ``PlanBuilder._fresh_terms``' shared answer when no term can turn fresh.
+_NO_FRESH_TERMS: Tuple[Tuple[str, ...], FrozenSet[str]] = ((), frozenset())
+
 
 def clear_memo_caches() -> None:
     """Drop the module-level pure-function memos (benchmark hygiene —
@@ -594,6 +597,9 @@ class PlanBuilder:
             self.original_calls[item.name] = item.call
             self.term_defaults[item.name] = item.call.evaluate_on_null_tuple()
         self._needed_above_cache: Dict[int, FrozenSet[str]] = {}
+        #: Sources over two or more relations, the only ones an operator
+        #: that keeps both sides can make fresh.
+        self._spanning_sources = [m for m in self.term_sources.values() if m & (m - 1)]
         self._fresh_terms_cache: Dict[
             Tuple[int, int, bool], Tuple[Tuple[str, ...], FrozenSet[str]]
         ] = {}
@@ -883,7 +889,10 @@ class PlanBuilder:
         (leaves start that way; ``join`` and ``group`` preserve it), so the
         answer depends on the sets alone — except that the left-only
         operators drop the right side's terms, which then count as fresh.
+        Without a spanning source, both-sided operators skip the memo.
         """
+        if not left_only and not self._spanning_sources:
+            return _NO_FRESH_TERMS
         key = (left_set, right_set, left_only)
         cached = self._fresh_terms_cache.get(key)
         if cached is None:

@@ -48,6 +48,17 @@ def random_hypergraph(rng, n):
     return Hypergraph(n, edges)
 
 
+def random_simple_graph(rng, n):
+    """A random spanning tree plus random extra simple edges."""
+    pairs = [(rng.randrange(i), i) for i in range(1, n)]
+    extras = [
+        (u, w)
+        for u, w in itertools.combinations(range(n), 2)
+        if (u, w) not in pairs and rng.random() < 0.3
+    ]
+    return Hypergraph.from_pairs(n, pairs + extras)
+
+
 def query_graph(seed, n):
     """The conflict hypergraph of a random query of the paper's generator."""
     return prepare(generate_query(n, random.Random(seed))).graph
@@ -151,15 +162,7 @@ class TestEnumerationProperties:
         seed=st.integers(min_value=0, max_value=10_000),
     )
     def test_random_connected_simple_graphs_match_brute_force(self, n, seed):
-        rng = random.Random(seed)
-        # Random spanning tree + random extra edges => connected graph.
-        pairs = [(rng.randrange(i), i) for i in range(1, n)]
-        extras = [
-            (u, w)
-            for u, w in itertools.combinations(range(n), 2)
-            if (u, w) not in pairs and rng.random() < 0.3
-        ]
-        graph = Hypergraph.from_pairs(n, pairs + extras)
+        graph = random_simple_graph(random.Random(seed), n)
         emitted = {frozenset((s1, s2)) for s1, s2 in enumerate_ccps(graph)}
         expected = {frozenset(p) for p in brute_force_ccps(graph)}
         assert emitted == expected
@@ -203,6 +206,36 @@ class TestIterativeMatchesReference:
         rng = random.Random(seed)
         graph = random_hypergraph(rng, rng.randint(2, 7))
         assert list(enumerate_ccps(graph)) == list(enumerate_ccps_reference(graph))
+
+
+class TestConnectedOnlyWhereTheNeighbourhoodCannotTell:
+    """Without complex edges every vertex of N(S1) has a simple edge into
+    S1, so the enumerator asks ``connected`` nothing; with them it asks.
+    The identical-sequence tests above stay the order gate."""
+
+    @pytest.mark.parametrize("make", [chain, cycle, star, clique])
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_topologies_ask_nothing(self, make, n):
+        graph = make(n)
+        assert count_ccps(graph) > 0
+        assert graph.counters["connected_calls"] == 0
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_simple_graphs_ask_nothing(self, seed):
+        rng = random.Random(seed)
+        graph = random_simple_graph(rng, rng.randint(2, 8))
+        assert list(enumerate_ccps(graph)) == list(enumerate_ccps_reference(graph))
+        assert graph.counters["connected_calls"] == 0
+
+    def test_random_hypergraphs_with_complex_edges_ask(self):
+        rng = random.Random(7)
+        graphs = 0
+        while graphs < 30:
+            graph = random_hypergraph(rng, rng.randint(3, 7))
+            if all(edge.simple for edge in graph.edges) or not count_ccps(graph):
+                continue
+            assert graph.counters["connected_calls"] > 0, graph.edges
+            graphs += 1
 
 
 class TestLargeChains:

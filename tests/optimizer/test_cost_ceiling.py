@@ -466,6 +466,19 @@ class TestKnownCost:
             assert _counters(_run(query, known_cost=known, **config)) == _counters(plain)
         assert not CEILING_KEYS & set(plain.stats)
 
+    @pytest.mark.parametrize("strategy", ["ea-prune", "dphyp"])
+    def test_nan_is_refused(self, strategy):
+        # NaN compares false to every cost: it would bound nothing, yet be
+        # reported as a remembered ceiling.
+        with pytest.raises(ValueError, match="known_cost"):
+            _run(topology_query("chain", 6), strategy, known_cost=float("nan"))
+
+    def test_inf_bounds_nothing(self):
+        query = topology_query("chain", 6)
+        unbounded = _run(query, known_cost=float("inf"))
+        assert unbounded.stats["strategy.plans_above_ceiling"] == 0
+        assert _answer(unbounded) == _answer(_run(query))
+
     def test_a_rerun_keeps_the_budget_and_reports_once(self):
         query = topology_query("star", 6)
         fired = []

@@ -6,7 +6,8 @@ crossing test its index scan makes — is the whole of ``Applicable``.
 Generated queries and TPC-H never put an edge with rules into a ccp that
 several edges cross, so the edge sets here are random: random TESs,
 operators and rules over a five-relation query's edges, every disjoint
-pair of relation sets resolved by both and compared.
+pair of relation sets resolved by both and compared — with either side
+the smaller, since the resolver scans the smaller side's orientations.
 """
 
 import itertools
@@ -50,6 +51,10 @@ def _answer(spec):
 def test_resolver_matches_the_seed_scan(seed):
     rng = random.Random(seed)
     several_with_rules = 0
+    # (S2 is the smaller side, a crossing edge has rules): the resolver
+    # scans the smaller side, and answers a free edge found from S2 with
+    # the other orientation's spec; each combination must be reached.
+    reached = set()
     for _ in range(10):
         edges = _random_edges(rng)
         resolver = EdgeResolver(edges, QUERY)
@@ -67,4 +72,7 @@ def test_resolver_matches_the_seed_scan(seed):
                 or (not e.l_tes & ~s2 and not e.r_tes & ~s1)
             ]
             several_with_rules += len(crossing) > 1 and any(e.rules for e in crossing)
+            for e in crossing:
+                reached.add((s2.bit_count() < s1.bit_count(), bool(e.rules)))
     assert several_with_rules  # the branch this file exists for was reached
+    assert reached == {(False, False), (False, True), (True, False), (True, True)}

@@ -6,6 +6,11 @@ multi-level grouping pushdown) and random micro databases, the plan chosen
 by *every* strategy must produce exactly the canonical result — which
 simultaneously validates the Sec. 3 equivalences, the conflict detector,
 the aggregation-state machinery and top-grouping elimination.
+
+A plan that is wrong but never cheapest is a latent wrong answer: it
+surfaces once drifted statistics make it the cheapest.  So EA-All, run
+through the oracle with an ``on_plan`` hook, has *every* complete plan it
+builds executed and compared too.
 """
 
 import random
@@ -14,7 +19,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.exec import execute
-from repro.optimizer import OptimizerConfig, optimize
+from repro.optimizer import OptimizerConfig, OptimizerHooks, optimize
+from repro.optimizer.reference import optimize_reference
 from repro.query.canonical import canonical_plan
 from repro.workload import WorkloadConfig, generate_database, generate_query
 
@@ -79,3 +85,40 @@ def test_larger_databases(seed):
     canonical = execute(canonical_plan(query), database)
     result = optimize(query)
     assert execute(result.plan.node, database) == canonical
+
+
+def check_every_complete_plan(seed, n):
+    """Every complete plan EA-All builds == the canonical result; returns
+    how many were compared."""
+    rng = random.Random(seed * 7919 + n)
+    query = generate_query(n, rng)
+    database = generate_database(query, rng)
+    canonical = execute(canonical_plan(query), database)
+    complete = []
+    all_mask = query.all_relations_mask
+
+    def keep(plan):
+        if plan.rel_set == all_mask:
+            complete.append(plan)
+
+    optimize_reference(
+        query,
+        config=OptimizerConfig(strategy="ea-all", cache_capacity=None),
+        hooks=OptimizerHooks(on_plan=keep),
+    )
+    assert complete, (seed, n)
+    for plan in complete:
+        assert execute(plan.node, database) == canonical, (seed, n, plan.node)
+    return len(complete)
+
+
+def test_every_complete_plan_matches_the_canonical_result():
+    compared = sum(check_every_complete_plan(seed, 2 + seed % 3) for seed in range(150))
+    assert compared > 150  # not only the chosen plans
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_every_complete_plan_random_matrix(n):
+    for seed in range(150, 900):
+        check_every_complete_plan(seed, n)

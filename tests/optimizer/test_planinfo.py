@@ -1,5 +1,8 @@
 """Unit tests for PlanInfo construction: keys, Cout, aggregation state."""
 
+import itertools
+import random
+
 import pytest
 
 from repro.aggregates import count, count_star, max_, sum_
@@ -11,6 +14,9 @@ from repro.plans.nodes import GroupByNode, ProjectNode, ScanNode
 from repro.query.spec import JoinEdge, Query, RelationInfo
 from repro.query.tree import TreeLeaf, TreeNode
 from repro.rewrites.pushdown import OpKind
+from repro.sql import Catalog, parse_query
+from repro.tpch.queries import TPCH_QUERIES
+from repro.workload import generate_query
 
 
 def make_query(op=OpKind.INNER, aggregates=None, group_by=("r0.g",), with_keys=True):
@@ -216,3 +222,69 @@ class TestFinishTop:
         final = builder.finish_top(joined)
         assert isinstance(final.node, ProjectNode)  # Eqv. 42 applied
         assert final.cost == joined.cost  # projections are free
+
+
+#: An aggregate whose source spans two relations: it turns fresh at an
+#: inner join, not only at a left-only operator.
+SPANNING_SQL = (
+    "SELECT n.n_name, sum(s.s_acctbal * c.c_acctbal) AS x, count(*) AS cnt "
+    "FROM nation n JOIN supplier s ON s.s_nationkey = n.n_nationkey "
+    "JOIN customer c ON c.c_nationkey = n.n_nationkey GROUP BY n.n_name"
+)
+
+
+def _fresh_by_definition(builder, left_set, right_set, left_only):
+    """The scan over every term source, as ``_fresh_terms`` documents it."""
+    names = tuple(
+        name
+        for name, source in builder.term_sources.items()
+        if not source & ~(left_set | right_set)
+        and source & ~left_set
+        and (left_only or source & ~right_set)
+    )
+    raw = frozenset().union(*(builder.original_calls[name].attributes() for name in names))
+    return names, raw
+
+
+def _check_fresh_terms(query):
+    """Every ordered pair of disjoint relation sets, both operator kinds:
+    ``_fresh_terms`` == the definition.  Returns which non-empty answers
+    were met, by (left_only, has a spanning source)."""
+    builder = PlanBuilder(query)
+    spanning = any(mask.bit_count() > 1 for mask in builder.term_sources.values())
+    met = set()
+    for labels in itertools.product(range(3), repeat=len(query.relations)):
+        left = sum(1 << v for v, side in enumerate(labels) if side == 1)
+        right = sum(1 << v for v, side in enumerate(labels) if side == 2)
+        if not left or not right:
+            continue
+        for left_only in (False, True):
+            expected = _fresh_by_definition(builder, left, right, left_only)
+            # twice: the first answer and the memo's
+            assert builder._fresh_terms(left, right, left_only) == expected
+            assert builder._fresh_terms(left, right, left_only) == expected
+            if expected[0]:
+                met.add((left_only, spanning))
+    return met
+
+
+class TestFreshTerms:
+    """``_fresh_terms`` skips its memo where no term can turn fresh; both
+    premises of the skip are reached here (a left-only operator without a
+    spanning source, and an inner join with one)."""
+
+    def test_mixed_operator_queries(self):
+        met = set()
+        for seed in range(30):
+            n = 3 + seed % 3
+            met |= _check_fresh_terms(generate_query(n, random.Random(seed * 7919 + n)))
+        assert {(True, False), (False, True)} <= met
+
+    @pytest.mark.parametrize("name", sorted(TPCH_QUERIES))
+    def test_tpch(self, name):
+        _check_fresh_terms(TPCH_QUERIES[name]())
+
+    def test_an_aggregate_over_two_relations(self):
+        query = parse_query(SPANNING_SQL, Catalog.from_tpch())
+        assert (False, True) in _check_fresh_terms(query)
+        assert PlanBuilder(query)._fresh_terms(2, 4, False)[0] == ("x",)
