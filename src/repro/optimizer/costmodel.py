@@ -63,6 +63,7 @@ class CostModel:
 
     The DP prices candidates before it builds them, so the *child* of the
     top grouping may be a :class:`~repro.optimizer.planinfo.PricedJoin`
+    and a join's input a :class:`~repro.optimizer.planinfo.PricedGroup`
     rather than a :class:`~repro.optimizer.planinfo.PlanInfo`: rely on the
     derived properties both expose (``rel_set``, ``cost``, ``cardinality``,
     ``eagerness``, ``duplicate_free``, ``keys``, ``equiv``, ``raw_attrs``,

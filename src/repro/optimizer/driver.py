@@ -21,14 +21,18 @@ from which it cannot displace the incumbent, declared by the strategies
 that keep one plan per class, and the incumbent's cost for the full
 relation set under every strategy (under a monotone cost model; a whole
 csg-cmp-pair whose input buckets' cheapest plans reach it is skipped
-before it is resolved).  What is left is priced
-(:meth:`~repro.optimizer.planinfo.PlanBuilder.price`)
+before it is resolved).  A csg-cmp-pair with a side whose bucket holds no
+plan is skipped before all of that.  What is left is priced
+(:meth:`~repro.optimizer.planinfo.PlanBuilder.price`, on each input's
+eager grouping priced once per plan,
+:meth:`~repro.optimizer.planinfo.PlanBuilder.grouped`)
 and filed in its bucket *as priced*
 (:meth:`~repro.optimizer.strategies.Strategy.insert`, which says whether
 it kept it).  A bucket is constructed the first time a ccp reads its
 relation set as an input — DPhyp emits every ccp that produces a set
 before any that reads it, so the bucket is final by then — and a
-candidate displaced or evicted before that is never built.  A finished
+candidate displaced or evicted before that is never built, nor is a
+grouping no built plan reads.  A finished
 plan for the full relation set is built only if its priced cost beats
 the incumbent's.  The seed's unindexed, unbounded loop, which every
 piece of this one is tested against, is the oracle module beside this
@@ -104,11 +108,13 @@ class OptimizationResult:
     #: ``ceiling.seconds`` (every other key, like ``ccp_count``, counts
     #: the main pass only; ``elapsed_seconds`` covers both).
     #: ``ceiling.rerun`` marks a result planned a second time because the
-    #: known cost it was first held to bounded no plan.  The incumbent cut
-    #: adds ``strategy.pairs_cut`` (csg-cmp-pairs skipped before they were
-    #: resolved: ``resolver.resolve_calls`` + it = ``ccp_count``) and
-    #: ``strategy.plans_cut`` (variants skipped unpriced, not counted in
-    #: ``plans_built``).  Populated by
+    #: known cost it was first held to bounded no plan.
+    #: ``strategy.pairs_without_plans`` counts csg-cmp-pairs skipped for a
+    #: side whose bucket holds no plan; the incumbent cut adds
+    #: ``strategy.pairs_cut`` (csg-cmp-pairs with plans on both sides
+    #: skipped before they were resolved: ``resolver.resolve_calls`` + the
+    #: two = ``ccp_count``) and ``strategy.plans_cut`` (variants skipped
+    #: unpriced, not counted in ``plans_built``).  Populated by
     #: :func:`optimize`; empty for results constructed elsewhere.
     stats: Dict[str, float | str] = field(default_factory=dict)
 
@@ -336,7 +342,7 @@ def optimize(
     top_threshold = attrgetter("cost") if monotone else None
     #: each final bucket's cheapest cost, for the ccp-level cut
     floors: Dict[int, float] = {}
-    pairs_cut = 0
+    pairs_cut = without_plans = 0
 
     table: Dict[int, List[PlanInfo]] = {}
     #: inner relation sets whose buckets hold priced candidates no ccp has
@@ -367,6 +373,14 @@ def optimize(
                 deadline.check()
             if on_ccp is not None:
                 on_ccp(s1, s2)
+            # A side without plans (conflict rules left its set unbuildable,
+            # or the ceiling left its bucket empty) makes nothing: two
+            # lookups, before the cut and the resolver.
+            bucket1 = table.get(s1)
+            bucket2 = table.get(s2)
+            if not bucket1 or not bucket2:
+                without_plans += 1
+                continue
             combined = s1 | s2
             is_top = combined == all_mask
             threshold = top_threshold if is_top else inner_threshold
@@ -377,21 +391,20 @@ def optimize(
                 # Both inputs are final (DPhyp's order), so are their floors.
                 floor1 = floors.get(s1)
                 if floor1 is None:
-                    floor1 = floors[s1] = _cheapest(table.get(s1))
+                    floor1 = floors[s1] = _cheapest(bucket1)
                 floor2 = floors.get(s2)
                 if floor2 is None:
-                    floor2 = floors[s2] = _cheapest(table.get(s2))
+                    floor2 = floors[s2] = _cheapest(bucket2)
                 if floor1 + floor2 >= limit:
                     pairs_cut += 1
                     continue
             spec = resolve(s1, s2)
             if spec is None:
                 continue
-            left_set, right_set = (s2, s1) if spec.swap else (s1, s2)
-            left_bucket = table.get(left_set, ())
-            right_bucket = table.get(right_set, ())
-            if not left_bucket or not right_bucket:
-                continue
+            if spec.swap:
+                left_set, right_set, left_bucket, right_bucket = s2, s1, bucket2, bucket1
+            else:
+                left_set, right_set, left_bucket, right_bucket = s1, s2, bucket1, bucket2
             # Build on read: every ccp producing a set comes before any
             # reading it, so a bucket is final the first time it is read.
             if left_set in unread:
@@ -449,6 +462,8 @@ def optimize(
         stats["strategy.plans_priced_away"] = tally.priced_away
     if pairs_cut:
         stats["strategy.pairs_cut"] = pairs_cut
+    if without_plans:
+        stats["strategy.pairs_without_plans"] = without_plans
     if tally.cut:
         stats["strategy.plans_cut"] = tally.cut
     if source is not None:
@@ -496,13 +511,15 @@ DEGRADED_STRATEGY = "h1"
 #: two there is one csg-cmp-pair, the full set, where keep-the-cheaper
 #: already refuses what a ceiling would.  EA-Prune's total time with the
 #: pre-pass over without it, 40 random queries a size (best of 5, the two
-#: alternating, three rounds, one pinned core; CHANGES.md): 1.50-1.51x at
-#: three relations, 1.20-1.22x at four, 0.88-0.91x at five, 0.85-0.87x at
-#: six.  The projected FD clause made the unbounded run much cheaper (the
-#: incumbent cut alone had left four at 1.01-1.02x, five at 0.66-0.72x),
-#: and a cheaper pre-pass took back little of it (the same queries before
-#: it: 1.50-1.52x, 1.21-1.25x, 0.87-0.92x, 0.85-0.88x).  Four stays the
-#: threshold: moving it changes which cache misses take a pre-pass.
+#: alternating, three rounds, one pinned core; CHANGES.md): 1.46x at three
+#: relations, 1.14-1.20x at four, 0.89-0.90x at five, 0.83-0.91x at six,
+#: since groupings are built only when read and pairs with an empty side
+#: are skipped (the same session before: 1.50-1.52x, 1.19-1.24x,
+#: 0.85-0.90x, 0.82-0.89x).  The projected FD clause had made the
+#: unbounded run much cheaper (the incumbent cut alone had left four at
+#: 1.01-1.02x, five at 0.66-0.72x); cheaper passes since moved the
+#: crossover little.  Four stays the threshold: moving it changes which
+#: cache misses take a pre-pass.
 CEILING_MIN_RELATIONS = 4
 
 #: Relative head-room added to a caller's *known_cost* before it becomes a
@@ -573,9 +590,7 @@ class _Tally:
 
 
 def _cheapest(bucket) -> float:
-    """The least cost among a final bucket's plans; ``inf`` for none."""
-    if not bucket:
-        return inf
+    """The least cost among a final, non-empty bucket's plans."""
     if type(bucket) is PruneBucket:
         return min(costs[0] for costs, _cards, _plans in bucket.frontiers.values() if costs)
     return min(plan.cost for plan in bucket)
@@ -610,9 +625,10 @@ def _build_plans(
     an inner relation set, *filed* as the :class:`PricedJoin` it is:
     ``strategy.insert`` keeps, evicts or displaces priced candidates and
     says whether it kept this one.  A kept candidate is built only when a
-    ccp reads its bucket (:func:`_materialise`); that is sound because
-    ``price`` decides validity completely, so whatever the strategy keeps
-    will construct.  For the full relation set the driver keeps the
+    ccp reads its bucket (:func:`_materialise`), and a grouped input only
+    when a candidate reading it is; that is sound because ``price`` and
+    ``grouped`` decide validity completely, so whatever the strategy
+    keeps will construct.  For the full relation set the driver keeps the
     strictly cheaper plan (``InsertTopLevelPlan``): a finished plan whose
     priced ``finish_top`` cost beats the incumbent's is built at once and
     replaces it, any other is never built.
@@ -631,8 +647,8 @@ def _build_plans(
     eager = strategy.explore_eager
     group_left = eager and pushdown_valid_for(op, 1)
     group_right = eager and pushdown_valid_for(op, 2)
-    # Γ_{G⁺} of a plan is the plan's own (PlanBuilder.grouped): one per
-    # plan, not one per partner.
+    # Γ_{G⁺} of a plan is the plan's own (PlanBuilder.grouped): priced once
+    # per plan, not once per partner, and built only if a built plan reads it.
     rights = [(plan, grouped(plan) if group_right else None) for plan in right_bucket]
     insert = strategy.insert
     top_cost = builder.top_cost

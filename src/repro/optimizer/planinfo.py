@@ -22,15 +22,18 @@ each side's terms by the other side's scale columns, and grouping a plan
 decomposes every term into inner/outer stages while folding the plan's old
 scale columns into the new count column (``count(*) ⊗ c`` = ``sum(c)``).
 
-Joins are made in two steps (docs/architecture.md, "bound, price, file
-— build on read"):
-:meth:`PlanBuilder.price` derives a candidate's validity, cardinality,
-cost and eagerness from the two inputs alone — a :class:`PricedJoin`, no
-plan node, no dictionaries — and :meth:`PlanBuilder.construct` turns a
-priced candidate into a :class:`PlanInfo`.  The DP driver files in its
-table what its strategy does not discard on price, still priced, and
-constructs a bucket's candidates when a join first reads it;
-:meth:`PlanBuilder.join` is the two steps back to back.
+Joins and eager groupings are made in two steps (docs/architecture.md,
+"bound, price, file — build on read"): :meth:`PlanBuilder.price` derives
+a join candidate's validity, cardinality, cost and eagerness from the
+two inputs alone — a :class:`PricedJoin`, no plan node, no dictionaries
+— and :meth:`PlanBuilder.grouped` prices a plan's ``Γ_{G⁺}`` the same
+way, once per plan — a :class:`PricedGroup`.  :meth:`PlanBuilder.construct`
+turns a priced join into a :class:`PlanInfo`, building a priced grouping
+it reads on the way, once.  The DP driver files in its table what its
+strategy does not discard on price, still priced, and constructs a
+bucket's candidates when a join first reads it, so a grouping is built
+only when a built plan reads it; :meth:`PlanBuilder.join` and
+:meth:`PlanBuilder.group` are the two steps back to back.
 
 Functional dependencies are kept twice, on purpose.  The *sets* — a
 plan's ``keys`` / ``equiv`` / ``duplicate_free`` fields, with
@@ -66,7 +69,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 from repro.aggregates.calls import AggCall, AggKind
 from repro.aggregates.transform import (
-    NotDecomposableError,
     NotScalableError,
     decompose_call,
     scale_call,
@@ -74,7 +76,7 @@ from repro.aggregates.transform import (
     single_row_expr,
 )
 from repro.aggregates.vector import AggItem, AggVector
-from repro.algebra.expressions import Expr, attrs_of
+from repro.algebra.expressions import Attr, BinOp, Expr, Logical, attrs_of
 from repro.algebra.values import SqlValue
 from repro.cardinality.estimate import (
     antijoin_cardinality,
@@ -177,8 +179,7 @@ class PlanInfo:
         """Pickle the declared fields only.  Everything else in the
         instance ``__dict__`` is a process-local memo — closure caches, the
         run's interned :class:`FdState` (``_fd``) and the plan's columns as
-        a mask of that run's table (``_raw_mask``), the plan's eager grouping
-        (:meth:`PlanBuilder.grouped`), the rendered tree a serving core
+        a mask of that run's table (``_raw_mask``), the rendered tree a serving core
         replies with (:meth:`rendered`) — and must not ride along to a batch
         worker, a shard snapshot or a plan cache."""
         state = self.__dict__
@@ -410,7 +411,8 @@ class PricedJoin:
 
     Holds what a strategy needs to decide the candidate's fate — ``cost``,
     ``cardinality``, ``eagerness``, ``duplicate_free`` — computed from the
-    two input plans and the operator alone.  ``state`` (Def. 4's FD triple
+    two inputs and the operator alone (an input may be a
+    :class:`PricedGroup`, built when the join is).  ``state`` (Def. 4's FD triple
     as an interned :class:`FdState`; ``keys`` and ``equiv`` read it) is
     looked up on first access, so only a strategy that compares
     functional dependencies pays for it.  The
@@ -477,6 +479,73 @@ class PricedJoin:
         return ChainMap(self.right.distinct, self.left.distinct)
 
 
+class PricedGroup:
+    """An eager grouping ``Γ_{G⁺}(plan)`` (OpTrees, Fig. 6), priced but not
+    built: what :meth:`PlanBuilder.grouped` answers.
+
+    Pricing decides validity and computes what a join priced on top of
+    the grouping reads — ``cost``, ``cardinality``, ``raw_attrs`` (G⁺),
+    ``distinct`` and ``scale_cols`` (the count column, named with the
+    ``#g`` suffix taken at pricing, so column names are those a built
+    grouping would have).  The FD triple (``keys``, ``equiv``;
+    ``duplicate_free`` always holds) is derived on first read.  Like a
+    :class:`PricedJoin` the record quacks like a :class:`PlanInfo` except
+    for ``node``, ``terms`` and ``defaults``.  :meth:`PlanBuilder.construct`
+    builds it (:meth:`PlanBuilder.construct_group`) when it builds a join
+    that reads it, once: the plan is kept in ``built``.  The record points
+    at its input plan and its built plan; neither points back at it.
+    """
+
+    duplicate_free = True
+    eagerness = 0
+
+    def __init__(
+        self,
+        plan: PlanInfo,
+        g_plus: Tuple[str, ...],
+        suffix: str,
+        new_count: Optional[AggCall],
+        scale_cols: Tuple[str, ...],
+        cost: float,
+        cardinality: float,
+        raw_attrs: FrozenSet[str],
+        distinct: Dict[str, float],
+    ) -> None:
+        self.plan = plan
+        self.rel_set = plan.rel_set
+        self.g_plus = g_plus
+        self.suffix = suffix
+        #: the count(*) column the grouping adds, when no term already is it
+        self.new_count = new_count
+        self.scale_cols = scale_cols
+        self.cost = cost
+        self.cardinality = cardinality
+        self.raw_attrs = raw_attrs
+        self.distinct = distinct
+        self.built: Optional[PlanInfo] = None
+        self._keys: Optional[Tuple[FrozenSet[str], ...]] = None
+        self._equiv: Optional[Tuple[FrozenSet[str], ...]] = None
+
+    @property
+    def keys(self) -> Tuple[FrozenSet[str], ...]:
+        """G⁺ and the input's keys that lie inside it *literally*."""
+        keys = self._keys
+        if keys is None:
+            group_attrs = self.raw_attrs
+            keys = self._keys = _minimal_keys(
+                (group_attrs,) + tuple(k for k in self.plan.keys if k <= group_attrs)
+            )
+        return keys
+
+    @property
+    def equiv(self) -> Tuple[FrozenSet[str], ...]:
+        """The input's classes cut to G⁺."""
+        equiv = self._equiv
+        if equiv is None:
+            equiv = self._equiv = _restrict_equiv(self.plan.equiv, self.raw_attrs)
+        return equiv
+
+
 @lru_cache(maxsize=65536)
 def _scale_call_cached(call: AggCall, count_attrs: Tuple[str, ...]) -> AggCall:
     """Memoised ``f ⊗ c`` — the same (call, scale-columns) pairs are
@@ -491,15 +560,15 @@ def needs_grouping(group_attrs: FrozenSet[str], plan: PlanInfo) -> bool:
 
 
 def _equality_pairs(predicate: Expr) -> List[Tuple[str, str]]:
-    """Attribute pairs equated by the predicate's top-level conjuncts."""
-    from repro.algebra.expressions import Attr, BinOp, Logical
-
+    """Attribute pairs equated by the predicate's top-level conjuncts, in
+    conjunct order.  An explicit stack, not a recursive closure: a closure
+    that calls itself is a reference cycle left for the collector."""
     pairs: List[Tuple[str, str]] = []
-
-    def walk(expr: Expr) -> None:
+    stack = [predicate]
+    while stack:
+        expr = stack.pop()
         if isinstance(expr, Logical) and expr.op == "and":
-            for operand in expr.operands:
-                walk(operand)
+            stack.extend(reversed(expr.operands))
         elif (
             isinstance(expr, BinOp)
             and expr.op == "="
@@ -507,8 +576,6 @@ def _equality_pairs(predicate: Expr) -> List[Tuple[str, str]]:
             and isinstance(expr.right, Attr)
         ):
             pairs.append((expr.left.name, expr.right.name))
-
-    walk(predicate)
     return pairs
 
 
@@ -579,9 +646,13 @@ class PlanBuilder:
         #: Per-predicate metadata memos (attribute sets, equality pairs).
         self._pred_attrs: Dict[int, Tuple[Expr, FrozenSet[str]]] = {}
         self._pred_eq_pairs: Dict[int, Tuple[Expr, Tuple[Tuple[str, str], ...]]] = {}
+        #: R(S) per relation set, computed once for G⁺ and the FD table alike.
+        self._needed_above = _NeededAbove(query)
         #: This run's FD states.  Plans and states point at the table,
         #: never at the builder.
-        self.fd_table = FdTable(query.needed_above)
+        self.fd_table = FdTable(self._needed_above.__getitem__)
+        #: id(plan) → (plan, its priced grouping or None): :meth:`grouped`.
+        self._groupings: Dict[int, Tuple[PlanInfo, Optional[PricedGroup]]] = {}
         self._pred_masks: Dict[int, Tuple[Expr, int]] = {}
         self._group_counter = 0
         # Source relation mask per normalized aggregate; count(*)-style
@@ -596,7 +667,6 @@ class PlanBuilder:
             self.term_sources[item.name] = mask
             self.original_calls[item.name] = item.call
             self.term_defaults[item.name] = item.call.evaluate_on_null_tuple()
-        self._needed_above_cache: Dict[int, FrozenSet[str]] = {}
         #: Sources over two or more relations, the only ones an operator
         #: that keeps both sides can make fresh.
         self._spanning_sources = [m for m in self.term_sources.values() if m & (m - 1)]
@@ -608,11 +678,7 @@ class PlanBuilder:
 
     # ------------------------------------------------------------------
     def needed_above(self, mask: int) -> FrozenSet[str]:
-        cached = self._needed_above_cache.get(mask)
-        if cached is None:
-            cached = self.query.needed_above(mask)
-            self._needed_above_cache[mask] = cached
-        return cached
+        return self._needed_above[mask]
 
     def _fresh_suffix(self) -> str:
         self._group_counter += 1
@@ -803,7 +869,7 @@ class PlanBuilder:
         )
         priced.cost = left.cost + right.cost + self.cost_model.join(op, cardinality, left, right)
         # The paper's *Eagerness* (Sec. 4.5): Γ nodes directly below the join.
-        priced.eagerness = isinstance(left.node, GroupByNode) + isinstance(right.node, GroupByNode)
+        priced.eagerness = _is_grouping(left) + _is_grouping(right)
         priced.duplicate_free = left.duplicate_free and (
             op in _LEFT_ONLY or right.duplicate_free
         )
@@ -814,6 +880,10 @@ class PlanBuilder:
         """Materialise a priced candidate: plan node, aggregation state,
         statistics dictionaries — reusing the numbers it was priced with."""
         left, right, op = priced.left, priced.right, priced.op
+        if type(left) is PricedGroup:
+            left = self.construct_group(left)
+        if type(right) is PricedGroup:
+            right = self.construct_group(right)
         left_only = op in _LEFT_ONLY
 
         # --- aggregation state -----------------------------------------
@@ -949,98 +1019,124 @@ class PlanBuilder:
         raise AssertionError(op)
 
     # ------------------------------------------------------------------
-    def grouped(self, plan: PlanInfo) -> Optional[PlanInfo]:
-        """``Γ_{G⁺}(plan)`` for OpTrees (Fig. 6), built once per plan.
+    def grouped(self, plan: PlanInfo) -> Optional["PricedGroup"]:
+        """``Γ_{G⁺}(plan)`` for OpTrees (Fig. 6), priced once per plan.
 
         ``G⁺`` — the attributes still needed above the plan's relation set —
         depends on the plan alone, so every csg-cmp-pair and every partner
-        the plan meets shares the one grouping (``None`` when invalid).
-        The memo rides on the plan and dies with it; ``__getstate__`` keeps
-        it out of pickles.
+        the plan meets shares the one :class:`PricedGroup` (``None`` when
+        invalid); :meth:`construct` builds it when it builds a join that
+        reads it.  The memo is the builder's, keyed by the plan's ``id``
+        and holding the plan: nothing rides on the plan, and the plan and
+        its grouping never point at each other.
         """
-        try:
-            return plan.__dict__["_grouped"]
-        except KeyError:
-            result = self.group(plan, self.needed_above(plan.rel_set) & plan.raw_attrs)
-            object.__setattr__(plan, "_grouped", result)
-            return result
+        hit = self._groupings.get(id(plan))
+        if hit is not None and hit[0] is plan:
+            return hit[1]
+        grouping = self._price_group(plan, self.needed_above(plan.rel_set) & plan.raw_attrs)
+        self._groupings[id(plan)] = (plan, grouping)
+        return grouping
 
-    # ------------------------------------------------------------------
     def group(self, plan: PlanInfo, group_attrs: FrozenSet[str]) -> Optional[PlanInfo]:
         """Push an eager grouping ``Γ_{G⁺}`` onto *plan* (the ``Valid`` +
-        construction step of OpTrees, Fig. 6).
+        construction step of OpTrees, Fig. 6): price it, then build it.
 
         Returns ``None`` when invalid: a term is neither decomposable nor
         preserved raw by the grouping attributes.
         """
-        g_plus = _ordered(group_attrs)
-        suffix = self._fresh_suffix()
+        grouping = self._price_group(plan, group_attrs)
+        return None if grouping is None else self.construct_group(grouping)
 
-        inner_items: List[AggItem] = []
-        new_terms: Dict[str, AggCall] = {}
-        new_defaults: Dict[str, SqlValue] = {}
-        for name, call in plan.terms.items():
-            if call.decomposable and not (call.kind is AggKind.AVG):
-                inner_name = f"{name}{suffix}"
-                try:
-                    inner, outer = decompose_call(call, inner_name)
-                except NotDecomposableError:
-                    return None
-                inner_items.append(AggItem(inner_name, inner))
-                new_terms[name] = outer
-                new_defaults[inner_name] = self.term_defaults[name]
-            elif call.attributes() <= group_attrs:
-                # Duplicate-agnostic, non-decomposable aggregates survive
-                # verbatim when their inputs are grouping attributes.
-                if not call.duplicate_agnostic:
-                    return None
-                new_terms[name] = call
-            else:
+    def _price_group(
+        self, plan: PlanInfo, group_attrs: FrozenSet[str]
+    ) -> Optional["PricedGroup"]:
+        """Validity, cost, cardinality and column names of ``Γ_{group_attrs}(plan)``."""
+        group_attrs = frozenset(group_attrs)
+        suffix = self._fresh_suffix()  # taken even when invalid, as column names always were
+        for call in plan.terms.values():
+            # A decomposable, non-avg term always decomposes; any other
+            # survives verbatim only if duplicate-agnostic and over the
+            # grouping attributes.
+            if not (call.decomposable and call.kind is not AggKind.AVG) and not (
+                call.duplicate_agnostic and call.attributes() <= group_attrs
+            ):
                 return None
 
-        need_count = self._need_count(plan.rel_set)
-        count_name: Optional[str] = None
-        if need_count:
+        scale_cols: Tuple[str, ...] = ()
+        new_count: Optional[AggCall] = None
+        if self._need_count(plan.rel_set):
             count_call = _scale_call_cached(AggCall(AggKind.COUNT_STAR), plan.scale_cols)
             # Sec. 3.1.1: "since there already exists one count(*) ... we
-            # keep only one of them" — reuse an identical inner column.
-            for item in inner_items:
-                if item.call == count_call:
-                    count_name = item.name
-                    break
+            # keep only one of them" — a term equal to the count is
+            # decomposable, and its inner stage is the term itself.
+            count_name = next(
+                (name for name, call in plan.terms.items() if call == count_call), None
+            )
             if count_name is None:
-                count_name = f"#cnt{suffix}"
-                inner_items.append(AggItem(count_name, count_call))
-                new_defaults[count_name] = 1
+                count_name, new_count = "#cnt", count_call
+            scale_cols = (f"{count_name}{suffix}",)
 
-        vector = AggVector(inner_items)
-        node = GroupByNode(group_attrs=g_plus, vector=vector, child=plan.node)
-
+        g_plus = _ordered(group_attrs)
         domain = distinct_after(g_plus, plan.distinct, plan.cardinality)
         cardinality = grouping_cardinality(plan.cardinality, domain)
-        keys = _minimal_keys(
-            (frozenset(g_plus),) + tuple(k for k in plan.keys if k <= group_attrs)
-        )
-        # Distinct counts stay *uncapped* in storage: they are relation-set
-        # invariants, which keeps existence-test estimates identical across
-        # all plans of a set (a precondition for sound dominance pruning).
-        distinct = {a: plan.distinct.get(a, plan.cardinality) for a in g_plus}
-
-        return PlanInfo(
-            node=node,
-            rel_set=plan.rel_set,
+        return PricedGroup(
+            plan=plan,
+            g_plus=g_plus,
+            suffix=suffix,
+            new_count=new_count,
+            scale_cols=scale_cols,
             cost=plan.cost + self.cost_model.group(cardinality, plan),  # Cout adds |Γ(e)|
             cardinality=cardinality,
-            keys=keys,
-            duplicate_free=True,
-            raw_attrs=frozenset(g_plus),
-            distinct=distinct,
-            terms=new_terms,
-            scale_cols=(count_name,) if count_name else (),
-            defaults=new_defaults,
-            eagerness=0,
-            equiv=_restrict_equiv(plan.equiv, frozenset(g_plus)),
+            raw_attrs=group_attrs,
+            # Distinct counts stay *uncapped* in storage: they are
+            # relation-set invariants, which keeps existence-test estimates
+            # identical across all plans of a set (a precondition for sound
+            # dominance pruning).
+            distinct={a: plan.distinct.get(a, plan.cardinality) for a in g_plus},
         )
+
+    def construct_group(self, grouping: "PricedGroup") -> PlanInfo:
+        """Build a priced grouping — once: the plan is kept on the record.
+        It shares the record's numbers, ``raw_attrs``, ``distinct``, keys
+        and classes."""
+        built = grouping.built
+        if built is not None:
+            return built
+        plan, suffix = grouping.plan, grouping.suffix
+        inner_items: List[AggItem] = []
+        terms: Dict[str, AggCall] = {}
+        defaults: Dict[str, SqlValue] = {}
+        for name, call in plan.terms.items():
+            if call.decomposable and call.kind is not AggKind.AVG:
+                inner_name = f"{name}{suffix}"
+                inner, outer = decompose_call(call, inner_name)
+                inner_items.append(AggItem(inner_name, inner))
+                terms[name] = outer
+                defaults[inner_name] = self.term_defaults[name]
+            else:
+                terms[name] = call  # kept raw (pricing checked it may be)
+        if grouping.new_count is not None:
+            count_name = grouping.scale_cols[0]
+            inner_items.append(AggItem(count_name, grouping.new_count))
+            defaults[count_name] = 1
+        built = grouping.built = PlanInfo(
+            node=GroupByNode(
+                group_attrs=grouping.g_plus, vector=AggVector(inner_items), child=plan.node
+            ),
+            rel_set=plan.rel_set,
+            cost=grouping.cost,
+            cardinality=grouping.cardinality,
+            keys=grouping.keys,
+            duplicate_free=True,
+            raw_attrs=grouping.raw_attrs,
+            distinct=grouping.distinct,
+            terms=terms,
+            scale_cols=grouping.scale_cols,
+            defaults=defaults,
+            eagerness=0,
+            equiv=grouping.equiv,
+        )
+        return built
 
     def _need_count(self, mask: int) -> bool:
         """Whether a pushed grouping on *mask* must carry a count column:
@@ -1122,12 +1218,32 @@ class PlanBuilder:
 
 def _has_avg_post(post, names) -> bool:
     """True when the post projections do more than pass names through."""
-    from repro.algebra.expressions import Attr
-
     for name, expr in post:
         if not (isinstance(expr, Attr) and expr.name == name):
             return True
     return False
+
+
+def _is_grouping(plan) -> bool:
+    """Whether *plan* is an eager grouping, priced or built — what a join
+    on top of it counts toward its *Eagerness*."""
+    return type(plan) is PricedGroup or isinstance(plan.node, GroupByNode)
+
+
+class _NeededAbove(dict):
+    """``query.needed_above`` by relation set, each computed once.  Holds
+    the query, not the builder, so the FD table can share it without
+    pointing at the builder."""
+
+    __slots__ = ("query",)
+
+    def __init__(self, query: Query) -> None:
+        super().__init__()
+        self.query = query
+
+    def __missing__(self, mask: int) -> FrozenSet[str]:
+        value = self[mask] = self.query.needed_above(mask)
+        return value
 
 
 def _ordered(attrs: FrozenSet[str]) -> Tuple[str, ...]:

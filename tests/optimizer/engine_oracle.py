@@ -5,7 +5,11 @@ pytest puts a test file's directory on ``sys.path``, so siblings import
 it by name).
 
 For every strategy the two loops give the same *answer*: best cost,
-normalised plan, csg-cmp-pair emission order and count.  Beyond that:
+normalised plan, csg-cmp-pair emission order and count.  Every pair the
+indexed loop emits is accounted for once: skipped for a side without
+plans, cut, or resolved — ``strategy.pairs_without_plans`` +
+``strategy.pairs_cut`` + ``resolver.resolve_calls`` = ``ccp_count``.
+Beyond that:
 
 * a run that reports no ceiling (DPhyp, H1, H2, EA-All, the EA-Prune
   ablations, any cost model that does not declare ``monotone``) keeps
@@ -154,6 +158,10 @@ def assert_observations_agree(query, indexed, reference, context=()):
     got, expected = indexed.result, reference.result
     cut = was_cut(got)
     assert "strategy.pairs_cut" not in expected.stats, context
+    stats = got.stats
+    assert stats.get("strategy.pairs_without_plans", 0) + stats.get(
+        "strategy.pairs_cut", 0
+    ) + stats.get("resolver.resolve_calls", 0) == got.ccp_count, context
     if not bounded:
         if cut:
             assert got.plans_built <= expected.plans_built, context

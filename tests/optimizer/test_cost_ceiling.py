@@ -319,8 +319,9 @@ class TestThePrePassIsInvisible:
         wall = time.perf_counter() - started
         assert 0 < result.stats["ceiling.seconds"] < result.elapsed_seconds <= wall
         assert result.ccp_count == _run(query, cost_model=UndeclaredCout()).ccp_count
-        assert result.stats["resolver.resolve_calls"] + result.stats.get(
-            "strategy.pairs_cut", 0
+        stats = result.stats
+        assert stats["resolver.resolve_calls"] + stats.get("strategy.pairs_cut", 0) + stats.get(
+            "strategy.pairs_without_plans", 0
         ) == result.ccp_count
 
     def test_no_deadline_ticks_and_no_chaos_delay(self, monkeypatch):

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from repro.optimizer import optimize, prepare
+from repro.optimizer import OptimizerHooks, optimize, prepare
 from repro.optimizer.config import OptimizerConfig
 from repro.optimizer.deadline import (
     DEFAULT_CHECK_EVERY,
@@ -31,8 +31,20 @@ def _query(n=6, seed=7):
     return generate_query(n, random.Random(seed))
 
 
-def _pairs_cut(result):
-    return result.stats.get("strategy.pairs_cut", 0)
+def _unresolved(result):
+    """csg-cmp-pairs the run skipped before ``resolve``: a side without
+    plans, or the incumbent cut."""
+    stats = result.stats
+    return stats.get("strategy.pairs_without_plans", 0) + stats.get("strategy.pairs_cut", 0)
+
+
+def _ccps_without_plans(query, count):
+    """How many of an undisturbed EA-Prune run's first *count* csg-cmp-pairs
+    have a side without plans (its final table says which)."""
+    order = []
+    hooks = OptimizerHooks(on_ccp=lambda s1, s2: order.append((s1, s2)))
+    sizes = optimize(query, config=OptimizerConfig(), hooks=hooks).table_sizes
+    return sum(1 for s1, s2 in order[:count] if not sizes.get(s1) or not sizes.get(s2))
 
 
 class TestDeadlineObject:
@@ -142,8 +154,9 @@ class TestDegradedFallback:
         assert degraded.degraded and degraded.strategy == DEGRADED_STRATEGY
         assert degraded.cost == plain.cost
         assert plain.ccp_count == degraded.ccp_count
-        # Every H1 ccp is resolved unless the incumbent cut skipped it first.
-        assert resolved["resolve_calls"] + _pairs_cut(plain) == plain.ccp_count
+        # Every H1 ccp is resolved unless a side had no plans or the
+        # incumbent cut skipped it first.
+        assert resolved["resolve_calls"] + _unresolved(plain) == plain.ccp_count
         assert degraded.stats["degraded"] == 1
         assert degraded.stats["degraded.primary_ccps"] == 1
         assert degraded.stats["degraded.primary_plans"] == len(query.relations)
@@ -168,11 +181,14 @@ class TestDegradedFallback:
         assert degraded.degraded and degraded.cost == plain.cost
         primary_ccps = degraded.stats["degraded.primary_ccps"]
         assert 1 < primary_ccps < plain.ccp_count
-        # H1's ccps once (less those the incumbent cut skipped), plus the
-        # primary's before the budget fired (the tick that fired it came
-        # before that ccp was resolved; EA-Prune cuts only at the full set).
+        # H1's ccps once (less those with a side without plans or that the
+        # incumbent cut skipped), plus the primary's before the budget fired
+        # (the tick that fired it came before that ccp was resolved;
+        # EA-Prune cuts only at the full set), less the primary's with a
+        # side without plans.
+        skipped = _ccps_without_plans(query, primary_ccps - 1)
         assert prepared.resolver().counters["resolve_calls"] == (
-            plain.ccp_count - _pairs_cut(plain) + primary_ccps - 1
+            plain.ccp_count - _unresolved(plain) + primary_ccps - 1 - skipped
         )
 
     def test_explicit_deadline_argument_wins(self):

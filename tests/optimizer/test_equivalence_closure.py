@@ -1,8 +1,10 @@
 """Tests for attribute-equivalence tracking and closure-aware key checks."""
 
+import gc
+
 from repro.aggregates import count_star, sum_
 from repro.aggregates.vector import AggItem, AggVector
-from repro.algebra.expressions import Attr, Logical
+from repro.algebra.expressions import Attr, Logical, Not
 from repro.optimizer.planinfo import (
     PlanBuilder,
     _equality_pairs,
@@ -39,6 +41,25 @@ class TestHelpers:
     def test_equality_pairs_conjunction(self):
         pred = Logical("and", (Attr("a").eq(Attr("b")), Attr("c").eq(Attr("d"))))
         assert _equality_pairs(pred) == [("a", "b"), ("c", "d")]
+
+    def test_equality_pairs_nested_in_conjunct_order_leave_no_cycle(self):
+        """The walk is an explicit stack: no self-referencing closure is
+        left for the cyclic collector, call after call."""
+        inner = Logical("and", (Attr("b").eq(Attr("c")), Not(Attr("x").eq(Attr("y")))))
+        pred = Logical("and", (Attr("a").eq(Attr("b")), inner, Attr("d").eq(Attr("e"))))
+        flags = gc.get_debug()
+        gc.collect()
+        gc.disable()
+        try:
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            pairs = [_equality_pairs(pred) for _ in range(3)]
+            found = gc.collect()
+            gc.garbage.clear()
+        finally:
+            gc.set_debug(flags)
+            gc.enable()
+        assert pairs == [[("a", "b"), ("b", "c"), ("d", "e")]] * 3
+        assert found == 0
 
     def test_equality_pairs_ignores_constants(self):
         from repro.algebra.expressions import Const

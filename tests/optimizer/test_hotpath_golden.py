@@ -143,8 +143,9 @@ class TestEngineEquivalenceOnTopologies:
 class TestHotpathStats:
     def test_stats_populated_on_indexed_runs(self):
         result = optimize(topology_query("chain", 5))
-        assert result.stats["resolver.resolve_calls"] + result.stats.get(
-            "strategy.pairs_cut", 0
+        stats = result.stats
+        assert stats["resolver.resolve_calls"] + stats.get("strategy.pairs_cut", 0) + stats.get(
+            "strategy.pairs_without_plans", 0
         ) == result.ccp_count
         assert result.stats["graph.neighborhood_calls"] > 0
         assert result.stats["strategy.prune_inserts"] > 0

@@ -8,11 +8,14 @@ finished plan for the full relation set is built only if it beats the
 incumbent).  These tests pin the contract around that split:
 
 * pricing and construction are one arithmetic (``join`` is price-then-
-  construct; the priced ``finish_top`` cost equals the built one),
+  construct; the priced ``finish_top`` cost equals the built one; an
+  eager grouping is priced once per plan and built at most once, only
+  when a built plan reads it),
 * the bookkeeping adds up (``plans_built`` − priced away = *filed*; every
-  filed candidate entered a bucket; every csg-cmp-pair is resolved or
-  cut, ``resolver.resolve_calls`` + ``strategy.pairs_cut`` =
-  ``ccp_count``; a variant the incumbent cut skips, counted in
+  filed candidate entered a bucket; every csg-cmp-pair is skipped for a
+  side without plans, cut or resolved, ``strategy.pairs_without_plans``
+  + ``strategy.pairs_cut`` + ``resolver.resolve_calls`` = ``ccp_count``;
+  a variant the incumbent cut skips, counted in
   ``strategy.plans_cut``, is neither priced nor counted in
   ``plans_built``; ``on_plan`` fires once per materialised plan and
   never more often than candidates were filed; ``construct`` runs at
@@ -21,8 +24,8 @@ incumbent).  These tests pin the contract around that split:
 * the plug-in seams still hold: a strategy that defines only ``insert``
   and a cost model that defines only the three operator prices give the
   oracle's answers,
-* nothing run-local (the per-plan Γ memo, closure caches, the run's FD
-  state) rides on a pickled plan,
+* nothing run-local (closure caches, the run's FD state) rides on a
+  pickled plan, and no grouping memo rides on a plan at all,
 * ``import repro.optimizer`` stays light, and the deleted engine's name is
   an ordinary unknown-engine error.
 """
@@ -49,14 +52,16 @@ from repro.optimizer import (
     optimize,
     prepare,
 )
-from repro.optimizer.planinfo import PlanInfo, PricedJoin, clear_memo_caches
+from repro.optimizer.planinfo import PlanInfo, PricedGroup, PricedJoin, clear_memo_caches
 from repro.optimizer.costmodel import CoutModel
 from repro.optimizer.driver import CEILING_MIN_RELATIONS
+from repro.optimizer.edgeindex import EdgeResolver
 from repro.optimizer.reference import optimize_reference
 from repro.optimizer.strategies import EaPruneStrategy
 from repro.service import PlanCache
 from repro.service.batch import optimize_cached
 from repro.service.config import ServingConfig
+from repro.hypergraph.enumerate import enumerate_ccps
 from repro.tpch.queries import build_q5, build_q10
 from repro.workload import generate_query, topology_query
 
@@ -125,14 +130,70 @@ class TestOneArithmetic:
                             assert builder.top_cost(priced) == builder.finish_top(built).cost
         assert checked > 0
 
-    def test_grouping_is_built_once_per_plan(self):
+    def test_grouping_is_priced_once_per_plan_and_built_once_when_read(self):
         query = topology_query("chain", 3)
         builder = PlanBuilder(query)
         leaf = builder.leaf(1)
         grouped = builder.grouped(leaf)
-        assert grouped is not None and builder.grouped(leaf) is grouped
+        assert type(grouped) is PricedGroup and builder.grouped(leaf) is grouped
         g_plus = builder.needed_above(leaf.rel_set) & leaf.raw_attrs
-        assert grouped.node.group_attrs == tuple(sorted(g_plus))
+        assert grouped.raw_attrs == g_plus and grouped.built is None
+        spec = prepare(query).resolver().resolve(1, 2)
+        left, right = (grouped, builder.leaf(0)) if spec.swap else (builder.leaf(0), grouped)
+        priced = builder.price(left, right, spec.op, spec.predicate, spec.selectivity)
+        assert priced.eagerness == 1 and grouped.built is None  # priced on, not built
+        plan = builder.construct(priced)
+        built = grouped.built
+        assert built is not None and built.node.group_attrs == tuple(sorted(g_plus))
+        assert built.node in plan.node.children()
+        assert builder.construct(priced).node.children() == plan.node.children()
+        assert grouped.built is built  # built once
+
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+    @pytest.mark.parametrize("name,query", QUERIES[:6], ids=[n for n, _ in QUERIES[:6]])
+    def test_groupings_are_built_only_when_a_built_plan_reads_them(
+        self, name, query, strategy, monkeypatch
+    ):
+        if (name, strategy) == ("q5", "ea-all"):
+            pytest.skip("EA-All keeps 250k plans on Q5: seconds, and nothing new")
+        priced_for, built = [], []
+        price_group, construct_group = PlanBuilder._price_group, PlanBuilder.construct_group
+
+        def pricing(builder, plan, group_attrs):
+            priced_for.append((builder, plan))
+            return price_group(builder, plan, group_attrs)
+
+        def building(builder, grouping):
+            fresh = grouping.built is None
+            plan = construct_group(builder, grouping)
+            if fresh:
+                built.append((builder, plan))
+            return plan
+
+        monkeypatch.setattr(PlanBuilder, "_price_group", pricing)
+        monkeypatch.setattr(PlanBuilder, "construct_group", building)
+        seen = []
+        optimize(
+            query, config=OptimizerConfig(strategy=strategy),
+            hooks=OptimizerHooks(on_plan=seen.append),
+        )
+        # Priced once per plan (``priced_for`` keeps the plans alive, so
+        # their ids are theirs) ...
+        assert len({(id(b), id(p)) for b, p in priced_for}) == len(priced_for)
+        # ... built at most as often, and only as a child of a plan the DP
+        # materialised (the main pass's builder is the last one made; an H1
+        # pre-pass reports no plans).
+        assert len(built) <= len(priced_for)
+        nodes, stack = set(), [plan.node for plan in seen]
+        while stack:
+            node = stack.pop()
+            if id(node) not in nodes:
+                nodes.add(id(node))
+                stack.extend(node.children())
+        main = priced_for[-1][0] if priced_for else None
+        assert all(id(plan.node) in nodes for builder, plan in built if builder is main)
+        if strategy == "dphyp":
+            assert not priced_for, "a strategy that explores no eager plan prices none"
 
 
 def filed(result):
@@ -163,10 +224,10 @@ class TestBookkeeping:
         stats = result.stats
         # on_plan: once per plan the DP materialised, never more than filed.
         assert stats["plans_constructed"] == len(seen) <= filed(result)
-        # Every ccp was resolved or cut.
-        assert stats["resolver.resolve_calls"] + stats.get("strategy.pairs_cut", 0) == (
-            result.ccp_count
-        )
+        # Every ccp was skipped for a side without plans, cut or resolved.
+        assert stats.get("strategy.pairs_without_plans", 0) + stats.get(
+            "strategy.pairs_cut", 0
+        ) + stats["resolver.resolve_calls"] == result.ccp_count
         # Every bucket a ccp read was built; only the cut leaves one unread.
         read = {plan.rel_set for plan in seen}
         unread = sum(size for mask, size in result.table_sizes.items() if mask not in read)
@@ -259,6 +320,48 @@ class TestBookkeeping:
 
 
 # -- third-party plug-ins: only the pre-existing seams are implemented -------
+
+
+class TestPairsWithoutPlans:
+    """A csg-cmp-pair with a side whose bucket holds no plan (conflict
+    rules left the set unbuildable, or nothing priced under the ceiling)
+    is skipped before the incumbent cut and the resolver: the driver
+    counts it in ``strategy.pairs_without_plans``, never in
+    ``strategy.pairs_cut``."""
+
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+    def test_exactly_the_pairs_with_an_empty_side(self, strategy, monkeypatch):
+        events = []
+        resolve = EdgeResolver.resolve
+
+        def recording(resolver, s1, s2):
+            events.append(("resolve", s1, s2))
+            return resolve(resolver, s1, s2)
+
+        monkeypatch.setattr(EdgeResolver, "resolve", recording)
+        hooks = OptimizerHooks(on_ccp=lambda s1, s2: events.append(("ccp", s1, s2)))
+        met = 0
+        for seed in range(40):
+            n = 3 + seed % (3 if strategy == "ea-all" else 4)
+            query = generate_query(n, random.Random(seed * 7919 + n))
+            events.clear()
+            result = optimize(query, config=OptimizerConfig(strategy=strategy), hooks=hooks)
+            sizes, stats = result.table_sizes, result.stats
+
+            def empty(s):
+                return not sizes.get(s)
+
+            # An independent drain of the enumerator.
+            drained = list(enumerate_ccps(prepare(query).graph))
+            without = sum(1 for s1, s2 in drained if empty(s1) or empty(s2))
+            assert stats.get("strategy.pairs_without_plans", 0) == without, seed
+            # An H1 pre-pass resolves before the main pass's first ccp.
+            first = next(at for at, event in enumerate(events) if event[0] == "ccp")
+            resolved = [(s1, s2) for kind, s1, s2 in events[first:] if kind == "resolve"]
+            assert not any(empty(s1) or empty(s2) for s1, s2 in resolved), seed
+            assert stats.get("strategy.pairs_cut", 0) == len(drained) - without - len(resolved)
+            met += without > 0
+        assert met
 
 
 class KeepTwoCheapest(Strategy):
@@ -377,7 +480,10 @@ class TestNothingRunLocalRidesOnAPlan:
         plans = []
         optimize(query, hooks=OptimizerHooks(on_plan=plans.append))
         memoised = [p for p in plans if set(p.__dict__) - set(p.__dataclass_fields__)]
-        assert any("_grouped" in p.__dict__ for p in memoised)
+        # The plan → grouping memo is the builder's: no plan carries one.
+        assert not any(
+            isinstance(value, PricedGroup) for p in plans for value in p.__dict__.values()
+        )
         assert any("_fd" in p.__dict__ for p in memoised)
         assert any("_raw_mask" in p.__dict__ for p in memoised)
         for plan in memoised:
