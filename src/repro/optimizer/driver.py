@@ -511,11 +511,11 @@ DEGRADED_STRATEGY = "h1"
 #: two there is one csg-cmp-pair, the full set, where keep-the-cheaper
 #: already refuses what a ceiling would.  EA-Prune's total time with the
 #: pre-pass over without it, 40 random queries a size (best of 5, the two
-#: alternating, three rounds, one pinned core; CHANGES.md): 1.46x at three
-#: relations, 1.14-1.20x at four, 0.89-0.90x at five, 0.83-0.91x at six,
-#: since groupings are built only when read and pairs with an empty side
-#: are skipped (the same session before: 1.50-1.52x, 1.19-1.24x,
-#: 0.85-0.90x, 0.82-0.89x).  The projected FD clause had made the
+#: alternating, three rounds, one pinned core; CHANGES.md): 1.41-1.48x at
+#: three relations, 1.11-1.14x at four, 0.79-0.86x at five, 0.82-0.85x at
+#: six, since a built plan's FD triple is derived only when read, which
+#: makes the pre-pass cheaper (the same session before: 1.42-1.43x,
+#: 1.14-1.19x, 0.86-0.89x, 0.82-0.87x).  The projected FD clause had made the
 #: unbounded run much cheaper (the incumbent cut alone had left four at
 #: 1.01-1.02x, five at 0.66-0.72x); cheaper passes since moved the
 #: crossover little.  Four stays the threshold: moving it changes which

@@ -44,23 +44,35 @@ join's triple from, every time (:mod:`repro.optimizer.reference`).  The
 :class:`FdTable` per run that interns every distinct triple as an
 :class:`FdState` (keys and classes as int masks over interned
 attributes), a join's state is a dictionary hit on its inputs' states
-(:meth:`PlanBuilder._join_state`), and ``NeedsGrouping`` / Def. 4 are
-mask arithmetic on the state.  The one FD question that is *not* a
-property of the triple — is this side keyed on its join attributes? —
-depends on the plan's ``raw_attrs`` (an eager grouping drops columns, so
-two plans sharing a state may expose different ones): the plan carries
-them as a mask, and the question is the state's ``within(join attributes
-& the plan's columns)``.  States ride on plans as a ``__dict__`` memo,
-point at their table but never at the builder, and are stripped from
-pickles; the table is garbage once the run's plans are.  EA-Prune
-compares states projected onto what a completion of the plan's relation
-set can still read (:meth:`FdTable.project`), interned in the same table.
+(:meth:`FdTable.join_state`, the transition), and ``NeedsGrouping`` /
+Def. 4 are mask arithmetic on the state.  The one FD question that is
+*not* a property of the triple — is this side keyed on its join
+attributes? — depends on the plan's ``raw_attrs`` (an eager grouping
+drops columns, so two plans sharing a state may expose different ones):
+the plan carries them as a mask, and the question is the state's
+``within(join attributes & the plan's columns)``.  EA-Prune compares
+states projected onto what a completion of the plan's relation set can
+still read (:meth:`FdTable.project`), interned in the same table.
+
+Only EA-Prune's ``insert`` and the top ``NeedsGrouping`` test ask a
+*priced* join for its state; DPhyp, H1 and H2 file by cost alone.  So
+:meth:`PlanBuilder.construct` builds a join whose record nobody asked
+with its triple *pending*: the plan holds the run's table, its two
+input plans, the operator and the predicate, and derives ``keys`` /
+``equiv`` through the table's transition the first time anything reads
+them (or ``has_key_within``, ``closure``, the state).  A state rides on
+a plan that has one as a ``__dict__`` memo beside the table it lives in;
+memos and pending inputs are stripped from pickles.  Nothing in a table
+points at a plan, at the builder or back at the table (a state names its
+table weakly), so a run's table and states die by reference counting
+once its plans and builder do.
 """
 
 from __future__ import annotations
 
+import weakref
 from collections import ChainMap
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -128,7 +140,17 @@ def clear_memo_caches() -> None:
 
 @dataclass(frozen=True)
 class PlanInfo:
-    """One plan for a relation set, with all derived DP properties."""
+    """One plan for a relation set, with all derived DP properties.
+
+    A join built from a priced record nobody asked for its FD state has
+    its triple *pending* (:meth:`PlanBuilder.construct`): ``keys`` and
+    ``equiv`` are then absent from the instance ``__dict__``, and the
+    first read of either — or of the ``_fd`` / ``_fd_table`` /
+    ``_raw_mask`` memos — derives them (:meth:`__getattr__`).  Every
+    dataclass service (``==``, ``hash``, ``repr``, ``replace``) reads
+    fields by attribute and so sees the derived values; a pickle is
+    taken of them too (:meth:`__getstate__`).
+    """
 
     node: PlanNode
     rel_set: int
@@ -145,7 +167,17 @@ class PlanInfo:
     #: attribute equivalence classes induced by applied inner-join equality
     #: predicates (x = y ∧ x key ⇒ y determines the row too).  This is the
     #: slice of the FD closure that Def. 4 / NeedsGrouping actually needs.
-    equiv: Tuple[FrozenSet[str], ...] = ()
+    #: A factory, not a class-level ``()``: a class attribute would answer
+    #: for a pending plan before :meth:`__getattr__` is asked.
+    equiv: Tuple[FrozenSet[str], ...] = field(default_factory=tuple)
+
+    def __getattr__(self, name: str):
+        """Reached only when ``name`` is in neither the instance nor the
+        class: a pending plan's triple or FD memos, derived here once."""
+        if name in _PENDING_READS and "_pending" in self.__dict__:
+            _derive_pending(self)
+            return self.__dict__[name]
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     def closure(self, attrs: FrozenSet[str]) -> FrozenSet[str]:
         """Attributes plus everything equal to them (equivalence closure).
@@ -176,13 +208,17 @@ class PlanInfo:
         return cached
 
     def __getstate__(self):
-        """Pickle the declared fields only.  Everything else in the
-        instance ``__dict__`` is a process-local memo — closure caches, the
-        run's interned :class:`FdState` (``_fd``) and the plan's columns as
-        a mask of that run's table (``_raw_mask``), the rendered tree a serving core
-        replies with (:meth:`rendered`) — and must not ride along to a batch
-        worker, a shard snapshot or a plan cache."""
+        """Pickle the declared fields only, a pending triple derived first.
+        Everything else in the instance ``__dict__`` is a process-local
+        memo — closure caches, the run's interned :class:`FdState` (``_fd``),
+        its table (``_fd_table``) and the plan's columns as a mask of that
+        table (``_raw_mask``), the inputs of a pending triple
+        (``_pending``), the rendered tree a serving core replies with
+        (:meth:`rendered`) — and must not ride along to a batch worker, a
+        shard snapshot or a plan cache."""
         state = self.__dict__
+        if "_pending" in state:
+            _derive_pending(self)
         return {name: state[name] for name in self.__dataclass_fields__}
 
     def has_key_within(self, attrs: FrozenSet[str]) -> bool:
@@ -200,6 +236,42 @@ class PlanInfo:
         return cached
 
 
+#: A join predicate, its attributes, their mask in a run's table and its
+#: equality pairs (:meth:`FdTable.join_predicate`).
+_PredicateEntry = Tuple[Expr, FrozenSet[str], int, Tuple[Tuple[str, str], ...]]
+
+#: What :meth:`PlanInfo.__getattr__` derives for a pending plan.
+_PENDING_READS = frozenset(("keys", "equiv", "_fd", "_fd_table", "_raw_mask"))
+
+
+def _derive_pending(plan: PlanInfo) -> None:
+    """Derive the FD triple of *plan*, built pending, and of every pending
+    plan below it that the derivation reads — inputs first, on an explicit
+    stack (a left-deep chain of pending joins is as deep as its relation
+    count; Python recursion would stop at the interpreter's limit)."""
+    stack = [plan]
+    while stack:
+        top = stack[-1]
+        memo = top.__dict__
+        pending = memo.get("_pending")
+        if pending is None:  # reached twice below a shared input
+            stack.pop()
+            continue
+        table, left, right, op, predicate = pending
+        if "_pending" in left.__dict__:
+            stack.append(left)
+            continue
+        if op not in _LEFT_ONLY and "_pending" in right.__dict__:
+            stack.append(right)
+            continue
+        state = table.join_state(left, right, op, predicate)
+        memo["keys"] = state.keys
+        memo["equiv"] = state.equiv
+        table.attach(top, state)
+        del memo["_pending"]
+        stack.pop()
+
+
 class FdTable:
     """One optimisation run's intern table for functional-dependency triples.
 
@@ -207,8 +279,14 @@ class FdTable:
     keys, equiv)``, and a run meets a few thousand distinct triples for
     tens of thousands of candidates.  The table gives every attribute a
     bit, so a key or an equivalence class is an int mask, and every
-    distinct triple one :class:`FdState`.  A :class:`PlanBuilder` owns one
-    table; nothing in it outlives the run.
+    distinct triple one :class:`FdState`.  It also holds the join
+    transition (:meth:`join_state`) with the memos it reads — per
+    predicate, per transition, per projection — so a pending plan needs
+    the table and its own inputs, never the builder.  A
+    :class:`PlanBuilder` owns one table; nothing in it outlives the run.
+    The table holds its states and the predicates it has seen; nothing in
+    it points at a plan, at the builder or back at the table (a state
+    names it weakly), so no reference cycle keeps a run's table alive.
 
     *needed_above* (the query's, for a DP run) says which attributes of a
     relation set a completion can still read: :meth:`reads`.  A table made
@@ -224,6 +302,14 @@ class FdTable:
         self.needed_above = needed_above
         #: relation set → :meth:`reads` mask
         self.read_masks: Dict[int, int] = {}
+        #: id(predicate) → :meth:`join_predicate`'s entry, held with the
+        #: predicate: an ``id`` cannot be reused while the entry lives.
+        self.predicates: Dict[int, _PredicateEntry] = {}
+        #: (left state, right state, id(predicate), left keyed, right keyed)
+        #: → (predicate, op, state of the join)
+        self.joins: Dict[tuple, tuple] = {}
+        #: (state, reads) → :meth:`project` of the state onto *reads*
+        self.projections: Dict[Tuple["FdState", int], "FdState"] = {}
         self.via_class = self.mask(frozenset((VIA_CLASS,)))
 
     def mask(self, attrs: FrozenSet[str]) -> int:
@@ -256,6 +342,73 @@ class FdTable:
             state = self.states[key] = FdState(self, duplicate_free, keys, equiv)
         return state
 
+    # -- plans --------------------------------------------------------------
+    def state_of(self, plan) -> "FdState":
+        """*plan*'s FD triple in this table: the state :meth:`attach` hung
+        on it, derived first for a pending plan, and re-interned for a plan
+        of another run (or one made by hand)."""
+        memo = plan.__dict__
+        if "_pending" in memo:
+            _derive_pending(plan)
+        if memo.get("_fd_table") is not self:
+            self.attach(plan, self.intern(plan.duplicate_free, plan.keys, plan.equiv))
+        return memo["_fd"]
+
+    def attach(self, plan, state: "FdState") -> None:
+        """Hang the run-local FD memos on *plan*: its state, this table,
+        and its ``raw_attrs`` as a mask of the table."""
+        memo = plan.__dict__
+        memo["_fd"] = state
+        memo["_fd_table"] = self
+        memo["_raw_mask"] = self.mask(plan.raw_attrs)
+
+    def join_predicate(self, predicate: Expr) -> "_PredicateEntry":
+        """The memo entry of a join predicate: ``(predicate, attributes,
+        their mask, equality pairs)``.  Join predicates are a handful of
+        stable objects (one per edge, plus the conjunctions the edge
+        resolver interns for cyclic queries) while joins run once per plan
+        pair, so they are kept per predicate *identity*; the ``hit[0] is
+        predicate`` check guards against an ``id`` reused after the
+        predicate it named was collected."""
+        hit = self.predicates.get(id(predicate))
+        if hit is None or hit[0] is not predicate:
+            attrs = attrs_of(predicate)
+            hit = self.predicates[id(predicate)] = (
+                predicate, attrs, self.mask(attrs), tuple(_equality_pairs(predicate)),
+            )
+        return hit
+
+    def join_state(self, left, right, op: OpKind, predicate: Expr) -> "FdState":
+        """FD state of ``left op right``, by transition.
+
+        What κ (Sec. 2.3) and the equivalence merge read of a join is the
+        two input triples, the operator, the predicate's equality pairs
+        and whether each side is keyed on its join attributes — so the
+        result is looked up under exactly that, and only a miss does the
+        set arithmetic.
+        """
+        left_state = self.state_of(left)
+        if op in _LEFT_ONLY:
+            return left_state  # the result exposes the left rows, once each
+        right_state = self.state_of(right)
+        _, _, join_mask, pairs = self.join_predicate(predicate)
+        # Keyedness reads the plan's columns, which are not part of its
+        # state: plans sharing a state expose different ``raw_attrs``.
+        left_keyed = left_state.within(join_mask & left.__dict__["_raw_mask"])
+        right_keyed = right_state.within(join_mask & right.__dict__["_raw_mask"])
+        key = (left_state, right_state, id(predicate), left_keyed, right_keyed)
+        hit = self.joins.get(key)
+        if hit is not None and hit[0] is predicate and hit[1] is op:
+            return hit[2]
+        state = self.intern(
+            left_state.duplicate_free and right_state.duplicate_free,
+            _combine_keys(op, left_state.keys, right_state.keys, left_keyed, right_keyed),
+            _join_equiv(op, left_state.equiv, right_state.equiv, pairs),
+        )
+        self.joins[key] = (predicate, op, state)
+        return state
+
+    # -- projections ----------------------------------------------------------
     def reads(self, rel_set: int) -> int:
         """R(S): the attributes of relation set *rel_set* that a completion
         of one of its plans can read — ``needed_above(rel_set)`` as a mask:
@@ -267,6 +420,17 @@ class FdTable:
             needed = self.needed_above
             mask = self.read_masks[rel_set] = -1 if needed is None else self.mask(needed(rel_set))
         return mask
+
+    def projected(self, state: "FdState", reads: int) -> "FdState":
+        """:meth:`project` of *state* onto the mask *reads*, once per pair;
+        -1 (everything) is the state itself."""
+        if reads == -1:
+            return state
+        key = (state, reads)
+        hit = self.projections.get(key)
+        if hit is None:
+            hit = self.projections[key] = self.project(state, reads)
+        return hit
 
     def project(self, state: "FdState", reads: int) -> "FdState":
         """*state* as a completion that reads only *reads* can tell it
@@ -321,15 +485,12 @@ class FdState:
     are the same sets over the table's attribute bits.  Every FD question
     is asked of the state: :meth:`within` (``NeedsGrouping``, keyedness
     of a join side) once per attribute mask, :meth:`dominates` (Def. 4,
-    clause 3) in integer arithmetic, and ``joins`` maps what a join reads
-    of its inputs to the state of its result (see
-    :meth:`PlanBuilder._join_state`).
+    clause 3) in integer arithmetic.  The state names its table weakly
+    (``table``) and holds no other state: the memos that map states to
+    states — the join transition, the projections — are the table's.
     """
 
-    __slots__ = (
-        "table", "duplicate_free", "keys", "equiv", "key_masks", "class_masks",
-        "joins", "_within", "_projections",
-    )
+    __slots__ = ("_table", "duplicate_free", "keys", "equiv", "key_masks", "class_masks", "_within")
 
     def __init__(
         self,
@@ -338,18 +499,19 @@ class FdState:
         keys: Tuple[FrozenSet[str], ...],
         equiv: Tuple[FrozenSet[str], ...],
     ):
-        self.table = table
+        self._table = weakref.ref(table)
         self.duplicate_free = duplicate_free
         self.keys = keys
         self.equiv = equiv
         mask = table.mask
         self.key_masks = tuple(mask(key) for key in keys)
         self.class_masks = tuple(mask(cls) for cls in equiv)
-        #: (right state, id(predicate), left keyed, right keyed) →
-        #: (predicate, op, state of ``self op right``)
-        self.joins: Dict[tuple, tuple] = {}
         self._within: Dict[int, bool] = {}
-        self._projections: Dict[int, "FdState"] = {}
+
+    @property
+    def table(self) -> Optional[FdTable]:
+        """The table the state was interned in (``None`` once it is gone)."""
+        return self._table()
 
     def within(self, attrs: int) -> bool:
         """Whether some key lies inside the equivalence closure of the
@@ -374,14 +536,8 @@ class FdState:
         return self.within(self.table.mask(frozenset(attrs)))
 
     def projected(self, reads: int) -> "FdState":
-        """:meth:`FdTable.project` onto the mask *reads*, once per mask;
-        -1 (everything) is the state itself."""
-        if reads == -1:
-            return self
-        hit = self._projections.get(reads)
-        if hit is None:
-            hit = self._projections[reads] = self.table.project(self, reads)
-        return hit
+        """:meth:`FdTable.projected` onto the mask *reads*."""
+        return self.table.projected(self, reads)
 
     def dominates(self, other: "FdState") -> bool:
         """FD⁺(self) ⊇ FD⁺(other) — Def. 4's FD clause, as the test
@@ -643,17 +799,14 @@ class PlanBuilder:
             cost_model = CoutModel()
         self.cost_model = cost_model
         self.query = query
-        #: Per-predicate metadata memos (attribute sets, equality pairs).
-        self._pred_attrs: Dict[int, Tuple[Expr, FrozenSet[str]]] = {}
-        self._pred_eq_pairs: Dict[int, Tuple[Expr, Tuple[Tuple[str, str], ...]]] = {}
         #: R(S) per relation set, computed once for G⁺ and the FD table alike.
         self._needed_above = _NeededAbove(query)
-        #: This run's FD states.  Plans and states point at the table,
-        #: never at the builder.
+        #: This run's FD states, with the join transition and the
+        #: per-predicate memos.  Plans point at the table, never at the
+        #: builder.
         self.fd_table = FdTable(self._needed_above.__getitem__)
         #: id(plan) → (plan, its priced grouping or None): :meth:`grouped`.
         self._groupings: Dict[int, Tuple[PlanInfo, Optional[PricedGroup]]] = {}
-        self._pred_masks: Dict[int, Tuple[Expr, int]] = {}
         self._group_counter = 0
         # Source relation mask per normalized aggregate; count(*)-style
         # aggregates (no referenced attributes — special case S1 of Def. 1)
@@ -684,100 +837,22 @@ class PlanBuilder:
         self._group_counter += 1
         return f"#g{self._group_counter}"
 
-    # -- predicate metadata memos --------------------------------------------
-    # Join predicates are a handful of stable objects (one per edge, plus
-    # the conjunctions the edge resolver interns for cyclic queries), while
-    # ``join`` runs once per plan pair — so ``attrs_of`` / equality-pair
-    # extraction are cached per predicate *identity*.  The ``hit[0] is
-    # predicate`` check guards against id() reuse after a predicate is
-    # garbage collected.
-
-    def _attrs_of(self, predicate: Expr) -> FrozenSet[str]:
-        key = id(predicate)
-        hit = self._pred_attrs.get(key)
-        if hit is not None and hit[0] is predicate:
-            return hit[1]
-        attrs = attrs_of(predicate)
-        self._pred_attrs[key] = (predicate, attrs)
-        return attrs
-
-    def _equality_pairs_of(self, predicate: Expr) -> Tuple[Tuple[str, str], ...]:
-        key = id(predicate)
-        hit = self._pred_eq_pairs.get(key)
-        if hit is not None and hit[0] is predicate:
-            return hit[1]
-        pairs = tuple(_equality_pairs(predicate))
-        self._pred_eq_pairs[key] = (predicate, pairs)
-        return pairs
-
     # -- functional dependencies -----------------------------------------------
+    def _attrs_of(self, predicate: Expr) -> FrozenSet[str]:
+        """The predicate's attributes, kept per predicate in the FD table."""
+        return self.fd_table.join_predicate(predicate)[1]
+
     def state_of(self, plan: PlanInfo) -> FdState:
-        """The plan's FD triple in this run's table; rides on the plan
-        (``construct`` puts it there) and is re-interned for a plan that
-        arrives from another run."""
-        state = plan.__dict__.get("_fd")
-        if state is None or state.table is not self.fd_table:
-            state = self.fd_table.intern(plan.duplicate_free, plan.keys, plan.equiv)
-            self._attach(plan, state)
-        return state
-
-    def _attach(self, plan: PlanInfo, state: FdState) -> None:
-        """Hang the run-local FD memos on *plan*: its state, and its
-        ``raw_attrs`` as a mask of the state's table."""
-        object.__setattr__(plan, "_fd", state)
-        object.__setattr__(plan, "_raw_mask", state.table.mask(plan.raw_attrs))
-
-    def _join_mask(self, predicate: Expr) -> int:
-        """The predicate's attributes as a mask of this run's table (held
-        with the predicate: an ``id`` cannot be reused while the entry
-        lives)."""
-        hit = self._pred_masks.get(id(predicate))
-        if hit is not None and hit[0] is predicate:
-            return hit[1]
-        mask = self.fd_table.mask(self._attrs_of(predicate))
-        self._pred_masks[id(predicate)] = (predicate, mask)
-        return mask
+        """The plan's FD triple in this run's table (:meth:`FdTable.state_of`)."""
+        return self.fd_table.state_of(plan)
 
     def _join_state(
         self, left: PlanInfo, right: PlanInfo, op: OpKind, predicate: Expr
     ) -> FdState:
-        """FD state of ``left op right``, by transition.
-
-        What κ (Sec. 2.3) and the equivalence merge read of a join is the
-        two input triples, the operator, the predicate's equality pairs
-        and whether each side is keyed on its join attributes — so the
-        result is looked up under exactly that, on the left input's state,
-        and only a miss does the set arithmetic.
-        """
-        left_state = self.state_of(left)
-        if op in _LEFT_ONLY:
-            return left_state  # the result exposes the left rows, once each
-        right_state = self.state_of(right)
-        # Keyedness reads the plan's columns, which are not part of its
-        # state: plans sharing a state expose different ``raw_attrs``.
-        join_mask = self._join_mask(predicate)
-        left_keyed = left_state.within(join_mask & left.__dict__["_raw_mask"])
-        right_keyed = right_state.within(join_mask & right.__dict__["_raw_mask"])
-        key = (right_state, id(predicate), left_keyed, right_keyed)
-        hit = left_state.joins.get(key)
-        if hit is not None and hit[0] is predicate and hit[1] is op:
-            return hit[2]
-        state = self.fd_table.intern(
-            left_state.duplicate_free and right_state.duplicate_free,
-            _combine_keys(op, left_state.keys, right_state.keys, left_keyed, right_keyed),
-            self._join_equiv(op, left_state.equiv, right_state.equiv, predicate),
-        )
-        left_state.joins[key] = (predicate, op, state)
-        return state
-
-    def _join_equiv(self, op: OpKind, left_equiv, right_equiv, predicate: Expr):
-        """Equivalence classes of a join that exposes both sides."""
-        equiv = left_equiv + right_equiv
-        if op is OpKind.INNER:
-            # Only inner joins guarantee the equality for *every* output
-            # row; outerjoin padding breaks it.
-            equiv = _merge_equiv_cached(equiv, self._equality_pairs_of(predicate))
-        return equiv
+        """FD state of ``left op right``: the table's transition
+        (:meth:`FdTable.join_state`).  What a priced join's ``state``
+        asks; the test oracle overrides it with the set arithmetic."""
+        return self.fd_table.join_state(left, right, op, predicate)
 
     # ------------------------------------------------------------------
     def leaf(self, vertex: int) -> PlanInfo:
@@ -878,7 +953,16 @@ class PlanBuilder:
 
     def construct(self, priced: PricedJoin) -> PlanInfo:
         """Materialise a priced candidate: plan node, aggregation state,
-        statistics dictionaries — reusing the numbers it was priced with."""
+        statistics dictionaries — reusing the numbers it was priced with.
+
+        The FD triple is the record's ``state`` when somebody asked for it
+        (EA-Prune's ``insert``, the top ``NeedsGrouping`` test).  Otherwise
+        the plan is built with it *pending* — holding this run's table, its
+        two input plans, the operator and the predicate — and derives it
+        through :meth:`FdTable.join_state` when first read
+        (:class:`PlanInfo`).  DPhyp, H1 and H2 read the triple of few of
+        the plans they build.
+        """
         left, right, op = priced.left, priced.right, priced.op
         if type(left) is PricedGroup:
             left = self.construct_group(left)
@@ -930,13 +1014,16 @@ class PlanBuilder:
         if op not in (OpKind.LEFT_SEMI, OpKind.LEFT_ANTI):
             defaults.update(right.defaults)
 
-        state = priced.state
-        plan = PlanInfo(
+        # The declared fields straight into the instance dictionary, as the
+        # frozen dataclass's __init__ would set them — minus the triple
+        # while it is pending.
+        plan = object.__new__(PlanInfo)
+        memo = plan.__dict__
+        memo.update(
             node=node,
             rel_set=priced.rel_set,
             cost=priced.cost,
             cardinality=priced.cardinality,
-            keys=state.keys,
             duplicate_free=priced.duplicate_free,
             raw_attrs=priced.raw_attrs,
             distinct=distinct,
@@ -944,9 +1031,14 @@ class PlanBuilder:
             scale_cols=result_scale,
             defaults=defaults,
             eagerness=priced.eagerness,
-            equiv=state.equiv,
         )
-        self._attach(plan, state)
+        state = priced._state
+        if state is None:
+            memo["_pending"] = (self.fd_table, left, right, op, priced.predicate)
+        else:
+            memo["keys"] = state.keys
+            memo["equiv"] = state.equiv
+            self.fd_table.attach(plan, state)
         return plan
 
     def _fresh_terms(
@@ -1268,6 +1360,22 @@ def _join_raw_attrs(
         assert gj_vector is not None
         return left.raw_attrs | frozenset(gj_vector.names())
     return left.raw_attrs | right.raw_attrs
+
+
+def _join_equiv(
+    op: OpKind,
+    left_equiv: Tuple[FrozenSet[str], ...],
+    right_equiv: Tuple[FrozenSet[str], ...],
+    pairs: Tuple[Tuple[str, str], ...],
+) -> Tuple[FrozenSet[str], ...]:
+    """Equivalence classes of a join that exposes both sides, given the
+    predicate's equality *pairs*."""
+    equiv = left_equiv + right_equiv
+    if op is OpKind.INNER:
+        # Only inner joins guarantee the equality for *every* output
+        # row; outerjoin padding breaks it.
+        equiv = _merge_equiv_cached(equiv, pairs)
+    return equiv
 
 
 def _combine_keys(

@@ -53,6 +53,7 @@ from repro.optimizer.planinfo import (
     _closure,
     _combine_keys,
     _equality_pairs,
+    _join_equiv,
 )
 from repro.optimizer.strategies import EaPruneStrategy, Strategy
 from repro.query.spec import Query
@@ -261,13 +262,17 @@ class SeedPlanBuilder(PlanBuilder):
     equality pairs are recomputed per join, and a join's FD triple is
     derived from the inputs' sets every time (:func:`_join_keys`) and only
     then interned — so the triple a plan carries is the definition's, not
-    a transition the product's table remembered."""
+    a transition the product's table remembered.  It is derived when the
+    plan is built, never left pending: a pending triple is derived through
+    the product's transition (:meth:`~repro.optimizer.planinfo.FdTable.join_state`),
+    not through this class."""
 
     def _attrs_of(self, predicate: Expr):
         return attrs_of(predicate)
 
-    def _equality_pairs_of(self, predicate: Expr) -> Tuple[Tuple[str, str], ...]:
-        return tuple(_equality_pairs(predicate))
+    def construct(self, priced):
+        priced.state  # through _join_state below, before the plan exists
+        return super().construct(priced)
 
     def _join_state(
         self, left: PlanInfo, right: PlanInfo, op: OpKind, predicate: Expr
@@ -278,7 +283,7 @@ class SeedPlanBuilder(PlanBuilder):
         return self.fd_table.intern(
             left.duplicate_free and right.duplicate_free,
             _join_keys(op, left, right, self._attrs_of(predicate)),
-            self._join_equiv(op, left.equiv, right.equiv, predicate),
+            _join_equiv(op, left.equiv, right.equiv, tuple(_equality_pairs(predicate))),
         )
 
 

@@ -116,9 +116,9 @@ class Strategy:
         ``state`` / ``keys`` / ``equiv`` / ``has_key_within``,
         ``rel_set``, ``raw_attrs``, ``scale_cols`` and ``distinct``
         (``state`` is the interned FD triple of a priced candidate; a built
-        plan carries its own in ``__dict__["_fd"]``).  Whatever is evicted
-        before the read is never built — safe, since every priced
-        candidate constructs."""
+        plan carries its own in ``__dict__["_fd"]``, or derives it on first
+        read if it was built pending).  Whatever is evicted before the read
+        is never built — safe, since every priced candidate constructs."""
         raise NotImplementedError
 
 
@@ -250,9 +250,10 @@ class PruneBucket:
         (:meth:`~repro.optimizer.planinfo.FdTable.project`).
 
         A priced candidate's state is its ``state``, a built plan's the one
-        ``construct`` hung on it (none on a plan made by hand).  States of
-        different tables number their attributes differently and cannot
-        be compared.  The bucket adopts the table of the first state it is
+        ``construct`` hung on it or, if it was built with its triple
+        pending, the one reading it derives (none on a plan made by hand).
+        States of different tables number their attributes differently
+        and cannot be compared.  The bucket adopts the table of the first state it is
         shown — in a DP run the builder's, which every later plan of the
         run shares, so the state comes straight back; a plan made by hand
         or by another run is interned beside the others.  A table made
@@ -260,13 +261,13 @@ class PruneBucket:
         if type(plan) is PricedJoin:
             state = plan.state
         else:
-            state = plan.__dict__.get("_fd")
+            state = getattr(plan, "_fd", None)  # derives a pending triple
         table = self.table
         if table is None:
             table = self.table = FdTable() if state is None else state.table
         if state is None or state.table is not table:
             state = table.intern(plan.duplicate_free, plan.keys, plan.equiv)
-        return state.projected(table.reads(plan.rel_set))
+        return table.projected(state, table.reads(plan.rel_set))
 
     def frontier_for(self, state) -> Tuple[List[float], List[float], List[PlanInfo]]:
         """The state's frontier entry, registering adjacency on first use."""

@@ -9,7 +9,10 @@ For every plan a DP run materialises (``OptimizerHooks.on_plan``):
 * its triple ``(keys, equiv, duplicate_free)`` — and the :class:`FdState`
   riding on it, sets and masks — is what the frozenset path derives from
   the plan's two inputs (``equiv`` compared as a set of classes: a state
-  spells it in the order of the first derivation that reached it),
+  spells it in the order of the first derivation that reached it).  Under
+  EA-Prune the DP derives it when the plan is built; under DPhyp, H1 and
+  H2 most plans are built with it *pending* and derive it when read
+  (here, after the run): late must equal early,
 * inside a DP-table entry for relation set S, each state projected onto
   R(S) (``FdTable.project`` over masks) is the oracle's projection of the
   plan's triple onto ``query.needed_above(S)`` (frozensets), and for the
@@ -23,12 +26,17 @@ For every plan a DP run materialises (``OptimizerHooks.on_plan``):
   states.
 
 Plus the identity trap (memos keyed on predicate identity while the
-oracle's resolver makes a fresh conjunction per csg-cmp-pair) and the
-lifetime of the per-run table.
+oracle's resolver makes a fresh conjunction per csg-cmp-pair), the
+pending triple's premises (the oracle never defers; a pending plan is its
+derived twin to every reader; a derivation as deep as a plan is tall
+needs no recursion) and the lifetime of the per-run table.
 """
 
 import gc
+import pickle
 import random
+import sys
+import time
 import weakref
 from dataclasses import replace
 
@@ -122,18 +130,38 @@ def _random_matrix_query(seed):
     return generate_query(rng.randint(3, 12), rng)
 
 
-def _collect(query, engine="indexed"):
-    """Every inner plan an EA-Prune run offers its DP table — an
-    *unbounded* run: a ceiling would keep most of the states this suite is
-    about from ever being built (TPC-H Q5: 97 candidates, not 4,018)."""
+#: The strategies that file by cost alone and so build most plans with
+#: their FD triple pending.
+SINGLE_PLAN = ("dphyp", "h1", "h2")
+
+
+def _collect(query, engine="indexed", strategy="ea-prune", was_pending=None):
+    """Every inner plan a run materialises (EA-Prune: every one it offers
+    its DP table) — an *unbounded* run: a ceiling would keep most of the
+    states this suite is about from ever being built (TPC-H Q5: 97
+    candidates, not 4,018).  *was_pending*, a list, gets for each inner
+    plan whether it was pending when the run reported it."""
     plans = []
+    all_mask = query.all_relations_mask
+
+    def on_plan(plan):
+        if plan.rel_set != all_mask:
+            plans.append(plan)
+            if was_pending is not None:
+                was_pending.append(_pending(plan))
+
     config = OptimizerConfig(
-        strategy="ea-prune", cost_model=UndeclaredCout(), cache_capacity=None
+        strategy=strategy, cost_model=UndeclaredCout(), cache_capacity=None
     )
     run = optimize if engine == "indexed" else optimize_reference
-    result = run(query, config=config, hooks=OptimizerHooks(on_plan=plans.append))
-    inner = [p for p in plans if p.rel_set != query.all_relations_mask]
-    return result, inner
+    result = run(query, config=config, hooks=OptimizerHooks(on_plan=on_plan))
+    return result, plans
+
+
+def _pending(plan):
+    """Whether *plan* was built with its FD triple pending and nothing has
+    read it yet (looks at the instance dictionary only: reads nothing)."""
+    return "_pending" in plan.__dict__
 
 
 def _grouped_input(child, node):
@@ -236,13 +264,19 @@ def _pruning_work(result):
     )
 
 
-def _check_run(query, sample, golden=None):
-    result, plans = _collect(query)
+def _check_run(query, sample, golden=None, strategy="ea-prune"):
+    was_pending = []
+    result, plans = _collect(query, strategy=strategy, was_pending=was_pending)
     assert "ceiling.cost" not in result.stats
     if golden is not None:
         bounded = optimize(query)
         assert (bounded.cost, bounded.ccp_count, bounded.plans_built) == golden
         assert (result.cost, result.ccp_count) == golden[:2]
+    # EA-Prune's insert reads every candidate's state, so its plans are
+    # built derived; a single-plan strategy's are built pending, and the
+    # check below reads those the run did not.
+    pending = sum(was_pending)
+    assert pending == (0 if strategy == "ea-prune" else len(plans) - len(query.relations))
     assert_states_carry_the_derived_triples(plans)
     # Leaves carry no state until something joins them: intern those in
     # the table the run's other plans share.
@@ -272,6 +306,19 @@ class TestStatesAreTheSets:
     @pytest.mark.parametrize("seed", [s for s in range(40) if s not in HEAVY_SEEDS])
     def test_random_matrix_seeds(self, seed):
         _check_run(_random_matrix_query(seed), PAIR_SAMPLE)
+
+    @pytest.mark.parametrize("strategy", SINGLE_PLAN)
+    @pytest.mark.parametrize(
+        "name", ["chain", "cycle", "star", "clique"] + [f"tpch-{t}" for t in sorted(TPCH)]
+    )
+    def test_pending_triples_single_plan(self, name, strategy):
+        query = TPCH[name[5:]]() if name.startswith("tpch-") else topology_query(name, 6)
+        _check_run(query, PAIR_SAMPLE, strategy=strategy)
+
+    @pytest.mark.parametrize("strategy", SINGLE_PLAN)
+    @pytest.mark.parametrize("seed", range(0, 40, 4))
+    def test_pending_triples_random_matrix_seeds(self, seed, strategy):
+        _check_run(_random_matrix_query(seed), PAIR_SAMPLE, strategy=strategy)
 
     @pytest.mark.parametrize("topology,n", sorted(PARENT_COUNTERS))
     def test_pruning_work_is_the_parents(self, topology, n):
@@ -304,9 +351,14 @@ class TestStatesAreTheSetsExhaustively:
     def test_fd_state_random_matrix(self, seed):
         _check_run(_random_matrix_query(seed), None)
 
+    @pytest.mark.parametrize("strategy", SINGLE_PLAN)
+    @pytest.mark.parametrize("seed", range(40))
+    def test_pending_fd_state_random_matrix(self, seed, strategy):
+        _check_run(_random_matrix_query(seed), None, strategy=strategy)
+
 
 class TestPredicateIdentityTrap:
-    """The transition memo and the builder's per-predicate masks key on
+    """The transition memo and the FD table's per-predicate memo key on
     ``id(predicate)``.  A multi-edge csg-cmp-pair of a cyclic query gets a
     fresh ``conjunction(...)`` from the oracle's resolver every time, so
     within one run a dead predicate's ``id`` comes back on a different
@@ -361,6 +413,104 @@ class TestPredicateIdentityTrap:
             assert len(ids) < resolved
 
 
+class TestPendingTriples:
+    """A join built from a priced record nobody asked for its state carries
+    its FD triple pending (``PlanBuilder.construct``) until something reads
+    it.  The premises that makes safe, each against its definition."""
+
+    STRATEGIES = ("dphyp", "h1", "h2", "ea-prune", "ea-all")
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_the_oracle_never_defers(self, strategy):
+        # Its triples are the set arithmetic's, derived as each plan is
+        # built: a pending one would be derived through the product's
+        # transition instead, and the differential would compare the
+        # product with itself.
+        query = build_q5() if strategy != "ea-all" else topology_query("cycle", 4)
+        reported = []
+        optimize_reference(
+            query,
+            config=OptimizerConfig(strategy=strategy, cache_capacity=None),
+            hooks=OptimizerHooks(on_plan=lambda plan: reported.append(_pending(plan))),
+        )
+        assert len(reported) > 20 and not any(reported)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_a_pending_plan_is_its_derived_twin(self, strategy, monkeypatch):
+        readers = {
+            "pickle": lambda plan: pickle.dumps(plan, pickle.HIGHEST_PROTOCOL),
+            "eq": lambda plan: plan,
+            "hash": _hash_or_error,
+            "replace": lambda plan: replace(plan, cost=-1.0),
+            "rendered": lambda plan: plan.rendered(),
+            "repr": repr,
+            # Each alone, before anything else derives the triple.
+            "keys": lambda plan: plan.keys,
+            "equiv": lambda plan: plan.equiv,
+            "closure": lambda plan: plan.closure(plan.raw_attrs),
+            "has_key_within": lambda plan: plan.has_key_within(plan.raw_attrs),
+        }
+        twins = []
+        construct = PlanBuilder.construct
+
+        def with_twins(builder, priced):
+            plan = construct(builder, priced)
+            if _pending(plan):
+                # One pending copy per reader (each reader derives its
+                # copy), then the record's state is read and the plan is
+                # built as a record somebody asked is.
+                copies = {name: construct(builder, priced) for name in readers}
+                assert priced.state is not None
+                derived = construct(builder, priced)
+                assert not _pending(derived)
+                twins.append((copies, derived))
+            return plan
+
+        monkeypatch.setattr(PlanBuilder, "construct", with_twins)
+        query = build_q5() if strategy != "ea-all" else topology_query("cycle", 4)
+        optimize(query, config=OptimizerConfig(strategy=strategy, cache_capacity=None))
+        # EA-Prune's own run reads every state; its H1 pre-pass does not.
+        assert len(twins) > 10
+        for copies, derived in twins:
+            for name, read in readers.items():
+                copy = copies[name]
+                assert _pending(copy)
+                assert read(copy) == read(derived), name
+            assert copies["eq"].__dict__["_fd"] is derived.__dict__["_fd"]
+
+    def test_a_derivation_as_deep_as_the_plan_needs_no_recursion(self):
+        query = topology_query("chain", 3)
+        spec = prepare(query).resolver().resolve(0b01, 0b10)
+        depth = sys.getrecursionlimit() + 100
+        started = time.perf_counter()
+        tops = []
+        for read_early in (False, True):
+            builder = PlanBuilder(query)
+            plan, right = builder.leaf(0), builder.leaf(1)
+            for _ in range(depth):
+                priced = builder.price(
+                    plan, right, spec.op, spec.predicate, spec.selectivity, spec.groupjoin_vector
+                )
+                if read_early:
+                    priced.state
+                plan = builder.construct(priced)
+            assert _pending(plan) is not read_early
+            tops.append(plan)
+        late, early = tops
+        assert (set(late.keys), set(late.equiv)) == (set(early.keys), set(early.equiv))
+        assert not _pending(late)
+        assert time.perf_counter() - started < 2.0
+
+
+def _hash_or_error(plan):
+    """``hash(plan)``, or the error it raises (a plan's dictionaries make
+    the dataclass hash raise — after it has read ``keys``)."""
+    try:
+        return hash(plan)
+    except TypeError as error:
+        return str(error)
+
+
 class TestStatesOfDifferentTables:
     def test_plans_of_two_runs_meet_in_one_bucket(self):
         # Each run numbers its attributes in its own table; a bucket
@@ -397,6 +547,33 @@ class TestLifetime:
         assert table() is None
         assert "_fd" not in result.plan.__dict__
         assert not any(isinstance(obj, FdState) for obj in gc.get_objects())
+
+    @pytest.mark.parametrize(
+        "strategy,name", [("ea-prune", "star-6"), ("ea-prune", "tpch-q5"), ("dphyp", "star-6")]
+    )
+    def test_a_run_leaves_no_fd_state_for_the_collector(self, strategy, name):
+        # A state names its table weakly and the table holds every memo
+        # between states, so a run's table and states die by reference
+        # counting: with the collector paused, nothing of them is left.
+        def query():
+            return build_q5() if name == "tpch-q5" else topology_query("star", 6)
+
+        config = OptimizerConfig(strategy=strategy)
+        optimize(query(), config=config)  # warm the value memos
+        flags = gc.get_debug()
+        gc.collect()
+        gc.disable()
+        try:
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            result = optimize(query(), config=config)
+            gc.collect()
+            left = [type(obj).__name__ for obj in gc.garbage]
+        finally:
+            gc.garbage.clear()
+            gc.set_debug(flags)
+            gc.enable()
+        assert result.plan is not None
+        assert (left.count("FdState"), left.count("FdTable")) == (0, 0)
 
     def test_a_cache_entry_keeps_no_state_alive(self):
         cache = PlanCache(capacity=4)
