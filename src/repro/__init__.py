@@ -35,7 +35,7 @@ def lazy_exports(package: str, exports: dict):
     """A module ``__getattr__`` (PEP 562) importing ``exports[name]`` on
     first access — for packages whose light modules are imported by
     processes that must not load the heavy ones (a shard worker imports
-    ``repro.asyncserver`` and ``repro.server.metrics``, never a front)."""
+    ``repro.asyncserver``, never its front)."""
 
     def __getattr__(name: str):
         if name not in exports:

@@ -66,6 +66,12 @@ class PlannerSession:
     snapshot carry them, so drifted statistics are planned again.
     *database* (mapping relation name → Relation) is the default
     execution target for :meth:`PlanHandle.execute`.
+
+    A session and its cache belong to one thread: nothing in them takes
+    a lock, so call a session from the thread that owns it (a thread of
+    its own per session, not one session shared).  :meth:`run_batch`
+    with ``workers > 1`` plans in other processes but consults and fills
+    the cache only from the calling thread.
     """
 
     def __init__(

@@ -24,9 +24,18 @@ admission slot, counts it, and writes every reply now at the head of the
 connection's line.  Only the endpoints that talk to several shards run
 as a task.
 
-Routes, body parsing, admission errors and request metrics come from
-:mod:`repro.server.metrics`; :class:`repro.server.client.ServerClient`
-speaks the result.
+The HTTP surface apart from its transport lives here too: the route
+table (:data:`ENDPOINTS`), admission errors and the per-endpoint request
+metrics (:class:`ServerMetrics`); JSON body parsing is the core's
+(:func:`repro.service.core.parse_body`), which the shard workers parse
+with too.  :class:`repro.server.client.ServerClient` speaks the result.
+
+**One owner.**  The front's state — the admission count, the route
+cache, the metrics — belongs to the event loop's thread and takes no
+lock: only code running on that loop changes it.  A caller on another
+thread goes through the loop (``asyncio.run_coroutine_threadsafe``), as
+the sync facade's drain and close do, for anything more than one
+attribute read — a metrics snapshot included.
 """
 
 from __future__ import annotations
@@ -38,7 +47,7 @@ import socket
 import threading
 import time
 from collections import OrderedDict, deque
-from typing import Deque, Optional, Tuple
+from typing import Deque, Dict, Optional, Tuple
 
 from repro.asyncserver import frames
 from repro.asyncserver.supervisor import (
@@ -49,23 +58,19 @@ from repro.asyncserver.supervisor import (
     WorkerSupervisor,
     WorkerUnavailable,
 )
-from repro.server.metrics import (
-    ServerMetrics,
-    check_admission,
-    check_route,
-    parse_body,
-    worker_abandoned,
-)
 from repro.service.config import ServingConfig
 from repro.service.core import (
+    WINDOW,
     RequestError,
     batch_item,
     batch_queries,
     batch_report,
     error_body,
     merge_stats,
+    parse_body,
     parse_sql,
     sum_counters,
+    window_summary,
 )
 from repro.service.fingerprint import query_fingerprint, shard_for_fingerprint
 from repro.sql.catalog import Catalog
@@ -96,6 +101,112 @@ _REASONS = {
     503: "Service Unavailable",
     504: "Gateway Timeout",
 }
+
+
+#: the HTTP surface: every routable path and the one method it takes.
+#: Anything else is a 404 (and metered under one ``<other>`` bucket, so
+#: arbitrary client paths cannot grow the metrics dict).
+ENDPOINTS = {
+    "/optimize": "POST",
+    "/explain": "POST",
+    "/batch": "POST",
+    "/execute": "POST",
+    "/stats_update": "POST",
+    "/stats": "GET",
+    "/healthz": "GET",
+}
+
+
+def check_route(method: str, path: str) -> None:
+    """404 for an unknown *path*, 405 for a known one asked the wrong way."""
+    expected = ENDPOINTS.get(path)
+    if expected is None:
+        raise RequestError(404, "not_found", f"no such endpoint: {path}")
+    if method != expected:
+        raise RequestError(
+            405, "method_not_allowed", f"{path} expects {expected}, got {method}"
+        )
+
+
+def check_admission(draining: bool, inflight: int, limit: int) -> None:
+    """503 once draining, 429 while *limit* requests are in flight."""
+    if draining:
+        raise RequestError(503, "draining", "server is draining and no longer accepts work")
+    if inflight >= limit:
+        raise RequestError(
+            429,
+            "overloaded",
+            f"admission queue full ({inflight} requests in flight); retry with backoff",
+        )
+
+
+def worker_abandoned(budget_seconds: float) -> RequestError:
+    """The 504 for a planner that outlived its budget plus grace — a
+    healthy one answers (or degrades) first, so it is wedged."""
+    message = f"worker unresponsive past the {budget_seconds:g}s budget plus grace"
+    return RequestError(504, "timeout", f"{message} — request abandoned")
+
+
+class _EndpointStats:
+    __slots__ = ("count", "errors_4xx", "errors_5xx", "rejected", "latencies_ms")
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.errors_4xx = 0
+        self.errors_5xx = 0
+        self.rejected = 0
+        self.latencies_ms: Deque[float] = deque(maxlen=WINDOW)
+
+
+class ServerMetrics:
+    """The front's per-endpoint counters and latency windows — the
+    ``uptime_seconds`` / ``requests`` part of ``GET /stats``.
+
+    Every finished exchange records its endpoint, status class and wall
+    latency; latencies are kept in a bounded window per endpoint (the
+    newest :data:`~repro.service.core.WINDOW` samples), counters are
+    cumulative since start.  Recorded and read on the loop's thread
+    only, so it takes no lock.
+    """
+
+    def __init__(self) -> None:
+        self._started = time.monotonic()
+        self._endpoints: Dict[str, _EndpointStats] = {}
+
+    def record_request(self, method: str, path: str, status: int, elapsed_seconds: float) -> None:
+        """One finished HTTP exchange (including rejected/errored ones),
+        keyed ``"<METHOD> <path>"``; unroutable paths and odd methods
+        share ``<other>`` buckets so clients cannot grow the dict."""
+        if method not in ("GET", "POST"):
+            method = "<other>"
+        endpoint = f"{method} {path if path in ENDPOINTS else '<other>'}"
+        stats = self._endpoints.setdefault(endpoint, _EndpointStats())
+        stats.count += 1
+        if status == 429:
+            stats.rejected += 1
+        if 400 <= status < 500:
+            stats.errors_4xx += 1
+        elif status >= 500:
+            stats.errors_5xx += 1
+        stats.latencies_ms.append(elapsed_seconds * 1000.0)
+
+    def snapshot(self) -> dict:
+        """A JSON-ready copy of every counter."""
+        endpoints = {}
+        for name, stats in self._endpoints.items():
+            window = list(stats.latencies_ms)
+            endpoints[name] = {
+                "count": stats.count,
+                "errors_4xx": stats.errors_4xx,
+                "errors_5xx": stats.errors_5xx,
+                "rejected_429": stats.rejected,
+                **window_summary(window),
+                "mean_ms": sum(window) / len(window) if window else None,
+            }
+        return {
+            "uptime_seconds": time.monotonic() - self._started,
+            "requests": endpoints,
+        }
 
 
 def _error_bytes(code: str, message: str) -> bytes:

@@ -43,8 +43,13 @@ from repro import chaos
 from repro.asyncserver import frames
 from repro.service.cache import SnapshotError
 from repro.service.config import ServingConfig
-from repro.server.metrics import parse_body
-from repro.service.core import RequestError, ServingCore, error_body, tune_gc_for_serving
+from repro.service.core import (
+    RequestError,
+    ServingCore,
+    error_body,
+    parse_body,
+    tune_gc_for_serving,
+)
 from repro.service.fingerprint import catalog_fingerprint
 
 

@@ -133,14 +133,17 @@ class Query:
 
     # -- helpers -------------------------------------------------------------
     def _tree_vertices(self):
-        def walk(node):
+        """The tree's leaf vertices, left to right.  An explicit stack, not
+        a recursive closure: a closure that calls itself is a reference
+        cycle left for the collector, one per query built."""
+        stack = [self.tree]
+        while stack:
+            node = stack.pop()
             if isinstance(node, TreeLeaf):
                 yield node.vertex
             else:
-                yield from walk(node.left)
-                yield from walk(node.right)
-
-        yield from walk(self.tree)
+                stack.append(node.right)
+                stack.append(node.left)
 
     def _groupjoin_outputs(self) -> FrozenSet[str]:
         names: set = set()

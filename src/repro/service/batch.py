@@ -309,8 +309,8 @@ def optimize_many(
     in the same batch — carries ``cache_hit=True``.  With
     ``config.workers <= 1`` (or a single miss) everything runs
     in-process; otherwise distinct misses are spread over a process pool.
-    The cache is consulted and populated only in the dispatching process,
-    so workers stay oblivious to it.
+    The cache is consulted and populated only by the calling thread — its
+    owner — as results stream back, so workers stay oblivious to it.
 
     A query whose optimizer run raises does not abort the batch: its item
     (and every in-batch duplicate's) streams back with ``result=None`` and
@@ -367,5 +367,5 @@ def run_batch(
         items=items,
         wall_seconds=time.perf_counter() - started,
         workers=config.workers or default_workers(),
-        cache_stats=cache.stats_snapshot() if cache is not None else None,
+        cache_stats=cache.stats.snapshot() if cache is not None else None,
     )

@@ -23,6 +23,12 @@ A plan that leaves the cache for want of room leaves its *cost* behind
 (:meth:`PlanCache.known_cost`): the next run of that statement under the
 same statistics is bounded by it from the first csg-cmp-pair on, instead
 of planning a heuristic first to learn a bound the cache already knew.
+
+**One owner.**  A cache takes no lock: one thread owns it and every call
+comes from that thread — a shard worker's, a
+:class:`~repro.api.PlannerSession`'s caller, or the caller of
+:func:`~repro.service.batch.optimize_many`, whose pool streams results
+back to that same thread.
 """
 
 from __future__ import annotations
@@ -31,7 +37,6 @@ import hashlib
 import json
 import os
 import pickle
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, FrozenSet, Optional, Tuple
@@ -61,16 +66,15 @@ KNOWN_COSTS_CAPACITY = 4096
 #: were before the copies were kept.
 SERVED_SPELLINGS = 8
 
-#: entry lifecycle states.  ``fresh`` — statistics unchanged since the
-#: plan was stored; ``stale`` — a stats delta touched one of the plan's
-#: base tables (or its exact snapshot no longer matches the query's), the
-#: entry keeps serving while awaiting revalidation; ``revalidating`` — a
-#: background revalidator claimed it (still servable).  Revalidation ends
-#: the cycle with :meth:`PlanCache.refresh` (back to ``fresh``) or
-#: eviction.
+#: entry lifecycle states: ``fresh → stale → refreshed | evicted``.
+#: ``fresh`` — statistics unchanged since the plan was stored; ``stale`` —
+#: a stats delta touched one of the plan's base tables (or its exact
+#: snapshot no longer matches the query's), the entry keeps serving while
+#: awaiting revalidation.  Revalidation ends the cycle with
+#: :meth:`PlanCache.refresh` (back to ``fresh``) or eviction; a failed one
+#: leaves the entry stale.
 FRESH = "fresh"
 STALE = "stale"
-REVALIDATING = "revalidating"
 
 
 class SnapshotError(Exception):
@@ -118,13 +122,7 @@ class CacheStats:
         return self.hits / self.lookups if self.lookups else 0.0
 
     def snapshot(self) -> "CacheStats":
-        """A field-by-field copy — NOT atomic against concurrent updates.
-
-        These counters mutate under :attr:`PlanCache._lock`; reading them
-        here without that lock can tear (e.g. a ``hits`` from before and
-        a ``misses`` from after another thread's lookup).  Use
-        :meth:`PlanCache.stats_snapshot` for a consistent copy.
-        """
+        """A field-by-field copy: later lookups do not change it."""
         return CacheStats(
             self.hits, self.misses, self.puts, self.evictions, self.invalidations,
             self.marked_stale, self.stale_hits, self.refreshed,
@@ -146,7 +144,7 @@ class _Entry:
     #: naming of the query the result was computed for (service.rebind.Binding);
     #: None means "serve verbatim" (caller guarantees name compatibility).
     binding: Optional[Tuple] = None
-    #: lifecycle state — FRESH / STALE / REVALIDATING.
+    #: lifecycle state — FRESH / STALE.
     state: str = FRESH
     #: the *exact* (unbanded) cardinality snapshot the plan was costed
     #: under; with banded keys this is how drift-within-a-band is
@@ -187,11 +185,11 @@ class StaleClaim:
 
 
 class PlanCache:
-    """A bounded, thread-safe, least-recently-used plan cache.
+    """A bounded, least-recently-used plan cache, owned by one thread.
 
-    Thread safety matters because the batch driver consults the cache from
-    the dispatching thread while results stream back; a plain lock
-    suffices — entries are immutable once stored.
+    No lock: every call comes from the owning thread (the module's "One
+    owner"), so a counter read, a claim and the refresh that settles it
+    never interleave with another caller.
 
     Beside the entries the cache keeps what it still knows of plans it no
     longer holds: ``(key, exact snapshot) → cost``, at most
@@ -223,7 +221,6 @@ class PlanCache:
         self.capacity = capacity
         self._entries: "OrderedDict[PlanCacheKey, _Entry]" = OrderedDict()
         self._costs: "OrderedDict[Tuple[PlanCacheKey, str], float]" = OrderedDict()
-        self._lock = threading.RLock()
         self.stats = CacheStats()
         #: False while no entry can be non-fresh: raised wherever an entry
         #: leaves FRESH, lowered when a :meth:`stale_count` scan finds none
@@ -256,44 +253,41 @@ class PlanCache:
         the snapshot the entry was costed under, the entry is marked
         stale on the spot (stale-while-revalidate: the caller serves the
         returned result now and queues revalidation).  The returned state
-        is the entry's state **at serve time** — :data:`STALE` /
-        :data:`REVALIDATING` results should bump a ``stale_served``
-        metric upstream.
+        is the entry's state **at serve time** — a :data:`STALE` result
+        should bump a ``stale_served`` metric upstream.
         """
         from repro.service.rebind import query_binding, rebind_result
 
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.stats.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.stats.hits += 1
-            entry.hits += 1
-            if (
-                entry.state == FRESH
-                and exact_snapshot is not None
-                and entry.exact_snapshot is not None
-                and entry.exact_snapshot != exact_snapshot
-            ):
-                entry.state = STALE
-                self._may_hold_stale = True
-                self.stats.marked_stale += 1
-            state = entry.state
-            if state != FRESH:
-                self.stats.stale_hits += 1
-            result, source = entry.result, entry.binding
-            target = None  # an entry stored without a binding serves verbatim
-            if source is not None:
-                target = binding if binding is not None else query_binding(query)
-            made = entry.served.get(target)
-            if made is not None and made[0] is result:
-                return made[1], state
+        entry = self._entries.get(key)
+        if entry is None:
+            self.stats.misses += 1
+            return None
+        self._entries.move_to_end(key)
+        self.stats.hits += 1
+        entry.hits += 1
+        if (
+            entry.state == FRESH
+            and exact_snapshot is not None
+            and entry.exact_snapshot is not None
+            and entry.exact_snapshot != exact_snapshot
+        ):
+            entry.state = STALE
+            self._may_hold_stale = True
+            self.stats.marked_stale += 1
+        state = entry.state
+        if state != FRESH:
+            self.stats.stale_hits += 1
+        result, source = entry.result, entry.binding
+        target = None  # an entry stored without a binding serves verbatim
+        if source is not None:
+            target = binding if binding is not None else query_binding(query)
+        made = entry.served.get(target)
+        if made is not None and made[0] is result:
+            return made[1], state
         served = result if source is None else rebind_result(result, source, query, target)
         served = served.as_cache_hit()
-        with self._lock:
-            if target in entry.served or len(entry.served) < SERVED_SPELLINGS:
-                entry.served[target] = (result, served)
+        if target in entry.served or len(entry.served) < SERVED_SPELLINGS:
+            entry.served[target] = (result, served)
         return served, state
 
     def store(
@@ -327,12 +321,11 @@ class PlanCache:
             exact_snapshot=exact_snapshot,
             sql=sql,
         )
-        with self._lock:
-            self._insert(key, entry)
+        self._insert(key, entry)
 
     def _insert(self, key: PlanCacheKey, entry: _Entry) -> None:
         """File *entry* under *key* as the most recently used, counted as
-        a put (lock held); the least recently used leave for room."""
+        a put; the least recently used leave for room."""
         if key in self._entries:
             self._entries.move_to_end(key)
         self._entries[key] = entry
@@ -340,8 +333,8 @@ class PlanCache:
         self._evict()
 
     def _evict(self) -> None:
-        """Drop least-recently-used entries down to :attr:`capacity`
-        (lock held); each leaves its cost behind."""
+        """Drop least-recently-used entries down to :attr:`capacity`;
+        each leaves its cost behind."""
         while len(self._entries) > self.capacity:
             key, entry = self._entries.popitem(last=False)
             self.stats.evictions += 1
@@ -349,7 +342,7 @@ class PlanCache:
 
     def _leave_cost(self, key: PlanCacheKey, entry: _Entry) -> None:
         """Remember what *entry*'s plan cost under the statistics it was
-        costed with (lock held).  An entry stored without its exact
+        costed with.  An entry stored without its exact
         snapshot names no problem exactly and leaves nothing."""
         cost = getattr(entry.result, "cost", None)
         if cost is None or entry.exact_snapshot is None:
@@ -369,41 +362,26 @@ class PlanCache:
         goes to ``optimize(known_cost=...)``.  A found pair becomes the
         most recently used.
         """
-        with self._lock:
-            pair = (key, exact_snapshot)
-            cost = self._costs.get(pair)
-            if cost is not None:
-                self._costs.move_to_end(pair)
-            return cost
-
-    def stats_snapshot(self) -> CacheStats:
-        """A consistent copy of :attr:`stats`, taken under the cache lock.
-
-        Counters only ever mutate while :attr:`_lock` is held, so holding
-        it here guarantees the eight counters describe one instant — an
-        unlocked :meth:`CacheStats.snapshot` can interleave with a
-        concurrent lookup and report torn totals.
-        """
-        with self._lock:
-            return self.stats.snapshot()
+        pair = (key, exact_snapshot)
+        cost = self._costs.get(pair)
+        if cost is not None:
+            self._costs.move_to_end(pair)
+        return cost
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)
 
     def __contains__(self, key: PlanCacheKey) -> bool:
-        with self._lock:
-            return key in self._entries
+        return key in self._entries
 
     def clear(self) -> int:
         """Drop every entry, counting each as an invalidation, and forget
         every remembered cost.  Returns the number of entries removed."""
-        with self._lock:
-            removed = len(self._entries)
-            self._entries.clear()
-            self._costs.clear()
-            self.stats.invalidations += removed
-            return removed
+        removed = len(self._entries)
+        self._entries.clear()
+        self._costs.clear()
+        self.stats.invalidations += removed
+        return removed
 
     def drop(self, key: PlanCacheKey) -> bool:
         """Remove one entry (counted as an invalidation); False if absent.
@@ -413,11 +391,10 @@ class PlanCache:
         rather than serving a plan nobody can re-cost.  No cost is
         remembered for it.
         """
-        with self._lock:
-            if self._entries.pop(key, None) is None:
-                return False
-            self.stats.invalidations += 1
-            return True
+        if self._entries.pop(key, None) is None:
+            return False
+        self.stats.invalidations += 1
+        return True
 
     # -- lifecycle -----------------------------------------------------------
     def mark_stale(self, relation: Optional[str] = None) -> int:
@@ -425,61 +402,55 @@ class PlanCache:
 
         Entries stay servable — :meth:`serve_entry` reports their state so
         callers can count stale serves — until a revalidator refreshes or
-        evicts them.  Entries already stale or claimed for revalidation
-        are left alone.  Returns the number of entries newly marked.
+        evicts them.  Entries already stale are left alone.  Returns the
+        number of entries newly marked.
         """
-        with self._lock:
-            marked = 0
-            needle = relation.lower() if relation is not None else None
-            for entry in self._entries.values():
-                if entry.state != FRESH:
-                    continue
-                if needle is not None and not any(
-                    name.lower() == needle for name in entry.relations
-                ):
-                    continue
-                entry.state = STALE
-                marked += 1
-            if marked:
-                self._may_hold_stale = True
-            self.stats.marked_stale += marked
-            return marked
+        marked = 0
+        needle = relation.lower() if relation is not None else None
+        for entry in self._entries.values():
+            if entry.state != FRESH:
+                continue
+            if needle is not None and not any(
+                name.lower() == needle for name in entry.relations
+            ):
+                continue
+            entry.state = STALE
+            marked += 1
+        if marked:
+            self._may_hold_stale = True
+        self.stats.marked_stale += marked
+        return marked
 
     def claim_stale(self, limit: Optional[int] = None) -> Tuple["StaleClaim", ...]:
-        """Atomically claim up to *limit* stale entries for revalidation.
+        """Up to *limit* stale entries to revalidate, a :class:`StaleClaim` each.
 
         Stale entries are claimed **hottest first** — most lifetime hits,
         ties broken by LRU insertion order — so a bounded revalidation
         budget refreshes the plans the serving traffic actually depends
-        on before the long tail.  Each claimed entry
-        transitions ``stale → revalidating`` (so two revalidator threads
-        never double-plan one entry) and is returned as a
-        :class:`StaleClaim` carrying everything a revalidator needs.
-        Claims for entries evicted mid-revalidation simply no-op at
-        :meth:`refresh` time.
+        on before the long tail.  A claim changes no state: the entry
+        stays stale, and servable, until its owner settles it —
+        :meth:`refresh` (fresh again), :meth:`drop`, or nothing (a failed
+        revalidation leaves it stale for a later round).  A claim whose
+        entry has left the cache since no-ops at :meth:`refresh`.
         """
-        with self._lock:
-            stale = [
-                (entry.hits, key, entry)
-                for key, entry in self._entries.items()
-                if entry.state == STALE
-            ]
-            # Hits descending; the stable sort keeps LRU order for ties.
-            stale.sort(key=lambda item: -item[0])
-            if limit is not None:
-                stale = stale[:limit]
-            claims = []
-            for _, key, entry in stale:
-                entry.state = REVALIDATING
-                claims.append(
-                    StaleClaim(
-                        key=key,
-                        result=entry.result,
-                        sql=entry.sql,
-                        exact_snapshot=entry.exact_snapshot,
-                    )
-                )
-            return tuple(claims)
+        stale = [
+            (entry.hits, key, entry)
+            for key, entry in self._entries.items()
+            if entry.state == STALE
+        ]
+        # Hits descending; the stable sort keeps LRU order for ties.
+        stale.sort(key=lambda item: -item[0])
+        if limit is not None:
+            stale = stale[:limit]
+        return tuple(
+            StaleClaim(
+                key=key,
+                result=entry.result,
+                sql=entry.sql,
+                exact_snapshot=entry.exact_snapshot,
+            )
+            for _, key, entry in stale
+        )
 
     def refresh(
         self,
@@ -495,55 +466,41 @@ class PlanCache:
         refreshed result stored under *new_key*.  Deadline-degraded
         results are refused — the degraded-plan cache guard extends to
         the revalidation path, so a background replan that blew its
-        deadline leaves the cached (optimal) entry stale rather than
-        overwriting it.  Returns True when the entry was refreshed.
+        deadline leaves the cached (optimal) entry as it is, stale, rather
+        than overwriting it.  Returns True when the entry was refreshed.
 
         The replaced result leaves its cost behind under the key and
         exact snapshot it was stored with (:meth:`known_cost`).
         """
         if getattr(result, "degraded", False):
-            with self._lock:
-                entry = self._entries.get(key)
-                if entry is not None and entry.state == REVALIDATING:
-                    entry.state = STALE  # retryable; never cache degraded
             return False
-        with self._lock:
-            entry = self._entries.pop(key, None)
-            if entry is None:
-                return False  # evicted mid-revalidation
-            self._leave_cost(key, entry)
-            entry.result = result
-            entry.served.clear()  # copies of the replaced result
-            entry.state = FRESH
-            if exact_snapshot is not None:
-                entry.exact_snapshot = exact_snapshot
-            target = new_key if new_key is not None else key
-            self._entries[target] = entry
-            self._entries.move_to_end(target)
-            self.stats.refreshed += 1
-            return True
-
-    def requeue(self, key: PlanCacheKey) -> None:
-        """Return a claimed entry to stale (revalidation failed, retry later)."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None and entry.state == REVALIDATING:
-                entry.state = STALE
+        entry = self._entries.pop(key, None)
+        if entry is None:
+            return False  # left the cache since the claim
+        self._leave_cost(key, entry)
+        entry.result = result
+        entry.served.clear()  # copies of the replaced result
+        entry.state = FRESH
+        if exact_snapshot is not None:
+            entry.exact_snapshot = exact_snapshot
+        target = new_key if new_key is not None else key
+        self._entries[target] = entry
+        self._entries.move_to_end(target)
+        self.stats.refreshed += 1
+        return True
 
     def entry_state(self, key: PlanCacheKey) -> Optional[str]:
         """The lifecycle state of *key*'s entry (None when absent)."""
-        with self._lock:
-            entry = self._entries.get(key)
-            return entry.state if entry is not None else None
+        entry = self._entries.get(key)
+        return entry.state if entry is not None else None
 
     def stale_count(self) -> int:
-        """Entries currently awaiting (or under) revalidation."""
+        """Entries currently awaiting revalidation."""
         if not self._may_hold_stale:
             return 0
-        with self._lock:
-            count = sum(1 for entry in self._entries.values() if entry.state != FRESH)
-            self._may_hold_stale = count > 0
-            return count
+        count = sum(1 for entry in self._entries.values() if entry.state != FRESH)
+        self._may_hold_stale = count > 0
+        return count
 
     # -- persistence ---------------------------------------------------------
     def save_snapshot(
@@ -567,23 +524,20 @@ class PlanCache:
         The write is atomic (temp file + ``os.replace``), so a crash
         mid-save leaves the previous snapshot intact.
         """
-        with self._lock:
-            # v2 layout: lifecycle state and revalidation context (the
-            # exact snapshot and the SQL text) ride along.  REVALIDATING
-            # demotes to STALE: the claim dies with the process, so the
-            # restarted server must be able to re-claim.
-            entries = [
-                (
-                    key,
-                    entry.result,
-                    tuple(entry.relations),
-                    entry.binding,
-                    STALE if entry.state == REVALIDATING else entry.state,
-                    entry.exact_snapshot,
-                    entry.sql,
-                )
-                for key, entry in self._entries.items()
-            ]
+        # v2 layout: lifecycle state and revalidation context (the
+        # exact snapshot and the SQL text) ride along.
+        entries = [
+            (
+                key,
+                entry.result,
+                tuple(entry.relations),
+                entry.binding,
+                entry.state,
+                entry.exact_snapshot,
+                entry.sql,
+            )
+            for key, entry in self._entries.items()
+        ]
         blob = pickle.dumps(entries, protocol=pickle.HIGHEST_PROTOCOL)
         header = {
             "format": SNAPSHOT_FORMAT,
@@ -680,47 +634,43 @@ class PlanCache:
         if not isinstance(entries, list):
             raise SnapshotError("corrupt", "snapshot payload is not an entry list")
         kept = entries[-self.capacity:]
-        with self._lock:
-            self._may_hold_stale = True  # saved states ride along
-            for key, result, relations, binding, state, exact_snapshot, sql in kept:
-                self._insert(
-                    key,
-                    _Entry(
-                        result,
-                        frozenset(relations),
-                        binding,
-                        state=state,
-                        exact_snapshot=exact_snapshot,
-                        sql=sql,
-                    ),
-                )
+        self._may_hold_stale = True  # saved states ride along
+        for key, result, relations, binding, state, exact_snapshot, sql in kept:
+            self._insert(
+                key,
+                _Entry(
+                    result,
+                    frozenset(relations),
+                    binding,
+                    state=state,
+                    exact_snapshot=exact_snapshot,
+                    sql=sql,
+                ),
+            )
         return len(kept)
 
     # -- introspection -------------------------------------------------------
     def keys(self) -> Tuple[PlanCacheKey, ...]:
-        with self._lock:
-            return tuple(self._entries)
+        return tuple(self._entries)
 
     def relations_of(self, key: PlanCacheKey) -> FrozenSet[str]:
-        with self._lock:
-            entry = self._entries.get(key)
-            return entry.relations if entry is not None else frozenset()
+        entry = self._entries.get(key)
+        return entry.relations if entry is not None else frozenset()
 
     def describe(self) -> Dict[str, float]:
         """A flat metrics dict (for logging / monitoring endpoints)."""
-        with self._lock:
-            return {
-                "size": float(len(self._entries)),
-                "capacity": float(self.capacity),
-                "hits": float(self.stats.hits),
-                "misses": float(self.stats.misses),
-                "puts": float(self.stats.puts),
-                "evictions": float(self.stats.evictions),
-                "invalidations": float(self.stats.invalidations),
-                "marked_stale": float(self.stats.marked_stale),
-                "stale_hits": float(self.stats.stale_hits),
-                "refreshed": float(self.stats.refreshed),
-                "stale_entries": float(self.stale_count()),
-                "known_costs": float(len(self._costs)),
-                "hit_rate": self.stats.hit_rate,
-            }
+        return {
+            "size": float(len(self._entries)),
+            "capacity": float(self.capacity),
+            "hits": float(self.stats.hits),
+            "misses": float(self.stats.misses),
+            "puts": float(self.stats.puts),
+            "evictions": float(self.stats.evictions),
+            "invalidations": float(self.stats.invalidations),
+            "marked_stale": float(self.stats.marked_stale),
+            "stale_hits": float(self.stats.stale_hits),
+            "refreshed": float(self.stats.refreshed),
+            "stale_entries": float(self.stale_count()),
+            "known_costs": float(len(self._costs)),
+            "hit_rate": self.stats.hit_rate,
+        }

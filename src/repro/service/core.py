@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import json
 import math
 import time
 from collections import Counter, OrderedDict, deque
@@ -111,6 +112,17 @@ def parse_sql(sql, catalog: Catalog) -> Query:
         raise RequestError(400, "parse_error", str(exc)) from exc
     except RecursionError as exc:
         raise RequestError(400, "parse_error", "statement nests too deeply") from exc
+
+
+def parse_body(raw: bytes) -> dict:
+    """The JSON object in *raw*; anything else is a 400 ``bad_json``."""
+    try:
+        body = json.loads(raw)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise RequestError(400, "bad_json", f"invalid JSON body: {exc}") from exc
+    if not isinstance(body, dict):
+        raise RequestError(400, "bad_json", "body must be a JSON object")
+    return body
 
 
 def batch_queries(body: dict) -> list:
@@ -642,7 +654,7 @@ class ServingCore:
         """Re-cost or re-plan up to *limit* stale entries.  Returns
         whether any entry actually left the stale backlog — False means
         everything claimed failed (e.g. replans that deadline-degrade)
-        and went back to stale, so the caller must stop looping rather
+        and stayed stale, so the caller must stop looping rather
         than spin on the same entry."""
         counts = self._drain(limit)
         return counts["recosted"] + counts["replanned"] + counts["dropped"] > 0

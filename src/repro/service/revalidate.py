@@ -7,8 +7,9 @@ bounded — see :mod:`repro.optimizer.recost`) while a
 :class:`StaleRevalidator` works through the backlog off the request
 path:
 
-1. claim a batch of stale entries (``stale → revalidating``, so two
-   workers never double-plan one entry),
+1. claim a batch of stale entries, hottest first — a claim changes no
+   state: the cache's one owner thread settles every claim of the batch
+   before it claims again,
 2. rebuild each entry's query under the *fresh* catalog by re-parsing
    its stored SQL; an entry stored without SQL cannot be rebuilt and is
    dropped,
@@ -17,12 +18,12 @@ path:
    past it → full re-optimization (``plans.replanned``),
 4. a replan that deadline-degrades never overwrites the entry
    (:meth:`~repro.service.cache.PlanCache.refresh` refuses degraded
-   results); the entry returns to ``stale`` and is retried later.
+   results); the entry stays ``stale`` and is retried by a later drain.
 
-``drain`` runs in the caller's thread — the owner of a
-:class:`~repro.service.core.ServingCore` decides when: a shard worker
-calls it with a ``limit`` inline on ``/stats_update`` and in the idle
-gaps between requests.
+``drain`` runs in the caller's thread, which must be the cache's owner —
+the owner of a :class:`~repro.service.core.ServingCore` decides when: a
+shard worker calls it with a ``limit`` inline on ``/stats_update`` and
+in the idle gaps between requests.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from repro.service.fingerprint import plan_key
 
 logger = logging.getLogger("repro.service.revalidate")
 
-#: stale entries claimed per drain round — bounds how long the cache
-#: lock's claim transaction runs and how much work one round commits to.
+#: stale entries claimed per drain round — bounds how much work one round
+#: commits to (each claim is settled before the next round claims).
 CLAIM_BATCH = 32
 
 
@@ -53,10 +54,10 @@ class StaleRevalidator:
         """Process the stale backlog (up to *limit* entries); counts dict."""
         counts = {"recosted": 0, "replanned": 0, "dropped": 0, "failed": 0}
         processed = 0
-        # Failed entries go back to STALE (retryable on a *later* drain);
-        # re-claiming them in this one would livelock — a permanently
-        # failing entry (e.g. every replan deadline-degrades) would be
-        # claimed, failed and requeued forever.
+        # Failed entries stay STALE (retryable on a *later* drain);
+        # revalidating them again in this one would livelock — a
+        # permanently failing entry (e.g. every replan deadline-degrades)
+        # would be claimed and failed forever.
         failed_keys = set()
         while True:
             batch = CLAIM_BATCH
@@ -70,7 +71,6 @@ class StaleRevalidator:
             progressed = False
             for claim in claims:
                 if claim.key in failed_keys:
-                    self.cache.requeue(claim.key)
                     continue
                 outcome = self._revalidate(claim)
                 if outcome == "failed":
@@ -120,7 +120,7 @@ class StaleRevalidator:
                 return "recosted"
             # Past the bound (or replay failed): full re-optimization.
             # The run respects the config's planning deadline; a degraded
-            # fallback is refused by refresh() (entry returns to stale) —
+            # fallback is refused by refresh() (the entry stays stale) —
             # the degraded-plan guard extends to the revalidation path.
             # evaluate_stale has just costed complete plans of this very
             # query — the replayed one, if it replayed, and H1's — so the
@@ -137,5 +137,4 @@ class StaleRevalidator:
             return "replanned" if refreshed else "failed"
         except Exception:  # noqa: BLE001 - per-entry fault isolation
             logger.exception("revalidation failed for %s", claim.key)
-            self.cache.requeue(claim.key)
             return "failed"

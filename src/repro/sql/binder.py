@@ -301,51 +301,51 @@ class _Binder:
         )
 
     def _merge_into_cross_edge(
-        self, tree: Tree, vertices: List[int], bound: Expr, conjunct: SqlExpr
+        self, node: Tree, vertices: List[int], bound: Expr, conjunct: SqlExpr
     ) -> Optional[Tree]:
-        """AND *bound* into the TRUE cross edge separating *vertices*.
+        """AND *bound* into the TRUE cross edge of *node*'s tree that
+        separates *vertices*, at the lowest such edge.
 
         ``FROM a, b WHERE a.x = b.x`` turns the placeholder cross product
-        into a proper join edge; returns None when no cross edge splits the
-        two vertices (the conjunct then falls back to a floating edge).
+        into a proper join edge; returns the rebuilt tree, or None when no
+        cross edge splits the two vertices (the conjunct then falls back
+        to a floating edge).  The method recurses on itself, not through a
+        nested closure, which would be a reference cycle left for the
+        collector on every statement that closes a cycle in WHERE.
         """
+        if isinstance(node, TreeLeaf):
+            return None
         v1, v2 = (1 << vertices[0]), (1 << vertices[1])
-
-        def walk(node: Tree) -> Optional[Tree]:
-            if isinstance(node, TreeLeaf):
-                return None
-            left_set, right_set = tree_leaves(node.left), tree_leaves(node.right)
-            both = v1 | v2
-            if ((left_set | right_set) & both) != both:
-                return None
-            # Recurse first: merge at the lowest separating edge.
-            for attr, child in (("left", node.left), ("right", node.right)):
-                replaced = walk(child)
-                if replaced is not None:
-                    return TreeNode(
-                        node.edge_id,
-                        replaced if attr == "left" else node.left,
-                        replaced if attr == "right" else node.right,
-                    )
-            separates = (left_set & v1 and right_set & v2) or (
-                left_set & v2 and right_set & v1
-            )
-            if not separates or node.edge_id not in self.cross_edge_ids:
-                return None
-            old = self.edges[node.edge_id]
-            predicate = (
-                bound if isinstance(old.predicate, Const)
-                else Logical("and", (old.predicate, bound))
-            )
-            selectivity = max(
-                MIN_SELECTIVITY, old.selectivity * self._join_selectivity(conjunct)
-            )
-            self.edges[node.edge_id] = JoinEdge(
-                old.edge_id, old.op, predicate, selectivity
-            )
-            return node
-
-        return walk(tree)
+        left_set, right_set = tree_leaves(node.left), tree_leaves(node.right)
+        both = v1 | v2
+        if ((left_set | right_set) & both) != both:
+            return None
+        # Recurse first: merge at the lowest separating edge.
+        for attr, child in (("left", node.left), ("right", node.right)):
+            replaced = self._merge_into_cross_edge(child, vertices, bound, conjunct)
+            if replaced is not None:
+                return TreeNode(
+                    node.edge_id,
+                    replaced if attr == "left" else node.left,
+                    replaced if attr == "right" else node.right,
+                )
+        separates = (left_set & v1 and right_set & v2) or (
+            left_set & v2 and right_set & v1
+        )
+        if not separates or node.edge_id not in self.cross_edge_ids:
+            return None
+        old = self.edges[node.edge_id]
+        predicate = (
+            bound if isinstance(old.predicate, Const)
+            else Logical("and", (old.predicate, bound))
+        )
+        selectivity = max(
+            MIN_SELECTIVITY, old.selectivity * self._join_selectivity(conjunct)
+        )
+        self.edges[node.edge_id] = JoinEdge(
+            old.edge_id, old.op, predicate, selectivity
+        )
+        return node
 
     def _append_floating_edges(self, conjuncts: List[SqlExpr]) -> None:
         if not conjuncts:

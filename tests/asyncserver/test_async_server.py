@@ -316,6 +316,20 @@ def clean_sql_on(running, shard):
     pytest.skip(f"no candidate statement lands on shard {shard}")
 
 
+def on_loop(running, read):
+    """``read()`` run on *running*'s event-loop thread, which owns the
+    front's state (its metrics among it); once that thread has ended, the
+    state is the caller's to read."""
+    loop = running._loop
+    if loop is None:
+        return read()
+
+    async def call():
+        return read()
+
+    return asyncio.run_coroutine_threadsafe(call(), loop).result(timeout=30.0)
+
+
 def wait_for(predicate, what, budget=30.0):
     deadline = time.monotonic() + budget
     while not predicate():
@@ -375,7 +389,7 @@ class TestGracefulDrain:
         assert drained == [True]
         assert results["body"]["cost"] > 0
         # The in-flight exchange was written and metered before the drain returned.
-        counted = service.metrics.snapshot()["requests"]["POST /optimize"]
+        counted = on_loop(running, service.metrics.snapshot)["requests"]["POST /optimize"]
         assert (counted["count"], counted["errors_5xx"]) == (2, 1)
 
     def test_drain_gives_up_after_its_grace(self, monkeypatch):
@@ -430,7 +444,8 @@ class TestRelayOrderAndRelease:
         assert stats["mode"] == "async" and len(stats["shard_detail"]) == 2
         # ... although the fast shard answered first: its exchanges were
         # settled (and counted) long before the slow one.
-        window = slow_server.service.metrics.snapshot()["requests"]["POST /optimize"]
+        metrics = on_loop(slow_server, slow_server.service.metrics.snapshot)
+        window = metrics["requests"]["POST /optimize"]
         assert window["p50_ms"] < self.HANG_SECONDS * 500 < window["p99_ms"]
 
     def test_a_disconnect_holds_the_admission_slot_until_the_shard_answers(
@@ -455,7 +470,9 @@ class TestRelayOrderAndRelease:
         service = slow_server.service
 
         def counted():
-            endpoint = service.metrics.snapshot()["requests"].get("POST /optimize")
+            endpoint = on_loop(slow_server, service.metrics.snapshot)["requests"].get(
+                "POST /optimize"
+            )
             return endpoint["count"] if endpoint else 0
 
         before = counted()
@@ -469,6 +486,37 @@ class TestRelayOrderAndRelease:
         assert written_closed == []
         with ServerClient(port=slow_server.port) as c:
             assert c.optimize(HANG_SQL_2, include_plan=False)["cache_hit"] is True
+
+
+class TestOneOwner:
+    def test_the_front_records_and_reads_its_metrics_on_its_loop_thread(self, monkeypatch):
+        """The front's metrics take no lock: every exchange is counted,
+        and every read made, on the event loop's thread — across the
+        relay, the fan-out, ``/stats`` and an error reply."""
+        from repro.asyncserver import app
+
+        threads = []
+        for name in ("record_request", "snapshot"):
+
+            def noted(self, *args, _method=getattr(app.ServerMetrics, name)):
+                threads.append(threading.get_ident())
+                return _method(self, *args)
+
+            monkeypatch.setattr(app.ServerMetrics, name, noted)
+        with AsyncPlanServer(ServingConfig(port=0, shards=1)) as running:
+            owner = running._thread.ident
+            with ServerClient(port=running.port) as c:
+                c.optimize(SQL, include_plan=False)
+                c.batch([SQL, SQL_RENAMED])
+                assert c.stats()["requests"]["POST /batch"]["count"] == 1
+                with pytest.raises(ServerError) as excinfo:
+                    c.optimize("SELECT FROM nowhere")
+                assert excinfo.value.status == 400
+            requests = on_loop(running, running.service.metrics.snapshot)["requests"]
+        endpoints = ("POST /optimize", "POST /batch", "GET /stats")
+        assert [requests[name]["count"] for name in endpoints] == [2, 1, 1]
+        assert requests["POST /optimize"]["errors_4xx"] == 1
+        assert len(threads) == 6 and set(threads) == {owner}
 
 
 class TestRelaySupervision:

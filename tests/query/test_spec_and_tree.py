@@ -1,5 +1,7 @@
 """Tests for the query specification and initial operator trees."""
 
+import gc
+
 import pytest
 
 from repro.aggregates import count_star, sum_
@@ -8,6 +10,20 @@ from repro.algebra.expressions import Attr, Const, attrs_of
 from repro.query.spec import JoinEdge, Query, RelationInfo
 from repro.query.tree import TreeLeaf, TreeNode, tree_depth, tree_leaves, tree_operators
 from repro.rewrites.pushdown import OpKind
+
+
+#: TPC-H Q5 in the SQL front end's dialect (dates are day numbers).
+TPCH_Q5 = (
+    "SELECT n.n_name, sum(l.l_extendedprice * (1 - l.l_discount)) AS revenue "
+    "FROM customer c JOIN orders o ON c.c_custkey = o.o_custkey "
+    "JOIN lineitem l ON o.o_orderkey = l.l_orderkey "
+    "JOIN supplier s ON l.l_suppkey = s.s_suppkey "
+    "JOIN nation n ON s.s_nationkey = n.n_nationkey "
+    "JOIN region r ON n.n_regionkey = r.r_regionkey "
+    "WHERE c.c_nationkey = s.s_nationkey AND r.r_name = 'ASIA' "
+    "AND o.o_orderdate >= 731 AND o.o_orderdate < 1096 "
+    "GROUP BY n.n_name"
+)
 
 
 def rel(i, card=100.0, distinct=None, keys=()):
@@ -129,6 +145,31 @@ class TestQuery:
                 ("nope.g",),
                 AggVector([AggItem("c", count_star())]),
             )
+
+    def test_building_a_query_leaves_nothing_for_the_collector(self):
+        """A generated query and a parsed TPC-H statement free what their
+        construction made by reference count: no self-referencing closure
+        walks the tree."""
+        from repro.sql import Catalog, parse_query
+        from repro.workload import topology_query
+
+        catalog = Catalog.from_tpch()
+        builds = (lambda: topology_query("star", 6), lambda: parse_query(TPCH_Q5, catalog))
+        for build in builds:
+            build()  # first-use imports and memos are not garbage
+        flags = gc.get_debug()
+        gc.collect()
+        gc.disable()
+        try:
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            queries = [build() for build in builds]
+            found = gc.collect()
+            gc.garbage.clear()
+        finally:
+            gc.set_debug(flags)
+            gc.enable()
+        assert [len(query.relations) for query in queries] == [6, 6]
+        assert found == 0
 
     def test_vertices_of_groupjoin_output_is_edge_mask(self):
         q = simple_query(op=OpKind.GROUPJOIN)

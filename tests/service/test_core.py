@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.server.metrics import check_route, parse_body
+from repro.asyncserver.app import check_route
 from repro.service import batch as batch_module
 from repro.service import core as core_module
 from repro.service.batch import WorkerOutcome, plan_miss, plan_wave
@@ -31,6 +31,7 @@ from repro.service.core import (
     ServingCore,
     batch_queries,
     merge_stats,
+    parse_body,
 )
 from repro.service.fingerprint import plan_key
 

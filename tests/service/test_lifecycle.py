@@ -1,4 +1,4 @@
-"""Plan-cache entry lifecycle: fresh → stale → revalidating → refreshed.
+"""Plan-cache entry lifecycle: fresh → stale → refreshed | evicted.
 
 Unit coverage of the stale-while-revalidate machinery added for
 statistics drift: state transitions on the cache itself, the degraded
@@ -18,7 +18,6 @@ from repro.optimizer import OptimizerConfig, optimize, prepare
 from repro.service import PlanCache
 from repro.service.cache import (
     FRESH,
-    REVALIDATING,
     SNAPSHOT_FORMAT,
     STALE,
     SnapshotError,
@@ -91,10 +90,9 @@ class TestStateTransitions:
         cache.mark_stale("orders")
         claims = cache.claim_stale(limit=2)
         assert len(claims) == 2
-        assert all(cache.entry_state(c.key) == REVALIDATING for c in claims)
         assert claims[0].sql == "sql0"
-        # The third is still stale and claimable.
-        assert len(cache.claim_stale()) == 1
+        # A claim changes no state: unbounded, all three are claimed again.
+        assert len(cache.claim_stale()) == 3
 
     def test_claim_stale_drains_hottest_first(self):
         # Skewed traffic: q2 is hammered, q0 touched once, q1 never.
@@ -108,8 +106,8 @@ class TestStateTransitions:
         cache.mark_stale("orders")
         (hottest,) = cache.claim_stale(limit=1)
         assert hottest.sql == "sql2"
-        remaining = cache.claim_stale()
-        assert [claim.sql for claim in remaining] == ["sql0", "sql1"]
+        everything = cache.claim_stale()  # the claim left q2 stale
+        assert [claim.sql for claim in everything] == ["sql2", "sql0", "sql1"]
 
     def test_claim_stale_ties_keep_insertion_order(self):
         cache = PlanCache(capacity=8)
@@ -174,14 +172,6 @@ class TestStateTransitions:
         assert cache.refresh(claim.key, Plan("new")) is False
         assert key("q") not in cache
 
-    def test_requeue_returns_claim_to_stale(self):
-        cache = PlanCache(capacity=4)
-        cache.store(key("q"), ORDERS, Plan("p"))
-        cache.mark_stale("orders")
-        (claim,) = cache.claim_stale()
-        cache.requeue(claim.key)
-        assert cache.entry_state(key("q")) == STALE
-
     def test_stale_count_scans_only_while_something_can_be_stale(self, tmp_path):
         """A shard asks after every chunk of frames; the answer is a flag
         read unless an entry left FRESH since the last scan found none."""
@@ -210,10 +200,8 @@ class TestStateTransitions:
         # ... an exact-snapshot mismatch noticed while serving ...
         cache.serve_entry(key("a"), ORDERS, exact_snapshot="v2")
         assert cache.stale_count() == 1
-        # ... a claim handed back (the entry never was fresh in between) ...
-        (claim,) = cache.claim_stale()
-        assert cache.stale_count() == 1
-        cache.requeue(claim.key)
+        # ... a claim leaves the entry stale ...
+        assert len(cache.claim_stale()) == 1
         assert cache.stale_count() == 1
         # ... and states restored from a snapshot file.
         cache._entries = plain
@@ -253,21 +241,21 @@ class TestSnapshotVersionRefusal:
 
     def test_round_trip_preserves_lifecycle_state(self, tmp_path):
         cache = PlanCache(capacity=4)
-        cache.store(key("f"), ORDERS, Plan("pf"), sql="sql-f", exact_snapshot="cards")
+        cache.store(key("f"), ANY, Plan("pf"), sql="sql-f", exact_snapshot="cards")
         cache.store(key("s"), ORDERS, Plan("ps"), sql="sql-s")
-        cache.mark_stale("orders")
-        cache.claim_stale(limit=1)  # one entry REVALIDATING at save time
+        cache.mark_stale("orders")  # s goes stale, f stays fresh
         path = tmp_path / "new.plancache"
         cache.save_snapshot(path, catalog_fingerprint="cat")
 
         restored = PlanCache(capacity=4)
         restored.load_snapshot(path, catalog_fingerprint="cat")
-        # REVALIDATING demoted to STALE (the claim died with the process);
-        # revalidation context survives.
-        states = {restored.entry_state(key(tag)) for tag in ("f", "s")}
-        assert states == {STALE}
-        (claim, *rest) = restored.claim_stale()
-        assert claim.sql in ("sql-f", "sql-s")
+        # Each entry's state and revalidation context survive.
+        assert [restored.entry_state(key(tag)) for tag in ("f", "s")] == [FRESH, STALE]
+        (claim,) = restored.claim_stale()
+        assert (claim.key, claim.sql) == (key("s"), "sql-s")
+        restored.mark_stale()
+        claims = {claim.key: claim for claim in restored.claim_stale()}
+        assert (claims[key("f")].sql, claims[key("f")].exact_snapshot) == ("sql-f", "cards")
 
 
 def store_plan(cache, catalog, config, sql=SQL):
