@@ -180,7 +180,9 @@ class ServerMetrics:
         if method not in ("GET", "POST"):
             method = "<other>"
         endpoint = f"{method} {path if path in ENDPOINTS else '<other>'}"
-        stats = self._endpoints.setdefault(endpoint, _EndpointStats())
+        stats = self._endpoints.get(endpoint)
+        if stats is None:
+            stats = self._endpoints[endpoint] = _EndpointStats()
         stats.count += 1
         if status == 429:
             stats.rejected += 1

@@ -12,7 +12,8 @@ re-serialises what the client already encoded).  Responses echo the
 request id, carry the **HTTP status code** as their kind, and their
 payload is the final JSON response body — the front writes it into the
 HTTP response without inspecting it, so a warm hit costs the worker one
-``json.dumps`` and the front zero.
+``json.dumps`` of a small dict (the plan tree's text is encoded once per
+plan and spliced in) and the front zero.
 
 Both ends parse with :func:`feed`: the worker on what it reads from
 stdin, the front on what its subprocess protocol is handed from the

@@ -17,8 +17,9 @@ Requests arrive as :mod:`~repro.asyncserver.frames` on stdin; responses
 *means* is the :class:`~repro.service.core.ServingCore`'s business; this
 module is its frame transport.  The steady-state warm hit is: memo lookup → cache key →
 ``PlanCache.serve_entry`` (which hands out the copy it made for that
-spelling last time) → ``json.dumps`` of a small dict around the plan's
-already rendered tree.  Cold misses
+spelling last time) → ``json.dumps`` of a small dict, with the plan's
+tree spliced in as the JSON text the plan encoded on its first reply
+(:func:`~repro.service.core.optimize_reply_bytes`).  Cold misses
 optimize in-process, blocking the shard — queries racing to the same
 shard queue behind the miss, which is the sharding contract (one owner
 per fingerprint).
@@ -47,6 +48,7 @@ from repro.service.core import (
     RequestError,
     ServingCore,
     error_body,
+    optimize_reply_bytes,
     parse_body,
     tune_gc_for_serving,
 )
@@ -116,12 +118,16 @@ class ShardWorker:
         }
 
     # -- commands ------------------------------------------------------------
-    def handle(self, kind: int, payload: bytes, arrived: float) -> dict:
-        """Answer one frame through the core, stamped with this shard."""
+    def handle(self, kind: int, payload: bytes, arrived: float) -> bytes:
+        """Answer one frame through the core: the reply body's JSON
+        bytes, stamped with this shard (``/optimize``'s through
+        :func:`optimize_reply_bytes`)."""
         core = self.core
         if kind == frames.OPTIMIZE:
-            body = core.optimize(parse_body(payload), arrived)
-        elif kind == frames.EXPLAIN:
+            request = parse_body(payload)
+            started = time.perf_counter()
+            return optimize_reply_bytes(request, core.plan(request, arrived), started, self.shard)
+        if kind == frames.EXPLAIN:
             body = core.explain(parse_body(payload), arrived)
         elif kind == frames.EXECUTE:
             body = core.execute(parse_body(payload), arrived)
@@ -142,11 +148,11 @@ class ShardWorker:
                 persistence_error=self.persistence_error,
             )
         elif kind == frames.SNAPSHOT:
-            return self.snapshot()
+            return _dumps(self.snapshot())
         else:
             raise RequestError(400, "bad_command", f"unknown kind {kind}")
         body["shard"] = self.shard
-        return body
+        return _dumps(body)
 
     def hello_payload(self) -> dict:
         return {
@@ -206,12 +212,14 @@ def serve(worker: ShardWorker, in_fd: int, out_fd: int) -> None:
                 # (the front's hard timeout fires and reaps this worker).
                 continue
             try:
-                status, body = 200, worker.handle(kind, payload, arrived)
+                status, reply = 200, worker.handle(kind, payload, arrived)
             except RequestError as failure:
-                status, body = failure.status, failure.to_body()
+                status, reply = failure.status, _dumps(failure.to_body())
             except Exception as error:  # noqa: BLE001 - the shard must not die
-                status, body = 500, error_body("internal", f"{type(error).__name__}: {error}")
-            out += frames.pack(request_id, status, _dumps(body))
+                status, reply = 500, _dumps(
+                    error_body("internal", f"{type(error).__name__}: {error}")
+                )
+            out += frames.pack(request_id, status, reply)
             answered += 1
             if answered % FLUSH_EVERY == 0:
                 _write_all(out_fd, out)

@@ -70,6 +70,7 @@ once its plans and builder do.
 
 from __future__ import annotations
 
+import json
 import weakref
 from collections import ChainMap
 from dataclasses import dataclass, field, replace
@@ -199,12 +200,26 @@ class PlanInfo:
     def rendered(self) -> dict:
         """``plan_to_dict(self.node)``, built once per plan and kept in the
         instance ``__dict__`` like :meth:`closure`'s cache.  Every caller
-        gets the same dict: it is for reading (``json.dumps`` of a reply);
-        whoever wants one to change calls ``plan_to_dict`` itself."""
+        gets the same dict: it is for reading (a ``/batch`` item, the
+        reply of an in-process ``ServingCore.optimize``); whoever wants
+        one to change calls ``plan_to_dict`` itself.  A shard's
+        ``/optimize`` reply reads :meth:`rendered_json` instead."""
         cached = self.__dict__.get("_rendered")
         if cached is None:
             cached = plan_to_dict(self.node)
             object.__setattr__(self, "_rendered", cached)
+        return cached
+
+    def rendered_json(self) -> bytes:
+        """``json.dumps(plan_to_dict(self.node))``, encoded once per plan
+        and kept beside :meth:`rendered`: the text a shard splices into an
+        ``/optimize`` reply.  It is encoded from a throwaway tree, so a
+        plan only shards reply with holds no dict tree; ``node`` is
+        immutable and the tree holds no cost, so the text never goes stale."""
+        cached = self.__dict__.get("_rendered_json")
+        if cached is None:
+            cached = json.dumps(plan_to_dict(self.node)).encode()
+            object.__setattr__(self, "_rendered_json", cached)
         return cached
 
     def __getstate__(self):
@@ -214,8 +229,9 @@ class PlanInfo:
         its table (``_fd_table``) and the plan's columns as a mask of that
         table (``_raw_mask``), the inputs of a pending triple
         (``_pending``), the rendered tree a serving core replies with
-        (:meth:`rendered`) — and must not ride along to a batch worker, a
-        shard snapshot or a plan cache."""
+        (:meth:`rendered`) and its JSON text a shard splices into a reply
+        (:meth:`rendered_json`) — and must not ride along to a batch
+        worker, a shard snapshot or a plan cache."""
         state = self.__dict__
         if "_pending" in state:
             _derive_pending(self)

@@ -204,7 +204,8 @@ class PlanCache:
       leaves its cost — the case the map exists for;
     * :meth:`refresh` leaves the cost of the result it replaces, under
       the key and snapshot that result was stored with — also when the
-      entry moves to a new key, so statistics that drift back find it;
+      entry moves to a new key, so statistics that drift back find it —
+      and so does an entry the move displaces from the new key;
     * :meth:`drop` leaves nothing — the caller is saying the entry's
       numbers are not to be trusted — and :meth:`clear` forgets every
       remembered cost too;
@@ -470,7 +471,9 @@ class PlanCache:
         than overwriting it.  Returns True when the entry was refreshed.
 
         The replaced result leaves its cost behind under the key and
-        exact snapshot it was stored with (:meth:`known_cost`).
+        exact snapshot it was stored with (:meth:`known_cost`).  An entry
+        already under *new_key* is displaced: counted as an invalidation,
+        it leaves its cost under its own key and exact snapshot.
         """
         if getattr(result, "degraded", False):
             return False
@@ -484,8 +487,11 @@ class PlanCache:
         if exact_snapshot is not None:
             entry.exact_snapshot = exact_snapshot
         target = new_key if new_key is not None else key
+        displaced = self._entries.pop(target, None)
+        if displaced is not None:
+            self._leave_cost(target, displaced)
+            self.stats.invalidations += 1
         self._entries[target] = entry
-        self._entries.move_to_end(target)
         self.stats.refreshed += 1
         return True
 

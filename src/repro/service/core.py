@@ -23,10 +23,11 @@ a small dict — and a repeated text does none of its work twice.  The
 memo holds the text's query, digests and naming; the cache entry holds
 the copy it handed the last hit of that naming (rebound, marked a cache
 hit) for as long as it holds the result the copy was made from; the
-plan holds its rendered tree (:meth:`PlanInfo.rendered
-<repro.optimizer.planinfo.PlanInfo.rendered>`).  What is left per hit
-is two dict lookups, the counters, the reply dict and its
-``json.dumps``.
+plan holds its tree's JSON text (:meth:`PlanInfo.rendered_json
+<repro.optimizer.planinfo.PlanInfo.rendered_json>`).  What is left per
+hit in a shard is two dict lookups, the counters, the reply dict without
+its tree and that dict's ``json.dumps`` with the text spliced in
+(:func:`optimize_reply_bytes`).
 """
 
 from __future__ import annotations
@@ -172,12 +173,15 @@ def batch_report(items: List[dict], started: float) -> dict:
     }
 
 
-def optimize_reply(body: dict, planned: Planned, started: float) -> dict:
+def optimize_reply(body: dict, planned: Planned, started: float, text: bool = False) -> dict:
     """``POST /optimize`` — one SQL statement → its plan as JSON.
 
     The reply dict is the caller's; the tree under ``"plan"`` is the
     plan's own rendered one, shared by every reply that carries it and
-    there to be serialised, not edited."""
+    there to be serialised, not edited.  With *text*, ``"plan"`` holds
+    that tree's JSON text as bytes instead (:meth:`PlanInfo.rendered_json
+    <repro.optimizer.planinfo.PlanInfo.rendered_json>`), for
+    :func:`optimize_reply_bytes` to splice."""
     result, config, _query = planned
     payload = {
         "strategy": result.strategy,
@@ -192,8 +196,21 @@ def optimize_reply(body: dict, planned: Planned, started: float) -> dict:
         "plans_built": result.plans_built,
     }
     if body.get("include_plan", True):
-        payload["plan"] = result.plan.rendered()
+        payload["plan"] = result.plan.rendered_json() if text else result.plan.rendered()
     return payload
+
+
+def optimize_reply_bytes(body: dict, planned: Planned, started: float, shard: int) -> bytes:
+    """A shard's ``/optimize`` reply: the bytes ``json.dumps`` gives of
+    :func:`optimize_reply`'s dict with ``"shard"`` added last, but with
+    the plan's memoised text spliced in where the tree goes (``"plan"``
+    is that dict's last key) instead of encoding the tree again."""
+    reply = optimize_reply(body, planned, started, text=True)
+    tree = reply.pop("plan", None)
+    if tree is None:
+        reply["shard"] = shard
+        return json.dumps(reply).encode()
+    return b'%s, "plan": %s, "shard": %d}' % (json.dumps(reply)[:-1].encode(), tree, shard)
 
 
 def explain_reply(planned: Planned) -> dict:

@@ -518,6 +518,30 @@ class TestOneOwner:
         assert requests["POST /optimize"]["errors_4xx"] == 1
         assert len(threads) == 6 and set(threads) == {owner}
 
+    def test_the_front_builds_one_bucket_per_endpoint_not_per_request(self, monkeypatch):
+        """A bucket and its latency window are made the first time their
+        endpoint is seen; every later exchange of that endpoint reuses them."""
+        from repro.asyncserver import app
+
+        made = []
+
+        class Counted(app._EndpointStats):
+            def __init__(self):
+                made.append(1)
+                super().__init__()
+
+        monkeypatch.setattr(app, "_EndpointStats", Counted)
+        with AsyncPlanServer(ServingConfig(port=0, shards=1)) as running:
+            with ServerClient(port=running.port) as c:
+                for _ in range(3):
+                    c.optimize(SQL, include_plan=False)
+                    c.stats()
+                    assert c._request("GET", "/nowhere", raise_for_status=False)["_status"] == 404
+            requests = on_loop(running, running.service.metrics.snapshot)["requests"]
+        assert sorted(requests) == ["GET /stats", "GET <other>", "POST /optimize"]
+        assert [requests[name]["count"] for name in sorted(requests)] == [3, 3, 3]
+        assert len(made) == len(requests)
+
 
 class TestRelaySupervision:
     def test_hard_timeout_answers_504_reaps_and_counts_the_restart(

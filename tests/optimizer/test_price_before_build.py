@@ -487,6 +487,8 @@ class TestNothingRunLocalRidesOnAPlan:
         assert any("_fd" in p.__dict__ for p in memoised)
         assert any("_raw_mask" in p.__dict__ for p in memoised)
         for plan in memoised:
+            plan.rendered_json()  # the reply text a shard keeps beside the plan
+            assert "_rendered_json" in plan.__dict__
             clone = pickle.loads(pickle.dumps(plan))
             assert set(clone.__dict__) == set(plan.__dataclass_fields__)
             assert clone == plan

@@ -152,6 +152,21 @@ class TestKnownCosts:
         assert cache.refresh(claim.key, degraded, exact_snapshot="s-3") is False
         assert cache.known_cost(home, "s-new") is None
 
+    def test_a_refresh_onto_a_held_key_invalidates_the_entry_it_displaces(self):
+        cache = PlanCache(capacity=4)
+        cache.store(key("a"), ORDERS, Plan("a", 1.0), exact_snapshot="s1")
+        cache.store(key("b"), ORDERS, Plan("b", 2.0), exact_snapshot="s2")
+        assert cache.mark_stale("orders") == 2
+        moved = Plan("a-moved", 3.0)
+        assert cache.refresh(key("a"), moved, exact_snapshot="s2", new_key=key("b"))
+        stats = cache.stats
+        assert (len(cache), stats.puts, stats.evictions, stats.invalidations) == (1, 2, 0, 1)
+        assert stats.puts - stats.evictions - stats.invalidations == len(cache)
+        assert cache.known_cost(key("a"), "s1") == 1.0  # the replaced result, as before
+        assert cache.known_cost(key("b"), "s2") == 2.0  # the displaced entry's own pair
+        assert served(cache, key("b"), "orders") is moved  # the refreshed entry wins
+        assert cache.entry_state(key("b")) == cache_module.FRESH and key("a") not in cache
+
 
 class TestInvalidation:
     def make_cache(self):

@@ -3,7 +3,8 @@
 ``PlanCache.serve_entry`` keeps, per entry and requesting naming, the
 pair *(stored result the copy was made from, rebound + ``as_cache_hit``
 copy)* and serves the copy again while the entry still holds that very
-result; ``PlanInfo.rendered`` keeps the JSON tree beside the plan.  These
+result; ``PlanInfo.rendered`` keeps the JSON tree beside the plan and
+``PlanInfo.rendered_json`` its text.  These
 tests hold the memo to the unmemoised path it replaces: what a hit
 returns, that nothing outlives the result it was made from, and that
 none of it reaches a pickle.
@@ -315,10 +316,14 @@ def test_a_snapshot_written_after_hits_is_the_one_written_before_them(planned, c
 def test_no_rendered_tree_crosses_a_process_boundary(planned):
     result = planned[3]
     result.plan.rendered()
-    assert "_rendered" not in pickle.loads(pickle.dumps(result)).plan.__dict__
+    result.plan.rendered_json()
+    assert {"_rendered", "_rendered_json"} <= set(result.plan.__dict__)
+    clone = pickle.loads(pickle.dumps(result)).plan.__dict__
+    assert "_rendered" not in clone and "_rendered_json" not in clone
     core = ServingCore(ServingConfig())
     miss = core.probe({"sql": SQL})
     assert type(miss) is Miss
     shipped = pickle.dumps(miss)
     assert b"_rendered" not in shipped and b"served" not in shipped
+    assert result.plan.rendered_json() not in pickle.dumps(result)
     assert pickle.loads(shipped).key == miss.key
