@@ -12,10 +12,11 @@ The front process never optimizes and never touches a plan cache: it
 parses HTTP, routes each request by structural fingerprint to the worker
 that owns that fingerprint's cache shard, and relays the worker's
 ready-made JSON response bytes verbatim.  A bounded route cache
-(SQL text → shard) makes the steady-state front cost independent of SQL
-parsing; ``/batch`` scatters slices to every involved shard and merges
-the per-item results; ``/stats`` aggregates all shards plus the front's
-own request metrics.
+(request body bytes, or a ``/batch`` item's SQL text → shard) makes the
+steady-state front cost independent of JSON decoding and SQL parsing;
+``/batch`` scatters slices to every involved shard and merges the
+per-item results; ``/stats`` aggregates all shards plus the front's own
+request metrics.
 
 A plan request (``/optimize``, ``/explain``, ``/execute``) is a relay,
 not a coroutine: ``data_received`` admits it, routes it and submits its
@@ -47,7 +48,7 @@ import socket
 import threading
 import time
 from collections import OrderedDict, deque
-from typing import Deque, Dict, Optional, Tuple
+from typing import Deque, Dict, Optional, Tuple, Union
 
 from repro.asyncserver import frames
 from repro.asyncserver.supervisor import (
@@ -81,7 +82,7 @@ logger = logging.getLogger("repro.asyncserver")
 MAX_BODY_BYTES = 8 * 1024 * 1024
 MAX_HEADER_BYTES = 64 * 1024
 
-#: entries of the front's SQL text → shard memo.
+#: entries of the front's route memo (body bytes or SQL text → shard).
 ROUTE_CACHE_CAPACITY = 4096
 
 _PLAN_FRAMES = {
@@ -241,9 +242,11 @@ class AsyncPlanService:
         self.inflight = 0
         self.draining = False
         self._idle: Optional[asyncio.Event] = None
-        # SQL text → shard.  Bounded LRU; on a hit the front routes
-        # without parsing at all.
-        self._routes: "OrderedDict[str, int]" = OrderedDict()
+        # A relayed request's body bytes, or a /batch item's SQL text →
+        # shard.  Bounded LRU; on a hit the front routes without decoding
+        # or parsing anything.  bytes never equal str, so the two key
+        # forms cannot collide.
+        self._routes: "OrderedDict[Union[bytes, str], int]" = OrderedDict()
         self._route_hits = 0
         self._route_misses = 0
         self.started = time.monotonic()
@@ -254,20 +257,24 @@ class AsyncPlanService:
         await self.supervisor.start()
 
     # -- routing -------------------------------------------------------------
-    def route(self, sql) -> int:
-        """The shard owning *sql*'s structural fingerprint."""
+    def route(self, key) -> int:
+        """The shard owning the structural fingerprint of *key*'s SQL:
+        *key* is a relayed request's JSON body (bytes) or a statement's
+        text.  Only a key that decodes and parses is remembered, so a bad
+        one is a 400 every time it comes."""
         routes = self._routes
-        shard = routes.get(sql) if isinstance(sql, str) else None
+        shard = routes.get(key) if isinstance(key, (bytes, str)) else None
         if shard is not None:
             self._route_hits += 1
-            routes.move_to_end(sql)
+            routes.move_to_end(key)
             return shard
+        sql = parse_body(key).get("sql") if isinstance(key, bytes) else key
         query = parse_sql(sql, self.catalog)
         self._route_misses += 1
         shard = shard_for_fingerprint(
             query_fingerprint(query), self.supervisor.shards
         )
-        routes[sql] = shard
+        routes[key] = shard
         if len(routes) > ROUTE_CACHE_CAPACITY:
             routes.popitem(last=False)
         return shard
@@ -290,9 +297,10 @@ class AsyncPlanService:
 
         ``/optimize``, ``/explain`` and ``/execute`` are a relay: admitted,
         routed by fingerprint — the executing shard is the one whose cache
-        shard owns the plan — and handed to that shard right here; its
-        reply frame settles the exchange from the pipe's callback.  The
-        hard (budget + grace) timeout rides along: the worker's
+        shard owns the plan; a body seen before is routed by its bytes
+        alone — and handed to that shard right here; its reply frame
+        settles the exchange from the pipe's callback.  The hard
+        (budget + grace) timeout rides along: the worker's
         cooperative deadline fires at the budget and answers first, so
         this one expiring means the worker is wedged.  Every other
         endpoint runs its coroutine as one task.
@@ -309,8 +317,7 @@ class AsyncPlanService:
                 return
             self._admit()
             exchange.admitted = True
-            payload = parse_body(body)
-            exchange.worker = worker = self.supervisor.worker(self.route(payload.get("sql")))
+            exchange.worker = worker = self.supervisor.worker(self.route(body))
             worker.submit(kind, body, self.config.hard_timeout_seconds, exchange.settle)
         except Exception as error:  # noqa: BLE001 - the front must not die
             exchange.settle(error)

@@ -7,16 +7,18 @@ coalesced via ``call_soon`` so a burst of requests costs one pipe
 write).
 
 :meth:`WorkerHandle.submit` is the one way a frame leaves: it files
-``request id → (callback, hard-timeout timer)`` and queues the frame.
+``request id → (callback, hard-timeout deadline)`` and queues the frame.
 The worker's stdout arrives at a ``SubprocessProtocol``, is cut into
 frames by :func:`frames.feed <repro.asyncserver.frames.feed>`, and each
 reply is handed to its callback then and there — no reader task, no
 future, nothing awaited between the pipe and whoever asked.  The
-callback gets an ``asyncio.TimeoutError`` instead when its timer fires first and
-a :class:`WorkerCrashed` when the worker exits first; exactly one of the
-three, once.  :meth:`WorkerHandle.request` wraps that in a future for
-the callers that are coroutines anyway (``/batch``, ``/stats``,
-``/stats_update``, snapshot, exit).
+callback gets an ``asyncio.TimeoutError`` instead when its deadline
+comes first and a :class:`WorkerCrashed` when the worker exits first;
+exactly one of the three, once.  Deadlines share one loop timer per
+shard, armed at the earliest pending one: a reply only pops its entry,
+and the timer re-arms itself when it fires.  :meth:`WorkerHandle.request`
+wraps that in a future for the callers that are coroutines anyway
+(``/batch``, ``/stats``, ``/stats_update``, snapshot, exit).
 
 Crash policy: a worker that dies outside a drain takes its pending
 requests down with 500 ``worker_pool_failure`` responses and is
@@ -120,8 +122,7 @@ class _ShardPipes(asyncio.SubprocessProtocol):
         for request_id, status, payload in ready:
             waiting = pending.pop(request_id, None)
             if waiting is not None:
-                callback, timer = waiting
-                timer.cancel()
+                callback, _deadline = waiting
                 callback((status, payload))
             elif status == frames.HELLO and not self.hello.done():
                 self.booted = True
@@ -142,9 +143,12 @@ class WorkerHandle:
     def __init__(self, shard: int, supervisor: "WorkerSupervisor"):
         self.shard = shard
         self.supervisor = supervisor
-        #: request id → (callback, hard-timeout timer) of every frame sent
-        #: and not yet answered.
-        self.pending: Dict[int, Tuple[Callable[[Outcome], None], asyncio.TimerHandle]] = {}
+        #: request id → (callback, hard-timeout deadline on the loop's
+        #: clock) of every frame sent and not yet answered.
+        self.pending: Dict[int, Tuple[Callable[[Outcome], None], float]] = {}
+        #: the one hard-timeout timer, armed at or before the earliest
+        #: pending deadline; ``None`` while nothing is pending.
+        self._timer: Optional[asyncio.TimerHandle] = None
         self.hello: dict = {}
         self.restarts = 0
         self.breaker_open = False
@@ -198,8 +202,10 @@ class WorkerHandle:
     def _fail_pending(self, error: WorkerCrashed) -> None:
         failed = list(self.pending.values())
         self.pending.clear()
-        for callback, timer in failed:
-            timer.cancel()
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+        for callback, _deadline in failed:
             callback(error)
 
     async def _restart(self) -> None:
@@ -321,17 +327,44 @@ class WorkerHandle:
             )
         request_id = next(self.supervisor.request_ids)
         loop = asyncio.get_running_loop()
-        self.pending[request_id] = (
-            callback,
-            loop.call_later(timeout, self._expire, request_id),
-        )
+        deadline = loop.time() + timeout
+        self.pending[request_id] = (callback, deadline)
+        self._arm(loop, deadline)
         self._send_buffer += frames.pack(request_id, kind, payload)
         if not self._flush_scheduled:
             self._flush_scheduled = True
             loop.call_soon(self._flush)
 
+    def _arm(self, loop: asyncio.AbstractEventLoop, deadline: float) -> None:
+        """Have the timer fire by *deadline*."""
+        timer = self._timer
+        if timer is not None:
+            if timer.when() <= deadline:
+                return
+            timer.cancel()
+        self._timer = loop.call_at(deadline, self._on_timer, deadline)
+
+    def _on_timer(self, armed_at: float) -> None:
+        """Expire every request whose deadline has come, then re-arm at
+        the earliest one left.  A reply does not disarm the timer, so it
+        may find nothing due.  The scan is over ``pending`` — the frames
+        this shard holds, which admission bounds — and keeps no list of
+        deadlines of its own."""
+        self._timer = None
+        loop = asyncio.get_running_loop()
+        # The loop runs a timer up to one clock tick early: the deadline
+        # it was armed at counts as come.
+        now = max(loop.time(), armed_at)
+        pending = self.pending
+        due = [request_id for request_id, (_cb, deadline) in pending.items() if deadline <= now]
+        for request_id in due:
+            if request_id in pending:  # an earlier expiry's callback may fail the rest
+                self._expire(request_id)
+        if pending:
+            self._arm(loop, min(deadline for _cb, deadline in pending.values()))
+
     def _expire(self, request_id: int) -> None:
-        callback, _timer = self.pending.pop(request_id)
+        callback, _deadline = self.pending.pop(request_id)
         # asyncio's class, which is what every consumer tests: the builtin
         # only from Python 3.11 on.
         callback(asyncio.TimeoutError(f"shard {self.shard}: no reply in time"))

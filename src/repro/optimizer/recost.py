@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.optimizer.config import OptimizerConfig
 from repro.optimizer.driver import (
@@ -83,6 +83,47 @@ def _is_finishing_group(node: GroupByNode, query: Query) -> bool:
     ) == tuple(item.name for item in query.normalized.vector)
 
 
+def _replay(
+    current: PlanNode, builder: PlanBuilder, resolver, vertex_of: Dict[str, int]
+) -> PlanInfo:
+    """Rebuild *current* bottom-up with *builder*.  A module function, not
+    a closure that calls itself: that would be a reference cycle holding
+    the builder and the query, left for the collector on every recost."""
+    if isinstance(current, (ScanNode, SelectNode)):
+        scan = current.child if isinstance(current, SelectNode) else current
+        if not isinstance(scan, ScanNode):
+            raise RecostError(f"unexpected select child {scan.label()}")
+        vertex = vertex_of.get(scan.relation)
+        if vertex is None:
+            raise RecostError(f"unknown relation {scan.relation!r}")
+        info = builder.leaf(vertex)
+        if type(info.node) is not type(current):
+            raise RecostError(
+                f"local-predicate mismatch on {scan.relation!r}"
+            )
+        return info
+    if isinstance(current, GroupByNode):
+        child = _replay(current.child, builder, resolver, vertex_of)
+        grouped = builder.group(child, frozenset(current.group_attrs))
+        if grouped is None:
+            raise RecostError("eager grouping no longer valid")
+        return grouped
+    if isinstance(current, JoinNode):
+        left = _replay(current.left, builder, resolver, vertex_of)
+        right = _replay(current.right, builder, resolver, vertex_of)
+        spec = resolver.resolve(left.rel_set, right.rel_set)
+        if spec is None or spec.swap or spec.op is not current.op:
+            raise RecostError("join operator no longer resolvable")
+        joined = builder.join(
+            left, right, spec.op, spec.predicate, spec.selectivity,
+            spec.groupjoin_vector,
+        )
+        if joined is None:
+            raise RecostError("join aggregation state no longer maintainable")
+        return joined
+    raise RecostError(f"unexpected plan node {current.label()}")
+
+
 def recost(
     query: Query,
     node: PlanNode,
@@ -106,41 +147,6 @@ def recost(
     resolver = prepared.resolver()
     vertex_of = {rel.name: vertex for vertex, rel in enumerate(query.relations)}
 
-    def replay(current: PlanNode) -> PlanInfo:
-        if isinstance(current, (ScanNode, SelectNode)):
-            scan = current.child if isinstance(current, SelectNode) else current
-            if not isinstance(scan, ScanNode):
-                raise RecostError(f"unexpected select child {scan.label()}")
-            vertex = vertex_of.get(scan.relation)
-            if vertex is None:
-                raise RecostError(f"unknown relation {scan.relation!r}")
-            info = builder.leaf(vertex)
-            if type(info.node) is not type(current):
-                raise RecostError(
-                    f"local-predicate mismatch on {scan.relation!r}"
-                )
-            return info
-        if isinstance(current, GroupByNode):
-            child = replay(current.child)
-            grouped = builder.group(child, frozenset(current.group_attrs))
-            if grouped is None:
-                raise RecostError("eager grouping no longer valid")
-            return grouped
-        if isinstance(current, JoinNode):
-            left = replay(current.left)
-            right = replay(current.right)
-            spec = resolver.resolve(left.rel_set, right.rel_set)
-            if spec is None or spec.swap or spec.op is not current.op:
-                raise RecostError("join operator no longer resolvable")
-            joined = builder.join(
-                left, right, spec.op, spec.predicate, spec.selectivity,
-                spec.groupjoin_vector,
-            )
-            if joined is None:
-                raise RecostError("join aggregation state no longer maintainable")
-            return joined
-        raise RecostError(f"unexpected plan node {current.label()}")
-
     # Strip finish_top's wrapper, replay the core, re-finish.  Both root
     # shapes finish_top can emit are recognised; anything else (a plan
     # from a foreign builder) is a replay failure.
@@ -153,7 +159,7 @@ def recost(
         core = core.child
     else:
         raise RecostError(f"unexpected plan root {node.label()}")
-    finished = builder.finish_top(replay(core))
+    finished = builder.finish_top(_replay(core, builder, resolver, vertex_of))
     if type(finished.node) is not type(node):
         raise RecostError("top-grouping decision diverged during replay")
     return finished

@@ -85,17 +85,7 @@ def canonical_vertex_order(query: Query) -> Tuple[int, ...]:
     permutations that produce the same initial tree — most importantly
     the ``RIGHT JOIN`` → swapped ``LEFT JOIN`` normalization.
     """
-    order: List[int] = []
-
-    def walk(node: Tree) -> None:
-        if isinstance(node, TreeLeaf):
-            order.append(node.vertex)
-        else:
-            walk(node.left)
-            walk(node.right)
-
-    walk(query.tree)
-    return tuple(order)
+    return tuple(query._tree_vertices())
 
 
 class _Canonicalizer:

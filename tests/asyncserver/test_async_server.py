@@ -233,7 +233,8 @@ class TestPersistenceLifecycle:
                 c.optimize(SQL)
             first.drain()
         path = os.path.join(cache_dir, "shard-000-of-001.plancache")
-        raw = bytearray(open(path, "rb").read())
+        with open(path, "rb") as handle:
+            raw = bytearray(handle.read())
         raw[-1] ^= 0xFF
         with open(path, "wb") as handle:
             handle.write(bytes(raw))

@@ -9,6 +9,7 @@ refresh with ``cardinality_factor=1.0`` would spuriously re-plan the
 whole cache.
 """
 
+import gc
 
 import pytest
 
@@ -70,6 +71,28 @@ class TestBitForBitReplay:
             query, result.plan.node, cost_model=config.resolve_cost_model()
         )
         assert replayed.cost == result.cost
+
+    def test_a_replay_leaves_nothing_for_the_collector(self):
+        """The replay frees its builder and everything the builder made by
+        reference count: no closure that calls itself walks the plan."""
+        query = fresh_query(SQLS[2])
+        config = OptimizerConfig()
+        node = optimize(query, config=config).plan.node
+        cost_model = config.resolve_cost_model()
+        recost(query, node, cost_model=cost_model)  # first-use memos are not garbage
+        flags = gc.get_debug()
+        gc.collect()
+        gc.disable()
+        try:
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            replayed = recost(query, node, cost_model=cost_model)
+            found = gc.collect()
+            gc.garbage.clear()
+        finally:
+            gc.set_debug(flags)
+            gc.enable()
+        assert type(replayed.node) is type(node)
+        assert found == 0
 
     def test_foreign_plan_is_a_replay_error(self):
         donor = optimize(fresh_query(SQLS[0]))

@@ -1,5 +1,7 @@
 """Fingerprint stability: renaming and reordering must not change the key."""
 
+import gc
+
 from repro.aggregates.calls import count_star, sum_
 from repro.aggregates.vector import AggItem, AggVector
 from repro.algebra.expressions import Attr, BinOp, Const, Logical
@@ -12,6 +14,20 @@ from repro.optimizer import OptimizerConfig
 from repro.optimizer.strategies import EaPruneStrategy
 from repro.service import cache_key, cardinality_snapshot, query_fingerprint
 from repro.service.fingerprint import plan_key
+
+
+#: TPC-H Q5 in the SQL front end's dialect (dates are day numbers).
+TPCH_Q5 = (
+    "SELECT n.n_name, sum(l.l_extendedprice * (1 - l.l_discount)) AS revenue "
+    "FROM customer c JOIN orders o ON c.c_custkey = o.o_custkey "
+    "JOIN lineitem l ON o.o_orderkey = l.l_orderkey "
+    "JOIN supplier s ON l.l_suppkey = s.s_suppkey "
+    "JOIN nation n ON s.s_nationkey = n.n_nationkey "
+    "JOIN region r ON n.n_regionkey = r.r_regionkey "
+    "WHERE c.c_nationkey = s.s_nationkey AND r.r_name = 'ASIA' "
+    "AND o.o_orderdate >= 731 AND o.o_orderdate < 1096 "
+    "GROUP BY n.n_name"
+)
 
 
 def make_relation(name, cardinality=1000.0):
@@ -251,6 +267,31 @@ class TestPlanKey:
             degradation="error", cache_capacity=None,
         ))
         assert plain == plumbed
+
+    def test_keying_and_binding_a_query_leave_nothing_for_the_collector(self):
+        """A cold miss computes the canonical vertex order four or five
+        times (both canonicalizers of the key, the binding of probe and
+        store); each frees what it made by reference count."""
+        from repro.service.rebind import query_binding
+        from repro.sql import Catalog, parse_query
+
+        query = parse_query(TPCH_Q5, Catalog.from_tpch())
+        config = OptimizerConfig(snapshot_band_width=1.0)  # both snapshots
+        plan_key(query, config), query_binding(query)  # first-use memos are not garbage
+        flags = gc.get_debug()
+        gc.collect()
+        gc.disable()
+        try:
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            key, _exact = plan_key(query, config)
+            binding = query_binding(query)
+            found = gc.collect()
+            gc.garbage.clear()
+        finally:
+            gc.set_debug(flags)
+            gc.enable()
+        assert key.fingerprint and len(binding) == 6
+        assert found == 0
 
 
 class TestOperatorKindSeparation:
